@@ -14,10 +14,14 @@
 //! pipeline drains the backlog with bigger blocks instead of letting queue
 //! delay grow. With an empty-ish pool the target stays at the base, keeping
 //! the common-case block size (and its latency profile) untouched.
+//!
+//! The thread only runs when it can seal: it parks on an empty pool, a full
+//! slot or (digest mode) a backlog at its cap, and whoever changes that — an
+//! admission, [`PreparedSlot::take`], a proposal draining backlog — unparks it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread;
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use moonshot_crypto::Digest;
@@ -86,33 +90,68 @@ pub struct PreparedPayload {
     pub queue_us: Vec<u64>,
 }
 
+/// How long a parked assembler sleeps before re-checking on its own. Every
+/// state change it waits for unparks it, so this only bounds the damage of
+/// a wake-up that never came. This crate's tests stretch it past their
+/// deadlines, so that only a real wake-up lets them pass.
+const IDLE_RECHECK: Duration = Duration::from_millis(if cfg!(test) { 30_000 } else { 50 });
+
+/// How long a batch that would go out under-full waits for more admissions
+/// before it is sealed: the batching window the retired 200 µs idle poll
+/// provided by accident (and `mempool.queue_p50_ms` its cost).
+const BATCH_LINGER: Duration = Duration::from_micros(200);
+
 /// The handoff cell between the assembler thread and the driver's payload
 /// source. Cloning shares the cell.
 #[derive(Clone, Debug, Default)]
-pub struct PreparedSlot(Arc<Mutex<Option<PreparedPayload>>>);
+pub struct PreparedSlot(Arc<SlotInner>);
+
+#[derive(Debug, Default)]
+struct SlotInner {
+    prepared: Mutex<Option<PreparedPayload>>,
+    /// The assembler thread, parked while the slot is full.
+    filler: OnceLock<Thread>,
+}
 
 impl PreparedSlot {
     /// Takes the prepared payload, leaving the slot empty for the
-    /// assembler to refill. This is the only payload work the driver does.
+    /// assembler — woken here — to refill. This is the only payload work
+    /// the driver does.
     pub fn take(&self) -> Option<PreparedPayload> {
-        self.0.lock().unwrap().take()
+        let taken = self.0.prepared.lock().unwrap().take();
+        if let (Some(_), Some(filler)) = (&taken, self.0.filler.get()) {
+            filler.unpark();
+        }
+        taken
     }
 
     fn put(&self, prepared: PreparedPayload) {
-        *self.0.lock().unwrap() = Some(prepared);
+        *self.0.prepared.lock().unwrap() = Some(prepared);
     }
 
     fn is_full(&self) -> bool {
-        self.0.lock().unwrap().is_some()
+        self.0.prepared.lock().unwrap().is_some()
     }
 }
 
+/// What a [`BatchAssembler`] handle shares with its thread.
+#[derive(Debug, Default)]
+struct Shared {
+    shutdown: AtomicBool,
+    batches: AtomicU64,
+    /// Loop iterations, sealing or not: what the idle tests bound.
+    #[cfg(test)]
+    passes: AtomicU64,
+}
+
 /// Background thread keeping [`PreparedSlot`] topped up from a [`Mempool`].
+///
+/// A pool feeds one assembler for its lifetime: admissions unpark the first
+/// one started on it, and a later one would only seal on its fallback tick.
 #[derive(Debug)]
 pub struct BatchAssembler {
     slot: PreparedSlot,
-    shutdown: Arc<AtomicBool>,
-    batches: Arc<AtomicU64>,
+    shared: Arc<Shared>,
     thread: Option<thread::JoinHandle<()>>,
 }
 
@@ -124,18 +163,16 @@ impl BatchAssembler {
     /// mean anything.
     pub fn start(pool: Arc<Mempool>, cfg: AssemblerConfig, epoch: Instant) -> BatchAssembler {
         let slot = PreparedSlot::default();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let batches = Arc::new(AtomicU64::new(0));
+        let shared = Arc::new(Shared::default());
         let thread = {
             let slot = slot.clone();
-            let shutdown = shutdown.clone();
-            let batches = batches.clone();
+            let shared = shared.clone();
             thread::Builder::new()
                 .name("batch-assembler".into())
-                .spawn(move || run(pool, slot, shutdown, batches, cfg, epoch))
+                .spawn(move || run(pool, slot, &shared, cfg, epoch))
                 .expect("spawn batch assembler")
         };
-        BatchAssembler { slot, shutdown, batches, thread: Some(thread) }
+        BatchAssembler { slot, shared, thread: Some(thread) }
     }
 
     /// Spawns the assembler in **digest mode**: sealed batches go to the
@@ -152,19 +189,15 @@ impl BatchAssembler {
         backlog_cap_bytes: usize,
     ) -> BatchAssembler {
         let slot = PreparedSlot::default();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let batches = Arc::new(AtomicU64::new(0));
+        let shared = Arc::new(Shared::default());
         let thread = {
-            let shutdown = shutdown.clone();
-            let batches = batches.clone();
+            let shared = shared.clone();
             thread::Builder::new()
                 .name("batch-assembler".into())
-                .spawn(move || {
-                    run_digest(pool, plane, shutdown, batches, cfg, epoch, backlog_cap_bytes)
-                })
+                .spawn(move || run_digest(pool, plane, &shared, cfg, epoch, backlog_cap_bytes))
                 .expect("spawn batch assembler")
         };
-        BatchAssembler { slot, shutdown, batches, thread: Some(thread) }
+        BatchAssembler { slot, shared, thread: Some(thread) }
     }
 
     /// The handoff cell to wire into the leader's payload source.
@@ -174,50 +207,84 @@ impl BatchAssembler {
 
     /// Batches assembled so far.
     pub fn batches_assembled(&self) -> u64 {
-        self.batches.load(Ordering::Relaxed)
+        self.shared.batches.load(Ordering::Relaxed)
     }
 }
 
 impl Drop for BatchAssembler {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shared.shutdown.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.take() {
+            t.thread().unpark();
             let _ = t.join();
         }
     }
 }
 
+impl Shared {
+    /// The loop condition of both modes.
+    fn running(&self) -> bool {
+        #[cfg(test)]
+        self.passes.fetch_add(1, Ordering::Relaxed);
+        !self.shutdown.load(Ordering::Relaxed)
+    }
+}
+
+/// A drained batch before framing, with its seal time (µs since the epoch)
+/// and per-transaction seal − submit delays (µs).
+struct Drained {
+    txs: Vec<Tx>,
+    sealed_at_us: u64,
+    queue_us: Vec<u64>,
+}
+
+/// Drains the next batch from a non-empty pool; `None` when the drain came
+/// back empty (an oversized head still earning its deficit). A pool holding
+/// less than one base batch first gets [`BATCH_LINGER`] to collect more:
+/// woken on the first admission, the assembler would otherwise seal every
+/// transaction of a steady stream on its own.
+fn drain_batch(pool: &Mempool, cfg: &AssemblerConfig, epoch: Instant) -> Option<Drained> {
+    if pool.pending_bytes() < cfg.base_batch_bytes as u64 {
+        thread::sleep(BATCH_LINGER);
+    }
+    let target = cfg.effective_target(pool.pending_bytes());
+    pool.set_batch_target(target as u64);
+    let txs = pool.drain_for_batch(target);
+    if txs.is_empty() {
+        return None;
+    }
+    if target > cfg.base_batch_bytes {
+        pool.note_batch_grown();
+    }
+    let sealed_at_us = epoch.elapsed().as_micros() as u64;
+    let queue_us = txs
+        .iter()
+        .filter_map(|t| tx_timestamp_us(&t.bytes))
+        .map(|submitted| sealed_at_us.saturating_sub(submitted))
+        .collect();
+    Some(Drained { txs, sealed_at_us, queue_us })
+}
+
 fn run(
     pool: Arc<Mempool>,
     slot: PreparedSlot,
-    shutdown: Arc<AtomicBool>,
-    batches: Arc<AtomicU64>,
+    shared: &Shared,
     cfg: AssemblerConfig,
     epoch: Instant,
 ) {
-    while !shutdown.load(Ordering::Relaxed) {
+    pool.wake_on_admit(thread::current());
+    let _ = slot.0.filler.set(thread::current());
+    while shared.running() {
         if slot.is_full() || pool.is_empty() {
-            // Either the next payload is already staged or there is nothing
-            // to stage; both resolve in well under a block period.
-            thread::sleep(Duration::from_micros(200));
+            // The next payload is already staged or there is nothing to
+            // stage: sleep until a take or an admission says otherwise.
+            thread::park_timeout(IDLE_RECHECK);
             continue;
         }
-        let target = cfg.effective_target(pool.pending_bytes());
-        pool.set_batch_target(target as u64);
-        let txs = pool.drain_for_batch(target);
-        if txs.is_empty() {
+        let Some(Drained { txs, sealed_at_us, queue_us }) = drain_batch(&pool, &cfg, epoch) else {
             continue;
-        }
-        if target > cfg.base_batch_bytes {
-            pool.note_batch_grown();
-        }
+        };
         let tx_count = txs.len() as u64;
-        let sealed_at_us = epoch.elapsed().as_micros() as u64;
-        let queue_us = txs
-            .iter()
-            .filter_map(|t| tx_timestamp_us(&t.bytes))
-            .map(|submitted| sealed_at_us.saturating_sub(submitted))
-            .collect();
         let tx_digests = digests_of(&txs);
         // The one and only content hash of this batch happens here, on the
         // assembler thread — Payload::data charges *this* thread's counter.
@@ -226,7 +293,7 @@ fn run(
         // seen window alone would let a retry land in a second batch.
         pool.pin_batch(payload.digest(), &tx_digests);
         slot.put(PreparedPayload { payload, tx_count, sealed_at_us, queue_us });
-        batches.fetch_add(1, Ordering::Relaxed);
+        shared.batches.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -237,35 +304,25 @@ fn digests_of(txs: &[Tx]) -> Vec<Digest> {
 fn run_digest(
     pool: Arc<Mempool>,
     plane: Arc<DissemPlane>,
-    shutdown: Arc<AtomicBool>,
-    batches: Arc<AtomicU64>,
+    shared: &Shared,
     cfg: AssemblerConfig,
     epoch: Instant,
     backlog_cap_bytes: usize,
 ) {
-    while !shutdown.load(Ordering::Relaxed) {
+    pool.wake_on_admit(thread::current());
+    plane.queue.wake_on_drain(thread::current());
+    while shared.running() {
         if plane.queue.backlog_bytes() >= backlog_cap_bytes as u64 || pool.is_empty() {
             // Sealed-but-unproposed payload at the cap (the ordering plane
-            // is the bottleneck right now) or nothing to seal.
-            thread::sleep(Duration::from_micros(200));
+            // is the bottleneck right now) or nothing to seal: sleep until
+            // a proposal drains backlog or an admission arrives.
+            thread::park_timeout(IDLE_RECHECK);
             continue;
         }
-        let target = cfg.effective_target(pool.pending_bytes());
-        pool.set_batch_target(target as u64);
-        let txs = pool.drain_for_batch(target);
-        if txs.is_empty() {
+        let Some(Drained { txs, sealed_at_us, queue_us }) = drain_batch(&pool, &cfg, epoch) else {
             continue;
-        }
-        if target > cfg.base_batch_bytes {
-            pool.note_batch_grown();
-        }
+        };
         let tx_count = txs.len() as u64;
-        let sealed_at_us = epoch.elapsed().as_micros() as u64;
-        let queue_us = txs
-            .iter()
-            .filter_map(|t| tx_timestamp_us(&t.bytes))
-            .map(|submitted| sealed_at_us.saturating_sub(submitted))
-            .collect();
         let tx_digests = digests_of(&txs);
         let bytes: Arc<[u8]> = encode_batch(&txs).into();
         // The batch's one content hash, on this thread.
@@ -275,7 +332,7 @@ fn run_digest(
         // (and feeds the stored log the driver drains for trace events).
         plane.store.insert(digest, bytes.clone());
         plane.queue.push_sealed(SealedBatch { digest, bytes, tx_count, sealed_at_us, queue_us });
-        batches.fetch_add(1, Ordering::Relaxed);
+        shared.batches.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -390,6 +447,90 @@ mod tests {
         for tx in &resubmit {
             assert_eq!(pool.submit(tx.clone()), Err(crate::pool::SubmitError::Duplicate));
         }
+    }
+
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Slot mode: an idle assembler parks instead of polling (the 200 µs
+    /// poll made 2 500 passes in this window), the first admission wakes it
+    /// to seal, a full slot parks it again, and a take wakes it for the
+    /// next batch. The fallback tick is stretched past every deadline here,
+    /// so each step can only be the wake-up's doing.
+    #[test]
+    fn slot_assembler_parks_until_an_admission_or_a_take_wakes_it() {
+        let pool = Arc::new(Mempool::new(MempoolConfig::default()));
+        let assembler =
+            BatchAssembler::start(pool.clone(), AssemblerConfig::fixed(1_800), Instant::now());
+        let passes = || assembler.shared.passes.load(Ordering::Relaxed);
+        thread::sleep(Duration::from_millis(500));
+        let idle = passes();
+        assert!(idle <= 3, "idle assembler made {idle} passes in 500 ms");
+
+        for seq in 0..20u64 {
+            pool.submit(make_tx(seq, 1, seq, 180)).unwrap();
+        }
+        wait_for("the first admission to seal a batch", || assembler.batches_assembled() == 1);
+        // One unpark per admission at most, each good for one pass.
+        assert!(passes() <= idle + 21, "{} passes for one batch", passes() - idle);
+        thread::sleep(Duration::from_millis(100));
+        assert_eq!(assembler.batches_assembled(), 1, "sealed past a full slot");
+        assert!(!pool.is_empty());
+
+        assert!(assembler.slot().take().is_some());
+        wait_for("the take to seal the next batch", || assembler.batches_assembled() == 2);
+    }
+
+    /// Digest mode: the same for an empty pool and for a backlog at its
+    /// cap, which only a draining proposal releases.
+    #[test]
+    fn digest_assembler_parks_until_an_admission_or_a_backlog_release_wakes_it() {
+        let pool = Arc::new(Mempool::new(MempoolConfig::default()));
+        let plane = DissemPlane::new(1 << 20);
+        let cap = 2_000;
+        let assembler = BatchAssembler::start_digest(
+            pool.clone(),
+            AssemblerConfig::fixed(1_800),
+            Instant::now(),
+            plane.clone(),
+            cap,
+        );
+        let passes = || assembler.shared.passes.load(Ordering::Relaxed);
+        thread::sleep(Duration::from_millis(500));
+        let idle = passes();
+        assert!(idle <= 3, "idle assembler made {idle} passes in 500 ms");
+
+        pool.submit(make_tx(0, 1, 0, 180)).unwrap();
+        wait_for("the first admission to seal a batch", || plane.queue.sealed_len() == 1);
+        assert!(passes() <= idle + 3, "{} passes for one batch", passes() - idle);
+
+        for seq in 1..60u64 {
+            pool.submit(make_tx(seq, 1, seq, 180)).unwrap();
+        }
+        wait_for("sealing to reach the backlog cap", || {
+            plane.queue.backlog_bytes() >= cap as u64
+        });
+        thread::sleep(Duration::from_millis(100));
+        let at_cap = assembler.batches_assembled();
+        assert!(!pool.is_empty(), "the cap must hold sealing back");
+        assert!(plane.queue.backlog_bytes() < 2 * cap as u64 + 1_800);
+
+        // The driver pushes, a proposal drains: backlog released.
+        for sealed in plane.queue.take_sealed(usize::MAX) {
+            plane.queue.push_proposable(crate::dissem::ProposableBatch {
+                batch: sealed.batch_ref(),
+                tx_count: sealed.tx_count,
+                sealed_at_us: sealed.sealed_at_us,
+                queue_us: sealed.queue_us,
+            });
+        }
+        assert!(!plane.queue.drain_proposable(usize::MAX, u64::MAX).is_empty());
+        wait_for("the release to resume sealing", || assembler.batches_assembled() > at_cap);
     }
 
     /// The effective target grows linearly with backlog and saturates at

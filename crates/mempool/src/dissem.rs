@@ -21,7 +21,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::Thread;
 
 use moonshot_crypto::Digest;
 use moonshot_types::BatchRef;
@@ -322,9 +323,23 @@ struct QueueInner {
 /// ordering is thus structural, not timing-dependent: a ref can only enter
 /// a proposal after its bytes were handed to every peer's send queue, and
 /// per-peer TCP FIFO keeps the push ahead of the proposal on the wire.
-#[derive(Debug, Default)]
+///
+/// Neither side polls the other: see [`on_sealed`](DissemQueue::on_sealed)
+/// and [`wake_on_drain`](DissemQueue::wake_on_drain).
+#[derive(Default)]
 pub struct DissemQueue {
     inner: Mutex<QueueInner>,
+    /// The driver's wake-up. Re-settable: a restarted node's new driver
+    /// takes over the plane its predecessor left.
+    on_sealed: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
+    /// The assembler thread, parked while the backlog sits at its cap.
+    sealer: OnceLock<Thread>,
+}
+
+impl fmt::Debug for DissemQueue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("DissemQueue").field("inner", &self.inner).finish_non_exhaustive()
+    }
 }
 
 impl DissemQueue {
@@ -333,11 +348,32 @@ impl DissemQueue {
         DissemQueue::default()
     }
 
+    /// Registers what wakes the driver when the sealed stage goes from
+    /// empty to non-empty (replacing any earlier registration). A driver
+    /// that leaves batches behind in [`take_sealed`](DissemQueue::take_sealed)
+    /// gets no second call for them and must come back on its own.
+    pub fn on_sealed(&self, wake: impl Fn() + Send + Sync + 'static) {
+        *self.on_sealed.lock().unwrap() = Some(Box::new(wake));
+    }
+
+    /// Names `sealer` as the thread to unpark whenever a proposal drains
+    /// backlog. One sealer per queue; later calls are ignored.
+    pub fn wake_on_drain(&self, sealer: Thread) {
+        let _ = self.sealer.set(sealer);
+    }
+
     /// Appends a sealed batch (assembler thread).
     pub fn push_sealed(&self, batch: SealedBatch) {
         let mut inner = self.inner.lock().unwrap();
         inner.backlog_bytes += batch.bytes.len() as u64;
+        let was_empty = inner.sealed.is_empty();
         inner.sealed.push_back(batch);
+        drop(inner);
+        if was_empty {
+            if let Some(wake) = &*self.on_sealed.lock().unwrap() {
+                wake();
+            }
+        }
     }
 
     /// Takes up to `max` sealed batches for pushing (driver).
@@ -368,6 +404,12 @@ impl DissemQueue {
             let b = inner.proposable.pop_front().unwrap();
             inner.backlog_bytes = inner.backlog_bytes.saturating_sub(b.batch.bytes);
             out.push(b);
+        }
+        drop(inner);
+        if !out.is_empty() {
+            if let Some(sealer) = self.sealer.get() {
+                sealer.unpark();
+            }
         }
         out
     }
@@ -490,6 +532,47 @@ mod tests {
         assert_eq!(plane.counters.stats().pruned_committed, 2);
         // Pruning is idempotent: the ripe set was consumed.
         assert_eq!(plane.store.prune_committed(2), 0);
+    }
+
+    /// The driver's wake-up runs once per empty → non-empty transition of
+    /// the sealed stage, not once per batch, and a re-registration (a
+    /// restarted driver) replaces the old hook.
+    #[test]
+    fn on_sealed_fires_when_the_sealed_stage_goes_non_empty() {
+        let q = DissemQueue::new();
+        let sealed = |fill: u8| {
+            let bytes = arc_bytes(100, fill);
+            SealedBatch {
+                digest: batch_digest(&bytes),
+                bytes,
+                tx_count: 1,
+                sealed_at_us: 0,
+                queue_us: vec![1],
+            }
+        };
+        let counter = |q: &DissemQueue| {
+            let calls = Arc::new(AtomicU64::new(0));
+            let c = calls.clone();
+            q.on_sealed(move || {
+                c.fetch_add(1, Ordering::Relaxed);
+            });
+            calls
+        };
+        q.push_sealed(sealed(0)); // nobody registered: nothing to run
+        let first = counter(&q);
+        q.push_sealed(sealed(1));
+        assert_eq!(first.load(Ordering::Relaxed), 0, "stage was already non-empty");
+        assert_eq!(q.take_sealed(1).len(), 1);
+        q.push_sealed(sealed(2));
+        assert_eq!(first.load(Ordering::Relaxed), 0, "one batch was left behind");
+        assert_eq!(q.take_sealed(8).len(), 2);
+        q.push_sealed(sealed(3));
+        q.push_sealed(sealed(4));
+        assert_eq!(first.load(Ordering::Relaxed), 1);
+        let second = counter(&q);
+        assert_eq!(q.take_sealed(8).len(), 2);
+        q.push_sealed(sealed(5));
+        assert_eq!((first.load(Ordering::Relaxed), second.load(Ordering::Relaxed)), (1, 1));
     }
 
     #[test]

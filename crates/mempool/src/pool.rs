@@ -30,7 +30,8 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
+use std::thread::Thread;
 
 use moonshot_crypto::Digest;
 
@@ -270,6 +271,9 @@ pub struct Mempool {
     /// shard lock (pin/release); the submit and drain paths take only
     /// shard locks, so the order is acyclic.
     in_flight: Mutex<InFlightBatches>,
+    /// The thread draining this pool (its batch assembler), unparked after
+    /// every admission; see [`Mempool::wake_on_admit`].
+    consumer: OnceLock<Thread>,
 }
 
 impl Mempool {
@@ -298,7 +302,17 @@ impl Mempool {
             batch_target: AtomicU64::new(0),
             batches_grown: AtomicU64::new(0),
             in_flight: Mutex::new(InFlightBatches::default()),
+            consumer: OnceLock::new(),
         }
+    }
+
+    /// Names `consumer` as the thread that drains this pool: every admitted
+    /// transaction unparks it, so it can park on an empty pool instead of
+    /// polling. Unparking a running thread is one atomic swap; a pool nobody
+    /// registered on pays one load. One consumer per pool: later calls are
+    /// ignored.
+    pub fn wake_on_admit(&self, consumer: Thread) {
+        let _ = self.consumer.set(consumer);
     }
 
     /// The configuration this pool was built with.
@@ -374,6 +388,11 @@ impl Mempool {
         self.accepted.fetch_add(1, Ordering::Relaxed);
         self.pending_txs.fetch_add(1, Ordering::Relaxed);
         self.pending_bytes.fetch_add(len as u64, Ordering::Relaxed);
+        // After the counters: `unpark` releases, `park` acquires, so the
+        // woken consumer sees the pool non-empty.
+        if let Some(consumer) = self.consumer.get() {
+            consumer.unpark();
+        }
         Ok(())
     }
 

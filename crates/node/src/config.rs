@@ -90,9 +90,12 @@ impl FromStr for ProtocolChoice {
 /// Where signature verification runs for a networked node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum VerifyMode {
-    /// Verify on the transport's per-peer reader threads; the driver
-    /// receives pre-verified messages and performs zero signature checks
-    /// itself. The default.
+    /// Verify in the network pool's sigverify stage: the shard loops decode
+    /// frames and queue them, `net-verify-*` workers drain the queue across
+    /// all connections and check each batch's signatures in one
+    /// `batch_verify` call, and the driver receives pre-verified messages
+    /// and performs zero signature checks itself. The default. (The name
+    /// is from the per-peer reader threads that stage replaced.)
     #[default]
     Reader,
     /// Verify inline on the driver thread (the pre-fast-path behaviour —

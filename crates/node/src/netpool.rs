@@ -920,6 +920,11 @@ impl Runner {
         SimTime(self.epoch.elapsed().as_micros() as u64)
     }
 
+    /// How long the loop may block: until the next armed timer, or the idle
+    /// tick. [`Poller::wait`] rounds this up to whole milliseconds and never
+    /// returns early, so the loop sleeps through the approach to a deadline
+    /// and the sweep after the wake fires every timer due by then: a shaped
+    /// frame leaves up to 1 ms late (on 30–160 ms links), never early.
     fn next_timeout(&self) -> Duration {
         let default = Duration::from_millis(500);
         match self.wheel.next_deadline() {
@@ -1377,8 +1382,9 @@ impl Runner {
         // release timer.
         if let Some(shaper) = &c.shaper {
             if !c.release_armed {
-                if let Some(wait) = shaper.next_ready(Instant::now()) {
-                    let at = SimTime(self.now().0 + wait.as_micros() as u64);
+                let now = Instant::now();
+                if let Some(wait) = shaper.next_ready(now) {
+                    let at = wheel_deadline(self.epoch, now + wait);
                     self.wheel.arm(at, ShardTimer::Release { token });
                     c.release_armed = true;
                 }
@@ -1415,6 +1421,16 @@ impl Runner {
             let _ = self.dial_tx.send(DialReq { core: c.core.clone(), peer: c.peer });
         }
     }
+}
+
+/// The wheel deadline for an event due at `at`: microseconds since `epoch`,
+/// rounded **up**. The wheel fires on `Runner::now`, which floors the same
+/// clock, so a fired timer's instant is never before `at` — flooring both
+/// `now` and the wait (as this once did) could fire a release up to 2 µs
+/// early, find its frame not yet due and re-arm with a zero wait until the
+/// clock caught up.
+fn wheel_deadline(epoch: Instant, at: Instant) -> SimTime {
+    SimTime(at.saturating_duration_since(epoch).as_nanos().div_ceil(1_000) as u64)
 }
 
 /// Wakes the shard owning `peer`'s connection (used from shard context
@@ -1455,6 +1471,36 @@ mod tests {
             "not released at 100% of the delay"
         );
         assert!(s.next_ready(t0).is_none(), "drained shaper still reports a wait");
+    }
+
+    /// A release timer armed for a staged frame must find it due when it
+    /// fires, whatever the sub-microsecond phases of the epoch, the arming
+    /// instant and the frame's release time: the wheel fires once the
+    /// floored clock reaches the deadline, so the deadline is a ceiling.
+    #[test]
+    fn release_deadline_is_never_before_the_frame_is_due() {
+        let link = LinkShape {
+            delay: Duration::from_millis(40),
+            rate_bps: 0,
+            burst_bytes: 0,
+        };
+        let epoch = Instant::now();
+        let phases = [(0, 0), (900, 1_900), (1_001, 1_999), (123_456_789, 123_999_999)];
+        for (staged_ns, armed_ns) in phases {
+            let mut s = Shaper::new(&link);
+            s.stage(Arc::new(vec![0u8; 100]), epoch + Duration::from_nanos(staged_ns));
+            let armed = epoch + Duration::from_nanos(armed_ns);
+            let wait = s.next_ready(armed).expect("a frame is staged");
+            let at = wheel_deadline(epoch, armed + wait);
+            // The earliest instant at which `Runner::now() >= at` holds.
+            let fired = epoch + Duration::from_micros(at.0);
+            assert!(
+                s.release(fired).is_some(),
+                "timer for a frame staged at +{staged_ns} ns, armed at +{armed_ns} ns, fired early"
+            );
+            // ... and no more than the rounding late.
+            assert!(at.0 <= (staged_ns + 40_000_000).div_ceil(1_000));
+        }
     }
 
     /// Token-bucket accuracy: at 100 kB/s with a 1 kB burst, the burst

@@ -46,7 +46,9 @@ use crate::transport::{Inbound, InboundSender, Transport, TransportConfig};
 /// `Arc<Mutex<dyn TraceSink>>` blanket impl makes it a `TraceSink` itself).
 pub type SharedSink = Arc<Mutex<dyn TraceSink + Send>>;
 
-/// Longest the driver sleeps before re-checking timers and shutdown.
+/// Longest the driver sleeps before re-checking shutdown. Everything else it
+/// waits for reaches it on its own: messages and sealed-batch wake-ups
+/// through the inbound channel, timers through the wheel's next deadline.
 const MAX_WAIT: Duration = Duration::from_millis(50);
 
 /// Most messages drained from the inbound channel per driver iteration.
@@ -65,7 +67,8 @@ const LIVE_REFRESH: Duration = Duration::from_millis(200);
 const STAGE_MAP_LIMIT: usize = 16_384;
 
 /// Most sealed batches pushed to peers per driver iteration. Bounds one
-/// iteration's broadcast work; the rest push next iteration (sub-ms away).
+/// iteration's broadcast work; the rest push next iteration, which then
+/// follows without blocking.
 const PUSH_LIMIT: usize = 64;
 
 /// Most messages parked while their batch refs resolve. Past it the oldest
@@ -246,8 +249,14 @@ impl NodeHandle {
         let dissem = cfg.dissem.clone();
         let drop_push_to = cfg.drop_batch_push_to;
         let batch_fetcher = BatchFetcher::new(node, cfg.peers.len().max(1), cfg.batch_fetch_retry);
-        let (raw_tx, rx) = mpsc::channel::<Inbound>();
+        let (raw_tx, rx) = mpsc::channel::<Option<Inbound>>();
         let tx = InboundSender::new(raw_tx);
+        if let Some(plane) = &dissem {
+            // A batch sealed while the driver sleeps wakes it for the push
+            // (replacing the hook of a killed predecessor on this plane).
+            let waker = tx.clone();
+            plane.queue.on_sealed(move || waker.wake());
+        }
         let transport = match listener {
             Some(l) => Transport::start_with_listener(cfg, l, tx.clone())?,
             None => Transport::start(cfg, tx.clone())?,
@@ -450,7 +459,7 @@ struct Driver {
 fn run_driver(
     mut driver: Driver,
     protocol: &mut dyn ConsensusProtocol,
-    rx: mpsc::Receiver<Inbound>,
+    rx: mpsc::Receiver<Option<Inbound>>,
     shutdown: Arc<AtomicBool>,
 ) -> NodeReport {
     // Payload-hash accounting: `data_hashes_on_thread` counts how many
@@ -489,7 +498,7 @@ fn run_driver(
         // Dissemination plane, in digest mode: broadcast freshly sealed
         // batches (before they can be proposed — push-before-propose), then
         // drain the store's arrival log to release gated votes.
-        driver.push_batches();
+        let more_sealed = driver.push_batches();
         driver.drain_stored(protocol);
 
         driver.check_stall(protocol);
@@ -500,6 +509,8 @@ fn run_driver(
         }
 
         let wait = match driver.wheel.next_deadline() {
+            // Sealed batches past the push limit are work, not a wait.
+            _ if more_sealed => Duration::ZERO,
             Some(deadline) => {
                 Duration::from_micros(deadline.since(driver.now()).as_micros()).min(MAX_WAIT)
             }
@@ -507,22 +518,20 @@ fn run_driver(
         };
         // Batch-drain: after the blocking receive, pull whatever else is
         // already queued (bounded) so one timer sweep serves the whole
-        // batch instead of running between every two messages.
+        // batch instead of running between every two messages. A `None` is
+        // a bare wake-up: it ends the wait and carries nothing.
         match rx.recv_timeout(wait) {
-            Ok(inbound) => {
-                driver.inbound_depth.fetch_sub(1, Ordering::Relaxed);
+            Ok(first) => {
                 driver.batches += 1;
-                driver.dispatch(protocol, inbound);
-                let mut drained = 1;
-                while drained < BATCH_LIMIT {
-                    match rx.try_recv() {
-                        Ok(inbound) => {
-                            driver.inbound_depth.fetch_sub(1, Ordering::Relaxed);
-                            driver.dispatch(protocol, inbound);
-                            drained += 1;
-                        }
-                        Err(_) => break,
+                let mut next = Some(first);
+                let mut drained = 0;
+                while let Some(item) = next {
+                    if let Some(inbound) = item {
+                        driver.inbound_depth.fetch_sub(1, Ordering::Relaxed);
+                        driver.dispatch(protocol, inbound);
                     }
+                    drained += 1;
+                    next = if drained < BATCH_LIMIT { rx.try_recv().ok() } else { None };
                 }
             }
             Err(RecvTimeoutError::Timeout) => {}
@@ -773,10 +782,13 @@ impl Driver {
     /// them proposable. The ordering is the push-before-propose guarantee:
     /// a ref can only enter a proposal after its bytes sit in every peer's
     /// send queue, and per-peer TCP FIFO keeps the push ahead of the
-    /// proposal on the wire.
-    fn push_batches(&mut self) {
-        let Some(plane) = self.dissem.clone() else { return };
-        for b in plane.queue.take_sealed(PUSH_LIMIT) {
+    /// proposal on the wire. Returns whether [`PUSH_LIMIT`] cut the drain
+    /// short, i.e. sealed batches may remain that no wake-up will announce.
+    fn push_batches(&mut self) -> bool {
+        let Some(plane) = self.dissem.clone() else { return false };
+        let sealed = plane.queue.take_sealed(PUSH_LIMIT);
+        let more = sealed.len() == PUSH_LIMIT;
+        for b in sealed {
             let frame = Arc::new(encode_frame(&Frame::BatchPush {
                 digest: b.digest,
                 bytes: b.bytes.clone(),
@@ -793,6 +805,7 @@ impl Driver {
                 queue_us: b.queue_us,
             });
         }
+        more
     }
 
     /// Drains the store's arrival log: records `BatchStored` trace events,

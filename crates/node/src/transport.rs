@@ -68,27 +68,41 @@ pub struct Inbound {
 /// the driver decrements the same gauge once per message it dequeues. The
 /// gauge is therefore an upper bound that is exact whenever the driver is
 /// between messages.
+///
+/// The channel carries `Option<Inbound>`: `None` is a bare wake-up
+/// ([`InboundSender::wake`]) for a driver blocked on it with nothing to
+/// deliver, and is not counted in the gauge.
 #[derive(Clone, Debug)]
 pub struct InboundSender {
-    tx: Sender<Inbound>,
+    tx: Sender<Option<Inbound>>,
     depth: Arc<AtomicU64>,
 }
 
 impl InboundSender {
     /// Wraps a raw channel sender with a fresh depth gauge.
-    pub fn new(tx: Sender<Inbound>) -> InboundSender {
+    pub fn new(tx: Sender<Option<Inbound>>) -> InboundSender {
         InboundSender { tx, depth: Arc::new(AtomicU64::new(0)) }
     }
 
     /// Sends a message, crediting the depth gauge. The credit is rolled
     /// back if the receiver is gone.
-    pub fn send(&self, msg: Inbound) -> Result<(), Box<std::sync::mpsc::SendError<Inbound>>> {
+    pub fn send(
+        &self,
+        msg: Inbound,
+    ) -> Result<(), Box<std::sync::mpsc::SendError<Option<Inbound>>>> {
         self.depth.fetch_add(1, Ordering::Relaxed);
-        let result = self.tx.send(msg);
+        let result = self.tx.send(Some(msg));
         if result.is_err() {
             self.depth.fetch_sub(1, Ordering::Relaxed);
         }
         result.map_err(Box::new)
+    }
+
+    /// Wakes the driver without a message: work appeared for it somewhere
+    /// it does not block on (a sealed batch awaiting its push). A gone
+    /// receiver needs no waking.
+    pub fn wake(&self) {
+        let _ = self.tx.send(None);
     }
 
     /// The shared gauge. The consumer must call
@@ -754,6 +768,7 @@ mod tests {
         t0.send(NodeId(1), frame.clone());
 
         let got = rx1.recv_timeout(Duration::from_secs(10)).expect("delivery");
+        let got = got.expect("a message");
         assert_eq!(got.from, NodeId(0));
         assert_eq!(got.msg, msg);
         // The depth gauge credited the delivery; the consumer debits it.
@@ -763,7 +778,7 @@ mod tests {
         // And the reverse direction.
         t1.send(NodeId(0), frame);
         let got = rx0.recv_timeout(Duration::from_secs(10)).expect("reverse delivery");
-        assert_eq!(got.from, NodeId(1));
+        assert_eq!(got.expect("a message").from, NodeId(1));
 
         let m = t0.peer_metrics(NodeId(1)).unwrap();
         assert!(m.bytes_out.load(Ordering::Relaxed) > 0);
@@ -825,7 +840,7 @@ mod tests {
             t0.send(NodeId(1), frame.clone());
             match rx1.recv_timeout(Duration::from_millis(200)) {
                 Ok(got) => {
-                    assert_eq!(got.from, NodeId(0));
+                    assert_eq!(got.expect("a message").from, NodeId(0));
                     break;
                 }
                 Err(_) if Instant::now() < deadline => continue,

@@ -162,9 +162,21 @@ impl Poller {
     /// elapses, or [`Poller::wake`] is called. Ready events are appended to
     /// `events` (which is cleared first). A wake with no ready fds returns
     /// with `events` empty.
+    ///
+    /// Timeout contract: `None` blocks indefinitely, `Some(Duration::ZERO)`
+    /// never blocks, and a non-zero timeout **never returns early** without
+    /// an event or a wake. Both backends count whole milliseconds, so the
+    /// timeout is rounded *up* to the next one: a caller sleeping towards a
+    /// deadline wakes at most 1 ms late instead of polling through the last
+    /// sub-millisecond of it (truncation turned every such timeout into a
+    /// busy loop). A signal restarts the wait, which can only lengthen it.
     pub fn wait(&mut self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
         events.clear();
-        self.backend.wait(events, timeout)?;
+        let timeout_ms = match timeout {
+            None => -1,
+            Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
+        };
+        self.backend.wait(events, timeout_ms)?;
         // Drain and hide the waker pipe. Multiple queued wakes collapse
         // into one return, which is exactly the semantics callers want.
         let mut woke = false;
@@ -252,7 +264,6 @@ mod backend {
     use super::{Event, Interest};
     use std::io;
     use std::os::unix::io::RawFd;
-    use std::time::Duration;
 
     const EPOLL_CLOEXEC: i32 = 0o2000000;
     const EPOLL_CTL_ADD: i32 = 1;
@@ -332,25 +343,15 @@ mod backend {
             Ok(())
         }
 
-        pub(super) fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
-            let timeout_ms: i32 = match timeout {
-                None => -1,
-                Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
-            };
+        /// `timeout_ms`: -1 blocks indefinitely, 0 polls.
+        pub(super) fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
             let mut buf = [EpollEvent { events: 0, u64: 0 }; 256];
             let n = loop {
                 match cvt(unsafe {
                     epoll_wait(self.epfd, buf.as_mut_ptr(), buf.len() as i32, timeout_ms)
                 }) {
                     Ok(n) => break n as usize,
-                    Err(ref e) if e.kind() == io::ErrorKind::Interrupted => {
-                        // Retry with zero timeout so an EINTR during a long
-                        // block does not double the wait.
-                        if timeout_ms >= 0 {
-                            break 0;
-                        }
-                        continue;
-                    }
+                    Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
                     Err(e) => return Err(e),
                 }
             };
@@ -386,7 +387,6 @@ mod backend {
     use super::{Event, Interest};
     use std::io;
     use std::os::unix::io::RawFd;
-    use std::time::Duration;
 
     const POLLIN: i16 = 0x001;
     const POLLOUT: i16 = 0x004;
@@ -443,7 +443,8 @@ mod backend {
             Ok(())
         }
 
-        pub(super) fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
+        /// `timeout_ms`: -1 blocks indefinitely, 0 polls.
+        pub(super) fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
             let mut fds: Vec<PollFd> = self
                 .regs
                 .iter()
@@ -462,18 +463,11 @@ mod backend {
                     revents: 0,
                 })
                 .collect();
-            let timeout_ms: i32 = match timeout {
-                None => -1,
-                Some(d) => d.as_millis().min(i32::MAX as u128) as i32,
-            };
             let n = loop {
                 let r = unsafe { poll(fds.as_mut_ptr(), fds.len() as u64, timeout_ms) };
                 if r < 0 {
                     let e = io::Error::last_os_error();
                     if e.kind() == io::ErrorKind::Interrupted {
-                        if timeout_ms >= 0 {
-                            break 0;
-                        }
                         continue;
                     }
                     return Err(e);
@@ -628,6 +622,43 @@ mod tests {
         t.join().unwrap();
         assert!(events.is_empty(), "waker must not surface events: {events:?}");
         assert!(waited < Duration::from_secs(10), "wake should interrupt long wait");
+    }
+
+    /// The timeout contract: a non-zero timeout with no event and no wake
+    /// blocks for at least that long (sub-millisecond ones used to truncate
+    /// to a non-blocking poll, so 200 of them took microseconds), and zero
+    /// stays non-blocking.
+    #[test]
+    fn nonzero_timeout_never_returns_early_and_zero_never_blocks() {
+        let mut p = Poller::new().unwrap();
+        let mut events = Vec::new();
+        let short = Duration::from_micros(300);
+
+        let start = Instant::now();
+        p.wait(&mut events, Some(short)).unwrap();
+        assert!(start.elapsed() >= short, "300 µs wait returned after {:?}", start.elapsed());
+        assert!(events.is_empty());
+
+        let start = Instant::now();
+        for _ in 0..200 {
+            p.wait(&mut events, Some(short)).unwrap();
+        }
+        assert!(
+            start.elapsed() >= 200 * short,
+            "200 waits of 300 µs took only {:?}",
+            start.elapsed()
+        );
+
+        // A millisecond each would make this take a full second.
+        let start = Instant::now();
+        for _ in 0..1_000 {
+            p.wait(&mut events, Some(Duration::ZERO)).unwrap();
+        }
+        assert!(
+            start.elapsed() < Duration::from_millis(500),
+            "1000 zero-timeout polls blocked for {:?}",
+            start.elapsed()
+        );
     }
 
     #[test]
