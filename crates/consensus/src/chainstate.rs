@@ -8,9 +8,10 @@
 //! order, so commits that are blocked on a missing block are deferred and
 //! retried when the block connects.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
-use moonshot_types::{Block, BlockId, QuorumCertificate, View};
+use moonshot_crypto::Digest;
+use moonshot_types::{Block, BlockId, Payload, QuorumCertificate, View};
 
 use crate::blocktree::{BlockTree, InsertOutcome};
 use crate::protocol::CommittedBlock;
@@ -26,6 +27,10 @@ pub struct QcRegistration {
     /// Blocks committed as a result, parent-first.
     pub committed: Vec<CommittedBlock>,
 }
+
+/// How many committed blocks' batch refs [`ChainState::refs_are_fresh`]
+/// remembers — as long as nodes keep a committed batch's bytes.
+const SPENT_REF_BLOCKS: u64 = 512;
 
 /// How many consecutive certified views commit a block.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,6 +60,10 @@ pub struct ChainState {
     deferred: Vec<(BlockId, View)>,
     /// The chain depth required to commit.
     rule: CommitRule,
+    /// Batch refs carried by the last [`SPENT_REF_BLOCKS`] committed blocks.
+    spent: HashSet<Digest>,
+    /// `(committing height, ref)` in commit order, to age `spent` out.
+    spent_log: VecDeque<(u64, Digest)>,
 }
 
 impl Default for ChainState {
@@ -81,6 +90,8 @@ impl ChainState {
             high_qc: genesis_qc,
             deferred: Vec::new(),
             rule,
+            spent: HashSet::new(),
+            spent_log: VecDeque::new(),
         }
     }
 
@@ -227,12 +238,64 @@ impl ChainState {
             }
         }
         let chain = self.tree.commit(target);
+        for block in &chain {
+            let height = block.height().0;
+            for r in block.payload().batch_refs().unwrap_or(&[]) {
+                self.spent.insert(r.digest);
+                self.spent_log.push_back((height, r.digest));
+            }
+            while self.spent_log.front().is_some_and(|(h, _)| h + SPENT_REF_BLOCKS <= height) {
+                let (_, digest) = self.spent_log.pop_front().expect("checked above");
+                self.spent.remove(&digest);
+            }
+        }
         let len = chain.len();
         chain
             .into_iter()
             .enumerate()
             .map(|(i, block)| CommittedBlock { block, direct: i + 1 == len, commit_view })
             .collect()
+    }
+
+    /// The no-repeat rule for digest payloads, shared by every protocol's
+    /// vote rule and proposal path: whether a block extending `parent` may
+    /// carry `payload`. It may not when one of its batch refs appears twice
+    /// in it, in a recently committed block, or in one of the uncommitted
+    /// ancestors between `parent` and the committed tip — a transaction
+    /// would commit twice — nor when that chain has a gap and the question
+    /// cannot be answered. A sibling fork may repeat a ref: at most one of
+    /// the two commits. Payloads without refs always pass.
+    pub fn refs_are_fresh(&self, parent: BlockId, payload: &Payload) -> bool {
+        let Some(refs) = payload.batch_refs() else { return true };
+        let mut mine = HashSet::with_capacity(refs.len());
+        if !refs.iter().all(|r| !self.spent.contains(&r.digest) && mine.insert(r.digest)) {
+            return false;
+        }
+        let mut cur = parent;
+        while cur != self.tree.committed_id() {
+            let Some(ancestor) = self.tree.get(cur) else { return false };
+            let theirs = ancestor.payload().batch_refs().unwrap_or(&[]);
+            if ancestor.height() <= self.tree.committed_height()
+                || theirs.iter().any(|r| mine.contains(&r.digest))
+            {
+                return false;
+            }
+            cur = ancestor.parent_id();
+        }
+        true
+    }
+
+    /// The leader's side of the rule: `payload` if a block extending
+    /// `parent` may carry it, else an empty one. A leader that cannot see
+    /// its whole uncommitted chain (it is catching up, or knows `parent`
+    /// from a certificate alone) cannot know which batches are in flight,
+    /// and an empty block costs a slot where a repeat costs the view.
+    pub fn fresh_or_empty(&self, parent: BlockId, payload: Payload) -> Payload {
+        if self.refs_are_fresh(parent, &payload) {
+            payload
+        } else {
+            Payload::empty()
+        }
     }
 
     /// Drops certificates for views before `view` (not below the last
@@ -425,6 +488,48 @@ mod tests {
         let committed = cs.insert_block(blocks[1].clone());
         assert_eq!(committed.len(), 1);
         assert!(committed[0].direct);
+    }
+
+    /// The no-repeat rule, case by case: genesis ← a1 ← a2 with a1
+    /// committed, a fork b1 off genesis, and a block whose parent is missing.
+    #[test]
+    fn refs_are_fresh_unless_the_chain_below_already_carries_them() {
+        use moonshot_types::BatchRef;
+        let batch = |tag: u8| BatchRef { digest: Digest::hash(&[tag]), bytes: 100 };
+        let carrying = |tags: &[u8]| Payload::batches(tags.iter().map(|t| batch(*t)).collect::<Vec<_>>());
+        let mut cs = ChainState::new();
+        let g = Block::genesis();
+        let a1 = Block::build(View(1), NodeId(0), &g, carrying(&[1]));
+        let a2 = Block::build(View(2), NodeId(1), &a1, carrying(&[2]));
+        let a3 = Block::build(View(3), NodeId(2), &a2, carrying(&[3]));
+        let b1 = Block::build(View(1), NodeId(1), &g, carrying(&[9]));
+        for b in [&a1, &a2, &a3, &b1] {
+            cs.insert_block(b.clone());
+        }
+        cs.register_qc(&qc_for_block(&a1, VoteKind::Normal));
+        let committed = cs.register_qc(&qc_for_block(&a2, VoteKind::Normal)).committed;
+        assert_eq!(committed.len(), 1, "a1 is committed, a2 and a3 are not");
+
+        // On top of a3: anything new passes; a repeat of an uncommitted
+        // ancestor (a3 itself, a2 behind it), of the committed a1, or
+        // within the payload does not.
+        assert!(cs.refs_are_fresh(a3.id(), &carrying(&[4, 5])));
+        assert!(!cs.refs_are_fresh(a3.id(), &carrying(&[4, 3])));
+        assert!(!cs.refs_are_fresh(a3.id(), &carrying(&[2])));
+        assert!(!cs.refs_are_fresh(a3.id(), &carrying(&[1])));
+        assert!(!cs.refs_are_fresh(a3.id(), &carrying(&[4, 4])));
+        // A sibling's ref is no obstacle: b1 lost, batch 9 is free again;
+        // and a2's sibling may carry what a2 carries.
+        assert!(cs.refs_are_fresh(a3.id(), &carrying(&[9])));
+        assert!(cs.refs_are_fresh(a1.id(), &carrying(&[2, 3])));
+        // Nothing can be said for a block on a fork below the commit, or
+        // on a parent this node never saw — unless it carries no refs.
+        let unknown = Block::build(View(4), NodeId(3), &a3, Payload::empty()).id();
+        assert!(!cs.refs_are_fresh(b1.id(), &carrying(&[4])));
+        assert!(!cs.refs_are_fresh(unknown, &carrying(&[4])));
+        assert!(cs.refs_are_fresh(unknown, &Payload::empty()));
+        assert_eq!(cs.fresh_or_empty(unknown, carrying(&[4])), Payload::empty());
+        assert_eq!(cs.fresh_or_empty(a3.id(), carrying(&[4])), carrying(&[4]));
     }
 
     #[test]

@@ -129,7 +129,7 @@ impl Jolteon {
             self.chain.tree.insert(block);
         }
         if let Some(tip) = tip {
-            let _ = self.chain.tree.commit(tip);
+            let _ = self.chain.commit_target(tip, View::GENESIS);
         }
         if let Some(lock) = rec.lock {
             let _ = self.chain.register_qc(&lock);
@@ -156,11 +156,13 @@ impl Jolteon {
         self.chain.rule() == CommitRule::ThreeChain
     }
 
-    fn payload_for(&mut self, round: View) -> Payload {
+    /// The (fixed) payload of this node's block for `round`, first drawn
+    /// for a block extending `parent`.
+    fn payload_for(&mut self, round: View, parent: moonshot_types::BlockId) -> Payload {
         if let Some(p) = self.payload_cache.get(&round) {
             return p.clone();
         }
-        let p = self.cfg.payloads.payload_for(round);
+        let p = self.chain.fresh_or_empty(parent, self.cfg.payloads.payload_for(round));
         self.payload_cache.insert(round, p.clone());
         p
     }
@@ -232,48 +234,27 @@ impl Jolteon {
         out.push(Output::SetTimer { token: TimerToken::ViewTimer(r), after: self.round_timer() });
         if self.cfg.is_leader(r) && !self.proposed {
             self.proposed = true;
-            let payload = self.payload_for(r);
-            match (qc, tc) {
-                (Some(qc), _) => {
-                    // Happy path: extend the newly certified block.
-                    let block = Block::from_parts(
-                        r,
-                        qc.block_height().child(),
-                        qc.block_id(),
-                        self.cfg.node_id,
-                        payload,
-                    );
-                    self.store_block(block.clone(), now, out);
-                    out.push(Output::Multicast(Message::Propose { block, justify: qc, view: r }));
-                }
-                (None, Some(tc)) => {
-                    // After a timeout: extend our high-QC and prove it is
-                    // high enough with the TC.
-                    let justify = self.chain.high_qc().clone();
-                    let block = Block::from_parts(
-                        r,
-                        justify.block_height().child(),
-                        justify.block_id(),
-                        self.cfg.node_id,
-                        payload,
-                    );
-                    self.store_block(block.clone(), now, out);
-                    out.push(Output::Multicast(Message::FbPropose { block, justify, tc, view: r }));
-                }
-                (None, None) => {
-                    // Round 1: extend genesis.
-                    let justify = QuorumCertificate::genesis();
-                    let block = Block::from_parts(
-                        r,
-                        justify.block_height().child(),
-                        justify.block_id(),
-                        self.cfg.node_id,
-                        payload,
-                    );
-                    self.store_block(block.clone(), now, out);
-                    out.push(Output::Multicast(Message::Propose { block, justify, view: r }));
-                }
-            }
+            // Happy path: extend the newly certified block. After a
+            // timeout: extend our high-QC (the TC proves it is high
+            // enough). Round 1: extend genesis.
+            let (justify, tc) = match (qc, tc) {
+                (Some(qc), _) => (qc, None),
+                (None, Some(tc)) => (self.chain.high_qc().clone(), Some(tc)),
+                (None, None) => (QuorumCertificate::genesis(), None),
+            };
+            let payload = self.payload_for(r, justify.block_id());
+            let block = Block::from_parts(
+                r,
+                justify.block_height().child(),
+                justify.block_id(),
+                self.cfg.node_id,
+                payload,
+            );
+            self.store_block(block.clone(), now, out);
+            out.push(Output::Multicast(match tc {
+                Some(tc) => Message::FbPropose { block, justify, tc, view: r },
+                None => Message::Propose { block, justify, view: r },
+            }));
         }
         self.gc();
         self.replay_pending(now, out);
@@ -312,8 +293,13 @@ impl Jolteon {
     }
 
     fn cast_vote(&mut self, block: &Block, out: &mut Vec<Output>) {
-        self.cfg.persist_vote(block.view(), self.chain.high_qc());
         self.last_voted_round = block.view();
+        // No vote for a block that would commit a batch twice (or might:
+        // see `refs_are_fresh`). The round's vote is spent all the same.
+        if !self.chain.refs_are_fresh(block.parent_id(), block.payload()) {
+            return;
+        }
+        self.cfg.persist_vote(block.view(), self.chain.high_qc());
         let vote = Vote {
             kind: VoteKind::Normal,
             block_id: block.id(),

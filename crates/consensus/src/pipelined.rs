@@ -173,7 +173,7 @@ impl PipelinedMoonshot {
             self.chain.tree.insert(block);
         }
         if let Some(tip) = tip {
-            let _ = self.chain.tree.commit(tip);
+            let _ = self.chain.commit_target(tip, View::GENESIS);
         }
         if let Some(lock) = rec.lock {
             // Re-registering the lock restores high-QC rank; any commits it
@@ -197,11 +197,13 @@ impl PipelinedMoonshot {
         &self.chain
     }
 
-    fn payload_for(&mut self, view: View) -> Payload {
+    /// The (fixed) payload of this node's block for `view`, first drawn for
+    /// a block extending `parent`.
+    fn payload_for(&mut self, view: View, parent: BlockId) -> Payload {
         if let Some(p) = self.payload_cache.get(&view) {
             return p.clone();
         }
-        let p = self.cfg.payloads.payload_for(view);
+        let p = self.chain.fresh_or_empty(parent, self.cfg.payloads.payload_for(view));
         self.payload_cache.insert(view, p.clone());
         p
     }
@@ -312,7 +314,7 @@ impl PipelinedMoonshot {
         let already_spoke = self.opts.leader_speaks_once && self.opt_blocks.contains_key(&v);
         if self.cfg.is_leader(v) && !self.proposed && !already_spoke {
             self.proposed = true;
-            let payload = self.payload_for(v);
+            let payload = self.payload_for(v, qc.block_id());
             let block = Block::from_parts(
                 v,
                 qc.block_height().child(),
@@ -350,7 +352,7 @@ impl PipelinedMoonshot {
         if self.cfg.is_leader(v) && !self.proposed && !already_spoke {
             self.proposed = true;
             let justify = self.chain.high_qc().clone();
-            let payload = self.payload_for(v);
+            let payload = self.payload_for(v, justify.block_id());
             let block = Block::from_parts(
                 v,
                 justify.block_height().child(),
@@ -407,22 +409,27 @@ impl PipelinedMoonshot {
         if self.view <= self.voted_floor {
             return;
         }
-        // Durability before release: the vote must be on disk before it can
-        // reach the wire (no-op without a ledger).
-        self.cfg.persist_vote(self.view, self.chain.high_qc());
-        let vote = Vote {
-            kind,
-            block_id: block.id(),
-            block_height: block.height(),
-            view: self.view,
-        };
-        let signed = SignedVote::sign(vote, self.cfg.node_id, &self.cfg.keypair);
-        out.push(Output::Multicast(Message::Vote(signed)));
+        // No vote for a block that would commit a batch twice (or might:
+        // see `refs_are_fresh`). The view's vote is spent all the same.
+        if self.chain.refs_are_fresh(block.parent_id(), block.payload()) {
+            // Durability before release: the vote must be on disk before it
+            // can reach the wire (no-op without a ledger).
+            self.cfg.persist_vote(self.view, self.chain.high_qc());
+            let vote = Vote {
+                kind,
+                block_id: block.id(),
+                block_height: block.height(),
+                view: self.view,
+            };
+            let signed = SignedVote::sign(vote, self.cfg.node_id, &self.cfg.keypair);
+            out.push(Output::Multicast(Message::Vote(signed)));
+        }
         // Optimistic Propose: the leader of v+1 extends the block it just
-        // voted for.
+        // voted for (or would have, had it been able to check its refs: a
+        // node still fetching the chain leads on time, with an empty block).
         let next = self.view.next();
         if self.opts.optimistic_proposals && self.cfg.is_leader(next) {
-            let payload = self.payload_for(next);
+            let payload = self.payload_for(next, block.id());
             let child = Block::build(next, self.cfg.node_id, block, payload);
             // Voting twice for the same block (opt-vote then the mandatory
             // normal vote) must not re-multicast the proposal.

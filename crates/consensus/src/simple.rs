@@ -123,7 +123,7 @@ impl SimpleMoonshot {
             self.chain.tree.insert(block);
         }
         if let Some(tip) = tip {
-            let _ = self.chain.tree.commit(tip);
+            let _ = self.chain.commit_target(tip, View::GENESIS);
         }
         if let Some(lock) = rec.lock {
             let _ = self.chain.register_qc(&lock);
@@ -152,11 +152,13 @@ impl SimpleMoonshot {
         &self.chain
     }
 
-    fn payload_for(&mut self, view: View) -> Payload {
+    /// The (fixed) payload of this node's block for `view`, first drawn for
+    /// a block extending `parent`.
+    fn payload_for(&mut self, view: View, parent: moonshot_types::BlockId) -> Payload {
         if let Some(p) = self.payload_cache.get(&view) {
             return p.clone();
         }
-        let p = self.cfg.payloads.payload_for(view);
+        let p = self.chain.fresh_or_empty(parent, self.cfg.payloads.payload_for(view));
         self.payload_cache.insert(view, p.clone());
         p
     }
@@ -293,7 +295,7 @@ impl SimpleMoonshot {
             return;
         }
         self.proposed_normal = true;
-        let payload = self.payload_for(self.view);
+        let payload = self.payload_for(self.view, justify.block_id());
         let block = Block::from_parts(
             self.view,
             justify.block_height().child(),
@@ -328,21 +330,25 @@ impl SimpleMoonshot {
         if self.view <= self.voted_floor {
             return;
         }
-        self.cfg.persist_vote(self.view, self.chain.high_qc());
         self.voted = true;
-        let vote = Vote {
-            kind: VoteKind::Normal,
-            block_id: block.id(),
-            block_height: block.height(),
-            view: self.view,
-        };
-        let signed = SignedVote::sign(vote, self.cfg.node_id, &self.cfg.keypair);
-        out.push(Output::Multicast(Message::Vote(signed)));
+        // No vote for a block that would commit a batch twice (or might:
+        // see `refs_are_fresh`). The view's vote is spent all the same.
+        if self.chain.refs_are_fresh(block.parent_id(), block.payload()) {
+            self.cfg.persist_vote(self.view, self.chain.high_qc());
+            let vote = Vote {
+                kind: VoteKind::Normal,
+                block_id: block.id(),
+                block_height: block.height(),
+                view: self.view,
+            };
+            let signed = SignedVote::sign(vote, self.cfg.node_id, &self.cfg.keypair);
+            out.push(Output::Multicast(Message::Vote(signed)));
+        }
         // Optimistic proposal: the leader of v+1 extends the block it just
         // voted for, hoping it becomes certified.
         let next = self.view.next();
         if self.cfg.is_leader(next) {
-            let payload = self.payload_for(next);
+            let payload = self.payload_for(next, block.id());
             let child = Block::build(next, self.cfg.node_id, block, payload);
             self.opt_blocks.insert(next, child.id());
             self.store_block(child.clone(), now, out);

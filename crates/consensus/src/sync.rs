@@ -292,9 +292,11 @@ impl BatchFetchPlan {
 /// A voter that receives a proposal referencing batches it cannot resolve
 /// locally asks the proposer (who certainly holds the bytes: it sealed or
 /// at least referenced them) and falls back to round-robin peers — any
-/// honest node that voted for the proposal must hold them too. Entries are
-/// cleared when the store resolves the digest; an abandoned entry restarts
-/// the next time a proposal or commit needs the digest.
+/// honest node that voted for the proposal must hold them too. A leader
+/// proposes every batch it holds, so the sealer's push to this voter is
+/// normally still on its way: the first request waits Δ for it. Entries
+/// are cleared when the store resolves the digest; an abandoned entry
+/// restarts the next time a proposal or commit needs the digest.
 #[derive(Clone, Debug)]
 pub struct BatchFetcher {
     me: NodeId,
@@ -314,11 +316,18 @@ impl BatchFetcher {
     /// Starts (or no-ops on an already outstanding) fetch for `digest`,
     /// asking each distinct non-self peer in `hints` — falling back to
     /// round-robin fanout when every hint is `me`.
+    ///
+    /// With `push_in_flight` (a fresh proposal named the batch, not a
+    /// synced block) nobody is asked yet: the push left its sealer before
+    /// the proposer could have held the batch, so under the delay bound it
+    /// is here within Δ — half the round-trip deadline. Only past that does
+    /// the first retry round go out, starting with the first hint.
     pub fn request(
         &mut self,
         digest: moonshot_crypto::Digest,
         hints: impl IntoIterator<Item = NodeId>,
         now: SimTime,
+        push_in_flight: bool,
     ) -> BatchFetchPlan {
         let mut plan = BatchFetchPlan::default();
         if self.pending.contains_key(&digest) {
@@ -330,6 +339,15 @@ impl BatchFetcher {
             tried: HashSet::new(),
             cursor: self.me.as_usize() + 1,
         };
+        let mut hints = hints.into_iter().peekable();
+        if let (true, Some(first)) = (push_in_flight && self.policy.max_attempts > 0, hints.peek()) {
+            let grace = SimDuration(self.policy.timeout.0 / 2);
+            entry.deadline = now + grace;
+            entry.cursor = first.as_usize();
+            self.pending.insert(digest, entry);
+            plan.rearm = Some(grace);
+            return plan;
+        }
         let mut sent = false;
         for hint in hints {
             if hint != self.me && entry.tried.insert(hint) {
@@ -581,12 +599,12 @@ mod tests {
         let mut f = BatchFetcher::new(NodeId(0), 4, policy);
         let d = moonshot_crypto::Digest::hash(b"batch");
 
-        let plan = f.request(d, [NodeId(2)], SimTime::ZERO);
+        let plan = f.request(d, [NodeId(2)], SimTime::ZERO, false);
         assert_eq!(plan.requests, vec![(NodeId(2), d)]);
         assert_eq!(plan.rearm, Some(T));
         assert!(f.is_pending(&d));
         // Outstanding: suppressed.
-        assert!(f.request(d, [NodeId(3)], SimTime::ZERO).is_empty());
+        assert!(f.request(d, [NodeId(3)], SimTime::ZERO, false).is_empty());
 
         // Early fire: nothing overdue, but the timer stays armed.
         let plan = f.on_timer(SimTime(500));
@@ -603,7 +621,7 @@ mod tests {
         // Resolution clears the entry; a fresh request goes out again.
         f.fulfilled(&d);
         assert_eq!(f.outstanding(), 0);
-        assert_eq!(f.request(d, [NodeId(1)], SimTime(2_000)).requests.len(), 1);
+        assert_eq!(f.request(d, [NodeId(1)], SimTime(2_000), false).requests.len(), 1);
 
         // Exhaust the retry budget: abandoned.
         let mut now = SimTime(2_000);
@@ -620,9 +638,31 @@ mod tests {
     fn batch_fetcher_self_hints_fall_through_to_peers() {
         let mut f = BatchFetcher::new(NodeId(1), 4, RetryPolicy::auto().resolve(T));
         let d = moonshot_crypto::Digest::hash(b"own-batch");
-        let plan = f.request(d, [NodeId(1)], SimTime::ZERO);
+        let plan = f.request(d, [NodeId(1)], SimTime::ZERO, false);
         assert_eq!(plan.requests.len(), RetryPolicy::auto().fanout);
         assert!(plan.requests.iter().all(|(to, _)| *to != NodeId(1)));
+    }
+
+    /// A batch a fresh proposal names gets Δ for its push to arrive before
+    /// anyone is asked; if it does, no request was ever sent; if not, the
+    /// proposer is the first to be asked.
+    #[test]
+    fn batch_fetcher_gives_a_push_in_flight_one_delta() {
+        let policy = RetryPolicy { timeout: T, max_attempts: 3, fanout: 2 };
+        let mut f = BatchFetcher::new(NodeId(0), 4, policy);
+        let (arrives, lost) =
+            (moonshot_crypto::Digest::hash(b"arrives"), moonshot_crypto::Digest::hash(b"lost"));
+        for d in [arrives, lost] {
+            let plan = f.request(d, [NodeId(2)], SimTime::ZERO, true);
+            assert!(plan.requests.is_empty(), "asked before the push had its Δ");
+            assert_eq!(plan.rearm, Some(SimDuration(T.0 / 2)));
+        }
+        f.fulfilled(&arrives);
+        assert!(f.on_timer(SimTime(T.0 / 2 - 1)).requests.is_empty());
+        let plan = f.on_timer(SimTime(T.0 / 2));
+        assert_eq!(plan.requests.len(), 2);
+        assert_eq!(plan.requests[0], (NodeId(2), lost), "the proposer goes first");
+        assert!(plan.requests.iter().all(|(_, d)| *d == lost));
     }
 
     #[derive(Debug)]

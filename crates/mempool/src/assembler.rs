@@ -17,7 +17,7 @@
 //!
 //! The thread only runs when it can seal: it parks on an empty pool, a full
 //! slot or (digest mode) a backlog at its cap, and whoever changes that — an
-//! admission, [`PreparedSlot::take`], a proposal draining backlog — unparks it.
+//! admission, [`PreparedSlot::take`], a block taking up backlog — unparks it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -176,11 +176,12 @@ impl BatchAssembler {
     }
 
     /// Spawns the assembler in **digest mode**: sealed batches go to the
-    /// dissemination plane's queue (for the driver to push and then
-    /// propose by reference) instead of the prepared slot. Sealing is
-    /// throttled by `backlog_cap_bytes` of sealed-but-unproposed payload
-    /// rather than by the single-slot handoff, so the data plane can run
-    /// several batches ahead of the ordering plane without outrunning it.
+    /// dissemination plane's queue (for the driver to store, push and
+    /// enter into the proposable pool) instead of the prepared slot.
+    /// Sealing is throttled by `backlog_cap_bytes` of payload sealed here
+    /// that no block carries yet rather than by the single-slot handoff, so
+    /// the data plane can run several batches ahead of the ordering plane
+    /// without outrunning it.
     pub fn start_digest(
         pool: Arc<Mempool>,
         cfg: AssemblerConfig,
@@ -310,12 +311,12 @@ fn run_digest(
     backlog_cap_bytes: usize,
 ) {
     pool.wake_on_admit(thread::current());
-    plane.queue.wake_on_drain(thread::current());
+    plane.pool.wake_on_drain(thread::current());
     while shared.running() {
-        if plane.queue.backlog_bytes() >= backlog_cap_bytes as u64 || pool.is_empty() {
+        if plane.backlog_bytes() >= backlog_cap_bytes as u64 || pool.is_empty() {
             // Sealed-but-unproposed payload at the cap (the ordering plane
             // is the bottleneck right now) or nothing to seal: sleep until
-            // a proposal drains backlog or an admission arrives.
+            // a block — anyone's — takes up backlog or an admission arrives.
             thread::park_timeout(IDLE_RECHECK);
             continue;
         }
@@ -328,9 +329,6 @@ fn run_digest(
         // The batch's one content hash, on this thread.
         let digest = batch_digest(&bytes);
         pool.pin_batch(digest, &tx_digests);
-        // The local store insert makes the leader's own refs resolvable
-        // (and feeds the stored log the driver drains for trace events).
-        plane.store.insert(digest, bytes.clone());
         plane.queue.push_sealed(SealedBatch { digest, bytes, tx_count, sealed_at_us, queue_us });
         shared.batches.fetch_add(1, Ordering::Relaxed);
     }
@@ -391,9 +389,9 @@ mod tests {
     }
 
     /// Digest mode: sealed batches land in the dissemination queue with
-    /// verified digests, the local store resolves them immediately, their
-    /// transactions are pinned against resubmission, and the backlog cap
-    /// throttles sealing until the queue drains.
+    /// verified digests, their transactions are pinned against
+    /// resubmission, and the backlog cap throttles sealing until blocks
+    /// take the batches up.
     #[test]
     fn digest_mode_seals_into_dissem_queue_and_pins() {
         use crate::dissem::{batch_digest, DissemPlane};
@@ -417,26 +415,21 @@ mod tests {
             4_000,
         );
         let deadline = Instant::now() + Duration::from_secs(5);
-        let mut drained_txs = 0u64;
+        let (mut drained_txs, mut height) = (0u64, 0u64);
         while drained_txs < 40 && Instant::now() < deadline {
             for sealed in plane.queue.take_sealed(16) {
                 assert_eq!(sealed.digest, batch_digest(&sealed.bytes));
                 assert!(sealed.bytes.len() <= 1_800);
                 assert_eq!(sealed.queue_us.len() as u64, sealed.tx_count);
-                // The assembler already made its own batch resolvable.
-                assert!(plane.store.contains(&sealed.digest));
                 let r = sealed.batch_ref();
                 assert_eq!(r.bytes, sealed.bytes.len() as u64);
                 drained_txs += sealed.tx_count;
-                plane.queue.push_proposable(crate::dissem::ProposableBatch {
-                    batch: r,
-                    tx_count: sealed.tx_count,
-                    sealed_at_us: sealed.sealed_at_us,
-                    queue_us: sealed.queue_us.clone(),
-                });
+                // The driver's push step, then a block taking the batch up:
+                // the backlog cap lifts.
+                plane.pool.stored(r, true);
+                height += 1;
+                plane.pool.committed(r.digest, height, &[r]);
             }
-            // Proposal side keeps draining, so the backlog cap lifts.
-            let _ = plane.queue.drain_proposable(usize::MAX, u64::MAX);
             thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(drained_txs, 40, "assembler never sealed all txs");
@@ -487,7 +480,7 @@ mod tests {
     }
 
     /// Digest mode: the same for an empty pool and for a backlog at its
-    /// cap, which only a draining proposal releases.
+    /// cap, which only a block carrying the batches releases.
     #[test]
     fn digest_assembler_parks_until_an_admission_or_a_backlog_release_wakes_it() {
         let pool = Arc::new(Mempool::new(MempoolConfig::default()));
@@ -512,24 +505,21 @@ mod tests {
         for seq in 1..60u64 {
             pool.submit(make_tx(seq, 1, seq, 180)).unwrap();
         }
-        wait_for("sealing to reach the backlog cap", || {
-            plane.queue.backlog_bytes() >= cap as u64
-        });
+        wait_for("sealing to reach the backlog cap", || plane.backlog_bytes() >= cap as u64);
         thread::sleep(Duration::from_millis(100));
         let at_cap = assembler.batches_assembled();
         assert!(!pool.is_empty(), "the cap must hold sealing back");
-        assert!(plane.queue.backlog_bytes() < 2 * cap as u64 + 1_800);
+        assert!(plane.backlog_bytes() < 2 * cap as u64 + 1_800);
 
-        // The driver pushes, a proposal drains: backlog released.
-        for sealed in plane.queue.take_sealed(usize::MAX) {
-            plane.queue.push_proposable(crate::dissem::ProposableBatch {
-                batch: sealed.batch_ref(),
-                tx_count: sealed.tx_count,
-                sealed_at_us: sealed.sealed_at_us,
-                queue_us: sealed.queue_us,
-            });
+        // The driver pushes, someone's block carries the batches: backlog
+        // released.
+        let pushed: Vec<_> =
+            plane.queue.take_sealed(usize::MAX).iter().map(SealedBatch::batch_ref).collect();
+        for r in &pushed {
+            plane.pool.stored(*r, true);
         }
-        assert!(!plane.queue.drain_proposable(usize::MAX, u64::MAX).is_empty());
+        assert!(plane.backlog_bytes() >= cap as u64, "pushed is not yet proposed");
+        plane.pool.referenced(Digest::hash_parts(&[b"block"]), 1, &pushed);
         wait_for("the release to resume sealing", || assembler.batches_assembled() > at_cap);
     }
 

@@ -3,11 +3,13 @@
 //! In digest-only mode, proposals carry [`moonshot_types::BatchRef`]s
 //! instead of payload bytes: the assembler seals a batch, hashes it once
 //! ([`batch_digest`]) on its own thread, and hands it to the driver through
-//! a [`DissemQueue`]. The driver broadcasts the bytes as a `BatchPush`
-//! frame *before* the batch becomes proposable, so by the time a voter
-//! sees the digest inside a proposal the bytes are normally already in its
-//! [`BatchStore`]. Stragglers (a dropped push, a restarted node) recover
-//! through the `BatchRequest`/`BatchResponse` fetch path driven by
+//! a [`DissemQueue`]. The driver stores the bytes and broadcasts them as a
+//! `BatchPush` frame, and every node — the sealer after its push, the
+//! others on arrival — enters the batch into its [`ProposablePool`]:
+//! whoever leads next proposes every batch it holds that no block has
+//! carried yet, not only the ones it sealed. A voter whose copy of the push
+//! is still on the way (or was lost) recovers through the
+//! `BatchRequest`/`BatchResponse` fetch path driven by
 //! `moonshot-consensus`'s retrying batch fetcher.
 //!
 //! Ownership: the [`BatchStore`] is shared between transport reader
@@ -15,10 +17,11 @@
 //! fetch requests) and the driver (which gates voting on resolvability and
 //! reconstructs payload bytes at commit). The [`DissemQueue`] is shared
 //! between the assembler thread (producer of sealed batches) and the
-//! driver (pusher + payload source). All state is internally locked; no
+//! driver (pusher); the [`ProposablePool`] is written by the driver and
+//! read by the payload source it calls. All state is internally locked; no
 //! method blocks on anything but a short mutex.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -106,7 +109,7 @@ impl DissemCounters {
     }
 }
 
-/// How many freshly stored digests the store remembers for the driver to
+/// How many freshly stored batches the store remembers for the driver to
 /// drain. The driver drains every loop iteration (sub-millisecond), so
 /// this only bounds a pathological stall; overflow drops the *oldest*
 /// notification (the batch itself stays stored and resolvable — a missed
@@ -121,12 +124,17 @@ struct StoreInner {
     /// loop skips them.
     order: VecDeque<Digest>,
     bytes: usize,
-    /// Digests stored since the driver last drained — its wake-up list for
-    /// releasing gated votes and recording `BatchStored` trace events.
-    stored_log: VecDeque<Digest>,
+    /// Batches stored since the driver last drained — its list for entering
+    /// them into the proposable pool, releasing gated votes and recording
+    /// `BatchStored` trace events.
+    stored_log: VecDeque<BatchRef>,
     /// Digest → height of the committed block that referenced it, recorded
-    /// by the driver at commit time. The prune floor walks this map.
+    /// by the driver at commit time.
     committed: HashMap<Digest, u64>,
+    /// `(height, digest)` per mark, in marking order. Commit heights only
+    /// rise, so the prune floor reads the ripe marks off the front instead
+    /// of walking the map once per commit.
+    committed_log: VecDeque<(u64, Digest)>,
 }
 
 /// The node-local content-addressed batch store.
@@ -157,9 +165,9 @@ impl BatchStore {
             return false;
         }
         inner.bytes += bytes.len();
+        inner.stored_log.push_back(BatchRef { digest, bytes: bytes.len() as u64 });
         inner.map.insert(digest, bytes);
         inner.order.push_back(digest);
-        inner.stored_log.push_back(digest);
         if inner.stored_log.len() > STORED_LOG_CAP {
             inner.stored_log.pop_front();
         }
@@ -196,6 +204,7 @@ impl BatchStore {
         let mut inner = self.inner.lock().unwrap();
         let h = inner.committed.entry(digest).or_insert(height);
         *h = (*h).max(height);
+        inner.committed_log.push_back((height, digest));
     }
 
     /// Drops every batch whose committing block height is ≤ `floor`.
@@ -205,18 +214,16 @@ impl BatchStore {
     /// fetchable by lagging peers.
     pub fn prune_committed(&self, floor: u64) -> usize {
         let mut inner = self.inner.lock().unwrap();
-        let ripe: Vec<Digest> = inner
-            .committed
-            .iter()
-            .filter(|(_, h)| **h <= floor)
-            .map(|(d, _)| *d)
-            .collect();
         let mut pruned = 0usize;
-        for d in ripe {
-            inner.committed.remove(&d);
-            if let Some(b) = inner.map.remove(&d) {
-                inner.bytes -= b.len();
-                pruned += 1;
+        while inner.committed_log.front().is_some_and(|(h, _)| *h <= floor) {
+            let (_, d) = inner.committed_log.pop_front().expect("checked above");
+            // (A re-reference at a height above the floor has a later mark.)
+            if inner.committed.get(&d).is_some_and(|h| *h <= floor) {
+                inner.committed.remove(&d);
+                if let Some(b) = inner.map.remove(&d) {
+                    inner.bytes -= b.len();
+                    pruned += 1;
+                }
             }
         }
         if pruned > 0 {
@@ -229,8 +236,8 @@ impl BatchStore {
         pruned
     }
 
-    /// Drains the digests stored since the last call (driver only).
-    pub fn take_stored(&self) -> Vec<Digest> {
+    /// Drains the batches stored since the last call (driver only).
+    pub fn take_stored(&self) -> Vec<BatchRef> {
         let mut inner = self.inner.lock().unwrap();
         inner.stored_log.drain(..).collect()
     }
@@ -292,48 +299,31 @@ impl SealedBatch {
     }
 }
 
-/// A batch that has been pushed to all peers and is waiting to be
-/// referenced by a proposal.
-#[derive(Clone, Debug)]
-pub struct ProposableBatch {
-    /// The reference the proposal will carry.
-    pub batch: BatchRef,
-    /// Transactions in the batch.
-    pub tx_count: u64,
-    /// Seal time (µs since cluster epoch).
-    pub sealed_at_us: u64,
-    /// Per-transaction mempool-queue delays (µs).
-    pub queue_us: Vec<u64>,
-}
-
 #[derive(Debug, Default)]
 struct QueueInner {
     /// Sealed, not yet pushed (assembler → driver).
     sealed: VecDeque<SealedBatch>,
-    /// Pushed, not yet proposed (driver push step → payload source).
-    proposable: VecDeque<ProposableBatch>,
-    /// Bytes across both stages — the assembler's backpressure signal.
-    backlog_bytes: u64,
+    /// Bytes in `sealed`: the part of the assembler's backlog still ahead
+    /// of the push step.
+    sealed_bytes: u64,
 }
 
-/// The two-stage handoff queue of the dissemination plane: the assembler
-/// appends sealed batches, the driver moves them to the proposable stage
-/// *after* broadcasting their `BatchPush`, and the leader's payload source
-/// drains proposable refs into a `Payload::Batches`. Push-before-propose
-/// ordering is thus structural, not timing-dependent: a ref can only enter
-/// a proposal after its bytes were handed to every peer's send queue, and
-/// per-peer TCP FIFO keeps the push ahead of the proposal on the wire.
+/// The assembler → driver handoff: the assembler appends sealed batches,
+/// the driver takes them, stores and broadcasts their bytes, and only then
+/// enters them into its [`ProposablePool`]. Push-before-propose is thus
+/// structural: a ref this node sealed can only be proposed *by this node*
+/// after its bytes were handed to every peer's send queue, and per-peer
+/// TCP FIFO keeps the push ahead of the proposal on the wire. (Another
+/// node proposes it only after receiving that push.)
 ///
-/// Neither side polls the other: see [`on_sealed`](DissemQueue::on_sealed)
-/// and [`wake_on_drain`](DissemQueue::wake_on_drain).
+/// The driver does not poll for sealed batches: see
+/// [`on_sealed`](DissemQueue::on_sealed).
 #[derive(Default)]
 pub struct DissemQueue {
     inner: Mutex<QueueInner>,
     /// The driver's wake-up. Re-settable: a restarted node's new driver
     /// takes over the plane its predecessor left.
     on_sealed: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
-    /// The assembler thread, parked while the backlog sits at its cap.
-    sealer: OnceLock<Thread>,
 }
 
 impl fmt::Debug for DissemQueue {
@@ -356,16 +346,10 @@ impl DissemQueue {
         *self.on_sealed.lock().unwrap() = Some(Box::new(wake));
     }
 
-    /// Names `sealer` as the thread to unpark whenever a proposal drains
-    /// backlog. One sealer per queue; later calls are ignored.
-    pub fn wake_on_drain(&self, sealer: Thread) {
-        let _ = self.sealer.set(sealer);
-    }
-
     /// Appends a sealed batch (assembler thread).
     pub fn push_sealed(&self, batch: SealedBatch) {
         let mut inner = self.inner.lock().unwrap();
-        inner.backlog_bytes += batch.bytes.len() as u64;
+        inner.sealed_bytes += batch.bytes.len() as u64;
         let was_empty = inner.sealed.is_empty();
         inner.sealed.push_back(batch);
         drop(inner);
@@ -380,68 +364,221 @@ impl DissemQueue {
     pub fn take_sealed(&self, max: usize) -> Vec<SealedBatch> {
         let mut inner = self.inner.lock().unwrap();
         let n = inner.sealed.len().min(max);
-        inner.sealed.drain(..n).collect()
-    }
-
-    /// Marks a pushed batch proposable (driver, after broadcasting).
-    pub fn push_proposable(&self, batch: ProposableBatch) {
-        self.inner.lock().unwrap().proposable.push_back(batch);
-    }
-
-    /// Drains proposable batches for one proposal, stopping at `max_refs`
-    /// or once `max_bytes` of referenced payload is reached (always takes
-    /// at least one when available, so an oversized batch still ships).
-    pub fn drain_proposable(&self, max_refs: usize, max_bytes: u64) -> Vec<ProposableBatch> {
-        let mut inner = self.inner.lock().unwrap();
-        let mut out: Vec<ProposableBatch> = Vec::new();
-        let mut bytes = 0u64;
-        while out.len() < max_refs {
-            let Some(front) = inner.proposable.front() else { break };
-            if !out.is_empty() && bytes + front.batch.bytes > max_bytes {
-                break;
-            }
-            bytes += front.batch.bytes;
-            let b = inner.proposable.pop_front().unwrap();
-            inner.backlog_bytes = inner.backlog_bytes.saturating_sub(b.batch.bytes);
-            out.push(b);
-        }
-        drop(inner);
-        if !out.is_empty() {
-            if let Some(sealer) = self.sealer.get() {
-                sealer.unpark();
-            }
-        }
-        out
-    }
-
-    /// Bytes sealed but not yet proposed — the assembler stops sealing
-    /// while this exceeds its backlog cap, which is what throttles the
-    /// data plane to the speed of the ordering plane.
-    pub fn backlog_bytes(&self) -> u64 {
-        self.inner.lock().unwrap().backlog_bytes
+        let taken: Vec<SealedBatch> = inner.sealed.drain(..n).collect();
+        inner.sealed_bytes -= taken.iter().map(|b| b.bytes.len() as u64).sum::<u64>();
+        taken
     }
 
     /// Sealed batches awaiting push (diagnostics).
     pub fn sealed_len(&self) -> usize {
         self.inner.lock().unwrap().sealed.len()
     }
+}
 
-    /// Pushed batches awaiting proposal (diagnostics).
-    pub fn proposable_len(&self) -> usize {
-        self.inner.lock().unwrap().proposable.len()
+/// What a node knows about one batch digest.
+#[derive(Debug, Default)]
+struct PoolEntry {
+    /// Arrival order. Keys the entry in `pending` and survives a requeue,
+    /// so an orphaned batch goes back to its old place in the line.
+    seq: u64,
+    /// Sealed here: counts toward the assembler's backlog while pending.
+    own: bool,
+    /// The bytes are in the local store. A ref first seen inside a block is
+    /// not proposable until they are.
+    stored: bool,
+    /// Received, uncommitted blocks that carry the ref.
+    carriers: u32,
+    committed: bool,
+}
+
+impl PoolEntry {
+    fn pending(&self) -> bool {
+        self.stored && self.carriers == 0 && !self.committed
+    }
+
+    /// Whether the entry can be forgotten. Committed with the arrival of
+    /// its bytes seen: the store keeps committed bytes and drops a
+    /// duplicate unannounced, so no second arrival follows (committed
+    /// *before* the driver drained that arrival from the store's log, the
+    /// entry waits for it). Or named only by blocks that are gone, bytes
+    /// never seen.
+    fn done(&self) -> bool {
+        if self.committed {
+            self.stored
+        } else {
+            !self.stored && self.carriers == 0
+        }
+    }
+}
+
+#[derive(Debug, Default)]
+struct PoolInner {
+    entries: HashMap<Digest, PoolEntry>,
+    /// The proposable refs, oldest first.
+    pending: BTreeMap<u64, BatchRef>,
+    /// Received blocks above the committed height: id → (height, refs).
+    in_flight: HashMap<Digest, (u64, Vec<BatchRef>)>,
+    committed_height: u64,
+    next_seq: u64,
+    own_pending_bytes: u64,
+    /// Refs that went back to `pending` because their block was orphaned.
+    requeued: u64,
+}
+
+impl PoolInner {
+    /// Applies `change` to `batch`'s entry (created on first sight) and
+    /// moves it into or out of `pending` to match.
+    fn update(&mut self, batch: BatchRef, change: impl FnOnce(&mut PoolEntry)) {
+        let next_seq = &mut self.next_seq;
+        let e = self.entries.entry(batch.digest).or_insert_with(|| {
+            *next_seq += 1;
+            PoolEntry { seq: *next_seq, ..PoolEntry::default() }
+        });
+        let was_pending = e.pending();
+        change(e);
+        if e.pending() != was_pending {
+            let own_bytes = if e.own { batch.bytes } else { 0 };
+            if was_pending {
+                self.pending.remove(&e.seq);
+                self.own_pending_bytes -= own_bytes;
+            } else {
+                self.pending.insert(e.seq, batch);
+                self.own_pending_bytes += own_bytes;
+            }
+        }
+        if e.done() {
+            self.entries.remove(&batch.digest);
+        }
+    }
+}
+
+/// Every batch in the local store that no block has carried yet, whoever
+/// sealed it: what this node proposes when it leads.
+///
+/// A small state machine per digest (diagram: DESIGN.md §5j), driven by the
+/// driver thread alone: *pending* once stored; *in flight* while a received,
+/// uncommitted block carries it; *committed*, for good, or back to
+/// *pending* when a commit at or above that block's height orphans it. In
+/// flight is set when a block is **received**, not when it is delivered to
+/// the protocol: a leader can learn a certificate for a block whose body
+/// its vote gate still holds, and must not propose that block's refs again.
+/// [`proposable`](ProposablePool::proposable) only reads: a ref leaves
+/// `pending` when the proposal that carries it comes back to
+/// [`referenced`](ProposablePool::referenced), like anyone else's.
+#[derive(Debug, Default)]
+pub struct ProposablePool {
+    inner: Mutex<PoolInner>,
+    /// The assembler thread, parked while its backlog sits at the cap.
+    sealer: OnceLock<Thread>,
+}
+
+impl ProposablePool {
+    /// Names `sealer` as the thread to unpark whenever one of this node's
+    /// own batches leaves `pending`. One sealer per pool; later calls are
+    /// ignored.
+    pub fn wake_on_drain(&self, sealer: Thread) {
+        let _ = self.sealer.set(sealer);
+    }
+
+    /// Runs `f` on the state and unparks the sealer if own backlog fell.
+    fn with<R>(&self, f: impl FnOnce(&mut PoolInner) -> R) -> R {
+        let mut inner = self.inner.lock().unwrap();
+        let before = inner.own_pending_bytes;
+        let r = f(&mut inner);
+        let fell = inner.own_pending_bytes < before;
+        drop(inner);
+        if let (true, Some(sealer)) = (fell, self.sealer.get()) {
+            sealer.unpark();
+        }
+        r
+    }
+
+    /// The bytes of `batch` are in the local store: sealed here and just
+    /// pushed (`own`), or arrived from a peer.
+    pub fn stored(&self, batch: BatchRef, own: bool) {
+        self.with(|p| {
+            p.update(batch, |e| {
+                e.stored = true;
+                e.own |= own;
+            })
+        });
+    }
+
+    /// A proposal or synced block `block` at `height` carrying `refs` was
+    /// received (or just proposed by this node). Blocks at or below the
+    /// committed height are either already accounted for or dead.
+    pub fn referenced(&self, block: Digest, height: u64, refs: &[BatchRef]) {
+        self.with(|p| {
+            if height <= p.committed_height || p.in_flight.contains_key(&block) {
+                return;
+            }
+            for r in refs {
+                p.update(*r, |e| e.carriers += 1);
+            }
+            p.in_flight.insert(block, (height, refs.into()));
+        });
+    }
+
+    /// `block` at `height`, carrying `refs`, committed. Its refs are done
+    /// for good, and every other received block at or below that height
+    /// lost the race for its slot: refs only an orphan carried go back to
+    /// `pending`. (A height already settled is a restarted node without a
+    /// ledger committing its chain again: nothing new.)
+    pub fn committed(&self, block: Digest, height: u64, refs: &[BatchRef]) {
+        self.with(|p| {
+            if height <= p.committed_height {
+                return;
+            }
+            for r in refs {
+                p.update(*r, |e| e.committed = true);
+            }
+            p.in_flight.remove(&block);
+            p.committed_height = height;
+            let mut orphaned = Vec::new();
+            p.in_flight.retain(|_, (h, refs)| *h > height || {
+                orphaned.push(std::mem::take(refs));
+                false
+            });
+            let pending_before = p.pending.len();
+            for r in orphaned.iter().flatten() {
+                // (Saturating: the ref may have committed meanwhile, and the
+                // entry be a fresh one.)
+                p.update(*r, |e| e.carriers = e.carriers.saturating_sub(1));
+            }
+            p.requeued += (p.pending.len() - pending_before) as u64;
+        });
+    }
+
+    /// The oldest `max_refs` pending refs, oldest first.
+    pub fn proposable(&self, max_refs: usize) -> Vec<BatchRef> {
+        self.inner.lock().unwrap().pending.values().take(max_refs).copied().collect()
+    }
+
+    /// Refs handed back to `pending` so far because the block that carried
+    /// them was orphaned (`dissem.requeued`).
+    pub fn requeued(&self) -> u64 {
+        self.inner.lock().unwrap().requeued
+    }
+
+    /// Bytes of this node's own batches pushed but not yet in any block.
+    pub fn own_pending_bytes(&self) -> u64 {
+        self.inner.lock().unwrap().own_pending_bytes
     }
 }
 
 /// Everything the dissemination plane shares across threads on one node:
-/// the store (readers + driver), the queue (assembler + driver), and the
-/// counters (everyone). One `Arc<DissemPlane>` is threaded through the
-/// transport config, the driver, and the assembler.
+/// the store (readers + driver), the queue (assembler + driver), the pool
+/// (driver + payload source) and the counters (everyone). One
+/// `Arc<DissemPlane>` is threaded through the transport config, the
+/// driver, and the assembler.
 #[derive(Debug)]
 pub struct DissemPlane {
     /// The content-addressed batch store.
     pub store: BatchStore,
-    /// The assembler → driver → payload-source handoff queue.
+    /// The assembler → driver handoff queue.
     pub queue: DissemQueue,
+    /// What this node would propose next.
+    pub pool: ProposablePool,
     /// Shared counters (`dissem.*` metrics).
     pub counters: Arc<DissemCounters>,
 }
@@ -453,8 +590,16 @@ impl DissemPlane {
         Arc::new(DissemPlane {
             store: BatchStore::new(store_budget_bytes, counters.clone()),
             queue: DissemQueue::new(),
+            pool: ProposablePool::default(),
             counters,
         })
+    }
+
+    /// Bytes this node sealed that no block carries yet — the assembler
+    /// stops sealing while this exceeds its backlog cap, which is what
+    /// throttles the data plane to the speed of the ordering plane.
+    pub fn backlog_bytes(&self) -> u64 {
+        self.queue.inner.lock().unwrap().sealed_bytes + self.pool.own_pending_bytes()
     }
 }
 
@@ -477,7 +622,7 @@ mod tests {
         assert_eq!(plane.store.bytes(), 100);
         assert_eq!(plane.store.get(&d).as_deref(), Some(&b[..]));
         assert!(plane.store.contains(&d));
-        assert_eq!(plane.store.take_stored(), vec![d]);
+        assert_eq!(plane.store.take_stored(), vec![BatchRef { digest: d, bytes: 100 }]);
         assert!(plane.store.take_stored().is_empty(), "stored log drains once");
         assert_eq!(plane.counters.stats().batches_stored, 1);
     }
@@ -575,54 +720,127 @@ mod tests {
         assert_eq!((first.load(Ordering::Relaxed), second.load(Ordering::Relaxed)), (1, 1));
     }
 
+    fn refs(n: u8) -> Vec<BatchRef> {
+        (0..n).map(|i| BatchRef { digest: batch_digest(&[i]), bytes: 1_000 }).collect()
+    }
+
+    fn block(tag: u8) -> Digest {
+        Digest::hash_parts(&[b"block", &[tag]])
+    }
+
     #[test]
-    fn queue_stages_sealed_then_proposable_with_backlog_accounting() {
-        let q = DissemQueue::new();
-        for i in 0..3u8 {
-            let bytes = arc_bytes(1_000, i);
-            let digest = batch_digest(&bytes);
-            q.push_sealed(SealedBatch {
-                digest,
-                bytes,
-                tx_count: 5,
-                sealed_at_us: i as u64,
-                queue_us: vec![1; 5],
-            });
+    fn stored_batches_are_proposed_oldest_first_until_a_block_carries_them() {
+        let pool = ProposablePool::default();
+        let r = refs(5);
+        for b in &r {
+            pool.stored(*b, false);
         }
-        assert_eq!(q.backlog_bytes(), 3_000);
-        assert_eq!(q.sealed_len(), 3);
-        // The driver pushes two, then stages them proposable.
-        let pushed = q.take_sealed(2);
-        assert_eq!(pushed.len(), 2);
-        assert_eq!(q.sealed_len(), 1);
-        for s in &pushed {
-            assert_eq!(s.batch_ref().bytes, 1_000);
-            q.push_proposable(ProposableBatch {
-                batch: s.batch_ref(),
-                tx_count: s.tx_count,
-                sealed_at_us: s.sealed_at_us,
-                queue_us: s.queue_us.clone(),
-            });
+        pool.stored(r[0], false); // a second arrival changes nothing
+        assert_eq!(pool.proposable(usize::MAX), r);
+        // The ref cap cuts the young end, and reading takes nothing out.
+        assert_eq!(pool.proposable(3), r[..3]);
+        assert_eq!(pool.proposable(usize::MAX).len(), 5);
+        // A received block takes its refs out of the line...
+        pool.referenced(block(1), 1, &r[1..3]);
+        pool.referenced(block(1), 1, &r[1..3]); // (the normal proposal after the optimistic one)
+        assert_eq!(pool.proposable(usize::MAX), [r[0], r[3], r[4]]);
+        // ...and its commit is the end of them: the store, which keeps
+        // committed bytes, announces no second arrival.
+        pool.committed(block(1), 1, &r[1..3]);
+        assert_eq!(pool.proposable(usize::MAX), [r[0], r[3], r[4]]);
+    }
+
+    #[test]
+    fn a_ref_seen_before_its_bytes_is_never_pending_while_a_block_carries_it() {
+        let pool = ProposablePool::default();
+        let r = refs(2);
+        // The proposal overtook the push: the vote gate holds the block,
+        // the pool already knows its refs.
+        pool.referenced(block(1), 1, &r);
+        pool.stored(r[0], false);
+        assert!(pool.proposable(usize::MAX).is_empty());
+        // The block can even commit before the driver has drained r1's
+        // arrival from the store's log.
+        pool.committed(block(1), 1, &r);
+        pool.stored(r[1], false);
+        assert!(pool.proposable(usize::MAX).is_empty(), "committed before its arrival was seen");
+    }
+
+    #[test]
+    fn an_orphaned_block_gives_its_refs_back_in_their_old_order() {
+        let pool = ProposablePool::default();
+        let r = refs(4);
+        for b in &r[..3] {
+            pool.stored(*b, false);
         }
-        // Backlog covers both stages until a proposal drains the refs.
-        assert_eq!(q.backlog_bytes(), 3_000);
-        // A 1.5 kB byte cap takes the first ref plus the second's overflow
-        // guard: only one fits after the first.
-        let refs = q.drain_proposable(8, 1_500);
-        assert_eq!(refs.len(), 1);
-        assert_eq!(q.backlog_bytes(), 2_000);
-        // Ref cap binds too.
-        let refs = q.drain_proposable(1, u64::MAX);
-        assert_eq!(refs.len(), 1);
-        assert_eq!(q.backlog_bytes(), 1_000);
-        assert!(q.drain_proposable(8, u64::MAX).is_empty());
-        // An oversized head still ships alone.
-        q.push_proposable(ProposableBatch {
-            batch: BatchRef { digest: batch_digest(b"big"), bytes: 10_000 },
-            tx_count: 1,
-            sealed_at_us: 9,
-            queue_us: Vec::new(),
+        // Two blocks compete for height 1; the loser also names a batch
+        // whose bytes never arrived here.
+        pool.referenced(block(1), 1, &[r[0], r[1], r[3]]);
+        pool.referenced(block(2), 1, &[r[1]]);
+        pool.referenced(block(3), 2, &[r[2]]);
+        assert!(pool.proposable(usize::MAX).is_empty());
+        pool.committed(block(2), 1, &[r[1]]);
+        // r0 is back ahead of anything younger; r1 committed with the
+        // winner although the loser carried it too; r2's block is above
+        // the commit and still in flight; r3 has no bytes to propose.
+        assert_eq!(pool.proposable(usize::MAX), [r[0]]);
+        assert_eq!(pool.requeued(), 1);
+        pool.stored(r[3], false);
+        assert_eq!(pool.proposable(usize::MAX), [r[0], r[3]]);
+        // A block at a settled height is dead on arrival, and a second
+        // commit of that height (a restart without a ledger) changes nothing.
+        pool.referenced(block(4), 1, &[r[0]]);
+        pool.committed(block(4), 1, &[r[0]]);
+        assert_eq!(pool.proposable(usize::MAX), [r[0], r[3]]);
+    }
+
+    /// "Committed never returns" rests on the store: it keeps committed
+    /// bytes and drops a duplicate push without announcing it, so the pool,
+    /// which forgot the batch at its commit, is not asked again.
+    #[test]
+    fn a_second_push_of_a_committed_batch_is_not_announced() {
+        let plane = DissemPlane::new(1 << 20);
+        let bytes = arc_bytes(100, 9);
+        let d = batch_digest(&bytes);
+        assert!(plane.store.insert(d, bytes.clone()));
+        let arrived = plane.store.take_stored();
+        plane.pool.stored(arrived[0], false);
+        plane.pool.referenced(block(1), 1, &arrived);
+        plane.store.mark_committed(d, 1);
+        plane.pool.committed(block(1), 1, &arrived);
+        assert!(!plane.store.insert(d, bytes));
+        assert!(plane.store.take_stored().is_empty());
+        assert!(plane.pool.proposable(usize::MAX).is_empty());
+    }
+
+    /// The assembler's backlog is what this node sealed and no block
+    /// carries yet: it falls when an own batch goes in flight in *anyone's*
+    /// block, rises again if that block is orphaned, and ignores foreign
+    /// batches throughout.
+    #[test]
+    fn backlog_follows_own_batches_from_seal_to_any_block() {
+        let plane = DissemPlane::new(1 << 20);
+        let bytes = arc_bytes(1_000, 1);
+        let own = BatchRef { digest: batch_digest(&bytes), bytes: 1_000 };
+        let foreign = refs(1)[0];
+        plane.queue.push_sealed(SealedBatch {
+            digest: own.digest,
+            bytes,
+            tx_count: 5,
+            sealed_at_us: 0,
+            queue_us: vec![1; 5],
         });
-        assert_eq!(q.drain_proposable(8, 1_500).len(), 1);
+        assert_eq!(plane.backlog_bytes(), 1_000);
+        let sealed = plane.queue.take_sealed(8);
+        assert_eq!(sealed[0].batch_ref(), own);
+        plane.pool.stored(own, true);
+        plane.pool.stored(foreign, false);
+        assert_eq!(plane.backlog_bytes(), 1_000);
+        plane.pool.referenced(block(1), 1, &[own, foreign]);
+        assert_eq!(plane.backlog_bytes(), 0);
+        plane.pool.committed(block(2), 1, &[]);
+        assert_eq!(plane.backlog_bytes(), 1_000, "orphaned: ours to propose again");
+        plane.pool.committed(block(3), 2, &[own]);
+        assert_eq!(plane.backlog_bytes(), 0);
     }
 }

@@ -27,8 +27,9 @@
 //!   plane** for digest-only proposals: a content-addressed
 //!   [`BatchStore`] (readers insert pushed/fetched batches, the driver
 //!   gates votes and resolves commits), the assembler→driver
-//!   [`DissemQueue`] whose two stages make push-before-propose structural,
-//!   and the `dissem.*` counters.
+//!   [`DissemQueue`], the [`ProposablePool`] of batches no block has
+//!   carried yet (own or foreign — what the next leader proposes), and the
+//!   `dissem.*` counters.
 //!
 //! The crate is std-only, like the rest of the workspace.
 
@@ -47,6 +48,6 @@ pub use batch::{
 };
 pub use dissem::{
     batch_digest, BatchStore, DissemCounters, DissemPlane, DissemQueue, DissemStats,
-    ProposableBatch, SealedBatch,
+    ProposablePool, SealedBatch,
 };
 pub use pool::{Mempool, MempoolConfig, MempoolCounters, SubmitError, Tx};

@@ -420,8 +420,10 @@ impl Mempool {
     }
 
     /// Commit feedback from the driver: called once per committed block.
-    /// `ours` marks blocks this node proposed — only those drained *this*
-    /// pool, so only they feed the drain-rate EWMAs; `commit_latency_us`
+    /// `ours` marks blocks carrying batches this pool sealed, with `txs` and
+    /// `bytes` counting those batches only — other nodes' transactions did
+    /// not drain *this* pool and must not feed its drain-rate EWMAs;
+    /// `commit_latency_us`
     /// (proposal→commit, when the driver has the proposal timestamp) feeds
     /// the latency EWMA for every block. `now_us` is the commit time on the
     /// cluster clock.
@@ -722,17 +724,18 @@ impl Mempool {
         }
     }
 
-    /// Releases a batch's pins once it committed (driver commit feedback).
-    /// Unknown digests (another node's batch, an already-evicted pin) are
-    /// a no-op.
-    pub fn release_batch(&self, batch: &Digest) {
+    /// Releases a batch's pins once it committed (driver commit feedback)
+    /// and returns how many transactions it held: `Some` exactly for the
+    /// batches *this* pool sealed, whoever proposed them. Unknown digests
+    /// (another node's batch, an already-evicted pin) are a no-op.
+    pub fn release_batch(&self, batch: &Digest) -> Option<u64> {
         let mut in_flight = self.in_flight.lock().unwrap();
-        if let Some(txs) = in_flight.by_batch.remove(batch) {
-            in_flight.order.retain(|d| d != batch);
-            for d in &txs {
-                self.shards[self.shard_index(d)].lock().unwrap().pinned.remove(d);
-            }
+        let txs = in_flight.by_batch.remove(batch)?;
+        in_flight.order.retain(|d| d != batch);
+        for d in &txs {
+            self.shards[self.shard_index(d)].lock().unwrap().pinned.remove(d);
         }
+        Some(txs.len() as u64)
     }
 
     /// Batches currently pinned as sealed-in-flight.

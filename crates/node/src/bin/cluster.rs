@@ -38,9 +38,11 @@
 //! `dissem_fetches`, `dissem_fetches_served`, `dissem_votes_gated`, and
 //! `batches_available_checked` (how many per-commit per-ref availability
 //! checks the invariant checker ran — a digest run fails if it is 0).
-//! `--drop-push-to <id>` additionally starves one node of every
-//! `BatchPush` so the fetch path must cover it — the fault-injection cell
-//! of the dissemination plane.
+//! A digest run ends with a drain (generators off, every node waits out
+//! what it accepted) and fails unless the commit list then holds exactly
+//! the transactions the mempools accepted. `--drop-push-to <id>`
+//! additionally starves one node of every `BatchPush` so the fetch path
+//! must cover it — the fault-injection cell of the dissemination plane.
 //!
 //! `--mixed-load` appends the bufferbloat fairness scenario: for each
 //! loaded batch size (the sweep sizes, or `--load`'s, or 18 kB) it runs a
@@ -561,6 +563,13 @@ fn main() -> ExitCode {
                 failed = true;
             }
         }
+        // A digest run ends with a drain — generators off, then every
+        // node waits out what it accepted — so that the exactly-once gate
+        // below can be an equality, not an upper bound.
+        let drained = load
+            .as_ref()
+            .filter(|l| l.digest)
+            .map(|_| cluster.drain(Duration::from_secs(30)));
         let report = cluster.stop();
         let elapsed = report.elapsed.as_secs_f64();
 
@@ -841,6 +850,24 @@ fn main() -> ExitCode {
                 let dups = report.duplicate_committed_txs();
                 if dups > 0 {
                     eprintln!("  FAIL: {dups} transactions committed more than once");
+                    failed = true;
+                }
+                // After the drain the commit list holds exactly what the
+                // mempools accepted. Counted from the longest list's refs —
+                // the trace rings and batch stores only remember the end of
+                // a long run — with every generator sending one size.
+                let framed = l.clients.first().map_or(180, |c| c.tx_bytes)
+                    + moonshot_mempool::BATCH_TX_OVERHEAD;
+                let in_list = |r: &moonshot_node::NodeReport| -> u64 {
+                    let refs = r.commits.iter().filter_map(|c| c.block.payload().batch_refs());
+                    refs.flatten().map(|b| b.bytes / framed as u64).sum()
+                };
+                let listed = report.reports.iter().map(in_list).max().unwrap_or(0);
+                if drained != Some(true) || listed != mempool_accepted {
+                    eprintln!(
+                        "  FAIL: after the drain (completed: {drained:?}) the commit list \
+                         holds {listed} transactions, the mempools accepted {mempool_accepted}"
+                    );
                     failed = true;
                 }
                 if drop_push_to.is_some() && (fetches == 0 || served == 0) {

@@ -177,10 +177,10 @@ impl ClusterSpec {
 /// Per-node batch-store budget in digest mode. The live window is a few
 /// pipeline depths of batches; the budget only guards against garbage.
 const DISSEM_STORE_BUDGET: usize = 64 << 20;
-/// Sealed-but-unproposed backlog cap handed to digest-mode assemblers —
-/// the data plane may run this far ahead of the ordering plane.
+/// Cap on what a digest-mode assembler has sealed that no block carries
+/// yet — the data plane may run this far ahead of the ordering plane.
 const DISSEM_BACKLOG_CAP: usize = 8 << 20;
-/// Most batch refs one digest-mode proposal drains.
+/// Most batch refs one digest-mode proposal carries (the oldest first).
 const PROPOSAL_MAX_REFS: usize = 256;
 
 /// A running localhost cluster.
@@ -210,6 +210,8 @@ pub struct Cluster {
     /// The in-process load generators (client id, client), when the spec
     /// asked for any.
     clients: Vec<(u32, TxClient)>,
+    /// Final counters of the generators [`Cluster::drain`] already stopped.
+    drained_clients: Vec<(u32, ClientStats)>,
     /// One entry per completed [`Cluster::restart`] (ledger clusters only):
     /// how much catch-up the restarted node actually owed the network.
     restarts: Vec<RestartStat>,
@@ -321,9 +323,6 @@ impl Cluster {
                         &pools[i],
                         &planes[i],
                         id,
-                        epoch,
-                        sinks[i].clone() as SharedSink,
-                        states[i].clone(),
                         spec.delta,
                         spec.drop_push_to,
                     );
@@ -381,6 +380,7 @@ impl Cluster {
             planes,
             states,
             clients,
+            drained_clients: Vec::new(),
             restarts: Vec::new(),
             net,
         })
@@ -489,9 +489,6 @@ impl Cluster {
                     &self.pools[idx],
                     &self.planes[idx],
                     id,
-                    self.epoch,
-                    self.sinks[idx].clone() as SharedSink,
-                    self.states[idx].clone(),
                     spec.delta,
                     spec.drop_push_to,
                 );
@@ -522,14 +519,29 @@ impl Cluster {
         Ok(())
     }
 
+    /// Stops the in-process load generators and waits, for at most
+    /// `timeout`, until every node has seen everything it accepted commit:
+    /// all mempools empty and no sealed batch still pinned. Returns whether
+    /// it came to that. (A killed node's pool never drains.)
+    pub fn drain(&mut self, timeout: Duration) -> bool {
+        let stopped = std::mem::take(&mut self.clients).into_iter().map(|(id, c)| (id, c.stop()));
+        self.drained_clients.extend(stopped);
+        let deadline = Instant::now() + timeout;
+        while self.pools.iter().any(|p| !p.is_empty() || p.in_flight_batches() > 0) {
+            if Instant::now() >= deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        true
+    }
+
     /// Stops every node and collects reports plus the merged, time-sorted
     /// trace. Teardown order matters: clients first (no new submissions),
     /// then assemblers (no new batches), then the nodes.
     pub fn stop(mut self) -> ClusterReport {
-        let clients: Vec<(u32, ClientStats)> = std::mem::take(&mut self.clients)
-            .into_iter()
-            .map(|(id, c)| (id, c.stop()))
-            .collect();
+        let mut clients = std::mem::take(&mut self.drained_clients);
+        clients.extend(std::mem::take(&mut self.clients).into_iter().map(|(id, c)| (id, c.stop())));
         drop(std::mem::take(&mut self.assemblers));
         let mut reports = std::mem::take(&mut self.dead_reports);
         // Signal every node before joining any: joining sequentially
@@ -684,24 +696,20 @@ pub fn wire_data_path(
 }
 
 /// The digest-mode counterpart of [`wire_data_path`]: the node's payload
-/// source drains *proposable* batches — already pushed to every peer by
-/// the driver — from its [`DissemPlane`] and proposes their 40-byte refs
-/// as a `Payload::Batches`. The transport gets the plane (reader threads
-/// store pushes and serve fetches) and a fetch retry policy resolved
-/// against the deployment's Δ. Stage telemetry matches the full-payload
-/// path: one backdated [`TraceEvent::BatchSealed`] per batch plus
-/// mempool-queue and seal→propose histograms, recorded at drain time —
-/// the batch's first appearance on the consensus path.
-#[allow(clippy::too_many_arguments)]
+/// source reads its [`DissemPlane`]'s proposable pool — every batch in the
+/// local store no block has carried yet, its own (after the driver pushed
+/// them) or a peer's — and proposes the oldest as the 40-byte refs of a
+/// `Payload::Batches`. Reading takes nothing out of the pool: the driver
+/// marks the refs in flight when it sees the proposal, as it does for
+/// everyone else's. The transport gets the plane (reader threads store
+/// pushes and serve fetches) and a fetch retry policy resolved against the
+/// deployment's Δ.
 pub fn wire_digest_path(
     cfg: &mut moonshot_consensus::NodeConfig,
     transport: &mut TransportConfig,
     pool: &Arc<Mempool>,
     plane: &Arc<DissemPlane>,
     node: NodeId,
-    epoch: Instant,
-    sink: SharedSink,
-    state: Arc<IntrospectState>,
     delta: SimDuration,
     drop_push_to: Option<NodeId>,
 ) {
@@ -712,45 +720,13 @@ pub fn wire_digest_path(
     // else starving it, not it starving the cluster.
     transport.drop_batch_push_to = drop_push_to.filter(|&victim| victim != node);
     let plane = plane.clone();
-    let mut sink = sink;
     cfg.payloads = PayloadSource::Custom(Box::new(move |_| {
-        let batches = plane.queue.drain_proposable(PROPOSAL_MAX_REFS, u64::MAX);
-        if batches.is_empty() {
-            return Payload::empty();
+        let refs = plane.pool.proposable(PROPOSAL_MAX_REFS);
+        if refs.is_empty() {
+            Payload::empty()
+        } else {
+            Payload::batches(refs)
         }
-        let now_us = epoch.elapsed().as_micros() as u64;
-        if let Ok(mut live) = state.live.lock() {
-            for b in &batches {
-                for &queued in &b.queue_us {
-                    live.observe_with(
-                        "stage_latency_us.mempool_queue",
-                        queued,
-                        STAGE_BUCKET_WIDTH_US,
-                        STAGE_BUCKETS,
-                    );
-                    live.observe_with("mempool.queue_delay_ms", queued / 1_000, 1, 30_000);
-                }
-                live.observe_with(
-                    "stage_latency_us.propose_wait",
-                    now_us.saturating_sub(b.sealed_at_us),
-                    STAGE_BUCKET_WIDTH_US,
-                    STAGE_BUCKETS,
-                );
-            }
-        }
-        for b in &batches {
-            sink.record(TraceRecord {
-                at: SimTime(b.sealed_at_us),
-                event: TraceEvent::BatchSealed {
-                    node,
-                    batch: b.batch.digest,
-                    txs: b.tx_count,
-                    bytes: b.batch.bytes,
-                },
-            });
-        }
-        let refs: Vec<moonshot_types::BatchRef> = batches.iter().map(|b| b.batch).collect();
-        Payload::batches(refs)
     }));
 }
 

@@ -30,12 +30,12 @@ use moonshot_consensus::{
 };
 use moonshot_crypto::{Digest, VerifiedCache};
 use moonshot_ledger::Ledger;
-use moonshot_mempool::{DissemPlane, ProposableBatch};
+use moonshot_mempool::{DissemPlane, Mempool, BATCH_TX_OVERHEAD};
 use moonshot_telemetry::{
     MetricsRegistry, TraceEvent, TraceRecord, TraceSink, STAGE_BUCKETS, STAGE_BUCKET_WIDTH_US,
 };
 use moonshot_types::time::{SimDuration, SimTime};
-use moonshot_types::{BlockId, NodeId, View};
+use moonshot_types::{BatchRef, Block, BlockId, NodeId, View};
 use moonshot_wire::{encode_frame, encode_message, Frame};
 
 use crate::introspect::{IntrospectServer, IntrospectState};
@@ -152,6 +152,24 @@ impl TracingSink {
                 STAGE_BUCKET_WIDTH_US,
                 STAGE_BUCKETS,
             );
+        }
+    }
+
+    /// Folds one sealed batch's per-transaction queue delays into
+    /// `stage_latency_us.mempool_queue` and, in coarse units, into
+    /// `mempool.queue_delay_ms` — the histogram the admission control loop
+    /// is judged by (1 ms buckets spanning 30 s).
+    fn observe_queue_delays(&self, queue_us: &[u64]) {
+        if let Ok(mut live) = self.state.live.lock() {
+            for &queued in queue_us {
+                live.observe_with(
+                    "stage_latency_us.mempool_queue",
+                    queued,
+                    STAGE_BUCKET_WIDTH_US,
+                    STAGE_BUCKETS,
+                );
+                live.observe_with("mempool.queue_delay_ms", queued / 1_000, 1, 30_000);
+            }
         }
     }
 }
@@ -322,6 +340,7 @@ impl NodeHandle {
                         dissem,
                         drop_push_to,
                         batch_fetcher,
+                        sealed_at_us: HashMap::new(),
                         gated: VecDeque::new(),
                         gated_dropped: 0,
                         ledger,
@@ -405,6 +424,42 @@ struct GatedMessage {
     missing: HashSet<Digest>,
 }
 
+/// The block a message carries in full. `CompactPropose` carries none —
+/// its block travelled with the view's optimistic proposal.
+fn carried_block(msg: &Message) -> Option<&Block> {
+    match msg {
+        Message::OptPropose { block, .. }
+        | Message::Propose { block, .. }
+        | Message::FbPropose { block, .. }
+        | Message::BlockResponse { block } => Some(block),
+        _ => None,
+    }
+}
+
+/// Commit feedback for one block: unpins the committed batches this node
+/// sealed and feeds their transactions — in whoever's block they
+/// committed, and nobody else's transactions — to the drain rate behind
+/// delay-bounded admission; the latency EWMA learns from every commit.
+/// Counting is a pin lookup per batch: no walk over payload bytes, no hash.
+fn feed_commit(pool: &Mempool, block: &Block, latency_us: Option<u64>, now_us: u64) {
+    let payload = block.payload();
+    // A `Data` payload is one batch, pinned under the payload digest.
+    let whole = [BatchRef { digest: payload.digest(), bytes: payload.size() }];
+    let batches = match payload.batch_refs() {
+        Some(refs) => refs,
+        None if payload.data_bytes().is_some() => &whole,
+        None => &[],
+    };
+    let (mut txs, mut bytes) = (0u64, 0u64);
+    for b in batches {
+        if let Some(n) = pool.release_batch(&b.digest) {
+            txs += n;
+            bytes += b.bytes.saturating_sub(n * BATCH_TX_OVERHEAD as u64);
+        }
+    }
+    pool.note_commit(txs > 0, txs, bytes, latency_us, now_us);
+}
+
 struct Driver {
     node: NodeId,
     transport: Transport,
@@ -430,6 +485,9 @@ struct Driver {
     drop_push_to: Option<NodeId>,
     /// Outstanding batch fetches for the vote gate's fallback path.
     batch_fetcher: BatchFetcher,
+    /// Seal time of every batch this node pushed and has not yet seen in a
+    /// proposal — what closes its seal→propose wait.
+    sealed_at_us: HashMap<Digest, u64>,
     /// Proposals / synced blocks parked until every batch ref they carry
     /// resolves in the local store.
     gated: VecDeque<GatedMessage>,
@@ -655,7 +713,8 @@ impl Driver {
             live.set_counter("dissem.gated_dropped", self.gated_dropped);
             live.set_gauge("dissem.store_batches", plane.store.len() as f64);
             live.set_gauge("dissem.store_bytes", plane.store.bytes() as f64);
-            live.set_gauge("dissem.backlog_bytes", plane.queue.backlog_bytes() as f64);
+            live.set_gauge("dissem.backlog_bytes", plane.backlog_bytes() as f64);
+            live.set_counter("dissem.requeued", plane.pool.requeued());
             live.set_gauge("dissem.gated", self.gated.len() as f64);
             live.set_gauge("dissem.fetch_outstanding", self.batch_fetcher.outstanding() as f64);
         }
@@ -693,15 +752,23 @@ impl Driver {
     /// the protocol never votes for data this node could not re-serve.
     fn dispatch(&mut self, protocol: &mut dyn ConsensusProtocol, inbound: Inbound) {
         let Inbound { from, msg, verified } = inbound;
+        if let Some(block) = carried_block(&msg) {
+            // On receipt, not on delivery: this node may lead the next view
+            // off a certificate while the gate below still holds the body.
+            self.note_proposed(block);
+        }
         if let Some(missing) = self.unresolved_refs(&msg) {
             let t = self.now();
             if let Some(plane) = &self.dissem {
                 plane.counters.votes_gated.fetch_add(1, Ordering::Relaxed);
             }
             // The sender certainly holds the bytes (it proposed or voted
-            // for them), so it is the first fetch hint.
+            // for them), so it is the first fetch hint — asked at once for
+            // a synced block, whose pushes are long gone, and only after
+            // the push has had its Δ for a fresh proposal.
+            let push_in_flight = !matches!(msg, Message::BlockResponse { .. });
             for d in &missing {
-                let plan = self.batch_fetcher.request(*d, [from], t);
+                let plan = self.batch_fetcher.request(*d, [from], t, push_in_flight);
                 self.execute_fetch_plan(plan, t);
             }
             if self.gated.len() >= GATED_LIMIT {
@@ -742,14 +809,7 @@ impl Driver {
     /// payload was gated with the view's optimistic proposal.
     fn unresolved_refs(&self, msg: &Message) -> Option<HashSet<Digest>> {
         let plane = self.dissem.as_ref()?;
-        let block = match msg {
-            Message::OptPropose { block, .. }
-            | Message::Propose { block, .. }
-            | Message::FbPropose { block, .. }
-            | Message::BlockResponse { block } => block,
-            _ => return None,
-        };
-        let refs = block.payload().batch_refs()?;
+        let refs = carried_block(msg)?.payload().batch_refs()?;
         let missing: HashSet<Digest> =
             refs.iter().filter(|r| !plane.store.contains(&r.digest)).map(|r| r.digest).collect();
         if missing.is_empty() {
@@ -778,17 +838,38 @@ impl Driver {
         }
     }
 
-    /// Broadcasts freshly sealed batches as `BatchPush` frames, then stages
-    /// them proposable. The ordering is the push-before-propose guarantee:
-    /// a ref can only enter a proposal after its bytes sit in every peer's
-    /// send queue, and per-peer TCP FIFO keeps the push ahead of the
-    /// proposal on the wire. Returns whether [`PUSH_LIMIT`] cut the drain
-    /// short, i.e. sealed batches may remain that no wake-up will announce.
+    /// A proposal or synced block reached this node (or left it): its refs
+    /// are in flight under it from here on, and the ones this node sealed
+    /// have waited this long to be proposed.
+    fn note_proposed(&mut self, block: &Block) {
+        let (Some(plane), Some(refs)) = (&self.dissem, block.payload().batch_refs()) else {
+            return;
+        };
+        plane.pool.referenced(block.id(), block.height().0, refs);
+        let now_us = self.now().0;
+        for r in refs {
+            if let Some(sealed) = self.sealed_at_us.remove(&r.digest) {
+                self.sink.observe_stage("propose_wait", now_us.saturating_sub(sealed));
+            }
+        }
+    }
+
+    /// Stores freshly sealed batches, broadcasts them as `BatchPush` frames
+    /// and only then enters them into the proposable pool — the
+    /// push-before-propose guarantee: this node can only propose its own
+    /// ref after the bytes sit in every peer's send queue, and per-peer TCP
+    /// FIFO keeps the push ahead of the proposal on the wire. This is also
+    /// where a batch's seal telemetry lands, once, on the node that sealed
+    /// it: a [`TraceEvent::BatchSealed`] record backdated to the seal and
+    /// the per-transaction mempool-queue delays the assembler computed.
+    /// Returns whether [`PUSH_LIMIT`] cut the drain short, i.e. sealed
+    /// batches may remain that no wake-up will announce.
     fn push_batches(&mut self) -> bool {
         let Some(plane) = self.dissem.clone() else { return false };
         let sealed = plane.queue.take_sealed(PUSH_LIMIT);
         let more = sealed.len() == PUSH_LIMIT;
         for b in sealed {
+            plane.store.insert(b.digest, b.bytes.clone());
             let frame = Arc::new(encode_frame(&Frame::BatchPush {
                 digest: b.digest,
                 bytes: b.bytes.clone(),
@@ -796,21 +877,26 @@ impl Driver {
             self.transport.broadcast_except(frame, self.drop_push_to);
             plane.counters.batches_pushed.fetch_add(1, Ordering::Relaxed);
             plane.counters.batch_bytes_pushed.fetch_add(b.bytes.len() as u64, Ordering::Relaxed);
-            // The assembler already inserted the bytes into the local store
-            // at seal time, so our own refs resolve without a loopback.
-            plane.queue.push_proposable(ProposableBatch {
-                batch: b.batch_ref(),
-                tx_count: b.tx_count,
-                sealed_at_us: b.sealed_at_us,
-                queue_us: b.queue_us,
+            plane.pool.stored(b.batch_ref(), true);
+            self.sealed_at_us.insert(b.digest, b.sealed_at_us);
+            self.sink.observe_queue_delays(&b.queue_us);
+            self.sink.record(TraceRecord {
+                at: SimTime(b.sealed_at_us),
+                event: TraceEvent::BatchSealed {
+                    node: self.node,
+                    batch: b.digest,
+                    txs: b.tx_count,
+                    bytes: b.bytes.len() as u64,
+                },
             });
         }
         more
     }
 
-    /// Drains the store's arrival log: records `BatchStored` trace events,
-    /// settles outstanding fetches, and delivers any gated message whose
-    /// missing set drained empty.
+    /// Drains the store's arrival log: enters the arrivals into the
+    /// proposable pool, records `BatchStored` trace events, settles
+    /// outstanding fetches, and delivers any gated message whose missing set
+    /// drained empty.
     fn drain_stored(&mut self, protocol: &mut dyn ConsensusProtocol) {
         let Some(plane) = self.dissem.clone() else { return };
         let stored = plane.store.take_stored();
@@ -818,17 +904,20 @@ impl Driver {
             return;
         }
         let t = self.now();
-        for d in &stored {
-            self.batch_fetcher.fulfilled(d);
+        for b in &stored {
+            // (A no-op for this node's own batches: the push step entered
+            // them as its own.)
+            plane.pool.stored(*b, false);
+            self.batch_fetcher.fulfilled(&b.digest);
             self.sink.record(TraceRecord {
                 at: t,
-                event: TraceEvent::BatchStored { node: self.node, batch: *d },
+                event: TraceEvent::BatchStored { node: self.node, batch: b.digest },
             });
         }
         let mut i = 0;
         while i < self.gated.len() {
-            for d in &stored {
-                self.gated[i].missing.remove(d);
+            for b in &stored {
+                self.gated[i].missing.remove(&b.digest);
             }
             if self.gated[i].missing.is_empty() {
                 let g = self.gated.remove(i).expect("index bounded by len");
@@ -840,47 +929,19 @@ impl Driver {
     }
 
     fn process(&mut self, protocol: &mut dyn ConsensusProtocol, outputs: Vec<Output>, t: SimTime) {
-        // Drain-rate feedback to the mempool's delay-bounded admission.
-        // Must run before `on_outputs`: recording `BlockCommitted` prunes
-        // the block's proposal timestamp from the tracing sink, and the
-        // proposal→commit latency sample needs it. Only blocks this node
-        // proposed drained *this* pool, so only they feed the drain rate;
-        // the latency EWMA learns from every commit. Counting a batch's
-        // transactions is a length-prefix walk — no hashing, so the
-        // driver's `payload_hashes == 0` invariant holds.
+        // Commit feedback to the mempool. Must run before `on_outputs`:
+        // recording `BlockCommitted` prunes the block's proposal timestamp
+        // from the tracing sink, and the proposal→commit latency sample
+        // needs it.
         if let Some(pool) = &self.mempool {
             for out in &outputs {
                 let Output::Commit(c) = out else { continue };
-                let ours = c.block.proposer() == self.node;
                 let latency = self
                     .sink
                     .proposed_at
                     .get(&c.block.id())
                     .map(|&proposed| t.0.saturating_sub(proposed));
-                let (mut txs, mut bytes) = (0u64, 0u64);
-                if ours {
-                    if let Some(data) = c.block.payload().data_bytes() {
-                        for tx in moonshot_mempool::batch_txs(data) {
-                            txs += 1;
-                            bytes += tx.len() as u64;
-                        }
-                    } else if let (Some(refs), Some(plane)) =
-                        (c.block.payload().batch_refs(), &self.dissem)
-                    {
-                        // Digest mode: reconstruct our committed batches
-                        // from the store — a lookup plus a length-prefix
-                        // walk, never a hash.
-                        for r in refs {
-                            if let Some(data) = plane.store.get(&r.digest) {
-                                for tx in moonshot_mempool::batch_txs(&data) {
-                                    txs += 1;
-                                    bytes += tx.len() as u64;
-                                }
-                            }
-                        }
-                    }
-                }
-                pool.note_commit(ours, txs, bytes, latency, t.0);
+                feed_commit(pool, &c.block, latency, t.0);
             }
         }
         self.observer.on_outputs(&outputs, protocol.current_view(), t, &mut self.sink);
@@ -902,6 +963,11 @@ impl Driver {
                     }
                 }
                 Output::Multicast(msg) => {
+                    if let Some(block) = carried_block(&msg) {
+                        // Our own proposal: in flight before anything else
+                        // can ask the pool for a payload.
+                        self.note_proposed(block);
+                    }
                     // Encode once; every peer queue shares the same bytes.
                     let frame = Arc::new(encode_message(&msg));
                     self.transport.broadcast(frame);
@@ -916,43 +982,30 @@ impl Driver {
                     // resolved it. The committed-batch-availability
                     // invariant fails the run on any `resolved: false` —
                     // an honest node committed data it cannot materialise.
-                    if let Some(refs) = c.block.payload().batch_refs() {
-                        if let Some(plane) = self.dissem.clone() {
-                            for r in refs {
-                                let resolved = plane.store.contains(&r.digest);
-                                self.sink.record(TraceRecord {
-                                    at: t,
-                                    event: TraceEvent::BatchCommitted {
-                                        node: self.node,
-                                        batch: r.digest,
-                                        resolved,
-                                    },
-                                });
-                                plane.store.mark_committed(r.digest, c.block.height().0);
-                            }
-                            // Committed batches only need to stick around long
-                            // enough for report-time tx accounting and for
-                            // lagging peers to fetch them; after the retention
-                            // window they are dead weight the byte-budget
-                            // eviction would otherwise churn through.
-                            plane
-                                .store
-                                .prune_committed(c.block.height().0.saturating_sub(DISSEM_RETAIN_BLOCKS));
+                    if let Some(plane) = self.dissem.clone() {
+                        let height = c.block.height().0;
+                        let refs = c.block.payload().batch_refs().unwrap_or(&[]);
+                        for r in refs {
+                            let resolved = plane.store.contains(&r.digest);
+                            self.sink.record(TraceRecord {
+                                at: t,
+                                event: TraceEvent::BatchCommitted {
+                                    node: self.node,
+                                    batch: r.digest,
+                                    resolved,
+                                },
+                            });
+                            plane.store.mark_committed(r.digest, height);
                         }
-                        // Commitment unpins the batches' transactions (only
-                        // our own seals are pinned here; foreign digests
-                        // no-op).
-                        if let Some(pool) = &self.mempool {
-                            for r in refs {
-                                pool.release_batch(&r.digest);
-                            }
-                        }
-                    } else if let Some(pool) = &self.mempool {
-                        if c.block.payload().data_bytes().is_some() {
-                            // Full-payload mode pins under the payload
-                            // digest (cached — no hashing here).
-                            pool.release_batch(&c.block.payload().digest());
-                        }
+                        // Every block, empty ones too: a commit is also what
+                        // hands an orphaned proposal's refs back to the pool.
+                        plane.pool.committed(c.block.id(), height, refs);
+                        // Committed batches only need to stick around long
+                        // enough for report-time tx accounting and for
+                        // lagging peers to fetch them; after the retention
+                        // window they are dead weight the byte-budget
+                        // eviction would otherwise churn through.
+                        plane.store.prune_committed(height.saturating_sub(DISSEM_RETAIN_BLOCKS));
                     }
                     if let Some((tx, _)) = &self.ledger_writer {
                         let _ = tx.send(c.block.clone());
@@ -967,5 +1020,46 @@ impl Driver {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use moonshot_mempool::MempoolConfig;
+    use moonshot_types::Payload;
+
+    /// Admission feedback follows the batches a node *sealed*, not the
+    /// blocks it proposed: with the shared pool most of a node's batches
+    /// commit in other leaders' blocks, next to other nodes' batches. A
+    /// node that never leads must still measure its own drain rate — from
+    /// its own transactions only.
+    #[test]
+    fn a_node_that_never_leads_still_measures_its_drain_rate() {
+        let pool = Mempool::new(MempoolConfig::default());
+        let sealed_here = |tag: u8, txs: u8| {
+            let digest = Digest::hash(&[tag]);
+            let tx_digests: Vec<Digest> = (0..txs).map(|i| Digest::hash(&[tag, i])).collect();
+            pool.pin_batch(digest, &tx_digests);
+            BatchRef { digest, bytes: txs as u64 * (180 + BATCH_TX_OVERHEAD as u64) }
+        };
+        let (first, second) = (sealed_here(1, 10), sealed_here(2, 20));
+        let foreign = BatchRef { digest: Digest::hash(&[9]), bytes: 1 << 20 };
+        // Node 3 proposes both blocks; this node is not node 3.
+        let b1 = Block::build(View(1), NodeId(3), &Block::genesis(), Payload::batches(vec![first]));
+        let b2 = Block::build(View(2), NodeId(3), &b1, Payload::batches(vec![foreign, second]));
+
+        feed_commit(&pool, &b1, Some(5_000), 1_000_000);
+        assert_eq!(pool.drain_txs_per_sec(), 0, "the first commit only opens the window");
+        feed_commit(&pool, &b2, Some(5_000), 1_100_000);
+        // 20 own transactions of 180 B in 100 ms; the foreign megabyte is
+        // not this pool's drain.
+        assert_eq!(pool.drain_txs_per_sec(), 200);
+        assert_eq!(pool.drain_bytes_per_sec(), 36_000);
+        assert_eq!(pool.in_flight_batches(), 0, "committed batches are unpinned");
+        // A block with nothing of ours leaves the rate alone.
+        let b3 = Block::build(View(3), NodeId(3), &b2, Payload::batches(vec![foreign]));
+        feed_commit(&pool, &b3, Some(5_000), 1_200_000);
+        assert_eq!(pool.drain_txs_per_sec(), 200);
     }
 }
