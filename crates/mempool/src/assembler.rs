@@ -16,8 +16,16 @@
 //! the common-case block size (and its latency profile) untouched.
 //!
 //! The thread only runs when it can seal: it parks on an empty pool, a full
-//! slot or (digest mode) a backlog at its cap, and whoever changes that — an
-//! admission, [`PreparedSlot::take`], a block taking up backlog — unparks it.
+//! slot or (digest mode) a backlog at its cap, and whoever changes that — the
+//! first admission, [`PreparedSlot::take`], a block taking up backlog —
+//! unparks it.
+//!
+//! An under-full batch is sealed on the block clock ([`seal_linger`]): no
+//! batch is proposed more often than once per block period ω̂, which the
+//! pool measures from commit feedback, so a batch stays open for ω̂/4 after
+//! the assembler found the pool non-empty and collects what a paced stream
+//! admits meanwhile. The assembler sleeps through that window; only the
+//! admission that fills the batch ends it early.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -94,12 +102,28 @@ pub struct PreparedPayload {
 /// state change it waits for unparks it, so this only bounds the damage of
 /// a wake-up that never came. This crate's tests stretch it past their
 /// deadlines, so that only a real wake-up lets them pass.
-const IDLE_RECHECK: Duration = Duration::from_millis(if cfg!(test) { 30_000 } else { 50 });
+const IDLE_RECHECK: Duration =
+    if cfg!(test) { Duration::from_secs(30) } else { MAX_LINGER };
 
-/// How long a batch that would go out under-full waits for more admissions
-/// before it is sealed: the batching window the retired 200 µs idle poll
-/// provided by accident (and `mempool.queue_p50_ms` its cost).
+/// The shortest an under-full batch stays open, and how long it does while
+/// the block period is unmeasured (the batching window of the 200 µs idle
+/// poll this thread once ran).
 const BATCH_LINGER: Duration = Duration::from_micros(200);
+
+/// The longest an under-full batch stays open, whatever a stalled chain
+/// made of the measured block period: the fallback tick.
+const MAX_LINGER: Duration = Duration::from_millis(50);
+
+/// How long an under-full batch stays open for more admissions at a
+/// measured block period of `block_period_us` (0 = unmeasured): a quarter
+/// of it. A leader takes whatever is sealed once per period, so four seals
+/// per period keep the data plane ahead of the ordering plane, while a
+/// transaction waits an eighth of a period more on average
+/// (`mempool.queue_p50_ms`) and every frame, store entry and proposal ref a
+/// batch costs is shared by the transactions of that quarter.
+fn seal_linger(block_period_us: u64) -> Duration {
+    Duration::from_micros(block_period_us / 4).clamp(BATCH_LINGER, MAX_LINGER)
+}
 
 /// The handoff cell between the assembler thread and the driver's payload
 /// source. Cloning shares the cell.
@@ -241,12 +265,26 @@ struct Drained {
 
 /// Drains the next batch from a non-empty pool; `None` when the drain came
 /// back empty (an oversized head still earning its deficit). A pool holding
-/// less than one base batch first gets [`BATCH_LINGER`] to collect more:
-/// woken on the first admission, the assembler would otherwise seal every
-/// transaction of a steady stream on its own.
-fn drain_batch(pool: &Mempool, cfg: &AssemblerConfig, epoch: Instant) -> Option<Drained> {
-    if pool.pending_bytes() < cfg.base_batch_bytes as u64 {
-        thread::sleep(BATCH_LINGER);
+/// less than one base batch first gets [`seal_linger`] from now to collect
+/// more: woken on the first admission, the assembler would otherwise seal
+/// every transaction of a steady stream on its own. It parks until that
+/// deadline; the admission that fills the batch unparks it sooner
+/// ([`Mempool::wake_on_admit`]), any other wake-up finds the batch still
+/// under-full and parks again.
+fn drain_batch(
+    pool: &Mempool,
+    cfg: &AssemblerConfig,
+    epoch: Instant,
+    shared: &Shared,
+) -> Option<Drained> {
+    let opened = Instant::now();
+    let linger = seal_linger(pool.block_period_ewma_us());
+    while pool.pending_bytes() < cfg.base_batch_bytes as u64 {
+        let left = linger.saturating_sub(opened.elapsed());
+        if left.is_zero() || !shared.running() {
+            break;
+        }
+        thread::park_timeout(left);
     }
     let target = cfg.effective_target(pool.pending_bytes());
     pool.set_batch_target(target as u64);
@@ -273,7 +311,7 @@ fn run(
     cfg: AssemblerConfig,
     epoch: Instant,
 ) {
-    pool.wake_on_admit(thread::current());
+    pool.wake_on_admit(thread::current(), cfg.base_batch_bytes as u64);
     let _ = slot.0.filler.set(thread::current());
     while shared.running() {
         if slot.is_full() || pool.is_empty() {
@@ -282,7 +320,9 @@ fn run(
             thread::park_timeout(IDLE_RECHECK);
             continue;
         }
-        let Some(Drained { txs, sealed_at_us, queue_us }) = drain_batch(&pool, &cfg, epoch) else {
+        let Some(Drained { txs, sealed_at_us, queue_us }) =
+            drain_batch(&pool, &cfg, epoch, shared)
+        else {
             continue;
         };
         let tx_count = txs.len() as u64;
@@ -310,7 +350,7 @@ fn run_digest(
     epoch: Instant,
     backlog_cap_bytes: usize,
 ) {
-    pool.wake_on_admit(thread::current());
+    pool.wake_on_admit(thread::current(), cfg.base_batch_bytes as u64);
     plane.pool.wake_on_drain(thread::current());
     while shared.running() {
         if plane.backlog_bytes() >= backlog_cap_bytes as u64 || pool.is_empty() {
@@ -320,7 +360,9 @@ fn run_digest(
             thread::park_timeout(IDLE_RECHECK);
             continue;
         }
-        let Some(Drained { txs, sealed_at_us, queue_us }) = drain_batch(&pool, &cfg, epoch) else {
+        let Some(Drained { txs, sealed_at_us, queue_us }) =
+            drain_batch(&pool, &cfg, epoch, shared)
+        else {
             continue;
         };
         let tx_count = txs.len() as u64;
@@ -479,8 +521,107 @@ mod tests {
         wait_for("the take to seal the next batch", || assembler.batches_assembled() == 2);
     }
 
+    /// Primes `pool`'s block period to exactly `period_us`, on logical
+    /// time: commits carrying nothing of this pool's, one period apart.
+    fn prime_block_period(pool: &Mempool, period_us: u64) {
+        for k in 1..=3 {
+            pool.note_commit(false, 0, 0, None, k * period_us);
+        }
+        assert_eq!(pool.block_period_ewma_us(), period_us);
+    }
+
+    /// A digest-mode assembler on a fresh pool with ω̂ primed to
+    /// `period_us` and a backlog cap out of reach.
+    fn digest_assembler(
+        base: usize,
+        period_us: u64,
+        epoch: Instant,
+    ) -> (Arc<Mempool>, Arc<DissemPlane>, BatchAssembler) {
+        let pool = Arc::new(Mempool::new(MempoolConfig::default()));
+        prime_block_period(&pool, period_us);
+        let plane = DissemPlane::new(1 << 20);
+        let assembler = BatchAssembler::start_digest(
+            pool.clone(),
+            AssemblerConfig::fixed(base),
+            epoch,
+            plane.clone(),
+            1 << 20,
+        );
+        (pool, plane, assembler)
+    }
+
+    /// The rule on logical time: a quarter of the measured period, 200 µs
+    /// while there is none or it is shorter than 800 µs, and 50 ms however
+    /// long a stalled chain made the last gap.
+    #[test]
+    fn seal_linger_is_a_quarter_period_between_its_floor_and_its_cap() {
+        let pool = Mempool::new(MempoolConfig::default());
+        let linger = |pool: &Mempool| seal_linger(pool.block_period_ewma_us());
+        assert_eq!(linger(&pool), BATCH_LINGER, "unmeasured: the old window");
+        prime_block_period(&pool, 100_000);
+        assert_eq!(linger(&pool), Duration::from_millis(25));
+        // The chain stalls for a minute: ω̂ jumps to 7.6 s.
+        pool.note_commit(false, 0, 0, None, 300_000 + 60_000_000);
+        assert!(pool.block_period_ewma_us() > 7_000_000);
+        assert_eq!(linger(&pool), MAX_LINGER);
+        assert_eq!(MAX_LINGER, Duration::from_millis(50));
+
+        let fast = Mempool::new(MempoolConfig::default());
+        prime_block_period(&fast, 400);
+        assert_eq!(linger(&fast), BATCH_LINGER, "a loopback chain keeps the floor");
+    }
+
+    /// Admissions spread over less than ω̂/4 leave as one batch, and their
+    /// queue delays span the window: the first waited the whole linger.
+    #[test]
+    fn admissions_within_a_quarter_period_seal_as_one_batch() {
+        let epoch = Instant::now();
+        let (pool, plane, assembler) = digest_assembler(18_000, 160_000, epoch);
+        let linger = seal_linger(pool.block_period_ewma_us());
+        assert_eq!(linger, Duration::from_millis(40));
+        for seq in 0..5u64 {
+            let stamp = epoch.elapsed().as_micros() as u64;
+            pool.submit(make_tx(stamp, 1, seq, 180)).unwrap();
+            thread::sleep(Duration::from_millis(2));
+        }
+        wait_for("the deadline to seal the batch", || plane.queue.sealed_len() == 1);
+        assert!(pool.is_empty());
+        assert_eq!(assembler.batches_assembled(), 1);
+        let sealed = plane.queue.take_sealed(usize::MAX).pop().unwrap();
+        assert_eq!(sealed.tx_count, 5);
+        let first = *sealed.queue_us.iter().max().unwrap();
+        let last = *sealed.queue_us.iter().min().unwrap();
+        assert!(first >= linger.as_micros() as u64, "sealed after {first} µs");
+        assert!(first - last >= 8_000, "queue delays {:?}", sealed.queue_us);
+    }
+
+    /// A batch that reaches the base target does not wait for its deadline:
+    /// the admission that fills it wakes the assembler.
+    #[test]
+    fn a_full_batch_seals_before_its_deadline() {
+        let epoch = Instant::now();
+        let (pool, plane, _assembler) = digest_assembler(1_800, 200_000, epoch);
+        let linger = seal_linger(pool.block_period_ewma_us());
+        assert_eq!(linger, MAX_LINGER);
+        let stamp = epoch.elapsed().as_micros() as u64;
+        for seq in 0..10u64 {
+            pool.submit(make_tx(stamp, 1, seq, 180)).unwrap();
+        }
+        wait_for("the full batch", || plane.queue.sealed_len() >= 1);
+        let sealed = plane.queue.take_sealed(1).pop().unwrap();
+        assert_eq!(sealed.tx_count, 9, "1 800 B hold nine framed transactions");
+        let waited = *sealed.queue_us.iter().max().unwrap();
+        assert!(waited < linger.as_micros() as u64, "sealed after {waited} µs");
+        // The tenth is an under-full batch again, and gets its quarter period.
+        wait_for("the remainder", || plane.queue.sealed_len() == 1);
+        let rest = plane.queue.take_sealed(1).pop().unwrap();
+        assert!(rest.queue_us[0] >= linger.as_micros() as u64);
+    }
+
     /// Digest mode: the same for an empty pool and for a backlog at its
-    /// cap, which only a block carrying the batches releases.
+    /// cap, which only a block carrying the batches releases. And the
+    /// assembler sleeps through a batch's linger: a batch costs it a
+    /// constant number of passes, not one per admission.
     #[test]
     fn digest_assembler_parks_until_an_admission_or_a_backlog_release_wakes_it() {
         let pool = Arc::new(Mempool::new(MempoolConfig::default()));
@@ -502,7 +643,19 @@ mod tests {
         wait_for("the first admission to seal a batch", || plane.queue.sealed_len() == 1);
         assert!(passes() <= idle + 3, "{} passes for one batch", passes() - idle);
 
-        for seq in 1..60u64 {
+        // Eight admissions inside one 40 ms linger: one wake-up (the first),
+        // one batch. (Four passes: the one that parks the assembler after
+        // the first batch may still be due.)
+        prime_block_period(&pool, 160_000);
+        let before = passes();
+        for seq in 1..9u64 {
+            pool.submit(make_tx(seq, 1, seq, 180)).unwrap();
+        }
+        wait_for("the deadline to seal the second batch", || plane.queue.sealed_len() == 2);
+        assert!(passes() <= before + 4, "{} passes for one batch", passes() - before);
+        assert_eq!(plane.queue.take_sealed(2)[1].tx_count, 8);
+
+        for seq in 9..69u64 {
             pool.submit(make_tx(seq, 1, seq, 180)).unwrap();
         }
         wait_for("sealing to reach the backlog cap", || plane.backlog_bytes() >= cap as u64);

@@ -13,7 +13,10 @@
 //! transactions per second actually leaving through committed blocks this
 //! node proposed) and rejects a submission whose projected sojourn —
 //! pending bytes over measured drain rate — exceeds a delay target derived
-//! from the measured commit latency. The static byte/count budgets remain
+//! from the measured commit latency. (The same feedback yields the block
+//! period the assembler's seal deadline is a fraction of, and a pool
+//! holding less than the batch it is filling toward that deadline refuses
+//! nothing.) The static byte/count budgets remain
 //! as a hard backstop, and until the first drain-rate measurement a small
 //! startup byte cap keeps the launch flood from parking seconds of backlog.
 //! Backpressure is *rejection of the new* submission — queued transactions
@@ -178,6 +181,15 @@ pub struct MempoolCounters {
 /// instantaneous rate over at least a few block periods.
 const RATE_WINDOW_US: u64 = 10_000;
 
+/// Folds `sample` into the EWMA held in `atom` with weight 1/8; the first
+/// sample is taken whole. 0 reads as unmeasured, so a measured value is
+/// kept at 1 or more.
+fn ewma(atom: &AtomicU64, sample: u64) {
+    let cur = atom.load(Ordering::Relaxed);
+    let next = if cur == 0 { sample } else { cur - cur / 8 + sample / 8 };
+    atom.store(next.max(1), Ordering::Relaxed);
+}
+
 /// Deficit counters are capped here so a head transaction that can never
 /// fit the batch budget does not bank unbounded credit.
 const MAX_DRR_DEFICIT: usize = 1 << 20;
@@ -259,6 +271,11 @@ pub struct Mempool {
     drain_txs_per_sec: AtomicU64,
     /// EWMA proposal→commit latency (µs). 0 = unmeasured.
     commit_latency_us: AtomicU64,
+    /// EWMA gap between consecutive commits (µs): the block period ω̂ as
+    /// this node sees it. 0 = unmeasured.
+    block_period_us: AtomicU64,
+    /// Time of the last commit (µs since epoch; 0 = none yet; driver only).
+    last_commit_us: AtomicU64,
     /// Rate-measurement accumulation window (driver thread only).
     drain_window: Mutex<DrainWindow>,
     /// DRR client visits performed by drains (fairness observability).
@@ -271,9 +288,9 @@ pub struct Mempool {
     /// shard lock (pin/release); the submit and drain paths take only
     /// shard locks, so the order is acyclic.
     in_flight: Mutex<InFlightBatches>,
-    /// The thread draining this pool (its batch assembler), unparked after
-    /// every admission; see [`Mempool::wake_on_admit`].
-    consumer: OnceLock<Thread>,
+    /// The thread draining this pool (its batch assembler) and the pending
+    /// bytes that make a full batch for it; see [`Mempool::wake_on_admit`].
+    consumer: OnceLock<(Thread, u64)>,
 }
 
 impl Mempool {
@@ -297,6 +314,8 @@ impl Mempool {
             drain_bytes_per_sec: AtomicU64::new(0),
             drain_txs_per_sec: AtomicU64::new(0),
             commit_latency_us: AtomicU64::new(0),
+            block_period_us: AtomicU64::new(0),
+            last_commit_us: AtomicU64::new(0),
             drain_window: Mutex::new(DrainWindow::default()),
             fair_visits: AtomicU64::new(0),
             batch_target: AtomicU64::new(0),
@@ -306,13 +325,15 @@ impl Mempool {
         }
     }
 
-    /// Names `consumer` as the thread that drains this pool: every admitted
-    /// transaction unparks it, so it can park on an empty pool instead of
-    /// polling. Unparking a running thread is one atomic swap; a pool nobody
-    /// registered on pays one load. One consumer per pool: later calls are
-    /// ignored.
-    pub fn wake_on_admit(&self, consumer: Thread) {
-        let _ = self.consumer.set(consumer);
+    /// Names `consumer` as the thread that drains this pool, in batches of
+    /// `full_batch_bytes`. It is unparked by the admission that makes an
+    /// empty pool non-empty (a batch opens) and by the one that takes the
+    /// pending bytes to a full batch (no reason left to wait for the seal
+    /// deadline) — not once per transaction: in between it sleeps towards
+    /// its deadline. A pool nobody registered on pays one load per
+    /// admission. One consumer per pool: later calls are ignored.
+    pub fn wake_on_admit(&self, consumer: Thread, full_batch_bytes: u64) {
+        let _ = self.consumer.set((consumer, full_batch_bytes));
     }
 
     /// The configuration this pool was built with.
@@ -386,12 +407,16 @@ impl Mempool {
         }
         drop(shard);
         self.accepted.fetch_add(1, Ordering::Relaxed);
-        self.pending_txs.fetch_add(1, Ordering::Relaxed);
-        self.pending_bytes.fetch_add(len as u64, Ordering::Relaxed);
+        let opens = self.pending_txs.fetch_add(1, Ordering::Relaxed) == 0;
+        let before = self.pending_bytes.fetch_add(len as u64, Ordering::Relaxed);
         // After the counters: `unpark` releases, `park` acquires, so the
-        // woken consumer sees the pool non-empty.
-        if let Some(consumer) = self.consumer.get() {
-            consumer.unpark();
+        // woken consumer sees what woke it. Each counter's updates are
+        // totally ordered, so exactly one admission sees the pool empty
+        // and one sees the batch fill, whoever else submits or drains.
+        if let Some((consumer, full)) = self.consumer.get() {
+            if opens || (before < *full && before + len as u64 >= *full) {
+                consumer.unpark();
+            }
         }
         Ok(())
     }
@@ -412,6 +437,12 @@ impl Mempool {
             }
             return Ok(());
         }
+        // Less than the batch being filled is not a queue: it waits for the
+        // consumer's seal deadline, which is bounded on its own, and not
+        // for the drain rate.
+        if pending + len as u64 <= self.consumer.get().map_or(0, |(_, full)| *full) {
+            return Ok(());
+        }
         let projected_us = (pending + len as u64).saturating_mul(1_000_000) / rate;
         if projected_us > self.delay_target_us() {
             return Err(SubmitError::Overloaded);
@@ -426,7 +457,9 @@ impl Mempool {
     /// `commit_latency_us`
     /// (proposal→commit, when the driver has the proposal timestamp) feeds
     /// the latency EWMA for every block. `now_us` is the commit time on the
-    /// cluster clock.
+    /// cluster clock; the gap since the previous call feeds the block-period
+    /// EWMA, and commits that land together count as gaps of zero, so that
+    /// blocks committed in bursts still average to one period each.
     pub fn note_commit(
         &self,
         ours: bool,
@@ -436,9 +469,11 @@ impl Mempool {
         now_us: u64,
     ) {
         if let Some(lat) = commit_latency_us {
-            let cur = self.commit_latency_us.load(Ordering::Relaxed);
-            let next = if cur == 0 { lat } else { cur - cur / 8 + lat / 8 };
-            self.commit_latency_us.store(next.max(1), Ordering::Relaxed);
+            ewma(&self.commit_latency_us, lat);
+        }
+        let last = self.last_commit_us.swap(now_us.max(1), Ordering::Relaxed);
+        if last != 0 {
+            ewma(&self.block_period_us, now_us.saturating_sub(last));
         }
         if !ours || bytes == 0 {
             return;
@@ -459,14 +494,8 @@ impl Mempool {
         }
         let inst_bps = w.bytes.saturating_mul(1_000_000) / dt;
         let inst_tps = w.txs.saturating_mul(1_000_000) / dt;
-        for (atom, inst) in [
-            (&self.drain_bytes_per_sec, inst_bps),
-            (&self.drain_txs_per_sec, inst_tps),
-        ] {
-            let cur = atom.load(Ordering::Relaxed);
-            let next = if cur == 0 { inst } else { cur - cur / 8 + inst / 8 };
-            atom.store(next.max(1), Ordering::Relaxed);
-        }
+        ewma(&self.drain_bytes_per_sec, inst_bps);
+        ewma(&self.drain_txs_per_sec, inst_tps);
         w.started_us = now_us.max(1);
         w.bytes = 0;
         w.txs = 0;
@@ -508,6 +537,12 @@ impl Mempool {
     /// EWMA proposal→commit latency (µs; 0 until measured).
     pub fn commit_latency_ewma_us(&self) -> u64 {
         self.commit_latency_us.load(Ordering::Relaxed)
+    }
+
+    /// EWMA gap between consecutive commits, the block period ω̂ (µs; 0
+    /// until two commits were seen).
+    pub fn block_period_ewma_us(&self) -> u64 {
+        self.block_period_us.load(Ordering::Relaxed)
     }
 
     /// Pops transactions until the batch — with its per-transaction framing
@@ -988,16 +1023,8 @@ mod tests {
         let slow = prime(2_000);
         assert_eq!(slow.drain_bytes_per_sec(), 100_000);
 
-        let fill = |pool: &Mempool| -> (u64, SubmitError) {
-            for i in 0..100_000u64 {
-                if let Err(e) = pool.submit(tx_bytes(i, 300)) {
-                    return (i, e);
-                }
-            }
-            panic!("pool never rejected");
-        };
-        let (fast_admitted, fast_err) = fill(&fast);
-        let (slow_admitted, slow_err) = fill(&slow);
+        let (fast_admitted, fast_err) = flood(&fast);
+        let (slow_admitted, slow_err) = flood(&slow);
         assert_eq!(fast_err, SubmitError::Overloaded);
         assert_eq!(slow_err, SubmitError::Overloaded);
         // 500 kB / 300 B ≈ 1666 vs 10 kB / 300 B ≈ 33.
@@ -1040,6 +1067,89 @@ mod tests {
         assert!(pool.drain_bytes_per_sec() > 1_000_000);
         assert_eq!(pool.submit(tx_bytes(500, 300)), Ok(()));
         assert_identity(&pool);
+    }
+
+    /// Submits 300 B transactions until one is refused: how many went in,
+    /// and the refusal.
+    fn flood(pool: &Mempool) -> (u64, SubmitError) {
+        for i in 0..100_000u64 {
+            if let Err(e) = pool.submit(tx_bytes(i, 300)) {
+                return (i, e);
+            }
+        }
+        panic!("pool never rejected");
+    }
+
+    /// Lingering is not queueing. A batch held open for a quarter period
+    /// keeps that much paced load pending by design, and the projection
+    /// (pending ÷ drain rate) would read it as sojourn: with the rate
+    /// measured off a trickle — here one 180 B transaction a second, so
+    /// that the 300 ms target admits 54 B — every transaction of the load
+    /// that follows would be refused, and an open-loop client counts each
+    /// refusal as a failure. Below the batch the consumer fills nothing is
+    /// refused; past it the projection is back.
+    #[test]
+    fn a_pool_lingering_under_a_full_batch_refuses_nothing() {
+        let cfg = MempoolConfig { shards: 1, ..MempoolConfig::default() };
+        let pool = Mempool::new(cfg);
+        pool.wake_on_admit(std::thread::current(), 18_000);
+        for k in 1..=3u64 {
+            pool.note_commit(true, 1, 180, Some(300_000), k * 1_000_000);
+        }
+        assert_eq!(pool.drain_bytes_per_sec(), 180);
+        assert_eq!(pool.delay_target_us(), 300_000);
+        // 1 000 tx/s for the longest linger there is (50 ms): 50 × 300 B.
+        let (admitted, err) = flood(&pool);
+        assert!(admitted >= 50, "refused a lingering pool's transaction {admitted}");
+        assert_eq!(admitted, 18_000 / 300, "the exemption ends at the full batch");
+        assert_eq!(err, SubmitError::Overloaded);
+
+        // At the measured rate of the load itself nothing comes near the
+        // target, consumer or not: 100 tx/s of 180 B, a 25 ms linger.
+        let paced = Mempool::new(cfg);
+        paced.note_commit(true, 10, 1_800, Some(300_000), 1_000_000);
+        paced.note_commit(true, 10, 1_800, Some(300_000), 1_100_000);
+        assert_eq!(paced.drain_bytes_per_sec(), 18_000);
+        for i in 0..3u64 {
+            assert_eq!(paced.submit(tx_bytes(i, 180)), Ok(()));
+        }
+        assert!(paced.projected_delay_us() <= 30_000);
+
+        // Unmeasured, the startup cap is the bound whatever batch size the
+        // consumer asked for.
+        let cold = Mempool::new(MempoolConfig { startup_bytes: 3_000, ..cfg });
+        cold.wake_on_admit(std::thread::current(), 1 << 20);
+        assert_eq!(flood(&cold), (10, SubmitError::Overloaded));
+        for pool in [&pool, &paced, &cold] {
+            assert_identity(pool);
+        }
+    }
+
+    /// ω̂ is the mean gap between commits, and commits that land together
+    /// are gaps of zero: three blocks committed at one instant three
+    /// periods after the last, then one a period later, are four blocks in
+    /// four periods. (Skipping the zero gaps would read 3P, P: a period of
+    /// 2P.) A commit after a stall pulls ω̂ up by an eighth of the gap.
+    #[test]
+    fn block_period_counts_commits_that_land_together_as_zero_gaps() {
+        const P: u64 = 100_000;
+        let pool = Mempool::new(MempoolConfig::default());
+        assert_eq!(pool.block_period_ewma_us(), 0);
+        pool.note_commit(false, 0, 0, None, P);
+        assert_eq!(pool.block_period_ewma_us(), 0, "one commit is no gap yet");
+        for k in 2..=10 {
+            pool.note_commit(false, 0, 0, None, k * P);
+        }
+        assert_eq!(pool.block_period_ewma_us(), P);
+        for _ in 0..3 {
+            pool.note_commit(false, 0, 0, None, 13 * P);
+        }
+        pool.note_commit(false, 0, 0, None, 14 * P);
+        let period = pool.block_period_ewma_us();
+        assert!((9 * P / 10..=11 * P / 10).contains(&period), "ω̂ = {period} µs");
+
+        pool.note_commit(false, 0, 0, None, 14 * P + 8_000_000);
+        assert!(pool.block_period_ewma_us() > 1_000_000);
     }
 
     /// Two clients share one shard: a saturating client with a deep queue

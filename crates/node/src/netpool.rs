@@ -1175,8 +1175,12 @@ impl Runner {
                 return ReadVerdict::Pause;
             }
             consumed += n;
-            if consumed >= READ_BUDGET {
-                break; // yield to other connections; level-trigger re-fires
+            // A short read emptied the socket: asking again would only buy
+            // a `WouldBlock`, and the level-triggered poller reports
+            // whatever arrives from here on. A spent budget yields to other
+            // connections the same way.
+            if n < self.buf.len() || consumed >= READ_BUDGET {
+                break;
             }
         }
         ReadVerdict::Keep
@@ -1192,6 +1196,7 @@ impl Runner {
         chunk_len: usize,
         token: usize,
     ) -> ReadVerdict {
+        self.handle.frames.fetch_add(1, Ordering::Relaxed);
         match frame {
             Frame::Hello { node } => {
                 if c.from.is_some() || !c.core.peers.contains_key(&node) {
@@ -1266,7 +1271,6 @@ impl Runner {
                 if let Some(p) = c.core.peers.get(&id) {
                     p.metrics.frames_in.fetch_add(1, Ordering::Relaxed);
                 }
-                self.handle.frames.fetch_add(1, Ordering::Relaxed);
                 // Signature checking never runs on the event loop: with a
                 // verifier, the message joins the staged sigverify batch;
                 // verified copies reach the driver with `verified = true`.

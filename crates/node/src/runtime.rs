@@ -553,11 +553,9 @@ fn run_driver(
             driver.process(protocol, outputs, t);
         }
 
-        // Dissemination plane, in digest mode: broadcast freshly sealed
-        // batches (before they can be proposed — push-before-propose), then
-        // drain the store's arrival log to release gated votes.
-        let more_sealed = driver.push_batches();
-        driver.drain_stored(protocol);
+        // Whatever the timers and the last round of messages left behind
+        // on the dissemination plane, before blocking.
+        let more_sealed = driver.sync_dissem(protocol);
 
         driver.check_stall(protocol);
         driver.publish_status(protocol);
@@ -578,7 +576,15 @@ fn run_driver(
         // already queued (bounded) so one timer sweep serves the whole
         // batch instead of running between every two messages. A `None` is
         // a bare wake-up: it ends the wait and carries nothing.
-        match rx.recv_timeout(wait) {
+        let received = rx.recv_timeout(wait);
+        // And again on waking, before the messages that ended the wait are
+        // dispatched: a proposal one of them triggers carries every batch
+        // that arrived while the driver was blocked (a peer's push reaches
+        // the store without waking it), and a gated proposal whose push
+        // arrived is delivered ahead of them. (A cut by the push limit is
+        // picked up before the next wait.)
+        driver.sync_dissem(protocol);
+        match received {
             Ok(first) => {
                 driver.batches += 1;
                 let mut next = Some(first);
@@ -854,6 +860,17 @@ impl Driver {
         }
     }
 
+    /// The dissemination plane's turn, in digest mode: broadcast freshly
+    /// sealed batches (before they can be proposed — push-before-propose),
+    /// then drain the store's arrival log into the proposable pool and
+    /// release gated votes. Returns [`push_batches`](Driver::push_batches)'s
+    /// "more remain".
+    fn sync_dissem(&mut self, protocol: &mut dyn ConsensusProtocol) -> bool {
+        let more_sealed = self.push_batches();
+        self.drain_stored(protocol);
+        more_sealed
+    }
+
     /// Stores freshly sealed batches, broadcasts them as `BatchPush` frames
     /// and only then enters them into the proposable pool — the
     /// push-before-propose guarantee: this node can only propose its own
@@ -1026,8 +1043,108 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moonshot_mempool::MempoolConfig;
+    use moonshot_mempool::{batch_digest, MempoolConfig};
+    use moonshot_telemetry::RingBufferSink;
     use moonshot_types::Payload;
+
+    /// A handled message: its tag, and what the proposable pool would have
+    /// offered a leader at that instant.
+    type Handled = (&'static str, Vec<BatchRef>);
+
+    /// A protocol double that notes every message it is handed.
+    struct Recorder {
+        plane: Arc<DissemPlane>,
+        handled: Arc<Mutex<Vec<Handled>>>,
+    }
+
+    impl ConsensusProtocol for Recorder {
+        fn start(&mut self, _: SimTime) -> Vec<Output> {
+            Vec::new()
+        }
+        fn handle_message(&mut self, _: NodeId, msg: Message, _: SimTime) -> Vec<Output> {
+            let offer = self.plane.pool.proposable(usize::MAX);
+            self.handled.lock().unwrap().push((msg.tag(), offer));
+            Vec::new()
+        }
+        fn handle_timer(&mut self, _: TimerToken, _: SimTime) -> Vec<Output> {
+            Vec::new()
+        }
+        fn current_view(&self) -> View {
+            View(1)
+        }
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+    }
+
+    /// A peer's push reaches the batch store on a shard thread and does not
+    /// wake the driver; what the driver finds in the store when a message
+    /// wakes it must be in the pool *before* that message is dispatched,
+    /// or the proposal the message triggers leaves the batch behind for a
+    /// whole period. Likewise a gated block whose missing batch arrived
+    /// during the wait goes to the protocol ahead of the message that ended
+    /// the wait, not after it. (The driver's own 50 ms tick would take the
+    /// arrival in as well: it has microseconds to fall between the insert
+    /// and the inject, and then the test passes for the wrong reason.)
+    #[test]
+    fn a_waking_driver_takes_in_batch_arrivals_before_it_dispatches() {
+        let plane = DissemPlane::new(1 << 20);
+        let handled = Arc::new(Mutex::new(Vec::new()));
+        let addr: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        let mut cfg = TransportConfig::new(NodeId(0), addr, vec![(NodeId(0), addr)]);
+        cfg.dissem = Some(plane.clone());
+        let epoch = Instant::now();
+        let node = NodeHandle::start(
+            Box::new(Recorder { plane: plane.clone(), handled: handled.clone() }),
+            cfg,
+            None,
+            epoch,
+            Arc::new(Mutex::new(RingBufferSink::new(1024))),
+            Arc::new(VerifiedCache::new(16)),
+            IntrospectState::new(NodeId(0), epoch),
+            None,
+        )
+        .expect("start");
+        let batch_ref = |tag: u8| BatchRef { digest: batch_digest(&[tag; 64]), bytes: 64 };
+        // What a shard thread does with a verified `BatchPush`.
+        let arrive = |tag: u8| {
+            assert!(plane.store.insert(batch_ref(tag).digest, vec![tag; 64].into()));
+        };
+        let wake = || {
+            node.inject(NodeId(1), Message::BlockRequest { block_id: Block::genesis().id() })
+        };
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        let handled_len = || handled.lock().unwrap().len();
+
+        // A batch arrives while the driver is blocked (a driver still
+        // starting up would take it in on its way to the first wait); the
+        // next message finds it on offer.
+        std::thread::sleep(Duration::from_millis(20));
+        arrive(1);
+        wake();
+        wait_for("the message", &|| handled_len() == 1);
+        assert_eq!(handled.lock().unwrap()[0], ("block-request", vec![batch_ref(1)]));
+
+        // A synced block naming a batch this node lacks is gated; the batch
+        // arrives, and the wake-up delivers the block first.
+        let payload = Payload::batches(vec![batch_ref(2)]);
+        let block = Block::build(View(1), NodeId(1), &Block::genesis(), payload);
+        node.inject(NodeId(1), Message::BlockResponse { block });
+        wait_for("the gate", &|| plane.counters.stats().votes_gated == 1);
+        assert_eq!(handled_len(), 1, "a block with an unresolved ref was delivered");
+        arrive(2);
+        wake();
+        wait_for("both messages", &|| handled_len() == 3);
+        let tags: Vec<&str> = handled.lock().unwrap().iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(tags, ["block-request", "block-response", "block-request"]);
+        node.stop();
+    }
 
     /// Admission feedback follows the batches a node *sealed*, not the
     /// blocks it proposed: with the shared pool most of a node's batches
