@@ -5,8 +5,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod timing;
-
 use moonshot_sim::experiment::Scale;
 
 /// Reads the experiment scale from `MOONSHOT_SCALE` (`quick`, `standard`,

@@ -292,7 +292,7 @@ mod tests {
     fn extends_fails_across_forks() {
         let mut tree = BlockTree::new();
         let a = child(tree.genesis(), 1);
-        let b = Block::build(View(1), NodeId(1), tree.genesis(), Payload::from(vec![1]));
+        let b = Block::build(View(1), NodeId(1), tree.genesis(), Payload::synthetic_items(1, 1));
         tree.insert(a.clone());
         tree.insert(b.clone());
         assert!(!tree.extends(a.id(), b.id()));
@@ -354,7 +354,7 @@ mod tests {
     fn blocks_in_view_filters() {
         let mut tree = BlockTree::new();
         let a = child(tree.genesis(), 1);
-        let b = Block::build(View(1), NodeId(1), tree.genesis(), Payload::from(vec![1]));
+        let b = Block::build(View(1), NodeId(1), tree.genesis(), Payload::synthetic_items(1, 1));
         let c = child(&a, 2);
         for blk in [&a, &b, &c] {
             tree.insert(blk.clone());
@@ -368,7 +368,7 @@ mod tests {
     fn chain_between_none_when_unrelated() {
         let mut tree = BlockTree::new();
         let a = child(tree.genesis(), 1);
-        let b = Block::build(View(1), NodeId(1), tree.genesis(), Payload::from(vec![1]));
+        let b = Block::build(View(1), NodeId(1), tree.genesis(), Payload::synthetic_items(1, 1));
         tree.insert(a.clone());
         tree.insert(b.clone());
         assert!(tree.chain_between(a.id(), b.id()).is_none());

@@ -266,7 +266,10 @@ impl ChainState {
     /// cannot be answered. A sibling fork may repeat a ref: at most one of
     /// the two commits. Payloads without refs always pass.
     pub fn refs_are_fresh(&self, parent: BlockId, payload: &Payload) -> bool {
-        let Some(refs) = payload.batch_refs() else { return true };
+        let refs = payload.batch_refs().unwrap_or(&[]);
+        if refs.is_empty() {
+            return true;
+        }
         let mut mine = HashSet::with_capacity(refs.len());
         if !refs.iter().all(|r| !self.spent.contains(&r.digest) && mine.insert(r.digest)) {
             return false;

@@ -889,10 +889,10 @@ mod tests {
         LocalNet::with_uniform_latency(nodes, SimDuration::from_millis(latency_ms))
     }
 
-    /// Inline-path payload integrity: a proposal whose payload bytes were
+    /// Inline-path payload integrity: a proposal whose batch references were
     /// swapped under an honest digest (and therefore an honest-looking
-    /// block id) must be dropped without a vote, while the byte-identical
-    /// honest proposal is voted for.
+    /// block id) must be dropped without a vote, while the honest proposal
+    /// is voted for.
     #[test]
     fn inline_path_drops_tampered_payload_proposal() {
         use moonshot_types::Payload;
@@ -906,11 +906,15 @@ mod tests {
                 })
                 .count()
         };
-        let honest_payload = Payload::from(vec![1u8; 128]);
-        let tampered_payload = Payload::data_prehashed(
-            std::sync::Arc::from(vec![2u8; 128]),
-            honest_payload.digest(),
-        );
+        let batch = |tag: u8| moonshot_types::BatchRef {
+            digest: moonshot_crypto::Digest::hash(&[tag]),
+            bytes: 128,
+        };
+        let honest_payload = Payload::batches(vec![batch(1)]);
+        let tampered_payload = Payload::Batches {
+            refs: std::sync::Arc::from(vec![batch(2)]),
+            digest: honest_payload.digest(),
+        };
         let now = SimTime(0);
         for (payload, expect_vote) in [(tampered_payload, false), (honest_payload, true)] {
             let cfg =

@@ -82,8 +82,8 @@ pub trait ConsensusProtocol {
     /// (see [`crate::verify::MessageVerifier`]). The default conservatively
     /// re-verifies by falling back to [`ConsensusProtocol::handle_message`];
     /// protocols in this crate override it to skip their inline signature
-    /// checks, which is what lets verification legally run on reader
-    /// threads while the state transition stays on the driver.
+    /// checks, which is what lets verification legally run on a verify
+    /// stage while the state transition stays on the driver.
     fn handle_preverified(
         &mut self,
         from: NodeId,
@@ -180,7 +180,8 @@ impl RecoveredState {
 /// Where a leader's block payloads come from.
 ///
 /// The paper's evaluation has leaders synthesize parametric payloads at block
-/// creation time (§VI); examples may inject real data instead.
+/// creation time (§VI), as the simulator does; the node runtime proposes
+/// references to the batches in its dissemination plane.
 pub enum PayloadSource {
     /// Every block is empty.
     Empty,
@@ -235,7 +236,7 @@ pub struct NodeConfig {
     pub fetch_retry: crate::sync::RetryPolicy,
     /// The cache of already-verified certificate digests, shared with any
     /// off-thread [`crate::verify::MessageVerifier`] so a certificate
-    /// checked on a reader thread is a cache hit everywhere else.
+    /// checked on a verify worker is a cache hit everywhere else.
     pub verified_cache: Arc<VerifiedCache>,
     /// Durable write-ahead log for votes/timeouts (`None` = in-memory
     /// only, the pre-ledger behaviour). Called synchronously on the driver
@@ -323,12 +324,11 @@ impl NodeConfig {
         !self.inline_checks() || cv.verify_cached(&self.keyring, &self.verified_cache)
     }
 
-    /// Checks that a received block's payload bytes hash to the digest its
-    /// id commits to. Skipped (like the other inline checks) for messages
-    /// that already cleared an off-thread verifier, so the driver never
-    /// hashes payload bytes in reader-verified deployments.
+    /// Checks that a received block's payload hashes to the digest its id
+    /// commits to. Skipped (like the other inline checks) for messages that
+    /// already cleared an off-thread verifier.
     pub fn check_payload(&self, block: &Block) -> bool {
-        !self.inline_checks() || block.payload().digest_matches_bytes()
+        !self.inline_checks() || block.payload().digest_matches_contents()
     }
 
     /// Records a locally assembled QC as verified. Certificates built from
@@ -394,8 +394,8 @@ mod tests {
 
     #[test]
     fn payload_source_custom() {
-        let mut src = PayloadSource::Custom(Box::new(|v| Payload::from(vec![v.0 as u8; 3])));
-        assert_eq!(src.payload_for(View(7)).size(), 3);
+        let mut src = PayloadSource::Custom(Box::new(|v| Payload::synthetic_items(v.0, 0)));
+        assert_eq!(src.payload_for(View(7)).item_count(), 7);
     }
 
     #[test]

@@ -15,28 +15,28 @@
 //! [`TimerToken::FetchTimer`] re-requests expired fetches from peers not yet
 //! tried, with exponential backoff. Entries are cleared on fulfilment; after
 //! [`RetryPolicy::max_attempts`] retry rounds an entry is abandoned, and the
-//! next certificate referencing the block starts a fresh cycle. The
-//! pre-retry behaviour — request once, wedge forever on a single lost
-//! `BlockResponse` — is preserved as [`RetryPolicy::no_retry`] for
-//! regression tests.
+//! next certificate referencing the block starts a fresh cycle.
+//!
+//! Batches named by a proposal but missing from the local store are fetched
+//! the same way ([`BatchFetcher`]); one retry machine serves both.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
+use moonshot_crypto::Digest;
 use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::{Block, BlockId, NodeId, View};
 
 use crate::message::Message;
 use crate::protocol::{LocalBlockSource, Output, TimerToken};
 
-/// Retry behaviour for outstanding block fetches.
+/// Retry behaviour for outstanding fetches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Deadline for the first attempt. [`SimDuration::ZERO`] means "derive
     /// from Δ at protocol construction" (resolved to `2Δ`, one round trip).
     pub timeout: SimDuration,
     /// Retry rounds after the initial request before the fetch is abandoned.
-    /// `0` reproduces the pre-retry behaviour: never retry, never give up.
     pub max_attempts: u32,
     /// Peers contacted per retry round.
     pub fanout: usize,
@@ -47,13 +47,6 @@ impl RetryPolicy {
     /// round, up to 6 retry rounds of 2 peers each.
     pub fn auto() -> Self {
         RetryPolicy { timeout: SimDuration::ZERO, max_attempts: 6, fanout: 2 }
-    }
-
-    /// The pre-retry behaviour: a block is requested from its hints exactly
-    /// once, and a lost response wedges the fetch forever. Kept for the
-    /// regression tests that demonstrate the wedge.
-    pub fn no_retry() -> Self {
-        RetryPolicy { timeout: SimDuration::ZERO, max_attempts: 0, fanout: 0 }
     }
 
     /// Resolves an unset (`ZERO`) timeout to `2Δ`, one request/response
@@ -75,7 +68,7 @@ impl Default for RetryPolicy {
 /// One outstanding fetch.
 #[derive(Clone, Debug)]
 struct PendingFetch {
-    /// Retry rounds already spent on this block.
+    /// Retry rounds already spent on this key.
     attempts: u32,
     /// When the current attempt expires.
     deadline: SimTime,
@@ -85,59 +78,44 @@ struct PendingFetch {
     cursor: usize,
 }
 
-/// Tracks outstanding block fetches, deduplicates requests, and retries
-/// expired ones.
+/// What one call into the retry machine wants done: `(peer, key)` requests
+/// to send, and a deadline timer to arm no later than that far from now.
+type Round<K> = (Vec<(NodeId, K)>, Option<SimDuration>);
+
+/// The retry machine behind [`BlockFetcher`] and [`BatchFetcher`]: dedup
+/// while outstanding, deadline per entry, untried peers first, exponential
+/// backoff, abandonment after [`RetryPolicy::max_attempts`] rounds.
 #[derive(Clone, Debug)]
-pub struct BlockFetcher {
+struct Retrier<K> {
     me: NodeId,
     n: usize,
     policy: RetryPolicy,
     /// `BTreeMap` so retry emission order is deterministic.
-    pending: BTreeMap<BlockId, PendingFetch>,
-    /// Disk-first hint path: a durable blockstore consulted before dialing
-    /// peers, so a restarted node never refetches blocks it already holds.
-    local: Option<Arc<dyn LocalBlockSource>>,
+    pending: BTreeMap<K, PendingFetch>,
 }
 
-impl BlockFetcher {
-    /// A fetcher for node `me` of `n`, with `policy` already resolved
-    /// against Δ (see [`RetryPolicy::resolve`]).
-    pub fn new(me: NodeId, n: usize, policy: RetryPolicy) -> Self {
-        BlockFetcher { me, n, policy, pending: BTreeMap::new(), local: None }
+impl<K: Ord + Copy> Retrier<K> {
+    fn new(me: NodeId, n: usize, policy: RetryPolicy) -> Self {
+        Retrier { me, n, policy, pending: BTreeMap::new() }
     }
 
-    /// Installs a local block source (the persistent blockstore). Once set,
-    /// [`BlockFetcher::request`] serves hits from disk as a self-addressed
-    /// [`Message::BlockResponse`] instead of emitting network requests.
-    pub fn set_local_source(&mut self, src: Arc<dyn LocalBlockSource>) {
-        self.local = Some(src);
-    }
-
-    /// Emits block requests for `block_id` to each distinct peer in `hints`
-    /// (skipping `me`) the first time it is asked for this block, and arms a
-    /// retry deadline. If every hint is `me` (a recovering node refetching a
-    /// block its previous incarnation proposed), up to
-    /// [`RetryPolicy::fanout`] round-robin peers are asked instead. Repeat
-    /// calls while the fetch is outstanding are suppressed.
-    pub fn request(
+    /// Starts a fetch for `key` unless one is outstanding: asks each
+    /// distinct peer in `hints` (skipping `me`), or — when every hint is
+    /// `me` — up to [`RetryPolicy::fanout`] round-robin peers right away
+    /// instead of burning a whole retry deadline first.
+    ///
+    /// With `grace` nobody is asked yet: the entry waits half the round-trip
+    /// deadline, and only past that does the first retry round go out,
+    /// starting with the first hint.
+    fn request(
         &mut self,
-        block_id: BlockId,
+        key: K,
         hints: impl IntoIterator<Item = NodeId>,
         now: SimTime,
-        out: &mut Vec<Output>,
-    ) {
-        if self.pending.contains_key(&block_id) {
-            return;
-        }
-        if let Some(src) = &self.local {
-            if let Some(block) = src.local_block(block_id) {
-                // Disk hit: self-deliver the block through the normal
-                // response path (the driver loops Send-to-self back in as a
-                // pre-verified message). No pending entry, no retry timer,
-                // zero network traffic.
-                out.push(Output::Send(self.me, Message::BlockResponse { block }));
-                return;
-            }
+        grace: bool,
+    ) -> Round<K> {
+        if self.pending.contains_key(&key) {
+            return (Vec::new(), None);
         }
         let mut entry = PendingFetch {
             attempts: 0,
@@ -145,54 +123,42 @@ impl BlockFetcher {
             tried: HashSet::new(),
             cursor: self.me.as_usize() + 1,
         };
-        let mut sent = false;
-        for hint in hints {
-            if hint != self.me && entry.tried.insert(hint) {
-                out.push(Output::Send(hint, Message::BlockRequest { block_id }));
-                sent = true;
-            }
+        let mut hints = hints.into_iter().peekable();
+        if let (true, Some(first)) = (grace, hints.peek()) {
+            let wait = SimDuration(self.policy.timeout.0 / 2);
+            entry.deadline = now + wait;
+            entry.cursor = first.as_usize();
+            self.pending.insert(key, entry);
+            return (Vec::new(), Some(wait));
         }
-        if !sent {
-            // Every hint was ourselves — e.g. resyncing a block our own
-            // previous incarnation proposed. Ask round-robin peers right
-            // away instead of burning a whole retry deadline first.
-            for t in pick_targets(self.me, self.n, self.policy.fanout, &mut entry) {
-                out.push(Output::Send(t, Message::BlockRequest { block_id }));
-            }
-        }
-        self.pending.insert(block_id, entry);
-        if self.policy.max_attempts > 0 {
-            out.push(Output::SetTimer { token: TimerToken::FetchTimer, after: self.policy.timeout });
-        }
-    }
-
-    /// Marks a block as no longer outstanding (it arrived).
-    pub fn fulfilled(&mut self, block_id: BlockId) {
-        self.pending.remove(&block_id);
-    }
-
-    /// Handles an expired [`TimerToken::FetchTimer`]: re-requests every
-    /// overdue fetch from up to [`RetryPolicy::fanout`] peers not yet tried
-    /// (rotating round-robin; once everyone has been asked the tried set
-    /// resets), doubles its deadline, and abandons it after
-    /// [`RetryPolicy::max_attempts`] rounds. Re-arms a timer while anything
-    /// stays outstanding. Stale fires (nothing overdue) are cheap no-ops.
-    pub fn on_timer(&mut self, now: SimTime, out: &mut Vec<Output>) {
-        if self.policy.max_attempts == 0 {
-            return;
-        }
-        let overdue: Vec<BlockId> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.deadline <= now)
-            .map(|(id, _)| *id)
+        let mut requests: Vec<(NodeId, K)> = hints
+            .filter(|hint| *hint != self.me && entry.tried.insert(*hint))
+            .map(|hint| (hint, key))
             .collect();
-        for block_id in overdue {
-            let Some(p) = self.pending.get_mut(&block_id) else { continue };
+        if requests.is_empty() {
+            let targets = pick_targets(self.me, self.n, self.policy.fanout, &mut entry);
+            requests.extend(targets.into_iter().map(|t| (t, key)));
+        }
+        self.pending.insert(key, entry);
+        (requests, Some(self.policy.timeout))
+    }
+
+    /// Handles an expired deadline timer: re-requests every overdue fetch
+    /// from up to [`RetryPolicy::fanout`] peers not yet tried (rotating
+    /// round-robin; once everyone has been asked the tried set resets),
+    /// doubles its deadline, and abandons it after
+    /// [`RetryPolicy::max_attempts`] rounds. Re-arms while anything stays
+    /// outstanding. Stale fires (nothing overdue) are cheap no-ops.
+    fn on_timer(&mut self, now: SimTime) -> Round<K> {
+        let mut requests = Vec::new();
+        let overdue: Vec<K> =
+            self.pending.iter().filter(|(_, p)| p.deadline <= now).map(|(k, _)| *k).collect();
+        for key in overdue {
+            let Some(p) = self.pending.get_mut(&key) else { continue };
             if p.attempts >= self.policy.max_attempts {
-                // Abandon: the next certificate naming this block restarts
-                // the cycle with a fresh entry.
-                self.pending.remove(&block_id);
+                // Abandon: the next mention of this key restarts the cycle
+                // with a fresh entry.
+                self.pending.remove(&key);
                 continue;
             }
             p.attempts += 1;
@@ -201,41 +167,18 @@ impl BlockFetcher {
             let backoff = SimDuration(self.policy.timeout.0.saturating_mul(1u64 << exp));
             p.deadline = now + backoff;
             let targets = pick_targets(self.me, self.n, self.policy.fanout, p);
-            for t in targets {
-                out.push(Output::Send(t, Message::BlockRequest { block_id }));
-            }
+            requests.extend(targets.into_iter().map(|t| (t, key)));
         }
-        if !self.pending.is_empty() {
-            let next = self.pending.values().map(|p| p.deadline).min().unwrap();
-            let after = next.since(now).max(SimDuration(1));
-            out.push(Output::SetTimer { token: TimerToken::FetchTimer, after });
-        }
-    }
-
-    /// Number of outstanding requests.
-    pub fn outstanding(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Whether `block_id` is currently being fetched.
-    pub fn is_pending(&self, block_id: BlockId) -> bool {
-        self.pending.contains_key(&block_id)
-    }
-
-    /// Clears all outstanding requests (used at view GC boundaries; a still
-    /// missing block will be re-requested by the next certificate that
-    /// references it).
-    pub fn clear(&mut self) {
-        self.pending.clear();
+        let next = self.pending.values().map(|p| p.deadline).min();
+        (requests, next.map(|at| at.since(now).max(SimDuration(1))))
     }
 }
 
 /// Picks up to `fanout` peers for the next retry round, preferring peers
-/// not yet tried, scanning round-robin from the entry's cursor. Shared by
-/// the block and batch fetchers.
+/// not yet tried, scanning round-robin from the entry's cursor.
 fn pick_targets(me: NodeId, n: usize, fanout: usize, p: &mut PendingFetch) -> Vec<NodeId> {
     let mut picked = Vec::new();
-    if n <= 1 || fanout == 0 {
+    if n <= 1 {
         return picked;
     }
     for pass in 0..2 {
@@ -264,6 +207,90 @@ fn pick_targets(me: NodeId, n: usize, fanout: usize, p: &mut PendingFetch) -> Ve
     picked
 }
 
+/// Tracks outstanding block fetches, deduplicates requests, and retries
+/// expired ones.
+#[derive(Clone, Debug)]
+pub struct BlockFetcher {
+    retrier: Retrier<BlockId>,
+    /// Disk-first hint path: a durable blockstore consulted before dialing
+    /// peers, so a restarted node never refetches blocks it already holds.
+    local: Option<Arc<dyn LocalBlockSource>>,
+}
+
+impl BlockFetcher {
+    /// A fetcher for node `me` of `n`, with `policy` already resolved
+    /// against Δ (see [`RetryPolicy::resolve`]).
+    pub fn new(me: NodeId, n: usize, policy: RetryPolicy) -> Self {
+        BlockFetcher { retrier: Retrier::new(me, n, policy), local: None }
+    }
+
+    /// Installs a local block source (the persistent blockstore). Once set,
+    /// [`BlockFetcher::request`] serves hits from disk as a self-addressed
+    /// [`Message::BlockResponse`] instead of emitting network requests.
+    pub fn set_local_source(&mut self, src: Arc<dyn LocalBlockSource>) {
+        self.local = Some(src);
+    }
+
+    /// Emits block requests for `block_id` to each distinct peer in `hints`
+    /// (skipping `me`) the first time it is asked for this block, and arms a
+    /// retry deadline. If every hint is `me` (a recovering node refetching a
+    /// block its previous incarnation proposed), up to
+    /// [`RetryPolicy::fanout`] round-robin peers are asked instead. Repeat
+    /// calls while the fetch is outstanding are suppressed.
+    pub fn request(
+        &mut self,
+        block_id: BlockId,
+        hints: impl IntoIterator<Item = NodeId>,
+        now: SimTime,
+        out: &mut Vec<Output>,
+    ) {
+        if self.is_pending(block_id) {
+            return;
+        }
+        if let Some(block) = self.local.as_ref().and_then(|src| src.local_block(block_id)) {
+            // Disk hit: self-deliver the block through the normal response
+            // path (the driver loops Send-to-self back in as a pre-verified
+            // message). No pending entry, no retry timer, zero network
+            // traffic.
+            out.push(Output::Send(self.retrier.me, Message::BlockResponse { block }));
+            return;
+        }
+        emit(self.retrier.request(block_id, hints, now, false), out);
+    }
+
+    /// Marks a block as no longer outstanding (it arrived).
+    pub fn fulfilled(&mut self, block_id: BlockId) {
+        self.retrier.pending.remove(&block_id);
+    }
+
+    /// Handles an expired [`TimerToken::FetchTimer`]: retries overdue
+    /// fetches, abandons exhausted ones, and re-arms the timer while
+    /// anything stays outstanding.
+    pub fn on_timer(&mut self, now: SimTime, out: &mut Vec<Output>) {
+        emit(self.retrier.on_timer(now), out);
+    }
+
+    /// Number of outstanding requests.
+    pub fn outstanding(&self) -> usize {
+        self.retrier.pending.len()
+    }
+
+    /// Whether `block_id` is currently being fetched.
+    pub fn is_pending(&self, block_id: BlockId) -> bool {
+        self.retrier.pending.contains_key(&block_id)
+    }
+}
+
+/// A block-fetch round as protocol outputs.
+fn emit((requests, rearm): Round<BlockId>, out: &mut Vec<Output>) {
+    for (to, block_id) in requests {
+        out.push(Output::Send(to, Message::BlockRequest { block_id }));
+    }
+    if let Some(after) = rearm {
+        out.push(Output::SetTimer { token: TimerToken::FetchTimer, after });
+    }
+}
+
 /// What a [`BatchFetcher`] call wants done: `BatchRequest` frames to send
 /// and, if `rearm` is set, a [`TimerToken::BatchFetchTimer`] no later than
 /// that far in the future.
@@ -274,7 +301,7 @@ fn pick_targets(me: NodeId, n: usize, fanout: usize, p: &mut PendingFetch) -> Ve
 #[derive(Clone, Debug, Default)]
 pub struct BatchFetchPlan {
     /// `(peer, digest)` pairs to send as `BatchRequest` frames.
-    pub requests: Vec<(NodeId, moonshot_crypto::Digest)>,
+    pub requests: Vec<(NodeId, Digest)>,
     /// Arm a [`TimerToken::BatchFetchTimer`] within this duration.
     pub rearm: Option<SimDuration>,
 }
@@ -286,8 +313,14 @@ impl BatchFetchPlan {
     }
 }
 
-/// Tracks outstanding **batch** fetches for digest-only proposals, with
-/// the same dedup/retry/backoff/abandon behaviour as [`BlockFetcher`].
+impl From<Round<Digest>> for BatchFetchPlan {
+    fn from((requests, rearm): Round<Digest>) -> Self {
+        BatchFetchPlan { requests, rearm }
+    }
+}
+
+/// Tracks outstanding **batch** fetches, with the same
+/// dedup/retry/backoff/abandon behaviour as [`BlockFetcher`].
 ///
 /// A voter that receives a proposal referencing batches it cannot resolve
 /// locally asks the proposer (who certainly holds the bytes: it sealed or
@@ -299,18 +332,14 @@ impl BatchFetchPlan {
 /// restarts the next time a proposal or commit needs the digest.
 #[derive(Clone, Debug)]
 pub struct BatchFetcher {
-    me: NodeId,
-    n: usize,
-    policy: RetryPolicy,
-    /// `BTreeMap` so retry emission order is deterministic.
-    pending: BTreeMap<moonshot_crypto::Digest, PendingFetch>,
+    retrier: Retrier<Digest>,
 }
 
 impl BatchFetcher {
     /// A fetcher for node `me` of `n`, with `policy` already resolved
     /// against Δ (see [`RetryPolicy::resolve`]).
     pub fn new(me: NodeId, n: usize, policy: RetryPolicy) -> Self {
-        BatchFetcher { me, n, policy, pending: BTreeMap::new() }
+        BatchFetcher { retrier: Retrier::new(me, n, policy) }
     }
 
     /// Starts (or no-ops on an already outstanding) fetch for `digest`,
@@ -324,52 +353,17 @@ impl BatchFetcher {
     /// the first retry round go out, starting with the first hint.
     pub fn request(
         &mut self,
-        digest: moonshot_crypto::Digest,
+        digest: Digest,
         hints: impl IntoIterator<Item = NodeId>,
         now: SimTime,
         push_in_flight: bool,
     ) -> BatchFetchPlan {
-        let mut plan = BatchFetchPlan::default();
-        if self.pending.contains_key(&digest) {
-            return plan;
-        }
-        let mut entry = PendingFetch {
-            attempts: 0,
-            deadline: now + self.policy.timeout,
-            tried: HashSet::new(),
-            cursor: self.me.as_usize() + 1,
-        };
-        let mut hints = hints.into_iter().peekable();
-        if let (true, Some(first)) = (push_in_flight && self.policy.max_attempts > 0, hints.peek()) {
-            let grace = SimDuration(self.policy.timeout.0 / 2);
-            entry.deadline = now + grace;
-            entry.cursor = first.as_usize();
-            self.pending.insert(digest, entry);
-            plan.rearm = Some(grace);
-            return plan;
-        }
-        let mut sent = false;
-        for hint in hints {
-            if hint != self.me && entry.tried.insert(hint) {
-                plan.requests.push((hint, digest));
-                sent = true;
-            }
-        }
-        if !sent {
-            for t in pick_targets(self.me, self.n, self.policy.fanout, &mut entry) {
-                plan.requests.push((t, digest));
-            }
-        }
-        self.pending.insert(digest, entry);
-        if self.policy.max_attempts > 0 {
-            plan.rearm = Some(self.policy.timeout);
-        }
-        plan
+        self.retrier.request(digest, hints, now, push_in_flight).into()
     }
 
     /// Marks a batch as no longer outstanding (the store resolved it).
-    pub fn fulfilled(&mut self, digest: &moonshot_crypto::Digest) {
-        self.pending.remove(digest);
+    pub fn fulfilled(&mut self, digest: &Digest) {
+        self.retrier.pending.remove(digest);
     }
 
     /// Handles an expired [`TimerToken::BatchFetchTimer`]: re-requests
@@ -377,45 +371,17 @@ impl BatchFetcher {
     /// abandoning each after [`RetryPolicy::max_attempts`] rounds, and
     /// re-arms while anything stays outstanding.
     pub fn on_timer(&mut self, now: SimTime) -> BatchFetchPlan {
-        let mut plan = BatchFetchPlan::default();
-        if self.policy.max_attempts == 0 {
-            return plan;
-        }
-        let overdue: Vec<moonshot_crypto::Digest> = self
-            .pending
-            .iter()
-            .filter(|(_, p)| p.deadline <= now)
-            .map(|(d, _)| *d)
-            .collect();
-        for digest in overdue {
-            let Some(p) = self.pending.get_mut(&digest) else { continue };
-            if p.attempts >= self.policy.max_attempts {
-                self.pending.remove(&digest);
-                continue;
-            }
-            p.attempts += 1;
-            let exp = p.attempts.min(16);
-            let backoff = SimDuration(self.policy.timeout.0.saturating_mul(1u64 << exp));
-            p.deadline = now + backoff;
-            for t in pick_targets(self.me, self.n, self.policy.fanout, p) {
-                plan.requests.push((t, digest));
-            }
-        }
-        if !self.pending.is_empty() {
-            let next = self.pending.values().map(|p| p.deadline).min().unwrap();
-            plan.rearm = Some(next.since(now).max(SimDuration(1)));
-        }
-        plan
+        self.retrier.on_timer(now).into()
     }
 
     /// Number of outstanding batch fetches.
     pub fn outstanding(&self) -> usize {
-        self.pending.len()
+        self.retrier.pending.len()
     }
 
     /// Whether `digest` is currently being fetched.
-    pub fn is_pending(&self, digest: &moonshot_crypto::Digest) -> bool {
-        self.pending.contains_key(digest)
+    pub fn is_pending(&self, digest: &Digest) -> bool {
+        self.retrier.pending.contains_key(digest)
     }
 }
 
@@ -498,13 +464,6 @@ mod tests {
         let targets = requests(&out);
         assert_eq!(targets.len(), RetryPolicy::auto().fanout);
         assert!(!targets.contains(&NodeId(1)));
-        // Under no_retry (fanout 0) the legacy behaviour stands: nothing is
-        // sent and the entry wedges.
-        let mut out = Vec::new();
-        let mut f = BlockFetcher::new(NodeId(1), 4, RetryPolicy::no_retry().resolve(T));
-        f.request(id, [NodeId(1)], SimTime::ZERO, &mut out);
-        assert!(requests(&out).is_empty());
-        assert!(f.is_pending(id));
     }
 
     #[test]
@@ -568,20 +527,6 @@ mod tests {
     }
 
     #[test]
-    fn no_retry_policy_reproduces_the_wedge() {
-        let policy = RetryPolicy::no_retry().resolve(SimDuration::from_millis(100));
-        let mut f = BlockFetcher::new(NodeId(0), 4, policy);
-        let id = Block::genesis().id();
-        let mut out = Vec::new();
-        f.request(id, [NodeId(1)], SimTime::ZERO, &mut out);
-        assert_eq!(timers(&out), 0, "no retry timer armed");
-        // Deadlines never fire, the entry never expires: wedged forever.
-        f.on_timer(SimTime(1_000_000_000), &mut out);
-        assert_eq!(requests(&out).len(), 1);
-        assert_eq!(f.outstanding(), 1);
-    }
-
-    #[test]
     fn policy_resolution_derives_two_delta() {
         let p = RetryPolicy::auto().resolve(SimDuration::from_millis(100));
         assert_eq!(p.timeout, SimDuration::from_millis(200));
@@ -597,7 +542,7 @@ mod tests {
     fn batch_fetcher_retries_and_abandons_like_block_fetcher() {
         let policy = RetryPolicy { timeout: T, max_attempts: 3, fanout: 2 };
         let mut f = BatchFetcher::new(NodeId(0), 4, policy);
-        let d = moonshot_crypto::Digest::hash(b"batch");
+        let d = Digest::hash(b"batch");
 
         let plan = f.request(d, [NodeId(2)], SimTime::ZERO, false);
         assert_eq!(plan.requests, vec![(NodeId(2), d)]);
@@ -637,7 +582,7 @@ mod tests {
     #[test]
     fn batch_fetcher_self_hints_fall_through_to_peers() {
         let mut f = BatchFetcher::new(NodeId(1), 4, RetryPolicy::auto().resolve(T));
-        let d = moonshot_crypto::Digest::hash(b"own-batch");
+        let d = Digest::hash(b"own-batch");
         let plan = f.request(d, [NodeId(1)], SimTime::ZERO, false);
         assert_eq!(plan.requests.len(), RetryPolicy::auto().fanout);
         assert!(plan.requests.iter().all(|(to, _)| *to != NodeId(1)));
@@ -651,7 +596,7 @@ mod tests {
         let policy = RetryPolicy { timeout: T, max_attempts: 3, fanout: 2 };
         let mut f = BatchFetcher::new(NodeId(0), 4, policy);
         let (arrives, lost) =
-            (moonshot_crypto::Digest::hash(b"arrives"), moonshot_crypto::Digest::hash(b"lost"));
+            (Digest::hash(b"arrives"), Digest::hash(b"lost"));
         for d in [arrives, lost] {
             let plan = f.request(d, [NodeId(2)], SimTime::ZERO, true);
             assert!(plan.requests.is_empty(), "asked before the push had its Δ");
@@ -696,7 +641,7 @@ mod tests {
 
         // A block NOT on disk still goes over the network as before.
         out.clear();
-        let missing = moonshot_crypto::Digest::hash(b"not-on-disk");
+        let missing = Digest::hash(b"not-on-disk");
         f.request(missing, [NodeId(1)], SimTime::ZERO, &mut out);
         assert_eq!(requests(&out).len(), 1);
         assert!(f.is_pending(missing));
@@ -712,7 +657,7 @@ mod tests {
             out,
             Some(Output::Send(NodeId(3), Message::BlockResponse { .. }))
         ));
-        assert!(serve_request(&tree, NodeId(3), moonshot_crypto::Digest::hash(b"nope")).is_none());
+        assert!(serve_request(&tree, NodeId(3), Digest::hash(b"nope")).is_none());
     }
 
     #[test]

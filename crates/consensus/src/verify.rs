@@ -4,9 +4,9 @@
 //! of `handle_message` is checking signatures on votes, timeouts and the
 //! certificates embedded in proposals. That check is *pure*: it needs the
 //! PKI and the verified-certificate cache, but no protocol state. This
-//! module splits it out so it can legally run on the transport's per-peer
-//! reader threads (or any verify pool), handing the driver thread only
-//! messages wrapped in [`PreVerified`].
+//! module splits it out so it can legally run off the driver thread (the
+//! node runtime's `net-verify-*` stage), handing the driver only messages
+//! wrapped in [`PreVerified`].
 //!
 //! The contract: a [`PreVerified`] value is only constructed by
 //! [`MessageVerifier::verify`] after every signature in the message checked
@@ -18,7 +18,7 @@
 //!
 //! The verifier shares its [`VerifiedCache`] with the protocol's
 //! [`NodeConfig`](crate::NodeConfig), so a certificate checked on one
-//! reader thread is a cache hit on every other thread — each unique QC/TC
+//! verify worker is a cache hit on every other thread — each unique QC/TC
 //! costs one raw multisig verification per node, total.
 //!
 //! [`ConsensusProtocol::handle_preverified`]: crate::ConsensusProtocol::handle_preverified
@@ -41,8 +41,7 @@ pub struct PreVerified(Message);
 
 impl PreVerified {
     /// Wraps a message that needs no verification: one this node generated
-    /// itself (loopback copies of its own multicasts) or one from a context
-    /// where verification is disabled.
+    /// itself (loopback copies of its own multicasts).
     pub fn trusted(message: Message) -> PreVerified {
         PreVerified(message)
     }
@@ -67,8 +66,8 @@ pub enum VerifyError {
     BadSignature(&'static str),
     /// An embedded or standalone certificate failed to verify.
     BadCertificate(&'static str),
-    /// A carried block's payload bytes do not hash to the digest its block
-    /// id commits to — a Byzantine leader shipping arbitrary bytes under a
+    /// A carried block's payload does not hash to the digest its block id
+    /// commits to — a Byzantine leader shipping other contents under a
     /// structurally valid block.
     BadPayload(&'static str),
 }
@@ -87,39 +86,27 @@ impl std::error::Error for VerifyError {}
 
 /// Verifies messages against the PKI, routing certificates through a
 /// shared [`VerifiedCache`]. `Send + Sync`: one instance serves every
-/// reader thread of a node.
+/// verify worker of a node.
 #[derive(Clone, Debug)]
 pub struct MessageVerifier {
     ring: Keyring,
     cache: Arc<VerifiedCache>,
-    enabled: bool,
 }
 
 impl MessageVerifier {
-    /// A verifier over `ring`, sharing `cache` with the protocol. With
-    /// `enabled = false`, [`MessageVerifier::verify`] waves everything
-    /// through — the hook for experiments that disable cryptography.
-    pub fn new(ring: Keyring, cache: Arc<VerifiedCache>, enabled: bool) -> MessageVerifier {
-        MessageVerifier { ring, cache, enabled }
+    /// A verifier over `ring`, sharing `cache` with the protocol.
+    pub fn new(ring: Keyring, cache: Arc<VerifiedCache>) -> MessageVerifier {
+        MessageVerifier { ring, cache }
     }
 
-    /// A verifier wired to `cfg`'s keyring, cache and `verify_signatures`
-    /// flag — the one-liner the node runtime uses.
+    /// A verifier wired to `cfg`'s keyring and cache — the one-liner the
+    /// node runtime uses.
     pub fn for_config(cfg: &NodeConfig) -> MessageVerifier {
-        MessageVerifier::new(
-            cfg.keyring.clone(),
-            cfg.verified_cache.clone(),
-            cfg.verify_signatures,
-        )
-    }
-
-    /// Whether verification is actually performed.
-    pub fn enabled(&self) -> bool {
-        self.enabled
+        MessageVerifier::new(cfg.keyring.clone(), cfg.verified_cache.clone())
     }
 
     /// Checks every signature in `message` — and, for messages carrying a
-    /// full block, that the payload bytes hash to the digest the block id
+    /// full block, that the payload hashes to the digest the block id
     /// commits to — wrapping the message on success.
     ///
     /// Block *chain* content (hash links, proposer/leader matching) is not
@@ -131,9 +118,6 @@ impl MessageVerifier {
     /// The first failing signature or certificate; the caller drops the
     /// message and should count the event.
     pub fn verify(&self, message: Message) -> Result<PreVerified, VerifyError> {
-        if !self.enabled {
-            return Ok(PreVerified(message));
-        }
         let ring = &self.ring;
         let cache = &self.cache;
         match &message {
@@ -141,12 +125,12 @@ impl MessageVerifier {
             // eligibility is protocol state, not cryptography. The payload,
             // however, must hash to what the block id commits to.
             Message::OptPropose { block, .. } => {
-                if !block.payload().digest_matches_bytes() {
+                if !block.payload().digest_matches_contents() {
                     return Err(VerifyError::BadPayload("opt-propose block"));
                 }
             }
             Message::Propose { justify, block, .. } => {
-                if !block.payload().digest_matches_bytes() {
+                if !block.payload().digest_matches_contents() {
                     return Err(VerifyError::BadPayload("propose block"));
                 }
                 if justify.verify_cached(ring, cache).is_err() {
@@ -159,7 +143,7 @@ impl MessageVerifier {
                 }
             }
             Message::FbPropose { justify, tc, block, .. } => {
-                if !block.payload().digest_matches_bytes() {
+                if !block.payload().digest_matches_contents() {
                     return Err(VerifyError::BadPayload("fb-propose block"));
                 }
                 if justify.verify_cached(ring, cache).is_err() {
@@ -205,7 +189,7 @@ impl MessageVerifier {
             // content-vs-commitment cryptography.
             Message::BlockRequest { .. } => {}
             Message::BlockResponse { block, .. } => {
-                if !block.payload().digest_matches_bytes() {
+                if !block.payload().digest_matches_contents() {
                     return Err(VerifyError::BadPayload("block-response"));
                 }
             }
@@ -235,9 +219,6 @@ impl MessageVerifier {
         &self,
         messages: Vec<Message>,
     ) -> Vec<Result<PreVerified, VerifyError>> {
-        if !self.enabled {
-            return messages.into_iter().map(|m| Ok(PreVerified(m))).collect();
-        }
         let ring = &self.ring;
         let cache = &self.cache;
 
@@ -383,7 +364,7 @@ mod tests {
     use super::*;
     use moonshot_crypto::KeyPair;
     use moonshot_types::{
-        Block, NodeId, Payload, QuorumCertificate, SignedTimeout, SignedVote, View, Vote,
+        BatchRef, Block, NodeId, Payload, QuorumCertificate, SignedTimeout, SignedVote, View, Vote,
         VoteKind,
     };
 
@@ -392,7 +373,7 @@ mod tests {
     }
 
     fn verifier() -> MessageVerifier {
-        MessageVerifier::new(ring(), Arc::new(VerifiedCache::default()), true)
+        MessageVerifier::new(ring(), Arc::new(VerifiedCache::default()))
     }
 
     fn block() -> Block {
@@ -458,7 +439,8 @@ mod tests {
         let v = verifier();
         let b = block();
         let qc = qc_for(&b);
-        let other = Block::build(View(1), NodeId(1), &Block::genesis(), Payload::from(vec![1]));
+        let other =
+            Block::build(View(1), NodeId(1), &Block::genesis(), Payload::synthetic_items(1, 1));
         let forged = QuorumCertificate::from_parts(
             VoteKind::Normal,
             other.id(),
@@ -487,31 +469,17 @@ mod tests {
         );
     }
 
-    #[test]
-    fn disabled_verifier_waves_everything_through() {
-        let v = MessageVerifier::new(ring(), Arc::new(VerifiedCache::default()), false);
-        let b = block();
-        let sv = SignedVote::sign(
-            Vote {
-                kind: VoteKind::Normal,
-                block_id: b.id(),
-                block_height: b.height(),
-                view: b.view(),
-            },
-            NodeId(1),
-            &KeyPair::from_seed(2), // forged, but verification is off
-        );
-        assert!(v.verify(Message::Vote(sv)).is_ok());
-        assert_eq!(v.cache.stats().misses, 0);
+    fn batch_ref(tag: u8) -> BatchRef {
+        BatchRef { digest: Digest::hash(&[tag]), bytes: 256 }
     }
 
-    /// A block with `bytes` swapped in under the digest (and therefore the
-    /// block id) of an honest payload — what a Byzantine leader can ship
-    /// under a perfectly valid-looking block.
+    /// A block with another reference list swapped in under the digest (and
+    /// therefore the block id) of an honest payload — what a Byzantine
+    /// leader can ship under a perfectly valid-looking block.
     fn tampered_block(view: View, proposer: NodeId, parent: &Block) -> Block {
-        let honest = Payload::from(vec![7u8; 256]);
+        let honest = Payload::batches(vec![batch_ref(7)]);
         let tampered =
-            Payload::data_prehashed(std::sync::Arc::from(vec![8u8; 256]), honest.digest());
+            Payload::Batches { refs: Arc::from(vec![batch_ref(8)]), digest: honest.digest() };
         Block::build(view, proposer, parent, tampered)
     }
 
@@ -519,7 +487,7 @@ mod tests {
     fn tampered_payload_rejected_in_proposals() {
         let v = verifier();
         let bad = tampered_block(View(1), NodeId(0), &Block::genesis());
-        // The block header itself is structurally fine — only the byte
+        // The block header itself is structurally fine — only the digest
         // check catches the tampering.
         assert!(bad.header_is_valid());
         assert_eq!(
@@ -539,9 +507,10 @@ mod tests {
     }
 
     #[test]
-    fn honest_data_payload_passes() {
+    fn honest_batches_payload_passes() {
         let v = verifier();
-        let b = Block::build(View(1), NodeId(0), &Block::genesis(), Payload::from(vec![7u8; 256]));
+        let payload = Payload::batches(vec![batch_ref(7)]);
+        let b = Block::build(View(1), NodeId(0), &Block::genesis(), payload);
         assert!(v.verify(Message::OptPropose { view: View(1), block: b }).is_ok());
     }
 
@@ -627,17 +596,6 @@ mod tests {
         let results = v.verify_batch(vec![Message::Timeout(st)]);
         assert_eq!(results[0].clone().unwrap_err(), VerifyError::BadSignature("timeout"));
         assert_eq!(v.cache.stats().batch_items, 0, "lock mismatch resolves before the batch");
-    }
-
-    #[test]
-    fn disabled_verifier_batch_waves_everything_through() {
-        let v = MessageVerifier::new(ring(), Arc::new(VerifiedCache::default()), false);
-        let b = block();
-        let mut forged = vote_from(1, &b);
-        forged.voter = NodeId(2);
-        let results = v.verify_batch(vec![Message::Vote(forged)]);
-        assert!(results[0].is_ok());
-        assert_eq!(v.cache.stats().batch_calls, 0);
     }
 
     #[test]

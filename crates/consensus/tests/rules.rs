@@ -131,7 +131,7 @@ fn pm_opt_vote_refused_when_parent_not_locked() {
     let q1 = qc_for(&b1, VoteKind::Normal);
     node.handle_message(NodeId(1), Message::Certificate(q1), t(10));
     // Opt-proposal extends a *different* view-1 block: no vote.
-    let other = Block::build(View(1), NodeId(0), &Block::genesis(), Payload::from(vec![9]));
+    let other = Block::build(View(1), NodeId(0), &Block::genesis(), Payload::synthetic_items(1, 9));
     let b2_bad = child_of(&other, 2, 1);
     let outs =
         node.handle_message(NodeId(1), Message::OptPropose { block: b2_bad, view: View(2) }, t(20));
@@ -154,7 +154,7 @@ fn pm_normal_vote_after_opt_vote_same_block_only() {
     assert_eq!(votes_out(&outs).len(), 1);
 
     // Equivocating normal proposal: same view, different payload.
-    let b2_equiv = Block::build(View(2), NodeId(1), &b1, Payload::from(vec![7]));
+    let b2_equiv = Block::build(View(2), NodeId(1), &b1, Payload::synthetic_items(1, 7));
     let outs = node.handle_message(
         NodeId(1),
         Message::Propose { block: b2_equiv, justify: q1.clone(), view: View(2) },

@@ -5,18 +5,13 @@
 //! it keeps learning about certified blocks it doesn't have and keeps asking
 //! for them — and every answer is lost). Then the link heals.
 //!
-//! * With the retrying fetcher ([`RetryPolicy::auto`]) the outstanding
-//!   fetches are re-requested after the heal, the chain reconnects and node
-//!   3 commits the same blocks as everyone else.
-//! * With the legacy insert-once fetcher ([`RetryPolicy::no_retry`]) each
-//!   lost response leaves its block id poisoned in the pending set forever:
-//!   the block is never re-requested, the chain never reconnects and node
-//!   3's commit log stays wedged — demonstrating the bug this PR fixes.
+//! The outstanding fetches are re-requested after the heal, the chain
+//! reconnects and node 3 commits the same blocks as everyone else. (A
+//! fetcher that asked once and never again left each lost response's block
+//! id in its pending set forever, and node 3's commit log wedged.)
 
 use moonshot_consensus::harness::{LinkPolicy, LocalNet};
-use moonshot_consensus::{
-    ConsensusProtocol, Message, NodeConfig, PipelinedMoonshot, RetryPolicy,
-};
+use moonshot_consensus::{ConsensusProtocol, Message, NodeConfig, PipelinedMoonshot};
 use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::NodeId;
 
@@ -45,15 +40,14 @@ fn lossy_policy(victim: NodeId) -> LinkPolicy {
     })
 }
 
-fn run_with_policy(retry: RetryPolicy) -> LocalNet {
+fn run_starved() -> LocalNet {
     let nodes: Vec<Box<dyn ConsensusProtocol>> = (0..4)
         .map(|i| {
-            let mut cfg = NodeConfig::simulated(
+            let cfg = NodeConfig::simulated(
                 NodeId::from_index(i),
                 4,
                 SimDuration::from_millis(50),
             );
-            cfg.fetch_retry = retry;
             Box::new(PipelinedMoonshot::new(cfg)) as Box<dyn ConsensusProtocol>
         })
         .collect();
@@ -64,7 +58,7 @@ fn run_with_policy(retry: RetryPolicy) -> LocalNet {
 
 #[test]
 fn retrying_fetcher_recovers_after_heal() {
-    let net = run_with_policy(RetryPolicy::auto());
+    let net = run_starved();
     let reference = net.committed(NodeId(0));
     let caught_up = net.committed(NodeId(3));
     assert!(reference.len() >= 10, "healthy nodes committed {}", reference.len());
@@ -78,21 +72,4 @@ fn retrying_fetcher_recovers_after_heal() {
     for (a, b) in reference.iter().zip(caught_up.iter()) {
         assert_eq!(a.block.id(), b.block.id(), "chains diverged");
     }
-}
-
-#[test]
-fn no_retry_fetcher_demonstrably_wedges() {
-    let net = run_with_policy(RetryPolicy::no_retry());
-    let reference = net.committed(NodeId(0));
-    let wedged = net.committed(NodeId(3));
-    assert!(reference.len() >= 10, "healthy nodes committed {}", reference.len());
-    // The lost responses poisoned the pending set: the gap blocks are never
-    // re-requested, the chain never reconnects, the commit log never moves —
-    // even though the network healed four simulated seconds ago.
-    assert_eq!(
-        wedged.len(),
-        0,
-        "legacy fetcher unexpectedly recovered (committed {})",
-        wedged.len()
-    );
 }

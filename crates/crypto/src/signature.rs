@@ -1,24 +1,25 @@
-//! The simulated signature scheme.
+//! The simulated signature scheme: a **forgeable** keyed-hash stand-in.
 //!
 //! The paper's implementation used ED25519 signatures. This reproduction uses
 //! a keyed-hash authenticator with identical wire sizes (64-byte signatures,
-//! 32-byte keys): `sig = H(sk ‖ msg) ‖ H(pk ‖ H(sk ‖ msg))`. Verification
-//! recomputes the binding half from the public key. This is *not* a secure
-//! digital signature against real adversaries (the first half acts as a MAC
-//! that the verifier cannot recompute without `sk`; instead we bind it to the
-//! public key so that any party holding only `pk` can check internal
-//! consistency). It is sufficient for the simulation's threat model, where
-//! Byzantine behaviour is injected explicitly rather than forged, and it
-//! preserves the two properties the protocols rely on:
+//! 32-byte keys): `sig = H(sk ‖ msg) ‖ H(pk ‖ H(sk ‖ msg) ‖ msg)`.
+//! Verification recomputes the binding half from the *public* key — one
+//! SHA-256 — so anyone who knows `pk` can produce a signature that verifies
+//! under it: pick any first half, hash the second. It is not a digital
+//! signature, and nothing in this repo may be read as resisting an adversary
+//! who forges. It serves runs where Byzantine behaviour is injected
+//! explicitly rather than forged, and preserves the one property the
+//! protocols and the bandwidth model rely on: signatures are constant-size,
+//! with the real scheme's message bytes, and attributable to a signer among
+//! honest parties.
 //!
-//! 1. signatures are constant-size and attributable to a signer, and
-//! 2. verification cost and message bytes match the real deployment.
-//!
-//! A production build would implement [`Signature`] creation/verification
-//! with ed25519 behind the same API.
+//! What it does **not** preserve is cost: a verification here is one
+//! SHA-256 where an ED25519 verification is a curve operation, about two
+//! orders of magnitude more. Every CPU figure the runtime reports
+//! (`cpu_us_per_tx`, `cpu.verify_s`, `crypto.*`) is taken over this
+//! stand-in. Real ED25519 behind the same API is the next ROADMAP item.
 
 use std::fmt;
-
 
 use crate::keys::{PublicKey, SecretKey};
 use crate::sha256::Digest;

@@ -288,7 +288,7 @@ mod tests {
                 View(i),
                 moonshot_types::NodeId(0),
                 &parent,
-                moonshot_types::Payload::from(vec![i as u8; 8]),
+                moonshot_types::Payload::synthetic_items(1, i),
             );
             blocks.push(block.clone());
             parent = block;

@@ -1,24 +1,24 @@
 //! The off-driver batch assembler.
 //!
 //! The driver hot loop must never hash megabytes. The assembler is a
-//! background thread that keeps the *next* proposal payload ready: it
-//! drains the mempool, frames the batch ([`crate::batch`]), hashes it once
-//! on its own thread, and parks the finished `Payload` in a
-//! [`PreparedSlot`]. When the node becomes leader, its payload source is a
-//! single lock-and-take of that slot — an `Arc` swap, after which the
-//! assembler immediately starts preparing the next batch.
+//! background thread that drains the mempool, frames the batch
+//! ([`crate::batch`]), hashes it once on its own thread, and hands the
+//! sealed batch to the node's dissemination plane, where the driver stores
+//! it, pushes it to every peer and enters it into the proposable pool.
+//! Sealing is throttled by a cap on the payload sealed here that no block
+//! carries yet, so the data plane can run several batches ahead of the
+//! ordering plane without outrunning it.
 //!
 //! Batch sizing is adaptive: when backlog accumulates (the pool holds more
 //! pending bytes than a few base batches), the assembler grows the batch
 //! byte target — up to [`AssemblerConfig::max_growth`]× the base — so the
-//! pipeline drains the backlog with bigger blocks instead of letting queue
+//! pipeline drains the backlog with bigger batches instead of letting queue
 //! delay grow. With an empty-ish pool the target stays at the base, keeping
-//! the common-case block size (and its latency profile) untouched.
+//! the common-case batch size (and its latency profile) untouched.
 //!
-//! The thread only runs when it can seal: it parks on an empty pool, a full
-//! slot or (digest mode) a backlog at its cap, and whoever changes that — the
-//! first admission, [`PreparedSlot::take`], a block taking up backlog —
-//! unparks it.
+//! The thread only runs when it can seal: it parks on an empty pool or a
+//! backlog at its cap, and whoever changes that — the first admission, a
+//! block taking up backlog — unparks it.
 //!
 //! An under-full batch is sealed on the block clock ([`seal_linger`]): no
 //! batch is proposed more often than once per block period ω̂, which the
@@ -28,12 +28,11 @@
 //! admission that fills the batch ends it early.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::{self, Thread};
+use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use moonshot_crypto::Digest;
-use moonshot_types::Payload;
 
 use crate::batch::{encode_batch, tx_timestamp_us};
 use crate::dissem::{batch_digest, DissemPlane, SealedBatch};
@@ -46,24 +45,22 @@ pub struct AssemblerConfig {
     /// of the run).
     pub base_batch_bytes: usize,
     /// Upper bound on adaptive growth, as a multiple of the base. `1`
-    /// disables adaptation (fixed-size batches).
+    /// disables adaptation (fixed-size batches). The effective target is
+    /// `base × (1 + backlog / (4 × base))`, clamped to `max_growth × base`.
     pub max_growth: u32,
-    /// How much backlog it takes to saturate growth: the effective target
-    /// is `base × (1 + backlog / (growth_backlog_factor × base))`, clamped
-    /// to `max_growth × base`. Smaller values grow batches sooner.
-    pub growth_backlog_factor: u32,
 }
 
 impl AssemblerConfig {
-    /// Fixed-size batches of `bytes` — the pre-adaptive behaviour.
-    pub fn fixed(bytes: usize) -> AssemblerConfig {
-        AssemblerConfig { base_batch_bytes: bytes, max_growth: 1, growth_backlog_factor: 4 }
+    /// Fixed-size batches of `bytes`, for tests that count batches.
+    #[cfg(test)]
+    fn fixed(bytes: usize) -> AssemblerConfig {
+        AssemblerConfig { base_batch_bytes: bytes, max_growth: 1 }
     }
 
     /// Adaptive batches: base target `bytes`, growing up to 4× under
     /// backlog.
     pub fn adaptive(bytes: usize) -> AssemblerConfig {
-        AssemblerConfig { base_batch_bytes: bytes, max_growth: 4, growth_backlog_factor: 4 }
+        AssemblerConfig { base_batch_bytes: bytes, max_growth: 4 }
     }
 
     /// The effective batch byte target for the given pool backlog.
@@ -72,30 +69,10 @@ impl AssemblerConfig {
         if self.max_growth <= 1 {
             return base;
         }
-        let denom = (self.growth_backlog_factor.max(1) as u64) * base as u64;
-        let growth_milli = 1_000 + backlog_bytes.saturating_mul(1_000) / denom;
+        let growth_milli = 1_000 + backlog_bytes.saturating_mul(1_000) / (4 * base as u64);
         let capped = growth_milli.min(self.max_growth as u64 * 1_000);
         (base as u64 * capped / 1_000) as usize
     }
-}
-
-/// A fully assembled, pre-hashed payload waiting to be proposed.
-#[derive(Clone, Debug)]
-pub struct PreparedPayload {
-    /// The framed batch as a data payload with its digest already cached.
-    pub payload: Payload,
-    /// How many transactions the batch carries.
-    pub tx_count: u64,
-    /// When the batch was sealed, in microseconds since the assembler's
-    /// epoch (the cluster-wide time origin) — the `BatchSealed` stage
-    /// timestamp.
-    pub sealed_at_us: u64,
-    /// Per-transaction mempool-queue delay (seal time − embedded submit
-    /// timestamp, µs), computed here on the assembler thread so the driver
-    /// can fold the samples into `stage_latency_us.mempool_queue` without
-    /// re-reading payload bytes on the hot loop. Transactions without a
-    /// parseable timestamp are skipped.
-    pub queue_us: Vec<u64>,
 }
 
 /// How long a parked assembler sleeps before re-checking on its own. Every
@@ -125,39 +102,6 @@ fn seal_linger(block_period_us: u64) -> Duration {
     Duration::from_micros(block_period_us / 4).clamp(BATCH_LINGER, MAX_LINGER)
 }
 
-/// The handoff cell between the assembler thread and the driver's payload
-/// source. Cloning shares the cell.
-#[derive(Clone, Debug, Default)]
-pub struct PreparedSlot(Arc<SlotInner>);
-
-#[derive(Debug, Default)]
-struct SlotInner {
-    prepared: Mutex<Option<PreparedPayload>>,
-    /// The assembler thread, parked while the slot is full.
-    filler: OnceLock<Thread>,
-}
-
-impl PreparedSlot {
-    /// Takes the prepared payload, leaving the slot empty for the
-    /// assembler — woken here — to refill. This is the only payload work
-    /// the driver does.
-    pub fn take(&self) -> Option<PreparedPayload> {
-        let taken = self.0.prepared.lock().unwrap().take();
-        if let (Some(_), Some(filler)) = (&taken, self.0.filler.get()) {
-            filler.unpark();
-        }
-        taken
-    }
-
-    fn put(&self, prepared: PreparedPayload) {
-        *self.0.prepared.lock().unwrap() = Some(prepared);
-    }
-
-    fn is_full(&self) -> bool {
-        self.0.prepared.lock().unwrap().is_some()
-    }
-}
-
 /// What a [`BatchAssembler`] handle shares with its thread.
 #[derive(Debug, Default)]
 struct Shared {
@@ -168,13 +112,13 @@ struct Shared {
     passes: AtomicU64,
 }
 
-/// Background thread keeping [`PreparedSlot`] topped up from a [`Mempool`].
+/// Background thread sealing a [`Mempool`]'s transactions into batches for
+/// a [`DissemPlane`].
 ///
 /// A pool feeds one assembler for its lifetime: admissions unpark the first
 /// one started on it, and a later one would only seal on its fallback tick.
 #[derive(Debug)]
 pub struct BatchAssembler {
-    slot: PreparedSlot,
     shared: Arc<Shared>,
     thread: Option<thread::JoinHandle<()>>,
 }
@@ -182,29 +126,12 @@ pub struct BatchAssembler {
 impl BatchAssembler {
     /// Spawns the assembler. `cfg` sets the batch byte target and its
     /// adaptive-growth policy; `epoch` is the time origin used for seal
-    /// timestamps, which must match the one the client load generator
-    /// stamps transactions against for the per-transaction queue delays to
-    /// mean anything.
-    pub fn start(pool: Arc<Mempool>, cfg: AssemblerConfig, epoch: Instant) -> BatchAssembler {
-        let slot = PreparedSlot::default();
-        let shared = Arc::new(Shared::default());
-        let thread = {
-            let slot = slot.clone();
-            let shared = shared.clone();
-            thread::Builder::new()
-                .name("batch-assembler".into())
-                .spawn(move || run(pool, slot, &shared, cfg, epoch))
-                .expect("spawn batch assembler")
-        };
-        BatchAssembler { slot, shared, thread: Some(thread) }
-    }
-
-    /// Spawns the assembler in **digest mode**: sealed batches go to the
-    /// dissemination plane's queue (for the driver to store, push and
-    /// enter into the proposable pool) instead of the prepared slot.
-    /// Sealing is throttled by `backlog_cap_bytes` of payload sealed here
-    /// that no block carries yet rather than by the single-slot handoff, so
-    /// the data plane can run several batches ahead of the ordering plane
+    /// timestamps, which must match the one clients stamp transactions
+    /// against for the per-transaction queue delays to mean anything.
+    /// Sealed batches go to `plane`'s queue, for the driver to store, push
+    /// and enter into the proposable pool. Sealing is throttled by
+    /// `backlog_cap_bytes` of payload sealed here that no block carries yet,
+    /// so the data plane can run several batches ahead of the ordering plane
     /// without outrunning it.
     pub fn start_digest(
         pool: Arc<Mempool>,
@@ -213,21 +140,15 @@ impl BatchAssembler {
         plane: Arc<DissemPlane>,
         backlog_cap_bytes: usize,
     ) -> BatchAssembler {
-        let slot = PreparedSlot::default();
         let shared = Arc::new(Shared::default());
         let thread = {
             let shared = shared.clone();
             thread::Builder::new()
                 .name("batch-assembler".into())
-                .spawn(move || run_digest(pool, plane, &shared, cfg, epoch, backlog_cap_bytes))
+                .spawn(move || run(pool, plane, &shared, cfg, epoch, backlog_cap_bytes))
                 .expect("spawn batch assembler")
         };
-        BatchAssembler { slot, shared, thread: Some(thread) }
-    }
-
-    /// The handoff cell to wire into the leader's payload source.
-    pub fn slot(&self) -> PreparedSlot {
-        self.slot.clone()
+        BatchAssembler { shared, thread: Some(thread) }
     }
 
     /// Batches assembled so far.
@@ -247,7 +168,7 @@ impl Drop for BatchAssembler {
 }
 
 impl Shared {
-    /// The loop condition of both modes.
+    /// The loop condition.
     fn running(&self) -> bool {
         #[cfg(test)]
         self.passes.fetch_add(1, Ordering::Relaxed);
@@ -306,44 +227,6 @@ fn drain_batch(
 
 fn run(
     pool: Arc<Mempool>,
-    slot: PreparedSlot,
-    shared: &Shared,
-    cfg: AssemblerConfig,
-    epoch: Instant,
-) {
-    pool.wake_on_admit(thread::current(), cfg.base_batch_bytes as u64);
-    let _ = slot.0.filler.set(thread::current());
-    while shared.running() {
-        if slot.is_full() || pool.is_empty() {
-            // The next payload is already staged or there is nothing to
-            // stage: sleep until a take or an admission says otherwise.
-            thread::park_timeout(IDLE_RECHECK);
-            continue;
-        }
-        let Some(Drained { txs, sealed_at_us, queue_us }) =
-            drain_batch(&pool, &cfg, epoch, shared)
-        else {
-            continue;
-        };
-        let tx_count = txs.len() as u64;
-        let tx_digests = digests_of(&txs);
-        // The one and only content hash of this batch happens here, on the
-        // assembler thread — Payload::data charges *this* thread's counter.
-        let payload = Payload::data(encode_batch(&txs));
-        // Pin the drained digests until the batch commits: the rolling
-        // seen window alone would let a retry land in a second batch.
-        pool.pin_batch(payload.digest(), &tx_digests);
-        slot.put(PreparedPayload { payload, tx_count, sealed_at_us, queue_us });
-        shared.batches.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-fn digests_of(txs: &[Tx]) -> Vec<Digest> {
-    txs.iter().map(|t| t.digest).collect()
-}
-
-fn run_digest(
-    pool: Arc<Mempool>,
     plane: Arc<DissemPlane>,
     shared: &Shared,
     cfg: AssemblerConfig,
@@ -366,10 +249,12 @@ fn run_digest(
             continue;
         };
         let tx_count = txs.len() as u64;
-        let tx_digests = digests_of(&txs);
+        let tx_digests: Vec<Digest> = txs.iter().map(|t| t.digest).collect();
         let bytes: Arc<[u8]> = encode_batch(&txs).into();
         // The batch's one content hash, on this thread.
         let digest = batch_digest(&bytes);
+        // Pin the drained digests until the batch commits: the rolling
+        // seen window alone would let a retry land in a second batch.
         pool.pin_batch(digest, &tx_digests);
         plane.queue.push_sealed(SealedBatch { digest, bytes, tx_count, sealed_at_us, queue_us });
         shared.batches.fetch_add(1, Ordering::Relaxed);
@@ -383,59 +268,14 @@ mod tests {
     use crate::pool::MempoolConfig;
     use std::time::Instant;
 
+    /// Sealed batches land in the dissemination queue framed and already
+    /// hashed — the taker, the driver in a node, hashes nothing — with seal
+    /// stamps that move forward and a queue-delay sample per transaction;
+    /// every admitted transaction leaves in exactly one batch; the
+    /// transactions are pinned against resubmission; and the backlog cap
+    /// throttles sealing until blocks take the batches up.
     #[test]
-    fn assembler_stages_prehashed_batches_off_thread() {
-        let pool = Arc::new(Mempool::new(MempoolConfig::default()));
-        let assembler =
-            BatchAssembler::start(pool.clone(), AssemblerConfig::fixed(1_800), Instant::now());
-        let slot = assembler.slot();
-        for seq in 0..40u64 {
-            pool.submit(make_tx(500 + seq, 1, seq, 180)).unwrap();
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut collected: Vec<Vec<u8>> = Vec::new();
-        let mut last_sealed_at = 0u64;
-        while collected.len() < 40 && Instant::now() < deadline {
-            let hashes_before = moonshot_types::payload::data_hashes_on_thread();
-            match slot.take() {
-                Some(prepared) => {
-                    // Taking the slot — the driver-side operation — must
-                    // not hash anything on this thread.
-                    assert_eq!(
-                        moonshot_types::payload::data_hashes_on_thread(),
-                        hashes_before
-                    );
-                    assert!(prepared.payload.digest_matches_bytes());
-                    assert!(prepared.payload.size() <= 1_800);
-                    // Seal timestamps come from the shared epoch and move
-                    // forward batch over batch; every tx in the batch gets
-                    // a queue-delay sample.
-                    assert!(prepared.sealed_at_us >= last_sealed_at);
-                    last_sealed_at = prepared.sealed_at_us;
-                    assert_eq!(prepared.queue_us.len() as u64, prepared.tx_count);
-                    let bytes = prepared.payload.data_bytes().unwrap();
-                    let txs: Vec<Vec<u8>> =
-                        batch_txs(bytes).map(|t| t.to_vec()).collect();
-                    assert_eq!(txs.len() as u64, prepared.tx_count);
-                    collected.extend(txs);
-                }
-                None => thread::sleep(Duration::from_millis(1)),
-            }
-        }
-        assert_eq!(collected.len(), 40, "assembler never delivered all txs");
-        let mut stamps: Vec<u64> =
-            collected.iter().map(|t| tx_timestamp_us(t).unwrap()).collect();
-        stamps.sort_unstable();
-        assert_eq!(stamps, (500..540).collect::<Vec<u64>>());
-        assert!(assembler.batches_assembled() >= 5, "1.8kB cap forces multiple batches");
-    }
-
-    /// Digest mode: sealed batches land in the dissemination queue with
-    /// verified digests, their transactions are pinned against
-    /// resubmission, and the backlog cap throttles sealing until blocks
-    /// take the batches up.
-    #[test]
-    fn digest_mode_seals_into_dissem_queue_and_pins() {
+    fn assembler_seals_hashed_batches_into_the_dissem_queue_and_pins() {
         use crate::dissem::{batch_digest, DissemPlane};
         let pool = Arc::new(Mempool::new(MempoolConfig {
             delay_target_multiple: 0,
@@ -457,12 +297,18 @@ mod tests {
             4_000,
         );
         let deadline = Instant::now() + Duration::from_secs(5);
-        let (mut drained_txs, mut height) = (0u64, 0u64);
+        let (mut drained_txs, mut height, mut last_sealed_at) = (0u64, 0u64, 0u64);
+        let mut stamps: Vec<u64> = Vec::new();
         while drained_txs < 40 && Instant::now() < deadline {
             for sealed in plane.queue.take_sealed(16) {
                 assert_eq!(sealed.digest, batch_digest(&sealed.bytes));
                 assert!(sealed.bytes.len() <= 1_800);
                 assert_eq!(sealed.queue_us.len() as u64, sealed.tx_count);
+                assert!(sealed.sealed_at_us >= last_sealed_at);
+                last_sealed_at = sealed.sealed_at_us;
+                let txs: Vec<&[u8]> = batch_txs(&sealed.bytes).collect();
+                assert_eq!(txs.len() as u64, sealed.tx_count);
+                stamps.extend(txs.iter().map(|t| tx_timestamp_us(t).unwrap()));
                 let r = sealed.batch_ref();
                 assert_eq!(r.bytes, sealed.bytes.len() as u64);
                 drained_txs += sealed.tx_count;
@@ -475,7 +321,9 @@ mod tests {
             thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(drained_txs, 40, "assembler never sealed all txs");
-        assert!(assembler.batches_assembled() >= 5);
+        stamps.sort_unstable();
+        assert_eq!(stamps, (500..540).collect::<Vec<u64>>());
+        assert!(assembler.batches_assembled() >= 5, "1.8kB cap forces multiple batches");
         assert!(pool.in_flight_batches() >= 1, "sealed batches must be pinned");
         // Every drained tx is pinned: resubmission dedups even though the
         // batches are uncommitted.
@@ -492,35 +340,6 @@ mod tests {
         }
     }
 
-    /// Slot mode: an idle assembler parks instead of polling (the 200 µs
-    /// poll made 2 500 passes in this window), the first admission wakes it
-    /// to seal, a full slot parks it again, and a take wakes it for the
-    /// next batch. The fallback tick is stretched past every deadline here,
-    /// so each step can only be the wake-up's doing.
-    #[test]
-    fn slot_assembler_parks_until_an_admission_or_a_take_wakes_it() {
-        let pool = Arc::new(Mempool::new(MempoolConfig::default()));
-        let assembler =
-            BatchAssembler::start(pool.clone(), AssemblerConfig::fixed(1_800), Instant::now());
-        let passes = || assembler.shared.passes.load(Ordering::Relaxed);
-        thread::sleep(Duration::from_millis(500));
-        let idle = passes();
-        assert!(idle <= 3, "idle assembler made {idle} passes in 500 ms");
-
-        for seq in 0..20u64 {
-            pool.submit(make_tx(seq, 1, seq, 180)).unwrap();
-        }
-        wait_for("the first admission to seal a batch", || assembler.batches_assembled() == 1);
-        // One unpark per admission at most, each good for one pass.
-        assert!(passes() <= idle + 21, "{} passes for one batch", passes() - idle);
-        thread::sleep(Duration::from_millis(100));
-        assert_eq!(assembler.batches_assembled(), 1, "sealed past a full slot");
-        assert!(!pool.is_empty());
-
-        assert!(assembler.slot().take().is_some());
-        wait_for("the take to seal the next batch", || assembler.batches_assembled() == 2);
-    }
-
     /// Primes `pool`'s block period to exactly `period_us`, on logical
     /// time: commits carrying nothing of this pool's, one period apart.
     fn prime_block_period(pool: &Mempool, period_us: u64) {
@@ -530,8 +349,8 @@ mod tests {
         assert_eq!(pool.block_period_ewma_us(), period_us);
     }
 
-    /// A digest-mode assembler on a fresh pool with ω̂ primed to
-    /// `period_us` and a backlog cap out of reach.
+    /// An assembler on a fresh pool with ω̂ primed to `period_us` and a
+    /// backlog cap out of reach.
     fn digest_assembler(
         base: usize,
         period_us: u64,
@@ -618,8 +437,11 @@ mod tests {
         assert!(rest.queue_us[0] >= linger.as_micros() as u64);
     }
 
-    /// Digest mode: the same for an empty pool and for a backlog at its
-    /// cap, which only a block carrying the batches releases. And the
+    /// An idle assembler parks instead of polling (a 200 µs poll would make
+    /// 2 500 passes in this window) and the first admission wakes it to
+    /// seal; a backlog at its cap parks it again, and only a block carrying
+    /// the batches releases it. The fallback tick is stretched past every
+    /// deadline here, so each step can only be the wake-up's doing. And the
     /// assembler sleeps through a batch's linger: a batch costs it a
     /// constant number of passes, not one per admission.
     #[test]
@@ -692,7 +514,7 @@ mod tests {
 
     /// Under backlog an adaptive assembler seals batches larger than the
     /// base target (and records them), draining the queue faster; the cap
-    /// still bounds every payload.
+    /// still bounds every batch.
     #[test]
     fn adaptive_assembler_seals_grown_batches_under_backlog() {
         // Delay admission off: the point is to build backlog.
@@ -704,23 +526,29 @@ mod tests {
         for seq in 0..400u64 {
             pool.submit(make_tx(1 + seq, 1, seq, 180)).unwrap();
         }
-        let assembler =
-            BatchAssembler::start(pool.clone(), AssemblerConfig::adaptive(base), Instant::now());
-        let slot = assembler.slot();
+        let plane = DissemPlane::new(1 << 20);
+        let _assembler = BatchAssembler::start_digest(
+            pool.clone(),
+            AssemblerConfig::adaptive(base),
+            Instant::now(),
+            plane.clone(),
+            1 << 20,
+        );
         let deadline = Instant::now() + Duration::from_secs(5);
         let mut seen_grown = false;
-        let mut drained = 0u64;
+        let (mut drained, mut height) = (0u64, 0u64);
         while drained < 400 && Instant::now() < deadline {
-            match slot.take() {
-                Some(prepared) => {
-                    assert!(prepared.payload.size() <= 4 * base as u64);
-                    if prepared.payload.size() > base as u64 {
-                        seen_grown = true;
-                    }
-                    drained += prepared.tx_count;
-                }
-                None => thread::sleep(Duration::from_millis(1)),
+            for sealed in plane.queue.take_sealed(16) {
+                assert!(sealed.bytes.len() <= 4 * base);
+                seen_grown |= sealed.bytes.len() > base;
+                drained += sealed.tx_count;
+                // The driver's push step, then a block taking the batch up.
+                let r = sealed.batch_ref();
+                plane.pool.stored(r, true);
+                height += 1;
+                plane.pool.committed(r.digest, height, &[r]);
             }
+            thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(drained, 400, "assembler never drained the backlog");
         // 400 × 184 B ≈ 73 kB of backlog against a 1.8 kB base: growth must

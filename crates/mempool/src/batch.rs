@@ -1,15 +1,15 @@
-//! Payload framing for transaction batches.
+//! Framing for transaction batches.
 //!
-//! A block's `Payload::Data` bytes are a concatenation of
-//! `u32 length (LE) | transaction bytes` entries — no count header, the
-//! payload length bounds iteration. The framing is deliberately trivial:
-//! it must be parseable from a committed block alone, because that is how
-//! submit→commit latency is recovered after a run.
+//! A batch's bytes are a concatenation of `u32 length (LE) | transaction
+//! bytes` entries — no count header, the batch length bounds iteration. The
+//! framing is deliberately trivial: it must be parseable from a committed
+//! batch alone, because that is how submit→commit latency is recovered
+//! after a run.
 //!
 //! By convention a transaction's first [`TX_TIMESTAMP_BYTES`] bytes carry
 //! its submit time in microseconds since the cluster epoch (little-endian).
 //! The timestamp is part of the transaction bytes proper — it travels
-//! through mempool, block and wire untouched, and doubles as entropy that
+//! through mempool, batch store and wire untouched, and doubles as entropy that
 //! keeps load-generator transactions distinct under the dedup window.
 
 /// Per-transaction framing overhead inside a batch (the `u32` length).

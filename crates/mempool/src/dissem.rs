@@ -1,7 +1,7 @@
 //! The batch dissemination plane's node-local state.
 //!
-//! In digest-only mode, proposals carry [`moonshot_types::BatchRef`]s
-//! instead of payload bytes: the assembler seals a batch, hashes it once
+//! Proposals carry [`moonshot_types::BatchRef`]s, never transaction
+//! bytes: the assembler seals a batch, hashes it once
 //! ([`batch_digest`]) on its own thread, and hands it to the driver through
 //! a [`DissemQueue`]. The driver stores the bytes and broadcasts them as a
 //! `BatchPush` frame, and every node — the sealer after its push, the
@@ -12,8 +12,8 @@
 //! `BatchRequest`/`BatchResponse` fetch path driven by
 //! `moonshot-consensus`'s retrying batch fetcher.
 //!
-//! Ownership: the [`BatchStore`] is shared between transport reader
-//! threads (which validate and insert pushed/fetched batches and serve
+//! Ownership: the [`BatchStore`] is shared between the network pool's
+//! shard loops (which validate and insert pushed/fetched batches and serve
 //! fetch requests) and the driver (which gates voting on resolvability and
 //! reconstructs payload bytes at commit). The [`DissemQueue`] is shared
 //! between the assembler thread (producer of sealed batches) and the
@@ -258,7 +258,7 @@ impl BatchStore {
     }
 
     /// Every stored `(digest, bytes)` pair — the report-time directory a
-    /// cluster uses to reconstruct digest-only payloads for tx accounting.
+    /// cluster uses to resolve committed refs for tx accounting.
     pub fn snapshot(&self) -> Vec<(Digest, Arc<[u8]>)> {
         let inner = self.inner.lock().unwrap();
         inner.map.iter().map(|(d, b)| (*d, b.clone())).collect()
@@ -288,7 +288,7 @@ pub struct SealedBatch {
     /// Seal time in µs since the cluster epoch (`BatchSealed` stage stamp).
     pub sealed_at_us: u64,
     /// Per-transaction mempool-queue delays (seal − submit, µs), computed
-    /// on the assembler thread like [`crate::PreparedPayload::queue_us`].
+    /// on the assembler thread.
     pub queue_us: Vec<u64>,
 }
 

@@ -13,23 +13,20 @@
 //!   a hard backstop, deficit-round-robin per-client drain fairness, and a
 //!   bounded digest-based dedup window per shard. Backpressure rejects new
 //!   submissions; queued transactions are never dropped.
-//! * [`batch`] — the payload framing: a block payload is a sequence of
+//! * [`batch`] — the batch framing: a batch is a sequence of
 //!   `u32`-length-prefixed transactions, with each transaction's leading 8
 //!   bytes carrying its client submit timestamp so submit→commit latency
-//!   can be recovered from committed blocks alone.
+//!   can be recovered from committed batches alone.
 //! * [`assembler`] — an off-driver [`BatchAssembler`] thread that drains
-//!   the pool, frames the next batch and hashes it **once on its own
-//!   thread**, parking the result in a [`PreparedSlot`]. The leader's
-//!   payload source is then a single lock-and-take: proposal assembly on
-//!   the driver never hashes payload bytes (asserted end to end by the
-//!   runtime's `driver.payload_hashes == 0` counter).
+//!   the pool, frames the next batch, hashes it **once on its own thread**
+//!   and hands it to the dissemination plane: the driver never hashes
+//!   transaction bytes.
 //! * [`dissem`] — the node-local state of the **batch dissemination
-//!   plane** for digest-only proposals: a content-addressed
-//!   [`BatchStore`] (readers insert pushed/fetched batches, the driver
-//!   gates votes and resolves commits), the assembler→driver
-//!   [`DissemQueue`], the [`ProposablePool`] of batches no block has
-//!   carried yet (own or foreign — what the next leader proposes), and the
-//!   `dissem.*` counters.
+//!   plane**: a content-addressed [`BatchStore`] (the network pool inserts
+//!   pushed/fetched batches, the driver gates votes and resolves commits),
+//!   the assembler→driver [`DissemQueue`], the [`ProposablePool`] of
+//!   batches no block has carried yet (own or foreign — what the next
+//!   leader proposes as 40-byte references), and the `dissem.*` counters.
 //!
 //! The crate is std-only, like the rest of the workspace.
 
@@ -41,7 +38,7 @@ pub mod batch;
 pub mod dissem;
 pub mod pool;
 
-pub use assembler::{AssemblerConfig, BatchAssembler, PreparedPayload, PreparedSlot};
+pub use assembler::{AssemblerConfig, BatchAssembler};
 pub use batch::{
     batch_txs, encode_batch, make_tx, tx_client_id, tx_timestamp_us, BATCH_TX_OVERHEAD,
     TX_TIMESTAMP_BYTES,

@@ -1,7 +1,7 @@
 //! The sharded ingress queue.
 //!
 //! Submissions hash their bytes once (on the submitting thread — a client
-//! thread or a transport reader thread, never the driver) and land in the
+//! thread or the network pool's ingest worker, never the driver) and land in the
 //! shard their digest selects. Each shard is an independent mutex-guarded
 //! set of per-client FIFO queues, so concurrent submitters contend only 1/N
 //! of the time, and the batch assembler drains shards round-robin without

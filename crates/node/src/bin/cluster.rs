@@ -1,52 +1,38 @@
 //! N-node localhost cluster benchmark over real TCP.
 //!
 //! ```text
-//! cluster [--n 4] [--duration-secs 10] [--delta-ms 50] [--payload 0]
+//! cluster [--n 4] [--duration-secs 10] [--delta-ms 50]
 //!         [--protocol sm|pm|cm|jolteon]   # default: all four
-//!         [--verify both|reader|inline|off]   # default: both
 //!         [--load <batch-bytes>] [--tx-bytes 180] [--tx-rate 0]
-//!         [--clients 1] [--digest] [--drop-push-to <id>]
-//!         [--payload-sweep]
+//!         [--clients 1] [--drop-push-to <id>]
 //!         [--mixed-load] [--paced-clients 3] [--paced-rate 500]
 //!         [--shape table2|uniform:<ms>]
 //!         [--out-dir results] [--min-commits 0] [--bench-json <path>]
 //!         [--data-dir <dir>] [--restart-node <id>]
 //! ```
 //!
-//! Signature verification is **enabled** by default. `--verify both` runs
-//! every selected protocol twice — once verifying inline on the driver
-//! thread (the baseline) and once on the transport's reader threads with
-//! the verified-certificate cache (the fast path) — so one invocation
-//! produces the before/after comparison.
+//! Every node runs the one networked path: signatures are checked in the
+//! shared pool's sigverify stage before a message reaches a driver, and
+//! blocks carry 40-byte references to batches that travel on the
+//! push/fetch plane.
 //!
-//! `--load <batch-bytes>` switches payloads from synthetic to **real**:
-//! every node gets a mempool and a batch-assembler thread, an in-process
-//! load generator submits `--tx-bytes` transactions round-robin (at
-//! `--tx-rate` per second, 0 = saturate), and throughput is measured from
-//! the payload bytes of quorum-committed blocks — not inferred from a
-//! configured payload size.
-//!
-//! `--payload-sweep` reruns the paper's Fig-8 payload axis on real
-//! sockets: one loaded run per batch size in {1.8 kB, 18 kB, 180 kB}
-//! (Pipelined Moonshot, reader verification unless `--protocol`/`--verify`
-//! narrow it), recording genuine `throughput_bps` per size.
-//!
-//! `--digest` switches every loaded run to **digest-only dissemination**:
-//! batch bytes are pushed to peers on a dedicated plane before the leader
-//! proposes 40-byte refs, voters gate on local resolvability with a fetch
-//! fallback, and the output rows gain `dissem_batches_pushed`,
+//! Without `--load` the cluster is consensus-only (empty blocks).
+//! `--load <batch-bytes>` gives every node a mempool and a batch-assembler
+//! thread; an in-process load generator submits `--tx-bytes` transactions
+//! round-robin (at `--tx-rate` per second, 0 = saturate), and throughput is
+//! measured from the batch bytes quorum-committed blocks reference. The
+//! output rows of a loaded run carry `dissem_batches_pushed`,
 //! `dissem_fetches`, `dissem_fetches_served`, `dissem_votes_gated`, and
 //! `batches_available_checked` (how many per-commit per-ref availability
-//! checks the invariant checker ran — a digest run fails if it is 0).
-//! A digest run ends with a drain (generators off, every node waits out
+//! checks the invariant checker ran — a loaded run fails if it is 0).
+//! A loaded run ends with a drain (generators off, every node waits out
 //! what it accepted) and fails unless the commit list then holds exactly
 //! the transactions the mempools accepted. `--drop-push-to <id>`
 //! additionally starves one node of every `BatchPush` so the fetch path
 //! must cover it — the fault-injection cell of the dissemination plane.
 //!
-//! `--mixed-load` appends the bufferbloat fairness scenario: for each
-//! loaded batch size (the sweep sizes, or `--load`'s, or 18 kB) it runs a
-//! **paced-only** baseline (`--paced-clients` generators at `--paced-rate`
+//! `--mixed-load` appends the bufferbloat fairness scenario: at `--load`'s
+//! batch size (or 18 kB) it runs a **paced-only** baseline (`--paced-clients` generators at `--paced-rate`
 //! tx/s each, no saturating traffic) and then the **mixed** cell (the same
 //! paced clients plus one saturating client 0). The run fails unless the
 //! paced clients' p99 submit→commit latency in the mixed cell stays within
@@ -70,13 +56,12 @@
 //! * replays the merged trace through the invariant checker (any safety
 //!   violation fails the run),
 //! * writes the merged trace to `<out-dir>/cluster-<label>.trace.jsonl`,
-//! * appends a row to `<out-dir>/cluster.csv` and an object to
-//!   `<out-dir>/cluster.json` with real throughput, p50/p99 commit
-//!   latency, (loaded runs) submit→commit transaction latency plus
-//!   mempool admission counters, and the per-stage latency decomposition
-//!   (mempool-queue, propose-wait, vote-to-QC, QC-to-commit p50/p99),
-//! * writes the whole comparison to `--bench-json` (default
-//!   `BENCH_cluster.json`).
+//! * writes a row per run to `<out-dir>/cluster.csv` and an object per run
+//!   to `--bench-json` (default `<out-dir>/BENCH_cluster.json`) with real
+//!   throughput, p50/p99 commit latency, (loaded runs) submit→commit
+//!   transaction latency plus mempool admission counters, and the
+//!   per-stage latency decomposition (mempool-queue, propose-wait,
+//!   vote-to-QC, QC-to-commit p50/p99).
 //!
 //! `--data-dir <dir>` runs every node with a durable ledger (WAL +
 //! blockstore + snapshots) under `<dir>/<run-label>/node-<id>/`, and the
@@ -115,7 +100,6 @@ use std::time::{Duration, Instant};
 
 use moonshot_node::{
     process_threads, Cluster, ClusterSpec, LinkShape, LoadSpec, ProtocolChoice, ShapeMatrix,
-    VerifyMode,
 };
 use moonshot_telemetry::json::JsonObject;
 use moonshot_telemetry::{Histogram, JsonlSink, TraceSink};
@@ -132,7 +116,7 @@ fn has_flag(args: &[String], name: &str) -> bool {
 /// What traffic shape a run carries (drives labels and latency gates).
 #[derive(Clone, Copy, PartialEq)]
 enum Scenario {
-    /// Synthetic payloads or a plain `--load` run.
+    /// A consensus-only or plain `--load` run.
     Default,
     /// Paced clients only — the latency baseline for [`Scenario::Mixed`].
     PacedOnly,
@@ -153,9 +137,6 @@ impl Scenario {
 /// One cluster run to execute.
 struct RunPlan {
     protocol: ProtocolChoice,
-    verify: VerifyMode,
-    /// Synthetic payload bytes (ignored when `load` is set).
-    payload_bytes: u64,
     load: Option<LoadSpec>,
     scenario: Scenario,
     /// For a mixed cell: index (into the plan/row vec) of its paced-only
@@ -163,34 +144,16 @@ struct RunPlan {
     baseline: Option<usize>,
 }
 
+/// What the closing gates and the output files keep of a finished run.
 struct RunRow {
     label: String,
-    verify: &'static str,
-    payload_label: u64,
-    committed_blocks: u64,
-    blocks_per_sec: f64,
-    committed_payload_bytes: u64,
-    throughput_bps: f64,
-    p50_ms: f64,
+    /// Commit-latency p99 (ms).
     p99_ms: f64,
-    txs_committed: u64,
-    tx_p50_ms: f64,
-    tx_p99_ms: f64,
-    /// Submit→commit (p50, p99) ms over the *paced* clients only (`None`
-    /// when the run has no paced clients, or none of their txs committed).
-    paced_p50_ms: Option<f64>,
+    /// Submit→commit p99 (ms) over the *paced* clients only (`None` when
+    /// the run has no paced clients, or none of their txs committed).
     paced_p99_ms: Option<f64>,
-    /// Mempool queue-delay (p50, p99) ms, aggregated across nodes.
-    queue_delay_p50_ms: f64,
-    queue_delay_p99_ms: f64,
-    /// Per-stage (p50, p99) in ms: mempool-queue, propose-wait,
-    /// vote-to-QC, QC-to-commit.
-    stages: [(f64, f64); 4],
     json: String,
 }
-
-/// The Fig-8 payload axis replayed on real sockets (bytes per block).
-const SWEEP_SIZES: [usize; 3] = [1_800, 18_000, 180_000];
 
 /// One live scrape of a node's introspection endpoint: writes `path` as a
 /// line, reads the one-line JSON answer. `None` on any socket error.
@@ -227,7 +190,6 @@ fn main() -> ExitCode {
     let duration_secs: u64 =
         flag(&args, "--duration-secs").and_then(|v| v.parse().ok()).unwrap_or(10);
     let delta_ms: u64 = flag(&args, "--delta-ms").and_then(|v| v.parse().ok()).unwrap_or(50);
-    let payload: u64 = flag(&args, "--payload").and_then(|v| v.parse().ok()).unwrap_or(0);
     let min_commits: u64 = flag(&args, "--min-commits").and_then(|v| v.parse().ok()).unwrap_or(0);
     let tx_bytes: usize = flag(&args, "--tx-bytes").and_then(|v| v.parse().ok()).unwrap_or(180);
     let tx_rate: u64 = flag(&args, "--tx-rate").and_then(|v| v.parse().ok()).unwrap_or(0);
@@ -237,19 +199,9 @@ fn main() -> ExitCode {
     // generator threads (ids 0..n), all shaped by --tx-bytes/--tx-rate.
     let gen_clients: u32 = flag(&args, "--clients").and_then(|v| v.parse().ok()).unwrap_or(1);
     let load_batch: Option<usize> = flag(&args, "--load").and_then(|v| v.parse().ok());
-    let sweep = has_flag(&args, "--payload-sweep");
-    let digest = has_flag(&args, "--digest");
-    if digest && load_batch.is_none() && !sweep {
-        eprintln!("error: --digest needs a loaded run (--load <batch-bytes> or --payload-sweep)");
-        return ExitCode::from(2);
-    }
     let drop_push_to: Option<u16> = match flag(&args, "--drop-push-to") {
         Some(v) => match v.parse::<u16>() {
-            Ok(id) if digest && (id as usize) < n => Some(id),
-            Ok(id) if !digest => {
-                eprintln!("error: --drop-push-to {id} only makes sense with --digest");
-                return ExitCode::from(2);
-            }
+            Ok(id) if (id as usize) < n => Some(id),
             Ok(id) => {
                 eprintln!("error: --drop-push-to {id} must be in 0..{n}");
                 return ExitCode::from(2);
@@ -312,7 +264,8 @@ fn main() -> ExitCode {
         }
     };
     let out_dir = flag(&args, "--out-dir").unwrap_or_else(|| "results".into());
-    let bench_json = flag(&args, "--bench-json").unwrap_or_else(|| "BENCH_cluster.json".into());
+    let bench_json =
+        flag(&args, "--bench-json").unwrap_or_else(|| format!("{out_dir}/BENCH_cluster.json"));
     let protocol_flag: Option<ProtocolChoice> = match flag(&args, "--protocol") {
         Some(p) => match p.parse() {
             Ok(p) => Some(p),
@@ -323,24 +276,10 @@ fn main() -> ExitCode {
         },
         None => None,
     };
-    // "both" runs inline (before) then reader (after) for each protocol, so
-    // one invocation produces the verification fast-path comparison.
-    let modes: Vec<VerifyMode> = match flag(&args, "--verify").as_deref() {
-        None | Some("both") => vec![VerifyMode::Inline, VerifyMode::Reader],
-        Some(m) => match m.parse() {
-            Ok(m) => vec![m],
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        },
-    };
-
     let make_load = |batch_bytes: usize| {
-        // `LoadSpec::new` ships one saturating client 0; `--tx-bytes` /
-        // `--tx-rate` reshape it without changing the client set.
-        let mut l = LoadSpec::new(batch_bytes);
-        l.digest = digest;
+        // `LoadSpec::digest` ships one saturating client 0; `--tx-bytes` /
+        // `--tx-rate` / `--clients` reshape the generator set.
+        let mut l = LoadSpec::digest(batch_bytes);
         l.clients = (0..gen_clients.max(1))
             .map(|id| moonshot_node::TxClientConfig {
                 client_id: id,
@@ -350,74 +289,37 @@ fn main() -> ExitCode {
             .collect();
         l
     };
-    let mut plans: Vec<RunPlan> = if sweep {
-        // The sweep compares payload sizes, not protocols × verify modes:
-        // default to the paper's headline protocol on the fast path, one
-        // run per size, unless the flags narrow it differently.
-        let protocol = protocol_flag.unwrap_or(ProtocolChoice::Pipelined);
-        let verify = if flag(&args, "--verify").is_some() { modes[0] } else { VerifyMode::Reader };
-        SWEEP_SIZES
-            .iter()
-            .map(|&size| RunPlan {
-                protocol,
-                verify,
-                payload_bytes: size as u64,
-                load: Some(make_load(size)),
-                scenario: Scenario::Default,
-                baseline: None,
-            })
-            .collect()
-    } else {
-        let protocols: Vec<ProtocolChoice> = match protocol_flag {
-            Some(p) => vec![p],
-            None => ProtocolChoice::ALL.to_vec(),
-        };
-        protocols
-            .iter()
-            .flat_map(|p| modes.iter().map(move |m| (*p, *m)))
-            .map(|(protocol, verify)| RunPlan {
-                protocol,
-                verify,
-                payload_bytes: load_batch.map(|b| b as u64).unwrap_or(payload),
-                load: load_batch.map(make_load),
-                scenario: Scenario::Default,
-                baseline: None,
-            })
-            .collect()
+    let protocols: Vec<ProtocolChoice> = match protocol_flag {
+        Some(p) => vec![p],
+        None => ProtocolChoice::ALL.to_vec(),
     };
+    let mut plans: Vec<RunPlan> = protocols
+        .iter()
+        .map(|&protocol| RunPlan {
+            protocol,
+            load: load_batch.map(make_load),
+            scenario: Scenario::Default,
+            baseline: None,
+        })
+        .collect();
     if mixed_load {
-        // The fairness comparison rides the sweep convention: headline
-        // protocol on the fast path unless flags narrow it. Each batch
-        // size gets a paced-only baseline cell, then the mixed cell whose
-        // paced p99 is gated against that baseline.
+        // The fairness comparison runs the headline protocol unless
+        // `--protocol` says otherwise: a paced-only baseline cell, then the
+        // mixed cell whose paced p99 is gated against that baseline.
         let protocol = protocol_flag.unwrap_or(ProtocolChoice::Pipelined);
-        let verify = if flag(&args, "--verify").is_some() { modes[0] } else { VerifyMode::Reader };
-        let sizes: Vec<usize> =
-            if sweep { SWEEP_SIZES.to_vec() } else { vec![load_batch.unwrap_or(18_000)] };
-        for size in sizes {
-            plans.push(RunPlan {
-                protocol,
-                verify,
-                payload_bytes: size as u64,
-                load: Some(LoadSpec {
-                    digest,
-                    ..LoadSpec::paced_only(size, paced_clients, paced_rate, tx_bytes)
-                }),
-                scenario: Scenario::PacedOnly,
-                baseline: None,
-            });
-            plans.push(RunPlan {
-                protocol,
-                verify,
-                payload_bytes: size as u64,
-                load: Some(LoadSpec {
-                    digest,
-                    ..LoadSpec::mixed(size, paced_clients, paced_rate, tx_bytes)
-                }),
-                scenario: Scenario::Mixed,
-                baseline: Some(plans.len() - 1),
-            });
-        }
+        let size = load_batch.unwrap_or(18_000);
+        plans.push(RunPlan {
+            protocol,
+            load: Some(LoadSpec::paced_only(size, paced_clients, paced_rate, tx_bytes)),
+            scenario: Scenario::PacedOnly,
+            baseline: None,
+        });
+        plans.push(RunPlan {
+            protocol,
+            load: Some(LoadSpec::mixed(size, paced_clients, paced_rate, tx_bytes)),
+            scenario: Scenario::Mixed,
+            baseline: Some(plans.len() - 1),
+        });
     }
     let plans = plans;
 
@@ -427,36 +329,46 @@ fn main() -> ExitCode {
     }
 
     let mut rows: Vec<RunRow> = Vec::new();
+    // CSV mirrors the simulator's results/ conventions so plots can diff
+    // real-cluster numbers against DES numbers.
+    let mut csv = String::from(
+        "protocol,n,payload_bytes,duration_secs,committed_blocks,blocks_per_sec,\
+         committed_payload_bytes,throughput_bps,commit_p50_ms,commit_p99_ms,\
+         txs_committed,tx_p50_ms,tx_p99_ms,\
+         tx_paced_p50_ms,tx_paced_p99_ms,queue_delay_p50_ms,queue_delay_p99_ms,\
+         stage_mempool_queue_p50_ms,stage_mempool_queue_p99_ms,\
+         stage_propose_wait_p50_ms,stage_propose_wait_p99_ms,\
+         stage_vote_to_qc_p50_ms,stage_vote_to_qc_p99_ms,\
+         stage_qc_to_commit_p50_ms,stage_qc_to_commit_p99_ms\n",
+    );
     let mut failed = false;
 
     for plan in &plans {
-        let RunPlan { protocol, verify, payload_bytes, load, scenario, .. } = plan;
+        let RunPlan { protocol, load, scenario, .. } = plan;
+        let batch_bytes = load.as_ref().map_or(0, |l| l.batch_bytes as u64);
         let mut label = match (load, *scenario) {
-            (Some(l), Scenario::Default) => {
-                format!("{}-{}-{}B", protocol.label(), verify.label(), l.batch_bytes)
-            }
-            (Some(l), s) => {
-                format!("{}-{}-{}B-{}", protocol.label(), verify.label(), l.batch_bytes, s.label())
-            }
-            (None, _) => format!("{}-{}", protocol.label(), verify.label()),
+            (Some(_), Scenario::Default) => format!("{}-{batch_bytes}B", protocol.label()),
+            (Some(_), s) => format!("{}-{batch_bytes}B-{}", protocol.label(), s.label()),
+            (None, _) => protocol.label().to_string(),
         };
         if shape.is_some() {
             label.push_str("-shaped");
         }
         eprintln!(
-            "cluster: {} verify={} n={n} delta={delta_ms}ms payload={payload_bytes}B{} for {duration_secs}s",
+            "cluster: {} n={n} delta={delta_ms}ms {} for {duration_secs}s",
             protocol.name(),
-            verify.label(),
-            if load.is_some() { " (real txs)" } else { "" },
+            if load.is_some() {
+                format!("batches of {batch_bytes}B of real txs")
+            } else {
+                "empty blocks".into()
+            },
         );
         let mut spec = ClusterSpec::new(n, *protocol);
         spec.delta = SimDuration::from_millis(delta_ms);
-        spec.payload_bytes = *payload_bytes;
-        spec.verify = *verify;
         spec.load = load.clone();
         spec.drop_push_to = drop_push_to.map(moonshot_types::NodeId);
         // Each run gets its own data subdir: ledger state must not leak
-        // across the protocol × verify grid.
+        // from one run to the next.
         spec.data_dir = data_dir.as_ref().map(|d| d.join(&label));
         spec.shape = shape.clone();
         if let Some(m) = &shape {
@@ -563,13 +475,10 @@ fn main() -> ExitCode {
                 failed = true;
             }
         }
-        // A digest run ends with a drain — generators off, then every
+        // A loaded run ends with a drain — generators off, then every
         // node waits out what it accepted — so that the exactly-once gate
         // below can be an equality, not an upper bound.
-        let drained = load
-            .as_ref()
-            .filter(|l| l.digest)
-            .map(|_| cluster.drain(Duration::from_secs(30)));
+        let drained = load.as_ref().map(|_| cluster.drain(Duration::from_secs(30)));
         let report = cluster.stop();
         let elapsed = report.elapsed.as_secs_f64();
 
@@ -638,9 +547,9 @@ fn main() -> ExitCode {
         let p50_ms = hist.quantile(0.50).unwrap_or(0) as f64 / 1000.0;
         let p99_ms = hist.quantile(0.99).unwrap_or(0) as f64 / 1000.0;
         let blocks_per_sec = committed as f64 / elapsed;
-        // Throughput is measured, not inferred: payload bytes of every
-        // distinct quorum-committed block (real batches and synthetic
-        // payloads alike), over the wall-clock run time.
+        // Throughput is measured, not inferred: the batch bytes every
+        // distinct quorum-committed block references, over the wall-clock
+        // run time.
         let committed_payload_bytes = report.committed_payload_bytes();
         let throughput_bps = committed_payload_bytes as f64 / elapsed;
         let cache_hits: u64 =
@@ -650,7 +559,6 @@ fn main() -> ExitCode {
         let sum_metric = |name: &str| -> u64 {
             report.reports.iter().map(|r| r.metrics.counter(name)).sum()
         };
-        let payload_hashes = sum_metric("driver.payload_hashes");
         // Sigverify-stage accounting: how often batch verification ran and
         // how many signatures each call amortised over.
         let batch_verify_calls = sum_metric("crypto.batch_verify_calls");
@@ -770,8 +678,7 @@ fn main() -> ExitCode {
                 "  {txs_committed} txs committed, tx latency p50 {tx_p50_ms:.1}ms \
                  p99 {tx_p99_ms:.1}ms; mempool submitted={mempool_submitted} \
                  accepted={mempool_accepted} rejected={mempool_rejected} \
-                 (delay {mempool_rejected_delay}) deduped={mempool_deduped}; \
-                 driver payload hashes={payload_hashes}"
+                 (delay {mempool_rejected_delay}) deduped={mempool_deduped}"
             );
             eprintln!(
                 "  queue delay p50 {queue_delay_p50_ms:.0}ms p99 {queue_delay_p99_ms:.0}ms \
@@ -820,64 +727,62 @@ fn main() -> ExitCode {
                     failed = true;
                 }
             }
+            // Dissemination gates: the plane must actually have carried the
+            // run (batches pushed, availability rule exercised at every
+            // commit, every tx committed exactly once), and the drop-push
+            // fault cell must show fetch traffic.
+            let pushed = sum_metric("dissem.batches_pushed");
+            let fetches = sum_metric("dissem.fetches");
+            let served = sum_metric("dissem.fetches_served");
+            let gated = sum_metric("dissem.votes_gated");
+            eprintln!(
+                "  dissem: {pushed} batches pushed, {gated} votes gated, \
+                 {fetches} fetches ({served} served), \
+                 {batches_available_checked} availability checks"
+            );
+            if pushed == 0 {
+                eprintln!("  FAIL: loaded run pushed no batches");
+                failed = true;
+            }
+            if batches_available_checked == 0 && violations == 0 {
+                eprintln!("  FAIL: loaded run ran no committed-batch availability checks");
+                failed = true;
+            }
+            let dups = report.duplicate_committed_txs();
+            if dups > 0 {
+                eprintln!("  FAIL: {dups} transactions committed more than once");
+                failed = true;
+            }
+            // After the drain the commit list holds exactly what the
+            // mempools accepted. Counted from the longest list's refs —
+            // the trace rings and batch stores only remember the end of
+            // a long run — with every generator sending one size.
+            let framed = l.clients.first().map_or(180, |c| c.tx_bytes)
+                + moonshot_mempool::BATCH_TX_OVERHEAD;
+            let in_list = |r: &moonshot_node::NodeReport| -> u64 {
+                let refs = r.commits.iter().filter_map(|c| c.block.payload().batch_refs());
+                refs.flatten().map(|b| b.bytes / framed as u64).sum()
+            };
+            let listed = report.reports.iter().map(in_list).max().unwrap_or(0);
+            if drained != Some(true) || listed != mempool_accepted {
+                eprintln!(
+                    "  FAIL: after the drain (completed: {drained:?}) the commit list \
+                     holds {listed} transactions, the mempools accepted {mempool_accepted}"
+                );
+                failed = true;
+            }
+            if drop_push_to.is_some() && (fetches == 0 || served == 0) {
+                eprintln!(
+                    "  FAIL: --drop-push-to run shows no fetch traffic \
+                     ({fetches} fetches, {served} served)"
+                );
+                failed = true;
+            }
             // The bufferbloat gate: with a saturating client running,
             // delay-bounded admission must keep end-to-end tx latency
             // within 50× of consensus commit latency (floor 50 ms for
             // very fast clusters). Pre-fix, saturation put tx p99 three
             // orders of magnitude above commit p99.
-            // Digest-mode gates: the dissemination plane must actually
-            // have carried the run (batches pushed, availability rule
-            // exercised at every commit, every tx committed exactly once),
-            // and the drop-push fault cell must show fetch traffic.
-            if l.digest {
-                let pushed = sum_metric("dissem.batches_pushed");
-                let fetches = sum_metric("dissem.fetches");
-                let served = sum_metric("dissem.fetches_served");
-                let gated = sum_metric("dissem.votes_gated");
-                eprintln!(
-                    "  dissem: {pushed} batches pushed, {gated} votes gated, \
-                     {fetches} fetches ({served} served), \
-                     {batches_available_checked} availability checks"
-                );
-                if pushed == 0 {
-                    eprintln!("  FAIL: digest run pushed no batches");
-                    failed = true;
-                }
-                if batches_available_checked == 0 && violations == 0 {
-                    eprintln!("  FAIL: digest run ran no committed-batch availability checks");
-                    failed = true;
-                }
-                let dups = report.duplicate_committed_txs();
-                if dups > 0 {
-                    eprintln!("  FAIL: {dups} transactions committed more than once");
-                    failed = true;
-                }
-                // After the drain the commit list holds exactly what the
-                // mempools accepted. Counted from the longest list's refs —
-                // the trace rings and batch stores only remember the end of
-                // a long run — with every generator sending one size.
-                let framed = l.clients.first().map_or(180, |c| c.tx_bytes)
-                    + moonshot_mempool::BATCH_TX_OVERHEAD;
-                let in_list = |r: &moonshot_node::NodeReport| -> u64 {
-                    let refs = r.commits.iter().filter_map(|c| c.block.payload().batch_refs());
-                    refs.flatten().map(|b| b.bytes / framed as u64).sum()
-                };
-                let listed = report.reports.iter().map(in_list).max().unwrap_or(0);
-                if drained != Some(true) || listed != mempool_accepted {
-                    eprintln!(
-                        "  FAIL: after the drain (completed: {drained:?}) the commit list \
-                         holds {listed} transactions, the mempools accepted {mempool_accepted}"
-                    );
-                    failed = true;
-                }
-                if drop_push_to.is_some() && (fetches == 0 || served == 0) {
-                    eprintln!(
-                        "  FAIL: --drop-push-to run shows no fetch traffic \
-                         ({fetches} fetches, {served} served)"
-                    );
-                    failed = true;
-                }
-            }
             let saturating = !l.clients.is_empty() && l.clients.iter().any(|c| c.txs_per_sec == 0);
             if saturating && txs_committed > 0 {
                 let bound = (50.0 * p99_ms).max(50.0);
@@ -894,10 +799,9 @@ fn main() -> ExitCode {
 
         let mut o = JsonObject::new();
         o.field_str("protocol", protocol.label());
-        o.field_str("verify", verify.label());
         o.field_str("scenario", scenario.label());
         o.field_u64("n", n as u64);
-        o.field_u64("payload_bytes", *payload_bytes);
+        o.field_u64("payload_bytes", batch_bytes);
         o.field_f64("duration_secs", elapsed);
         o.field_u64("committed_blocks", committed);
         o.field_f64("blocks_per_sec", blocks_per_sec);
@@ -919,11 +823,8 @@ fn main() -> ExitCode {
         o.field_f64("queue_delay_p50_ms", queue_delay_p50_ms);
         o.field_f64("queue_delay_p99_ms", queue_delay_p99_ms);
         o.field_u64("queue_delay_samples", queue_delay.count());
-        // `txs_submitted` is the pool-side attempt count (`mempool_submitted`
-        // keeps the explicit name alongside the other admission counters):
-        // the receiving pools are the ground truth, and the identity
-        // accepted + rejected + deduped == submitted holds row by row.
-        o.field_u64("txs_submitted", mempool_submitted);
+        // The pool-side attempt count: the receiving pools are the ground
+        // truth, and accepted + rejected + deduped == submitted row by row.
         o.field_u64("mempool_submitted", mempool_submitted);
         o.field_u64("mempool_accepted", mempool_accepted);
         o.field_u64("mempool_rejected", mempool_rejected);
@@ -931,8 +832,7 @@ fn main() -> ExitCode {
         o.field_u64("mempool_deduped", mempool_deduped);
         o.field_u64("mempool_fair_visits", fair_visits);
         o.field_u64("mempool_batches_grown", batches_grown);
-        o.field_u64("driver_payload_hashes", payload_hashes);
-        if load.as_ref().is_some_and(|l| l.digest) {
+        if load.is_some() {
             o.field_u64("dissem_batches_pushed", sum_metric("dissem.batches_pushed"));
             o.field_u64("dissem_batch_bytes_pushed", sum_metric("dissem.batch_bytes_pushed"));
             o.field_u64("dissem_votes_gated", sum_metric("dissem.votes_gated"));
@@ -974,70 +874,27 @@ fn main() -> ExitCode {
                 report.reports.iter().map(|r| r.summary_json()),
             ),
         );
-        rows.push(RunRow {
-            label,
-            verify: verify.label(),
-            payload_label: *payload_bytes,
-            committed_blocks: committed,
-            blocks_per_sec,
-            committed_payload_bytes,
-            throughput_bps,
-            p50_ms,
-            p99_ms,
-            txs_committed,
-            tx_p50_ms,
-            tx_p99_ms,
-            paced_p50_ms,
-            paced_p99_ms,
-            queue_delay_p50_ms,
-            queue_delay_p99_ms,
-            stages,
-            json: o.finish(),
-        });
-    }
-
-    // CSV mirrors the simulator's results/ conventions so plots can diff
-    // real-cluster numbers against DES numbers.
-    let mut csv = String::from(
-        "protocol,verify,n,payload_bytes,duration_secs,committed_blocks,blocks_per_sec,\
-         committed_payload_bytes,throughput_bps,commit_p50_ms,commit_p99_ms,\
-         txs_committed,tx_p50_ms,tx_p99_ms,\
-         tx_paced_p50_ms,tx_paced_p99_ms,queue_delay_p50_ms,queue_delay_p99_ms,\
-         stage_mempool_queue_p50_ms,stage_mempool_queue_p99_ms,\
-         stage_propose_wait_p50_ms,stage_propose_wait_p99_ms,\
-         stage_vote_to_qc_p50_ms,stage_vote_to_qc_p99_ms,\
-         stage_qc_to_commit_p50_ms,stage_qc_to_commit_p99_ms\n",
-    );
-    for r in &rows {
         csv.push_str(&format!(
-            "{},{},{n},{},{duration_secs},{},{:.3},{},{:.3},{:.3},{:.3},{},{:.3},{:.3}",
-            r.label,
-            r.verify,
-            r.payload_label,
-            r.committed_blocks,
-            r.blocks_per_sec,
-            r.committed_payload_bytes,
-            r.throughput_bps,
-            r.p50_ms,
-            r.p99_ms,
-            r.txs_committed,
-            r.tx_p50_ms,
-            r.tx_p99_ms
+            "{label},{n},{batch_bytes},{duration_secs},{committed},{blocks_per_sec:.3},\
+             {committed_payload_bytes},{throughput_bps:.3},{p50_ms:.3},{p99_ms:.3},\
+             {txs_committed},{tx_p50_ms:.3},{tx_p99_ms:.3}"
         ));
         // Paced columns are blank for runs without paced clients — a 0.0
         // there would read as "zero latency", not "not measured".
-        for v in [r.paced_p50_ms, r.paced_p99_ms] {
+        for v in [paced_p50_ms, paced_p99_ms] {
             match v {
                 Some(ms) => csv.push_str(&format!(",{ms:.3}")),
                 None => csv.push(','),
             }
         }
-        csv.push_str(&format!(",{:.3},{:.3}", r.queue_delay_p50_ms, r.queue_delay_p99_ms));
-        for (p50, p99) in r.stages {
+        csv.push_str(&format!(",{queue_delay_p50_ms:.3},{queue_delay_p99_ms:.3}"));
+        for (p50, p99) in stages {
             csv.push_str(&format!(",{p50:.3},{p99:.3}"));
         }
         csv.push('\n');
+        rows.push(RunRow { label, p99_ms, paced_p99_ms, json: o.finish() });
     }
+
     let json = format!(
         "{{\"runs\":{}}}\n",
         moonshot_telemetry::json::array(rows.iter().map(|r| r.json.clone()))
@@ -1046,41 +903,11 @@ fn main() -> ExitCode {
         eprintln!("error: cannot write {out_dir}/cluster.csv: {e}");
         return ExitCode::FAILURE;
     }
-    if let Err(e) = std::fs::write(format!("{out_dir}/cluster.json"), &json) {
-        eprintln!("error: cannot write {out_dir}/cluster.json: {e}");
-        return ExitCode::FAILURE;
-    }
-    // The repo-root benchmark record: the same runs, one file, so the
-    // verify-on before/after numbers are versioned alongside the code.
     if let Err(e) = std::fs::write(&bench_json, &json) {
         eprintln!("error: cannot write {bench_json}: {e}");
         return ExitCode::FAILURE;
     }
-    eprintln!("wrote {out_dir}/cluster.csv, {out_dir}/cluster.json and {bench_json}");
-
-    // The sweep's headline check. Pre-adaptive-batching this asserted
-    // goodput *grows* with batch size (the paper's Fig-8 shape); with
-    // adaptive batching the small-batch cells also reach the cluster's
-    // drain ceiling, so the whole axis is a plateau and adjacent cells
-    // differ only by scheduler noise. What must still never happen is a
-    // collapse — the old bufferbloat regime ran the 1.8 kB cell at ~35%
-    // of the ceiling — so each step is held to ≥ 0.8× its predecessor.
-    if sweep {
-        // Only the sweep's own cells: --mixed-load appends paced/mixed
-        // rows whose throughput is rate-limited by design.
-        let sweep_rows: Vec<&RunRow> = rows.iter().take(SWEEP_SIZES.len()).collect();
-        let no_collapse = sweep_rows
-            .windows(2)
-            .all(|w| w[1].throughput_bps > w[0].throughput_bps * 0.8);
-        let nonzero = sweep_rows.iter().all(|r| r.throughput_bps > 0.0);
-        if !nonzero || !no_collapse {
-            eprintln!(
-                "FAIL: payload sweep expects nonzero throughput with no step collapsing below 0.8x the previous; got {:?}",
-                sweep_rows.iter().map(|r| r.throughput_bps).collect::<Vec<_>>()
-            );
-            failed = true;
-        }
-    }
+    eprintln!("wrote {out_dir}/cluster.csv and {bench_json}");
 
     // The fairness gate: every mixed cell's paced p99 against its
     // paced-only baseline. A saturating client sharing the cluster must

@@ -4,22 +4,29 @@
 //! moonshot-node keygen --n 4
 //! moonshot-node config --n 4 --base-port 7000
 //! moonshot-node run --config cluster.conf --id 0 --protocol pm \
-//!     [--delta-ms 50] [--payload 0] [--duration-secs 0] [--trace out.jsonl] \
-//!     [--load <batch-bytes>]
+//!     [--delta-ms 50] [--duration-secs 0] [--trace out.jsonl] \
+//!     [--load <batch-bytes>] [--introspect <addr>] [--data-dir <dir>]
 //! ```
 //!
 //! `run` starts the node and, with `--duration-secs 0` (the default), runs
 //! until the process is killed; otherwise it stops after the given
 //! duration and prints the node's JSON summary on stdout.
 //!
-//! `--load <batch-bytes>` gives the node a real data path: a sharded
-//! mempool fed by `SubmitTx` frames (any TCP client may connect and
-//! submit — no hello required) and a batch-assembler thread that stages
-//! pre-hashed payloads targeting `batch-bytes` (adaptively grown up to 4×
-//! under backlog) for the blocks this node proposes. Admission is
-//! delay-bounded: submissions whose projected queue delay exceeds the
-//! target are refused instead of queued. Without `--load`, payloads are
-//! synthetic (`--payload` bytes).
+//! The node is wired by [`NodeHandle::start`], exactly like every node of an
+//! in-process [`moonshot_node::Cluster`]: consensus messages reach the
+//! driver only through the sigverify stage, and blocks carry 40-byte
+//! references to batches that travel on the push/fetch plane.
+//!
+//! `--load <batch-bytes>` gives the node a data path: a sharded mempool fed
+//! by `SubmitTx` frames (any TCP client may connect and submit — no hello
+//! required) and a batch-assembler thread sealing batches that target
+//! `batch-bytes` (adaptively grown up to 4× under backlog, under-full ones
+//! closed on the block clock) into the node's dissemination plane, which
+//! pushes them to every peer; whoever leads next proposes them. Admission
+//! is delay-bounded: submissions whose projected queue delay exceeds the
+//! target are refused instead of queued. Without `--load` the node accepts
+//! no transactions; it still stores, proposes and votes on the batches the
+//! loaded nodes push.
 //!
 //! `--data-dir <dir>` makes the node durable: safety-critical consensus
 //! state (votes, timeouts, the lock certificate) is fsync'd to a
@@ -39,9 +46,7 @@ use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use moonshot_node::{
-    node_config, ClusterConfig, NodeHandle, ProtocolChoice, TransportConfig, VerifyMode,
-};
+use moonshot_node::{ClusterConfig, LoadSpec, NodeHandle, ProtocolChoice, TransportConfig};
 use moonshot_telemetry::{JsonlSink, NullSink, TraceSink};
 use moonshot_types::time::SimDuration;
 use moonshot_types::NodeId;
@@ -52,9 +57,8 @@ fn usage() -> ExitCode {
          moonshot-node keygen --n <validators>\n  \
          moonshot-node config --n <validators> [--base-port 7000]\n  \
          moonshot-node run --config <file> --id <n> --protocol <sm|pm|cm|jolteon>\n      \
-         [--delta-ms 50] [--payload <bytes>] [--duration-secs 0] [--trace <file.jsonl>]\n      \
-         [--verify reader|inline|off] [--load <batch-bytes>] [--introspect <addr>]\n      \
-         [--data-dir <dir>]"
+         [--delta-ms 50] [--duration-secs 0] [--trace <file.jsonl>]\n      \
+         [--load <batch-bytes>] [--introspect <addr>] [--data-dir <dir>]"
     );
     ExitCode::from(2)
 }
@@ -117,15 +121,6 @@ fn run(args: &[String]) -> ExitCode {
         None => return usage(),
     };
     let delta_ms: u64 = flag(args, "--delta-ms").and_then(|v| v.parse().ok()).unwrap_or(50);
-    let payload: u64 = flag(args, "--payload").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let verify: VerifyMode = match flag(args, "--verify").map(|v| v.parse()) {
-        Some(Ok(v)) => v,
-        Some(Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-        None => VerifyMode::default(),
-    };
     let duration_secs: u64 =
         flag(args, "--duration-secs").and_then(|v| v.parse().ok()).unwrap_or(0);
     let load_batch: Option<usize> = flag(args, "--load").and_then(|v| v.parse().ok());
@@ -174,76 +169,27 @@ fn run(args: &[String]) -> ExitCode {
     };
 
     let epoch = Instant::now();
-    let state = moonshot_node::IntrospectState::new(node, epoch);
-    let mut node_cfg =
-        node_config(node, cluster.n(), SimDuration::from_millis(delta_ms), payload);
-    // Durable mode: open (or recover) this node's ledger before anything
-    // can vote — the WAL floors are what make a restart equivocation-safe.
-    let ledger = match flag(args, "--data-dir") {
-        Some(dir) => {
-            let dir = std::path::Path::new(&dir).join(format!("node-{id}"));
-            match moonshot_ledger::Ledger::open(dir, moonshot_ledger::LedgerOptions::default()) {
-                Ok((ledger, recovered)) => {
-                    if !recovered.is_empty() {
-                        eprintln!(
-                            "node {id} recovered height {} (voted view {}, timeout view {})",
-                            ledger.recovered_height(),
-                            recovered.voted_view.0,
-                            recovered.timeout_view.0
-                        );
-                    }
-                    node_cfg.persist = Some(ledger.clone());
-                    node_cfg.local_blocks = Some(ledger.clone());
-                    node_cfg.recover = Some(recovered);
-                    Some(ledger)
-                }
-                Err(e) => {
-                    eprintln!("error: cannot open ledger: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-        None => None,
-    };
-    let verifier = verify.configure(&mut node_cfg);
-    let cache = node_cfg.verified_cache.clone();
     let mut transport = TransportConfig::new(node, listen, cluster.nodes.clone());
-    transport.verifier = verifier;
     transport.introspect = introspect;
-    // No commit for 40 Δ (≈ tens of block periods) means the node is
-    // wedged; the watchdog turns that into a `Stall` trace snapshot.
-    transport.stall_timeout = Some(Duration::from_millis(delta_ms * 40));
-    // The real data path: mempool (fed by SubmitTx frames on reader
-    // threads) + batch assembler staging pre-hashed payloads. The
-    // assembler must outlive the node, so it's held here until shutdown.
+    // The assembler must outlive the node, so it's held here until
+    // shutdown.
     let _assembler = load_batch.map(|batch_bytes| {
-        let pool = Arc::new(moonshot_mempool::Mempool::new(Default::default()));
-        let assembler = moonshot_mempool::BatchAssembler::start(
-            pool.clone(),
-            moonshot_mempool::AssemblerConfig::adaptive(batch_bytes),
-            epoch,
-        );
-        moonshot_node::cluster::wire_data_path(
-            &mut node_cfg,
-            &mut transport,
-            &pool,
-            &assembler,
-            node,
-            epoch,
-            sink.clone(),
-            state.clone(),
-        );
+        let (pool, plane, assembler) =
+            LoadSpec::digest(batch_bytes).without_clients().data_path(epoch);
+        transport.mempool = Some(pool);
+        transport.dissem = plane;
         assembler
     });
+    let data_dir = flag(args, "--data-dir").map(std::path::PathBuf::from);
     let handle = match NodeHandle::start(
-        protocol.build(node_cfg),
+        move |cfg| protocol.build(cfg),
+        SimDuration::from_millis(delta_ms),
         transport,
         None,
+        data_dir.as_deref(),
         epoch,
         sink,
-        cache,
-        state,
-        ledger,
+        moonshot_node::IntrospectState::new(node, epoch),
     ) {
         Ok(h) => h,
         Err(e) => {
@@ -251,6 +197,9 @@ fn run(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    if handle.recovered_height() > 0 {
+        eprintln!("node {id} recovered height {} from its ledger", handle.recovered_height());
+    }
     eprintln!(
         "node {id} running {} on {listen} ({} validators, delta {delta_ms}ms)",
         protocol.name(),

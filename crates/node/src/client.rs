@@ -16,7 +16,7 @@
 //! * **TCP** — a [`Frame::SubmitTx`] frame per transaction over a
 //!   persistent connection per target, the way an external client reaches
 //!   `moonshot-node`. Submission connections never send a hello (clients
-//!   are not validators); the reader thread feeds the mempool directly.
+//!   are not validators); the pool's ingest stage feeds the mempool.
 //!
 //! Backpressure is cooperative: a [`SubmitError::Full`] (or a dead TCP
 //! connection) makes the client back off briefly instead of spinning.

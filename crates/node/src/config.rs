@@ -9,14 +9,11 @@
 
 use std::net::SocketAddr;
 use std::str::FromStr;
-use std::sync::Arc;
 
 use moonshot_consensus::{
-    CommitMoonshot, ConsensusProtocol, Jolteon, MessageVerifier, NodeConfig, PayloadSource,
-    PipelinedMoonshot, SimpleMoonshot,
+    CommitMoonshot, ConsensusProtocol, Jolteon, NodeConfig, PipelinedMoonshot, SimpleMoonshot,
 };
 use moonshot_crypto::KeyPair;
-use moonshot_types::time::SimDuration;
 use moonshot_types::NodeId;
 
 /// Which consensus protocol a node runs. Labels match the simulator's
@@ -87,69 +84,6 @@ impl FromStr for ProtocolChoice {
     }
 }
 
-/// Where signature verification runs for a networked node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum VerifyMode {
-    /// Verify in the network pool's sigverify stage: the shard loops decode
-    /// frames and queue them, `net-verify-*` workers drain the queue across
-    /// all connections and check each batch's signatures in one
-    /// `batch_verify` call, and the driver receives pre-verified messages
-    /// and performs zero signature checks itself. The default. (The name
-    /// is from the per-peer reader threads that stage replaced.)
-    #[default]
-    Reader,
-    /// Verify inline on the driver thread (the pre-fast-path behaviour —
-    /// kept as the benchmark baseline).
-    Inline,
-    /// No verification anywhere (honest-cluster experiments that trade
-    /// fidelity for speed).
-    Off,
-}
-
-impl VerifyMode {
-    /// Short label for results rows (`reader`, `inline`, `off`).
-    pub fn label(self) -> &'static str {
-        match self {
-            VerifyMode::Reader => "reader",
-            VerifyMode::Inline => "inline",
-            VerifyMode::Off => "off",
-        }
-    }
-
-    /// Applies this mode to `cfg` and returns the transport verifier to
-    /// install, if any. Must run before the protocol is built (the config
-    /// is consumed by `build`).
-    pub fn configure(self, cfg: &mut NodeConfig) -> Option<Arc<MessageVerifier>> {
-        match self {
-            VerifyMode::Reader => {
-                cfg.verify_signatures = true;
-                Some(Arc::new(MessageVerifier::for_config(cfg)))
-            }
-            VerifyMode::Inline => {
-                cfg.verify_signatures = true;
-                None
-            }
-            VerifyMode::Off => {
-                cfg.verify_signatures = false;
-                None
-            }
-        }
-    }
-}
-
-impl FromStr for VerifyMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "reader" => Ok(VerifyMode::Reader),
-            "inline" => Ok(VerifyMode::Inline),
-            "off" | "none" => Ok(VerifyMode::Off),
-            other => Err(format!("unknown verify mode {other:?} (want reader|inline|off)")),
-        }
-    }
-}
-
 /// A parsed cluster membership file.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ClusterConfig {
@@ -212,24 +146,6 @@ impl ClusterConfig {
     }
 }
 
-/// Builds the [`NodeConfig`] for `node_id` in an `n`-validator cluster:
-/// seed-derived keys, round-robin leaders, `payload_bytes` of synthetic
-/// payload per proposed block.
-pub fn node_config(
-    node_id: NodeId,
-    n: usize,
-    delta: SimDuration,
-    payload_bytes: u64,
-) -> NodeConfig {
-    let mut cfg = NodeConfig::simulated(node_id, n, delta);
-    cfg.payloads = if payload_bytes == 0 {
-        PayloadSource::Empty
-    } else {
-        PayloadSource::SyntheticBytes(payload_bytes)
-    };
-    cfg
-}
-
 /// The hex-encoded public key for `node_id` under the seed-derived PKI —
 /// what `moonshot-node keygen` prints for operators wiring up membership.
 pub fn public_key_hex(node_id: NodeId) -> String {
@@ -259,7 +175,11 @@ mod tests {
     #[test]
     fn every_choice_builds_its_protocol() {
         for choice in ProtocolChoice::ALL {
-            let cfg = node_config(NodeId(0), 4, SimDuration::from_millis(50), 0);
+            let cfg = NodeConfig::simulated(
+                NodeId(0),
+                4,
+                moonshot_types::time::SimDuration::from_millis(50),
+            );
             let proto = choice.build(cfg);
             assert_eq!(proto.name(), choice.name());
         }

@@ -25,9 +25,9 @@
 //!   threads drain *across all connections and nodes* and call
 //!   [`MessageVerifier::verify_batch`], which funnels the accumulated
 //!   vote/timeout signatures into one `moonshot-crypto::batch_verify`
-//!   call. Verified messages are delivered to the owning driver with
-//!   `verified = true`, preserving the `driver.unverified_messages == 0`
-//!   invariant; failures count against the sending peer.
+//!   call. Only verified messages are delivered to the owning driver
+//!   (as [`moonshot_consensus::PreVerified`]); failures count against the
+//!   sending peer.
 //! - **An ingest stage**: client `SubmitTx` frames are handed to a worker
 //!   that runs the tx hash + mempool admission off the event loops. Each
 //!   client connection may stage at most [`SUBMIT_PAUSE_BYTES`] of
@@ -35,7 +35,7 @@
 //!   the worker drains its backlog, so a flooding client is held in its
 //!   own TCP window and never stalls consensus traffic on the loop.
 //!
-//! A pool is either **owned** by a single transport (created lazily when
+//! A pool is either **owned** by a single transport (created when
 //! `TransportConfig::pool` is `None`) or **shared** by an in-process
 //! cluster — 50 nodes on one box then cost 50 driver threads plus one
 //! constant-size pool, instead of ~50·(n+2) transport threads.
@@ -93,30 +93,13 @@ const WHEEL_SLOTS: usize = 256;
 /// Cap on one blocking connect attempt in the dialer.
 const DIAL_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Sizing for a [`NetPool`].
-#[derive(Clone, Debug)]
-pub struct NetPoolConfig {
-    /// Number of event-loop shards. Default `min(cores, 8)`, at least 1.
-    pub shards: usize,
-    /// Number of sigverify worker threads. Default `min(cores, 4)`, at
-    /// least 1.
-    pub verify_workers: usize,
-    /// Bound on queued sigverify jobs across all connections; overflow
-    /// drops the newest job (counted in
-    /// [`NetPoolStats::verify_dropped`]).
-    pub verify_queue_capacity: usize,
-}
-
-impl Default for NetPoolConfig {
-    fn default() -> Self {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        NetPoolConfig {
-            shards: cores.clamp(1, 8),
-            verify_workers: cores.clamp(1, 4),
-            verify_queue_capacity: 16 * 1024,
-        }
-    }
-}
+/// Bound on queued sigverify jobs across all connections; overflow drops
+/// the newest job (counted in [`NetPoolStats::verify_dropped`]).
+const VERIFY_QUEUE_CAPACITY: usize = 16 * 1024;
+/// First redial delay; doubles per consecutive failure.
+pub(crate) const RECONNECT_BASE: Duration = Duration::from_millis(100);
+/// Redial delay ceiling.
+const RECONNECT_MAX: Duration = Duration::from_secs(5);
 
 /// Counter snapshot of a [`NetPool`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -142,13 +125,11 @@ pub(crate) struct NodeCore {
     pub(crate) id: u64,
     pub(crate) node: NodeId,
     pub(crate) inbound: InboundSender,
-    pub(crate) verifier: Option<Arc<MessageVerifier>>,
+    pub(crate) verifier: Arc<MessageVerifier>,
     pub(crate) mempool: Option<Arc<Mempool>>,
-    pub(crate) dissem: Option<Arc<DissemPlane>>,
+    pub(crate) dissem: Arc<DissemPlane>,
     pub(crate) peers: BTreeMap<NodeId, Arc<PeerState>>,
     pub(crate) addrs: BTreeMap<NodeId, SocketAddr>,
-    pub(crate) reconnect_base: Duration,
-    pub(crate) reconnect_max: Duration,
     /// The transport's shutdown flag: set before detach, checked by the
     /// dialer and by redial timers so a stopping node is never redialed.
     pub(crate) shutdown: Arc<AtomicBool>,
@@ -375,9 +356,12 @@ impl std::fmt::Debug for NetPool {
 }
 
 impl NetPool {
-    /// Spawns the shard, dialer and verify threads.
-    pub fn new(cfg: NetPoolConfig) -> io::Result<Arc<NetPool>> {
-        let nshards = cfg.shards.max(1);
+    /// Spawns the pool's threads: `min(cores, 8)` event-loop shards, one
+    /// dialer, `min(cores, 4)` sigverify workers, one ingest worker.
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new() -> io::Result<Arc<NetPool>> {
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let nshards = cores.clamp(1, 8);
         let shutdown = Arc::new(AtomicBool::new(false));
         let (dial_tx, dial_rx) = channel::<DialReq>();
 
@@ -399,7 +383,7 @@ impl NetPool {
         let verify = Arc::new(VerifyQueue {
             jobs: Mutex::new(VecDeque::new()),
             signal: Condvar::new(),
-            capacity: cfg.verify_queue_capacity.max(1),
+            capacity: VERIFY_QUEUE_CAPACITY,
             dropped: AtomicU64::new(0),
         });
         let ingest = Arc::new(IngestQueue {
@@ -445,7 +429,7 @@ impl NetPool {
                     .expect("spawn dialer"),
             );
         }
-        for w in 0..cfg.verify_workers.max(1) {
+        for w in 0..cores.clamp(1, 4) {
             let verify = verify.clone();
             let shutdown = shutdown.clone();
             threads.push(
@@ -604,7 +588,7 @@ fn dialer_loop(rx: Receiver<DialReq>, shards: Vec<Arc<ShardHandle>>, shutdown: A
                     state.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
                 }
                 state.metrics.bytes_out.fetch_add(hello.len() as u64, Ordering::Relaxed);
-                *state.backoff.lock().unwrap() = core.reconnect_base;
+                *state.backoff.lock().unwrap() = RECONNECT_BASE;
                 if stream.set_nonblocking(true).is_err() {
                     schedule_redial(shard, &core, peer, state);
                     continue;
@@ -620,7 +604,7 @@ fn dialer_loop(rx: Receiver<DialReq>, shards: Vec<Arc<ShardHandle>>, shutdown: A
 fn schedule_redial(shard: &ShardHandle, core: &Arc<NodeCore>, peer: NodeId, state: &PeerState) {
     let mut b = state.backoff.lock().unwrap();
     let after = *b;
-    *b = (*b * 2).min(core.reconnect_max);
+    *b = (*b * 2).min(RECONNECT_MAX);
     drop(b);
     shard.push_cmd(Cmd::Redial { core: core.clone(), peer, after });
 }
@@ -663,17 +647,12 @@ fn verify_worker(q: Arc<VerifyQueue>, shutdown: Arc<AtomicBool>) {
             if core.shutdown.load(Ordering::SeqCst) {
                 continue;
             }
-            let Some(verifier) = &core.verifier else { continue };
             let (froms, msgs): (Vec<NodeId>, Vec<Message>) = items.into_iter().unzip();
-            let results = verifier.verify_batch(msgs);
+            let results = core.verifier.verify_batch(msgs);
             for (from, result) in froms.into_iter().zip(results) {
                 match result {
-                    Ok(pv) => {
-                        let _ = core.inbound.send(Inbound {
-                            from,
-                            msg: pv.into_inner(),
-                            verified: true,
-                        });
+                    Ok(msg) => {
+                        let _ = core.inbound.send(Inbound { from, msg });
                     }
                     Err(_) => {
                         if let Some(p) = core.peers.get(&from) {
@@ -1231,7 +1210,7 @@ impl Runner {
                 }
             }
             Frame::BatchPush { digest, bytes } | Frame::BatchResponse { digest, bytes } => {
-                let Some(plane) = &c.core.dissem else { return ReadVerdict::Keep };
+                let plane = &c.core.dissem;
                 if c.from.is_none() {
                     return ReadVerdict::Close; // batch frames before hello
                 }
@@ -1242,7 +1221,7 @@ impl Runner {
                 plane.store.insert(digest, bytes);
             }
             Frame::BatchRequest { digest } => {
-                let Some(plane) = &c.core.dissem else { return ReadVerdict::Keep };
+                let plane = &c.core.dissem;
                 let Some(id) = c.from else {
                     return ReadVerdict::Close; // fetches are validator-only
                 };
@@ -1271,20 +1250,10 @@ impl Runner {
                 if let Some(p) = c.core.peers.get(&id) {
                     p.metrics.frames_in.fetch_add(1, Ordering::Relaxed);
                 }
-                // Signature checking never runs on the event loop: with a
-                // verifier, the message joins the staged sigverify batch;
-                // verified copies reach the driver with `verified = true`.
-                match &c.core.verifier {
-                    Some(_) => {
-                        self.verify.push(VerifyJob { core: c.core.clone(), from: id, msg });
-                    }
-                    None => {
-                        if c.core.inbound.send(Inbound { from: id, msg, verified: false }).is_err()
-                        {
-                            return ReadVerdict::Close; // driver gone
-                        }
-                    }
-                }
+                // Signature checking never runs on the event loop: the
+                // message joins the staged sigverify batch, and only a
+                // verified copy reaches the driver.
+                self.verify.push(VerifyJob { core: c.core.clone(), from: id, msg });
             }
         }
         ReadVerdict::Keep
@@ -1313,7 +1282,7 @@ impl Runner {
             if let Some(shaper) = &mut c.shaper {
                 let now = Instant::now();
                 while shaper.staged_bytes < SHAPE_STAGE_CAP {
-                    match c.state.queue.pop(Duration::ZERO) {
+                    match c.state.queue.pop() {
                         Some(f) => shaper.stage(f, now),
                         None => break,
                     }
@@ -1330,7 +1299,7 @@ impl Runner {
                 }
             } else {
                 while c.pending_bytes < WRITE_COALESCE {
-                    match c.state.queue.pop(Duration::ZERO) {
+                    match c.state.queue.pop() {
                         Some(f) => {
                             c.pending_bytes += f.len();
                             c.pending.push_back((f, 0));

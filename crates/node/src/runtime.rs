@@ -18,6 +18,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::net::{SocketAddr, TcpListener};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
@@ -25,17 +26,17 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use moonshot_consensus::{
-    BatchFetchPlan, BatchFetcher, CommittedBlock, ConsensusProtocol, Message, Output, PreVerified,
-    ProtocolObserver, TimerToken,
+    BatchFetchPlan, BatchFetcher, CommittedBlock, ConsensusProtocol, Message, MessageVerifier,
+    NodeConfig, Output, PayloadSource, PreVerified, ProtocolObserver, RetryPolicy, TimerToken,
 };
 use moonshot_crypto::{Digest, VerifiedCache};
-use moonshot_ledger::Ledger;
+use moonshot_ledger::{Ledger, LedgerOptions};
 use moonshot_mempool::{DissemPlane, Mempool, BATCH_TX_OVERHEAD};
 use moonshot_telemetry::{
     MetricsRegistry, TraceEvent, TraceRecord, TraceSink, STAGE_BUCKETS, STAGE_BUCKET_WIDTH_US,
 };
 use moonshot_types::time::{SimDuration, SimTime};
-use moonshot_types::{BatchRef, Block, BlockId, NodeId, View};
+use moonshot_types::{Block, BlockId, NodeId, Payload, View};
 use moonshot_wire::{encode_frame, encode_message, Frame};
 
 use crate::introspect::{IntrospectServer, IntrospectState};
@@ -75,6 +76,13 @@ const PUSH_LIMIT: usize = 64;
 /// is dropped — the protocol's own sync machinery (certificates + the block
 /// fetcher) re-delivers anything that mattered.
 const GATED_LIMIT: usize = 1024;
+
+/// No commit for this many Δ (≈ tens of block periods) means the node is
+/// wedged; the watchdog turns that into a `Stall` trace snapshot.
+const STALL_DELTA_MULTIPLE: u64 = 40;
+
+/// Most batch refs one proposal carries (the oldest first).
+const PROPOSAL_MAX_REFS: usize = 256;
 
 /// How many blocks behind the commit frontier a committed batch stays in the
 /// `BatchStore` before GC. Wide enough that report-time tx accounting and a
@@ -222,7 +230,6 @@ impl TraceSink for TracingSink {
 /// server when configured).
 #[derive(Debug)]
 pub struct NodeHandle {
-    node: NodeId,
     shutdown: Arc<AtomicBool>,
     /// The transport's own flag, signalled alongside `shutdown` so writer
     /// threads stop redialing immediately rather than after the driver's
@@ -231,54 +238,88 @@ pub struct NodeHandle {
     driver: Option<JoinHandle<NodeReport>>,
     /// Committed height mirror for cheap liveness probes.
     committed_height: Arc<AtomicU64>,
+    /// Committed height the node found on its own disk when it started.
+    recovered_height: u64,
+    /// The driver's inbox, for tests that play the network.
+    #[cfg(test)]
     inbound: InboundSender,
     introspect: Option<IntrospectServer>,
 }
 
 impl NodeHandle {
-    /// Starts a node: binds the transport (or adopts `listener`), spawns
-    /// the driver thread, and calls `protocol.start()` on it.
+    /// Starts a validator — the one way a node is wired, whoever starts it
+    /// (an in-process cluster, a restart, the `moonshot-node` binary).
     ///
-    /// `epoch` is the cluster-wide time origin; every trace timestamp is
-    /// microseconds since it.
-    /// `cache` is the protocol's verified-certificate cache (clone
-    /// `NodeConfig::verified_cache` before `build` consumes the config);
-    /// the driver snapshots its hit/miss counters into the final report.
-    /// `state` is the introspection state the driver publishes into; when
-    /// `cfg.introspect` is set, an [`IntrospectServer`] is started on it.
-    /// `ledger`, when present, receives every committed block on a
-    /// dedicated writer thread (keeping file I/O off the driver loop) and
-    /// publishes its `ledger.*` metrics into the live registry.
+    /// `protocol` builds the state machine over the node's configuration
+    /// ([`ProtocolChoice::build`](crate::ProtocolChoice::build)): seed-derived
+    /// keys among `cfg.peers`, view timers derived from `delta`. The node
+    /// proposes references to the oldest batches in `cfg.dissem`'s
+    /// proposable pool, gates its votes on holding the referenced bytes
+    /// (fetching what no push delivered), and takes in consensus messages
+    /// only through the pool's sigverify stage, which shares the protocol's
+    /// verified-certificate cache.
+    ///
+    /// With `data_dir` the node is durable: its ledger under
+    /// `<data_dir>/node-<id>/` is opened (or recovered) before anything can
+    /// vote — votes and timeouts hit the WAL before the wire, the committed
+    /// chain and safety floors of a previous incarnation reach the protocol
+    /// constructor, catch-up consults the blockstore before dialing peers,
+    /// and every committed block is appended on a dedicated writer thread.
+    ///
+    /// `listener` adopts a pre-bound socket instead of binding
+    /// `cfg.listen`. `epoch` is the cluster-wide time origin; every trace
+    /// timestamp is microseconds since it. `state` is the introspection
+    /// state the driver publishes into; when `cfg.introspect` is set, an
+    /// [`IntrospectServer`] is started on it.
     #[allow(clippy::too_many_arguments)] // the node's full wiring surface
     pub fn start(
-        mut protocol: Box<dyn ConsensusProtocol + Send>,
+        protocol: impl FnOnce(NodeConfig) -> Box<dyn ConsensusProtocol + Send>,
+        delta: SimDuration,
         cfg: TransportConfig,
         listener: Option<TcpListener>,
+        data_dir: Option<&Path>,
         epoch: Instant,
         sink: SharedSink,
-        cache: Arc<VerifiedCache>,
         state: Arc<IntrospectState>,
-        ledger: Option<Arc<Ledger>>,
     ) -> std::io::Result<NodeHandle> {
         let node = cfg.node_id;
+        let mut node_cfg = NodeConfig::simulated(node, cfg.peers.len(), delta);
+        let ledger = match data_dir {
+            Some(dir) => {
+                let (ledger, recovered) =
+                    Ledger::open(dir.join(format!("node-{}", node.0)), LedgerOptions::default())?;
+                node_cfg.persist = Some(ledger.clone());
+                node_cfg.local_blocks = Some(ledger.clone());
+                node_cfg.recover = Some(recovered);
+                Some(ledger)
+            }
+            None => None,
+        };
+        // Reading takes nothing out of the pool: the driver marks the refs
+        // in flight when it sees the proposal, as it does for everyone
+        // else's.
+        let dissem = cfg.dissem.clone();
+        let plane = dissem.clone();
+        node_cfg.payloads = PayloadSource::Custom(Box::new(move |_| {
+            Payload::batches(plane.pool.proposable(PROPOSAL_MAX_REFS))
+        }));
+        let verifier = Arc::new(MessageVerifier::for_config(&node_cfg));
+        let cache = node_cfg.verified_cache.clone();
+        let mut protocol = protocol(node_cfg);
+
         let mempool = cfg.mempool.clone();
         let introspect_addr = cfg.introspect;
-        let stall_timeout = cfg.stall_timeout;
-        let dissem = cfg.dissem.clone();
+        let stall_timeout = Duration::from_micros(delta.as_micros() * STALL_DELTA_MULTIPLE);
         let drop_push_to = cfg.drop_batch_push_to;
-        let batch_fetcher = BatchFetcher::new(node, cfg.peers.len().max(1), cfg.batch_fetch_retry);
+        let batch_fetcher =
+            BatchFetcher::new(node, cfg.peers.len(), RetryPolicy::auto().resolve(delta));
         let (raw_tx, rx) = mpsc::channel::<Option<Inbound>>();
         let tx = InboundSender::new(raw_tx);
-        if let Some(plane) = &dissem {
-            // A batch sealed while the driver sleeps wakes it for the push
-            // (replacing the hook of a killed predecessor on this plane).
-            let waker = tx.clone();
-            plane.queue.on_sealed(move || waker.wake());
-        }
-        let transport = match listener {
-            Some(l) => Transport::start_with_listener(cfg, l, tx.clone())?,
-            None => Transport::start(cfg, tx.clone())?,
-        };
+        // A batch sealed while the driver sleeps wakes it for the push
+        // (replacing the hook of a killed predecessor on this plane).
+        let waker = tx.clone();
+        dissem.queue.on_sealed(move || waker.wake());
+        let transport = Transport::start(cfg, listener, verifier, tx.clone())?;
         let transport_shutdown = transport.shutdown_flag();
         state.set_peers(transport.peer_metrics_all());
         state.set_inbound_gauge(tx.depth_gauge());
@@ -350,7 +391,6 @@ impl NodeHandle {
                         messages_handled: 0,
                         timers_fired: 0,
                         batches: 0,
-                        unverified_messages: 0,
                         stalls: 0,
                     };
                     run_driver(driver, &mut *protocol, rx, shutdown)
@@ -359,19 +399,15 @@ impl NodeHandle {
         };
 
         Ok(NodeHandle {
-            node,
             shutdown,
             transport_shutdown,
             driver: Some(driver),
             committed_height,
+            recovered_height,
+            #[cfg(test)]
             inbound: tx,
             introspect,
         })
-    }
-
-    /// This node's id.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// Highest height this node has committed so far (updated live).
@@ -379,10 +415,10 @@ impl NodeHandle {
         self.committed_height.load(Ordering::Relaxed)
     }
 
-    /// Injects a message as if received from `from` (tests, local clients).
-    /// Injected messages are unverified: the protocol checks them inline.
-    pub fn inject(&self, from: NodeId, msg: moonshot_consensus::Message) {
-        let _ = self.inbound.send(Inbound { from, msg, verified: false });
+    /// The committed height this incarnation recovered from its own disk
+    /// (0 without a ledger, or on a first start).
+    pub fn recovered_height(&self) -> u64 {
+        self.recovered_height
     }
 
     /// The address the introspection server listens on, when enabled.
@@ -418,8 +454,7 @@ impl NodeHandle {
 /// blind or reject a valid proposal.
 struct GatedMessage {
     from: NodeId,
-    msg: Message,
-    verified: bool,
+    msg: PreVerified,
     /// Refs still unresolved; delivery happens when this drains empty.
     missing: HashSet<Digest>,
 }
@@ -442,16 +477,8 @@ fn carried_block(msg: &Message) -> Option<&Block> {
 /// delay-bounded admission; the latency EWMA learns from every commit.
 /// Counting is a pin lookup per batch: no walk over payload bytes, no hash.
 fn feed_commit(pool: &Mempool, block: &Block, latency_us: Option<u64>, now_us: u64) {
-    let payload = block.payload();
-    // A `Data` payload is one batch, pinned under the payload digest.
-    let whole = [BatchRef { digest: payload.digest(), bytes: payload.size() }];
-    let batches = match payload.batch_refs() {
-        Some(refs) => refs,
-        None if payload.data_bytes().is_some() => &whole,
-        None => &[],
-    };
     let (mut txs, mut bytes) = (0u64, 0u64);
-    for b in batches {
+    for b in block.payload().batch_refs().unwrap_or(&[]) {
         if let Some(n) = pool.release_batch(&b.digest) {
             txs += n;
             bytes += b.bytes.saturating_sub(n * BATCH_TX_OVERHEAD as u64);
@@ -474,12 +501,12 @@ struct Driver {
     commits: Vec<CommittedBlock>,
     committed_height: Arc<AtomicU64>,
     cache: Arc<VerifiedCache>,
-    /// The node's mempool (if the data path is wired up), so its admission
-    /// counters land in the final report.
-    mempool: Option<Arc<moonshot_mempool::Mempool>>,
-    /// The dissemination plane in digest-only mode (`None` = full-payload
-    /// proposals, every batch hook below is a no-op).
-    dissem: Option<Arc<DissemPlane>>,
+    /// The node's mempool (`None` for a consensus-only node), fed commit
+    /// feedback; its admission counters land in the final report.
+    mempool: Option<Arc<Mempool>>,
+    /// The dissemination plane: sealed batches to push, the batch store,
+    /// the proposable pool.
+    dissem: Arc<DissemPlane>,
     /// Fault-injection knob: peer skipped by `BatchPush` broadcasts, so
     /// tests can force its fetch fallback to cover.
     drop_push_to: Option<NodeId>,
@@ -498,8 +525,8 @@ struct Driver {
     /// Channel + thread that append committed blocks to the ledger off the
     /// driver loop. Dropping the sender stops the thread.
     ledger_writer: Option<(mpsc::Sender<moonshot_types::Block>, JoinHandle<()>)>,
-    /// Stall-watchdog threshold; `None` disables the watchdog.
-    stall_timeout: Option<Duration>,
+    /// Stall-watchdog threshold.
+    stall_timeout: Duration,
     /// When the last commit landed (µs since epoch; 0 = none yet). Reset
     /// on every watchdog firing so a persistent wedge emits a stall per
     /// threshold interval rather than one per loop iteration.
@@ -507,7 +534,6 @@ struct Driver {
     messages_handled: u64,
     timers_fired: u64,
     batches: u64,
-    unverified_messages: u64,
     stalls: u64,
 }
 
@@ -520,20 +546,13 @@ fn run_driver(
     rx: mpsc::Receiver<Option<Inbound>>,
     shutdown: Arc<AtomicBool>,
 ) -> NodeReport {
-    // Payload-hash accounting: `data_hashes_on_thread` counts how many
-    // times *this thread* hashed a `Payload::Data` body. The whole point of
-    // the pre-assembled batch pipeline is that the answer here is zero —
-    // hashing happens on the batch-assembler and reader threads, and the
-    // driver only swaps pre-hashed `Arc`s. The delta is reported as
-    // `driver.payload_hashes` so tests can assert it.
-    let payload_hash_baseline = moonshot_types::payload::data_hashes_on_thread();
     let t = driver.now();
     let outputs = protocol.start(t);
     driver.process(protocol, outputs, t);
     // Seed the live registry before the first message: a `/metrics` scrape
     // is valid from the instant the node is reachable, not only after the
     // first periodic refresh 200ms in.
-    driver.refresh_live(payload_hash_baseline);
+    driver.refresh_live();
     let mut last_refresh = Instant::now();
 
     while !shutdown.load(Ordering::SeqCst) {
@@ -560,7 +579,7 @@ fn run_driver(
         driver.check_stall(protocol);
         driver.publish_status(protocol);
         if last_refresh.elapsed() >= LIVE_REFRESH {
-            driver.refresh_live(payload_hash_baseline);
+            driver.refresh_live();
             last_refresh = Instant::now();
         }
 
@@ -611,7 +630,7 @@ fn run_driver(
         drop(tx);
         let _ = writer.join();
     }
-    driver.refresh_live(payload_hash_baseline);
+    driver.refresh_live();
     // The final report *is* the live registry: everything `/metrics`
     // served mid-run (driver counters, stage histograms, transport and
     // mempool state) lands in `summary_json` with no separate assembly.
@@ -648,9 +667,8 @@ impl Driver {
     /// which view we're stuck in, how deep the inbox is, how many timers
     /// are armed, how much the mempool is holding.
     fn check_stall(&mut self, protocol: &dyn ConsensusProtocol) {
-        let Some(timeout) = self.stall_timeout else { return };
         let now = self.now();
-        if now.0.saturating_sub(self.last_commit_at_us) < timeout.as_micros() as u64 {
+        if now.0.saturating_sub(self.last_commit_at_us) < self.stall_timeout.as_micros() as u64 {
             return;
         }
         self.stalls += 1;
@@ -672,11 +690,9 @@ impl Driver {
     /// Republishes every driver-side counter into the live registry as
     /// absolute values, so `/metrics` reads and the final report are the
     /// same snapshot at different times.
-    fn refresh_live(&mut self, payload_hash_baseline: u64) {
+    fn refresh_live(&mut self) {
         let cache = self.cache.stats();
         let mempool = self.mempool.clone();
-        let payload_hashes =
-            moonshot_types::payload::data_hashes_on_thread() - payload_hash_baseline;
         let mut live = match self.state.live.lock() {
             Ok(live) => live,
             Err(_) => return,
@@ -685,9 +701,7 @@ impl Driver {
         live.set_counter("driver.timers_fired", self.timers_fired);
         live.set_counter("driver.commits", self.commits.len() as u64);
         live.set_counter("driver.batches", self.batches);
-        live.set_counter("driver.unverified_messages", self.unverified_messages);
         live.set_counter("driver.stalls", self.stalls);
-        live.set_counter("driver.payload_hashes", payload_hashes);
         live.set_gauge("driver.timers_armed", self.wheel.len() as f64);
         live.set_gauge("driver.inbound_depth", self.inbound_depth.load(Ordering::Relaxed) as f64);
         live.set_counter("verify.cache_hits", cache.hits);
@@ -704,26 +718,25 @@ impl Driver {
         if let Some(ledger) = &self.ledger {
             ledger.publish_into(&mut live);
         }
-        if let Some(plane) = &self.dissem {
-            let s = plane.counters.stats();
-            live.set_counter("dissem.batches_pushed", s.batches_pushed);
-            live.set_counter("dissem.batch_bytes_pushed", s.batch_bytes_pushed);
-            live.set_counter("dissem.batches_stored", s.batches_stored);
-            live.set_counter("dissem.digest_mismatches", s.digest_mismatches);
-            live.set_counter("dissem.fetches", s.fetches);
-            live.set_counter("dissem.fetches_served", s.fetches_served);
-            live.set_counter("dissem.fetches_missed", s.fetches_missed);
-            live.set_counter("dissem.votes_gated", s.votes_gated);
-            live.set_counter("dissem.evicted", s.evicted);
-            live.set_counter("dissem.store_pruned_committed", s.pruned_committed);
-            live.set_counter("dissem.gated_dropped", self.gated_dropped);
-            live.set_gauge("dissem.store_batches", plane.store.len() as f64);
-            live.set_gauge("dissem.store_bytes", plane.store.bytes() as f64);
-            live.set_gauge("dissem.backlog_bytes", plane.backlog_bytes() as f64);
-            live.set_counter("dissem.requeued", plane.pool.requeued());
-            live.set_gauge("dissem.gated", self.gated.len() as f64);
-            live.set_gauge("dissem.fetch_outstanding", self.batch_fetcher.outstanding() as f64);
-        }
+        let plane = &self.dissem;
+        let s = plane.counters.stats();
+        live.set_counter("dissem.batches_pushed", s.batches_pushed);
+        live.set_counter("dissem.batch_bytes_pushed", s.batch_bytes_pushed);
+        live.set_counter("dissem.batches_stored", s.batches_stored);
+        live.set_counter("dissem.digest_mismatches", s.digest_mismatches);
+        live.set_counter("dissem.fetches", s.fetches);
+        live.set_counter("dissem.fetches_served", s.fetches_served);
+        live.set_counter("dissem.fetches_missed", s.fetches_missed);
+        live.set_counter("dissem.votes_gated", s.votes_gated);
+        live.set_counter("dissem.evicted", s.evicted);
+        live.set_counter("dissem.store_pruned_committed", s.pruned_committed);
+        live.set_counter("dissem.gated_dropped", self.gated_dropped);
+        live.set_gauge("dissem.store_batches", plane.store.len() as f64);
+        live.set_gauge("dissem.store_bytes", plane.store.bytes() as f64);
+        live.set_gauge("dissem.backlog_bytes", plane.backlog_bytes() as f64);
+        live.set_counter("dissem.requeued", plane.pool.requeued());
+        live.set_gauge("dissem.gated", self.gated.len() as f64);
+        live.set_gauge("dissem.fetch_outstanding", self.batch_fetcher.outstanding() as f64);
         if let Some(pool) = &mempool {
             let c = pool.counters();
             live.set_counter("mempool.submitted", c.submitted);
@@ -751,28 +764,27 @@ impl Driver {
         self.transport.snapshot_metrics(&mut live);
     }
 
-    /// Feeds one inbound message toward the protocol. In digest mode a
-    /// proposal (or synced block) whose batch refs the local store cannot
-    /// resolve is *gated*: parked until the refs arrive (normally the
-    /// in-flight `BatchPush`, else the fetch fallback kicked off here) so
-    /// the protocol never votes for data this node could not re-serve.
+    /// Feeds one inbound message toward the protocol. A proposal (or synced
+    /// block) whose batch refs the local store cannot resolve is *gated*:
+    /// parked until the refs arrive (normally the in-flight `BatchPush`,
+    /// else the fetch fallback kicked off here) so the protocol never votes
+    /// for data this node could not re-serve.
     fn dispatch(&mut self, protocol: &mut dyn ConsensusProtocol, inbound: Inbound) {
-        let Inbound { from, msg, verified } = inbound;
-        if let Some(block) = carried_block(&msg) {
+        let Inbound { from, msg } = inbound;
+        if let Some(block) = carried_block(msg.message()) {
             // On receipt, not on delivery: this node may lead the next view
             // off a certificate while the gate below still holds the body.
             self.note_proposed(block);
         }
-        if let Some(missing) = self.unresolved_refs(&msg) {
+        let missing = self.unresolved_refs(msg.message());
+        if !missing.is_empty() {
             let t = self.now();
-            if let Some(plane) = &self.dissem {
-                plane.counters.votes_gated.fetch_add(1, Ordering::Relaxed);
-            }
+            self.dissem.counters.votes_gated.fetch_add(1, Ordering::Relaxed);
             // The sender certainly holds the bytes (it proposed or voted
             // for them), so it is the first fetch hint — asked at once for
             // a synced block, whose pushes are long gone, and only after
             // the push has had its Δ for a fresh proposal.
-            let push_in_flight = !matches!(msg, Message::BlockResponse { .. });
+            let push_in_flight = !matches!(msg.message(), Message::BlockResponse { .. });
             for d in &missing {
                 let plan = self.batch_fetcher.request(*d, [from], t, push_in_flight);
                 self.execute_fetch_plan(plan, t);
@@ -781,63 +793,40 @@ impl Driver {
                 self.gated.pop_front();
                 self.gated_dropped += 1;
             }
-            self.gated.push_back(GatedMessage { from, msg, verified, missing });
+            self.gated.push_back(GatedMessage { from, msg, missing });
             return;
         }
-        self.deliver(protocol, from, msg, verified);
+        self.deliver(protocol, from, msg);
     }
 
-    /// Hands one message to the protocol. Messages the transport already
-    /// verified go through `handle_preverified` — the driver thread itself
-    /// performs no signature checks for them.
-    fn deliver(
-        &mut self,
-        protocol: &mut dyn ConsensusProtocol,
-        from: NodeId,
-        msg: Message,
-        verified: bool,
-    ) {
+    /// Hands one message to the protocol. Every message was verified before
+    /// it reached the driver, so the driver thread itself performs no
+    /// signature checks.
+    fn deliver(&mut self, protocol: &mut dyn ConsensusProtocol, from: NodeId, msg: PreVerified) {
         self.messages_handled += 1;
         let t = self.now();
-        self.observer.on_message_received(from, &msg, t, &mut self.sink);
-        let outputs = if verified {
-            protocol.handle_preverified(from, PreVerified::trusted(msg), t)
-        } else {
-            self.unverified_messages += 1;
-            protocol.handle_message(from, msg, t)
-        };
+        self.observer.on_message_received(from, msg.message(), t, &mut self.sink);
+        let outputs = protocol.handle_preverified(from, msg, t);
         self.process(protocol, outputs, t);
     }
 
-    /// The batch refs in `msg` the local store cannot resolve, or `None`
-    /// when the message carries none (or everything resolves, or the node
-    /// is not in digest mode). `CompactPropose` carries no block — its
-    /// payload was gated with the view's optimistic proposal.
-    fn unresolved_refs(&self, msg: &Message) -> Option<HashSet<Digest>> {
-        let plane = self.dissem.as_ref()?;
-        let refs = carried_block(msg)?.payload().batch_refs()?;
-        let missing: HashSet<Digest> =
-            refs.iter().filter(|r| !plane.store.contains(&r.digest)).map(|r| r.digest).collect();
-        if missing.is_empty() {
-            None
-        } else {
-            Some(missing)
-        }
+    /// The batch refs in `msg` the local store cannot resolve.
+    /// `CompactPropose` carries no block — its payload was gated with the
+    /// view's optimistic proposal.
+    fn unresolved_refs(&self, msg: &Message) -> HashSet<Digest> {
+        let refs = carried_block(msg).and_then(|b| b.payload().batch_refs()).unwrap_or(&[]);
+        refs.iter()
+            .filter(|r| !self.dissem.store.contains(&r.digest))
+            .map(|r| r.digest)
+            .collect()
     }
 
     /// Sends the `BatchRequest` frames a fetcher plan asks for and arms its
     /// retry timer.
     fn execute_fetch_plan(&mut self, plan: BatchFetchPlan, t: SimTime) {
-        if plan.is_empty() {
-            return;
-        }
-        if let Some(plane) = &self.dissem {
-            for (to, digest) in &plan.requests {
-                plane.counters.fetches.fetch_add(1, Ordering::Relaxed);
-                self.transport.send(*to, Arc::new(encode_frame(&Frame::BatchRequest {
-                    digest: *digest,
-                })));
-            }
+        for (to, digest) in plan.requests {
+            self.dissem.counters.fetches.fetch_add(1, Ordering::Relaxed);
+            self.transport.send(to, Arc::new(encode_frame(&Frame::BatchRequest { digest })));
         }
         if let Some(after) = plan.rearm {
             self.wheel.arm(t + after, TimerToken::BatchFetchTimer);
@@ -848,10 +837,11 @@ impl Driver {
     /// are in flight under it from here on, and the ones this node sealed
     /// have waited this long to be proposed.
     fn note_proposed(&mut self, block: &Block) {
-        let (Some(plane), Some(refs)) = (&self.dissem, block.payload().batch_refs()) else {
+        let refs = block.payload().batch_refs().unwrap_or(&[]);
+        if refs.is_empty() {
             return;
-        };
-        plane.pool.referenced(block.id(), block.height().0, refs);
+        }
+        self.dissem.pool.referenced(block.id(), block.height().0, refs);
         let now_us = self.now().0;
         for r in refs {
             if let Some(sealed) = self.sealed_at_us.remove(&r.digest) {
@@ -860,10 +850,9 @@ impl Driver {
         }
     }
 
-    /// The dissemination plane's turn, in digest mode: broadcast freshly
-    /// sealed batches (before they can be proposed — push-before-propose),
-    /// then drain the store's arrival log into the proposable pool and
-    /// release gated votes. Returns [`push_batches`](Driver::push_batches)'s
+    /// The dissemination plane's turn: broadcast freshly sealed batches
+    /// (before they can be proposed — push-before-propose), then drain the
+    /// store's arrival log into the proposable pool and release gated votes. Returns [`push_batches`](Driver::push_batches)'s
     /// "more remain".
     fn sync_dissem(&mut self, protocol: &mut dyn ConsensusProtocol) -> bool {
         let more_sealed = self.push_batches();
@@ -882,7 +871,7 @@ impl Driver {
     /// Returns whether [`PUSH_LIMIT`] cut the drain short, i.e. sealed
     /// batches may remain that no wake-up will announce.
     fn push_batches(&mut self) -> bool {
-        let Some(plane) = self.dissem.clone() else { return false };
+        let plane = self.dissem.clone();
         let sealed = plane.queue.take_sealed(PUSH_LIMIT);
         let more = sealed.len() == PUSH_LIMIT;
         for b in sealed {
@@ -891,7 +880,7 @@ impl Driver {
                 digest: b.digest,
                 bytes: b.bytes.clone(),
             }));
-            self.transport.broadcast_except(frame, self.drop_push_to);
+            self.transport.broadcast(frame, self.drop_push_to);
             plane.counters.batches_pushed.fetch_add(1, Ordering::Relaxed);
             plane.counters.batch_bytes_pushed.fetch_add(b.bytes.len() as u64, Ordering::Relaxed);
             plane.pool.stored(b.batch_ref(), true);
@@ -915,8 +904,7 @@ impl Driver {
     /// outstanding fetches, and delivers any gated message whose missing set
     /// drained empty.
     fn drain_stored(&mut self, protocol: &mut dyn ConsensusProtocol) {
-        let Some(plane) = self.dissem.clone() else { return };
-        let stored = plane.store.take_stored();
+        let stored = self.dissem.store.take_stored();
         if stored.is_empty() {
             return;
         }
@@ -924,7 +912,7 @@ impl Driver {
         for b in &stored {
             // (A no-op for this node's own batches: the push step entered
             // them as its own.)
-            plane.pool.stored(*b, false);
+            self.dissem.pool.stored(*b, false);
             self.batch_fetcher.fulfilled(&b.digest);
             self.sink.record(TraceRecord {
                 at: t,
@@ -938,7 +926,7 @@ impl Driver {
             }
             if self.gated[i].missing.is_empty() {
                 let g = self.gated.remove(i).expect("index bounded by len");
-                self.deliver(protocol, g.from, g.msg, g.verified);
+                self.deliver(protocol, g.from, g.msg);
             } else {
                 i += 1;
             }
@@ -968,8 +956,9 @@ impl Driver {
                     if to == self.node {
                         // Loopback of a self-signed message: trivially
                         // verified.
-                        let _ =
-                            self.loopback.send(Inbound { from: self.node, msg, verified: true });
+                        let _ = self
+                            .loopback
+                            .send(Inbound { from: self.node, msg: PreVerified::trusted(msg) });
                     } else if matches!(msg, Message::BlockResponse { .. }) {
                         // Sync responses ride the protected queue class:
                         // dropping one under drop-oldest pressure would
@@ -987,8 +976,10 @@ impl Driver {
                     }
                     // Encode once; every peer queue shares the same bytes.
                     let frame = Arc::new(encode_message(&msg));
-                    self.transport.broadcast(frame);
-                    let _ = self.loopback.send(Inbound { from: self.node, msg, verified: true });
+                    self.transport.broadcast(frame, None);
+                    let _ = self
+                        .loopback
+                        .send(Inbound { from: self.node, msg: PreVerified::trusted(msg) });
                 }
                 Output::SetTimer { token, after } => {
                     self.wheel.arm(t + after, token);
@@ -999,31 +990,30 @@ impl Driver {
                     // resolved it. The committed-batch-availability
                     // invariant fails the run on any `resolved: false` —
                     // an honest node committed data it cannot materialise.
-                    if let Some(plane) = self.dissem.clone() {
-                        let height = c.block.height().0;
-                        let refs = c.block.payload().batch_refs().unwrap_or(&[]);
-                        for r in refs {
-                            let resolved = plane.store.contains(&r.digest);
-                            self.sink.record(TraceRecord {
-                                at: t,
-                                event: TraceEvent::BatchCommitted {
-                                    node: self.node,
-                                    batch: r.digest,
-                                    resolved,
-                                },
-                            });
-                            plane.store.mark_committed(r.digest, height);
-                        }
-                        // Every block, empty ones too: a commit is also what
-                        // hands an orphaned proposal's refs back to the pool.
-                        plane.pool.committed(c.block.id(), height, refs);
-                        // Committed batches only need to stick around long
-                        // enough for report-time tx accounting and for
-                        // lagging peers to fetch them; after the retention
-                        // window they are dead weight the byte-budget
-                        // eviction would otherwise churn through.
-                        plane.store.prune_committed(height.saturating_sub(DISSEM_RETAIN_BLOCKS));
+                    let plane = &self.dissem;
+                    let height = c.block.height().0;
+                    let refs = c.block.payload().batch_refs().unwrap_or(&[]);
+                    for r in refs {
+                        let resolved = plane.store.contains(&r.digest);
+                        self.sink.record(TraceRecord {
+                            at: t,
+                            event: TraceEvent::BatchCommitted {
+                                node: self.node,
+                                batch: r.digest,
+                                resolved,
+                            },
+                        });
+                        plane.store.mark_committed(r.digest, height);
                     }
+                    // Every block, empty ones too: a commit is also what
+                    // hands an orphaned proposal's refs back to the pool.
+                    plane.pool.committed(c.block.id(), height, refs);
+                    // Committed batches only need to stick around long
+                    // enough for report-time tx accounting and for lagging
+                    // peers to fetch them; after the retention window they
+                    // are dead weight the byte-budget eviction would
+                    // otherwise churn through.
+                    plane.store.prune_committed(height.saturating_sub(DISSEM_RETAIN_BLOCKS));
                     if let Some((tx, _)) = &self.ledger_writer {
                         let _ = tx.send(c.block.clone());
                     }
@@ -1045,7 +1035,7 @@ mod tests {
     use super::*;
     use moonshot_mempool::{batch_digest, MempoolConfig};
     use moonshot_telemetry::RingBufferSink;
-    use moonshot_types::Payload;
+    use moonshot_types::BatchRef;
 
     /// A handled message: its tag, and what the proposable pool would have
     /// offered a leader at that instant.
@@ -1092,27 +1082,30 @@ mod tests {
         let handled = Arc::new(Mutex::new(Vec::new()));
         let addr: SocketAddr = "127.0.0.1:0".parse().unwrap();
         let mut cfg = TransportConfig::new(NodeId(0), addr, vec![(NodeId(0), addr)]);
-        cfg.dissem = Some(plane.clone());
+        cfg.dissem = plane.clone();
         let epoch = Instant::now();
+        let recorder = Recorder { plane: plane.clone(), handled: handled.clone() };
         let node = NodeHandle::start(
-            Box::new(Recorder { plane: plane.clone(), handled: handled.clone() }),
+            |_| Box::new(recorder),
+            SimDuration::from_millis(50),
             cfg,
+            None,
             None,
             epoch,
             Arc::new(Mutex::new(RingBufferSink::new(1024))),
-            Arc::new(VerifiedCache::new(16)),
             IntrospectState::new(NodeId(0), epoch),
-            None,
         )
         .expect("start");
+        // What the sigverify stage does with a message that checked out.
+        let inject = |msg: Message| {
+            let _ = node.inbound.send(Inbound { from: NodeId(1), msg: PreVerified::trusted(msg) });
+        };
         let batch_ref = |tag: u8| BatchRef { digest: batch_digest(&[tag; 64]), bytes: 64 };
         // What a shard thread does with a verified `BatchPush`.
         let arrive = |tag: u8| {
             assert!(plane.store.insert(batch_ref(tag).digest, vec![tag; 64].into()));
         };
-        let wake = || {
-            node.inject(NodeId(1), Message::BlockRequest { block_id: Block::genesis().id() })
-        };
+        let wake = || inject(Message::BlockRequest { block_id: Block::genesis().id() });
         let wait_for = |what: &str, done: &dyn Fn() -> bool| {
             let deadline = Instant::now() + Duration::from_secs(10);
             while !done() {
@@ -1135,7 +1128,7 @@ mod tests {
         // arrives, and the wake-up delivers the block first.
         let payload = Payload::batches(vec![batch_ref(2)]);
         let block = Block::build(View(1), NodeId(1), &Block::genesis(), payload);
-        node.inject(NodeId(1), Message::BlockResponse { block });
+        inject(Message::BlockResponse { block });
         wait_for("the gate", &|| plane.counters.stats().votes_gated == 1);
         assert_eq!(handled_len(), 1, "a block with an unresolved ref was delivered");
         arrive(2);

@@ -8,9 +8,9 @@
 //! connection ownership trivial (no simultaneous-dial deduplication) at the
 //! cost of one extra socket per pair.
 //!
-//! Threading: none of it lives here anymore. A [`NetPool`] — a fixed set
-//! of readiness-driven shard loops, one dialer, and a batched sigverify
-//! stage — owns every socket. The transport contributes the per-peer
+//! Threading: none of it lives here. A [`NetPool`] — a fixed set of
+//! readiness-driven shard loops, one dialer, and a batched sigverify stage
+//! — owns every socket. The transport contributes the per-peer
 //! bounded outbound queues with **drop-oldest** backpressure (consensus
 //! tolerates message loss — the protocols re-sync via certificates and the
 //! block fetcher — so dropping the stalest frame beats unbounded buffering
@@ -21,28 +21,40 @@
 //! 50-node localhost cluster from ~50·(n+2) threads to 50 drivers plus one
 //! constant-size pool.
 //!
-//! Every dialed connection opens with a [`Frame::Hello`] so the accepting
-//! side learns who is talking before the first consensus message.
+//! Every dialed connection opens with a [`moonshot_wire::Frame::Hello`] so
+//! the accepting side learns who is talking before the first consensus
+//! message.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex};
 
-use moonshot_consensus::{Message, MessageVerifier, RetryPolicy};
+use moonshot_consensus::{MessageVerifier, PreVerified};
 use moonshot_mempool::{DissemPlane, Mempool};
 use moonshot_telemetry::MetricsRegistry;
 use moonshot_types::NodeId;
 
-use crate::netpool::{NetPool, NetPoolConfig, NodeCore, PeerState};
+use crate::netpool::{NetPool, NodeCore, PeerState, RECONNECT_BASE};
 use crate::shape::ShapeMatrix;
 
-// Frame is only mentioned in docs now that the reader/writer loops moved
-// to the pool, but the hello contract is part of this module's story.
-#[allow(unused_imports)]
-use moonshot_wire::Frame;
+/// Per-node batch-store budget of the plane a [`TransportConfig`] starts
+/// with. The live window is a few pipeline depths of batches; the budget
+/// only guards against garbage.
+pub(crate) const DISSEM_STORE_BUDGET: usize = 64 << 20;
+
+/// Outbound frames buffered per peer before drop-oldest kicks in.
+const QUEUE_FRAMES: usize = 1024;
+/// Outbound *bytes* buffered per peer before drop-oldest kicks in. A frame
+/// can be megabytes, so a count-only bound is no bound at all; whichever
+/// budget trips first evicts the oldest frames.
+const QUEUE_BYTES: usize = 32 * 1024 * 1024;
+/// Outbound bytes of protected (sync-response) frames buffered per peer
+/// before **drop-new** kicks in. Protected frames — `BlockResponse` and
+/// `BatchResponse` — are never evicted by drop-oldest backpressure:
+/// dropping one would starve the exact node whose vote is blocked on it.
+const PROTECTED_BYTES: usize = 32 * 1024 * 1024;
 
 /// A message delivered by the transport to the driver loop.
 #[derive(Debug)]
@@ -50,13 +62,10 @@ pub struct Inbound {
     /// The sending node (from its hello preamble, or this node itself for
     /// loopback deliveries).
     pub from: NodeId,
-    /// The consensus message.
-    pub msg: Message,
-    /// Whether every signature in `msg` was already checked (in the
-    /// pool's sigverify stage, or trivially for loopback copies of this
-    /// node's own messages). The driver routes `verified` messages through
-    /// `handle_preverified`, skipping inline crypto.
-    pub verified: bool,
+    /// The consensus message, every signature in it already checked: in
+    /// the pool's sigverify stage, or trivially for loopback copies of this
+    /// node's own messages. Nothing reaches the driver unverified.
+    pub msg: PreVerified,
 }
 
 /// A depth-tracking wrapper around the driver's inbound channel.
@@ -121,51 +130,23 @@ pub struct TransportConfig {
     pub listen: SocketAddr,
     /// All peers (entries for `node_id` itself are ignored).
     pub peers: Vec<(NodeId, SocketAddr)>,
-    /// Outbound frames buffered per peer before drop-oldest kicks in.
-    pub queue_capacity: usize,
-    /// Outbound *bytes* buffered per peer before drop-oldest kicks in.
-    /// With real payloads a frame can be megabytes, so a count-only bound
-    /// is no bound at all: 1024 queued 1.8 MB proposals would pin ~1.8 GB.
-    /// Whichever budget trips first evicts the oldest frames.
-    pub queue_byte_capacity: usize,
-    /// First reconnect delay; doubles per consecutive failure.
-    pub reconnect_base: Duration,
-    /// Reconnect delay ceiling.
-    pub reconnect_max: Duration,
-    /// When set, the pool's sigverify stage verifies every decoded message
-    /// before handing it to the driver: failures are dropped (and counted
-    /// in [`PeerMetrics::verify_failures`]), successes arrive with
-    /// [`Inbound::verified`] set. When `None`, messages are delivered
-    /// unverified and the driver checks them inline.
-    pub verifier: Option<Arc<MessageVerifier>>,
     /// When set, `SubmitTx` frames from client connections are fed into
-    /// this mempool on the shard loop (hash + admission control there,
-    /// never on the driver). When `None`, submissions are ignored.
+    /// this mempool by the pool's ingest stage (hash + admission control
+    /// there, never on the driver). When `None` — a consensus-only node
+    /// proposing empty blocks — submissions are ignored.
     pub mempool: Option<Arc<Mempool>>,
     /// When set, the node runtime serves the live introspection plane
     /// (`/status`, `/metrics`) on this address. Port 0 binds ephemerally.
     pub introspect: Option<SocketAddr>,
-    /// When set, the driver's stall watchdog emits a
-    /// `TraceEvent::Stall` snapshot whenever this long passes without a
-    /// commit. `None` disables the watchdog.
-    pub stall_timeout: Option<Duration>,
-    /// When set, the node runs digest-only dissemination: shard loops
-    /// validate and store `BatchPush`/`BatchResponse` frames into the
-    /// plane's batch store and answer `BatchRequest` frames from it, and
-    /// the driver pushes sealed batches / gates votes through the same
-    /// plane. `None` = full-payload proposals, batch frames ignored.
-    pub dissem: Option<Arc<DissemPlane>>,
-    /// Outbound *bytes* of protected (sync-response) frames buffered per
-    /// peer before **drop-new** kicks in. Protected frames — `BlockResponse`
-    /// and `BatchResponse` — are never evicted by drop-oldest backpressure:
-    /// dropping one would starve the exact node whose vote is blocked on it.
-    pub protected_byte_capacity: usize,
+    /// The node's dissemination plane: shard loops validate and store
+    /// `BatchPush`/`BatchResponse` frames into its batch store and answer
+    /// `BatchRequest` frames from it, and the driver pushes sealed batches,
+    /// proposes and gates votes through the same plane. A fresh one by
+    /// default; a restarted node is handed the plane it had.
+    pub dissem: Arc<DissemPlane>,
     /// Fault-injection knob (tests): skip this peer when the driver
     /// broadcasts `BatchPush` frames, forcing its fetch path to cover.
     pub drop_batch_push_to: Option<NodeId>,
-    /// Retry policy of the driver's batch fetcher (digest mode). Must be
-    /// resolved against the deployment's Δ ([`RetryPolicy::resolve`]).
-    pub batch_fetch_retry: RetryPolicy,
     /// The shared network core to attach to. `None` (the default) gives
     /// the transport a private pool it owns and shuts down with itself;
     /// in-process clusters pass one pool to every node so the whole
@@ -177,35 +158,20 @@ pub struct TransportConfig {
 }
 
 impl TransportConfig {
-    /// A config with production-shaped defaults (1024-frame / 32 MiB
-    /// queues, 100 ms base / 5 s max backoff).
+    /// A config for node `node_id` among `peers`: no mempool, no
+    /// introspection, no watchdog, a fresh plane, a private unshaped pool.
     pub fn new(node_id: NodeId, listen: SocketAddr, peers: Vec<(NodeId, SocketAddr)>) -> Self {
         TransportConfig {
             node_id,
             listen,
             peers,
-            queue_capacity: 1024,
-            queue_byte_capacity: 32 * 1024 * 1024,
-            reconnect_base: Duration::from_millis(100),
-            reconnect_max: Duration::from_secs(5),
-            verifier: None,
             mempool: None,
             introspect: None,
-            stall_timeout: None,
-            dissem: None,
-            protected_byte_capacity: 32 * 1024 * 1024,
+            dissem: DissemPlane::new(DISSEM_STORE_BUDGET),
             drop_batch_push_to: None,
-            batch_fetch_retry: RetryPolicy::auto()
-                .resolve(moonshot_types::time::SimDuration::from_millis(100)),
             pool: None,
             shape: None,
         }
-    }
-
-    /// Enables off-thread verification with `verifier` (builder-style).
-    pub fn with_verifier(mut self, verifier: Arc<MessageVerifier>) -> Self {
-        self.verifier = Some(verifier);
-        self
     }
 }
 
@@ -247,7 +213,6 @@ pub struct PeerMetrics {
 
 pub(crate) struct OutboundQueue {
     frames: Mutex<VecFrames>,
-    pub(crate) signal: Condvar,
     capacity: usize,
     byte_capacity: usize,
     /// Byte budget of the protected class ([`push_protected`]
@@ -281,7 +246,6 @@ impl OutboundQueue {
                 protected: std::collections::VecDeque::new(),
                 protected_bytes: 0,
             }),
-            signal: Condvar::new(),
             capacity: capacity.max(1),
             byte_capacity: byte_capacity.max(1),
             protected_byte_capacity: protected_byte_capacity.max(1),
@@ -308,8 +272,6 @@ impl OutboundQueue {
         inner.bytes += frame.len();
         inner.queue.push_back(frame);
         let depth = (inner.queue.len() + inner.protected.len()) as u64;
-        drop(inner);
-        self.signal.notify_one();
         (dropped, depth)
     }
 
@@ -328,36 +290,19 @@ impl OutboundQueue {
         }
         inner.protected_bytes += frame.len();
         inner.protected.push_back(frame);
-        drop(inner);
-        self.signal.notify_one();
         true
     }
 
-    /// Waits up to `wait` for a frame, serving the protected class first.
-    /// Loops on the condvar until a frame arrives or the deadline passes —
-    /// a spurious wakeup (or a notify that raced with another consumer)
-    /// must not cut the wait short. The shard loops call this with
-    /// `Duration::ZERO` (pure nonblocking drain); the wait path survives
-    /// for tests and any future blocking consumer.
-    pub(crate) fn pop(&self, wait: Duration) -> Option<Arc<Vec<u8>>> {
-        let deadline = Instant::now() + wait;
+    /// The next frame to write, the protected class first.
+    pub(crate) fn pop(&self) -> Option<Arc<Vec<u8>>> {
         let mut inner = self.frames.lock().unwrap();
-        loop {
-            if let Some(frame) = inner.protected.pop_front() {
-                inner.protected_bytes -= frame.len();
-                return Some(frame);
-            }
-            if let Some(frame) = inner.queue.pop_front() {
-                inner.bytes -= frame.len();
-                return Some(frame);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self.signal.wait_timeout(inner, deadline - now).unwrap();
-            inner = guard;
+        if let Some(frame) = inner.protected.pop_front() {
+            inner.protected_bytes -= frame.len();
+            return Some(frame);
         }
+        let frame = inner.queue.pop_front()?;
+        inner.bytes -= frame.len();
+        Some(frame)
     }
 
     pub(crate) fn depth(&self) -> u64 {
@@ -382,7 +327,6 @@ pub struct Transport {
     /// Whether [`stop`](Transport::stop) also shuts the pool down (true
     /// for the private pool a solo transport creates for itself).
     owns_pool: bool,
-    local_addr: SocketAddr,
 }
 
 impl std::fmt::Debug for Transport {
@@ -393,27 +337,29 @@ impl std::fmt::Debug for Transport {
 
 impl Transport {
     /// Binds the listener and attaches this node to its network pool
-    /// (creating a private one when the config names none). Inbound
-    /// messages flow into `inbound`.
-    pub fn start(cfg: TransportConfig, inbound: InboundSender) -> std::io::Result<Transport> {
-        let listener = TcpListener::bind(cfg.listen)?;
-        Self::start_with_listener(cfg, listener, inbound)
-    }
-
-    /// Like [`start`](Transport::start), but with a pre-bound listener —
-    /// lets a cluster bind every node on port 0 first, learn the real
+    /// (creating a private one when the config names none). Every decoded
+    /// consensus message goes through `verifier` in the pool's sigverify
+    /// stage — failures are dropped and counted in
+    /// [`PeerMetrics::verify_failures`] — and only then into `inbound`.
+    ///
+    /// A pre-bound `listener` is adopted instead of binding `cfg.listen` —
+    /// which lets a cluster bind every node on port 0 first, learn the real
     /// addresses, and only then construct the peer tables.
-    pub fn start_with_listener(
+    pub fn start(
         cfg: TransportConfig,
-        listener: TcpListener,
+        listener: Option<TcpListener>,
+        verifier: Arc<MessageVerifier>,
         inbound: InboundSender,
     ) -> std::io::Result<Transport> {
-        let local_addr = listener.local_addr()?;
+        let listener = match listener {
+            Some(l) => l,
+            None => TcpListener::bind(cfg.listen)?,
+        };
         listener.set_nonblocking(true)?;
 
         let (pool, owns_pool) = match &cfg.pool {
             Some(p) => (p.clone(), false),
-            None => (NetPool::new(NetPoolConfig::default())?, true),
+            None => (NetPool::new()?, true),
         };
 
         let mut peers: BTreeMap<NodeId, Arc<PeerState>> = BTreeMap::new();
@@ -423,13 +369,13 @@ impl Transport {
                 *id,
                 Arc::new(PeerState {
                     queue: Arc::new(OutboundQueue::new(
-                        cfg.queue_capacity,
-                        cfg.queue_byte_capacity,
-                        cfg.protected_byte_capacity,
+                        QUEUE_FRAMES,
+                        QUEUE_BYTES,
+                        PROTECTED_BYTES,
                     )),
                     metrics: Arc::new(PeerMetrics::default()),
                     conn: Mutex::new(None),
-                    backoff: Mutex::new(cfg.reconnect_base),
+                    backoff: Mutex::new(RECONNECT_BASE),
                     established_once: AtomicBool::new(false),
                 }),
             );
@@ -440,24 +386,17 @@ impl Transport {
             id: pool.next_core_id(),
             node: cfg.node_id,
             inbound,
-            verifier: cfg.verifier.clone(),
+            verifier,
             mempool: cfg.mempool.clone(),
             dissem: cfg.dissem.clone(),
             peers,
             addrs,
-            reconnect_base: cfg.reconnect_base,
-            reconnect_max: cfg.reconnect_max,
             shutdown: Arc::new(AtomicBool::new(false)),
             shape: cfg.shape.clone(),
         });
         pool.attach(core.clone(), listener);
 
-        Ok(Transport { node: cfg.node_id, core, pool, owns_pool, local_addr })
-    }
-
-    /// The bound listen address (useful with port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        Ok(Transport { node: cfg.node_id, core, pool, owns_pool })
     }
 
     /// The shared shutdown flag. Lets a holder wind this node's network
@@ -468,47 +407,32 @@ impl Transport {
         self.core.shutdown.clone()
     }
 
-    /// The pool this transport is attached to (cluster-level stats).
-    pub fn pool(&self) -> Arc<NetPool> {
-        self.pool.clone()
+    /// Queues `frame` for `peer`. Never blocks: a full queue drops its
+    /// oldest frames.
+    fn enqueue(&self, peer: &Arc<PeerState>, frame: Arc<Vec<u8>>) {
+        let (dropped, depth) = peer.queue.push(frame);
+        peer.metrics.dropped_frames.fetch_add(dropped, Ordering::Relaxed);
+        peer.metrics.queue_depth.store(depth, Ordering::Relaxed);
+        peer.metrics.queue_bytes.store(peer.queue.buffered_bytes() as u64, Ordering::Relaxed);
+        self.pool.nudge_peer(peer);
     }
 
     /// Queues `frame` for `to`. Unknown peers are ignored (the config is the
-    /// membership). Never blocks: full queues drop their oldest frame.
+    /// membership).
     pub fn send(&self, to: NodeId, frame: Arc<Vec<u8>>) {
         if let Some(peer) = self.core.peers.get(&to) {
-            let (dropped, depth) = peer.queue.push(frame);
-            peer.metrics.dropped_frames.fetch_add(dropped, Ordering::Relaxed);
-            peer.metrics.queue_depth.store(depth, Ordering::Relaxed);
-            peer.metrics.queue_bytes.store(peer.queue.buffered_bytes() as u64, Ordering::Relaxed);
-            self.pool.nudge_peer(peer);
+            self.enqueue(peer, frame);
         }
     }
 
-    /// Queues `frame` for every peer (self excluded — the driver loops its
-    /// own multicasts back directly).
-    pub fn broadcast(&self, frame: Arc<Vec<u8>>) {
-        for (_, peer) in self.core.peers.iter() {
-            let (dropped, depth) = peer.queue.push(frame.clone());
-            peer.metrics.dropped_frames.fetch_add(dropped, Ordering::Relaxed);
-            peer.metrics.queue_depth.store(depth, Ordering::Relaxed);
-            peer.metrics.queue_bytes.store(peer.queue.buffered_bytes() as u64, Ordering::Relaxed);
-            self.pool.nudge_peer(peer);
-        }
-    }
-
-    /// Like [`broadcast`](Transport::broadcast), but skipping `except` —
-    /// the driver's `BatchPush` path under the drop-push fault knob.
-    pub fn broadcast_except(&self, frame: Arc<Vec<u8>>, except: Option<NodeId>) {
+    /// Queues `frame` for every peer but `except` (self excluded — the
+    /// driver loops its own multicasts back directly). `except` is the
+    /// driver's `BatchPush` path under the drop-push fault knob.
+    pub fn broadcast(&self, frame: Arc<Vec<u8>>, except: Option<NodeId>) {
         for (id, peer) in self.core.peers.iter() {
-            if Some(*id) == except {
-                continue;
+            if Some(*id) != except {
+                self.enqueue(peer, frame.clone());
             }
-            let (dropped, depth) = peer.queue.push(frame.clone());
-            peer.metrics.dropped_frames.fetch_add(dropped, Ordering::Relaxed);
-            peer.metrics.queue_depth.store(depth, Ordering::Relaxed);
-            peer.metrics.queue_bytes.store(peer.queue.buffered_bytes() as u64, Ordering::Relaxed);
-            self.pool.nudge_peer(peer);
         }
     }
 
@@ -525,11 +449,6 @@ impl Transport {
             peer.metrics.queue_bytes.store(peer.queue.buffered_bytes() as u64, Ordering::Relaxed);
             self.pool.nudge_peer(peer);
         }
-    }
-
-    /// Every peer id this transport can send to (self excluded).
-    pub fn peer_ids(&self) -> Vec<NodeId> {
-        self.core.peers.keys().copied().collect()
     }
 
     /// Snapshots per-peer and aggregate counters into `reg` under
@@ -628,9 +547,16 @@ impl Transport {
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     fn localhost_any() -> SocketAddr {
         "127.0.0.1:0".parse().unwrap()
+    }
+
+    /// A two-node PKI's verifier (the messages below carry no signatures).
+    fn verifier() -> Arc<MessageVerifier> {
+        let ring = moonshot_crypto::Keyring::simulated(2);
+        Arc::new(MessageVerifier::new(ring, Arc::new(moonshot_crypto::VerifiedCache::default())))
     }
 
     #[test]
@@ -641,8 +567,8 @@ mod tests {
         assert_eq!(q.push(f(2)).0, 0);
         let (dropped, depth) = q.push(f(3));
         assert_eq!((dropped, depth), (1, 2));
-        assert_eq!(q.pop(Duration::ZERO).unwrap()[0], 2); // 1 was dropped
-        assert_eq!(q.pop(Duration::ZERO).unwrap()[0], 3);
+        assert_eq!(q.pop().unwrap()[0], 2); // 1 was dropped
+        assert_eq!(q.pop().unwrap()[0], 3);
     }
 
     #[test]
@@ -661,10 +587,10 @@ mod tests {
         assert!(dropped_total >= 95, "expected most frames evicted, dropped {dropped_total}");
         // The freshest frame always survives, oldest go first: the head of
         // the queue is the oldest *retained* frame and the newest is last.
-        let first = q.pop(Duration::ZERO).unwrap();
+        let first = q.pop().unwrap();
         assert!(first[0] > 90);
         let mut last = first[0];
-        while let Some(f) = q.pop(Duration::ZERO) {
+        while let Some(f) = q.pop() {
             last = f[0];
         }
         assert_eq!(last, 99, "newest frame must never be evicted");
@@ -677,27 +603,7 @@ mod tests {
         assert_eq!(q.depth(), 1);
         let (dropped, depth) = q.push(Arc::new(vec![2; 8]));
         assert_eq!((dropped, depth), (1, 1)); // oversized head evicted
-        assert_eq!(q.pop(Duration::ZERO).unwrap()[0], 2);
-    }
-
-    #[test]
-    fn pop_survives_spurious_wakeups_until_deadline_or_frame() {
-        let q = Arc::new(OutboundQueue::new(4, usize::MAX, usize::MAX));
-        let q2 = q.clone();
-        let waiter = std::thread::spawn(move || q2.pop(Duration::from_millis(500)));
-        // A notify with an empty queue (indistinguishable from a spurious
-        // wakeup on the waiter side) must not make pop return None early.
-        std::thread::sleep(Duration::from_millis(50));
-        q.signal.notify_all();
-        std::thread::sleep(Duration::from_millis(50));
-        q.push(Arc::new(vec![42]));
-        let got = waiter.join().unwrap();
-        assert_eq!(got.expect("frame after spurious wakeup")[0], 42);
-
-        // With nothing pushed, pop waits out the full deadline.
-        let start = Instant::now();
-        assert!(q.pop(Duration::from_millis(50)).is_none());
-        assert!(start.elapsed() >= Duration::from_millis(50));
+        assert_eq!(q.pop().unwrap()[0], 2);
     }
 
     /// Regression for the sync-response starvation bug: a flood of normal
@@ -717,19 +623,19 @@ mod tests {
         }
         // The protected frame is untouched and is served before the
         // (newer) normal frames.
-        assert_eq!(q.pop(Duration::ZERO).unwrap()[0], 0xA);
+        assert_eq!(q.pop().unwrap()[0], 0xA);
 
         // Protected overflow drops the NEW frame, not a queued response.
         assert!(q.push_protected(Arc::new(vec![0xB; 8])));
         assert!(!q.push_protected(Arc::new(vec![0xC; 8])), "over budget: must refuse new");
-        assert_eq!(q.pop(Duration::ZERO).unwrap()[0], 0xB);
+        assert_eq!(q.pop().unwrap()[0], 0xB);
         // A single response larger than the whole budget still goes through
         // when the class is empty (memory bound = max(budget, one frame)).
         assert!(q.push_protected(Arc::new(vec![0xD; 64])));
-        assert_eq!(q.pop(Duration::ZERO).unwrap()[0], 0xD);
+        assert_eq!(q.pop().unwrap()[0], 0xD);
         // Normal frames are still there underneath, newest retained.
         let mut last = 0;
-        while let Some(f) = q.pop(Duration::ZERO) {
+        while let Some(f) = q.pop() {
             last = f[0];
         }
         assert_eq!(last, 49);
@@ -752,17 +658,23 @@ mod tests {
         let tx0 = InboundSender::new(tx0);
         let tx1 = InboundSender::new(tx1);
         let depth1 = tx1.depth_gauge();
-        let t0 = Transport::start_with_listener(
+        let t0 = Transport::start(
             TransportConfig::new(NodeId(0), a0, peers.clone()),
-            l0,
+            Some(l0),
+            verifier(),
             tx0,
         )
         .unwrap();
-        let t1 =
-            Transport::start_with_listener(TransportConfig::new(NodeId(1), a1, peers), l1, tx1)
-                .unwrap();
+        let t1 = Transport::start(
+            TransportConfig::new(NodeId(1), a1, peers),
+            Some(l1),
+            verifier(),
+            tx1,
+        )
+        .unwrap();
 
-        let block = Block::build(View(1), NodeId(0), &Block::genesis(), Payload::from(vec![7]));
+        let block =
+            Block::build(View(1), NodeId(0), &Block::genesis(), Payload::synthetic_items(1, 7));
         let msg = Message::OptPropose { block, view: View(1) };
         let frame = Arc::new(moonshot_wire::encode_message(&msg));
         t0.send(NodeId(1), frame.clone());
@@ -770,7 +682,7 @@ mod tests {
         let got = rx1.recv_timeout(Duration::from_secs(10)).expect("delivery");
         let got = got.expect("a message");
         assert_eq!(got.from, NodeId(0));
-        assert_eq!(got.msg, msg);
+        assert_eq!(got.msg.message(), &msg);
         // The depth gauge credited the delivery; the consumer debits it.
         assert_eq!(depth1.load(Ordering::Relaxed), 1);
         depth1.fetch_sub(1, Ordering::Relaxed);
@@ -813,9 +725,10 @@ mod tests {
         let peers = vec![(NodeId(0), a0), (NodeId(1), a1)];
 
         let (tx0, rx0) = mpsc::channel();
-        let t0 = Transport::start_with_listener(
+        let t0 = Transport::start(
             TransportConfig::new(NodeId(0), a0, peers.clone()),
-            l0,
+            Some(l0),
+            verifier(),
             InboundSender::new(tx0),
         )
         .unwrap();
@@ -824,14 +737,16 @@ mod tests {
 
         let l1 = TcpListener::bind(a1).expect("rebind reserved address");
         let (tx1, rx1) = mpsc::channel();
-        let t1 = Transport::start_with_listener(
+        let t1 = Transport::start(
             TransportConfig::new(NodeId(1), a1, peers),
-            l1,
+            Some(l1),
+            verifier(),
             InboundSender::new(tx1),
         )
         .unwrap();
 
-        let block = Block::build(View(1), NodeId(0), &Block::genesis(), Payload::from(vec![9]));
+        let block =
+            Block::build(View(1), NodeId(0), &Block::genesis(), Payload::synthetic_items(1, 9));
         let msg = Message::OptPropose { block, view: View(1) };
         let frame = Arc::new(moonshot_wire::encode_message(&msg));
         // Keep sending until the late listener is reachable and delivers.
@@ -860,9 +775,10 @@ mod tests {
         std::thread::sleep(Duration::from_millis(100));
         let l1 = TcpListener::bind(a1).expect("rebind after stop");
         let (tx1b, _rx1b) = mpsc::channel();
-        let t1b = Transport::start_with_listener(
+        let t1b = Transport::start(
             TransportConfig::new(NodeId(1), a1, vec![(NodeId(0), a0), (NodeId(1), a1)]),
-            l1,
+            Some(l1),
+            verifier(),
             InboundSender::new(tx1b),
         )
         .unwrap();

@@ -122,13 +122,9 @@ impl Actor<Message> for EquivocatingActor {
                 // If the next view is ours, propose two equivocating blocks.
                 let next = view.next();
                 if self.is_leader(next) {
-                    for salt in [1u8, 2u8] {
-                        let child = Block::build(
-                            next,
-                            self.node,
-                            &block,
-                            Payload::from(vec![salt; 4]),
-                        );
+                    for salt in [1, 2] {
+                        let child =
+                            Block::build(next, self.node, &block, Payload::synthetic_items(0, salt));
                         ctx.multicast(Message::OptPropose { block: child, view: next });
                     }
                 }

@@ -223,9 +223,9 @@ mod tests {
     #[test]
     fn equivocation_same_view_different_content() {
         let g = Block::genesis();
-        let a = Block::build(View(1), NodeId(0), &g, Payload::from(vec![1]));
-        let b = Block::build(View(1), NodeId(0), &g, Payload::from(vec![2]));
-        let c = Block::build(View(2), NodeId(0), &g, Payload::from(vec![1]));
+        let a = Block::build(View(1), NodeId(0), &g, Payload::synthetic_items(1, 1));
+        let b = Block::build(View(1), NodeId(0), &g, Payload::synthetic_items(1, 2));
+        let c = Block::build(View(2), NodeId(0), &g, Payload::synthetic_items(1, 1));
         assert!(a.equivocates(&b));
         assert!(!a.equivocates(&a));
         assert!(!a.equivocates(&c)); // different views never equivocate

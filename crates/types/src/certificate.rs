@@ -846,7 +846,7 @@ mod tests {
     #[test]
     fn mixed_blocks_rejected() {
         let a = block_at_view(1);
-        let b = Block::build(View(1), NodeId(1), &Block::genesis(), Payload::from(vec![9]));
+        let b = Block::build(View(1), NodeId(1), &Block::genesis(), Payload::synthetic_items(1, 9));
         let mut votes = votes_for(&a, VoteKind::Normal, &[0, 1]);
         votes.extend(votes_for(&b, VoteKind::Normal, &[2]));
         assert_eq!(
@@ -1022,7 +1022,7 @@ mod tests {
             QuorumCertificate::from_votes(&votes_for(&b, VoteKind::Normal, &[0, 1, 2]), &ring())
                 .unwrap();
         // Forge: reuse the valid proof for a different block's certificate.
-        let other = Block::build(View(1), NodeId(1), &Block::genesis(), Payload::from(vec![7]));
+        let other = Block::build(View(1), NodeId(1), &Block::genesis(), Payload::synthetic_items(1, 7));
         let forged = QuorumCertificate::from_parts(
             VoteKind::Normal,
             other.id(),

@@ -2,19 +2,17 @@
 //!
 //! The paper's evaluation replaced the mempool by having leaders "create
 //! parametrically sized payloads during the block creation process, with
-//! individual payload items being 180 bytes in size" (§VI). A payload here is
-//! either real bytes (for the mempool-backed data path, tests and examples)
-//! or a *synthetic* payload that records only its size and a content digest —
-//! so that simulating a 9 MB block does not allocate 9 MB, while the
-//! bandwidth model still charges for every byte.
+//! individual payload items being 180 bytes in size" (§VI). The simulator
+//! does the same with a *synthetic* payload that records only its size and a
+//! content digest — so that simulating a 9 MB block does not allocate 9 MB,
+//! while the bandwidth model still charges for every byte.
 //!
-//! Real payload bytes are carried as `Arc<[u8]>` with their digest computed
-//! **once** at construction and cached alongside the bytes. That makes
-//! cloning a payload through mempool → block → wire frame → per-peer writer
-//! queues a reference-count bump, and makes `Block::assemble` on the driver
-//! hot loop a cached-digest read, never a hash of megabytes. The
-//! [`data_hashes_on_thread`] counter counts every content hash the calling
-//! thread actually performed, so the runtime can assert the driver did none.
+//! The networked runtime never puts transaction bytes in a block: batches
+//! travel on the dissemination plane and a block carries 40-byte
+//! [`BatchRef`]s to them. The digest of the reference list is computed
+//! **once** at construction and cached, so cloning a payload through block →
+//! wire frame → per-peer queues is a reference-count bump and
+//! `Block::assemble` reads a cached digest.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -26,32 +24,6 @@ use crate::wire::WireSize;
 
 /// Size of one payload item in bytes, as in the paper's evaluation.
 pub const PAYLOAD_ITEM_BYTES: u64 = 180;
-
-std::thread_local! {
-    static DATA_HASHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// How many `Payload::Data` content hashes the **calling thread** has
-/// performed since it started. The node driver snapshots this around its
-/// hot loop to prove proposal assembly never hashes payload bytes (batch
-/// assembler threads and transport reader threads hash on their own
-/// threads and their own counters).
-pub fn data_hashes_on_thread() -> u64 {
-    DATA_HASHES.with(|c| c.get())
-}
-
-/// Hashes real payload bytes, charging the calling thread's hash counter.
-fn hash_data_bytes(bytes: &[u8]) -> Digest {
-    DATA_HASHES.with(|c| c.set(c.get() + 1));
-    Digest::hash_parts(&[b"moonshot-data-payload", bytes])
-}
-
-/// Digest of the empty payload, computed once per process (so `empty()` on
-/// the driver hot loop neither hashes nor charges the counter).
-fn empty_digest() -> Digest {
-    static EMPTY: OnceLock<Digest> = OnceLock::new();
-    *EMPTY.get_or_init(|| Digest::hash_parts(&[b"moonshot-data-payload", b""]))
-}
 
 /// A reference to a disseminated transaction batch: the batch's content
 /// digest plus its byte size. Digest-only proposals carry a list of these
@@ -71,10 +43,9 @@ impl fmt::Debug for BatchRef {
     }
 }
 
-/// Digest of a batch-reference list. This is O(refs), not O(payload bytes),
-/// and deliberately does **not** charge [`data_hashes_on_thread`]: a
-/// digest-only proposal is assembled on the driver without touching batch
-/// bytes, which is the entire point of the dissemination plane.
+/// Digest of a batch-reference list: O(refs), not O(payload bytes) — a
+/// proposal is assembled on the driver without touching batch bytes, which
+/// is the entire point of the dissemination plane.
 fn batch_refs_digest(refs: &[BatchRef]) -> Digest {
     let mut buf = Vec::with_capacity(refs.len() * 40);
     for r in refs {
@@ -87,15 +58,6 @@ fn batch_refs_digest(refs: &[BatchRef]) -> Digest {
 /// The transactions carried by a block (`b_v` in the paper).
 #[derive(Clone)]
 pub enum Payload {
-    /// Real transaction bytes, shared zero-copy with the digest cached at
-    /// construction time. The digest is what the block id commits to;
-    /// [`Payload::digest_matches_bytes`] checks the bytes still match it.
-    Data {
-        /// The transaction bytes, shared across mempool, block, and frames.
-        bytes: Arc<[u8]>,
-        /// Cached content digest (hash of the bytes), computed once.
-        digest: Digest,
-    },
     /// A stand-in for `size` bytes of transactions with the given digest.
     Synthetic {
         /// Total payload size in bytes.
@@ -103,8 +65,8 @@ pub enum Payload {
         /// Digest standing in for the payload contents.
         digest: Digest,
     },
-    /// A digest-only payload: references to batches already travelling on
-    /// the dissemination plane. The block id commits to the reference list
+    /// References to batches already travelling on the dissemination
+    /// plane. The block id commits to the reference list
     /// (via the cached digest); voters resolve every reference in their
     /// batch store before voting, so committed bytes are recoverable
     /// without ever riding a proposal.
@@ -117,24 +79,12 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// The empty payload.
+    /// The empty payload: no batch references. Its digest is computed once
+    /// per process.
     pub fn empty() -> Self {
-        Payload::Data { bytes: Arc::from([] as [u8; 0]), digest: empty_digest() }
-    }
-
-    /// Real payload bytes; hashes them once, here, on the calling thread.
-    pub fn data(bytes: impl Into<Arc<[u8]>>) -> Self {
-        let bytes = bytes.into();
-        let digest = hash_data_bytes(&bytes);
-        Payload::Data { bytes, digest }
-    }
-
-    /// Real payload bytes with a digest the caller already computed (batch
-    /// assembler handoff, wire decode). The digest is **trusted** — receive
-    /// paths must validate it with [`Payload::digest_matches_bytes`] before
-    /// acting on the block.
-    pub fn data_prehashed(bytes: Arc<[u8]>, digest: Digest) -> Self {
-        Payload::Data { bytes, digest }
+        static EMPTY: OnceLock<Digest> = OnceLock::new();
+        let digest = *EMPTY.get_or_init(|| batch_refs_digest(&[]));
+        Payload::Batches { refs: Arc::from([]), digest }
     }
 
     /// A synthetic payload of `items` × 180-byte items, deterministically
@@ -157,21 +107,19 @@ impl Payload {
         Payload::synthetic_items(bytes / PAYLOAD_ITEM_BYTES, view_seed)
     }
 
-    /// A digest-only payload referencing disseminated batches. Hashes only
-    /// the 40-byte references (never batch bytes), on the calling thread,
-    /// without charging the data-hash counter.
+    /// A payload referencing disseminated batches. Hashes only the 40-byte
+    /// references (never batch bytes), on the calling thread.
     pub fn batches(refs: impl Into<Arc<[BatchRef]>>) -> Self {
         let refs = refs.into();
         let digest = batch_refs_digest(&refs);
         Payload::Batches { refs, digest }
     }
 
-    /// Payload size in bytes. For digest-only payloads this is the total
-    /// size of the *referenced* batches — the data the block commits, not
-    /// the 40-byte references that ride the proposal.
+    /// Payload size in bytes. For batch references this is the total size
+    /// of the *referenced* batches — the data the block commits, not the
+    /// 40-byte references that ride the proposal.
     pub fn size(&self) -> u64 {
         match self {
-            Payload::Data { bytes, .. } => bytes.len() as u64,
             Payload::Synthetic { size, .. } => *size,
             Payload::Batches { refs, .. } => refs.iter().map(|r| r.bytes).sum(),
         }
@@ -182,68 +130,42 @@ impl Payload {
         self.size() / PAYLOAD_ITEM_BYTES
     }
 
-    /// Digest of the payload contents, used inside the block id. For real
-    /// data this reads the cached digest — it never re-hashes the bytes.
+    /// Digest of the payload contents, used inside the block id. Reads the
+    /// cached digest — it never re-hashes.
     pub fn digest(&self) -> Digest {
         match self {
-            Payload::Data { digest, .. } => *digest,
             Payload::Synthetic { digest, .. } => *digest,
             Payload::Batches { digest, .. } => *digest,
         }
     }
 
-    /// The real transaction bytes, if this is a data payload.
-    pub fn data_bytes(&self) -> Option<&Arc<[u8]>> {
-        match self {
-            Payload::Data { bytes, .. } => Some(bytes),
-            Payload::Synthetic { .. } | Payload::Batches { .. } => None,
-        }
-    }
-
-    /// The referenced batches, if this is a digest-only payload.
+    /// The referenced batches, unless this is a synthetic payload.
     pub fn batch_refs(&self) -> Option<&[BatchRef]> {
         match self {
             Payload::Batches { refs, .. } => Some(refs),
-            _ => None,
+            Payload::Synthetic { .. } => None,
         }
     }
 
-    /// Re-hashes real payload bytes and compares against the carried
-    /// digest. `false` means the bytes were tampered with relative to what
-    /// the block id commits to. Synthetic payloads are their digest by
-    /// definition. Charges the calling thread's hash counter for data.
-    pub fn digest_matches_bytes(&self) -> bool {
+    /// Re-derives the digest from the carried contents and compares it
+    /// against the carried digest. `false` means the reference list was
+    /// tampered with relative to what the block id commits to. Synthetic
+    /// payloads are their digest by definition. O(refs); availability of the
+    /// referenced bytes is enforced by the vote gate, not here.
+    pub fn digest_matches_contents(&self) -> bool {
         match self {
-            Payload::Data { bytes, digest } => {
-                if bytes.is_empty() {
-                    *digest == empty_digest()
-                } else {
-                    hash_data_bytes(bytes) == *digest
-                }
-            }
             Payload::Synthetic { .. } => true,
-            // The block id commits to the reference list; re-derive its
-            // digest from the refs (O(refs), counter-free). Availability of
-            // the referenced bytes is enforced by the vote gate, not here.
             Payload::Batches { refs, digest } => batch_refs_digest(refs) == *digest,
         }
     }
 }
 
-impl Default for Payload {
-    fn default() -> Self {
-        Payload::empty()
-    }
-}
-
-// Equality and hashing go through the cached digest, never the bytes —
-// comparing two 9 MB payloads must not scan 18 MB. Two data payloads with
-// equal digests are the same payload for block-identity purposes (that is
-// exactly what the block id commits to).
+// Equality and hashing go through the cached digest, never the contents:
+// two payloads with equal digests are the same payload for block-identity
+// purposes (that is exactly what the block id commits to).
 impl PartialEq for Payload {
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
-            (Payload::Data { digest: a, .. }, Payload::Data { digest: b, .. }) => a == b,
             (
                 Payload::Synthetic { size: sa, digest: a },
                 Payload::Synthetic { size: sb, digest: b },
@@ -259,10 +181,6 @@ impl Eq for Payload {}
 impl Hash for Payload {
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
-            Payload::Data { digest, .. } => {
-                state.write_u8(0);
-                digest.hash(state);
-            }
             Payload::Synthetic { size, digest } => {
                 state.write_u8(1);
                 size.hash(state);
@@ -279,15 +197,11 @@ impl Hash for Payload {
 impl WireSize for Payload {
     fn wire_size(&self) -> usize {
         // Matches the moonshot-wire codec exactly: a variant tag, then for
-        // real data a u32 length + the content digest + the bytes (the
-        // digest rides the wire so decoding never has to re-hash the
-        // payload), for synthetic payloads a u64 size + the content digest
-        // + `size` filler bytes (a real transport genuinely carries the
-        // payload's bytes either way).
+        // synthetic payloads a u64 size + the content digest + `size` filler
+        // bytes (a real transport would genuinely carry the payload's bytes).
         match self {
-            Payload::Data { bytes, .. } => 1 + 4 + 32 + bytes.len(),
             Payload::Synthetic { size, .. } => 1 + 8 + 32 + *size as usize,
-            // Digest-only: the wire carries the 40-byte references, never
+            // The wire carries a u32 count and the 40-byte references, never
             // the batch bytes — this is what frees proposals from the
             // leader's O(n²) payload multicast.
             Payload::Batches { refs, .. } => 1 + 4 + refs.len() * 40,
@@ -298,9 +212,6 @@ impl WireSize for Payload {
 impl fmt::Debug for Payload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Payload::Data { bytes, digest } => {
-                write!(f, "Payload::Data({} bytes, {})", bytes.len(), digest.short())
-            }
             Payload::Synthetic { size, digest } => {
                 write!(f, "Payload::Synthetic({size} bytes, {})", digest.short())
             }
@@ -317,12 +228,6 @@ impl fmt::Debug for Payload {
     }
 }
 
-impl From<Vec<u8>> for Payload {
-    fn from(bytes: Vec<u8>) -> Self {
-        Payload::data(bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,9 +235,11 @@ mod tests {
     #[test]
     fn empty_payload_is_zero_sized() {
         assert_eq!(Payload::empty().size(), 0);
-        // The codec still frames an empty payload: tag + u32 length + digest.
-        assert_eq!(Payload::empty().wire_size(), 37);
+        // The codec still frames an empty payload: tag + u32 ref count.
+        assert_eq!(Payload::empty().wire_size(), 5);
         assert_eq!(Payload::empty().item_count(), 0);
+        assert_eq!(Payload::empty(), Payload::batches(Vec::new()));
+        assert!(Payload::empty().digest_matches_contents());
     }
 
     #[test]
@@ -340,9 +247,6 @@ mod tests {
         let a = Payload::synthetic_bytes(1_800, 0);
         let b = Payload::synthetic_bytes(18_000, 0);
         assert_eq!(b.wire_size() - a.wire_size(), (18_000 - 1_800) as usize);
-        let c = Payload::from(vec![7u8; 100]);
-        let d = Payload::from(vec![7u8; 350]);
-        assert_eq!(d.wire_size() - c.wire_size(), 250);
     }
 
     #[test]
@@ -368,64 +272,18 @@ mod tests {
     }
 
     #[test]
-    fn data_digest_depends_on_contents() {
-        assert_ne!(
-            Payload::from(vec![1, 2, 3]).digest(),
-            Payload::from(vec![1, 2, 4]).digest()
-        );
-    }
-
-    #[test]
-    fn data_digest_is_cached_not_recomputed() {
-        let p = Payload::from(vec![9u8; 4096]);
-        let before = data_hashes_on_thread();
-        let a = p.digest();
-        let b = p.clone().digest();
-        assert_eq!(a, b);
-        assert_eq!(data_hashes_on_thread(), before, "digest() must not re-hash");
-    }
-
-    #[test]
-    fn empty_payload_never_charges_the_hash_counter() {
-        let _ = Payload::empty(); // warm the OnceLock off the measurement
-        let before = data_hashes_on_thread();
-        let p = Payload::empty();
-        let _ = p.digest();
-        assert!(p.digest_matches_bytes());
-        assert_eq!(data_hashes_on_thread(), before);
-    }
-
-    #[test]
-    fn tampered_bytes_fail_digest_check() {
-        let honest = Payload::from(vec![1u8; 512]);
-        assert!(honest.digest_matches_bytes());
-        let tampered = Payload::data_prehashed(Arc::from(vec![2u8; 512]), honest.digest());
-        assert!(!tampered.digest_matches_bytes());
-        // Tampering is invisible to digest-based equality — that is the
-        // point: the block id commits to the digest, so integrity needs the
-        // explicit byte check.
-        assert_eq!(honest, tampered);
-    }
-
-    #[test]
-    fn batch_refs_payload_never_charges_the_hash_counter() {
+    fn batch_refs_payload_sizes_count_the_referenced_bytes() {
         let refs = vec![
             BatchRef { digest: Digest::hash(b"batch-a"), bytes: 180_000 },
             BatchRef { digest: Digest::hash(b"batch-b"), bytes: 20_000 },
         ];
-        let before = data_hashes_on_thread();
         let p = Payload::batches(refs.clone());
         assert_eq!(p.size(), 200_000);
         assert_eq!(p.batch_refs().unwrap(), &refs[..]);
-        assert!(p.data_bytes().is_none());
-        assert!(p.digest_matches_bytes());
+        assert!(p.digest_matches_contents());
         // Wire size is the references, not the referenced bytes.
         assert_eq!(p.wire_size(), 1 + 4 + 2 * 40);
-        assert_eq!(
-            data_hashes_on_thread(),
-            before,
-            "digest-only payloads must not charge the data-hash counter"
-        );
+        assert!(Payload::synthetic_items(1, 0).batch_refs().is_none());
     }
 
     #[test]
@@ -436,10 +294,13 @@ mod tests {
         assert_ne!(Payload::batches(vec![a, b]).digest(), Payload::batches(vec![b, a]).digest());
         let resized = BatchRef { bytes: 11, ..a };
         assert_ne!(Payload::batches(vec![a]).digest(), Payload::batches(vec![resized]).digest());
-        // A tampered reference list fails the integrity check.
+        // A tampered reference list fails the integrity check, though it is
+        // invisible to digest-based equality — the block id commits to the
+        // digest, so integrity needs the explicit check.
         let honest = Payload::batches(vec![a, b]);
         let tampered = Payload::Batches { refs: Arc::from(vec![a]), digest: honest.digest() };
-        assert!(!tampered.digest_matches_bytes());
+        assert!(!tampered.digest_matches_contents());
+        assert_eq!(honest, tampered);
     }
 
     #[test]

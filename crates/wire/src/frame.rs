@@ -87,9 +87,9 @@ pub enum Frame {
     /// A consensus protocol message.
     Consensus(Message),
     /// Dissemination plane: a sealed transaction batch pushed to every peer
-    /// *before* the leader proposes its digest. Handled entirely on the
-    /// transport reader thread (validate digest, insert into the batch
-    /// store); it never reaches the consensus state machine.
+    /// *before* a leader proposes its digest. Handled entirely on the
+    /// receiving network pool's shard loop (validate digest, insert into
+    /// the batch store); it never reaches the consensus state machine.
     BatchPush {
         /// Content digest of `bytes` (the batch-store key). Receivers
         /// re-hash and reject mismatches.

@@ -30,7 +30,7 @@
 //! use moonshot_types::{Block, Payload, View, NodeId, WireSize};
 //! use moonshot_wire::{decode_frame, encode_frame, Frame};
 //!
-//! let block = Block::build(View(1), NodeId(0), &Block::genesis(), Payload::from(vec![1, 2]));
+//! let block = Block::build(View(1), NodeId(0), &Block::genesis(), Payload::empty());
 //! let msg = Message::OptPropose { block, view: View(1) };
 //! let bytes = encode_frame(&Frame::Consensus(msg.clone()));
 //! assert_eq!(bytes.len(), msg.wire_size());

@@ -14,7 +14,6 @@
 //! signature verification, which stays where it always was, in the protocol
 //! state machines).
 
-use std::sync::Arc;
 
 use moonshot_consensus::Message;
 use moonshot_crypto::signature::SIGNATURE_LEN;
@@ -28,7 +27,9 @@ use moonshot_types::vote::CommitVote;
 
 use crate::codec::{Decode, Decoder, Encode, Encoder, WireError};
 
-const PAYLOAD_DATA: u8 = 0;
+// Tag 0 carried full transaction bytes inside the block. It is retired, not
+// reused: blockstores written by older builds must fail to decode, never
+// decode as something else.
 const PAYLOAD_SYNTHETIC: u8 = 1;
 const PAYLOAD_BATCHES: u8 = 2;
 
@@ -122,16 +123,6 @@ impl Decode for VoteKind {
 impl Encode for Payload {
     fn encode(&self, enc: &mut Encoder) {
         match self {
-            Payload::Data { bytes, digest } => {
-                // The cached digest rides the wire so the decoder can
-                // rebuild the payload without re-hashing it; receive paths
-                // validate bytes-vs-digest explicitly (verifier / inline
-                // proposal checks), not the codec.
-                enc.put_u8(PAYLOAD_DATA);
-                enc.put_u32(bytes.len() as u32);
-                digest.encode(enc);
-                enc.put_bytes(bytes);
-            }
             Payload::Synthetic { size, digest } => {
                 // A real link genuinely carries the payload's bytes: the
                 // header names the size and content digest, then `size`
@@ -143,8 +134,7 @@ impl Encode for Payload {
                 enc.put_zeros(*size as usize);
             }
             Payload::Batches { refs, .. } => {
-                // Digest-only: 40 bytes per referenced batch, never the
-                // batch bytes. The list digest is recomputed at decode
+                // 40 bytes per referenced batch, never the batch bytes. The list digest is recomputed at decode
                 // (O(refs)), so it does not ride the wire.
                 enc.put_u8(PAYLOAD_BATCHES);
                 enc.put_u32(refs.len() as u32);
@@ -160,14 +150,6 @@ impl Encode for Payload {
 impl Decode for Payload {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, WireError> {
         match dec.get_u8()? {
-            PAYLOAD_DATA => {
-                let len = dec.get_count(1)?;
-                let digest = Digest::decode(dec)?;
-                // One copy out of the frame buffer into the shared Arc; no
-                // hashing here (the carried digest is validated by the
-                // message verifier / inline proposal checks).
-                Ok(Payload::data_prehashed(Arc::from(dec.take(len)?), digest))
-            }
             PAYLOAD_SYNTHETIC => {
                 let size = dec.get_u64()?;
                 let digest = Digest::decode(dec)?;
@@ -494,7 +476,6 @@ mod tests {
 
     #[test]
     fn payload_variants_roundtrip() {
-        roundtrip(&Payload::from(vec![1u8, 2, 3]));
         roundtrip(&Payload::empty());
         roundtrip(&Payload::synthetic_items(10, 7));
         roundtrip(&Payload::batches(vec![

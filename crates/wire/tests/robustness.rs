@@ -11,7 +11,9 @@ use moonshot_types::{
     Block, NodeId, Payload, QuorumCertificate, SignedTimeout, SignedVote, TimeoutCertificate,
     View, Vote, VoteKind,
 };
-use moonshot_wire::{decode_frame, encode_message, FrameReader, WireError};
+use moonshot_wire::{
+    decode_frame, encode_message, Decode, Decoder, Encode, FrameReader, WireError,
+};
 
 /// A corpus of valid frames covering the structurally interesting variants
 /// (nested certs, options, length-prefixed collections, payload filler).
@@ -193,4 +195,29 @@ fn reader_buffer_stays_bounded_by_frames_not_stream_length() {
         while reader.next_frame().unwrap().is_some() {}
         assert_eq!(reader.buffered(), 0);
     }
+}
+
+/// Payload tag 0 once framed transaction bytes inside the block. A block an
+/// older build wrote (a blockstore segment, a peer that was not upgraded)
+/// must be refused with an error — not decoded as something else, not a
+/// panic — wherever its body is cut off.
+#[test]
+fn retired_data_payload_tag_is_a_decode_error() {
+    let block = Block::build(View(3), NodeId(1), &Block::genesis(), Payload::empty());
+    let mut bytes = block.to_wire_bytes();
+    // Swap the trailing empty payload (tag + u32 count) for the old layout:
+    // tag 0, u32 length, content digest, the bytes.
+    bytes.truncate(bytes.len() - 5);
+    bytes.push(0);
+    bytes.extend_from_slice(&3u32.to_le_bytes());
+    bytes.extend_from_slice(&[0xAB; 32]);
+    bytes.extend_from_slice(&[1, 2, 3]);
+    for cut in (bytes.len() - 39)..=bytes.len() {
+        let decoded = Block::decode(&mut Decoder::new(&bytes[..cut]));
+        assert!(decoded.is_err(), "a retired-tag block cut at {cut} decoded");
+    }
+    assert_eq!(
+        Block::decode(&mut Decoder::new(&bytes)).unwrap_err(),
+        WireError::UnknownTag(0)
+    );
 }

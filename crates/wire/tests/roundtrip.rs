@@ -10,7 +10,7 @@ use moonshot_rng::DetRng;
 use moonshot_types::certificate::TimeoutContent;
 use moonshot_types::vote::CommitVote;
 use moonshot_types::{
-    Block, Height, NodeId, Payload, QuorumCertificate, SignedCommitVote, SignedTimeout,
+    BatchRef, Block, Height, NodeId, Payload, QuorumCertificate, SignedCommitVote, SignedTimeout,
     SignedVote, TimeoutCertificate, View, Vote, VoteKind, WireSize,
 };
 use moonshot_wire::{decode_frame, encode_frame, encode_message, Frame};
@@ -27,10 +27,14 @@ fn rand_node(rng: &mut DetRng) -> NodeId {
 
 fn rand_payload(rng: &mut DetRng) -> Payload {
     match rng.gen_below(3) {
-        0 => {
-            let len = rng.gen_below(300) as usize;
-            Payload::data(rng.gen_bytes(len))
-        }
+        0 => Payload::batches(
+            (0..rng.gen_below(8))
+                .map(|_| BatchRef {
+                    digest: moonshot_crypto::Digest::hash(&rng.next_u64().to_le_bytes()),
+                    bytes: rng.gen_below(1 << 20),
+                })
+                .collect::<Vec<_>>(),
+        ),
         1 => Payload::empty(),
         _ => Payload::synthetic_items(rng.gen_below(50), rng.next_u64()),
     }

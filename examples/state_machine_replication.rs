@@ -1,6 +1,7 @@
 //! State machine replication end to end: clients submit key-value commands,
-//! leaders batch them into block payloads, and every replica applies its
-//! committed log to a local store — finishing with identical states.
+//! leaders batch them and propose references to the batches, and every
+//! replica applies its committed log to a local store — finishing with
+//! identical states.
 //!
 //! This demonstrates the SMR contract of Definition 1: the committed logs
 //! form a single linearizable history, so deterministic replay yields the
@@ -10,23 +11,31 @@
 //! cargo run --release --example state_machine_replication
 //! ```
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use moonshot::consensus::{ConsensusProtocol, Message, NodeConfig, PayloadSource, PipelinedMoonshot};
-use moonshot::crypto::Keyring;
+use moonshot::crypto::{Digest, Keyring};
 use moonshot::net::{Actor, NetworkConfig, NicModel, Simulation, UniformLatency};
 use moonshot::sim::{MetricsSink, ProtocolActor};
 use moonshot::types::time::{SimDuration, SimTime};
-use moonshot::types::{NodeId, Payload, View};
+use moonshot::types::{BatchRef, NodeId, Payload, View};
 use std::sync::Mutex;
 
+/// Command batches by content digest — what the dissemination plane's batch
+/// store is to a real node. Blocks carry only references; here every replica
+/// reads the one map, as if every batch push had arrived.
+type BatchStore = Arc<Mutex<HashMap<Digest, Vec<u8>>>>;
+
 /// A tiny deterministic key-value command language: `SET k v`.
-fn command_batch(view: View) -> Payload {
+fn command_batch(view: View, store: &BatchStore) -> Payload {
     // Each view's leader drains the (simulated) client queue: two commands
     // per block, derived from the view number so every run is reproducible.
-    let commands = format!("SET key{} {}\nSET counter {}", view.0 % 10, view.0, view.0);
-    Payload::from(commands.into_bytes())
+    let commands =
+        format!("SET key{} {}\nSET counter {}", view.0 % 10, view.0, view.0).into_bytes();
+    let batch = BatchRef { digest: Digest::hash(&commands), bytes: commands.len() as u64 };
+    store.lock().unwrap().insert(batch.digest, commands);
+    Payload::batches(vec![batch])
 }
 
 /// Applies a committed payload to a replica's key-value store.
@@ -42,6 +51,7 @@ fn apply(store: &mut BTreeMap<String, String>, payload: &[u8]) {
 fn main() {
     let n = 4;
     let metrics = Arc::new(Mutex::new(MetricsSink::new()));
+    let store: BatchStore = Arc::default();
     // Shared commit logs per replica (ordered).
     let logs: Arc<Mutex<Vec<Vec<Vec<u8>>>>> = Arc::new(Mutex::new(vec![Vec::new(); n]));
 
@@ -65,16 +75,21 @@ fn main() {
         .map(|i| {
             let node = NodeId::from_index(i);
             let logs = logs.clone();
-            let commit_hook = move |payload: Vec<u8>| {
-                logs.lock().unwrap()[node.as_usize()].push(payload);
+            let committed = store.clone();
+            let commit_hook = move |batch: Digest| {
+                let commands = committed.lock().unwrap()[&batch].clone();
+                logs.lock().unwrap()[node.as_usize()].push(commands);
             };
+            let proposed = store.clone();
             let cfg = NodeConfig {
                 node_id: node,
                 keypair: moonshot::crypto::KeyPair::from_seed(i as u64),
                 keyring: Keyring::simulated(n),
                 delta: SimDuration::from_millis(100),
                 election: Box::new(moonshot::consensus::RoundRobin::new(n)),
-                payloads: PayloadSource::Custom(Box::new(command_batch)),
+                payloads: PayloadSource::Custom(Box::new(move |view| {
+                    command_batch(view, &proposed)
+                })),
                 verify_signatures: true,
                 fetch_retry: moonshot::consensus::RetryPolicy::auto(),
                 verified_cache: std::sync::Arc::new(
@@ -86,11 +101,11 @@ fn main() {
                 local_blocks: None,
             };
             // Adapter: intercept commits through a wrapper protocol.
-            struct Hooked<F: FnMut(Vec<u8>)> {
+            struct Hooked<F: FnMut(Digest)> {
                 inner: PipelinedMoonshot,
                 hook: F,
             }
-            impl<F: FnMut(Vec<u8>)> ConsensusProtocol for Hooked<F> {
+            impl<F: FnMut(Digest)> ConsensusProtocol for Hooked<F> {
                 fn start(&mut self, now: SimTime) -> Vec<moonshot::consensus::Output> {
                     self.inner.start(now)
                 }
@@ -103,8 +118,8 @@ fn main() {
                     let outs = self.inner.handle_message(from, message, now);
                     for o in &outs {
                         if let moonshot::consensus::Output::Commit(c) = o {
-                            if let Some(bytes) = c.block.payload().data_bytes() {
-                                (self.hook)(bytes.to_vec());
+                            for batch in c.block.payload().batch_refs().unwrap_or(&[]) {
+                                (self.hook)(batch.digest);
                             }
                         }
                     }
