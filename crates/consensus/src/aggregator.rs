@@ -141,11 +141,6 @@ impl TimeoutAggregator {
         self.buckets.get(&view).map_or(0, Vec::len)
     }
 
-    /// Whether the `f+1` amplification already fired for `view`.
-    pub fn has_amplified(&self, view: View) -> bool {
-        self.amplified.contains(&view)
-    }
-
     /// Drops state for views before `view`.
     pub fn gc(&mut self, view: View) {
         self.gc_before = self.gc_before.max(view);

@@ -17,53 +17,36 @@
 //! than the original proposer, a Byzantine successor can swallow the votes
 //! and prevent the certificate from ever forming: Jolteon is **not reorg
 //! resilient**, which is exactly what the paper's `WJ` schedule exploits.
-
-use std::collections::{BTreeMap, HashMap, HashSet};
+//!
+//! This file is Jolteon's rule list over the shared `Replica` core (rounds
+//! are the core's views):
+//!
+//! | Jolteon | here |
+//! |---|---|
+//! | Propose — on entering `r` as leader: extend the QC that ended `r − 1`, or the high-QC with the TC | `enter_round` → `Replica::propose` |
+//! | Vote (happy path) — `r = qc.round + 1`, once per round, not after timing out of `r`; to the leader of `r + 1` | `on_proposal` → `cast_vote` |
+//! | Vote (fallback) — justification ranks ≥ the TC's highest QC | `on_proposal` → `cast_vote` |
+//! | Lock / high-QC — adopt any higher ranked certificate | `on_qc` → `Replica::on_certificate` |
+//! | Timeout — on the 4Δ round timer or f + 1 timeouts for `r′ ≥ r`; carries the high-QC | the `ViewTimer` arm, `on_timeout_msg` |
+//! | Advance Round — on a QC or TC for `r′ ≥ r` | `on_qc`, `on_tc` → `enter_round` |
+//! | Commit — 2-chain (Jolteon) or 3-chain (HotStuff) of consecutive rounds | `ChainState` (via `Replica::on_certificate`) |
 
 use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::{
-    Block, NodeId, Payload, QuorumCertificate, SignedTimeout, SignedVote, TimeoutCertificate,
-    View, Vote, VoteKind,
+    Block, NodeId, QuorumCertificate, SignedTimeout, TimeoutCertificate, View, VoteKind,
 };
 
-use crate::aggregator::{TimeoutAggregator, VoteAggregator};
 use crate::chainstate::{ChainState, CommitRule};
-use crate::sync::{self, BlockFetcher};
 use crate::message::Message;
 use crate::protocol::{ConsensusProtocol, NodeConfig, Output, TimerToken};
-use crate::verify::PreVerified;
-
-/// How many rounds of vote/timeout state to retain behind the current round.
-const GC_MARGIN: u64 = 4;
+use crate::replica::{covers_tc, extends_certified, Proposal, Replica};
 
 /// The Jolteon state machine for one node (rounds are represented as views).
+#[derive(Debug)]
 pub struct Jolteon {
-    cfg: NodeConfig,
-    chain: ChainState,
-    votes: VoteAggregator,
-    timeouts: TimeoutAggregator,
-    /// Current round.
-    round: View,
+    pub(crate) core: Replica,
     /// Highest round voted in (each node votes at most once per round).
     last_voted_round: View,
-    /// Rounds for which a timeout has been multicast.
-    sent_timeouts: HashSet<View>,
-    /// Whether this node (as leader) proposed in the current round.
-    proposed: bool,
-    payload_cache: HashMap<View, Payload>,
-    pending: BTreeMap<View, Vec<(NodeId, Message)>>,
-    /// Outstanding fetches for certified-but-missing blocks.
-    fetcher: BlockFetcher,
-}
-
-impl std::fmt::Debug for Jolteon {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Jolteon")
-            .field("node", &self.cfg.node_id)
-            .field("round", &self.round)
-            .field("high_qc", &self.chain.high_qc().view())
-            .finish()
-    }
 }
 
 impl Jolteon {
@@ -85,421 +68,191 @@ impl Jolteon {
         Self::with_rule(cfg, CommitRule::ThreeChain)
     }
 
-    fn with_rule(mut cfg: NodeConfig, rule: CommitRule) -> Self {
-        let recovered = cfg.recover.take();
-        let mut fetcher =
-            BlockFetcher::new(cfg.node_id, cfg.n(), cfg.fetch_retry.resolve(cfg.delta));
-        if let Some(src) = cfg.local_blocks.clone() {
-            fetcher.set_local_source(src);
-        }
-        let mut node = Jolteon {
-            cfg,
-            chain: ChainState::with_rule(rule),
-            votes: VoteAggregator::new(),
-            timeouts: TimeoutAggregator::new(),
-            round: View::GENESIS,
-            last_voted_round: View::GENESIS,
-            sent_timeouts: HashSet::new(),
-            proposed: false,
-            payload_cache: HashMap::new(),
-            pending: BTreeMap::new(),
-            fetcher,
-        };
-        if let Some(rec) = recovered {
-            if !rec.is_empty() {
-                node.apply_recovery(rec);
-            }
-        }
-        node
-    }
-
-    /// Restores durable state after a crash. The WAL's vote floor becomes
-    /// `last_voted_round` — every vote rule already guards on
-    /// `pv > self.last_voted_round`, so a recovered node can never revote a
-    /// round its previous incarnation voted (or timed out) in. Committed
-    /// blocks are preloaded into the tree and committed silently so only the
-    /// post-restart tail is re-emitted as commit output.
-    fn apply_recovery(&mut self, rec: crate::protocol::RecoveredState) {
-        self.last_voted_round = rec.voted_view.max(rec.timeout_view);
-        if rec.timeout_view > View::GENESIS {
-            self.sent_timeouts.insert(rec.timeout_view);
-        }
-        let tip = rec.committed.last().map(Block::id);
-        for block in rec.committed {
-            self.chain.tree.insert(block);
-        }
-        if let Some(tip) = tip {
-            let _ = self.chain.commit_target(tip, View::GENESIS);
-        }
-        if let Some(lock) = rec.lock {
-            let _ = self.chain.register_qc(&lock);
-        }
+    fn with_rule(cfg: NodeConfig, rule: CommitRule) -> Self {
+        // After a restart the rounds the WAL forbids are the core's affair
+        // (`Replica::vote`); this counter only keeps votes to one a round.
+        Jolteon { core: Replica::new(cfg, rule), last_voted_round: View::GENESIS }
     }
 
     /// Round timer: 4Δ (Table I).
     fn round_timer(&self) -> SimDuration {
-        self.cfg.delta * 4
+        self.core.cfg.delta * 4
     }
 
     /// The node's high-QC.
     pub fn high_qc(&self) -> &QuorumCertificate {
-        self.chain.high_qc()
+        self.core.chain.high_qc()
     }
 
     /// Shared chain state (for inspection in tests).
     pub fn chain(&self) -> &ChainState {
-        &self.chain
+        &self.core.chain
     }
 
-    /// Whether this node runs the 3-chain (HotStuff) commit rule.
-    fn three_chain(&self) -> bool {
-        self.chain.rule() == CommitRule::ThreeChain
-    }
+    // === Advance Round ===================================================
 
-    /// The (fixed) payload of this node's block for `round`, first drawn
-    /// for a block extending `parent`.
-    fn payload_for(&mut self, round: View, parent: moonshot_types::BlockId) -> Payload {
-        if let Some(p) = self.payload_cache.get(&round) {
-            return p.clone();
-        }
-        let p = self.chain.fresh_or_empty(parent, self.cfg.payloads.payload_for(round));
-        self.payload_cache.insert(round, p.clone());
-        p
-    }
-
-
-    /// Inserts a block, emits resulting commits, and — if the parent is
-    /// missing — walks the chain backwards by fetching it from the child's
-    /// proposer (backward state sync for nodes recovering from loss).
-    fn store_block(&mut self, block: Block, now: SimTime, out: &mut Vec<Output>) {
-        let parent = block.parent_id();
-        let proposer = block.proposer();
-        out.extend(self.chain.insert_block(block).into_iter().map(Output::Commit));
-        if parent != moonshot_crypto::Digest::ZERO && !self.chain.tree.contains(parent) {
-            self.fetcher.request(parent, [proposer], now, out);
+    fn on_qc(&mut self, qc: &QuorumCertificate) {
+        if self.core.on_certificate(qc).is_some() && qc.view() >= self.core.view() {
+            self.enter_round(qc.view().next(), Some(qc.clone()), None);
         }
     }
 
-    // === Certificates ====================================================
-
-    fn on_qc(&mut self, qc: &QuorumCertificate, now: SimTime, out: &mut Vec<Output>) {
-        // Duplicate of an already-registered certificate for a view we have
-        // left: nothing can change — skip (and skip re-verification).
-        if qc.view() < self.current_view()
-            && self.chain.is_registered(qc.view(), qc.block_id())
-        {
-            return;
-        }
-        if !self.cfg.check_qc(qc) {
-            return;
-        }
-        let reg = self.chain.register_qc(qc);
-        out.extend(reg.committed.into_iter().map(Output::Commit));
-        if reg.newly_certified && !qc.is_genesis() && !self.chain.tree.contains(qc.block_id()) {
-            let proposer = self.cfg.leader(qc.view());
-            self.fetcher.request(qc.block_id(), [proposer], now, out);
-        }
-        if qc.view() >= self.round {
-            self.enter_round(qc.view().next(), Some(qc.clone()), None, now, out);
-        }
-    }
-
-    fn on_tc(&mut self, tc: &TimeoutCertificate, verify: bool, now: SimTime, out: &mut Vec<Output>) {
-        if verify && !self.cfg.check_tc(tc) {
-            return;
-        }
+    fn on_tc(&mut self, tc: &TimeoutCertificate) {
         if let Some(qc) = tc.high_qc() {
-            self.on_qc(&qc.clone(), now, out);
+            self.on_qc(qc);
         }
-        if tc.view() >= self.round {
-            self.enter_round(tc.view().next(), None, Some(tc.clone()), now, out);
+        if tc.view() >= self.core.view() {
+            self.enter_round(tc.view().next(), None, Some(tc.clone()));
         }
     }
 
-    // === Rounds ==========================================================
-
+    /// Enters round `r` on the `qc` or `tc` that ended `r − 1` (the genesis
+    /// certificate for round 1) and, as its leader, proposes.
     fn enter_round(
         &mut self,
         r: View,
         qc: Option<QuorumCertificate>,
         tc: Option<TimeoutCertificate>,
-        now: SimTime,
-        out: &mut Vec<Output>,
     ) {
-        if r <= self.round {
+        if r <= self.core.view() {
             return;
         }
-        self.round = r;
-        self.proposed = false;
-        out.push(Output::SetTimer { token: TimerToken::ViewTimer(r), after: self.round_timer() });
-        if self.cfg.is_leader(r) && !self.proposed {
-            self.proposed = true;
+        self.core.enter_view(r, self.round_timer());
+        if self.core.cfg.is_leader(r) {
             // Happy path: extend the newly certified block. After a
             // timeout: extend our high-QC (the TC proves it is high
-            // enough). Round 1: extend genesis.
-            let (justify, tc) = match (qc, tc) {
-                (Some(qc), _) => (qc, None),
-                (None, Some(tc)) => (self.chain.high_qc().clone(), Some(tc)),
-                (None, None) => (QuorumCertificate::genesis(), None),
-            };
-            let payload = self.payload_for(r, justify.block_id());
-            let block = Block::from_parts(
-                r,
-                justify.block_height().child(),
-                justify.block_id(),
-                self.cfg.node_id,
-                payload,
-            );
-            self.store_block(block.clone(), now, out);
-            out.push(Output::Multicast(match tc {
-                Some(tc) => Message::FbPropose { block, justify, tc, view: r },
-                None => Message::Propose { block, justify, view: r },
-            }));
+            // enough).
+            let justify = qc.unwrap_or_else(|| self.high_qc().clone());
+            self.core.propose(justify, tc);
         }
-        self.gc();
-        self.replay_pending(now, out);
+        for (from, msg) in self.core.replay_pending() {
+            self.dispatch(from, msg);
+        }
     }
 
-    fn gc(&mut self) {
-        let horizon = View(self.round.0.saturating_sub(GC_MARGIN));
-        self.cfg.verified_cache.gc_below(horizon.0);
-        self.votes.gc(horizon);
-        self.timeouts.gc(horizon);
-        self.chain.gc(horizon);
-        self.payload_cache.retain(|v, _| *v >= horizon);
-        self.pending = self.pending.split_off(&self.round);
-    }
+    // === Vote ============================================================
 
-    fn replay_pending(&mut self, now: SimTime, out: &mut Vec<Output>) {
-        if let Some(msgs) = self.pending.remove(&self.round) {
-            for (from, msg) in msgs {
-                out.extend(self.handle_message(from, msg, now));
+    fn on_proposal(&mut self, from: NodeId, message: Message) {
+        // Advance Round with all embedded certificates first.
+        let (justify, tc) = message.embedded();
+        if tc.is_some_and(|tc| !self.core.cfg.check_tc(tc)) {
+            return;
+        }
+        if let Some(justify) = justify {
+            self.on_qc(justify);
+        }
+        if let Some(tc) = tc {
+            self.on_tc(tc);
+        }
+        match self.core.admit(from, message) {
+            // Vote rule (happy path): r = qc.round + 1.
+            Some(Proposal::Normal(block, justify))
+                if justify.view().next() == block.view() && extends_certified(&block, &justify) =>
+            {
+                self.cast_vote(&block)
             }
+            // Vote rule (fallback): justify must rank at least the TC's
+            // highest QC.
+            Some(Proposal::Fallback(block, justify, tc))
+                if extends_certified(&block, &justify) && covers_tc(&justify, &tc) =>
+            {
+                self.cast_vote(&block)
+            }
+            _ => {}
         }
     }
 
-    fn buffer(&mut self, round: View, from: NodeId, msg: Message) {
-        self.pending.entry(round).or_default().push((from, msg));
-    }
-
-    // === Proposals and voting ============================================
-
-    fn valid_proposal_shape(&self, from: NodeId, block: &Block, pv: View) -> bool {
-        from == self.cfg.leader(pv)
-            && block.proposer() == self.cfg.leader(pv)
-            && block.view() == pv
-            && block.header_is_valid()
-            && self.cfg.check_payload(block)
-    }
-
-    fn cast_vote(&mut self, block: &Block, out: &mut Vec<Output>) {
-        self.last_voted_round = block.view();
-        // No vote for a block that would commit a batch twice (or might:
-        // see `refs_are_fresh`). The round's vote is spent all the same.
-        if !self.chain.refs_are_fresh(block.parent_id(), block.payload()) {
+    /// Votes for `block` — once per round, and not after timing out of it.
+    fn cast_vote(&mut self, block: &Block) {
+        let r = block.view();
+        if r <= self.last_voted_round || self.core.sent_timeout(r) {
             return;
         }
-        self.cfg.persist_vote(block.view(), self.chain.high_qc());
-        let vote = Vote {
-            kind: VoteKind::Normal,
-            block_id: block.id(),
-            block_height: block.height(),
-            view: block.view(),
-        };
-        let signed = SignedVote::sign(vote, self.cfg.node_id, &self.cfg.keypair);
-        // Linear: the vote goes only to the next leader, who aggregates.
-        let aggregator = self.cfg.leader(block.view().next());
-        out.push(Output::Send(aggregator, Message::Vote(signed)));
-    }
-
-    fn on_propose(
-        &mut self,
-        from: NodeId,
-        block: Block,
-        justify: QuorumCertificate,
-        pv: View,
-        now: SimTime,
-        out: &mut Vec<Output>,
-    ) {
-        self.on_qc(&justify.clone(), now, out);
-        if pv > self.round {
-            self.buffer(pv, from, Message::Propose { block, justify, view: pv });
-            return;
-        }
-        if !self.valid_proposal_shape(from, &block, pv) {
-            return;
-        }
-        self.store_block(block.clone(), now, out);
-        if pv < self.round {
-            return;
-        }
-        // Vote rule (happy path): r = qc.round + 1, once per round, no
-        // timeout sent for this round.
-        let direct = block.parent_id() == justify.block_id()
-            && block.height() == justify.block_height().child();
-        if justify.view().next() == pv
-            && pv > self.last_voted_round
-            && direct
-            && !self.sent_timeouts.contains(&pv)
-        {
-            self.cast_vote(&block, out);
+        self.last_voted_round = r;
+        if let Some(vote) = self.core.vote(VoteKind::Normal, block) {
+            // Linear: the vote goes only to the next leader, who aggregates.
+            self.core.send(self.core.cfg.leader(r.next()), Message::Vote(vote));
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // mirrors the message's fields
-    fn on_fb_propose(
-        &mut self,
-        from: NodeId,
-        block: Block,
-        justify: QuorumCertificate,
-        tc: TimeoutCertificate,
-        pv: View,
-        now: SimTime,
-        out: &mut Vec<Output>,
-    ) {
-        if !self.cfg.check_tc(&tc) {
-            return;
-        }
-        self.on_qc(&justify.clone(), now, out);
-        self.on_tc(&tc, false, now, out);
-        if pv > self.round {
-            self.buffer(pv, from, Message::FbPropose { block, justify, tc, view: pv });
-            return;
-        }
-        if tc.view().next() != pv || !self.valid_proposal_shape(from, &block, pv) {
-            return;
-        }
-        self.store_block(block.clone(), now, out);
-        if pv < self.round {
-            return;
-        }
-        // Vote rule (fallback): justify must rank at least the TC's highest
-        // QC.
-        let direct = block.parent_id() == justify.block_id()
-            && block.height() == justify.block_height().child();
-        let floor = tc.high_qc().map_or(View::GENESIS, |qc| qc.view());
-        if pv > self.last_voted_round
-            && direct
-            && justify.view() >= floor
-            && !self.sent_timeouts.contains(&pv)
-        {
-            self.cast_vote(&block, out);
-        }
-    }
+    // === Timeout =========================================================
 
-    // === Timeouts ========================================================
-
-    fn send_timeout(&mut self, r: View, out: &mut Vec<Output>) {
-        self.sent_timeouts.insert(r);
-        self.cfg.persist_timeout(r, self.chain.high_qc());
-        let st = SignedTimeout::sign(
-            r,
-            Some(self.chain.high_qc().clone()),
-            self.cfg.node_id,
-            &self.cfg.keypair,
-        );
-        out.push(Output::Multicast(Message::Timeout(st)));
-    }
-
-    fn on_timeout_msg(&mut self, st: SignedTimeout, now: SimTime, out: &mut Vec<Output>) {
-        if !self.cfg.check_timeout(&st) {
+    fn on_timeout_msg(&mut self, st: SignedTimeout) {
+        if !self.core.cfg.check_timeout(&st) {
             return;
         }
-        if let Some(qc) = st.lock.clone() {
-            self.on_qc(&qc, now, out);
+        if let Some(qc) = &st.lock {
+            self.on_qc(qc);
         }
-        let view = st.view();
-        let progress = self.timeouts.add(st, &self.cfg.keyring);
-        if progress.amplify && view >= self.round && !self.sent_timeouts.contains(&view) {
-            self.send_timeout(view, out);
+        let round = st.view();
+        let progress = self.core.add_timeout(st);
+        // f+1 distinct timeouts for r' ≥ r ⇒ echo ours, once.
+        if progress.amplify && round >= self.core.view() && !self.core.sent_timeout(round) {
+            self.core.send_timeout(round, true);
         }
         if let Some(tc) = progress.certificate {
-            self.cfg.mark_verified_tc(&tc);
-            self.on_tc(&tc, false, now, out);
+            self.on_tc(&tc);
+        }
+    }
+
+    fn dispatch(&mut self, from: NodeId, message: Message) {
+        match message {
+            Message::Propose { .. } | Message::FbPropose { .. } => self.on_proposal(from, message),
+            // Only the designated aggregator receives votes; aggregate and,
+            // on quorum, advance and propose.
+            Message::Vote(sv) if sv.vote.kind == VoteKind::Normal => {
+                if let Some(qc) = self.core.add_vote(sv) {
+                    self.on_qc(&qc);
+                }
+            }
+            Message::Timeout(st) => self.on_timeout_msg(st),
+            Message::Certificate(qc) => self.on_qc(&qc),
+            Message::TimeoutCert(tc) if self.core.cfg.check_tc(&tc) => self.on_tc(&tc),
+            Message::BlockRequest { block_id } => self.core.serve_block(from, block_id),
+            Message::BlockResponse { block } => self.core.on_block_response(block),
+            // An invalid TC; Moonshot-specific messages and vote kinds.
+            Message::TimeoutCert(_)
+            | Message::Vote(_)
+            | Message::OptPropose { .. }
+            | Message::CompactPropose { .. }
+            | Message::Status { .. }
+            | Message::CommitVote(_) => {}
         }
     }
 }
 
 impl ConsensusProtocol for Jolteon {
     fn start(&mut self, now: SimTime) -> Vec<Output> {
-        let mut out = Vec::new();
-        self.enter_round(View::FIRST, None, None, now, &mut out);
-        out
+        self.core.begin_step(now);
+        self.enter_round(View::FIRST, Some(QuorumCertificate::genesis()), None);
+        self.core.end_step()
     }
 
     fn handle_message(&mut self, from: NodeId, message: Message, now: SimTime) -> Vec<Output> {
-        let mut out = Vec::new();
-        match message {
-            Message::Propose { block, justify, view } => {
-                self.on_propose(from, block, justify, view, now, &mut out)
-            }
-            Message::FbPropose { block, justify, tc, view } => {
-                self.on_fb_propose(from, block, justify, tc, view, now, &mut out)
-            }
-            Message::Vote(sv) => {
-                // Only the designated aggregator receives votes; aggregate
-                // and, on quorum, advance and propose.
-                if sv.vote.kind == VoteKind::Normal && self.cfg.check_vote(&sv) {
-                    if let Some(qc) = self.votes.add(sv, &self.cfg.keyring) {
-                        self.cfg.mark_verified_qc(&qc);
-                        self.on_qc(&qc, now, &mut out);
-                    }
-                }
-            }
-            Message::Timeout(st) => self.on_timeout_msg(st, now, &mut out),
-            Message::Certificate(qc) => self.on_qc(&qc, now, &mut out),
-            Message::TimeoutCert(tc) => self.on_tc(&tc, true, now, &mut out),
-            Message::BlockRequest { block_id } => {
-                out.extend(sync::serve_request(&self.chain.tree, from, block_id));
-            }
-            Message::BlockResponse { block } => {
-                if sync::validate_response(&block, |v| self.cfg.leader(v))
-                    && self.cfg.check_payload(&block)
-                {
-                    self.fetcher.fulfilled(block.id());
-                    self.store_block(block, now, &mut out);
-                }
-            }
-            // Moonshot-specific messages are ignored.
-            Message::OptPropose { .. }
-            | Message::CompactPropose { .. }
-            | Message::Status { .. }
-            | Message::CommitVote(_) => {}
-        }
-        out
+        self.core.begin_step(now);
+        self.dispatch(from, message);
+        self.core.end_step()
     }
 
-    fn handle_preverified(
-        &mut self,
-        from: NodeId,
-        message: PreVerified,
-        now: SimTime,
-    ) -> Vec<Output> {
-        let saved = self.cfg.skip_inline_checks;
-        self.cfg.skip_inline_checks = true;
-        let out = self.handle_message(from, message.into_inner(), now);
-        self.cfg.skip_inline_checks = saved;
-        out
+    fn skip_inline_checks(&mut self, skip: bool) -> bool {
+        self.core.skip_inline_checks(skip)
     }
 
     fn handle_timer(&mut self, token: TimerToken, now: SimTime) -> Vec<Output> {
-        let mut out = Vec::new();
+        self.core.begin_step(now);
         match token {
-            TimerToken::ViewTimer(r) if r == self.round => {
-                self.send_timeout(r, &mut out);
-                out.push(Output::SetTimer {
-                    token: TimerToken::ViewTimer(r),
-                    after: self.round_timer(),
-                });
+            TimerToken::ViewTimer(r) if r == self.core.view() => {
+                self.core.send_timeout(r, true);
+                self.core.set_timer(TimerToken::ViewTimer(r), self.round_timer());
             }
-            TimerToken::FetchTimer => self.fetcher.on_timer(now, &mut out),
-            _ => {}
+            TimerToken::FetchTimer => self.core.on_fetch_timer(),
+            _ => {} // stale token
         }
-        out
+        self.core.end_step()
     }
 
     fn current_view(&self) -> View {
-        self.round
+        self.core.view()
     }
 
     fn locked_view(&self) -> View {
@@ -507,10 +260,9 @@ impl ConsensusProtocol for Jolteon {
     }
 
     fn name(&self) -> &'static str {
-        if self.three_chain() {
-            "hotstuff"
-        } else {
-            "jolteon"
+        match self.core.chain.rule() {
+            CommitRule::TwoChain => "jolteon",
+            CommitRule::ThreeChain => "hotstuff",
         }
     }
 }

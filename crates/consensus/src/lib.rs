@@ -56,6 +56,7 @@ pub mod observer;
 pub mod pipelined;
 pub mod properties;
 pub mod protocol;
+mod replica;
 pub mod simple;
 pub mod sync;
 pub mod verify;

@@ -109,15 +109,34 @@ impl Message {
         }
     }
 
-    /// Whether this is one of the three proposal message types.
+    /// The view and block a proposal message (of any of the four kinds)
+    /// proposes; `None` for every other message.
+    pub fn proposal(&self) -> Option<(View, moonshot_types::BlockId)> {
+        match self {
+            Message::OptPropose { block, view }
+            | Message::Propose { block, view, .. }
+            | Message::FbPropose { block, view, .. } => Some((*view, block.id())),
+            Message::CompactPropose { block_id, view, .. } => Some((*view, *block_id)),
+            _ => None,
+        }
+    }
+
+    /// The certificates a proposal embeds — its justification and, for a
+    /// fallback proposal, the TC — which a receiver takes in (Advance View,
+    /// Lock) before it looks at the proposal itself.
+    pub fn embedded(&self) -> (Option<&QuorumCertificate>, Option<&TimeoutCertificate>) {
+        match self {
+            Message::Propose { justify, .. } | Message::CompactPropose { justify, .. } => {
+                (Some(justify), None)
+            }
+            Message::FbPropose { justify, tc, .. } => (Some(justify), Some(tc)),
+            _ => (None, None),
+        }
+    }
+
+    /// Whether this is one of the proposal message types.
     pub fn is_proposal(&self) -> bool {
-        matches!(
-            self,
-            Message::OptPropose { .. }
-                | Message::Propose { .. }
-                | Message::FbPropose { .. }
-                | Message::CompactPropose { .. }
-        )
+        self.proposal().is_some()
     }
 }
 

@@ -18,7 +18,7 @@
 
 use moonshot_telemetry::{TraceEvent, TraceRecord, TraceSink};
 use moonshot_types::time::SimTime;
-use moonshot_types::{NodeId, QuorumCertificate, View};
+use moonshot_types::{Block, NodeId, QuorumCertificate, View};
 
 use crate::message::Message;
 use crate::protocol::{Output, TimerToken};
@@ -50,13 +50,7 @@ impl ProtocolObserver {
         now: SimTime,
         sink: &mut dyn TraceSink,
     ) {
-        let (view, block) = match msg {
-            Message::OptPropose { block, view } => (*view, block.id()),
-            Message::Propose { block, view, .. } => (*view, block.id()),
-            Message::FbPropose { block, view, .. } => (*view, block.id()),
-            Message::CompactPropose { block_id, view, .. } => (*view, *block_id),
-            _ => return,
-        };
+        let Some((view, block)) = msg.proposal() else { return };
         self.emit(
             sink,
             now,
@@ -109,44 +103,15 @@ impl ProtocolObserver {
 
     fn observe_outgoing(&mut self, msg: &Message, now: SimTime, sink: &mut dyn TraceSink) {
         match msg {
-            Message::OptPropose { block, view } => {
-                self.emit(
-                    sink,
-                    now,
-                    TraceEvent::ProposalSent {
-                        node: self.node,
-                        view: *view,
-                        block: block.id(),
-                        height: block.height(),
-                    },
-                );
-            }
+            Message::OptPropose { block, view } => self.proposal_sent(*view, block, now, sink),
             Message::Propose { block, justify, view } => {
                 self.note_qc(justify, now, sink);
-                self.emit(
-                    sink,
-                    now,
-                    TraceEvent::ProposalSent {
-                        node: self.node,
-                        view: *view,
-                        block: block.id(),
-                        height: block.height(),
-                    },
-                );
+                self.proposal_sent(*view, block, now, sink);
             }
             Message::FbPropose { block, justify, tc, view } => {
                 self.note_qc(justify, now, sink);
                 self.note_tc(tc.view(), now, sink);
-                self.emit(
-                    sink,
-                    now,
-                    TraceEvent::ProposalSent {
-                        node: self.node,
-                        view: *view,
-                        block: block.id(),
-                        height: block.height(),
-                    },
-                );
+                self.proposal_sent(*view, block, now, sink);
             }
             // The block was already disseminated optimistically; only the
             // justifying certificate is news.
@@ -188,6 +153,11 @@ impl ProtocolObserver {
             }
             Message::BlockResponse { .. } => {}
         }
+    }
+
+    fn proposal_sent(&self, view: View, block: &Block, now: SimTime, sink: &mut dyn TraceSink) {
+        let (node, block, height) = (self.node, block.id(), block.height());
+        self.emit(sink, now, TraceEvent::ProposalSent { node, view, block, height });
     }
 
     fn note_qc(&mut self, qc: &QuorumCertificate, now: SimTime, sink: &mut dyn TraceSink) {

@@ -79,18 +79,27 @@ pub trait ConsensusProtocol {
     fn handle_message(&mut self, from: NodeId, message: Message, now: SimTime) -> Vec<Output>;
 
     /// Handles a message whose cryptography was already checked off-thread
-    /// (see [`crate::verify::MessageVerifier`]). The default conservatively
-    /// re-verifies by falling back to [`ConsensusProtocol::handle_message`];
-    /// protocols in this crate override it to skip their inline signature
-    /// checks, which is what lets verification legally run on a verify
-    /// stage while the state transition stays on the driver.
+    /// (see [`crate::verify::MessageVerifier`]): `handle_message` with the
+    /// inline signature checks switched off for its duration, so
+    /// verification runs on a verify stage while the state transition stays
+    /// on the driver.
     fn handle_preverified(
         &mut self,
         from: NodeId,
         message: PreVerified,
         now: SimTime,
     ) -> Vec<Output> {
-        self.handle_message(from, message.into_inner(), now)
+        let saved = self.skip_inline_checks(true);
+        let out = self.handle_message(from, message.into_inner(), now);
+        self.skip_inline_checks(saved);
+        out
+    }
+
+    /// Switches the inline signature checks off (`true`) or back on,
+    /// returning the previous setting. The default has no such switch, so
+    /// its `handle_preverified` conservatively re-verifies.
+    fn skip_inline_checks(&mut self, _skip: bool) -> bool {
+        false
     }
 
     /// Handles an expired timer. Stale tokens must be ignored.
@@ -249,7 +258,7 @@ pub struct NodeConfig {
     /// peers (`None` = always fetch over the network).
     pub local_blocks: Option<Arc<dyn LocalBlockSource>>,
     /// While `true`, the `check_*` helpers pass unconditionally. Set (and
-    /// restored) by [`ConsensusProtocol::handle_preverified`] overrides
+    /// restored) by [`ConsensusProtocol::handle_preverified`]
     /// around a state transition whose message already cleared an
     /// off-thread [`crate::verify::MessageVerifier`]. Unlike flipping
     /// [`NodeConfig::verify_signatures`], this leaves certificate *marking*

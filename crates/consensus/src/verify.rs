@@ -111,7 +111,8 @@ impl MessageVerifier {
     ///
     /// Block *chain* content (hash links, proposer/leader matching) is not
     /// checked here — that is protocol state validation and stays in the
-    /// state machine.
+    /// state machine (`Replica::admit`, which also keeps a non-leader's
+    /// proposal out of the future-view buffer).
     ///
     /// # Errors
     ///

@@ -718,3 +718,87 @@ fn cm_commit_is_exactly_once_per_block() {
     let b1_commits = commits.iter().filter(|id| **id == b1.id()).count();
     assert_eq!(b1_commits, 1, "block 1 must commit exactly once");
 }
+
+// ===== Recovery: the cross-incarnation vote floor ========================
+
+/// A node restarted from its WAL never votes in a view its previous
+/// incarnation voted or timed out in — whichever rule would have let it —
+/// votes again above that floor, and re-emits no commit for the prefix the
+/// previous incarnation already delivered. One table for all four
+/// protocols: recovery is one code path (`Replica::apply_recovery`).
+#[test]
+fn recovered_node_casts_no_vote_at_or_below_its_wal_floor() {
+    use moonshot_consensus::protocol::RecoveredState;
+
+    type Build = fn(NodeConfig) -> Box<dyn ConsensusProtocol>;
+    let protocols: [(&str, Build); 4] = [
+        ("simple", |c| Box::new(SimpleMoonshot::new(c))),
+        ("pipelined", |c| Box::new(PipelinedMoonshot::new(c))),
+        ("commit", |c| Box::new(CommitMoonshot::new(c))),
+        ("jolteon", |c| Box::new(Jolteon::new(c))),
+    ];
+    // The chain b1 … b5, one block per view, round-robin proposers.
+    let mut chain = vec![Block::genesis()];
+    for v in 1..=5u64 {
+        let parent = chain.last().unwrap().clone();
+        chain.push(child_of(&parent, v, ((v - 1) % 4) as u16));
+    }
+    // The views any vote in `outs` was cast in (multicast or unicast).
+    let vote_views = |outs: &[Output]| -> Vec<View> {
+        outs.iter()
+            .filter_map(|o| match o {
+                Output::Multicast(Message::Vote(sv)) | Output::Send(_, Message::Vote(sv)) => {
+                    Some(sv.vote.view)
+                }
+                _ => None,
+            })
+            .collect()
+    };
+    // (voted_view, timeout_view): the floor is their maximum, 4.
+    for (voted, timeout) in [(4, 2), (3, 4), (4, 4)] {
+        for (name, build) in protocols {
+            // Node 1 leads none of the views 3..=5 it is fed.
+            let mut config = cfg(1);
+            config.recover = Some(RecoveredState {
+                voted_view: View(voted),
+                timeout_view: View(timeout),
+                lock: Some(qc_for(&chain[2], VoteKind::Normal)),
+                committed: vec![chain[1].clone(), chain[2].clone()],
+            });
+            let mut node = build(config);
+            let mut outs = node.start(t(0));
+            // Well-formed normal proposals for the views below, at and just
+            // above the floor, each justified by C_{v−1}.
+            let mut voted_in = Vec::new();
+            for v in 3..=5usize {
+                let leader = chain[v].proposer();
+                let step = node.handle_message(
+                    leader,
+                    Message::Propose {
+                        block: chain[v].clone(),
+                        justify: qc_for(&chain[v - 1], VoteKind::Normal),
+                        view: View(v as u64),
+                    },
+                    t(10 * v as u64),
+                );
+                assert_eq!(node.current_view(), View(v as u64), "{name}: enters the view");
+                voted_in.extend(vote_views(&step));
+                outs.extend(step);
+            }
+            assert_eq!(
+                voted_in,
+                vec![View(5)],
+                "{name} (voted {voted}, timed out {timeout}): no vote at or below 4, one above"
+            );
+            let recommitted = commits_out(&outs)
+                .into_iter()
+                .filter(|id| *id == chain[1].id() || *id == chain[2].id())
+                .count();
+            assert_eq!(recommitted, 0, "{name}: the recovered prefix is not committed again");
+            assert!(
+                commits_out(&outs).contains(&chain[3].id()),
+                "{name}: the tail past the prefix still commits"
+            );
+        }
+    }
+}

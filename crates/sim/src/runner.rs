@@ -69,6 +69,22 @@ impl ProtocolKind {
             ProtocolKind::Jolteon,
         ]
     }
+
+    /// Builds this protocol's state machine for one node — the one place
+    /// a [`ProtocolKind`] is mapped to a constructor.
+    pub fn build(self, cfg: NodeConfig) -> Box<dyn ConsensusProtocol> {
+        match self {
+            ProtocolKind::SimpleMoonshot => Box::new(SimpleMoonshot::new(cfg)),
+            ProtocolKind::PipelinedMoonshot => Box::new(PipelinedMoonshot::new(cfg)),
+            ProtocolKind::CommitMoonshot => Box::new(CommitMoonshot::new(cfg)),
+            ProtocolKind::PipelinedNoOptimistic => Box::new(PipelinedMoonshot::with_options(
+                cfg,
+                MoonshotOptions { optimistic_proposals: false, ..MoonshotOptions::default() },
+            )),
+            ProtocolKind::Jolteon => Box::new(Jolteon::new(cfg)),
+            ProtocolKind::HotStuff => Box::new(Jolteon::hotstuff(cfg)),
+        }
+    }
 }
 
 /// Propagation-latency model for a run.
@@ -262,17 +278,7 @@ impl RunConfig {
             recover: None,
             local_blocks: None,
         };
-        match self.protocol {
-            ProtocolKind::SimpleMoonshot => Box::new(SimpleMoonshot::new(cfg)),
-            ProtocolKind::PipelinedMoonshot => Box::new(PipelinedMoonshot::new(cfg)),
-            ProtocolKind::CommitMoonshot => Box::new(CommitMoonshot::new(cfg)),
-            ProtocolKind::PipelinedNoOptimistic => Box::new(PipelinedMoonshot::with_options(
-                cfg,
-                MoonshotOptions { explicit_commits: false, optimistic_proposals: false, leader_speaks_once: false },
-            )),
-            ProtocolKind::Jolteon => Box::new(Jolteon::new(cfg)),
-            ProtocolKind::HotStuff => Box::new(Jolteon::hotstuff(cfg)),
-        }
+        self.protocol.build(cfg)
     }
 }
 

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 use std::sync::Mutex;
 
-use moonshot_consensus::{ConsensusProtocol, Message, NodeConfig, PipelinedMoonshot};
+use moonshot_consensus::{ConsensusProtocol, Message, NodeConfig};
 use moonshot_net::{Actor, FaultPlan, FaultStats, NetworkConfig, NicModel, Simulation, UniformLatency};
 use moonshot_telemetry::{RingBufferSink, TraceEvent};
 use moonshot_types::time::{SimDuration, SimTime};
@@ -166,21 +166,7 @@ impl SoakConfig {
 
     fn build_protocol(&self, node: NodeId) -> Box<dyn ConsensusProtocol> {
         let cfg = NodeConfig::simulated(node, self.n, self.delta);
-        match self.protocol {
-            ProtocolKind::SimpleMoonshot => Box::new(moonshot_consensus::SimpleMoonshot::new(cfg)),
-            ProtocolKind::PipelinedMoonshot => Box::new(PipelinedMoonshot::new(cfg)),
-            ProtocolKind::CommitMoonshot => Box::new(moonshot_consensus::CommitMoonshot::new(cfg)),
-            ProtocolKind::PipelinedNoOptimistic => Box::new(PipelinedMoonshot::with_options(
-                cfg,
-                moonshot_consensus::pipelined::MoonshotOptions {
-                    explicit_commits: false,
-                    optimistic_proposals: false,
-                    leader_speaks_once: false,
-                },
-            )),
-            ProtocolKind::Jolteon => Box::new(moonshot_consensus::Jolteon::new(cfg)),
-            ProtocolKind::HotStuff => Box::new(moonshot_consensus::Jolteon::hotstuff(cfg)),
-        }
+        self.protocol.build(cfg)
     }
 }
 
