@@ -11,8 +11,8 @@
 //! Two submission paths share the loop:
 //!
 //! * **in-process** — straight into each node's [`Mempool`] handle. Used by
-//!   the `cluster` binary and tests, where client networking would only
-//!   measure loopback TCP twice.
+//!   in-process clusters ([`LoadSpec::clients`](crate::LoadSpec::clients)),
+//!   where client networking would only measure loopback TCP twice.
 //! * **TCP** — a [`Frame::SubmitTx`] frame per transaction over a
 //!   persistent connection per target, the way an external client reaches
 //!   `moonshot-node`. Submission connections never send a hello (clients

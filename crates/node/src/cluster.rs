@@ -1,10 +1,10 @@
 //! In-process localhost clusters: N real nodes, real TCP, one shared epoch.
 //!
-//! Used by the `cluster` bench binary and the kill-and-restart integration
-//! test. Every node gets a bounded in-memory trace ring; on shutdown the
-//! rings are merged, sorted by timestamp, and handed to the same
-//! trace-driven invariant checker the simulator uses — safety violations in
-//! a real cluster run fail exactly like simulated ones.
+//! Used by the repo benchmark (`benchmark/`) and the integration tests;
+//! no binary wraps it. Every node gets a bounded in-memory trace ring; on
+//! shutdown the rings are merged, sorted by timestamp, and handed to the
+//! same trace-driven invariant checker the simulator uses — safety
+//! violations in a real cluster run fail exactly like simulated ones.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
@@ -104,30 +104,6 @@ impl LoadSpec {
         self
     }
 
-    /// The mixed-client saturation scenario: client 0 saturating plus
-    /// `paced_n` paced clients (ids 1..=`paced_n`) at `paced_rate` tx/s
-    /// each, all with `tx_bytes`-byte transactions. This is the fairness
-    /// regression shape — one greedy client must not starve the paced ones.
-    pub fn mixed(batch_bytes: usize, paced_n: u32, paced_rate: u64, tx_bytes: usize) -> LoadSpec {
-        let mut load = LoadSpec::digest(batch_bytes);
-        load.clients = (0..=paced_n)
-            .map(|id| TxClientConfig {
-                client_id: id,
-                tx_bytes,
-                txs_per_sec: if id == 0 { 0 } else { paced_rate },
-            })
-            .collect();
-        load
-    }
-
-    /// Only the paced clients of [`mixed`](LoadSpec::mixed) — the unloaded
-    /// baseline the mixed scenario is compared against.
-    pub fn paced_only(batch_bytes: usize, paced_n: u32, paced_rate: u64, tx_bytes: usize) -> LoadSpec {
-        let mut load = LoadSpec::mixed(batch_bytes, paced_n, paced_rate, tx_bytes);
-        load.clients.retain(|c| c.client_id != 0);
-        load
-    }
-
     /// One node's data path under this spec: its mempool, its dissemination
     /// plane, and the assembler thread sealing the one into the other (with
     /// seal stamps against `epoch`). All three outlive the node's
@@ -202,6 +178,11 @@ pub struct Cluster {
     /// event-loop and sigverify threads total, not `O(n)`. Restarted nodes
     /// re-attach to it; [`Cluster::stop`] shuts it down last.
     net: Arc<NetPool>,
+}
+
+/// The `2f + 1` quorum among `n` validators.
+fn quorum(n: usize) -> usize {
+    2 * ((n - 1) / 3) + 1
 }
 
 /// Catch-up accounting for one node restart.
@@ -326,8 +307,7 @@ impl Cluster {
     pub fn quorum_committed_height(&self) -> u64 {
         let mut heights = self.committed_heights();
         heights.sort_unstable_by(|a, b| b.cmp(a));
-        let quorum = 2 * ((self.spec.n - 1) / 3) + 1;
-        heights.get(quorum - 1).copied().unwrap_or(0)
+        heights.get(quorum(self.spec.n) - 1).copied().unwrap_or(0)
     }
 
     /// Stops node `id` (its sockets close; peers start redialing). The
@@ -517,7 +497,6 @@ impl ClusterReport {
 
     /// Distinct blocks committed by at least `2f + 1` distinct nodes.
     pub fn quorum_committed_blocks(&self) -> u64 {
-        let quorum = 2 * ((self.n - 1) / 3) + 1;
         let mut per_block: std::collections::HashMap<
             moonshot_crypto::Digest,
             std::collections::HashSet<NodeId>,
@@ -527,7 +506,7 @@ impl ClusterReport {
                 per_block.entry(block).or_default().insert(node);
             }
         }
-        per_block.values().filter(|nodes| nodes.len() >= quorum).count() as u64
+        per_block.values().filter(|nodes| nodes.len() >= quorum(self.n)).count() as u64
     }
 
     /// Commit latencies in microseconds: for every `(node, block)` pair,
@@ -566,7 +545,6 @@ impl ClusterReport {
     /// happens when commits outrun the trace-ring capacity.
     fn quorum_committed_payloads(&self) -> Vec<(BlockId, &Payload, SimTime)> {
         use std::collections::{HashMap, HashSet};
-        let quorum = 2 * ((self.n - 1) / 3) + 1;
         let mut committers: HashMap<BlockId, HashSet<NodeId>> = HashMap::new();
         let mut first_commit: HashMap<BlockId, SimTime> = HashMap::new();
         for rec in &self.records {
@@ -583,7 +561,7 @@ impl ClusterReport {
         }
         committers
             .iter()
-            .filter(|(_, nodes)| nodes.len() >= quorum)
+            .filter(|(_, nodes)| nodes.len() >= quorum(self.n))
             .filter_map(|(id, _)| {
                 payloads.get(id).map(|p| (*id, *p, first_commit[id]))
             })
@@ -611,14 +589,20 @@ impl ClusterReport {
         refs.iter().filter_map(|r| self.batch_bytes.get(&r.digest).map(|b| (r.digest, b)))
     }
 
+    /// Every transaction in a quorum-committed payload, with the time its
+    /// block was first committed — the one walk the four tx accessors
+    /// below share.
+    fn committed_txs(&self) -> impl Iterator<Item = (&[u8], SimTime)> + '_ {
+        self.quorum_committed_payloads().into_iter().flat_map(move |(_, payload, at)| {
+            self.payload_batches(payload)
+                .flat_map(move |(_, bytes)| batch_txs(bytes).map(move |tx| (tx, at)))
+        })
+    }
+
     /// Transactions inside quorum-committed payloads (0 for a
     /// consensus-only run: there is nothing to count).
     pub fn txs_committed(&self) -> u64 {
-        self.quorum_committed_payloads()
-            .iter()
-            .flat_map(|(_, p, _)| self.payload_batches(p))
-            .map(|(_, bytes)| batch_txs(bytes).count() as u64)
-            .sum()
+        self.committed_txs().count() as u64
     }
 
     /// Transactions that appear more than once across all quorum-committed
@@ -628,17 +612,7 @@ impl ClusterReport {
     /// twice.
     pub fn duplicate_committed_txs(&self) -> u64 {
         let mut seen: std::collections::HashSet<&[u8]> = std::collections::HashSet::new();
-        let mut dups = 0u64;
-        for (_, payload, _) in &self.quorum_committed_payloads() {
-            for (_, bytes) in self.payload_batches(payload) {
-                for tx in batch_txs(bytes) {
-                    if !seen.insert(tx) {
-                        dups += 1;
-                    }
-                }
-            }
-        }
-        dups
+        self.committed_txs().filter(|(tx, _)| !seen.insert(tx)).count() as u64
     }
 
     /// Submit→commit latency per committed transaction, in microseconds,
@@ -648,16 +622,10 @@ impl ClusterReport {
     /// clock. This is end-to-end client latency — queueing in the mempool
     /// and the staged batch included — not just the block's commit latency.
     pub fn tx_latencies_us(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::new();
-        for (_, payload, committed_at) in &self.quorum_committed_payloads() {
-            for (_, bytes) in self.payload_batches(payload) {
-                for tx in batch_txs(bytes) {
-                    if let Some(ts) = tx_timestamp_us(tx) {
-                        out.push(committed_at.0.saturating_sub(ts));
-                    }
-                }
-            }
-        }
+        let mut out: Vec<u64> = self
+            .committed_txs()
+            .filter_map(|(tx, at)| tx_timestamp_us(tx).map(|ts| at.0.saturating_sub(ts)))
+            .collect();
         out.sort_unstable();
         out
     }
@@ -670,15 +638,9 @@ impl ClusterReport {
     pub fn tx_latencies_by_client_us(&self) -> std::collections::BTreeMap<u32, Vec<u64>> {
         let mut out: std::collections::BTreeMap<u32, Vec<u64>> =
             std::collections::BTreeMap::new();
-        for (_, payload, committed_at) in &self.quorum_committed_payloads() {
-            for (_, bytes) in self.payload_batches(payload) {
-                for tx in batch_txs(bytes) {
-                    let (Some(ts), Some(client)) = (tx_timestamp_us(tx), tx_client_id(tx))
-                    else {
-                        continue;
-                    };
-                    out.entry(client).or_default().push(committed_at.0.saturating_sub(ts));
-                }
+        for (tx, at) in self.committed_txs() {
+            if let (Some(ts), Some(client)) = (tx_timestamp_us(tx), tx_client_id(tx)) {
+                out.entry(client).or_default().push(at.0.saturating_sub(ts));
             }
         }
         for v in out.values_mut() {
@@ -740,17 +702,10 @@ impl ClusterReport {
                 let Some(&sealed) = sealed_at.get(&digest) else { continue };
                 for tx in batch_txs(bytes) {
                     let Some(ts) = tx_timestamp_us(tx) else { continue };
-                    let components = [
-                        sealed.saturating_sub(ts),
-                        proposed.saturating_sub(sealed),
-                        qc.saturating_sub(proposed),
-                        committed_at.0.saturating_sub(qc),
-                    ];
-                    out.mempool_queue.push(components[0]);
-                    out.propose_wait.push(components[1]);
-                    out.vote_to_qc.push(components[2]);
-                    out.qc_to_commit.push(components[3]);
-                    out.per_tx.push(components);
+                    out.mempool_queue.push(sealed.saturating_sub(ts));
+                    out.propose_wait.push(proposed.saturating_sub(sealed));
+                    out.vote_to_qc.push(qc.saturating_sub(proposed));
+                    out.qc_to_commit.push(committed_at.0.saturating_sub(qc));
                 }
             }
         }
@@ -758,7 +713,6 @@ impl ClusterReport {
         out.propose_wait.sort_unstable();
         out.vote_to_qc.sort_unstable();
         out.qc_to_commit.sort_unstable();
-        out.per_tx.sort_unstable_by_key(|c| c.iter().sum::<u64>());
         out
     }
 }
@@ -775,46 +729,6 @@ pub struct StageLatencies {
     pub vote_to_qc: Vec<u64>,
     /// Quorum certificate → first commit of the block.
     pub qc_to_commit: Vec<u64>,
-    /// One entry per transaction — its four components in pipeline order
-    /// (`[mempool_queue, propose_wait, vote_to_qc, qc_to_commit]`) —
-    /// sorted ascending by total end-to-end latency.
-    pub per_tx: Vec<[u64; 4]>,
-}
-
-impl StageLatencies {
-    /// Whether any stage has samples.
-    pub fn is_empty(&self) -> bool {
-        self.mempool_queue.is_empty()
-            && self.propose_wait.is_empty()
-            && self.vote_to_qc.is_empty()
-            && self.qc_to_commit.is_empty()
-    }
-
-    /// Where the quantile-`q` transaction spends its time: the mean of
-    /// each stage component over a small rank window (±0.5%, at least ±1)
-    /// around the tx at quantile `q` of *end-to-end* latency.
-    ///
-    /// Unlike the four marginal distributions — whose percentiles do not
-    /// add up, because a tx that queued longest rarely also waited longest
-    /// for its QC — this decomposition is additive by construction: the
-    /// four components sum to the end-to-end latency at that quantile
-    /// (each tx's components sum exactly to its own total).
-    pub fn decompose_us(&self, q: f64) -> Option<[f64; 4]> {
-        if self.per_tx.is_empty() {
-            return None;
-        }
-        let n = self.per_tx.len();
-        let mid = ((n - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        let half = (n / 200).max(1);
-        let window = &self.per_tx[mid.saturating_sub(half)..(mid + half + 1).min(n)];
-        let mut out = [0.0f64; 4];
-        for components in window {
-            for (acc, &c) in out.iter_mut().zip(components) {
-                *acc += c as f64;
-            }
-        }
-        Some(out.map(|acc| acc / window.len() as f64))
-    }
 }
 
 #[cfg(test)]
@@ -858,9 +772,14 @@ mod tests {
         }
     }
 
+    /// One live scrape of a node's introspection endpoint: writes `path` as
+    /// a line, reads the one-line JSON answer. The timeouts turn a wedged
+    /// introspection thread into a failed test, not a hung suite.
     fn scrape(addr: SocketAddr, path: &str) -> String {
         use std::io::{BufRead, BufReader, Write};
-        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        let timeout = Duration::from_secs(2);
+        let mut stream = std::net::TcpStream::connect_timeout(&addr, timeout).unwrap();
+        stream.set_read_timeout(Some(timeout)).unwrap();
         stream.write_all(path.as_bytes()).unwrap();
         stream.write_all(b"\n").unwrap();
         let mut line = String::new();
@@ -956,12 +875,6 @@ mod tests {
             + stages.vote_to_qc[0]
             + stages.qc_to_commit[0];
         assert_eq!(sum, report.tx_latencies_us()[0], "components must sum to end-to-end");
-
-        // The rank-conditional decomposition is additive at every
-        // quantile; with one tx it is that tx's components exactly.
-        for q in [0.0, 0.5, 0.99, 1.0] {
-            assert_eq!(stages.decompose_us(q), Some([1_000.0, 500.0, 500.0, 500.0]));
-        }
 
         // Each stage's p50 through the real stage histogram stays within
         // one bucket of the true delay.
@@ -1067,7 +980,13 @@ mod tests {
     #[test]
     fn digest_cluster_commits_with_fetch_covering_dropped_pushes() {
         let mut spec = ClusterSpec::new(4, ProtocolChoice::Pipelined);
-        spec.load = Some(LoadSpec::digest(18_000));
+        // Paced, not saturating: gate → fetch → serve does not need
+        // multi-megabyte blocks, and a debug node hashing them misses the
+        // 8 heights below about one suite run in five. The saturating +
+        // starved-voter cell runs in release (`tests/smoke.rs`).
+        let mut load = LoadSpec::digest(18_000);
+        load.clients[0].txs_per_sec = 2_000;
+        spec.load = Some(load);
         spec.drop_push_to = Some(NodeId(3));
         let cluster = Cluster::launch(spec).unwrap();
         let deadline = Instant::now() + std::time::Duration::from_secs(30);
@@ -1136,6 +1055,39 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(50));
         }
         let accepted: u64 = cluster.mempools().iter().map(|p| p.counters().accepted).sum();
+
+        // Scrape node 0's live introspection plane while the load is on:
+        // the observability path must work under load, with every stage
+        // histogram (and the one the admission control loop is judged by)
+        // sampled mid-run. The registry serializes a histogram as
+        // `"<name>":{"count":N,...}`.
+        let addr = cluster.introspect_addrs()[0].expect("introspection on by default");
+        let status = scrape(addr, "/status");
+        assert!(
+            status.contains("\"current_view\":") && status.contains("\"mempool_txs\":"),
+            "live /status is missing current_view/mempool depth: {status}"
+        );
+        let sampled = |metrics: &str, name: &str| {
+            let key = format!("\"{name}\":{{\"count\":");
+            metrics.contains(&key) && !metrics.contains(&format!("{key}0,"))
+        };
+        let live = [
+            "stage_latency_us.mempool_queue",
+            "stage_latency_us.propose_wait",
+            "stage_latency_us.vote_to_qc",
+            "stage_latency_us.qc_to_commit",
+            "mempool.queue_delay_ms",
+        ];
+        let mut metrics = scrape(addr, "/metrics");
+        // Height 8 can arrive before node 0's first batch has committed.
+        while !live.iter().all(|name| sampled(&metrics, name)) && Instant::now() < deadline {
+            std::thread::sleep(std::time::Duration::from_millis(50));
+            metrics = scrape(addr, "/metrics");
+        }
+        for name in live {
+            assert!(sampled(&metrics, name), "live /metrics has no samples for {name}: {metrics}");
+        }
+
         let stats = client.stop();
         let report = cluster.stop();
 
@@ -1144,6 +1096,9 @@ mod tests {
         assert!(accepted > 0, "no TCP submission reached a mempool");
         assert!(report.txs_committed() > 0, "no TCP-submitted tx committed");
         assert!(!report.tx_latencies_us().is_empty());
+        let fair_visits: u64 =
+            report.reports.iter().map(|r| r.metrics.counter("mempool.fair_visits")).sum();
+        assert!(fair_visits > 0, "loaded run recorded no mempool.fair_visits");
     }
 
     /// The bufferbloat regression, end to end over real sockets: a paced

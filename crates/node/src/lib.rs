@@ -44,13 +44,13 @@
 //! * [`client`] — the transaction load generator (in-process or TCP).
 //! * [`introspect`] — a per-node live introspection endpoint (`/status`,
 //!   `/metrics`) serving driver-published state and the live metrics
-//!   registry over plain TCP, pollable mid-run by the cluster harness or
-//!   a human with `curl`/`nc`.
+//!   registry over plain TCP, pollable mid-run by a test or a human with
+//!   `curl`/`nc`.
 //! * [`config`] — static peer files, protocol selection, seed-derived keys.
 //!
-//! Two binaries ship with the crate: `moonshot-node` (run one validator)
-//! and `cluster` (run an N-node localhost cluster and measure real
-//! wall-clock throughput and commit latency).
+//! One binary ships with the crate: `moonshot-node` (run one validator).
+//! Measuring an N-node localhost cluster is the repo benchmark's job
+//! (`benchmark/`), which drives [`Cluster`] directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

@@ -647,7 +647,7 @@ mod tests {
         use moonshot_types::{Block, Payload, View};
 
         // Bind both listeners on port 0 first so each side can dial the
-        // other — the same pattern the cluster binary uses.
+        // other — the same pattern `Cluster::launch` uses.
         let l0 = TcpListener::bind(localhost_any()).unwrap();
         let l1 = TcpListener::bind(localhost_any()).unwrap();
         let (a0, a1) = (l0.local_addr().unwrap(), l1.local_addr().unwrap());
