@@ -1,6 +1,7 @@
 //! Validates Table I's steady-state communication-complexity columns by
 //! measurement: per-message-type traffic as `n` grows, taken from the
-//! network engine's [`TrafficStats`] accounting rather than derived counts.
+//! network engine's [`TrafficStats`](moonshot_net::TrafficStats) accounting
+//! rather than derived counts.
 //!
 //! Jolteon's per-node steady state is O(1) (one proposal in, one vote out —
 //! the leader bears O(n)); Moonshot's is O(n) (everyone multicasts votes),

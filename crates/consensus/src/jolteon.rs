@@ -40,6 +40,7 @@ use crate::chainstate::{ChainState, CommitRule};
 use crate::message::Message;
 use crate::protocol::{ConsensusProtocol, NodeConfig, Output, TimerToken};
 use crate::replica::{covers_tc, extends_certified, Proposal, Replica};
+use crate::verify::{MessageVerifier, PreVerified};
 
 /// The Jolteon state machine for one node (rounds are represented as views).
 #[derive(Debug)]
@@ -135,9 +136,6 @@ impl Jolteon {
     fn on_proposal(&mut self, from: NodeId, message: Message) {
         // Advance Round with all embedded certificates first.
         let (justify, tc) = message.embedded();
-        if tc.is_some_and(|tc| !self.core.cfg.check_tc(tc)) {
-            return;
-        }
         if let Some(justify) = justify {
             self.on_qc(justify);
         }
@@ -178,9 +176,6 @@ impl Jolteon {
     // === Timeout =========================================================
 
     fn on_timeout_msg(&mut self, st: SignedTimeout) {
-        if !self.core.cfg.check_timeout(&st) {
-            return;
-        }
         if let Some(qc) = &st.lock {
             self.on_qc(qc);
         }
@@ -207,12 +202,11 @@ impl Jolteon {
             }
             Message::Timeout(st) => self.on_timeout_msg(st),
             Message::Certificate(qc) => self.on_qc(&qc),
-            Message::TimeoutCert(tc) if self.core.cfg.check_tc(&tc) => self.on_tc(&tc),
+            Message::TimeoutCert(tc) => self.on_tc(&tc),
             Message::BlockRequest { block_id } => self.core.serve_block(from, block_id),
             Message::BlockResponse { block } => self.core.on_block_response(block),
-            // An invalid TC; Moonshot-specific messages and vote kinds.
-            Message::TimeoutCert(_)
-            | Message::Vote(_)
+            // Moonshot-specific messages and vote kinds.
+            Message::Vote(_)
             | Message::OptPropose { .. }
             | Message::CompactPropose { .. }
             | Message::Status { .. }
@@ -228,14 +222,19 @@ impl ConsensusProtocol for Jolteon {
         self.core.end_step()
     }
 
-    fn handle_message(&mut self, from: NodeId, message: Message, now: SimTime) -> Vec<Output> {
+    fn handle_preverified(
+        &mut self,
+        from: NodeId,
+        message: PreVerified,
+        now: SimTime,
+    ) -> Vec<Output> {
         self.core.begin_step(now);
-        self.dispatch(from, message);
+        self.dispatch(from, message.into_inner());
         self.core.end_step()
     }
 
-    fn skip_inline_checks(&mut self, skip: bool) -> bool {
-        self.core.skip_inline_checks(skip)
+    fn verifier(&self) -> &MessageVerifier {
+        &self.core.verifier
     }
 
     fn handle_timer(&mut self, token: TimerToken, now: SimTime) -> Vec<Output> {

@@ -1,9 +1,10 @@
 //! Maps protocol I/O to telemetry trace events.
 //!
 //! The state machines stay trace-unaware: a [`ProtocolObserver`] sits at the
-//! single point every driver already has — the [`ConsensusProtocol`] call
-//! boundary — and derives [`TraceEvent`]s from the messages going in and the
-//! [`Output`]s coming out. Both drivers (the in-crate
+//! single point every driver already has — the
+//! [`ConsensusProtocol`](crate::ConsensusProtocol) call boundary — and
+//! derives [`TraceEvent`]s from the messages going in and the [`Output`]s
+//! coming out. Both drivers (the in-crate
 //! [`LocalNet`](crate::harness::LocalNet) and `moonshot-sim`'s actor
 //! adapter) instrument all protocols through this one hook, so Simple,
 //! Pipelined and Commit Moonshot (and Jolteon) get identical tracing for

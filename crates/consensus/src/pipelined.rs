@@ -46,6 +46,7 @@ use crate::chainstate::{ChainState, CommitRule};
 use crate::message::Message;
 use crate::protocol::{ConsensusProtocol, NodeConfig, Output, TimerToken};
 use crate::replica::{covers_tc, extends_certified, Proposal, Replica};
+use crate::verify::{MessageVerifier, PreVerified};
 
 /// Feature switches distinguishing the Moonshot variants and ablations.
 #[derive(Clone, Copy, Debug)]
@@ -204,9 +205,6 @@ impl PipelinedMoonshot {
         // Lock and Advance View with all embedded certificates first. The
         // TC of a fallback proposal may advance us into its view itself.
         let (justify, tc) = message.embedded();
-        if tc.is_some_and(|tc| !self.core.cfg.check_tc(tc)) {
-            return;
-        }
         if let Some(justify) = justify {
             self.on_qc(justify);
         }
@@ -303,9 +301,6 @@ impl PipelinedMoonshot {
     }
 
     fn on_timeout_msg(&mut self, st: SignedTimeout) {
-        if !self.core.cfg.check_timeout(&st) {
-            return;
-        }
         // Lock rule on the embedded certificate.
         if let Some(qc) = &st.lock {
             self.on_qc(qc);
@@ -351,7 +346,7 @@ impl PipelinedMoonshot {
     /// Alternative Direct Commit (Fig. 4, rule 3): a quorum of commit votes
     /// commits the block.
     fn on_commit_vote(&mut self, cv: SignedCommitVote) {
-        if !self.opts.explicit_commits || !self.core.cfg.check_commit_vote(&cv) {
+        if !self.opts.explicit_commits {
             return;
         }
         let view = cv.vote.view;
@@ -373,8 +368,7 @@ impl PipelinedMoonshot {
             }
             Message::Timeout(st) => self.on_timeout_msg(st),
             Message::Certificate(qc) => self.on_qc(&qc),
-            Message::TimeoutCert(tc) if self.core.cfg.check_tc(&tc) => self.on_tc(&tc),
-            Message::TimeoutCert(_) => {} // invalid
+            Message::TimeoutCert(tc) => self.on_tc(&tc),
             Message::CommitVote(cv) => self.on_commit_vote(cv),
             Message::BlockRequest { block_id } => self.core.serve_block(from, block_id),
             Message::BlockResponse { block } => self.core.on_block_response(block),
@@ -392,14 +386,19 @@ impl ConsensusProtocol for PipelinedMoonshot {
         self.core.end_step()
     }
 
-    fn handle_message(&mut self, from: NodeId, message: Message, now: SimTime) -> Vec<Output> {
+    fn handle_preverified(
+        &mut self,
+        from: NodeId,
+        message: PreVerified,
+        now: SimTime,
+    ) -> Vec<Output> {
         self.core.begin_step(now);
-        self.dispatch(from, message);
+        self.dispatch(from, message.into_inner());
         self.core.end_step()
     }
 
-    fn skip_inline_checks(&mut self, skip: bool) -> bool {
-        self.core.skip_inline_checks(skip)
+    fn verifier(&self) -> &MessageVerifier {
+        &self.core.verifier
     }
 
     fn handle_timer(&mut self, token: TimerToken, now: SimTime) -> Vec<Output> {
@@ -477,11 +476,16 @@ impl ConsensusProtocol for CommitMoonshot {
     fn start(&mut self, now: SimTime) -> Vec<Output> {
         self.0.start(now)
     }
-    fn handle_message(&mut self, from: NodeId, message: Message, now: SimTime) -> Vec<Output> {
-        self.0.handle_message(from, message, now)
+    fn handle_preverified(
+        &mut self,
+        from: NodeId,
+        message: PreVerified,
+        now: SimTime,
+    ) -> Vec<Output> {
+        self.0.handle_preverified(from, message, now)
     }
-    fn skip_inline_checks(&mut self, skip: bool) -> bool {
-        self.0.skip_inline_checks(skip)
+    fn verifier(&self) -> &MessageVerifier {
+        self.0.verifier()
     }
     fn handle_timer(&mut self, token: TimerToken, now: SimTime) -> Vec<Output> {
         self.0.handle_timer(token, now)
@@ -528,7 +532,8 @@ mod tests {
         LocalNet::with_uniform_latency(nodes, SimDuration::from_millis(latency_ms))
     }
 
-    /// Inline-path payload integrity: a proposal whose batch references were
+    /// Payload integrity through `handle_message` (the node's own
+    /// verifier, as the simulator runs it): a proposal whose batch references were
     /// swapped under an honest digest (and therefore an honest-looking
     /// block id) must be dropped without a vote, while the honest proposal
     /// is voted for.

@@ -13,12 +13,11 @@ use std::sync::Arc;
 use moonshot_crypto::{KeyPair, Keyring, VerifiedCache};
 use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::{
-    Block, BlockId, NodeId, Payload, QuorumCertificate, SignedCommitVote, SignedTimeout,
-    SignedVote, TimeoutCertificate, View,
+    Block, BlockId, NodeId, Payload, QuorumCertificate, TimeoutCertificate, View,
 };
 
 use crate::message::Message;
-use crate::verify::PreVerified;
+use crate::verify::{MessageVerifier, PreVerified};
 
 /// A protocol-level timer token.
 ///
@@ -75,32 +74,32 @@ pub trait ConsensusProtocol {
     /// Called once at startup; typically enters view 1 and arms timers.
     fn start(&mut self, now: SimTime) -> Vec<Output>;
 
-    /// Handles a delivered message from `from`.
-    fn handle_message(&mut self, from: NodeId, message: Message, now: SimTime) -> Vec<Output>;
+    /// Handles a delivered message from `from`: runs it through this node's
+    /// [`verifier`](ConsensusProtocol::verifier) and hands it to
+    /// [`handle_preverified`](ConsensusProtocol::handle_preverified) if it
+    /// passes. A message with any bad signature, certificate or payload
+    /// digest is dropped whole, with no outputs.
+    fn handle_message(&mut self, from: NodeId, message: Message, now: SimTime) -> Vec<Output> {
+        match self.verifier().verify(message) {
+            Ok(message) => self.handle_preverified(from, message, now),
+            Err(_) => Vec::new(),
+        }
+    }
 
-    /// Handles a message whose cryptography was already checked off-thread
-    /// (see [`crate::verify::MessageVerifier`]): `handle_message` with the
-    /// inline signature checks switched off for its duration, so
-    /// verification runs on a verify stage while the state transition stays
-    /// on the driver.
+    /// The state transition for a message that already passed a
+    /// [`MessageVerifier`] — this node's own, in
+    /// [`handle_message`](ConsensusProtocol::handle_message), or a verify
+    /// stage off the driver thread. The rules perform no cryptography.
     fn handle_preverified(
         &mut self,
         from: NodeId,
         message: PreVerified,
         now: SimTime,
-    ) -> Vec<Output> {
-        let saved = self.skip_inline_checks(true);
-        let out = self.handle_message(from, message.into_inner(), now);
-        self.skip_inline_checks(saved);
-        out
-    }
+    ) -> Vec<Output>;
 
-    /// Switches the inline signature checks off (`true`) or back on,
-    /// returning the previous setting. The default has no such switch, so
-    /// its `handle_preverified` conservatively re-verifies.
-    fn skip_inline_checks(&mut self, _skip: bool) -> bool {
-        false
-    }
+    /// The node's verifier, over its keyring and sharing its
+    /// verified-certificate cache.
+    fn verifier(&self) -> &MessageVerifier;
 
     /// Handles an expired timer. Stale tokens must be ignored.
     fn handle_timer(&mut self, token: TimerToken, now: SimTime) -> Vec<Output>;
@@ -236,16 +235,11 @@ pub struct NodeConfig {
     pub election: Box<dyn crate::leader::LeaderElection>,
     /// Payload source for blocks this node proposes.
     pub payloads: PayloadSource,
-    /// Whether to cryptographically verify incoming votes/certificates.
-    ///
-    /// Always `true` in tests; large-scale experiments may disable it to
-    /// trade fidelity for speed (honest simulations never forge).
-    pub verify_signatures: bool,
     /// Retry behaviour for block fetches (see [`crate::sync::RetryPolicy`]).
     pub fetch_retry: crate::sync::RetryPolicy,
-    /// The cache of already-verified certificate digests, shared with any
-    /// off-thread [`crate::verify::MessageVerifier`] so a certificate
-    /// checked on a verify worker is a cache hit everywhere else.
+    /// The cache of already-verified certificate digests, shared by the
+    /// node's [`MessageVerifier`] and every verify worker, so a certificate
+    /// checked on one thread is a cache hit everywhere else.
     pub verified_cache: Arc<VerifiedCache>,
     /// Durable write-ahead log for votes/timeouts (`None` = in-memory
     /// only, the pre-ledger behaviour). Called synchronously on the driver
@@ -257,13 +251,6 @@ pub struct NodeConfig {
     /// Local durable block store the fetch path consults before dialing
     /// peers (`None` = always fetch over the network).
     pub local_blocks: Option<Arc<dyn LocalBlockSource>>,
-    /// While `true`, the `check_*` helpers pass unconditionally. Set (and
-    /// restored) by [`ConsensusProtocol::handle_preverified`]
-    /// around a state transition whose message already cleared an
-    /// off-thread [`crate::verify::MessageVerifier`]. Unlike flipping
-    /// [`NodeConfig::verify_signatures`], this leaves certificate *marking*
-    /// active, so locally assembled certificates still land in the cache.
-    pub skip_inline_checks: bool,
 }
 
 impl NodeConfig {
@@ -276,13 +263,11 @@ impl NodeConfig {
             delta,
             election: Box::new(crate::leader::RoundRobin::new(n)),
             payloads: PayloadSource::Empty,
-            verify_signatures: true,
             fetch_retry: crate::sync::RetryPolicy::auto(),
             verified_cache: Arc::new(VerifiedCache::default()),
             persist: None,
             recover: None,
             local_blocks: None,
-            skip_inline_checks: false,
         }
     }
 
@@ -300,60 +285,18 @@ impl NodeConfig {
         }
     }
 
-    /// Whether the inline `check_*` helpers should actually verify: not
-    /// when verification is globally off, and not while handling a message
-    /// that already cleared an off-thread verifier.
-    fn inline_checks(&self) -> bool {
-        self.verify_signatures && !self.skip_inline_checks
-    }
-
-    /// Checks a quorum certificate through the verified-certificate cache.
-    /// Always true when signature verification is disabled.
-    pub fn check_qc(&self, qc: &QuorumCertificate) -> bool {
-        !self.inline_checks() || qc.verify_cached(&self.keyring, &self.verified_cache).is_ok()
-    }
-
-    /// Checks a timeout certificate through the cache.
-    pub fn check_tc(&self, tc: &TimeoutCertificate) -> bool {
-        !self.inline_checks() || tc.verify_cached(&self.keyring, &self.verified_cache).is_ok()
-    }
-
-    /// Checks a signed vote through the cache.
-    pub fn check_vote(&self, sv: &SignedVote) -> bool {
-        !self.inline_checks() || sv.verify_cached(&self.keyring, &self.verified_cache)
-    }
-
-    /// Checks a signed timeout (and its embedded lock QC) through the cache.
-    pub fn check_timeout(&self, st: &SignedTimeout) -> bool {
-        !self.inline_checks() || st.verify_cached(&self.keyring, &self.verified_cache)
-    }
-
-    /// Checks a signed commit vote through the cache.
-    pub fn check_commit_vote(&self, cv: &SignedCommitVote) -> bool {
-        !self.inline_checks() || cv.verify_cached(&self.keyring, &self.verified_cache)
-    }
-
-    /// Checks that a received block's payload hashes to the digest its id
-    /// commits to. Skipped (like the other inline checks) for messages that
-    /// already cleared an off-thread verifier.
-    pub fn check_payload(&self, block: &Block) -> bool {
-        !self.inline_checks() || block.payload().digest_matches_contents()
-    }
-
     /// Records a locally assembled QC as verified. Certificates built from
     /// individually checked votes need no raw verification, but inserting
     /// them keeps later deliveries of the same certificate cache hits.
     pub fn mark_verified_qc(&self, qc: &QuorumCertificate) {
-        if self.verify_signatures && !qc.is_genesis() {
+        if !qc.is_genesis() {
             self.verified_cache.insert(qc.cache_key(), qc.view().0);
         }
     }
 
     /// Records a locally assembled TC as verified.
     pub fn mark_verified_tc(&self, tc: &TimeoutCertificate) {
-        if self.verify_signatures {
-            self.verified_cache.insert(tc.cache_key(), tc.view().0);
-        }
+        self.verified_cache.insert(tc.cache_key(), tc.view().0);
     }
 
     /// The leader of `view` under this node's election function.

@@ -17,7 +17,9 @@
 //! [`ChainState::refs_are_fresh`], [`NodeConfig::persist_vote`] and the
 //! vote signature in [`Replica::vote`]; [`NodeConfig::persist_timeout`] and
 //! the timeout signature in [`Replica::send_timeout`]; the sender = leader
-//! checks in [`Replica::admit`].
+//! checks in [`Replica::admit`]. The signature, certificate and payload
+//! checks are not here at all: every message has passed the
+//! [`MessageVerifier`] built in [`Replica::new`] before a rule sees it.
 //!
 //! [`SimpleMoonshot`]: crate::SimpleMoonshot
 //! [`PipelinedMoonshot`]: crate::PipelinedMoonshot
@@ -36,6 +38,7 @@ use crate::chainstate::{ChainState, CommitRule, QcRegistration};
 use crate::message::Message;
 use crate::protocol::{NodeConfig, Output, RecoveredState, TimerToken};
 use crate::sync::{self, BlockFetcher};
+use crate::verify::MessageVerifier;
 
 /// How many views of vote / timeout / payload state to retain behind the
 /// current view.
@@ -78,6 +81,9 @@ pub(crate) fn covers_tc(justify: &QuorumCertificate, tc: &TimeoutCertificate) ->
 pub(crate) struct Replica {
     /// Identity, keys, election, Δ, payload source, durability hooks.
     pub(crate) cfg: NodeConfig,
+    /// The only signature check a message meets before the rules see it
+    /// (over `cfg`'s keyring, sharing its cache).
+    pub(crate) verifier: MessageVerifier,
     /// The certified chain: block tree, certificates, high-QC, commit rule.
     pub(crate) chain: ChainState,
     votes: VoteAggregator,
@@ -127,6 +133,7 @@ impl Replica {
             fetcher.set_local_source(src);
         }
         let mut replica = Replica {
+            verifier: MessageVerifier::for_config(&cfg),
             cfg,
             chain: ChainState::with_rule(rule),
             votes: VoteAggregator::new(),
@@ -205,15 +212,13 @@ impl Replica {
 
     // === Certificates and votes ==========================================
 
-    /// Takes in a block certificate: skips a duplicate for a view already
-    /// left (and its re-verification), checks it, registers it (which is
-    /// the Lock rule wherever the lock tracks the high-QC), emits the
-    /// commits it completes and fetches its block if that never arrived.
-    /// `None` means nothing changed; otherwise the caller applies its own
-    /// Advance View rule.
+    /// Takes in a verified block certificate: skips a duplicate for a view
+    /// already left, registers it (which is the Lock rule wherever the lock
+    /// tracks the high-QC), emits the commits it completes and fetches its
+    /// block if that never arrived. `None` means nothing changed; otherwise
+    /// the caller applies its own Advance View rule.
     pub(crate) fn on_certificate(&mut self, qc: &QuorumCertificate) -> Option<QcRegistration> {
-        let duplicate = qc.view() < self.view && self.chain.is_registered(qc.view(), qc.block_id());
-        if duplicate || !self.cfg.check_qc(qc) {
+        if qc.view() < self.view && self.chain.is_registered(qc.view(), qc.block_id()) {
             return None;
         }
         let mut reg = self.chain.register_qc(qc);
@@ -232,17 +237,14 @@ impl Replica {
         self.out.extend(committed.into_iter().map(Output::Commit));
     }
 
-    /// Checks and aggregates a vote; the certificate it completes, if any.
+    /// Aggregates a verified vote; the certificate it completes, if any.
     pub(crate) fn add_vote(&mut self, sv: SignedVote) -> Option<QuorumCertificate> {
-        if !self.cfg.check_vote(&sv) {
-            return None;
-        }
         let qc = self.votes.add(sv, &self.cfg.keyring)?;
         self.cfg.mark_verified_qc(&qc);
         Some(qc)
     }
 
-    /// Aggregates an already checked timeout: whether f + 1 distinct
+    /// Aggregates a verified timeout: whether f + 1 distinct
     /// timeouts for its view have now been seen (amplify), and the TC the
     /// quorum completes.
     pub(crate) fn add_timeout(&mut self, st: SignedTimeout) -> TimeoutProgress {
@@ -325,13 +327,12 @@ impl Replica {
 
     /// Whether a proposal for `pv` from `from` carrying `block` is well
     /// formed: sent and built by `pv`'s leader, for `pv`, with a valid
-    /// header and a payload matching its digest.
+    /// header. (That the payload matches its digest is the verifier's.)
     fn valid_proposal_shape(&self, from: NodeId, block: &Block, pv: View) -> bool {
         from == self.cfg.leader(pv)
             && block.proposer() == self.cfg.leader(pv)
             && block.view() == pv
             && block.header_is_valid()
-            && self.cfg.check_payload(block)
     }
 
     /// The checks every proposal passes before a vote rule sees it, after
@@ -478,7 +479,7 @@ impl Replica {
         self.multicast(Message::Timeout(st));
     }
 
-    // === Block sync and the verify stage =================================
+    // === Block sync ======================================================
 
     /// Answers a block request from the tree.
     pub(crate) fn serve_block(&mut self, to: NodeId, block_id: BlockId) {
@@ -487,8 +488,7 @@ impl Replica {
 
     /// Stores a block served by a peer (or by the local block store).
     pub(crate) fn on_block_response(&mut self, block: Block) {
-        if sync::validate_response(&block, |v| self.cfg.leader(v)) && self.cfg.check_payload(&block)
-        {
+        if sync::validate_response(&block, |v| self.cfg.leader(v)) {
             self.fetcher.fulfilled(block.id());
             self.store_block(block);
         }
@@ -497,12 +497,6 @@ impl Replica {
     /// Retries overdue block fetches ([`TimerToken::FetchTimer`]).
     pub(crate) fn on_fetch_timer(&mut self) {
         self.fetcher.on_timer(self.now, &mut self.out);
-    }
-
-    /// Sets `cfg.skip_inline_checks`, returning the previous setting (see
-    /// [`crate::ConsensusProtocol::handle_preverified`]).
-    pub(crate) fn skip_inline_checks(&mut self, skip: bool) -> bool {
-        std::mem::replace(&mut self.cfg.skip_inline_checks, skip)
     }
 }
 

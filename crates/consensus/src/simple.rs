@@ -36,6 +36,7 @@ use crate::chainstate::{ChainState, CommitRule};
 use crate::message::Message;
 use crate::protocol::{ConsensusProtocol, NodeConfig, Output, TimerToken};
 use crate::replica::{extends_certified, Proposal, Replica};
+use crate::verify::{MessageVerifier, PreVerified};
 
 /// The Simple Moonshot state machine for one node.
 #[derive(Debug)]
@@ -203,9 +204,6 @@ impl SimpleMoonshot {
     // === Rule 4: Timeout =================================================
 
     fn on_timeout_msg(&mut self, st: SignedTimeout) {
-        if !self.core.cfg.check_timeout(&st) {
-            return;
-        }
         let view = st.view();
         let progress = self.core.add_timeout(st);
         // f+1 distinct timeouts for the current view ⇒ stop voting and echo
@@ -230,16 +228,12 @@ impl SimpleMoonshot {
             }
             Message::Timeout(st) => self.on_timeout_msg(st),
             Message::Certificate(qc) => self.on_qc(&qc),
-            Message::TimeoutCert(tc) if self.core.cfg.check_tc(&tc) => self.on_tc(&tc),
+            Message::TimeoutCert(tc) => self.on_tc(&tc),
             Message::Status { lock, .. } => self.on_qc(&lock),
             Message::BlockRequest { block_id } => self.core.serve_block(from, block_id),
             Message::BlockResponse { block } => self.core.on_block_response(block),
-            // An invalid TC, or not part of Simple Moonshot (Fig. 1 has one
-            // kind of vote).
-            Message::TimeoutCert(_)
-            | Message::Vote(_)
-            | Message::FbPropose { .. }
-            | Message::CommitVote(_) => {}
+            // Not part of Simple Moonshot (Fig. 1 has one kind of vote).
+            Message::Vote(_) | Message::FbPropose { .. } | Message::CommitVote(_) => {}
         }
     }
 }
@@ -252,14 +246,19 @@ impl ConsensusProtocol for SimpleMoonshot {
         self.core.end_step()
     }
 
-    fn handle_message(&mut self, from: NodeId, message: Message, now: SimTime) -> Vec<Output> {
+    fn handle_preverified(
+        &mut self,
+        from: NodeId,
+        message: PreVerified,
+        now: SimTime,
+    ) -> Vec<Output> {
         self.core.begin_step(now);
-        self.dispatch(from, message);
+        self.dispatch(from, message.into_inner());
         self.core.end_step()
     }
 
-    fn skip_inline_checks(&mut self, skip: bool) -> bool {
-        self.core.skip_inline_checks(skip)
+    fn verifier(&self) -> &MessageVerifier {
+        &self.core.verifier
     }
 
     fn handle_timer(&mut self, token: TimerToken, now: SimTime) -> Vec<Output> {

@@ -1,26 +1,32 @@
-//! Off-thread message verification: the `PreVerified` seam.
+//! Message verification: the `PreVerified` seam.
 //!
-//! Protocol state transitions in this crate are cheap — the expensive part
-//! of `handle_message` is checking signatures on votes, timeouts and the
-//! certificates embedded in proposals. That check is *pure*: it needs the
-//! PKI and the verified-certificate cache, but no protocol state. This
-//! module splits it out so it can legally run off the driver thread (the
-//! node runtime's `net-verify-*` stage), handing the driver only messages
-//! wrapped in [`PreVerified`].
+//! [`MessageVerifier`] is the only place a signature, a certificate or a
+//! payload digest is checked. Every way a message reaches a protocol's
+//! rules goes through it:
 //!
-//! The contract: a [`PreVerified`] value is only constructed by
-//! [`MessageVerifier::verify`] after every signature in the message checked
-//! out, or by [`PreVerified::trusted`] for messages that need no check
-//! (loopback copies of messages this node itself signed). Protocols accept
-//! it via [`ConsensusProtocol::handle_preverified`] and skip their inline
-//! crypto, so a correctly wired runtime performs **zero** signature
+//! * [`ConsensusProtocol::handle_message`] runs the node's own verifier
+//!   (the simulator, `LocalNet`, tests);
+//! * the node runtime's `net-verify-*` stage runs
+//!   [`MessageVerifier::verify_batch`] off the driver thread and delivers
+//!   through [`ConsensusProtocol::handle_preverified`].
+//!
+//! Both run the same function: [`MessageVerifier::verify`] is the
+//! one-message case of `verify_batch`. The check is *pure* — it needs the
+//! PKI and the verified-certificate cache, but no protocol state — which is
+//! what lets it leave the driver thread.
+//!
+//! A [`PreVerified`] value is only constructed by the verifier after every
+//! check passed, or by [`PreVerified::trusted`] for messages that need none.
+//! Rule code takes only `PreVerified` messages and performs no
+//! cryptography, so a correctly wired runtime performs **zero** signature
 //! verifications on the driver thread.
 //!
 //! The verifier shares its [`VerifiedCache`] with the protocol's
-//! [`NodeConfig`](crate::NodeConfig), so a certificate checked on one
-//! verify worker is a cache hit on every other thread — each unique QC/TC
-//! costs one raw multisig verification per node, total.
+//! [`NodeConfig`], so a certificate checked on one verify worker is a cache
+//! hit on every other thread — each unique QC/TC costs one raw multisig
+//! verification per node, total.
 //!
+//! [`ConsensusProtocol::handle_message`]: crate::ConsensusProtocol::handle_message
 //! [`ConsensusProtocol::handle_preverified`]: crate::ConsensusProtocol::handle_preverified
 
 use std::fmt;
@@ -28,20 +34,30 @@ use std::sync::Arc;
 
 use moonshot_crypto::{batch_verify, BatchItem, Digest, Keyring, Signature, VerifiedCache};
 
+use moonshot_types::{Block, QuorumCertificate, TimeoutCertificate};
+
 use crate::message::Message;
 use crate::protocol::NodeConfig;
 
 /// A message whose cryptography has already been checked.
 ///
-/// Deliberately opaque: the only ways in are [`MessageVerifier::verify`]
-/// and [`PreVerified::trusted`], which keeps "was this verified?" a type
+/// Deliberately opaque: the only ways in are [`MessageVerifier::verify_batch`]
+/// (and `verify`, its one-message case) and [`PreVerified::trusted`], which
+/// keeps "was this verified?" a type
 /// system question instead of a runtime flag.
 #[derive(Clone, Debug)]
 pub struct PreVerified(Message);
 
 impl PreVerified {
-    /// Wraps a message that needs no verification: one this node generated
-    /// itself (loopback copies of its own multicasts).
+    /// Wraps a message that needs no verification:
+    ///
+    /// * a loopback copy of a message this node signed itself (its own
+    ///   multicasts and self-addressed sends);
+    /// * a `BlockResponse` that [`BlockFetcher`](crate::sync::BlockFetcher)
+    ///   served from this node's own durable block store — not self-signed,
+    ///   but read back from the node's own disk;
+    /// * any message in a simulation that turns verification off (large
+    ///   trusted runs, where no node forges).
     pub fn trusted(message: Message) -> PreVerified {
         PreVerified(message)
     }
@@ -99,15 +115,16 @@ impl MessageVerifier {
         MessageVerifier { ring, cache }
     }
 
-    /// A verifier wired to `cfg`'s keyring and cache — the one-liner the
-    /// node runtime uses.
+    /// A verifier wired to `cfg`'s keyring and cache — how the replica core
+    /// builds each node's verifier.
     pub fn for_config(cfg: &NodeConfig) -> MessageVerifier {
         MessageVerifier::new(cfg.keyring.clone(), cfg.verified_cache.clone())
     }
 
     /// Checks every signature in `message` — and, for messages carrying a
     /// full block, that the payload hashes to the digest the block id
-    /// commits to — wrapping the message on success.
+    /// commits to — wrapping the message on success: the one-message case
+    /// of [`MessageVerifier::verify_batch`].
     ///
     /// Block *chain* content (hash links, proposer/leader matching) is not
     /// checked here — that is protocol state validation and stays in the
@@ -119,91 +136,14 @@ impl MessageVerifier {
     /// The first failing signature or certificate; the caller drops the
     /// message and should count the event.
     pub fn verify(&self, message: Message) -> Result<PreVerified, VerifyError> {
-        let ring = &self.ring;
-        let cache = &self.cache;
-        match &message {
-            // Optimistic proposals carry no certificate: the block's vote
-            // eligibility is protocol state, not cryptography. The payload,
-            // however, must hash to what the block id commits to.
-            Message::OptPropose { block, .. } => {
-                if !block.payload().digest_matches_contents() {
-                    return Err(VerifyError::BadPayload("opt-propose block"));
-                }
-            }
-            Message::Propose { justify, block, .. } => {
-                if !block.payload().digest_matches_contents() {
-                    return Err(VerifyError::BadPayload("propose block"));
-                }
-                if justify.verify_cached(ring, cache).is_err() {
-                    return Err(VerifyError::BadCertificate("propose justify"));
-                }
-            }
-            Message::CompactPropose { justify, .. } => {
-                if justify.verify_cached(ring, cache).is_err() {
-                    return Err(VerifyError::BadCertificate("propose justify"));
-                }
-            }
-            Message::FbPropose { justify, tc, block, .. } => {
-                if !block.payload().digest_matches_contents() {
-                    return Err(VerifyError::BadPayload("fb-propose block"));
-                }
-                if justify.verify_cached(ring, cache).is_err() {
-                    return Err(VerifyError::BadCertificate("fb-propose justify"));
-                }
-                if tc.verify_cached(ring, cache).is_err() {
-                    return Err(VerifyError::BadCertificate("fb-propose tc"));
-                }
-            }
-            Message::Vote(sv) => {
-                if !sv.verify_cached(ring, cache) {
-                    return Err(VerifyError::BadSignature("vote"));
-                }
-            }
-            Message::Timeout(st) => {
-                if !st.verify_cached(ring, cache) {
-                    return Err(VerifyError::BadSignature("timeout"));
-                }
-            }
-            Message::Certificate(qc) => {
-                if qc.verify_cached(ring, cache).is_err() {
-                    return Err(VerifyError::BadCertificate("certificate"));
-                }
-            }
-            Message::TimeoutCert(tc) => {
-                if tc.verify_cached(ring, cache).is_err() {
-                    return Err(VerifyError::BadCertificate("timeout-cert"));
-                }
-            }
-            Message::Status { lock, .. } => {
-                if lock.verify_cached(ring, cache).is_err() {
-                    return Err(VerifyError::BadCertificate("status lock"));
-                }
-            }
-            Message::CommitVote(cv) => {
-                if !cv.verify_cached(ring, cache) {
-                    return Err(VerifyError::BadSignature("commit-vote"));
-                }
-            }
-            // Requests carry only a digest. Responses carry a full block:
-            // chain validation stays in the sync layer, but the payload
-            // integrity check belongs here with the rest of the
-            // content-vs-commitment cryptography.
-            Message::BlockRequest { .. } => {}
-            Message::BlockResponse { block, .. } => {
-                if !block.payload().digest_matches_contents() {
-                    return Err(VerifyError::BadPayload("block-response"));
-                }
-            }
-        }
-        Ok(PreVerified(message))
+        self.verify_batch(vec![message]).pop().expect("one result per message")
     }
 
     /// Verifies a batch of messages accumulated across connections,
     /// returning one result per input in order.
     ///
-    /// Semantically equivalent to calling [`MessageVerifier::verify`] on
-    /// each message, but the *outer* signatures of votes, commit-votes and
-    /// timeouts — the O(n²)-per-view hot path — are collected into a single
+    /// The *outer* signatures of votes, commit-votes and timeouts — the
+    /// O(n²)-per-view hot path — are collected into a single
     /// [`batch_verify`] call instead of being dispatched one by one. The
     /// [`VerifiedCache`] fast path is preserved: a vote whose cache key is
     /// already present resolves without entering the batch, and verified
@@ -213,9 +153,9 @@ impl MessageVerifier {
     /// costs one extra `batch_verify` call rather than failing neighbors.
     ///
     /// Certificate-carrying messages (proposals, standalone QCs/TCs,
-    /// status) keep their per-message cached verification — certificates
-    /// deduplicate so aggressively through the cache that batching their
-    /// raw multisig checks would mostly batch cache hits.
+    /// status, block responses) keep their per-message cached verification
+    /// — certificates deduplicate so aggressively through the cache that
+    /// batching their raw multisig checks would mostly batch cache hits.
     pub fn verify_batch(
         &self,
         messages: Vec<Message>,
@@ -225,13 +165,11 @@ impl MessageVerifier {
 
         /// How one input message resolves.
         enum Plan {
-            /// Settled during collection (cache hit, or an inline check
-            /// such as a timeout's lock already failed).
+            /// Settled during collection: a cache hit, a timeout whose lock
+            /// failed, or a message whose checks are all certificates.
             Resolved(Result<(), VerifyError>),
             /// Outer signature is item `idx` of the accumulated batch.
             Batched(usize),
-            /// Not a batchable kind: run the per-message `verify` path.
-            Inline,
         }
 
         /// One batched signature check plus what to do on success.
@@ -239,14 +177,13 @@ impl MessageVerifier {
             signer: u16,
             bytes: Vec<u8>,
             sig: Signature,
-            /// Error label, matching the sequential path's strings.
+            /// Error label.
             what: &'static str,
             /// Cache insert on success (votes and commit-votes; timeout
             /// outer signatures are never cached).
             insert: Option<(Digest, u64)>,
-            /// Whether a failure counts a cache reject (mirrors
-            /// `verify_cached`, which only votes/commit-votes route
-            /// through).
+            /// Whether a failure counts a cache reject (votes and
+            /// commit-votes, the kinds that are cached on success).
             reject_counts: bool,
         }
 
@@ -290,14 +227,7 @@ impl MessageVerifier {
                     // The lock certificate check is cache-friendly and
                     // cheap; run it now so only the raw outer signature
                     // enters the batch.
-                    let lock_ok = match (&st.content.lock_view, &st.lock) {
-                        (None, None) => true,
-                        (Some(v), Some(qc)) => {
-                            *v == qc.view() && qc.verify_cached(ring, cache).is_ok()
-                        }
-                        _ => false,
-                    };
-                    if !lock_ok {
+                    if !st.lock_is_valid(|qc| qc.verify_cached(ring, cache).is_ok()) {
                         plans.push(Plan::Resolved(Err(VerifyError::BadSignature("timeout"))));
                     } else {
                         pending.push(Pending {
@@ -311,7 +241,7 @@ impl MessageVerifier {
                         plans.push(Plan::Batched(pending.len() - 1));
                     }
                 }
-                _ => plans.push(Plan::Inline),
+                _ => plans.push(Plan::Resolved(self.check_certificates(message))),
             }
         }
 
@@ -354,9 +284,61 @@ impl MessageVerifier {
                     None => Ok(PreVerified(message)),
                     Some(e) => Err(e.clone()),
                 },
-                Plan::Inline => self.verify(message),
             })
             .collect()
+    }
+
+    /// The checks of a message that carries no batchable signature: its
+    /// embedded or standalone certificates, through the cache, and the
+    /// payload digest of any full block it carries.
+    fn check_certificates(&self, message: &Message) -> Result<(), VerifyError> {
+        let qc_ok = |qc: &QuorumCertificate| qc.verify_cached(&self.ring, &self.cache).is_ok();
+        let tc_ok = |tc: &TimeoutCertificate| tc.verify_cached(&self.ring, &self.cache).is_ok();
+        let payload_ok = |block: &Block| block.payload().digest_matches_contents();
+        match message {
+            // Optimistic proposals carry no certificate: the block's vote
+            // eligibility is protocol state, not cryptography. The payload,
+            // however, must hash to what the block id commits to.
+            Message::OptPropose { block, .. } if !payload_ok(block) => {
+                Err(VerifyError::BadPayload("opt-propose block"))
+            }
+            Message::Propose { block, .. } if !payload_ok(block) => {
+                Err(VerifyError::BadPayload("propose block"))
+            }
+            Message::Propose { justify, .. } | Message::CompactPropose { justify, .. }
+                if !qc_ok(justify) =>
+            {
+                Err(VerifyError::BadCertificate("propose justify"))
+            }
+            Message::FbPropose { block, .. } if !payload_ok(block) => {
+                Err(VerifyError::BadPayload("fb-propose block"))
+            }
+            Message::FbPropose { justify, .. } if !qc_ok(justify) => {
+                Err(VerifyError::BadCertificate("fb-propose justify"))
+            }
+            Message::FbPropose { tc, .. } if !tc_ok(tc) => {
+                Err(VerifyError::BadCertificate("fb-propose tc"))
+            }
+            Message::Certificate(qc) if !qc_ok(qc) => {
+                Err(VerifyError::BadCertificate("certificate"))
+            }
+            Message::TimeoutCert(tc) if !tc_ok(tc) => {
+                Err(VerifyError::BadCertificate("timeout-cert"))
+            }
+            Message::Status { lock, .. } if !qc_ok(lock) => {
+                Err(VerifyError::BadCertificate("status lock"))
+            }
+            // Requests carry only a digest. Responses carry a full block:
+            // chain validation stays in the sync layer, but the payload
+            // integrity check belongs here with the rest of the
+            // content-vs-commitment cryptography.
+            Message::BlockResponse { block } if !payload_ok(block) => {
+                Err(VerifyError::BadPayload("block-response"))
+            }
+            // Passed — or a vote, commit vote or timeout, which the batch
+            // planner checks and never sends here.
+            _ => Ok(()),
+        }
     }
 }
 
@@ -464,6 +446,18 @@ mod tests {
         let qc = qc_for(&b);
         let mut st = SignedTimeout::sign(View(5), Some(qc), NodeId(0), &KeyPair::from_seed(0));
         st.lock = Some(QuorumCertificate::genesis());
+        assert_eq!(
+            v.verify(Message::Timeout(st)).unwrap_err(),
+            VerifyError::BadSignature("timeout")
+        );
+    }
+
+    #[test]
+    fn timeout_from_wrong_author_rejected() {
+        let v = verifier();
+        let qc = qc_for(&block());
+        let mut st = SignedTimeout::sign(View(5), Some(qc), NodeId(0), &KeyPair::from_seed(0));
+        st.sender = NodeId(1);
         assert_eq!(
             v.verify(Message::Timeout(st)).unwrap_err(),
             VerifyError::BadSignature("timeout")

@@ -11,7 +11,7 @@ use std::rc::Rc;
 use moonshot_consensus::harness::LocalNet;
 use moonshot_consensus::{
     ConsensusProtocol, Jolteon, Message, NodeConfig, Output, PayloadSource, PipelinedMoonshot,
-    PreVerified, TimerToken,
+    MessageVerifier, PreVerified, TimerToken,
 };
 use moonshot_crypto::Digest;
 use moonshot_types::time::{SimDuration, SimTime};
@@ -104,6 +104,9 @@ impl ConsensusProtocol for Repeater {
     fn handle_preverified(&mut self, from: NodeId, m: PreVerified, now: SimTime) -> Vec<Output> {
         let out = self.inner.handle_preverified(from, m, now);
         self.rewrite(out)
+    }
+    fn verifier(&self) -> &MessageVerifier {
+        self.inner.verifier()
     }
     fn handle_timer(&mut self, token: TimerToken, now: SimTime) -> Vec<Output> {
         let out = self.inner.handle_timer(token, now);

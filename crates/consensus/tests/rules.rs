@@ -802,3 +802,138 @@ fn recovered_node_casts_no_vote_at_or_below_its_wal_floor() {
         }
     }
 }
+
+// ===== Forged certificates: one verifier before every rule ===============
+
+/// A current-view message carrying one certificate that fails
+/// verification is dropped whole: no vote is sent, no fetch goes out for
+/// the block it carries (it was not stored) and the view does not move.
+/// Each forged message has an honest twin, which the protocols that take
+/// that message act on, so the table cannot pass by testing nothing.
+/// Likewise timeouts whose lock is forged are not counted towards the
+/// f + 1 echo or the TC, while their honest twins are.
+#[test]
+fn a_forged_certificate_drops_the_whole_message() {
+    type Build = fn(NodeConfig) -> Box<dyn ConsensusProtocol>;
+    let protocols: [(&str, Build); 4] = [
+        ("simple", |c| Box::new(SimpleMoonshot::new(c))),
+        ("pipelined", |c| Box::new(PipelinedMoonshot::new(c))),
+        ("commit", |c| Box::new(CommitMoonshot::new(c))),
+        ("jolteon", |c| Box::new(Jolteon::new(c))),
+    ];
+    let b1 = child_of(&Block::genesis(), 1, 0);
+    let b2 = child_of(&b1, 2, 1);
+    let c1 = qc_for(&b1, VoteKind::Normal);
+    // C_1's fields over the proof of another view-1 block's certificate.
+    let other = Block::build(View(1), NodeId(0), &Block::genesis(), Payload::synthetic_items(1, 9));
+    let forged_c1 = QuorumCertificate::from_parts(
+        VoteKind::Normal,
+        b1.id(),
+        b1.height(),
+        View(1),
+        qc_for(&other, VoteKind::Normal).proof().clone(),
+    );
+    let tc1 = tc_for(1, None);
+    // TC_1's shape, each timeout signed with the next node's key.
+    let misattributed: Vec<SignedTimeout> = (0..3u16)
+        .map(|i| SignedTimeout::sign(View(1), None, NodeId(i), &KeyPair::from_seed(i as u64 + 1)))
+        .collect();
+    let forged_tc1 =
+        TimeoutCertificate::from_timeouts_preverified(&misattributed, &ring()).unwrap();
+
+    let propose = |justify: &QuorumCertificate| Message::Propose {
+        block: b2.clone(),
+        justify: justify.clone(),
+        view: View(2),
+    };
+    let fb_propose = |justify: &QuorumCertificate, tc: &TimeoutCertificate| Message::FbPropose {
+        block: b2.clone(),
+        justify: justify.clone(),
+        tc: tc.clone(),
+        view: View(2),
+    };
+    let status = |lock: &QuorumCertificate| Message::Status { view: View(2), lock: lock.clone() };
+    // (case, honest twin, forged message, protocols the honest twin earns
+    // a vote from).
+    let cases: [(&str, Message, Message, &[&str]); 4] = [
+        (
+            "propose, forged justify",
+            propose(&c1),
+            propose(&forged_c1),
+            &["simple", "pipelined", "commit", "jolteon"],
+        ),
+        (
+            "fb-propose, forged justify",
+            fb_propose(&c1, &tc1),
+            fb_propose(&forged_c1, &tc1),
+            &["pipelined", "commit", "jolteon"],
+        ),
+        (
+            "fb-propose, forged tc",
+            fb_propose(&c1, &tc1),
+            fb_propose(&c1, &forged_tc1),
+            &["pipelined", "commit", "jolteon"],
+        ),
+        ("status, forged lock", status(&c1), status(&forged_c1), &[]),
+    ];
+    let votes = |outs: &[Output]| {
+        outs.iter()
+            .filter(|o| {
+                matches!(
+                    o,
+                    Output::Multicast(Message::Vote(_) | Message::CommitVote(_))
+                        | Output::Send(_, Message::Vote(_) | Message::CommitVote(_))
+                )
+            })
+            .count()
+    };
+    let fetches = |outs: &[Output]| {
+        outs.iter().filter(|o| matches!(o, Output::Send(_, Message::BlockRequest { .. }))).count()
+    };
+    // Node 3, in view 2 through TC_1: it holds no certificate and no block
+    // past genesis, and leads neither view 2 nor view 3.
+    let in_view_2 = |build: Build| {
+        let mut node = build(cfg(3));
+        node.start(t(0));
+        node.handle_message(NodeId(2), Message::TimeoutCert(tc1.clone()), t(10));
+        assert_eq!(node.current_view(), View(2));
+        node
+    };
+
+    for (name, build) in protocols {
+        for (case, honest, forged, voters) in &cases {
+            let mut node = in_view_2(build);
+            let outs = node.handle_message(NodeId(1), honest.clone(), t(20));
+            assert_eq!(votes(&outs) > 0, voters.contains(&name), "{name}, {case}: honest twin");
+
+            let mut node = in_view_2(build);
+            let outs = node.handle_message(NodeId(1), forged.clone(), t(20));
+            assert_eq!(votes(&outs), 0, "{name}, {case}: voted for a forged certificate");
+            assert_eq!(fetches(&outs), 0, "{name}, {case}: stored the block of a dropped message");
+            assert_eq!(node.current_view(), View(2), "{name}, {case}: moved the view");
+        }
+
+        for (lock, counted) in [(&c1, true), (&forged_c1, false)] {
+            let mut node = in_view_2(build);
+            let mut outs = Vec::new();
+            for i in 0..3u16 {
+                let st = SignedTimeout::sign(
+                    View(2),
+                    Some(lock.clone()),
+                    NodeId(i),
+                    &KeyPair::from_seed(i as u64),
+                );
+                outs.extend(node.handle_message(NodeId(i), Message::Timeout(st), t(20 + i as u64)));
+            }
+            let echoed = outs.iter().any(|o| {
+                matches!(o, Output::Multicast(Message::Timeout(st)) if st.view() == View(2))
+            });
+            assert_eq!(echoed, counted, "{name}: f + 1 timeouts, lock valid = {counted}");
+            assert_eq!(
+                node.current_view() == View(3),
+                counted,
+                "{name}: 2f + 1 timeouts, lock valid = {counted}"
+            );
+        }
+    }
+}

@@ -20,7 +20,7 @@
 //! backlog at its cap, and whoever changes that — the first admission, a
 //! block taking up backlog — unparks it.
 //!
-//! An under-full batch is sealed on the block clock ([`seal_linger`]): no
+//! An under-full batch is sealed on the block clock (`seal_linger`): no
 //! batch is proposed more often than once per block period ω̂, which the
 //! pool measures from commit feedback, so a batch stays open for ω̂/4 after
 //! the assembler found the pool non-empty and collects what a paced stream

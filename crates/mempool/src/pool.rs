@@ -737,7 +737,7 @@ impl Mempool {
     /// can roll out of it while its batch is still uncommitted — without
     /// the pin, a client retry would land the same digest in a second
     /// batch. Idempotent per batch digest; past
-    /// [`MAX_IN_FLIGHT_BATCHES`] the oldest batch's pins are evicted.
+    /// `MAX_IN_FLIGHT_BATCHES` (4 096) the oldest batch's pins are evicted.
     pub fn pin_batch(&self, batch: Digest, txs: &[Digest]) {
         let mut in_flight = self.in_flight.lock().unwrap();
         if in_flight.by_batch.contains_key(&batch) {

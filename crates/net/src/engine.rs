@@ -381,7 +381,7 @@ impl<M: WireSize + Clone> Simulation<M> {
         self.fault_stats
     }
 
-    /// The injected-fault log (capped at [`FAULT_LOG_CAP`] records; see
+    /// The injected-fault log (capped at `FAULT_LOG_CAP` = 4 096 records; see
     /// [`Simulation::fault_log_truncated`] for the overflow count).
     pub fn fault_log(&self) -> &[FaultRecord] {
         &self.fault_log

@@ -30,7 +30,7 @@
 //!   sending peer.
 //! - **An ingest stage**: client `SubmitTx` frames are handed to a worker
 //!   that runs the tx hash + mempool admission off the event loops. Each
-//!   client connection may stage at most [`SUBMIT_PAUSE_BYTES`] of
+//!   client connection may stage at most `SUBMIT_PAUSE_BYTES` (16 KiB) of
 //!   unprocessed submissions; past that the shard unregisters it until
 //!   the worker drains its backlog, so a flooding client is held in its
 //!   own TCP window and never stalls consensus traffic on the loop.

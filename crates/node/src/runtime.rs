@@ -26,7 +26,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use moonshot_consensus::{
-    BatchFetchPlan, BatchFetcher, CommittedBlock, ConsensusProtocol, Message, MessageVerifier,
+    BatchFetchPlan, BatchFetcher, CommittedBlock, ConsensusProtocol, Message,
     NodeConfig, Output, PayloadSource, PreVerified, ProtocolObserver, RetryPolicy, TimerToken,
 };
 use moonshot_crypto::{Digest, VerifiedCache};
@@ -303,9 +303,11 @@ impl NodeHandle {
         node_cfg.payloads = PayloadSource::Custom(Box::new(move |_| {
             Payload::batches(plane.pool.proposable(PROPOSAL_MAX_REFS))
         }));
-        let verifier = Arc::new(MessageVerifier::for_config(&node_cfg));
         let cache = node_cfg.verified_cache.clone();
         let mut protocol = protocol(node_cfg);
+        // The verify stage runs the protocol's own verifier (same keyring,
+        // same cache), off the driver thread.
+        let verifier = Arc::new(protocol.verifier().clone());
 
         let mempool = cfg.mempool.clone();
         let introspect_addr = cfg.introspect;
@@ -954,8 +956,11 @@ impl Driver {
             match out {
                 Output::Send(to, msg) => {
                     if to == self.node {
-                        // Loopback of a self-signed message: trivially
-                        // verified.
+                        // Loopback, trusted without a check: either a
+                        // message this node signed itself, or a block
+                        // `BlockFetcher` served from this node's own
+                        // durable store (a self-addressed `BlockResponse`,
+                        // not self-signed but read back from our disk).
                         let _ = self
                             .loopback
                             .send(Inbound { from: self.node, msg: PreVerified::trusted(msg) });
@@ -977,6 +982,7 @@ impl Driver {
                     // Encode once; every peer queue shares the same bytes.
                     let frame = Arc::new(encode_message(&msg));
                     self.transport.broadcast(frame, None);
+                    // Loopback of our own multicast: self-signed.
                     let _ = self
                         .loopback
                         .send(Inbound { from: self.node, msg: PreVerified::trusted(msg) });
@@ -1033,6 +1039,7 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moonshot_consensus::MessageVerifier;
     use moonshot_mempool::{batch_digest, MempoolConfig};
     use moonshot_telemetry::RingBufferSink;
     use moonshot_types::BatchRef;
@@ -1045,16 +1052,20 @@ mod tests {
     struct Recorder {
         plane: Arc<DissemPlane>,
         handled: Arc<Mutex<Vec<Handled>>>,
+        verifier: MessageVerifier,
     }
 
     impl ConsensusProtocol for Recorder {
         fn start(&mut self, _: SimTime) -> Vec<Output> {
             Vec::new()
         }
-        fn handle_message(&mut self, _: NodeId, msg: Message, _: SimTime) -> Vec<Output> {
+        fn handle_preverified(&mut self, _: NodeId, msg: PreVerified, _: SimTime) -> Vec<Output> {
             let offer = self.plane.pool.proposable(usize::MAX);
-            self.handled.lock().unwrap().push((msg.tag(), offer));
+            self.handled.lock().unwrap().push((msg.message().tag(), offer));
             Vec::new()
+        }
+        fn verifier(&self) -> &MessageVerifier {
+            &self.verifier
         }
         fn handle_timer(&mut self, _: TimerToken, _: SimTime) -> Vec<Output> {
             Vec::new()
@@ -1084,9 +1095,15 @@ mod tests {
         let mut cfg = TransportConfig::new(NodeId(0), addr, vec![(NodeId(0), addr)]);
         cfg.dissem = plane.clone();
         let epoch = Instant::now();
-        let recorder = Recorder { plane: plane.clone(), handled: handled.clone() };
+        let (recorder_plane, recorder_handled) = (plane.clone(), handled.clone());
         let node = NodeHandle::start(
-            |_| Box::new(recorder),
+            |cfg| {
+                Box::new(Recorder {
+                    plane: recorder_plane,
+                    handled: recorder_handled,
+                    verifier: MessageVerifier::for_config(&cfg),
+                })
+            },
             SimDuration::from_millis(50),
             cfg,
             None,

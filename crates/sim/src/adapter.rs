@@ -4,7 +4,9 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use moonshot_consensus::{ConsensusProtocol, Message, Output, ProtocolObserver, TimerToken};
+use moonshot_consensus::{
+    ConsensusProtocol, Message, Output, PreVerified, ProtocolObserver, TimerToken,
+};
 use moonshot_net::{Actor, Context, TimerId};
 use moonshot_telemetry::TraceSink;
 use moonshot_types::{Block, NodeId};
@@ -20,6 +22,9 @@ pub struct ProtocolActor {
     timers: HashMap<TimerId, TimerToken>,
     observer: ProtocolObserver,
     trace: Option<Box<dyn TraceSink>>,
+    /// Whether delivered messages go through the protocol's verifier (the
+    /// default) or straight to its rules as trusted.
+    verify: bool,
 }
 
 impl std::fmt::Debug for ProtocolActor {
@@ -45,7 +50,16 @@ impl ProtocolActor {
             timers: HashMap::new(),
             observer: ProtocolObserver::new(node),
             trace: None,
+            verify: true,
         }
+    }
+
+    /// With `false`, delivers every message as [`PreVerified::trusted`]
+    /// instead of through the protocol's verifier — for the large runs
+    /// that turn verification off (`RunConfig::verify_signatures`).
+    pub(crate) fn verifying(mut self, verify: bool) -> Self {
+        self.verify = verify;
+        self
     }
 
     /// Additionally records every protocol action into `sink` (typically a
@@ -111,7 +125,11 @@ impl Actor<Message> for ProtocolActor {
         if let Some(sink) = &mut self.trace {
             self.observer.on_message_received(from, &msg, ctx.now(), sink);
         }
-        let outs = self.protocol.handle_message(from, msg, ctx.now());
+        let outs = if self.verify {
+            self.protocol.handle_message(from, msg, ctx.now())
+        } else {
+            self.protocol.handle_preverified(from, PreVerified::trusted(msg), ctx.now())
+        };
         self.apply(outs, ctx);
         self.metrics.lock().unwrap().record_view(
             self.node,

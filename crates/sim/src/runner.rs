@@ -138,8 +138,9 @@ pub struct RunConfig {
     pub duration: SimDuration,
     /// RNG seed.
     pub seed: u64,
-    /// Verify signatures cryptographically (disable only for very large
-    /// trusted runs).
+    /// Run every delivered message through the node's `MessageVerifier`
+    /// (disable only for very large trusted runs: messages are then
+    /// delivered as `PreVerified::trusted`).
     pub verify_signatures: bool,
     /// NIC speed in Gbps (the paper's instances: up to 10 Gbps).
     pub nic_gbps: f64,
@@ -269,10 +270,8 @@ impl RunConfig {
             delta: self.effective_delta(),
             election: self.election(),
             payloads,
-            verify_signatures: self.verify_signatures,
             fetch_retry: moonshot_consensus::RetryPolicy::auto(),
             verified_cache: std::sync::Arc::new(moonshot_crypto::VerifiedCache::default()),
-            skip_inline_checks: false,
             // Simulated nodes are ephemeral: no durable ledger.
             persist: None,
             recover: None,
@@ -397,6 +396,7 @@ pub fn run_traced(config: &RunConfig, opts: &TraceOptions) -> TracedRunReport {
                 };
                 Box::new(
                     ProtocolActor::new(node, config.build_protocol(node), metrics.clone())
+                        .verifying(config.verify_signatures)
                         .with_trace(sink),
                 ) as Box<dyn Actor<Message>>
             }

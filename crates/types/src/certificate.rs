@@ -12,6 +12,7 @@
 //! its constituent timeouts (§IV).
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use moonshot_crypto::{
     Digest, KeyPair, Keyring, MultiSig, MultiSigError, Sha256, Signature, VerifiedCache,
@@ -80,27 +81,41 @@ impl From<MultiSigError> for CertificateError {
 /// # Examples
 ///
 /// Assemble a certificate from votes (see [`QuorumCertificate::from_votes`]).
-#[derive(Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct QuorumCertificate {
     kind: VoteKind,
     block_id: BlockId,
     block_height: Height,
     view: View,
     proof: MultiSig,
+    /// [`QuorumCertificate::cache_key`], hashed at most once per
+    /// certificate and carried by its clones. The fields above never change
+    /// after construction, so it cannot go stale.
+    key: OnceLock<Digest>,
 }
+
+impl PartialEq for QuorumCertificate {
+    fn eq(&self, other: &Self) -> bool {
+        (self.kind, self.block_id, self.block_height, self.view)
+            == (other.kind, other.block_id, other.block_height, other.view)
+            && self.proof == other.proof
+    }
+}
+
+impl Eq for QuorumCertificate {}
 
 impl QuorumCertificate {
     /// The implicit certificate for the genesis block: rank 0, empty proof.
     /// All nodes start locked on this.
     pub fn genesis() -> QuorumCertificate {
-        let genesis = Block::genesis();
-        QuorumCertificate {
-            kind: VoteKind::Normal,
-            block_id: genesis.id(),
-            block_height: Height::GENESIS,
-            view: View::GENESIS,
-            proof: MultiSig::new(),
-        }
+        let genesis = Block::genesis().id();
+        QuorumCertificate::from_parts(
+            VoteKind::Normal,
+            genesis,
+            Height::GENESIS,
+            View::GENESIS,
+            MultiSig::new(),
+        )
     }
 
     /// Assembles a certificate from signed votes.
@@ -127,13 +142,13 @@ impl QuorumCertificate {
             }
             proof.add(sv.voter.signer_index(), sv.signature)?;
         }
-        let qc = QuorumCertificate {
-            kind: template.kind,
-            block_id: template.block_id,
-            block_height: template.block_height,
-            view: template.view,
+        let qc = QuorumCertificate::from_parts(
+            template.kind,
+            template.block_id,
+            template.block_height,
+            template.view,
             proof,
-        };
+        );
         qc.verify(ring)?;
         Ok(qc)
     }
@@ -171,13 +186,13 @@ impl QuorumCertificate {
                 need,
             }));
         }
-        Ok(QuorumCertificate {
-            kind: template.kind,
-            block_id: template.block_id,
-            block_height: template.block_height,
-            view: template.view,
+        Ok(QuorumCertificate::from_parts(
+            template.kind,
+            template.block_id,
+            template.block_height,
+            template.view,
             proof,
-        })
+        ))
     }
 
     /// Fully verifies the certificate: quorum of valid signatures over the
@@ -203,18 +218,22 @@ impl QuorumCertificate {
     /// The digest keying this certificate in a [`VerifiedCache`]. Covers the
     /// certified content *and* the full proof bytes, so a different (e.g.
     /// forged) proof over the same block can never alias a cached entry.
+    /// Hashed once per certificate: every node multicasts each new
+    /// certificate, so a node meets n copies of it per view.
     pub fn cache_key(&self) -> Digest {
-        let mut h = Sha256::new();
-        h.update(b"moonshot-qc-cache");
-        h.update(&[self.kind as u8]);
-        h.update(self.block_id.as_bytes());
-        h.update(&self.block_height.0.to_le_bytes());
-        h.update(&self.view.0.to_le_bytes());
-        for (signer, sig) in self.proof.iter() {
-            h.update(&signer.to_le_bytes());
-            h.update(&sig.to_bytes());
-        }
-        h.finalize()
+        *self.key.get_or_init(|| {
+            let mut h = Sha256::new();
+            h.update(b"moonshot-qc-cache");
+            h.update(&[self.kind as u8]);
+            h.update(self.block_id.as_bytes());
+            h.update(&self.block_height.0.to_le_bytes());
+            h.update(&self.view.0.to_le_bytes());
+            for (signer, sig) in self.proof.iter() {
+                h.update(&signer.to_le_bytes());
+                h.update(&sig.to_bytes());
+            }
+            h.finalize()
+        })
     }
 
     /// [`QuorumCertificate::verify`] routed through a [`VerifiedCache`]: a
@@ -304,7 +323,7 @@ impl QuorumCertificate {
         view: View,
         proof: MultiSig,
     ) -> QuorumCertificate {
-        QuorumCertificate { kind, block_id, block_height, view, proof }
+        QuorumCertificate { kind, block_id, block_height, view, proof, key: OnceLock::new() }
     }
 }
 
@@ -394,36 +413,17 @@ impl SignedTimeout {
     /// Verifies the signature and that the attached lock (if any) matches the
     /// signed lock view and itself verifies.
     pub fn verify(&self, ring: &Keyring) -> bool {
-        if !ring.verify(
-            self.sender.signer_index(),
-            &self.content.signing_bytes(),
-            &self.signature,
-        ) {
-            return false;
-        }
-        match (&self.content.lock_view, &self.lock) {
-            (None, None) => true,
-            (Some(v), Some(qc)) => *v == qc.view() && qc.verify(ring).is_ok(),
-            _ => false,
-        }
+        ring.verify(self.sender.signer_index(), &self.content.signing_bytes(), &self.signature)
+            && self.lock_is_valid(|qc| qc.verify(ring).is_ok())
     }
 
-    /// [`SignedTimeout::verify`] with the embedded lock certificate routed
-    /// through a [`VerifiedCache`]. The timeout's own signature is always
-    /// checked raw (each node sends at most one timeout per view, so there
-    /// is nothing to cache), but the attached lock QC is usually one the
-    /// node has already seen.
-    pub fn verify_cached(&self, ring: &Keyring, cache: &VerifiedCache) -> bool {
-        if !ring.verify(
-            self.sender.signer_index(),
-            &self.content.signing_bytes(),
-            &self.signature,
-        ) {
-            return false;
-        }
+    /// The half of a timeout's validity that is not its own signature: a
+    /// lock is attached exactly when a lock view was signed, its view is
+    /// that one, and it passes `check` (raw or through a cache).
+    pub fn lock_is_valid(&self, check: impl FnOnce(&QuorumCertificate) -> bool) -> bool {
         match (&self.content.lock_view, &self.lock) {
             (None, None) => true,
-            (Some(v), Some(qc)) => *v == qc.view() && qc.verify_cached(ring, cache).is_ok(),
+            (Some(v), Some(qc)) => *v == qc.view() && check(qc),
             _ => false,
         }
     }
@@ -1094,23 +1094,6 @@ mod tests {
         stripped.high_qc = None;
         assert!(stripped.verify_cached(&ring(), &cache).is_err());
         assert_eq!(cache.stats().rejects, 1);
-    }
-
-    #[test]
-    fn timeout_verify_cached_checks_signature_and_lock() {
-        let cache = VerifiedCache::default();
-        let b1 = block_at_view(1);
-        let q1 =
-            QuorumCertificate::from_votes(&votes_for(&b1, VoteKind::Normal, &[0, 1, 2]), &ring())
-                .unwrap();
-        let t = SignedTimeout::sign(View(5), Some(q1), NodeId(0), &kp(0));
-        assert!(t.verify_cached(&ring(), &cache));
-        let mut bad = t.clone();
-        bad.lock = Some(QuorumCertificate::genesis());
-        assert!(!bad.verify_cached(&ring(), &cache));
-        let mut wrong_author = t.clone();
-        wrong_author.sender = NodeId(1);
-        assert!(!wrong_author.verify_cached(&ring(), &cache));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use moonshot_crypto::{Digest, KeyPair, Keyring, Signature, VerifiedCache};
+use moonshot_crypto::{Digest, KeyPair, Keyring, Signature};
 
 use crate::block::BlockId;
 use crate::ids::{Height, NodeId, View};
@@ -94,8 +94,8 @@ impl SignedVote {
         ring.verify(self.voter.signer_index(), &self.vote.signing_bytes(), &self.signature)
     }
 
-    /// The digest keying this vote in a [`VerifiedCache`]: content, voter
-    /// and signature bytes.
+    /// The digest keying this vote in a verified-signature cache: content,
+    /// voter and signature bytes.
     pub fn cache_key(&self) -> Digest {
         Digest::hash_parts(&[
             b"moonshot-vote-cache",
@@ -103,23 +103,6 @@ impl SignedVote {
             &self.voter.signer_index().to_le_bytes(),
             &self.signature.to_bytes(),
         ])
-    }
-
-    /// [`SignedVote::verify`] routed through a [`VerifiedCache`], so a vote
-    /// re-delivered (loopback, replays, fetch responses) is a hash lookup.
-    /// Failed verifications are never cached.
-    pub fn verify_cached(&self, ring: &Keyring, cache: &VerifiedCache) -> bool {
-        let key = self.cache_key();
-        if cache.contains(&key) {
-            return true;
-        }
-        if self.verify(ring) {
-            cache.insert(key, self.vote.view.0);
-            true
-        } else {
-            cache.note_rejected();
-            false
-        }
     }
 }
 
@@ -176,7 +159,7 @@ impl SignedCommitVote {
         ring.verify(self.voter.signer_index(), &self.vote.signing_bytes(), &self.signature)
     }
 
-    /// The digest keying this commit vote in a [`VerifiedCache`].
+    /// The digest keying this commit vote in a verified-signature cache.
     pub fn cache_key(&self) -> Digest {
         Digest::hash_parts(&[
             b"moonshot-commit-vote-cache",
@@ -184,22 +167,6 @@ impl SignedCommitVote {
             &self.voter.signer_index().to_le_bytes(),
             &self.signature.to_bytes(),
         ])
-    }
-
-    /// [`SignedCommitVote::verify`] routed through a [`VerifiedCache`].
-    /// Failed verifications are never cached.
-    pub fn verify_cached(&self, ring: &Keyring, cache: &VerifiedCache) -> bool {
-        let key = self.cache_key();
-        if cache.contains(&key) {
-            return true;
-        }
-        if self.verify(ring) {
-            cache.insert(key, self.vote.view.0);
-            true
-        } else {
-            cache.note_rejected();
-            false
-        }
     }
 }
 

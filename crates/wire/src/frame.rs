@@ -8,7 +8,7 @@
 //! ```
 //!
 //! The 16-byte header is exactly
-//! [`ENVELOPE_WIRE`](moonshot_types::wire::ENVELOPE_WIRE), which is how
+//! [`moonshot_types::wire::ENVELOPE_WIRE`], which is how
 //! `Message::wire_size` equals the encoded frame length byte-for-byte.
 //!
 //! [`FrameReader`] turns a TCP byte stream back into frames incrementally.

@@ -14,7 +14,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use moonshot::consensus::{ConsensusProtocol, Message, NodeConfig, PayloadSource, PipelinedMoonshot};
+use moonshot::consensus::{
+    ConsensusProtocol, Message, MessageVerifier, NodeConfig, PayloadSource, PipelinedMoonshot,
+    PreVerified,
+};
 use moonshot::crypto::{Digest, Keyring};
 use moonshot::net::{Actor, NetworkConfig, NicModel, Simulation, UniformLatency};
 use moonshot::sim::{MetricsSink, ProtocolActor};
@@ -90,12 +93,10 @@ fn main() {
                 payloads: PayloadSource::Custom(Box::new(move |view| {
                     command_batch(view, &proposed)
                 })),
-                verify_signatures: true,
                 fetch_retry: moonshot::consensus::RetryPolicy::auto(),
                 verified_cache: std::sync::Arc::new(
                     moonshot::crypto::VerifiedCache::default(),
                 ),
-                skip_inline_checks: false,
                 persist: None,
                 recover: None,
                 local_blocks: None,
@@ -109,13 +110,13 @@ fn main() {
                 fn start(&mut self, now: SimTime) -> Vec<moonshot::consensus::Output> {
                     self.inner.start(now)
                 }
-                fn handle_message(
+                fn handle_preverified(
                     &mut self,
                     from: NodeId,
-                    message: Message,
+                    message: PreVerified,
                     now: SimTime,
                 ) -> Vec<moonshot::consensus::Output> {
-                    let outs = self.inner.handle_message(from, message, now);
+                    let outs = self.inner.handle_preverified(from, message, now);
                     for o in &outs {
                         if let moonshot::consensus::Output::Commit(c) = o {
                             for batch in c.block.payload().batch_refs().unwrap_or(&[]) {
@@ -124,6 +125,9 @@ fn main() {
                         }
                     }
                     outs
+                }
+                fn verifier(&self) -> &MessageVerifier {
+                    self.inner.verifier()
                 }
                 fn handle_timer(
                     &mut self,
