@@ -254,10 +254,6 @@ impl ConsensusProtocol for Jolteon {
         self.core.view()
     }
 
-    fn locked_view(&self) -> View {
-        self.high_qc().view()
-    }
-
     fn name(&self) -> &'static str {
         match self.core.chain.rule() {
             CommitRule::TwoChain => "jolteon",

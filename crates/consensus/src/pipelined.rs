@@ -420,10 +420,6 @@ impl ConsensusProtocol for PipelinedMoonshot {
         self.core.view()
     }
 
-    fn locked_view(&self) -> View {
-        self.lock().view()
-    }
-
     fn name(&self) -> &'static str {
         if self.opts.explicit_commits {
             "commit-moonshot"
@@ -492,9 +488,6 @@ impl ConsensusProtocol for CommitMoonshot {
     }
     fn current_view(&self) -> View {
         self.0.current_view()
-    }
-    fn locked_view(&self) -> View {
-        self.0.locked_view()
     }
     fn name(&self) -> &'static str {
         self.0.name()

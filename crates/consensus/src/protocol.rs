@@ -107,16 +107,6 @@ pub trait ConsensusProtocol {
     /// The node's current view (for inspection and metrics).
     fn current_view(&self) -> View;
 
-    /// The view of the certificate this node is locked on (`lock_i` in the
-    /// paper; the high QC for protocols whose lock tracks it) — surfaced
-    /// by the introspection plane alongside [`current_view`]. The default
-    /// reports [`View::GENESIS`] for protocols without a lock.
-    ///
-    /// [`current_view`]: ConsensusProtocol::current_view
-    fn locked_view(&self) -> View {
-        View::GENESIS
-    }
-
     /// A short, human-readable protocol name (e.g. `"pipelined-moonshot"`).
     fn name(&self) -> &'static str;
 }

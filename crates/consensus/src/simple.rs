@@ -286,10 +286,6 @@ impl ConsensusProtocol for SimpleMoonshot {
         self.core.view()
     }
 
-    fn locked_view(&self) -> View {
-        self.lock().view()
-    }
-
     fn name(&self) -> &'static str {
         "simple-moonshot"
     }

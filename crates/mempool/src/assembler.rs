@@ -34,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use moonshot_crypto::Digest;
 
-use crate::batch::{encode_batch, tx_timestamp_us};
+use crate::batch::encode_batch;
 use crate::dissem::{batch_digest, DissemPlane, SealedBatch};
 use crate::pool::{Mempool, Tx};
 
@@ -127,7 +127,7 @@ impl BatchAssembler {
     /// Spawns the assembler. `cfg` sets the batch byte target and its
     /// adaptive-growth policy; `epoch` is the time origin used for seal
     /// timestamps, which must match the one clients stamp transactions
-    /// against for the per-transaction queue delays to mean anything.
+    /// against for seal − submit (the mempool-queue stage) to mean anything.
     /// Sealed batches go to `plane`'s queue, for the driver to store, push
     /// and enter into the proposable pool. Sealing is throttled by
     /// `backlog_cap_bytes` of payload sealed here that no block carries yet,
@@ -176,12 +176,10 @@ impl Shared {
     }
 }
 
-/// A drained batch before framing, with its seal time (µs since the epoch)
-/// and per-transaction seal − submit delays (µs).
+/// A drained batch before framing, with its seal time (µs since the epoch).
 struct Drained {
     txs: Vec<Tx>,
     sealed_at_us: u64,
-    queue_us: Vec<u64>,
 }
 
 /// Drains the next batch from a non-empty pool; `None` when the drain came
@@ -208,7 +206,6 @@ fn drain_batch(
         thread::park_timeout(left);
     }
     let target = cfg.effective_target(pool.pending_bytes());
-    pool.set_batch_target(target as u64);
     let txs = pool.drain_for_batch(target);
     if txs.is_empty() {
         return None;
@@ -216,13 +213,7 @@ fn drain_batch(
     if target > cfg.base_batch_bytes {
         pool.note_batch_grown();
     }
-    let sealed_at_us = epoch.elapsed().as_micros() as u64;
-    let queue_us = txs
-        .iter()
-        .filter_map(|t| tx_timestamp_us(&t.bytes))
-        .map(|submitted| sealed_at_us.saturating_sub(submitted))
-        .collect();
-    Some(Drained { txs, sealed_at_us, queue_us })
+    Some(Drained { txs, sealed_at_us: epoch.elapsed().as_micros() as u64 })
 }
 
 fn run(
@@ -243,9 +234,7 @@ fn run(
             thread::park_timeout(IDLE_RECHECK);
             continue;
         }
-        let Some(Drained { txs, sealed_at_us, queue_us }) =
-            drain_batch(&pool, &cfg, epoch, shared)
-        else {
+        let Some(Drained { txs, sealed_at_us }) = drain_batch(&pool, &cfg, epoch, shared) else {
             continue;
         };
         let tx_count = txs.len() as u64;
@@ -256,7 +245,7 @@ fn run(
         // Pin the drained digests until the batch commits: the rolling
         // seen window alone would let a retry land in a second batch.
         pool.pin_batch(digest, &tx_digests);
-        plane.queue.push_sealed(SealedBatch { digest, bytes, tx_count, sealed_at_us, queue_us });
+        plane.queue.push_sealed(SealedBatch { digest, bytes, tx_count, sealed_at_us });
         shared.batches.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -267,6 +256,15 @@ mod tests {
     use crate::batch::{batch_txs, make_tx, tx_timestamp_us};
     use crate::pool::MempoolConfig;
     use std::time::Instant;
+
+    /// Seal − submit of every transaction in `sealed`, read off its bytes
+    /// the way the cluster report's stage decomposition reads them (µs).
+    fn queue_delays(sealed: &SealedBatch) -> Vec<u64> {
+        batch_txs(&sealed.bytes)
+            .filter_map(tx_timestamp_us)
+            .map(|submitted| sealed.sealed_at_us.saturating_sub(submitted))
+            .collect()
+    }
 
     /// Sealed batches land in the dissemination queue framed and already
     /// hashed — the taker, the driver in a node, hashes nothing — with seal
@@ -303,7 +301,7 @@ mod tests {
             for sealed in plane.queue.take_sealed(16) {
                 assert_eq!(sealed.digest, batch_digest(&sealed.bytes));
                 assert!(sealed.bytes.len() <= 1_800);
-                assert_eq!(sealed.queue_us.len() as u64, sealed.tx_count);
+                assert_eq!(queue_delays(&sealed).len() as u64, sealed.tx_count);
                 assert!(sealed.sealed_at_us >= last_sealed_at);
                 last_sealed_at = sealed.sealed_at_us;
                 let txs: Vec<&[u8]> = batch_txs(&sealed.bytes).collect();
@@ -408,10 +406,11 @@ mod tests {
         assert_eq!(assembler.batches_assembled(), 1);
         let sealed = plane.queue.take_sealed(usize::MAX).pop().unwrap();
         assert_eq!(sealed.tx_count, 5);
-        let first = *sealed.queue_us.iter().max().unwrap();
-        let last = *sealed.queue_us.iter().min().unwrap();
+        let delays = queue_delays(&sealed);
+        let first = *delays.iter().max().unwrap();
+        let last = *delays.iter().min().unwrap();
         assert!(first >= linger.as_micros() as u64, "sealed after {first} µs");
-        assert!(first - last >= 8_000, "queue delays {:?}", sealed.queue_us);
+        assert!(first - last >= 8_000, "queue delays {delays:?}");
     }
 
     /// A batch that reaches the base target does not wait for its deadline:
@@ -429,12 +428,12 @@ mod tests {
         wait_for("the full batch", || plane.queue.sealed_len() >= 1);
         let sealed = plane.queue.take_sealed(1).pop().unwrap();
         assert_eq!(sealed.tx_count, 9, "1 800 B hold nine framed transactions");
-        let waited = *sealed.queue_us.iter().max().unwrap();
+        let waited = *queue_delays(&sealed).iter().max().unwrap();
         assert!(waited < linger.as_micros() as u64, "sealed after {waited} µs");
         // The tenth is an under-full batch again, and gets its quarter period.
         wait_for("the remainder", || plane.queue.sealed_len() == 1);
         let rest = plane.queue.take_sealed(1).pop().unwrap();
-        assert!(rest.queue_us[0] >= linger.as_micros() as u64);
+        assert!(queue_delays(&rest)[0] >= linger.as_micros() as u64);
     }
 
     /// An idle assembler parks instead of polling (a 200 µs poll would make
@@ -555,6 +554,5 @@ mod tests {
         // have engaged (4× cap ⇒ batches of up to ~39 txs vs ~9 fixed).
         assert!(seen_grown, "no batch grew past the base target under backlog");
         assert!(pool.batches_grown() >= 1);
-        assert!(pool.batch_target_bytes() >= base as u64);
     }
 }

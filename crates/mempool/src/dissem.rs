@@ -38,14 +38,12 @@ pub fn batch_digest(bytes: &[u8]) -> Digest {
     Digest::hash_parts(&[b"moonshot-batch", bytes])
 }
 
-/// Monotone counters for the dissemination plane, snapshotted into node
-/// metrics as `dissem.*`.
+/// Monotone counters for the dissemination plane. The ones something reads
+/// land in the node's report as `dissem.*` when it stops.
 #[derive(Debug, Default)]
 pub struct DissemCounters {
     /// Batches this node broadcast on the push path (driver).
     pub batches_pushed: AtomicU64,
-    /// Bytes this node broadcast on the push path (driver).
-    pub batch_bytes_pushed: AtomicU64,
     /// Pushed/fetched batches accepted into the local store (readers).
     pub batches_stored: AtomicU64,
     /// Incoming batch frames whose recomputed digest did not match the
@@ -55,8 +53,6 @@ pub struct DissemCounters {
     pub fetches: AtomicU64,
     /// `BatchRequest` frames this node answered from its store (readers).
     pub fetches_served: AtomicU64,
-    /// `BatchRequest` frames this node could not answer (readers).
-    pub fetches_missed: AtomicU64,
     /// Proposals whose vote was deferred on at least one unresolved ref.
     pub votes_gated: AtomicU64,
     /// Batches evicted from the store by the byte budget.
@@ -71,8 +67,6 @@ pub struct DissemCounters {
 pub struct DissemStats {
     /// See [`DissemCounters::batches_pushed`].
     pub batches_pushed: u64,
-    /// See [`DissemCounters::batch_bytes_pushed`].
-    pub batch_bytes_pushed: u64,
     /// See [`DissemCounters::batches_stored`].
     pub batches_stored: u64,
     /// See [`DissemCounters::digest_mismatches`].
@@ -81,8 +75,6 @@ pub struct DissemStats {
     pub fetches: u64,
     /// See [`DissemCounters::fetches_served`].
     pub fetches_served: u64,
-    /// See [`DissemCounters::fetches_missed`].
-    pub fetches_missed: u64,
     /// See [`DissemCounters::votes_gated`].
     pub votes_gated: u64,
     /// See [`DissemCounters::evicted`].
@@ -96,12 +88,10 @@ impl DissemCounters {
     pub fn stats(&self) -> DissemStats {
         DissemStats {
             batches_pushed: self.batches_pushed.load(Ordering::Relaxed),
-            batch_bytes_pushed: self.batch_bytes_pushed.load(Ordering::Relaxed),
             batches_stored: self.batches_stored.load(Ordering::Relaxed),
             digest_mismatches: self.digest_mismatches.load(Ordering::Relaxed),
             fetches: self.fetches.load(Ordering::Relaxed),
             fetches_served: self.fetches_served.load(Ordering::Relaxed),
-            fetches_missed: self.fetches_missed.load(Ordering::Relaxed),
             votes_gated: self.votes_gated.load(Ordering::Relaxed),
             evicted: self.evicted.load(Ordering::Relaxed),
             pruned_committed: self.pruned_committed.load(Ordering::Relaxed),
@@ -209,7 +199,7 @@ impl BatchStore {
 
     /// Drops every batch whose committing block height is ≤ `floor`.
     /// Returns how many batches were pruned (also counted in
-    /// `dissem.store_pruned_committed`). Callers keep a retention window
+    /// [`DissemCounters::pruned_committed`]). Callers keep a retention window
     /// (`floor = committed_height − RETAIN`) so recent batches stay
     /// fetchable by lagging peers.
     pub fn prune_committed(&self, floor: u64) -> usize {
@@ -287,9 +277,6 @@ pub struct SealedBatch {
     pub tx_count: u64,
     /// Seal time in µs since the cluster epoch (`BatchSealed` stage stamp).
     pub sealed_at_us: u64,
-    /// Per-transaction mempool-queue delays (seal − submit, µs), computed
-    /// on the assembler thread.
-    pub queue_us: Vec<u64>,
 }
 
 impl SealedBatch {
@@ -692,7 +679,6 @@ mod tests {
                 bytes,
                 tx_count: 1,
                 sealed_at_us: 0,
-                queue_us: vec![1],
             }
         };
         let counter = |q: &DissemQueue| {
@@ -828,7 +814,6 @@ mod tests {
             bytes,
             tx_count: 5,
             sealed_at_us: 0,
-            queue_us: vec![1; 5],
         });
         assert_eq!(plane.backlog_bytes(), 1_000);
         let sealed = plane.queue.take_sealed(8);

@@ -280,8 +280,6 @@ pub struct Mempool {
     drain_window: Mutex<DrainWindow>,
     /// DRR client visits performed by drains (fairness observability).
     fair_visits: AtomicU64,
-    /// Effective batch byte target last chosen by the assembler (gauge).
-    batch_target: AtomicU64,
     /// Batches the assembler sealed above its base byte target.
     batches_grown: AtomicU64,
     /// Sealed-in-flight batch pins. Lock order: `in_flight` before any
@@ -318,7 +316,6 @@ impl Mempool {
             last_commit_us: AtomicU64::new(0),
             drain_window: Mutex::new(DrainWindow::default()),
             fair_visits: AtomicU64::new(0),
-            batch_target: AtomicU64::new(0),
             batches_grown: AtomicU64::new(0),
             in_flight: Mutex::new(InFlightBatches::default()),
             consumer: OnceLock::new(),
@@ -516,7 +513,8 @@ impl Mempool {
 
     /// Projected sojourn of a transaction admitted right now (µs): pending
     /// bytes over the measured drain rate. 0 until the rate is measured.
-    pub fn projected_delay_us(&self) -> u64 {
+    #[cfg(test)]
+    fn projected_delay_us(&self) -> u64 {
         let rate = self.drain_bytes_per_sec.load(Ordering::Relaxed);
         if rate == 0 {
             return 0;
@@ -532,11 +530,6 @@ impl Mempool {
     /// EWMA drain rate in transactions/s (0 until measured).
     pub fn drain_txs_per_sec(&self) -> u64 {
         self.drain_txs_per_sec.load(Ordering::Relaxed)
-    }
-
-    /// EWMA proposal→commit latency (µs; 0 until measured).
-    pub fn commit_latency_ewma_us(&self) -> u64 {
-        self.commit_latency_us.load(Ordering::Relaxed)
     }
 
     /// EWMA gap between consecutive commits, the block period ω̂ (µs; 0
@@ -709,25 +702,6 @@ impl Mempool {
     /// DRR client visits performed by drains so far (fairness counter).
     pub fn fair_visits(&self) -> u64 {
         self.fair_visits.load(Ordering::Relaxed)
-    }
-
-    /// Clients with pending transactions right now (sums shard rotations;
-    /// a client spread over k shards counts k times — cheap and monotone
-    /// with actual rotation work, which is what the gauge is for).
-    pub fn clients_active(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().unwrap().rr.len() as u64).sum()
-    }
-
-    /// Records the assembler's current effective batch byte target (gauge;
-    /// see [`crate::assembler::AssemblerConfig`]).
-    pub fn set_batch_target(&self, bytes: u64) {
-        self.batch_target.store(bytes, Ordering::Relaxed);
-    }
-
-    /// The last recorded effective batch byte target (0 before the first
-    /// batch).
-    pub fn batch_target_bytes(&self) -> u64 {
-        self.batch_target.load(Ordering::Relaxed)
     }
 
     /// Pins the transactions of a sealed batch against resubmission until

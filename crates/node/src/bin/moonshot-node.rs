@@ -5,12 +5,18 @@
 //! moonshot-node config --n 4 --base-port 7000
 //! moonshot-node run --config cluster.conf --id 0 --protocol pm \
 //!     [--delta-ms 50] [--duration-secs 0] [--trace out.jsonl] \
-//!     [--load <batch-bytes>] [--introspect <addr>] [--data-dir <dir>]
+//!     [--load <batch-bytes>] [--data-dir <dir>]
 //! ```
+//!
+//! Every flag takes a value. A flag the subcommand does not take, a flag
+//! without its value, or a value that does not parse prints the usage and
+//! exits with status 2.
 //!
 //! `run` starts the node and, with `--duration-secs 0` (the default), runs
 //! until the process is killed; otherwise it stops after the given
-//! duration and prints the node's JSON summary on stdout.
+//! duration and prints the node's JSON summary on stdout: its commits and
+//! the counters it read at stop (`driver.*`, `verify.*`, `dissem.*`,
+//! `mempool.*`, `ledger.*`, `net.*`).
 //!
 //! The node is wired by [`NodeHandle::start`], exactly like every node of an
 //! in-process [`moonshot_node::Cluster`]: consensus messages reach the
@@ -36,13 +42,16 @@
 //! committed chain from disk, can never re-vote in a view it already voted
 //! or timed out in, and fetches only the tail it missed from peers.
 //!
-//! `--introspect <addr>` serves the live introspection plane on `addr`:
-//! `echo /status | nc <addr>` (or `curl http://<addr>/status`) returns the
-//! node's current view, locked view, mempool depth and per-peer queues;
-//! `/metrics` returns the full live metrics registry including the
-//! `stage_latency_us.*` histograms.
+//! `--trace <file.jsonl>` writes every trace record as one JSON line: the
+//! protocol's lifecycle events, the stage stamps the latency decomposition
+//! is computed from, and a `stall` record whenever 40 Δ pass without a
+//! commit (the view, committed height, inbox depth, armed timers and
+//! mempool depth of the wedged node).
 
+use std::collections::HashMap;
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -51,101 +60,138 @@ use moonshot_telemetry::{JsonlSink, NullSink, TraceSink};
 use moonshot_types::time::SimDuration;
 use moonshot_types::NodeId;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  \
-         moonshot-node keygen --n <validators>\n  \
-         moonshot-node config --n <validators> [--base-port 7000]\n  \
-         moonshot-node run --config <file> --id <n> --protocol <sm|pm|cm|jolteon>\n      \
-         [--delta-ms 50] [--duration-secs 0] [--trace <file.jsonl>]\n      \
-         [--load <batch-bytes>] [--introspect <addr>] [--data-dir <dir>]"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "usage:\n  \
+     moonshot-node keygen --n <validators>\n  \
+     moonshot-node config --n <validators> [--base-port 7000]\n  \
+     moonshot-node run --config <file> --id <n> --protocol <sm|pm|cm|jolteon>\n      \
+     [--delta-ms 50] [--duration-secs 0] [--trace <file.jsonl>]\n      \
+     [--load <batch-bytes>] [--data-dir <dir>]";
 
-/// Pulls `--flag value` out of `args`, or `default` when absent.
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
+/// The flags of one command line, each with its value.
+struct Flags(HashMap<String, String>);
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("keygen") => keygen(&args),
-        Some("config") => config(&args),
-        Some("run") => run(&args),
-        _ => usage(),
+impl Flags {
+    /// Reads `--flag value` pairs, refusing any flag not in `known` and
+    /// any flag whose value is missing.
+    fn parse(args: &[String], known: &[&str]) -> Result<Flags, String> {
+        let mut flags = HashMap::new();
+        let mut args = args.iter();
+        while let Some(name) = args.next() {
+            if !known.contains(&name.as_str()) {
+                return Err(format!("unknown flag {name}"));
+            }
+            match args.next() {
+                Some(value) if !value.starts_with("--") => {
+                    flags.insert(name.clone(), value.clone());
+                }
+                _ => return Err(format!("{name} needs a value")),
+            }
+        }
+        Ok(Flags(flags))
+    }
+
+    /// The value of `name`, parsed; `None` when the flag is absent.
+    fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.0.get(name).map(|v| v.parse().map_err(|e| format!("{name} {v:?}: {e}"))).transpose()
+    }
+
+    /// The value of a flag that must be given.
+    fn require<T: FromStr>(&self, name: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.get(name)?.ok_or_else(|| format!("{name} is required"))
     }
 }
 
-fn keygen(args: &[String]) -> ExitCode {
-    let n: usize = match flag(args, "--n").and_then(|v| v.parse().ok()) {
-        Some(n) if n > 0 => n,
-        _ => return usage(),
+/// What a subcommand does once its flags parsed: an exit code, or a usage
+/// error.
+type Command = fn(&Flags) -> Result<ExitCode, String>;
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (command, known): (Command, &[&str]) = match args.first().map(String::as_str) {
+        Some("keygen") => (keygen, &["--n"]),
+        Some("config") => (config, &["--n", "--base-port"]),
+        Some("run") => (
+            run,
+            &[
+                "--config",
+                "--id",
+                "--protocol",
+                "--delta-ms",
+                "--duration-secs",
+                "--trace",
+                "--load",
+                "--data-dir",
+            ],
+        ),
+        _ => {
+            eprintln!("{USAGE}");
+            return ExitCode::from(2);
+        }
     };
+    match Flags::parse(&args[1..], known).and_then(|flags| command(&flags)) {
+        Ok(code) => code,
+        Err(e) => {
+            eprintln!("error: {e}\n{USAGE}");
+            ExitCode::from(2)
+        }
+    }
+}
+
+/// `--n`, which must be positive.
+fn validators(flags: &Flags) -> Result<usize, String> {
+    match flags.require("--n")? {
+        0 => Err("--n must be positive".to_string()),
+        n => Ok(n),
+    }
+}
+
+fn keygen(flags: &Flags) -> Result<ExitCode, String> {
+    let n = validators(flags)?;
     println!("# seed-derived PKI: node id doubles as key seed");
     for i in 0..n {
         println!("node {} pubkey {}", i, moonshot_node::config::public_key_hex(NodeId(i as u16)));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn config(args: &[String]) -> ExitCode {
-    let n: usize = match flag(args, "--n").and_then(|v| v.parse().ok()) {
-        Some(n) if n > 0 => n,
-        _ => return usage(),
-    };
-    let base: u16 = flag(args, "--base-port").and_then(|v| v.parse().ok()).unwrap_or(7000);
+fn config(flags: &Flags) -> Result<ExitCode, String> {
+    let n = validators(flags)?;
+    let base: u16 = flags.get("--base-port")?.unwrap_or(7000);
     let nodes = (0..n)
         .map(|i| (NodeId(i as u16), format!("127.0.0.1:{}", base + i as u16).parse().unwrap()))
         .collect();
     print!("{}", ClusterConfig { nodes }.to_text());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
-fn run(args: &[String]) -> ExitCode {
-    let cfg_path = match flag(args, "--config") {
-        Some(p) => p,
-        None => return usage(),
-    };
-    let id: u16 = match flag(args, "--id").and_then(|v| v.parse().ok()) {
-        Some(id) => id,
-        None => return usage(),
-    };
-    let protocol: ProtocolChoice = match flag(args, "--protocol").map(|p| p.parse()) {
-        Some(Ok(p)) => p,
-        Some(Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-        None => return usage(),
-    };
-    let delta_ms: u64 = flag(args, "--delta-ms").and_then(|v| v.parse().ok()).unwrap_or(50);
-    let duration_secs: u64 =
-        flag(args, "--duration-secs").and_then(|v| v.parse().ok()).unwrap_or(0);
-    let load_batch: Option<usize> = flag(args, "--load").and_then(|v| v.parse().ok());
-    let introspect: Option<std::net::SocketAddr> =
-        match flag(args, "--introspect").map(|v| v.parse()) {
-            Some(Ok(a)) => Some(a),
-            Some(Err(e)) => {
-                eprintln!("error: bad --introspect address: {e}");
-                return ExitCode::from(2);
-            }
-            None => None,
-        };
+fn run(flags: &Flags) -> Result<ExitCode, String> {
+    let cfg_path: String = flags.require("--config")?;
+    let id: u16 = flags.require("--id")?;
+    let protocol: ProtocolChoice = flags.require("--protocol")?;
+    let delta_ms: u64 = flags.get("--delta-ms")?.unwrap_or(50);
+    let duration_secs: u64 = flags.get("--duration-secs")?.unwrap_or(0);
+    let load_batch: Option<usize> = flags.get("--load")?;
+    let trace: Option<PathBuf> = flags.get("--trace")?;
+    let data_dir: Option<PathBuf> = flags.get("--data-dir")?;
 
     let text = match std::fs::read_to_string(&cfg_path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("error: cannot read {cfg_path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let cluster = match ClusterConfig::parse(&text) {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {cfg_path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     let node = NodeId(id);
@@ -153,16 +199,16 @@ fn run(args: &[String]) -> ExitCode {
         Some(a) => a,
         None => {
             eprintln!("error: node {id} not in {cfg_path}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
 
-    let sink: moonshot_node::SharedSink = match flag(args, "--trace") {
-        Some(path) => match JsonlSink::create(std::path::Path::new(&path)) {
+    let sink: moonshot_node::SharedSink = match trace {
+        Some(path) => match JsonlSink::create(&path) {
             Ok(s) => Arc::new(Mutex::new(s)),
             Err(e) => {
-                eprintln!("error: cannot create trace file {path}: {e}");
-                return ExitCode::FAILURE;
+                eprintln!("error: cannot create trace file {}: {e}", path.display());
+                return Ok(ExitCode::FAILURE);
             }
         },
         None => Arc::new(Mutex::new(NullSink)) as Arc<Mutex<dyn TraceSink + Send>>,
@@ -170,7 +216,6 @@ fn run(args: &[String]) -> ExitCode {
 
     let epoch = Instant::now();
     let mut transport = TransportConfig::new(node, listen, cluster.nodes.clone());
-    transport.introspect = introspect;
     // The assembler must outlive the node, so it's held here until
     // shutdown.
     let _assembler = load_batch.map(|batch_bytes| {
@@ -180,7 +225,6 @@ fn run(args: &[String]) -> ExitCode {
         transport.dissem = plane;
         assembler
     });
-    let data_dir = flag(args, "--data-dir").map(std::path::PathBuf::from);
     let handle = match NodeHandle::start(
         move |cfg| protocol.build(cfg),
         SimDuration::from_millis(delta_ms),
@@ -189,12 +233,11 @@ fn run(args: &[String]) -> ExitCode {
         data_dir.as_deref(),
         epoch,
         sink,
-        moonshot_node::IntrospectState::new(node, epoch),
     ) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("error: failed to start node {id} on {listen}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     };
     if handle.recovered_height() > 0 {
@@ -205,9 +248,6 @@ fn run(args: &[String]) -> ExitCode {
         protocol.name(),
         cluster.n()
     );
-    if let Some(addr) = handle.introspect_addr() {
-        eprintln!("node {id} introspection on {addr} (/status, /metrics)");
-    }
 
     if duration_secs == 0 {
         // Run until killed; log committed height once a second.
@@ -225,5 +265,5 @@ fn run(args: &[String]) -> ExitCode {
     std::thread::sleep(Duration::from_secs(duration_secs));
     let report = handle.stop();
     println!("{}", report.summary_json());
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -31,21 +31,20 @@
 //!   every node in a process.
 //! * [`transport`] — the per-node facade over the pool: bounded
 //!   drop-oldest outbound queues, exponential-backoff redial, and per-peer
-//!   byte/frame/drop/reconnect counters.
+//!   traffic and fault counters.
 //! * [`shape`] — per-link latency/bandwidth shaping matrices (Table II
 //!   WAN emulation) enforced sender-side by the pool's event loops.
 //! * [`runtime`] — the driver thread gluing protocol, wheel, transport and
 //!   dissemination plane together, with
 //!   [`ProtocolObserver`](moonshot_consensus::ProtocolObserver) tracing at
 //!   the call boundary so cluster runs feed the same invariant checker as
-//!   simulations.
+//!   simulations. A node's numbers come from two places, both read when it
+//!   stops: the trace (every latency and stage, and the `stall` record of a
+//!   wedged node) and the counters of the components that own them
+//!   ([`NodeReport::metrics`](runtime::NodeReport::metrics)).
 //! * [`cluster`] — N nodes in one process on loopback: launch, kill,
 //!   restart, and the merged report the benchmark reads.
 //! * [`client`] — the transaction load generator (in-process or TCP).
-//! * [`introspect`] — a per-node live introspection endpoint (`/status`,
-//!   `/metrics`) serving driver-published state and the live metrics
-//!   registry over plain TCP, pollable mid-run by a test or a human with
-//!   `curl`/`nc`.
 //! * [`config`] — static peer files, protocol selection, seed-derived keys.
 //!
 //! One binary ships with the crate: `moonshot-node` (run one validator).
@@ -58,7 +57,6 @@
 pub mod client;
 pub mod cluster;
 pub mod config;
-pub mod introspect;
 pub mod netpool;
 pub mod runtime;
 pub mod shape;
@@ -68,7 +66,6 @@ pub mod transport;
 pub use client::{ClientStats, ClientTarget, TxClient, TxClientConfig};
 pub use cluster::{Cluster, ClusterReport, ClusterSpec, LoadSpec, RestartStat, StageLatencies};
 pub use config::{ClusterConfig, ProtocolChoice};
-pub use introspect::{IntrospectServer, IntrospectState, NodeStatus};
 pub use netpool::{NetPool, NetPoolStats};
 pub use runtime::{process_threads, NodeHandle, NodeReport, SharedSink};
 pub use shape::{LinkShape, ShapeMatrix};

@@ -1225,21 +1225,15 @@ impl Runner {
                 let Some(id) = c.from else {
                     return ReadVerdict::Close; // fetches are validator-only
                 };
-                match plane.store.get(&digest) {
-                    Some(bytes) => {
-                        plane.counters.fetches_served.fetch_add(1, Ordering::Relaxed);
-                        let frame =
-                            Arc::new(encode_frame(&Frame::BatchResponse { digest, bytes }));
-                        if let Some(p) = c.core.peers.get(&id) {
-                            if p.queue.push_protected(frame) {
-                                nudge_peer_conn(&self.shards, p);
-                            } else {
-                                p.metrics.protected_dropped.fetch_add(1, Ordering::Relaxed);
-                            }
+                if let Some(bytes) = plane.store.get(&digest) {
+                    plane.counters.fetches_served.fetch_add(1, Ordering::Relaxed);
+                    let frame = Arc::new(encode_frame(&Frame::BatchResponse { digest, bytes }));
+                    if let Some(p) = c.core.peers.get(&id) {
+                        if p.queue.push_protected(frame) {
+                            nudge_peer_conn(&self.shards, p);
+                        } else {
+                            p.metrics.protected_dropped.fetch_add(1, Ordering::Relaxed);
                         }
-                    }
-                    None => {
-                        plane.counters.fetches_missed.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
@@ -1247,9 +1241,6 @@ impl Runner {
                 let Some(id) = c.from else {
                     return ReadVerdict::Close; // consensus before hello
                 };
-                if let Some(p) = c.core.peers.get(&id) {
-                    p.metrics.frames_in.fetch_add(1, Ordering::Relaxed);
-                }
                 // Signature checking never runs on the event loop: the
                 // message joins the staged sigverify batch, and only a
                 // verified copy reaches the driver.
@@ -1363,11 +1354,6 @@ impl Runner {
                 }
             }
         }
-        c.state.metrics.queue_depth.store(c.state.queue.depth(), Ordering::Relaxed);
-        c.state
-            .metrics
-            .queue_bytes
-            .store(c.state.queue.buffered_bytes() as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -1385,11 +1371,6 @@ impl Runner {
             c.state.metrics.dropped_frames.fetch_add(lost as u64, Ordering::Relaxed);
         }
         *c.state.conn.lock().unwrap() = None;
-        c.state.metrics.queue_depth.store(c.state.queue.depth(), Ordering::Relaxed);
-        c.state
-            .metrics
-            .queue_bytes
-            .store(c.state.queue.buffered_bytes() as u64, Ordering::Relaxed);
         if !c.core.shutdown.load(Ordering::SeqCst) && !self.shutdown.load(Ordering::SeqCst) {
             let _ = self.dial_tx.send(DialReq { core: c.core.clone(), peer: c.peer });
         }

@@ -17,7 +17,7 @@
 //! trace-driven invariant checker works on cluster runs unchanged.
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::net::{SocketAddr, TcpListener};
+use std::net::TcpListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
@@ -32,14 +32,11 @@ use moonshot_consensus::{
 use moonshot_crypto::{Digest, VerifiedCache};
 use moonshot_ledger::{Ledger, LedgerOptions};
 use moonshot_mempool::{DissemPlane, Mempool, BATCH_TX_OVERHEAD};
-use moonshot_telemetry::{
-    MetricsRegistry, TraceEvent, TraceRecord, TraceSink, STAGE_BUCKETS, STAGE_BUCKET_WIDTH_US,
-};
+use moonshot_telemetry::{MetricsRegistry, TraceEvent, TraceRecord, TraceSink};
 use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::{Block, BlockId, NodeId, Payload, View};
 use moonshot_wire::{encode_frame, encode_message, Frame};
 
-use crate::introspect::{IntrospectServer, IntrospectState};
 use crate::timer::TimerWheel;
 use crate::transport::{Inbound, InboundSender, Transport, TransportConfig};
 
@@ -58,12 +55,7 @@ const MAX_WAIT: Duration = Duration::from_millis(50);
 /// batch instead of paying it per message.
 const BATCH_LIMIT: usize = 256;
 
-/// How often the driver republishes its counters into the live
-/// introspection registry. Rare enough to be invisible on the hot loop,
-/// frequent enough that `/metrics` is never more than a blink stale.
-const LIVE_REFRESH: Duration = Duration::from_millis(200);
-
-/// Stage-map entries above which the tracker resets — a leak guard for
+/// Proposal-time entries above which the map resets — a leak guard for
 /// blocks that never commit (e.g. equivocation garbage under faults).
 const STAGE_MAP_LIMIT: usize = 16_384;
 
@@ -109,7 +101,10 @@ pub struct NodeReport {
     pub commits: Vec<CommittedBlock>,
     /// The view the node was in when stopped.
     pub final_view: View,
-    /// Driver + transport counters (`driver.*`, `net.*`).
+    /// The node's counters, read once when the driver stopped from the
+    /// components that own them (`driver.*`, `verify.*`, `dissem.*`,
+    /// `mempool.*`, `ledger.*`, `net.*`). Latencies are not here: they come
+    /// from the trace.
     pub metrics: MetricsRegistry,
 }
 
@@ -130,56 +125,14 @@ impl NodeReport {
 }
 
 /// The driver's trace path: forwards every record to the shared sink and
-/// folds per-stage latency deltas into the live introspection registry as
-/// they happen.
-///
-/// Stage spans are keyed by block id. The proposal timestamp is the first
-/// `ProposalSent`/`ProposalReceived` for the block (whichever this node
-/// sees first — the sender stamps send time, everyone else stamps arrival);
-/// `QcFormed` closes the vote-gathering span and `BlockCommitted` closes
-/// the certificate-to-commit span, pruning the block's entries.
+/// remembers when each block was first proposed — the first
+/// `ProposalSent`/`ProposalReceived` this node sees for it (the sender
+/// stamps send time, everyone else stamps arrival) — until it commits. That
+/// is the proposal→commit sample behind delay-bounded admission.
 struct TracingSink {
     inner: SharedSink,
-    state: Arc<IntrospectState>,
     /// Block id → first proposal timestamp (µs since epoch).
     proposed_at: HashMap<BlockId, u64>,
-    /// Block id → first QC timestamp (µs since epoch).
-    qc_at: HashMap<BlockId, u64>,
-}
-
-impl TracingSink {
-    fn new(inner: SharedSink, state: Arc<IntrospectState>) -> TracingSink {
-        TracingSink { inner, state, proposed_at: HashMap::new(), qc_at: HashMap::new() }
-    }
-
-    fn observe_stage(&self, stage: &str, value_us: u64) {
-        if let Ok(mut live) = self.state.live.lock() {
-            live.observe_with(
-                &format!("stage_latency_us.{stage}"),
-                value_us,
-                STAGE_BUCKET_WIDTH_US,
-                STAGE_BUCKETS,
-            );
-        }
-    }
-
-    /// Folds one sealed batch's per-transaction queue delays into
-    /// `stage_latency_us.mempool_queue` and, in coarse units, into
-    /// `mempool.queue_delay_ms` — the histogram the admission control loop
-    /// is judged by (1 ms buckets spanning 30 s).
-    fn observe_queue_delays(&self, queue_us: &[u64]) {
-        if let Ok(mut live) = self.state.live.lock() {
-            for &queued in queue_us {
-                live.observe_with(
-                    "stage_latency_us.mempool_queue",
-                    queued,
-                    STAGE_BUCKET_WIDTH_US,
-                    STAGE_BUCKETS,
-                );
-                live.observe_with("mempool.queue_delay_ms", queued / 1_000, 1, 30_000);
-            }
-        }
-    }
 }
 
 impl TraceSink for TracingSink {
@@ -193,27 +146,7 @@ impl TraceSink for TracingSink {
                 }
                 self.proposed_at.entry(block).or_insert(at);
             }
-            TraceEvent::VoteCast { block, .. } => {
-                if let Some(&proposed) = self.proposed_at.get(&block) {
-                    self.observe_stage("proposal_to_vote", at.saturating_sub(proposed));
-                }
-            }
-            TraceEvent::QcFormed { block, .. } => {
-                if self.qc_at.len() >= STAGE_MAP_LIMIT {
-                    self.qc_at.clear();
-                }
-                if let std::collections::hash_map::Entry::Vacant(e) = self.qc_at.entry(block) {
-                    let proposed = self.proposed_at.get(e.key()).copied();
-                    e.insert(at);
-                    if let Some(proposed) = proposed {
-                        self.observe_stage("vote_to_qc", at.saturating_sub(proposed));
-                    }
-                }
-            }
             TraceEvent::BlockCommitted { block, .. } => {
-                if let Some(qc) = self.qc_at.remove(&block) {
-                    self.observe_stage("qc_to_commit", at.saturating_sub(qc));
-                }
                 self.proposed_at.remove(&block);
             }
             _ => {}
@@ -226,8 +159,7 @@ impl TraceSink for TracingSink {
     }
 }
 
-/// A running node: driver thread + transport threads (+ the introspection
-/// server when configured).
+/// A running node: driver thread + transport threads.
 #[derive(Debug)]
 pub struct NodeHandle {
     shutdown: Arc<AtomicBool>,
@@ -243,7 +175,6 @@ pub struct NodeHandle {
     /// The driver's inbox, for tests that play the network.
     #[cfg(test)]
     inbound: InboundSender,
-    introspect: Option<IntrospectServer>,
 }
 
 impl NodeHandle {
@@ -268,10 +199,7 @@ impl NodeHandle {
     ///
     /// `listener` adopts a pre-bound socket instead of binding
     /// `cfg.listen`. `epoch` is the cluster-wide time origin; every trace
-    /// timestamp is microseconds since it. `state` is the introspection
-    /// state the driver publishes into; when `cfg.introspect` is set, an
-    /// [`IntrospectServer`] is started on it.
-    #[allow(clippy::too_many_arguments)] // the node's full wiring surface
+    /// timestamp is microseconds since it, and `sink` receives the trace.
     pub fn start(
         protocol: impl FnOnce(NodeConfig) -> Box<dyn ConsensusProtocol + Send>,
         delta: SimDuration,
@@ -280,7 +208,6 @@ impl NodeHandle {
         data_dir: Option<&Path>,
         epoch: Instant,
         sink: SharedSink,
-        state: Arc<IntrospectState>,
     ) -> std::io::Result<NodeHandle> {
         let node = cfg.node_id;
         let mut node_cfg = NodeConfig::simulated(node, cfg.peers.len(), delta);
@@ -310,7 +237,6 @@ impl NodeHandle {
         let verifier = Arc::new(protocol.verifier().clone());
 
         let mempool = cfg.mempool.clone();
-        let introspect_addr = cfg.introspect;
         let stall_timeout = Duration::from_micros(delta.as_micros() * STALL_DELTA_MULTIPLE);
         let drop_push_to = cfg.drop_batch_push_to;
         let batch_fetcher =
@@ -323,22 +249,12 @@ impl NodeHandle {
         dissem.queue.on_sealed(move || waker.wake());
         let transport = Transport::start(cfg, listener, verifier, tx.clone())?;
         let transport_shutdown = transport.shutdown_flag();
-        state.set_peers(transport.peer_metrics_all());
-        state.set_inbound_gauge(tx.depth_gauge());
-        if let Some(pool) = &mempool {
-            state.set_mempool(pool.clone());
-        }
-        let introspect = match introspect_addr {
-            Some(addr) => Some(IntrospectServer::start(addr, state.clone())?),
-            None => None,
-        };
         let shutdown = Arc::new(AtomicBool::new(false));
         // A recovered node starts at its disk height, not zero: liveness
-        // probes and status reads should never report a restarted node as
-        // having lost its chain.
+        // probes should never report a restarted node as having lost its
+        // chain.
         let recovered_height = ledger.as_ref().map(|l| l.recovered_height()).unwrap_or(0);
         let committed_height = Arc::new(AtomicU64::new(recovered_height));
-        state.status.committed_height.store(recovered_height, Ordering::Relaxed);
 
         // Committed blocks flow to disk through a dedicated writer thread so
         // segment appends (and periodic snapshots) never block the driver.
@@ -373,8 +289,7 @@ impl NodeHandle {
                         inbound_depth,
                         wheel: TimerWheel::new(SimDuration::from_millis(1), 4096),
                         observer: ProtocolObserver::new(node),
-                        sink: TracingSink::new(sink, state.clone()),
-                        state,
+                        sink: TracingSink { inner: sink, proposed_at: HashMap::new() },
                         epoch,
                         commits: Vec::new(),
                         committed_height,
@@ -383,9 +298,7 @@ impl NodeHandle {
                         dissem,
                         drop_push_to,
                         batch_fetcher,
-                        sealed_at_us: HashMap::new(),
                         gated: VecDeque::new(),
-                        gated_dropped: 0,
                         ledger,
                         ledger_writer,
                         stall_timeout,
@@ -393,7 +306,6 @@ impl NodeHandle {
                         messages_handled: 0,
                         timers_fired: 0,
                         batches: 0,
-                        stalls: 0,
                     };
                     run_driver(driver, &mut *protocol, rx, shutdown)
                 })
@@ -408,7 +320,6 @@ impl NodeHandle {
             recovered_height,
             #[cfg(test)]
             inbound: tx,
-            introspect,
         })
     }
 
@@ -423,11 +334,6 @@ impl NodeHandle {
         self.recovered_height
     }
 
-    /// The address the introspection server listens on, when enabled.
-    pub fn introspect_addr(&self) -> Option<SocketAddr> {
-        self.introspect.as_ref().map(|s| s.local_addr())
-    }
-
     /// Signals the driver to exit without joining it. Cluster teardown
     /// signals every node before joining any: a node whose peers are
     /// being torn down while it still considers itself live would see
@@ -438,16 +344,10 @@ impl NodeHandle {
         self.transport_shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Stops the driver, transport, and introspection server, returning
-    /// the final report.
+    /// Stops the driver and the transport, returning the final report.
     pub fn stop(mut self) -> NodeReport {
         self.shutdown.store(true, Ordering::SeqCst);
-        let report =
-            self.driver.take().expect("driver still attached").join().expect("driver panicked");
-        if let Some(server) = self.introspect.take() {
-            server.stop();
-        }
-        report
+        self.driver.take().expect("driver still attached").join().expect("driver panicked")
     }
 }
 
@@ -498,7 +398,6 @@ struct Driver {
     wheel: TimerWheel,
     observer: ProtocolObserver,
     sink: TracingSink,
-    state: Arc<IntrospectState>,
     epoch: Instant,
     commits: Vec<CommittedBlock>,
     committed_height: Arc<AtomicU64>,
@@ -514,15 +413,10 @@ struct Driver {
     drop_push_to: Option<NodeId>,
     /// Outstanding batch fetches for the vote gate's fallback path.
     batch_fetcher: BatchFetcher,
-    /// Seal time of every batch this node pushed and has not yet seen in a
-    /// proposal — what closes its seal→propose wait.
-    sealed_at_us: HashMap<Digest, u64>,
     /// Proposals / synced blocks parked until every batch ref they carry
     /// resolves in the local store.
     gated: VecDeque<GatedMessage>,
-    /// Gated messages evicted by [`GATED_LIMIT`].
-    gated_dropped: u64,
-    /// The durable ledger, for metrics publication.
+    /// The durable ledger, for its counters in the final report.
     ledger: Option<Arc<Ledger>>,
     /// Channel + thread that append committed blocks to the ledger off the
     /// driver loop. Dropping the sender stops the thread.
@@ -536,7 +430,6 @@ struct Driver {
     messages_handled: u64,
     timers_fired: u64,
     batches: u64,
-    stalls: u64,
 }
 
 /// The driver loop, owning the [`Driver`] so the transport can be consumed
@@ -551,11 +444,6 @@ fn run_driver(
     let t = driver.now();
     let outputs = protocol.start(t);
     driver.process(protocol, outputs, t);
-    // Seed the live registry before the first message: a `/metrics` scrape
-    // is valid from the instant the node is reachable, not only after the
-    // first periodic refresh 200ms in.
-    driver.refresh_live();
-    let mut last_refresh = Instant::now();
 
     while !shutdown.load(Ordering::SeqCst) {
         let now = driver.now();
@@ -579,11 +467,6 @@ fn run_driver(
         let more_sealed = driver.sync_dissem(protocol);
 
         driver.check_stall(protocol);
-        driver.publish_status(protocol);
-        if last_refresh.elapsed() >= LIVE_REFRESH {
-            driver.refresh_live();
-            last_refresh = Instant::now();
-        }
 
         let wait = match driver.wheel.next_deadline() {
             // Sealed batches past the push limit are work, not a wait.
@@ -625,19 +508,13 @@ fn run_driver(
     }
 
     driver.sink.flush();
-    driver.publish_status(protocol);
-    // Flush remaining committed blocks to disk before the final metrics
-    // snapshot, so `ledger.*` counters in the report cover every commit.
+    // Flush remaining committed blocks to disk before the counters are
+    // read, so `ledger.*` in the report covers every commit.
     if let Some((tx, writer)) = driver.ledger_writer.take() {
         drop(tx);
         let _ = writer.join();
     }
-    driver.refresh_live();
-    // The final report *is* the live registry: everything `/metrics`
-    // served mid-run (driver counters, stage histograms, transport and
-    // mempool state) lands in `summary_json` with no separate assembly.
-    let metrics = driver.state.live.lock().unwrap().clone();
-
+    let metrics = driver.report_metrics();
     driver.transport.stop();
 
     NodeReport {
@@ -653,16 +530,6 @@ impl Driver {
         SimTime(self.epoch.elapsed().as_micros() as u64)
     }
 
-    /// Publishes the hot status fields (view, lock, timers) into the
-    /// introspection state. Runs once per loop iteration; all stores are
-    /// relaxed atomics.
-    fn publish_status(&self, protocol: &dyn ConsensusProtocol) {
-        let s = &self.state.status;
-        s.current_view.store(protocol.current_view().0, Ordering::Relaxed);
-        s.locked_view.store(protocol.locked_view().0, Ordering::Relaxed);
-        s.timers_armed.store(self.wheel.len() as u64, Ordering::Relaxed);
-    }
-
     /// The stall watchdog: if no commit landed within the configured
     /// threshold, emit a [`TraceEvent::Stall`] snapshot and re-arm. The
     /// snapshot carries the driver state a human would first ask about —
@@ -673,8 +540,6 @@ impl Driver {
         if now.0.saturating_sub(self.last_commit_at_us) < self.stall_timeout.as_micros() as u64 {
             return;
         }
-        self.stalls += 1;
-        self.state.status.stalls.store(self.stalls, Ordering::Relaxed);
         // Re-arm from now so a persistent wedge produces one stall event
         // per threshold interval, not one per loop iteration.
         self.last_commit_at_us = now.0;
@@ -689,81 +554,43 @@ impl Driver {
         self.sink.record(TraceRecord { at: now, event });
     }
 
-    /// Republishes every driver-side counter into the live registry as
-    /// absolute values, so `/metrics` reads and the final report are the
-    /// same snapshot at different times.
-    fn refresh_live(&mut self) {
+    /// The node's numbers for its report, read once when the driver stops
+    /// from the components that own them: the driver's own counters, the
+    /// verified-certificate cache, the dissemination plane, the mempool,
+    /// the ledger and the transport. Only names something reads are
+    /// written: the benchmark's report, a test, or a diagnosis.
+    fn report_metrics(&self) -> MetricsRegistry {
+        let mut m = MetricsRegistry::new();
+        m.set_counter("driver.messages_handled", self.messages_handled);
+        m.set_counter("driver.timers_fired", self.timers_fired);
+        m.set_counter("driver.commits", self.commits.len() as u64);
+        m.set_counter("driver.batches", self.batches);
         let cache = self.cache.stats();
-        let mempool = self.mempool.clone();
-        let mut live = match self.state.live.lock() {
-            Ok(live) => live,
-            Err(_) => return,
-        };
-        live.set_counter("driver.messages_handled", self.messages_handled);
-        live.set_counter("driver.timers_fired", self.timers_fired);
-        live.set_counter("driver.commits", self.commits.len() as u64);
-        live.set_counter("driver.batches", self.batches);
-        live.set_counter("driver.stalls", self.stalls);
-        live.set_gauge("driver.timers_armed", self.wheel.len() as f64);
-        live.set_gauge("driver.inbound_depth", self.inbound_depth.load(Ordering::Relaxed) as f64);
-        live.set_counter("verify.cache_hits", cache.hits);
-        live.set_counter("verify.cache_misses", cache.misses);
-        live.set_counter("verify.cache_inserts", cache.inserts);
-        live.set_counter("verify.cache_rejects", cache.rejects);
-        live.set_counter("verify.cache_evictions", cache.evictions);
-        live.set_gauge("verify.cache_len", cache.len as f64);
-        live.set_counter("crypto.batch_verify_calls", cache.batch_calls);
-        live.set_counter("crypto.batch_verify_items", cache.batch_items);
+        m.set_counter("verify.cache_hits", cache.hits);
+        m.set_counter("verify.cache_misses", cache.misses);
+        m.set_counter("crypto.batch_verify_calls", cache.batch_calls);
+        m.set_counter("crypto.batch_verify_items", cache.batch_items);
         if let Some(threads) = process_threads() {
-            live.set_gauge("process.threads", threads as f64);
+            m.set_gauge("process.threads", threads as f64);
+        }
+        let s = self.dissem.counters.stats();
+        m.set_counter("dissem.batches_pushed", s.batches_pushed);
+        m.set_counter("dissem.batches_stored", s.batches_stored);
+        m.set_counter("dissem.digest_mismatches", s.digest_mismatches);
+        m.set_counter("dissem.fetches", s.fetches);
+        m.set_counter("dissem.fetches_served", s.fetches_served);
+        m.set_counter("dissem.votes_gated", s.votes_gated);
+        m.set_counter("dissem.requeued", self.dissem.pool.requeued());
+        if let Some(pool) = &self.mempool {
+            let c = pool.counters();
+            m.set_counter("mempool.accepted", c.accepted);
+            m.set_counter("mempool.rejected", c.rejected);
         }
         if let Some(ledger) = &self.ledger {
-            ledger.publish_into(&mut live);
+            ledger.publish_into(&mut m);
         }
-        let plane = &self.dissem;
-        let s = plane.counters.stats();
-        live.set_counter("dissem.batches_pushed", s.batches_pushed);
-        live.set_counter("dissem.batch_bytes_pushed", s.batch_bytes_pushed);
-        live.set_counter("dissem.batches_stored", s.batches_stored);
-        live.set_counter("dissem.digest_mismatches", s.digest_mismatches);
-        live.set_counter("dissem.fetches", s.fetches);
-        live.set_counter("dissem.fetches_served", s.fetches_served);
-        live.set_counter("dissem.fetches_missed", s.fetches_missed);
-        live.set_counter("dissem.votes_gated", s.votes_gated);
-        live.set_counter("dissem.evicted", s.evicted);
-        live.set_counter("dissem.store_pruned_committed", s.pruned_committed);
-        live.set_counter("dissem.gated_dropped", self.gated_dropped);
-        live.set_gauge("dissem.store_batches", plane.store.len() as f64);
-        live.set_gauge("dissem.store_bytes", plane.store.bytes() as f64);
-        live.set_gauge("dissem.backlog_bytes", plane.backlog_bytes() as f64);
-        live.set_counter("dissem.requeued", plane.pool.requeued());
-        live.set_gauge("dissem.gated", self.gated.len() as f64);
-        live.set_gauge("dissem.fetch_outstanding", self.batch_fetcher.outstanding() as f64);
-        if let Some(pool) = &mempool {
-            let c = pool.counters();
-            live.set_counter("mempool.submitted", c.submitted);
-            live.set_counter("mempool.accepted", c.accepted);
-            live.set_counter("mempool.rejected", c.rejected);
-            live.set_counter("mempool.rejected_delay", c.rejected_delay);
-            live.set_counter("mempool.deduped", c.deduped);
-            live.set_counter("mempool.fair_visits", pool.fair_visits());
-            live.set_counter("mempool.batches_grown", pool.batches_grown());
-            live.set_gauge("mempool.pending", pool.len() as f64);
-            live.set_gauge("mempool.pending_bytes", pool.pending_bytes() as f64);
-            live.set_gauge("mempool.drain_bytes_per_sec", pool.drain_bytes_per_sec() as f64);
-            live.set_gauge("mempool.drain_txs_per_sec", pool.drain_txs_per_sec() as f64);
-            live.set_gauge(
-                "mempool.queue_delay_target_ms",
-                pool.delay_target_us() as f64 / 1_000.0,
-            );
-            live.set_gauge(
-                "mempool.projected_delay_ms",
-                pool.projected_delay_us() as f64 / 1_000.0,
-            );
-            live.set_gauge("mempool.batch_target_bytes", pool.batch_target_bytes() as f64);
-            live.set_gauge("mempool.clients_active", pool.clients_active() as f64);
-        }
-        self.transport.snapshot_metrics(&mut live);
+        self.transport.snapshot_metrics(&mut m);
+        m
     }
 
     /// Feeds one inbound message toward the protocol. A proposal (or synced
@@ -793,7 +620,6 @@ impl Driver {
             }
             if self.gated.len() >= GATED_LIMIT {
                 self.gated.pop_front();
-                self.gated_dropped += 1;
             }
             self.gated.push_back(GatedMessage { from, msg, missing });
             return;
@@ -836,19 +662,11 @@ impl Driver {
     }
 
     /// A proposal or synced block reached this node (or left it): its refs
-    /// are in flight under it from here on, and the ones this node sealed
-    /// have waited this long to be proposed.
-    fn note_proposed(&mut self, block: &Block) {
+    /// are in flight under it from here on.
+    fn note_proposed(&self, block: &Block) {
         let refs = block.payload().batch_refs().unwrap_or(&[]);
-        if refs.is_empty() {
-            return;
-        }
-        self.dissem.pool.referenced(block.id(), block.height().0, refs);
-        let now_us = self.now().0;
-        for r in refs {
-            if let Some(sealed) = self.sealed_at_us.remove(&r.digest) {
-                self.sink.observe_stage("propose_wait", now_us.saturating_sub(sealed));
-            }
+        if !refs.is_empty() {
+            self.dissem.pool.referenced(block.id(), block.height().0, refs);
         }
     }
 
@@ -867,9 +685,9 @@ impl Driver {
     /// push-before-propose guarantee: this node can only propose its own
     /// ref after the bytes sit in every peer's send queue, and per-peer TCP
     /// FIFO keeps the push ahead of the proposal on the wire. This is also
-    /// where a batch's seal telemetry lands, once, on the node that sealed
-    /// it: a [`TraceEvent::BatchSealed`] record backdated to the seal and
-    /// the per-transaction mempool-queue delays the assembler computed.
+    /// where a batch's seal lands in the trace, once, on the node that
+    /// sealed it: a [`TraceEvent::BatchSealed`] record backdated to the
+    /// seal, which the report's stage decomposition starts from.
     /// Returns whether [`PUSH_LIMIT`] cut the drain short, i.e. sealed
     /// batches may remain that no wake-up will announce.
     fn push_batches(&mut self) -> bool {
@@ -884,10 +702,7 @@ impl Driver {
             }));
             self.transport.broadcast(frame, self.drop_push_to);
             plane.counters.batches_pushed.fetch_add(1, Ordering::Relaxed);
-            plane.counters.batch_bytes_pushed.fetch_add(b.bytes.len() as u64, Ordering::Relaxed);
             plane.pool.stored(b.batch_ref(), true);
-            self.sealed_at_us.insert(b.digest, b.sealed_at_us);
-            self.sink.observe_queue_delays(&b.queue_us);
             self.sink.record(TraceRecord {
                 at: SimTime(b.sealed_at_us),
                 event: TraceEvent::BatchSealed {
@@ -1025,11 +840,7 @@ impl Driver {
                     }
                     self.committed_height.store(c.block.height().0, Ordering::Relaxed);
                     self.last_commit_at_us = t.0;
-                    let s = &self.state.status;
-                    s.committed_height.store(c.block.height().0, Ordering::Relaxed);
-                    s.last_commit_at_us.store(t.0, Ordering::Relaxed);
                     self.commits.push(c);
-                    s.committed_blocks.store(self.commits.len() as u64, Ordering::Relaxed);
                 }
             }
         }
@@ -1039,6 +850,8 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::SocketAddr;
+
     use moonshot_consensus::MessageVerifier;
     use moonshot_mempool::{batch_digest, MempoolConfig};
     use moonshot_telemetry::RingBufferSink;
@@ -1110,7 +923,6 @@ mod tests {
             None,
             epoch,
             Arc::new(Mutex::new(RingBufferSink::new(1024))),
-            IntrospectState::new(NodeId(0), epoch),
         )
         .expect("start");
         // What the sigverify stage does with a message that checked out.

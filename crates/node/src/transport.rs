@@ -70,13 +70,12 @@ pub struct Inbound {
 
 /// A depth-tracking wrapper around the driver's inbound channel.
 ///
-/// `std::sync::mpsc` channels cannot report their length, but the
-/// introspection plane and the stall watchdog both want to know how deep
-/// the driver's inbox is. Every producer (shard loops, verify workers, the
-/// loopback path) sends through this wrapper, which bumps a shared gauge;
-/// the driver decrements the same gauge once per message it dequeues. The
-/// gauge is therefore an upper bound that is exact whenever the driver is
-/// between messages.
+/// `std::sync::mpsc` channels cannot report their length, but the stall
+/// watchdog wants to know how deep the driver's inbox is. Every producer
+/// (shard loops, verify workers, the loopback path) sends through this
+/// wrapper, which bumps a shared gauge; the driver decrements the same
+/// gauge once per message it dequeues. The gauge is therefore an upper
+/// bound that is exact whenever the driver is between messages.
 ///
 /// The channel carries `Option<Inbound>`: `None` is a bare wake-up
 /// ([`InboundSender::wake`]) for a driver blocked on it with nothing to
@@ -135,9 +134,6 @@ pub struct TransportConfig {
     /// there, never on the driver). When `None` — a consensus-only node
     /// proposing empty blocks — submissions are ignored.
     pub mempool: Option<Arc<Mempool>>,
-    /// When set, the node runtime serves the live introspection plane
-    /// (`/status`, `/metrics`) on this address. Port 0 binds ephemerally.
-    pub introspect: Option<SocketAddr>,
     /// The node's dissemination plane: shard loops validate and store
     /// `BatchPush`/`BatchResponse` frames into its batch store and answer
     /// `BatchRequest` frames from it, and the driver pushes sealed batches,
@@ -158,15 +154,14 @@ pub struct TransportConfig {
 }
 
 impl TransportConfig {
-    /// A config for node `node_id` among `peers`: no mempool, no
-    /// introspection, no watchdog, a fresh plane, a private unshaped pool.
+    /// A config for node `node_id` among `peers`: no mempool, a fresh
+    /// plane, a private unshaped pool.
     pub fn new(node_id: NodeId, listen: SocketAddr, peers: Vec<(NodeId, SocketAddr)>) -> Self {
         TransportConfig {
             node_id,
             listen,
             peers,
             mempool: None,
-            introspect: None,
             dissem: DissemPlane::new(DISSEM_STORE_BUDGET),
             drop_batch_push_to: None,
             pool: None,
@@ -175,8 +170,8 @@ impl TransportConfig {
     }
 }
 
-/// Per-peer transport counters (atomics: written by pool threads, read by
-/// whoever snapshots metrics).
+/// Per-peer transport counters (atomics: written by pool threads, read
+/// into the node's report when it stops).
 #[derive(Debug, Default)]
 pub struct PeerMetrics {
     /// Payload bytes written to this peer (frames included).
@@ -185,8 +180,6 @@ pub struct PeerMetrics {
     pub frames_out: AtomicU64,
     /// Bytes read from this peer.
     pub bytes_in: AtomicU64,
-    /// Frames read from this peer.
-    pub frames_in: AtomicU64,
     /// Outbound frames discarded by drop-oldest backpressure or lost on a
     /// failed write.
     pub dropped_frames: AtomicU64,
@@ -200,10 +193,6 @@ pub struct PeerMetrics {
     /// still binding at startup — never counts, so a clean run reports 0
     /// and any nonzero value is a real mid-run connection loss.
     pub reconnects: AtomicU64,
-    /// Current outbound queue depth.
-    pub queue_depth: AtomicU64,
-    /// Bytes currently buffered in the outbound queue.
-    pub queue_bytes: AtomicU64,
     /// Frames from this peer the decoder rejected (connection then dropped).
     pub decode_errors: AtomicU64,
     /// Messages from this peer dropped by sigverify-stage signature
@@ -305,12 +294,14 @@ impl OutboundQueue {
         Some(frame)
     }
 
+    #[cfg(test)]
     pub(crate) fn depth(&self) -> u64 {
         let inner = self.frames.lock().unwrap();
         (inner.queue.len() + inner.protected.len()) as u64
     }
 
-    /// Bytes currently buffered across both classes (tests, diagnostics).
+    /// Bytes currently buffered across both classes.
+    #[cfg(test)]
     pub(crate) fn buffered_bytes(&self) -> usize {
         let inner = self.frames.lock().unwrap();
         inner.bytes + inner.protected_bytes
@@ -410,10 +401,8 @@ impl Transport {
     /// Queues `frame` for `peer`. Never blocks: a full queue drops its
     /// oldest frames.
     fn enqueue(&self, peer: &Arc<PeerState>, frame: Arc<Vec<u8>>) {
-        let (dropped, depth) = peer.queue.push(frame);
+        let (dropped, _) = peer.queue.push(frame);
         peer.metrics.dropped_frames.fetch_add(dropped, Ordering::Relaxed);
-        peer.metrics.queue_depth.store(depth, Ordering::Relaxed);
-        peer.metrics.queue_bytes.store(peer.queue.buffered_bytes() as u64, Ordering::Relaxed);
         self.pool.nudge_peer(peer);
     }
 
@@ -445,86 +434,45 @@ impl Transport {
             if !peer.queue.push_protected(frame) {
                 peer.metrics.protected_dropped.fetch_add(1, Ordering::Relaxed);
             }
-            peer.metrics.queue_depth.store(peer.queue.depth(), Ordering::Relaxed);
-            peer.metrics.queue_bytes.store(peer.queue.buffered_bytes() as u64, Ordering::Relaxed);
             self.pool.nudge_peer(peer);
         }
     }
 
-    /// Snapshots per-peer and aggregate counters into `reg` under
-    /// `net.peer<id>.*` and `net.total.*`. The atomics hold absolute
-    /// totals, so the snapshot writes absolute values (`set_counter`)
-    /// rather than increments — calling this repeatedly against a live
-    /// registry refreshes it instead of double-counting.
+    /// Writes this node's transport counters into `reg`, the node's report:
+    /// `net.total.*` sums the traffic counters over peers, and each peer
+    /// keeps its own `net.peer<id>.bytes_out` and its fault counters
+    /// (`dropped_frames`, `protected_dropped`, `decode_errors`,
+    /// `verify_failures`).
     pub fn snapshot_metrics(&self, reg: &mut MetricsRegistry) {
-        let mut totals = [0u64; 6];
+        const TOTALS: [&str; 5] =
+            ["bytes_out", "bytes_in", "frames_out", "dropped_frames", "reconnects"];
+        let mut totals = [0u64; 5];
         for (id, peer) in &self.core.peers {
             let m = &peer.metrics;
-            let depth = peer.queue.depth();
-            m.queue_depth.store(depth, Ordering::Relaxed);
-            m.queue_bytes.store(peer.queue.buffered_bytes() as u64, Ordering::Relaxed);
-            let vals = [
-                ("bytes_out", m.bytes_out.load(Ordering::Relaxed)),
-                ("frames_out", m.frames_out.load(Ordering::Relaxed)),
-                ("bytes_in", m.bytes_in.load(Ordering::Relaxed)),
-                ("frames_in", m.frames_in.load(Ordering::Relaxed)),
-                ("dropped_frames", m.dropped_frames.load(Ordering::Relaxed)),
-                ("reconnects", m.reconnects.load(Ordering::Relaxed)),
-            ];
-            for (i, (name, v)) in vals.iter().enumerate() {
-                reg.set_counter(&format!("net.peer{}.{name}", id.0), *v);
-                totals[i] += *v;
+            let traffic =
+                [&m.bytes_out, &m.bytes_in, &m.frames_out, &m.dropped_frames, &m.reconnects];
+            for (total, counter) in totals.iter_mut().zip(traffic) {
+                *total += counter.load(Ordering::Relaxed);
             }
-            reg.set_gauge(&format!("net.peer{}.queue_depth", id.0), depth as f64);
-            reg.set_gauge(
-                &format!("net.peer{}.queue_bytes", id.0),
-                m.queue_bytes.load(Ordering::Relaxed) as f64,
-            );
-            reg.set_counter(
-                &format!("net.peer{}.decode_errors", id.0),
-                m.decode_errors.load(Ordering::Relaxed),
-            );
-            reg.set_counter(
-                &format!("net.peer{}.verify_failures", id.0),
-                m.verify_failures.load(Ordering::Relaxed),
-            );
-            reg.set_counter(
-                &format!("net.peer{}.protected_dropped", id.0),
-                m.protected_dropped.load(Ordering::Relaxed),
-            );
+            for (name, counter) in [
+                ("bytes_out", &m.bytes_out),
+                ("dropped_frames", &m.dropped_frames),
+                ("protected_dropped", &m.protected_dropped),
+                ("decode_errors", &m.decode_errors),
+                ("verify_failures", &m.verify_failures),
+            ] {
+                let value = counter.load(Ordering::Relaxed);
+                reg.set_counter(&format!("net.peer{}.{name}", id.0), value);
+            }
         }
-        for (i, name) in
-            ["bytes_out", "frames_out", "bytes_in", "frames_in", "dropped_frames", "reconnects"]
-                .iter()
-                .enumerate()
-        {
-            reg.set_counter(&format!("net.total.{name}"), totals[i]);
+        for (name, total) in TOTALS.iter().zip(totals) {
+            reg.set_counter(&format!("net.total.{name}"), total);
         }
-        // The pool's shard/stage counters. With a shared pool these are
-        // process-wide, not per-node — every node in a cluster reports the
-        // same values, which is exactly what a "how busy is the network
-        // core" question wants answered.
-        let s = self.pool.stats();
-        reg.set_gauge("reactor.shards", s.shards as f64);
-        reg.set_counter("reactor.loop_wakeups", s.loop_wakeups);
-        reg.set_counter("reactor.frames_processed", s.frames_processed);
-        reg.set_gauge(
-            "reactor.frames_per_wakeup",
-            if s.loop_wakeups > 0 { s.frames_processed as f64 / s.loop_wakeups as f64 } else { 0.0 },
-        );
-        reg.set_counter("reactor.verify_dropped", s.verify_dropped);
-        reg.set_gauge("reactor.verify_queue_depth", s.verify_queue_depth as f64);
-        reg.set_gauge("reactor.ingest_queue_depth", s.ingest_queue_depth as f64);
     }
 
-    /// Per-peer metrics handle (for tests and live inspection).
+    /// Per-peer metrics handle (tests).
     pub fn peer_metrics(&self, id: NodeId) -> Option<Arc<PeerMetrics>> {
         self.core.peers.get(&id).map(|p| p.metrics.clone())
-    }
-
-    /// Every peer's metrics handle, for the introspection plane.
-    pub fn peer_metrics_all(&self) -> Vec<(NodeId, Arc<PeerMetrics>)> {
-        self.core.peers.iter().map(|(id, p)| (*id, p.metrics.clone())).collect()
     }
 
     /// Detaches this node from the pool: its sockets close, its redials
@@ -704,6 +652,93 @@ mod tests {
         );
         t0.stop();
         t1.stop();
+    }
+
+    /// A peer that says hello and then misbehaves, played by a raw socket:
+    /// a vote with one signature byte flipped dies in the sigverify stage
+    /// and is counted against its sender, and the connection lives on — the
+    /// valid vote sent next on it is delivered; a frame whose CRC does not
+    /// match its body is a decode error that closes the connection. Both
+    /// land in the node's report under the sender's `net.peer<id>.*`.
+    #[test]
+    fn hostile_frames_are_counted_against_their_sender() {
+        use std::io::{Read, Write};
+        use std::net::TcpStream;
+
+        use moonshot_consensus::Message;
+        use moonshot_crypto::{KeyPair, Signature};
+        use moonshot_types::{Block, SignedVote, View, Vote, VoteKind};
+        use moonshot_wire::{encode_frame, encode_message, Frame};
+
+        let l0 = TcpListener::bind(localhost_any()).unwrap();
+        let a0 = l0.local_addr().unwrap();
+        // Node 1's address is reserved but never listened on: node 0's
+        // dials to it fail, and node 1 is the raw socket below.
+        let a1 = TcpListener::bind(localhost_any()).unwrap().local_addr().unwrap();
+        let (tx0, rx0) = mpsc::channel();
+        let t0 = Transport::start(
+            TransportConfig::new(NodeId(0), a0, vec![(NodeId(0), a0), (NodeId(1), a1)]),
+            Some(l0),
+            verifier(),
+            InboundSender::new(tx0),
+        )
+        .unwrap();
+        let report = |name: &str| {
+            let mut reg = MetricsRegistry::new();
+            t0.snapshot_metrics(&mut reg);
+            reg.counter(&format!("net.peer1.{name}"))
+        };
+        let wait_for = |what: &str, done: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while !done() {
+                assert!(Instant::now() < deadline, "timed out waiting for {what}");
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        };
+        let vote = |view: u64| {
+            let genesis = Block::genesis();
+            let vote = Vote {
+                kind: VoteKind::Normal,
+                block_id: genesis.id(),
+                block_height: genesis.height(),
+                view: View(view),
+            };
+            SignedVote::sign(vote, NodeId(1), &KeyPair::from_seed(1))
+        };
+
+        let mut peer = TcpStream::connect(a0).unwrap();
+        peer.write_all(&encode_frame(&Frame::Hello { node: NodeId(1) })).unwrap();
+
+        let mut forged = vote(1);
+        let mut sig = forged.signature.to_bytes();
+        sig[0] ^= 1;
+        forged.signature = Signature::from_bytes(sig);
+        peer.write_all(&encode_message(&Message::Vote(forged))).unwrap();
+        wait_for("the verify failure", &|| report("verify_failures") == 1);
+        assert!(rx0.try_recv().is_err(), "a forged vote reached the driver");
+
+        let valid = Message::Vote(vote(2));
+        peer.write_all(&encode_message(&valid)).unwrap();
+        let got = rx0.recv_timeout(Duration::from_secs(10)).expect("delivery");
+        let got = got.expect("a message");
+        assert_eq!((got.from, got.msg.message()), (NodeId(1), &valid));
+
+        let mut corrupt = encode_message(&Message::Vote(vote(3)));
+        corrupt[12] ^= 0xFF; // the header's body CRC
+        peer.write_all(&corrupt).unwrap();
+        wait_for("the decode error", &|| report("decode_errors") == 1);
+        peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        // Node 0 never writes on a connection it accepted: the next read
+        // sees only the close.
+        match peer.read(&mut [0u8; 1]) {
+            Ok(0) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+            other => panic!("connection still open after a decode error: {other:?}"),
+        }
+        assert!(rx0.try_recv().is_err(), "the corrupt frame reached the driver");
+        assert_eq!(report("verify_failures"), 1);
+        assert_eq!((report("dropped_frames"), report("protected_dropped")), (0, 0));
+        t0.stop();
     }
 
     /// Regression for the startup race: the first dial happening *before*

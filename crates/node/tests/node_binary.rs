@@ -123,3 +123,25 @@ fn four_node_processes_commit_submitted_transactions_through_the_dissemination_p
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A flag `run` does not take, or a value it cannot parse, is a usage
+/// error — exit status 2, the flag named on stderr — before anything else
+/// is looked at: not a node that silently runs without it.
+#[test]
+fn run_rejects_unknown_flags_and_unparsable_values() {
+    let cases: [(&[&str], &str); 2] = [
+        (&["--introspect", "127.0.0.1:0"], "--introspect"),
+        (&["--delta-ms", "abc"], "--delta-ms"),
+    ];
+    for (bad, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_moonshot-node"))
+            .args(["run", "--config", "absent.conf", "--id", "0", "--protocol", "pm"])
+            .args(["--duration-secs", "1"])
+            .args(bad)
+            .output()
+            .expect("run moonshot-node");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad:?} exited with {}: {stderr}", out.status);
+        assert!(stderr.contains(flag), "{bad:?}: stderr does not name {flag}: {stderr}");
+    }
+}

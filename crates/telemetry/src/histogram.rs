@@ -8,14 +8,6 @@
 
 use crate::json::JsonObject;
 
-/// Bucket width of [`Histogram::for_stage_latency_us`] (also used by
-/// [`MetricsRegistry::observe_with`](crate::MetricsRegistry::observe_with)
-/// callers that create stage histograms lazily).
-pub const STAGE_BUCKET_WIDTH_US: u64 = 100;
-
-/// Bucket count of [`Histogram::for_stage_latency_us`].
-pub const STAGE_BUCKETS: usize = 100_000;
-
 /// A fixed-width-bucket histogram over `u64` samples.
 ///
 /// Samples at or above `bucket_width × buckets` land in an overflow bucket;
@@ -54,25 +46,6 @@ impl Histogram {
         Histogram::new(1_000, 60_000)
     }
 
-    /// Sized for submit→commit transaction latencies: client latency spans
-    /// mempool queueing plus a few view rounds, so 100 µs buckets up to
-    /// 10 s keep sub-millisecond resolution where loaded clusters actually
-    /// land without ballooning the bucket array.
-    pub fn for_tx_latency_us() -> Self {
-        Histogram::new(100, 100_000)
-    }
-
-    /// Sized for per-stage latency decompositions (`stage_latency_us.*`):
-    /// the same 100 µs × 10 s coverage as [`for_tx_latency_us`] — every
-    /// stage of a transaction's lifecycle is bounded by its end-to-end
-    /// latency, and matching bucket widths keep the per-stage p50s
-    /// comparable (and summable) against the end-to-end percentiles.
-    ///
-    /// [`for_tx_latency_us`]: Histogram::for_tx_latency_us
-    pub fn for_stage_latency_us() -> Self {
-        Histogram::new(STAGE_BUCKET_WIDTH_US, STAGE_BUCKETS)
-    }
-
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
         let idx = (value / self.bucket_width) as usize;
@@ -84,33 +57,6 @@ impl Histogram {
         self.sum += value as u128;
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-    }
-
-    /// Folds another histogram's samples into this one. Both must use the
-    /// same bucket width; a shorter receiver spills the donor's excess
-    /// buckets into overflow (degrading tail precision, never counts).
-    ///
-    /// This is how per-node registries aggregate into cluster-wide
-    /// distributions: bucket counts add exactly, min/max/sum stay exact.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bucket_width, other.bucket_width,
-            "cannot merge histograms with different bucket widths"
-        );
-        if other.count == 0 {
-            return;
-        }
-        for (i, &c) in other.counts.iter().enumerate() {
-            match self.counts.get_mut(i) {
-                Some(slot) => *slot += c,
-                None => self.overflow += c,
-            }
-        }
-        self.overflow += other.overflow;
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of samples recorded.
@@ -224,51 +170,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tx_latency_histogram_resolves_sub_millisecond_queueing() {
-        let mut h = Histogram::for_tx_latency_us();
-        h.record(250); // a tx committed 250 µs after submission
-        h.record(850);
-        h.record(12_000);
-        // 100 µs buckets: the median resolves to its 100 µs bucket edge (a
-        // 1 ms-bucket histogram would round the same sample up to 1000).
-        assert_eq!(h.quantile(0.0), Some(250)); // exact min
-        assert_eq!(h.quantile(0.5), Some(900)); // bucket [800, 900) upper edge
-        assert_eq!(h.max(), Some(12_000));
-    }
-
-    #[test]
-    fn merge_folds_counts_and_keeps_exact_extremes() {
-        let mut a = Histogram::new(100, 100);
-        a.record(150);
-        a.record(250);
-        let mut b = Histogram::new(100, 100);
-        b.record(50);
-        b.record(9_950);
-        b.record(1_000_000); // overflow in the donor
-        a.merge(&b);
-        assert_eq!(a.count(), 5);
-        assert_eq!(a.min(), Some(50));
-        assert_eq!(a.max(), Some(1_000_000));
-        assert_eq!(a.quantile(0.5), Some(300)); // bucket [200,300) upper edge
-        // Merging an empty histogram is a no-op.
-        a.merge(&Histogram::new(100, 100));
-        assert_eq!(a.count(), 5);
-    }
-
-    #[test]
-    fn merge_into_shorter_receiver_spills_to_overflow() {
-        let mut short = Histogram::new(100, 10); // covers [0, 1000)
-        short.record(500);
-        let mut long = Histogram::new(100, 100);
-        long.record(5_000); // bucket 50 in the donor, past the receiver's end
-        short.merge(&long);
-        assert_eq!(short.count(), 2);
-        assert_eq!(short.max(), Some(5_000));
-        // The spilled sample still answers quantile queries as "≤ max".
-        assert_eq!(short.quantile(1.0), Some(5_000));
-    }
-
-    #[test]
     fn empty_histogram_answers_none() {
         let h = Histogram::new(10, 10);
         assert_eq!(h.count(), 0);
@@ -376,23 +277,6 @@ mod tests {
         assert_eq!(h.quantile(0.5), Some(2)); // edge 1000 clamped to max 2
         assert_eq!(h.quantile(0.01), Some(2)); // rank 1, same bucket
         assert_eq!(h.quantile(0.0), Some(1));
-    }
-
-    #[test]
-    fn stage_histogram_sizing_matches_tx_latency() {
-        let mut stage = Histogram::for_stage_latency_us();
-        let mut tx = Histogram::for_tx_latency_us();
-        for v in [250u64, 9_999_999, 10_000_000] {
-            stage.record(v);
-            tx.record(v);
-        }
-        // Identical bucketing ⇒ identical quantile answers, so stage p50s
-        // are comparable with end-to-end tx-latency p50s.
-        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(stage.quantile(q), tx.quantile(q), "q={q}");
-        }
-        assert_eq!(stage.counts.len(), STAGE_BUCKETS);
-        assert_eq!(stage.bucket_width, STAGE_BUCKET_WIDTH_US);
     }
 
     #[test]

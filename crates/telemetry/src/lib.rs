@@ -31,7 +31,7 @@ pub mod registry;
 pub mod sink;
 
 pub use event::{TraceEvent, TraceRecord};
-pub use histogram::{Histogram, HistogramSummary, STAGE_BUCKETS, STAGE_BUCKET_WIDTH_US};
+pub use histogram::{Histogram, HistogramSummary};
 pub use invariants::{check as check_invariants, InvariantSummary, Violation};
 pub use registry::MetricsRegistry;
 pub use sink::{JsonlSink, NullSink, RingBufferSink, TeeSink, TraceSink};

@@ -68,14 +68,6 @@ impl MetricsRegistry {
             .record(value);
     }
 
-    /// Records into a histogram created with explicit sizing on first use.
-    pub fn observe_with(&mut self, name: &str, value: u64, bucket_width: u64, buckets: usize) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bucket_width, buckets))
-            .record(value);
-    }
-
     /// Replaces histogram `name` with an absolute snapshot (used by
     /// publishers that maintain their own histogram and periodically export
     /// it whole, e.g. the ledger's fsync-latency histogram).
@@ -169,12 +161,12 @@ mod tests {
         a.incr("a.first", 2);
         a.set_gauge("m.mid", 3.0);
         a.set_gauge("b.early", 4.0);
-        a.observe("stage_latency_us.vote_to_qc", 5);
-        a.observe("stage_latency_us.mempool_queue", 6);
+        a.observe("stage.vote_to_qc", 5);
+        a.observe("stage.mempool_queue", 6);
 
         let mut b = MetricsRegistry::new();
-        b.observe("stage_latency_us.mempool_queue", 6);
-        b.observe("stage_latency_us.vote_to_qc", 5);
+        b.observe("stage.mempool_queue", 6);
+        b.observe("stage.vote_to_qc", 5);
         b.set_gauge("b.early", 4.0);
         b.set_gauge("m.mid", 3.0);
         b.incr("a.first", 2);
@@ -184,15 +176,9 @@ mod tests {
         assert_eq!(ja, jb);
         assert!(ja.find("\"a.first\"").unwrap() < ja.find("\"z.last\"").unwrap());
         assert!(ja.find("\"b.early\"").unwrap() < ja.find("\"m.mid\"").unwrap());
-        assert!(
-            ja.find("stage_latency_us.mempool_queue").unwrap()
-                < ja.find("stage_latency_us.vote_to_qc").unwrap()
-        );
+        assert!(ja.find("stage.mempool_queue").unwrap() < ja.find("stage.vote_to_qc").unwrap());
         let names: Vec<&str> = a.histogram_names().collect();
-        assert_eq!(
-            names,
-            vec!["stage_latency_us.mempool_queue", "stage_latency_us.vote_to_qc"]
-        );
+        assert_eq!(names, vec!["stage.mempool_queue", "stage.vote_to_qc"]);
     }
 
     #[test]

@@ -20,7 +20,6 @@ fn shaped_cluster_under_paced_load_keeps_its_event_loops_asleep() {
     let link = LinkShape { delay: Duration::from_millis(20), rate_bps: 0, burst_bytes: 0 };
     let mut spec = ClusterSpec::new(4, ProtocolChoice::Pipelined);
     spec.delta = SimDuration::from_millis(100);
-    spec.introspect = false;
     spec.shape = Some(Arc::new(ShapeMatrix::uniform(4, link)));
     spec.load = Some(LoadSpec::digest(18_000).without_clients());
     let cluster = Cluster::launch(spec).expect("launch");

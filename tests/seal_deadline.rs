@@ -22,7 +22,6 @@ fn paced_load_leaves_in_batches_of_several_transactions() {
     let link = LinkShape { delay: Duration::from_millis(20), rate_bps: 0, burst_bytes: 0 };
     let mut spec = ClusterSpec::new(N, ProtocolChoice::Pipelined);
     spec.delta = SimDuration::from_millis(100);
-    spec.introspect = false;
     spec.shape = Some(Arc::new(ShapeMatrix::uniform(N, link)));
     // Default admission: the delay target is live, and must refuse nothing.
     spec.load = Some(LoadSpec::digest(18_000).without_clients());

@@ -24,7 +24,6 @@ fn link(ms: u64) -> LinkShape {
 fn launch(protocol: ProtocolChoice, delta_ms: u64, shape: ShapeMatrix) -> Cluster {
     let mut spec = ClusterSpec::new(N, protocol);
     spec.delta = SimDuration::from_millis(delta_ms);
-    spec.introspect = false;
     spec.shape = Some(Arc::new(shape));
     let mut load = LoadSpec::digest(18_000).without_clients();
     // These tests count what commits, not what is admitted: a cluster made
