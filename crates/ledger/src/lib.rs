@@ -204,7 +204,7 @@ impl Ledger {
     }
 
     /// Publishes `ledger.*` counters and the fsync histogram into a metrics
-    /// registry (absolute values; callers re-publish periodically).
+    /// registry (absolute values; a node does it once, when it stops).
     pub fn publish_into(&self, m: &mut MetricsRegistry) {
         let (wal_appended, wal_bytes, wal_compactions) = {
             let wal = self.wal.lock().unwrap();

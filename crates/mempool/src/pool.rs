@@ -156,10 +156,10 @@ impl Default for MempoolConfig {
     }
 }
 
-/// Monotone admission counters, snapshotted into node metrics. Every
-/// submission attempt increments `submitted` and then exactly one of
-/// `accepted`, `rejected` or `deduped`, so
-/// `accepted + rejected + deduped == submitted` always holds.
+/// Monotone admission counters (the node's report reads `accepted` and
+/// `rejected` when it stops). Every submission attempt increments
+/// `submitted` and then exactly one of `accepted`, `rejected` or
+/// `deduped`, so `accepted + rejected + deduped == submitted` always holds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MempoolCounters {
     /// Submission attempts (accepted + rejected + deduped).

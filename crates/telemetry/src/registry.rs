@@ -39,12 +39,9 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Sets counter `name` to an absolute `value`.
-    ///
-    /// For *live* registries refreshed from external monotone sources
-    /// (atomics owned by transport or driver threads): re-snapshotting with
-    /// `set_counter` is idempotent where repeated [`incr`](Self::incr)
-    /// calls would double-count.
+    /// Sets counter `name` to an absolute `value`, read off a monotone
+    /// source another component owns (an atomic of the transport, the
+    /// cache, the ledger).
     pub fn set_counter(&mut self, name: &str, value: u64) {
         self.counters.insert(name.to_string(), value);
     }
@@ -69,8 +66,8 @@ impl MetricsRegistry {
     }
 
     /// Replaces histogram `name` with an absolute snapshot (used by
-    /// publishers that maintain their own histogram and periodically export
-    /// it whole, e.g. the ledger's fsync-latency histogram).
+    /// publishers that maintain their own histogram and export it whole,
+    /// e.g. the ledger's fsync-latency histogram).
     pub fn set_histogram(&mut self, name: &str, histogram: Histogram) {
         self.histograms.insert(name.to_string(), histogram);
     }
@@ -78,12 +75,6 @@ impl MetricsRegistry {
     /// Reads histogram `name`.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
-    }
-
-    /// All histogram names, in sorted order (scrape checks iterate this to
-    /// assert every expected stage histogram is present and populated).
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.histograms.keys().map(String::as_str)
     }
 
     /// Serialises the registry as
@@ -177,8 +168,6 @@ mod tests {
         assert!(ja.find("\"a.first\"").unwrap() < ja.find("\"z.last\"").unwrap());
         assert!(ja.find("\"b.early\"").unwrap() < ja.find("\"m.mid\"").unwrap());
         assert!(ja.find("stage.mempool_queue").unwrap() < ja.find("stage.vote_to_qc").unwrap());
-        let names: Vec<&str> = a.histogram_names().collect();
-        assert_eq!(names, vec!["stage.mempool_queue", "stage.vote_to_qc"]);
     }
 
     #[test]
