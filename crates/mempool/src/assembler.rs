@@ -133,7 +133,7 @@ impl BatchAssembler {
     /// `backlog_cap_bytes` of payload sealed here that no block carries yet,
     /// so the data plane can run several batches ahead of the ordering plane
     /// without outrunning it.
-    pub fn start_digest(
+    pub fn start(
         pool: Arc<Mempool>,
         cfg: AssemblerConfig,
         epoch: Instant,
@@ -285,7 +285,7 @@ mod tests {
         for tx in &resubmit {
             pool.submit(tx.clone()).unwrap();
         }
-        let assembler = BatchAssembler::start_digest(
+        let assembler = BatchAssembler::start(
             pool.clone(),
             AssemblerConfig::fixed(1_800),
             Instant::now(),
@@ -357,7 +357,7 @@ mod tests {
         let pool = Arc::new(Mempool::new(MempoolConfig::default()));
         prime_block_period(&pool, period_us);
         let plane = DissemPlane::new(1 << 20);
-        let assembler = BatchAssembler::start_digest(
+        let assembler = BatchAssembler::start(
             pool.clone(),
             AssemblerConfig::fixed(base),
             epoch,
@@ -448,7 +448,7 @@ mod tests {
         let pool = Arc::new(Mempool::new(MempoolConfig::default()));
         let plane = DissemPlane::new(1 << 20);
         let cap = 2_000;
-        let assembler = BatchAssembler::start_digest(
+        let assembler = BatchAssembler::start(
             pool.clone(),
             AssemblerConfig::fixed(1_800),
             Instant::now(),
@@ -526,7 +526,7 @@ mod tests {
             pool.submit(make_tx(1 + seq, 1, seq, 180)).unwrap();
         }
         let plane = DissemPlane::new(1 << 20);
-        let _assembler = BatchAssembler::start_digest(
+        let _assembler = BatchAssembler::start(
             pool.clone(),
             AssemblerConfig::adaptive(base),
             Instant::now(),

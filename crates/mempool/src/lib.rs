@@ -4,15 +4,15 @@
 //! crate replaces that stand-in with a real data path while keeping the
 //! driver hot loop free of payload work:
 //!
-//! * [`pool`] — a lock-striped, sharded [`Mempool`]: N shards keyed by
-//!   transaction hash, each a mutex-guarded set of per-client FIFO queues,
-//!   with commit-rate-aware **delay-bounded admission** (the driver feeds
-//!   committed bytes and commit latency back via `note_commit`; a
-//!   submission whose projected sojourn exceeds a multiple of the measured
-//!   commit latency is rejected `Overloaded`), static byte/count budgets as
-//!   a hard backstop, deficit-round-robin per-client drain fairness, and a
-//!   bounded digest-based dedup window per shard. Backpressure rejects new
-//!   submissions; queued transactions are never dropped.
+//! * [`pool`] — the [`Mempool`]: one lock over per-client FIFO queues and
+//!   one deficit-round-robin drain rotation, so each client's transactions
+//!   leave in submission order, with commit-rate-aware **delay-bounded
+//!   admission** (the driver feeds committed bytes and commit latency back
+//!   via `note_commit`; a submission whose projected sojourn exceeds a
+//!   multiple of the measured commit latency is rejected `Overloaded`),
+//!   static byte/count budgets as a hard backstop, and a bounded
+//!   digest-based dedup window. Backpressure rejects new submissions;
+//!   queued transactions are never dropped.
 //! * [`batch`] — the batch framing: a batch is a sequence of
 //!   `u32`-length-prefixed transactions, with each transaction's leading 8
 //!   bytes carrying its client submit timestamp so submit→commit latency

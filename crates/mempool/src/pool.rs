@@ -1,11 +1,11 @@
-//! The sharded ingress queue.
+//! The ingress queue: one lock over one per-client rotation.
 //!
-//! Submissions hash their bytes once (on the submitting thread — a client
-//! thread or the network pool's ingest worker, never the driver) and land in the
-//! shard their digest selects. Each shard is an independent mutex-guarded
-//! set of per-client FIFO queues, so concurrent submitters contend only 1/N
-//! of the time, and the batch assembler drains shards round-robin without
-//! ever holding more than one lock.
+//! Submissions hash their bytes on the submitting thread (the benchmark's
+//! generator, or the network pool's ingest worker — never the driver) and
+//! only then take the pool's one lock. Behind it, transactions queue per
+//! client id in submission order; the batch assembler drains them with a
+//! sparse sweep followed by a deficit-round-robin rotation, so each
+//! client's transactions leave in the order they arrived.
 //!
 //! Admission bounds **queue delay**, not just queue size. The driver feeds
 //! committed-batch sizes and commit latencies back through
@@ -24,16 +24,14 @@
 //! can retry and every accepted transaction either commits or is still
 //! pending.
 //!
-//! Within a shard, transactions are queued per client id and drained with a
-//! deficit-round-robin policy, so one saturating client cannot starve a
-//! paced one: each drain visit credits the head client's deficit counter
+//! The deficit-round-robin drain keeps one saturating client from starving
+//! a paced one: each drain visit credits the head client's deficit counter
 //! with a quantum and pops head transactions while the deficit (and the
 //! batch budget) cover them.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::Thread;
 
 use moonshot_crypto::Digest;
@@ -73,7 +71,7 @@ impl Tx {
 pub enum SubmitError {
     /// Zero-length transactions carry nothing and are rejected outright.
     Empty,
-    /// The target shard is at its transaction- or byte-budget; retry later.
+    /// The pool is at its transaction- or byte-budget; retry later.
     Full,
     /// A transaction with the same digest is pending or recently seen.
     Duplicate,
@@ -86,7 +84,7 @@ impl fmt::Display for SubmitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SubmitError::Empty => write!(f, "empty transaction"),
-            SubmitError::Full => write!(f, "mempool shard full (backpressure)"),
+            SubmitError::Full => write!(f, "mempool full (backpressure)"),
             SubmitError::Duplicate => write!(f, "duplicate transaction"),
             SubmitError::Overloaded => {
                 write!(f, "mempool over delay target (commit-rate backpressure)")
@@ -98,14 +96,12 @@ impl fmt::Display for SubmitError {
 /// Sizing knobs for a [`Mempool`].
 #[derive(Clone, Copy, Debug)]
 pub struct MempoolConfig {
-    /// Number of lock stripes. More shards = less submit contention.
-    pub shards: usize,
     /// Pending-transaction budget across the whole pool (hard backstop).
     pub max_txs: usize,
     /// Pending-byte budget across the whole pool (hard backstop).
     pub max_bytes: usize,
-    /// Recently-seen digests remembered per shard for deduplication. The
-    /// window covers both pending and recently drained transactions, so a
+    /// Recently-seen digests remembered for deduplication. The window
+    /// covers both pending and recently drained transactions, so a
     /// duplicate submitted while the original is in flight is still caught.
     pub dedup_window: usize,
     /// Delay target as a multiple of the EWMA commit latency: a submission
@@ -138,10 +134,9 @@ pub struct MempoolConfig {
 impl Default for MempoolConfig {
     fn default() -> Self {
         MempoolConfig {
-            shards: 8,
             max_txs: 64 * 1024,
             max_bytes: 32 * 1024 * 1024,
-            dedup_window: 8 * 1024,
+            dedup_window: 64 * 1024,
             // 10 commit-periods of queueing, never more than 300 ms: the
             // multiple keeps the pipeline fed at normal commit latency,
             // while the tight upper clamp stops a feedback spiral where a
@@ -181,20 +176,24 @@ pub struct MempoolCounters {
 /// instantaneous rate over at least a few block periods.
 const RATE_WINDOW_US: u64 = 10_000;
 
-/// Folds `sample` into the EWMA held in `atom` with weight 1/8; the first
-/// sample is taken whole. 0 reads as unmeasured, so a measured value is
-/// kept at 1 or more.
-fn ewma(atom: &AtomicU64, sample: u64) {
-    let cur = atom.load(Ordering::Relaxed);
-    let next = if cur == 0 { sample } else { cur - cur / 8 + sample / 8 };
-    atom.store(next.max(1), Ordering::Relaxed);
+/// Folds `sample` into the EWMA `avg` with weight 1/8; the first sample is
+/// taken whole. 0 reads as unmeasured, so a measured value is kept at 1 or
+/// more.
+fn ewma(avg: &mut u64, sample: u64) {
+    let next = if *avg == 0 { sample } else { *avg - *avg / 8 + sample / 8 };
+    *avg = next.max(1);
 }
 
 /// Deficit counters are capped here so a head transaction that can never
 /// fit the batch budget does not bank unbounded credit.
 const MAX_DRR_DEFICIT: usize = 1 << 20;
 
-/// Per-client FIFO inside one shard.
+/// Hard cap on tracked in-flight batches: past this the oldest batch's
+/// pins are dropped (it is almost certainly committed or abandoned — the
+/// pipeline holds only a handful of uncommitted batches at a time).
+const MAX_IN_FLIGHT_BATCHES: usize = 4096;
+
+/// One client's pending transactions, in submission order.
 #[derive(Debug, Default)]
 struct ClientQueue {
     txs: VecDeque<Tx>,
@@ -206,16 +205,17 @@ struct ClientQueue {
     deficit: usize,
 }
 
+/// Everything the pool knows, behind its one lock.
 #[derive(Debug, Default)]
-struct Shard {
+struct State {
     /// Per-client FIFO queues; a client is present iff it has pending txs.
     clients: HashMap<u32, ClientQueue>,
-    /// Drain rotation over the clients present in this shard.
+    /// Drain rotation over the clients with pending transactions.
     rr: VecDeque<u32>,
     /// Pending transactions across all client queues.
-    txs: usize,
+    pending_txs: usize,
     /// Pending bytes across all client queues.
-    bytes: usize,
+    pending_bytes: usize,
     seen: HashSet<Digest>,
     seen_order: VecDeque<Digest>,
     /// Digests of transactions inside sealed-but-uncommitted batches
@@ -224,68 +224,41 @@ struct Shard {
     /// cap evicts the whole batch), so a replay cannot ride a busy period
     /// that rolled the seen window past the original.
     pinned: HashSet<Digest>,
-}
-
-/// Hard cap on tracked in-flight batches: past this the oldest batch's
-/// pins are dropped (it is almost certainly committed or abandoned — the
-/// pipeline holds only a handful of uncommitted batches at a time).
-const MAX_IN_FLIGHT_BATCHES: usize = 4096;
-
-/// Sealed-but-uncommitted batch pins, keyed by batch digest so the driver
-/// can release a whole batch at commit time.
-#[derive(Debug, Default)]
-struct InFlightBatches {
-    by_batch: HashMap<Digest, Vec<Digest>>,
-    order: VecDeque<Digest>,
-}
-
-/// Drain-rate feedback state, written by [`Mempool::note_commit`] (driver
-/// thread, per commit) and read lock-free on the submit path.
-#[derive(Debug, Default)]
-struct DrainWindow {
-    /// Window start (µs since epoch); 0 = not yet primed.
-    started_us: u64,
-    bytes: u64,
-    txs: u64,
-}
-
-/// The lock-striped, sharded ingress queue.
-pub struct Mempool {
-    cfg: MempoolConfig,
-    per_shard_txs: usize,
-    per_shard_bytes: usize,
-    shards: Vec<Mutex<Shard>>,
-    /// Round-robin drain cursor so no shard starves.
-    drain_cursor: AtomicUsize,
-    submitted: AtomicU64,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    rejected_delay: AtomicU64,
-    deduped: AtomicU64,
-    pending_txs: AtomicU64,
-    pending_bytes: AtomicU64,
+    /// The transaction digests of each pinned batch, by batch digest, so
+    /// the driver can release a whole batch at commit time.
+    batches: HashMap<Digest, Vec<Digest>>,
+    /// Pinned batch digests, oldest first (for the in-flight cap).
+    batch_order: VecDeque<Digest>,
     /// EWMA drain rate in bytes/s through committed blocks this node
     /// proposed — i.e. this pool's own measured drain rate. 0 = unmeasured.
-    drain_bytes_per_sec: AtomicU64,
+    drain_bytes_per_sec: u64,
     /// EWMA drain rate in txs/s (same source as `drain_bytes_per_sec`).
-    drain_txs_per_sec: AtomicU64,
+    drain_txs_per_sec: u64,
     /// EWMA proposal→commit latency (µs). 0 = unmeasured.
-    commit_latency_us: AtomicU64,
+    commit_latency_us: u64,
     /// EWMA gap between consecutive commits (µs): the block period ω̂ as
     /// this node sees it. 0 = unmeasured.
-    block_period_us: AtomicU64,
-    /// Time of the last commit (µs since epoch; 0 = none yet; driver only).
-    last_commit_us: AtomicU64,
-    /// Rate-measurement accumulation window (driver thread only).
-    drain_window: Mutex<DrainWindow>,
+    block_period_us: u64,
+    /// Time of the last commit (µs since epoch; 0 = none yet).
+    last_commit_us: u64,
+    /// Drain-rate window start (µs since epoch); 0 = not yet primed.
+    window_started_us: u64,
+    /// Bytes drained through our committed batches in the current window.
+    window_bytes: u64,
+    /// Transactions drained through our committed batches in the window.
+    window_txs: u64,
+    counters: MempoolCounters,
     /// DRR client visits performed by drains (fairness observability).
-    fair_visits: AtomicU64,
+    fair_visits: u64,
     /// Batches the assembler sealed above its base byte target.
-    batches_grown: AtomicU64,
-    /// Sealed-in-flight batch pins. Lock order: `in_flight` before any
-    /// shard lock (pin/release); the submit and drain paths take only
-    /// shard locks, so the order is acyclic.
-    in_flight: Mutex<InFlightBatches>,
+    batches_grown: u64,
+}
+
+/// The ingress queue: per-client FIFOs, a DRR drain and delay-bounded
+/// admission, all behind one lock.
+pub struct Mempool {
+    cfg: MempoolConfig,
+    state: Mutex<State>,
     /// The thread draining this pool (its batch assembler) and the pending
     /// bytes that make a full batch for it; see [`Mempool::wake_on_admit`].
     consumer: OnceLock<(Thread, u64)>,
@@ -294,32 +267,11 @@ pub struct Mempool {
 impl Mempool {
     /// An empty pool with the given budgets.
     pub fn new(cfg: MempoolConfig) -> Mempool {
-        assert!(cfg.shards > 0, "mempool needs at least one shard");
-        let shards = (0..cfg.shards).map(|_| Mutex::new(Shard::default())).collect();
-        Mempool {
-            per_shard_txs: cfg.max_txs.div_ceil(cfg.shards).max(1),
-            per_shard_bytes: cfg.max_bytes.div_ceil(cfg.shards).max(1),
-            cfg,
-            shards,
-            drain_cursor: AtomicUsize::new(0),
-            submitted: AtomicU64::new(0),
-            accepted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            rejected_delay: AtomicU64::new(0),
-            deduped: AtomicU64::new(0),
-            pending_txs: AtomicU64::new(0),
-            pending_bytes: AtomicU64::new(0),
-            drain_bytes_per_sec: AtomicU64::new(0),
-            drain_txs_per_sec: AtomicU64::new(0),
-            commit_latency_us: AtomicU64::new(0),
-            block_period_us: AtomicU64::new(0),
-            last_commit_us: AtomicU64::new(0),
-            drain_window: Mutex::new(DrainWindow::default()),
-            fair_visits: AtomicU64::new(0),
-            batches_grown: AtomicU64::new(0),
-            in_flight: Mutex::new(InFlightBatches::default()),
-            consumer: OnceLock::new(),
-        }
+        Mempool { cfg, state: Mutex::new(State::default()), consumer: OnceLock::new() }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap()
     }
 
     /// Names `consumer` as the thread that drains this pool, in batches of
@@ -338,12 +290,6 @@ impl Mempool {
         &self.cfg
     }
 
-    fn shard_index(&self, digest: &Digest) -> usize {
-        let mut k = [0u8; 8];
-        k.copy_from_slice(&digest.as_bytes()[..8]);
-        (u64::from_le_bytes(k) % self.cfg.shards as u64) as usize
-    }
-
     /// Admits one transaction on behalf of client 0, hashing it on the
     /// calling thread. See [`submit_from`](Mempool::submit_from).
     pub fn submit(&self, bytes: impl Into<Arc<[u8]>>) -> Result<(), SubmitError> {
@@ -351,85 +297,94 @@ impl Mempool {
     }
 
     /// Admits one transaction on behalf of `client`, hashing it on the
-    /// calling thread. Errors are backpressure ([`SubmitError::Full`] for
-    /// the static budgets, [`SubmitError::Overloaded`] for the delay
-    /// target), dedup, or an empty submission.
+    /// calling thread before the pool's lock is taken. Errors are
+    /// backpressure ([`SubmitError::Full`] for the static budgets,
+    /// [`SubmitError::Overloaded`] for the delay target), dedup, or an
+    /// empty submission.
     pub fn submit_from(
         &self,
         client: u32,
         bytes: impl Into<Arc<[u8]>>,
     ) -> Result<(), SubmitError> {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
         let tx = Tx::from_client(client, bytes);
-        if tx.bytes.is_empty() {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
+        let len = tx.bytes.len();
+        let mut st = self.lock();
+        st.counters.submitted += 1;
+        let admitted = self.admit(&mut st, tx);
+        match admitted {
+            Ok(()) => st.counters.accepted += 1,
+            Err(SubmitError::Duplicate) => st.counters.deduped += 1,
+            Err(SubmitError::Overloaded) => {
+                st.counters.rejected += 1;
+                st.counters.rejected_delay += 1;
+            }
+            Err(SubmitError::Empty | SubmitError::Full) => st.counters.rejected += 1,
+        }
+        // Decided under the lock, woken after it: exactly one admission
+        // finds the pool empty and one takes it to a full batch, whoever
+        // else submits or drains, and the woken consumer does not wait for
+        // the lock its waker still holds.
+        let wake = match self.consumer.get() {
+            Some((consumer, full)) if admitted.is_ok() => {
+                let after = st.pending_bytes as u64;
+                let before = after - len as u64;
+                let fills = before < *full && after >= *full;
+                (st.pending_txs == 1 || fills).then_some(consumer)
+            }
+            _ => None,
+        };
+        drop(st);
+        if let Some(consumer) = wake {
+            consumer.unpark();
+        }
+        admitted
+    }
+
+    /// The admission decision and, on success, the enqueue.
+    fn admit(&self, st: &mut State, tx: Tx) -> Result<(), SubmitError> {
+        let len = tx.bytes.len();
+        if len == 0 {
             return Err(SubmitError::Empty);
         }
-        let len = tx.bytes.len();
-        // Delay-bounded admission reads only atomics; check before taking
-        // the shard lock so overload rejections stay contention-free.
-        if let Err(e) = self.admit_delay(len) {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            self.rejected_delay.fetch_add(1, Ordering::Relaxed);
-            return Err(e);
-        }
-        let idx = self.shard_index(&tx.digest);
-        let mut shard = self.shards[idx].lock().unwrap();
-        if shard.seen.contains(&tx.digest) || shard.pinned.contains(&tx.digest) {
-            self.deduped.fetch_add(1, Ordering::Relaxed);
+        self.admit_delay(st, len)?;
+        if st.seen.contains(&tx.digest) || st.pinned.contains(&tx.digest) {
             return Err(SubmitError::Duplicate);
         }
-        if shard.txs >= self.per_shard_txs || shard.bytes + len > self.per_shard_bytes {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
+        if st.pending_txs >= self.cfg.max_txs || st.pending_bytes + len > self.cfg.max_bytes {
             return Err(SubmitError::Full);
         }
-        shard.seen.insert(tx.digest);
-        shard.seen_order.push_back(tx.digest);
-        while shard.seen_order.len() > self.cfg.dedup_window {
-            if let Some(old) = shard.seen_order.pop_front() {
-                shard.seen.remove(&old);
+        st.seen.insert(tx.digest);
+        st.seen_order.push_back(tx.digest);
+        while st.seen_order.len() > self.cfg.dedup_window {
+            if let Some(old) = st.seen_order.pop_front() {
+                st.seen.remove(&old);
             }
         }
-        shard.bytes += len;
-        shard.txs += 1;
-        let queue = shard.clients.entry(tx.client).or_default();
+        st.pending_bytes += len;
+        st.pending_txs += 1;
+        let client = tx.client;
+        let queue = st.clients.entry(client).or_default();
         queue.cost += len + BATCH_TX_OVERHEAD;
-        if queue.txs.is_empty() {
-            // First pending tx for this client (here): join the rotation.
-            let client = tx.client;
-            queue.txs.push_back(tx);
-            shard.rr.push_back(client);
-        } else {
-            queue.txs.push_back(tx);
-        }
-        drop(shard);
-        self.accepted.fetch_add(1, Ordering::Relaxed);
-        let opens = self.pending_txs.fetch_add(1, Ordering::Relaxed) == 0;
-        let before = self.pending_bytes.fetch_add(len as u64, Ordering::Relaxed);
-        // After the counters: `unpark` releases, `park` acquires, so the
-        // woken consumer sees what woke it. Each counter's updates are
-        // totally ordered, so exactly one admission sees the pool empty
-        // and one sees the batch fill, whoever else submits or drains.
-        if let Some((consumer, full)) = self.consumer.get() {
-            if opens || (before < *full && before + len as u64 >= *full) {
-                consumer.unpark();
-            }
+        queue.txs.push_back(tx);
+        if queue.txs.len() == 1 {
+            // First pending tx for this client: join the rotation.
+            st.rr.push_back(client);
         }
         Ok(())
     }
 
     /// The commit-rate-aware admission decision: would admitting `len` more
     /// bytes push the projected sojourn past the delay target?
-    fn admit_delay(&self, len: usize) -> Result<(), SubmitError> {
+    fn admit_delay(&self, st: &State, len: usize) -> Result<(), SubmitError> {
         if self.cfg.delay_target_multiple == 0 {
             return Ok(());
         }
-        let pending = self.pending_bytes.load(Ordering::Relaxed);
-        let rate = self.drain_bytes_per_sec.load(Ordering::Relaxed);
+        let pending = (st.pending_bytes + len) as u64;
+        let rate = st.drain_bytes_per_sec;
         if rate == 0 {
             // No drain-rate measurement yet (no commit observed): bound the
             // launch flood with the startup byte cap instead.
-            if pending + len as u64 > self.cfg.startup_bytes as u64 {
+            if pending > self.cfg.startup_bytes as u64 {
                 return Err(SubmitError::Overloaded);
             }
             return Ok(());
@@ -437,11 +392,11 @@ impl Mempool {
         // Less than the batch being filled is not a queue: it waits for the
         // consumer's seal deadline, which is bounded on its own, and not
         // for the drain rate.
-        if pending + len as u64 <= self.consumer.get().map_or(0, |(_, full)| *full) {
+        if pending <= self.consumer.get().map_or(0, |(_, full)| *full) {
             return Ok(());
         }
-        let projected_us = (pending + len as u64).saturating_mul(1_000_000) / rate;
-        if projected_us > self.delay_target_us() {
+        let projected_us = pending.saturating_mul(1_000_000) / rate;
+        if projected_us > self.delay_target(st) {
             return Err(SubmitError::Overloaded);
         }
         Ok(())
@@ -465,37 +420,36 @@ impl Mempool {
         commit_latency_us: Option<u64>,
         now_us: u64,
     ) {
+        let mut st = self.lock();
+        let st = &mut *st;
         if let Some(lat) = commit_latency_us {
-            ewma(&self.commit_latency_us, lat);
+            ewma(&mut st.commit_latency_us, lat);
         }
-        let last = self.last_commit_us.swap(now_us.max(1), Ordering::Relaxed);
+        let last = std::mem::replace(&mut st.last_commit_us, now_us.max(1));
         if last != 0 {
-            ewma(&self.block_period_us, now_us.saturating_sub(last));
+            ewma(&mut st.block_period_us, now_us.saturating_sub(last));
         }
         if !ours || bytes == 0 {
             return;
         }
-        let mut w = self.drain_window.lock().unwrap();
-        if w.started_us == 0 {
+        if st.window_started_us == 0 {
             // First observed drain: start the measurement window here. The
             // block's own bytes are deliberately not counted — there is no
             // interval to divide them over yet.
-            w.started_us = now_us.max(1);
+            st.window_started_us = now_us.max(1);
             return;
         }
-        w.bytes += bytes;
-        w.txs += txs;
-        let dt = now_us.saturating_sub(w.started_us);
+        st.window_bytes += bytes;
+        st.window_txs += txs;
+        let dt = now_us.saturating_sub(st.window_started_us);
         if dt < RATE_WINDOW_US {
             return;
         }
-        let inst_bps = w.bytes.saturating_mul(1_000_000) / dt;
-        let inst_tps = w.txs.saturating_mul(1_000_000) / dt;
-        ewma(&self.drain_bytes_per_sec, inst_bps);
-        ewma(&self.drain_txs_per_sec, inst_tps);
-        w.started_us = now_us.max(1);
-        w.bytes = 0;
-        w.txs = 0;
+        ewma(&mut st.drain_bytes_per_sec, st.window_bytes.saturating_mul(1_000_000) / dt);
+        ewma(&mut st.drain_txs_per_sec, st.window_txs.saturating_mul(1_000_000) / dt);
+        st.window_started_us = now_us.max(1);
+        st.window_bytes = 0;
+        st.window_txs = 0;
     }
 
     /// The current delay target (µs): `delay_target_multiple ×` the EWMA
@@ -503,11 +457,14 @@ impl Mempool {
     /// latency is measured this is the lower clamp; 0 when delay admission
     /// is disabled.
     pub fn delay_target_us(&self) -> u64 {
+        self.delay_target(&self.lock())
+    }
+
+    fn delay_target(&self, st: &State) -> u64 {
         if self.cfg.delay_target_multiple == 0 {
             return 0;
         }
-        let lat = self.commit_latency_us.load(Ordering::Relaxed);
-        (lat * self.cfg.delay_target_multiple as u64)
+        (st.commit_latency_us * self.cfg.delay_target_multiple as u64)
             .clamp(self.cfg.min_delay_target_us, self.cfg.max_delay_target_us)
     }
 
@@ -515,167 +472,118 @@ impl Mempool {
     /// bytes over the measured drain rate. 0 until the rate is measured.
     #[cfg(test)]
     fn projected_delay_us(&self) -> u64 {
-        let rate = self.drain_bytes_per_sec.load(Ordering::Relaxed);
-        if rate == 0 {
+        let st = self.lock();
+        if st.drain_bytes_per_sec == 0 {
             return 0;
         }
-        self.pending_bytes.load(Ordering::Relaxed).saturating_mul(1_000_000) / rate
+        (st.pending_bytes as u64).saturating_mul(1_000_000) / st.drain_bytes_per_sec
     }
 
     /// EWMA drain rate in bytes/s (0 until measured).
     pub fn drain_bytes_per_sec(&self) -> u64 {
-        self.drain_bytes_per_sec.load(Ordering::Relaxed)
+        self.lock().drain_bytes_per_sec
     }
 
     /// EWMA drain rate in transactions/s (0 until measured).
     pub fn drain_txs_per_sec(&self) -> u64 {
-        self.drain_txs_per_sec.load(Ordering::Relaxed)
+        self.lock().drain_txs_per_sec
     }
 
     /// EWMA gap between consecutive commits, the block period ω̂ (µs; 0
     /// until two commits were seen).
     pub fn block_period_ewma_us(&self) -> u64 {
-        self.block_period_us.load(Ordering::Relaxed)
+        self.lock().block_period_us
     }
 
     /// Pops transactions until the batch — with its per-transaction framing
     /// overhead — would exceed `max_batch_bytes` or the pool is empty.
     /// Two phases:
     ///
-    /// 1. **Global sparse sweep** (fq_codel-style): every shard is visited
-    ///    and every client whose *entire* backlog fits in one quantum is
-    ///    served completely, ahead of any bulk traffic. A paced client
-    ///    with a couple of small transactions never waits behind a bulk
-    ///    queue, for its rotation turn, *or for the rotation cursor to
-    ///    reach its shard* — its queueing delay is one drain interval
-    ///    flat. (An earlier version ran the sparse pass only on shards
-    ///    the bulk rotation reached before the batch filled, which tied
-    ///    sparse latency to `shards ÷ shards-per-batch` drain intervals.)
+    /// 1. **Sparse sweep** (fq_codel-style): every client whose *entire*
+    ///    backlog fits in one quantum is served completely, ahead of any
+    ///    bulk traffic. A paced client with a couple of small transactions
+    ///    never waits behind a bulk queue or for its rotation turn — its
+    ///    queueing delay is one drain interval flat.
     /// 2. **Bulk rotation**: classic deficit round-robin over the
-    ///    remaining (backlogged) clients, shards visited round-robin from
-    ///    a persistent cursor — the front client's deficit is credited
-    ///    one quantum and its head transactions are popped while deficit
-    ///    and budget cover them — so competing saturators split drain
-    ///    bandwidth evenly and cannot starve each other.
+    ///    remaining (backlogged) clients — the front client's deficit is
+    ///    credited one quantum and its head transactions are popped while
+    ///    deficit and budget cover them — so competing saturators split
+    ///    drain bandwidth evenly and cannot starve each other.
     ///
     /// The sparse fast lane cannot starve bulk clients: by definition it
     /// spends at most one quantum per sparse client per drain, and a
     /// client that keeps queue depth to exploit it is *behaving* — that's
-    /// the incentive. Holds at most one shard lock at a time.
+    /// the incentive. Both phases pop each client's transactions from the
+    /// head of its queue, so every client drains in submission order.
     pub fn drain_for_batch(&self, max_batch_bytes: usize) -> Vec<Tx> {
         let mut out = Vec::new();
         let mut budget = max_batch_bytes;
-        let mut visits = 0u64;
-        // Phase 1: sparse sweep over every shard.
-        for shard_idx in 0..self.cfg.shards {
-            if budget == 0 {
+        let mut st = self.lock();
+        let st = &mut *st;
+        // Phase 1: sparse sweep.
+        let mut k = 0;
+        while k < st.rr.len() {
+            let client = st.rr[k];
+            let queue = st.clients.get_mut(&client).expect("rr client has a queue");
+            if queue.cost > self.cfg.drr_quantum || queue.cost > budget {
+                k += 1;
+                continue;
+            }
+            st.fair_visits += 1;
+            budget -= queue.cost;
+            out.extend(queue.txs.drain(..));
+            st.clients.remove(&client);
+            st.rr.remove(k);
+        }
+        // Phase 2: bulk rotation, until the pool is empty or a head
+        // transaction that does not fit the remaining budget ends a visit
+        // that popped nothing. (FIFO per client: the drain never reorders
+        // around a large transaction.) A visit that pops nothing for want
+        // of deficit rotates on; the credit persists into the next visit or
+        // the next drain call, so an oversized transaction is eventually
+        // served.
+        while let Some(&client) = st.rr.front() {
+            st.fair_visits += 1;
+            let queue = st.clients.get_mut(&client).expect("rr client has a queue");
+            queue.deficit = (queue.deficit + self.cfg.drr_quantum).min(MAX_DRR_DEFICIT);
+            let mut popped = false;
+            let mut budget_blocked = false;
+            while let Some(front) = queue.txs.front() {
+                let cost = front.bytes.len() + BATCH_TX_OVERHEAD;
+                if cost > budget {
+                    budget_blocked = true;
+                    break;
+                }
+                if cost > queue.deficit {
+                    break;
+                }
+                out.push(queue.txs.pop_front().unwrap());
+                queue.cost -= cost;
+                queue.deficit -= cost;
+                budget -= cost;
+                popped = true;
+            }
+            if queue.txs.is_empty() {
+                // Classic DRR: an emptied queue forfeits leftover credit.
+                st.clients.remove(&client);
+                st.rr.pop_front();
+            } else {
+                // Move the client to the back of the rotation so the next
+                // visit serves someone else.
+                st.rr.rotate_left(1);
+            }
+            if budget_blocked && !popped {
                 break;
             }
-            let mut shard = self.shards[shard_idx].lock().unwrap();
-            if shard.rr.is_empty() {
-                continue;
-            }
-            let mut popped = 0usize;
-            let mut popped_bytes = 0u64;
-            let mut k = 0;
-            while k < shard.rr.len() {
-                let client = shard.rr[k];
-                let queue = shard.clients.get_mut(&client).expect("rr client has a queue");
-                if queue.cost > self.cfg.drr_quantum || queue.cost > budget {
-                    k += 1;
-                    continue;
-                }
-                visits += 1;
-                while let Some(tx) = queue.txs.pop_front() {
-                    let cost = tx.bytes.len() + BATCH_TX_OVERHEAD;
-                    queue.cost -= cost;
-                    budget -= cost;
-                    popped += 1;
-                    popped_bytes += tx.bytes.len() as u64;
-                    out.push(tx);
-                }
-                shard.clients.remove(&client);
-                shard.rr.remove(k);
-            }
-            shard.txs -= popped;
-            shard.bytes -= popped_bytes as usize;
-            drop(shard);
-            if popped > 0 {
-                self.pending_txs.fetch_sub(popped as u64, Ordering::Relaxed);
-                self.pending_bytes.fetch_sub(popped_bytes, Ordering::Relaxed);
-            }
         }
-        // Phase 2: bulk rotation.
-        let start = self.drain_cursor.fetch_add(1, Ordering::Relaxed);
-        let mut exhausted = 0usize;
-        let mut i = start;
-        while exhausted < self.cfg.shards {
-            let shard_idx = i % self.cfg.shards;
-            i += 1;
-            let mut shard = self.shards[shard_idx].lock().unwrap();
-            if shard.rr.is_empty() {
-                exhausted += 1;
-                continue;
-            }
-            let mut popped = 0usize;
-            let mut popped_bytes = 0u64;
-            let mut budget_blocked = false;
-            // Bulk pass.
-            if let Some(&client) = shard.rr.front() {
-                visits += 1;
-                let queue = shard.clients.get_mut(&client).expect("rr client has a queue");
-                queue.deficit = (queue.deficit + self.cfg.drr_quantum).min(MAX_DRR_DEFICIT);
-                while let Some(front) = queue.txs.front() {
-                    let cost = front.bytes.len() + BATCH_TX_OVERHEAD;
-                    if cost > budget {
-                        budget_blocked = true;
-                        break;
-                    }
-                    if cost > queue.deficit {
-                        break;
-                    }
-                    let tx = queue.txs.pop_front().unwrap();
-                    queue.cost -= cost;
-                    queue.deficit -= cost;
-                    budget -= cost;
-                    popped += 1;
-                    popped_bytes += tx.bytes.len() as u64;
-                    out.push(tx);
-                }
-                if queue.txs.is_empty() {
-                    // Classic DRR: an emptied queue forfeits leftover credit.
-                    shard.clients.remove(&client);
-                    shard.rr.pop_front();
-                } else {
-                    // Move the client to the back of the rotation so the
-                    // next visit serves someone else.
-                    shard.rr.rotate_left(1);
-                }
-            }
-            shard.txs -= popped;
-            shard.bytes -= popped_bytes as usize;
-            drop(shard);
-            if popped > 0 {
-                self.pending_txs.fetch_sub(popped as u64, Ordering::Relaxed);
-                self.pending_bytes.fetch_sub(popped_bytes, Ordering::Relaxed);
-                exhausted = 0;
-            } else if budget_blocked {
-                // Head doesn't fit the remaining batch budget; FIFO per
-                // client — we don't reorder around a large transaction.
-                exhausted += 1;
-            }
-            // popped == 0 without budget_blocked means the deficit is still
-            // accumulating toward an oversized head; neither progress nor
-            // exhaustion — the credit persists into the next visit or the
-            // next drain call, so the transaction is eventually served.
-        }
-        self.fair_visits.fetch_add(visits, Ordering::Relaxed);
+        st.pending_txs -= out.len();
+        st.pending_bytes -= out.iter().map(|tx| tx.bytes.len()).sum::<usize>();
         out
     }
 
     /// Pending transactions.
     pub fn len(&self) -> u64 {
-        self.pending_txs.load(Ordering::Relaxed)
+        self.lock().pending_txs as u64
     }
 
     /// Whether nothing is pending.
@@ -685,50 +593,38 @@ impl Mempool {
 
     /// Pending bytes.
     pub fn pending_bytes(&self) -> u64 {
-        self.pending_bytes.load(Ordering::Relaxed)
+        self.lock().pending_bytes as u64
     }
 
     /// Snapshot of admission counters.
     pub fn counters(&self) -> MempoolCounters {
-        MempoolCounters {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            accepted: self.accepted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            rejected_delay: self.rejected_delay.load(Ordering::Relaxed),
-            deduped: self.deduped.load(Ordering::Relaxed),
-        }
+        self.lock().counters
     }
 
     /// DRR client visits performed by drains so far (fairness counter).
     pub fn fair_visits(&self) -> u64 {
-        self.fair_visits.load(Ordering::Relaxed)
+        self.lock().fair_visits
     }
 
     /// Pins the transactions of a sealed batch against resubmission until
     /// [`release_batch`](Mempool::release_batch). Called by the assembler
-    /// right after sealing: the per-shard `seen` window is a *rolling*
-    /// window, so under sustained load a transaction drained minutes ago
-    /// can roll out of it while its batch is still uncommitted — without
-    /// the pin, a client retry would land the same digest in a second
-    /// batch. Idempotent per batch digest; past
-    /// `MAX_IN_FLIGHT_BATCHES` (4 096) the oldest batch's pins are evicted.
+    /// right after sealing: the `seen` window is a *rolling* window, so
+    /// under sustained load a transaction drained minutes ago can roll out
+    /// of it while its batch is still uncommitted — without the pin, a
+    /// client retry would land the same digest in a second batch.
+    /// Idempotent per batch digest; past `MAX_IN_FLIGHT_BATCHES` (4 096)
+    /// the oldest batch's pins are evicted.
     pub fn pin_batch(&self, batch: Digest, txs: &[Digest]) {
-        let mut in_flight = self.in_flight.lock().unwrap();
-        if in_flight.by_batch.contains_key(&batch) {
+        let mut st = self.lock();
+        if st.batches.contains_key(&batch) {
             return;
         }
-        for d in txs {
-            self.shards[self.shard_index(d)].lock().unwrap().pinned.insert(*d);
-        }
-        in_flight.by_batch.insert(batch, txs.to_vec());
-        in_flight.order.push_back(batch);
-        if in_flight.order.len() > MAX_IN_FLIGHT_BATCHES {
-            if let Some(old) = in_flight.order.pop_front() {
-                if let Some(old_txs) = in_flight.by_batch.remove(&old) {
-                    for d in &old_txs {
-                        self.shards[self.shard_index(d)].lock().unwrap().pinned.remove(d);
-                    }
-                }
+        st.pinned.extend(txs.iter().copied());
+        st.batches.insert(batch, txs.to_vec());
+        st.batch_order.push_back(batch);
+        if st.batch_order.len() > MAX_IN_FLIGHT_BATCHES {
+            if let Some(old) = st.batch_order.pop_front() {
+                st.unpin(&old);
             }
         }
     }
@@ -738,44 +634,48 @@ impl Mempool {
     /// batches *this* pool sealed, whoever proposed them. Unknown digests
     /// (another node's batch, an already-evicted pin) are a no-op.
     pub fn release_batch(&self, batch: &Digest) -> Option<u64> {
-        let mut in_flight = self.in_flight.lock().unwrap();
-        let txs = in_flight.by_batch.remove(batch)?;
-        in_flight.order.retain(|d| d != batch);
-        for d in &txs {
-            self.shards[self.shard_index(d)].lock().unwrap().pinned.remove(d);
-        }
-        Some(txs.len() as u64)
+        let mut st = self.lock();
+        let txs = st.unpin(batch)?;
+        st.batch_order.retain(|d| d != batch);
+        Some(txs as u64)
     }
 
     /// Batches currently pinned as sealed-in-flight.
     pub fn in_flight_batches(&self) -> usize {
-        self.in_flight.lock().unwrap().by_batch.len()
+        self.lock().batches.len()
     }
 
     /// Marks one batch sealed above its base byte target.
     pub fn note_batch_grown(&self) {
-        self.batches_grown.fetch_add(1, Ordering::Relaxed);
+        self.lock().batches_grown += 1;
     }
 
     /// Batches the assembler sealed above the base byte target so far.
     pub fn batches_grown(&self) -> u64 {
-        self.batches_grown.load(Ordering::Relaxed)
+        self.lock().batches_grown
     }
+}
 
-    /// Pending-transaction count per shard (diagnostics and balance tests).
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.lock().unwrap().txs).collect()
+impl State {
+    /// Drops a pinned batch's transaction pins; how many it held, if it
+    /// was pinned.
+    fn unpin(&mut self, batch: &Digest) -> Option<usize> {
+        let txs = self.batches.remove(batch)?;
+        for d in &txs {
+            self.pinned.remove(d);
+        }
+        Some(txs.len())
     }
 }
 
 impl fmt::Debug for Mempool {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let st = self.lock();
         f.debug_struct("Mempool")
-            .field("shards", &self.cfg.shards)
-            .field("pending_txs", &self.len())
-            .field("pending_bytes", &self.pending_bytes())
-            .field("counters", &self.counters())
-            .field("drain_bytes_per_sec", &self.drain_bytes_per_sec())
+            .field("pending_txs", &st.pending_txs)
+            .field("pending_bytes", &st.pending_bytes)
+            .field("counters", &st.counters)
+            .field("drain_bytes_per_sec", &st.drain_bytes_per_sec)
             .finish()
     }
 }
@@ -831,7 +731,6 @@ mod tests {
     #[test]
     fn in_flight_pin_outlives_the_seen_window() {
         let cfg = MempoolConfig {
-            shards: 1,
             dedup_window: 4, // tiny window so it rolls immediately
             delay_target_multiple: 0,
             ..MempoolConfig::default()
@@ -863,8 +762,7 @@ mod tests {
     /// leaking them forever when releases are lost.
     #[test]
     fn in_flight_cap_evicts_oldest_pins() {
-        let cfg =
-            MempoolConfig { shards: 1, delay_target_multiple: 0, ..MempoolConfig::default() };
+        let cfg = MempoolConfig { delay_target_multiple: 0, ..MempoolConfig::default() };
         let pool = Mempool::new(cfg);
         let tx = Tx::new(tx_bytes(42, 64));
         pool.pin_batch(Digest::hash(b"first"), &[tx.digest]);
@@ -879,7 +777,6 @@ mod tests {
     #[test]
     fn byte_budget_backpressure_rejects_new_without_dropping_old() {
         let cfg = MempoolConfig {
-            shards: 1,
             max_txs: 1000,
             max_bytes: 1000,
             dedup_window: 64,
@@ -910,7 +807,6 @@ mod tests {
     #[test]
     fn count_budget_backpressure() {
         let cfg = MempoolConfig {
-            shards: 1,
             max_txs: 2,
             max_bytes: 1 << 20,
             dedup_window: 64,
@@ -933,28 +829,8 @@ mod tests {
     }
 
     #[test]
-    fn digest_sharding_balances_load() {
-        // Delay admission off: this test floods well past the startup cap
-        // on purpose to exercise the hash distribution.
-        let cfg =
-            MempoolConfig { shards: 8, delay_target_multiple: 0, ..MempoolConfig::default() };
-        let pool = Mempool::new(cfg);
-        for i in 0..4000u64 {
-            pool.submit(tx_bytes(i, 64)).unwrap();
-        }
-        let lens = pool.shard_lens();
-        assert_eq!(lens.iter().sum::<usize>(), 4000);
-        let min = *lens.iter().min().unwrap();
-        let max = *lens.iter().max().unwrap();
-        // Hash sharding: every shard gets traffic, and no shard carries
-        // more than twice its fair share (500 each here).
-        assert!(min > 0, "a shard got no transactions: {lens:?}");
-        assert!(max <= 1000, "shard imbalance: {lens:?}");
-    }
-
-    #[test]
-    fn drain_respects_batch_budget_and_keeps_fifo_per_shard() {
-        let cfg = MempoolConfig { shards: 1, ..MempoolConfig::default() };
+    fn drain_respects_batch_budget_and_keeps_fifo_per_client() {
+        let cfg = MempoolConfig::default();
         let pool = Mempool::new(cfg);
         for i in 0..10u64 {
             pool.submit(tx_bytes(i, 100)).unwrap();
@@ -967,6 +843,40 @@ mod tests {
         assert_eq!(pool.len(), 7);
     }
 
+    /// A default pool drains each client in submission order: 200 bulk
+    /// transactions from one client, interleaved with 20 from another,
+    /// leave in 18 kB batches with every client's sequence numbers
+    /// strictly increasing, and all 220 leave.
+    #[test]
+    fn default_pool_drains_each_client_in_submission_order() {
+        let cfg = MempoolConfig { delay_target_multiple: 0, ..MempoolConfig::default() };
+        let pool = Mempool::new(cfg);
+        for seq in 0..200u64 {
+            pool.submit_from(1, crate::batch::make_tx(1_000 + seq, 1, seq, 180)).unwrap();
+            if seq % 10 == 0 {
+                let s2 = seq / 10;
+                pool.submit_from(2, crate::batch::make_tx(9_000 + s2, 2, s2, 180)).unwrap();
+            }
+        }
+        let mut last: HashMap<u32, u64> = HashMap::new();
+        let mut drained = 0;
+        loop {
+            let batch = pool.drain_for_batch(18_000);
+            if batch.is_empty() {
+                break;
+            }
+            for tx in &batch {
+                let seq = u64::from_le_bytes(tx.bytes[12..20].try_into().unwrap());
+                if let Some(prev) = last.insert(tx.client, seq) {
+                    assert!(seq > prev, "client {}: sequence {seq} after {prev}", tx.client);
+                }
+            }
+            drained += batch.len();
+        }
+        assert_eq!(drained, 220);
+        assert!(pool.is_empty());
+    }
+
     /// Delay-bounded admission with synthetic drain rates: a fast pool
     /// (5 MB/s) admits a deep backlog before rejecting; a slow pool
     /// (100 kB/s) rejects after a shallow one. Both reject with
@@ -974,7 +884,6 @@ mod tests {
     #[test]
     fn delay_admission_tracks_synthetic_drain_rate() {
         let cfg = MempoolConfig {
-            shards: 1,
             min_delay_target_us: 50_000,
             max_delay_target_us: 1_000_000,
             delay_target_multiple: 20,
@@ -1018,7 +927,7 @@ mod tests {
     /// once a drain rate is measured the cap is replaced by the projection.
     #[test]
     fn startup_cap_bounds_pre_measurement_flood() {
-        let cfg = MempoolConfig { shards: 1, startup_bytes: 3_000, ..MempoolConfig::default() };
+        let cfg = MempoolConfig { startup_bytes: 3_000, ..MempoolConfig::default() };
         let pool = Mempool::new(cfg);
         let mut admitted = 0u64;
         let mut err = None;
@@ -1064,7 +973,7 @@ mod tests {
     /// refused; past it the projection is back.
     #[test]
     fn a_pool_lingering_under_a_full_batch_refuses_nothing() {
-        let cfg = MempoolConfig { shards: 1, ..MempoolConfig::default() };
+        let cfg = MempoolConfig::default();
         let pool = Mempool::new(cfg);
         pool.wake_on_admit(std::thread::current(), 18_000);
         for k in 1..=3u64 {
@@ -1126,14 +1035,13 @@ mod tests {
         assert!(pool.block_period_ewma_us() > 1_000_000);
     }
 
-    /// Two clients share one shard: a saturating client with a deep queue
+    /// Two clients share the pool: a saturating client with a deep queue
     /// must not starve a paced client with a shallow one. Deficit round
     /// robin gives both clients service every drain, so the paced client's
     /// whole queue clears within the first couple of batches.
     #[test]
     fn deficit_round_robin_prevents_client_starvation() {
         let cfg = MempoolConfig {
-            shards: 1,
             delay_target_multiple: 0, // isolate fairness from admission
             drr_quantum: 256,
             ..MempoolConfig::default()
@@ -1177,7 +1085,6 @@ mod tests {
     #[test]
     fn sparse_client_served_ahead_of_bulk_rotation() {
         let cfg = MempoolConfig {
-            shards: 1,
             delay_target_multiple: 0,
             drr_quantum: 256,
             ..MempoolConfig::default()
@@ -1202,30 +1109,28 @@ mod tests {
         assert!(pool.len() > 400, "bulk client keeps its backlog");
     }
 
-    /// The sparse sweep is global: a sparse client is served even when
-    /// its transactions hash to shards the bulk rotation never reaches
-    /// before the batch budget fills. (Regression: the sparse pass used
-    /// to run only on rotation-visited shards, so with 8 shards and a
-    /// budget covering ~2 of them, a paced client waited several drain
-    /// calls for the cursor to come around.)
+    /// The sparse sweep runs before the bulk rotation whatever the batch
+    /// budget: with a deep bulk backlog and a budget of ~6 transactions,
+    /// a paced client's whole backlog still leads every batch, round after
+    /// round. (Regression: the sparse pass once ran only on the part of
+    /// the pool the bulk rotation reached before the budget filled, so a
+    /// paced client waited several drain calls for its turn.)
     #[test]
-    fn sparse_sweep_covers_shards_beyond_the_batch_budget() {
+    fn sparse_sweep_precedes_bulk_beyond_the_batch_budget() {
         let cfg = MempoolConfig {
-            shards: 8,
             delay_target_multiple: 0,
             drr_quantum: 256,
             ..MempoolConfig::default()
         };
         let pool = Mempool::new(cfg);
-        // A saturator with backlog in every shard (hash-sharded spread).
+        // A saturator with a deep backlog.
         for seq in 0..2_000u64 {
             pool.submit_from(1, crate::batch::make_tx(1_000 + seq, 1, seq, 100)).unwrap();
         }
-        // Budget ≈ 6 txs; bulk rotation covers ~2 shards before it fills.
+        // Budget ≈ 6 txs: a small slice of the backlog per drain.
         let budget = 6 * (100 + BATCH_TX_OVERHEAD);
         for round in 0..8u64 {
-            // Two sparse txs per round, landing on whatever shards their
-            // digests pick — across 8 rounds effectively all of them.
+            // Two sparse txs per round.
             pool.submit_from(2, crate::batch::make_tx(9_000 + 2 * round, 2, 2 * round, 100))
                 .unwrap();
             pool.submit_from(2, crate::batch::make_tx(9_001 + 2 * round, 2, 2 * round + 1, 100))
@@ -1254,7 +1159,6 @@ mod tests {
     #[test]
     fn oversized_tx_accumulates_deficit_until_served() {
         let cfg = MempoolConfig {
-            shards: 1,
             delay_target_multiple: 0,
             drr_quantum: 64,
             ..MempoolConfig::default()

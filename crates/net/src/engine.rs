@@ -43,7 +43,6 @@ pub trait Actor<M> {
 pub struct Context<'a, M> {
     now: SimTime,
     node: NodeId,
-    n: usize,
     effects: &'a mut Vec<Effect<M>>,
     next_timer: &'a mut u64,
 }
@@ -57,11 +56,6 @@ impl<M> Context<'_, M> {
     /// The id of the acting node.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// Total number of nodes in the network.
-    pub fn network_size(&self) -> usize {
-        self.n
     }
 
     /// Sends `msg` to `to` (point-to-point, authenticated channel).
@@ -405,16 +399,6 @@ impl<M: WireSize + Clone> Simulation<M> {
         self.crashed[node.as_usize()] = true;
     }
 
-    /// Whether `node` has crashed.
-    pub fn is_crashed(&self, node: NodeId) -> bool {
-        self.crashed[node.as_usize()]
-    }
-
-    /// Mutable access to an actor (for inspection in tests).
-    pub fn actor_mut(&mut self, node: NodeId) -> &mut dyn Actor<M> {
-        &mut *self.actors[node.as_usize()]
-    }
-
     fn push(&mut self, at: SimTime, node: NodeId, kind: EventKind<M>) {
         self.seq += 1;
         self.queue.push(Event { at, seq: self.seq, node, kind });
@@ -446,7 +430,6 @@ impl<M: WireSize + Clone> Simulation<M> {
             let mut ctx = Context {
                 now: self.now,
                 node,
-                n: self.actors.len(),
                 effects: &mut effects,
                 next_timer: &mut self.next_timer,
             };

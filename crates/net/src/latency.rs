@@ -107,11 +107,6 @@ impl MatrixLatency {
     pub fn region_of(&self, node: NodeId) -> usize {
         self.assignment[node.as_usize()]
     }
-
-    /// Number of regions in the matrix.
-    pub fn region_count(&self) -> usize {
-        self.matrix.len()
-    }
 }
 
 impl LatencyModel for MatrixLatency {

@@ -54,8 +54,8 @@ pub struct ClusterSpec {
     /// victim itself still pushes its own batches normally.
     pub drop_push_to: Option<NodeId>,
     /// Per-link latency/bandwidth matrix enforced sender-side by the
-    /// shared network pool (see [`ShapeMatrix::table2`] for the paper's
-    /// WAN emulation). `None` = raw loopback.
+    /// shared network pool (see [`ShapeMatrix::table2`] for the WAN the
+    /// benchmark's shaped workloads use). `None` = raw loopback.
     pub shape: Option<Arc<ShapeMatrix>>,
 }
 
@@ -108,7 +108,7 @@ impl LoadSpec {
     pub fn data_path(&self, epoch: Instant) -> (Arc<Mempool>, Arc<DissemPlane>, BatchAssembler) {
         let pool = Arc::new(Mempool::new(self.mempool));
         let plane = DissemPlane::new(DISSEM_STORE_BUDGET);
-        let assembler = BatchAssembler::start_digest(
+        let assembler = BatchAssembler::start(
             pool.clone(),
             AssemblerConfig::adaptive(self.batch_bytes),
             epoch,

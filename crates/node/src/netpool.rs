@@ -465,11 +465,6 @@ impl NetPool {
         }))
     }
 
-    /// Number of event-loop shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Counter snapshot.
     pub fn stats(&self) -> NetPoolStats {
         let mut wakeups = 0;
@@ -486,14 +481,6 @@ impl NetPool {
             verify_queue_depth: self.verify.jobs.lock().unwrap().len() as u64,
             ingest_queue_depth: self.ingest.state.lock().unwrap().total as u64,
         }
-    }
-
-    /// Per-shard `(wakeups, frames)` counters, indexed by shard.
-    pub fn shard_counters(&self) -> Vec<(u64, u64)> {
-        self.shards
-            .iter()
-            .map(|s| (s.wakeups.load(Ordering::Relaxed), s.frames.load(Ordering::Relaxed)))
-            .collect()
     }
 
     pub(crate) fn next_core_id(&self) -> u64 {

@@ -1,11 +1,13 @@
 //! Per-link latency/bandwidth shaping configuration.
 //!
-//! The paper's WAN experiments (fig6–fig9) place validators in geographic
-//! regions and derive message delays from a Table II-style inter-region
-//! round-trip matrix. The networked runtime reproduces that on real
-//! sockets: a [`ShapeMatrix`] gives every ordered peer pair a one-way
-//! delay, an optional bandwidth cap, and a burst allowance, and the
-//! transport's event loops enforce it **sender-side** — each outbound
+//! The paper's WAN experiments (fig6–fig9) place validators in five AWS
+//! regions and derive message delays from the inter-region round-trip
+//! times of its Table II, which the simulator uses as
+//! `moonshot_net::latency::aws`. The networked runtime shapes real sockets
+//! the same way, though not yet with the same matrix (see
+//! [`ShapeMatrix::table2`]): a [`ShapeMatrix`] gives every ordered peer
+//! pair a one-way delay, an optional bandwidth cap, and a burst allowance,
+//! and the transport's event loops enforce it **sender-side** — each outbound
 //! frame is held in a per-link delay queue until `pop_time + delay` and
 //! released through a token bucket. Sender-side shaping on the dialed
 //! (write-only) connection shapes exactly one direction per matrix entry,
@@ -40,10 +42,11 @@ impl LinkShape {
     }
 }
 
-/// One-way inter-region delays in milliseconds, in the style of the
-/// paper's Table II (half of measured inter-region RTTs between ten
-/// globally spread regions: Virginia, Ohio, California, Oregon,
-/// Frankfurt, Ireland, Mumbai, Singapore, Sydney, São Paulo).
+/// One-way inter-region delays in milliseconds between ten globally spread
+/// regions: Virginia, Ohio, California, Oregon, Frankfurt, Ireland, Mumbai,
+/// Singapore, Sydney, São Paulo. This is not the paper's Table II, which
+/// has five AWS regions (`moonshot_net::latency::aws`, the simulator's
+/// matrix); it is a wider ten-region WAN with a zero diagonal.
 const TABLE2_REGIONS: usize = 10;
 const TABLE2_ONE_WAY_MS: [[u64; TABLE2_REGIONS]; TABLE2_REGIONS] = [
     [0, 6, 30, 33, 44, 33, 91, 106, 101, 57],
@@ -89,10 +92,12 @@ impl ShapeMatrix {
         m
     }
 
-    /// The paper's Table II-style WAN: nodes are assigned round-robin to
-    /// ten regions and every ordered pair gets the inter-region one-way
-    /// delay. Delay-only — bandwidth is left uncapped, matching the
-    /// paper's latency-dominated WAN setting.
+    /// A ten-region WAN (not the paper's five-region Table II; see
+    /// `TABLE2_ONE_WAY_MS`): nodes are assigned round-robin to the regions
+    /// and every ordered pair gets the inter-region one-way delay, zero
+    /// within a region. Delay-only — bandwidth is left uncapped, matching
+    /// the paper's latency-dominated WAN setting. The name is kept because
+    /// the benchmark's shaped workloads call it.
     pub fn table2(n: usize) -> ShapeMatrix {
         let mut m = ShapeMatrix::unshaped(n);
         for from in 0..n {

@@ -100,21 +100,6 @@ impl MetricsSink {
         self.views.values().map(|(v, _)| *v).max().unwrap_or(View::GENESIS)
     }
 
-    /// Debug helper: per-block `(view, created_at, sorted commit times)`.
-    pub fn block_timelines(&self) -> Vec<(View, Option<SimTime>, Vec<SimTime>)> {
-        let mut rows: Vec<_> = self
-            .blocks
-            .values()
-            .map(|r| {
-                let mut times: Vec<SimTime> = r.commit_times.iter().map(|(_, t)| *t).collect();
-                times.sort();
-                (r.view, r.created_at, times)
-            })
-            .collect();
-        rows.sort_by_key(|(v, _, _)| *v);
-        rows
-    }
-
     /// Summarises the run. `quorum` is `2f + 1`; `duration` the wall-clock
     /// length of the run in simulated time.
     pub fn summarise(&self, quorum: usize, duration: SimDuration) -> RunMetrics {
