@@ -1,8 +1,8 @@
 //! The ingress queue: one lock over one per-client rotation.
 //!
-//! Submissions hash their bytes on the submitting thread (the benchmark's
-//! generator, or the network pool's ingest worker — never the driver) and
-//! only then take the pool's one lock. Behind it, transactions queue per
+//! Submissions hash their bytes on the submitting thread (a load
+//! generator, or the network shard that read a `SubmitTx` frame — never
+//! the driver) and only then take the pool's one lock. Behind it, transactions queue per
 //! client id in submission order; the batch assembler drains them with a
 //! sparse sweep followed by a deficit-round-robin rotation, so each
 //! client's transactions leave in the order they arrived.

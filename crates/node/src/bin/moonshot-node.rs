@@ -23,9 +23,9 @@
 //! driver only through the sigverify stage, and blocks carry 40-byte
 //! references to batches that travel on the push/fetch plane.
 //!
-//! `--load <batch-bytes>` gives the node a data path: a sharded mempool fed
-//! by `SubmitTx` frames (any TCP client may connect and submit — no hello
-//! required) and a batch-assembler thread sealing batches that target
+//! `--load <batch-bytes>` gives the node a data path: a mempool that the
+//! network shard reading a `SubmitTx` frame admits it into (any TCP client
+//! may connect and submit — no hello required) and a batch-assembler thread sealing batches that target
 //! `batch-bytes` (adaptively grown up to 4× under backlog, under-full ones
 //! closed on the block clock) into the node's dissemination plane, which
 //! pushes them to every peer; whoever leads next proposes them. Admission
@@ -46,7 +46,8 @@
 //! protocol's lifecycle events, the stage stamps the latency decomposition
 //! is computed from, and a `stall` record whenever 40 Δ pass without a
 //! commit (the view, committed height, inbox depth, armed timers and
-//! mempool depth of the wedged node).
+//! mempool depth of the wedged node). The file is flushed right after each
+//! `stall` record, so a wedged node that is killed still leaves it.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -219,8 +220,7 @@ fn run(flags: &Flags) -> Result<ExitCode, String> {
     // The assembler must outlive the node, so it's held here until
     // shutdown.
     let _assembler = load_batch.map(|batch_bytes| {
-        let (pool, plane, assembler) =
-            LoadSpec::digest(batch_bytes).without_clients().data_path(epoch);
+        let (pool, plane, assembler) = LoadSpec::digest(batch_bytes).data_path(epoch);
         transport.mempool = Some(pool);
         transport.dissem = plane;
         assembler

@@ -10,13 +10,15 @@
 //!
 //! Two submission paths share the loop:
 //!
-//! * **in-process** — straight into each node's [`Mempool`] handle. Used by
-//!   in-process clusters ([`LoadSpec::clients`](crate::LoadSpec::clients)),
-//!   where client networking would only measure loopback TCP twice.
+//! * **in-process** — straight into each node's [`Mempool`] handle
+//!   ([`Cluster::mempools`](crate::Cluster::mempools)), where client
+//!   networking would only measure loopback TCP twice.
 //! * **TCP** — a [`Frame::SubmitTx`] frame per transaction over a
 //!   persistent connection per target, the way an external client reaches
 //!   `moonshot-node`. Submission connections never send a hello (clients
-//!   are not validators); the pool's ingest stage feeds the mempool.
+//!   are not validators); the shard loop that reads a frame admits it.
+//!
+//! A cluster starts no client of its own: whoever wants load starts one.
 //!
 //! Backpressure is cooperative: a [`SubmitError::Full`] (or a dead TCP
 //! connection) makes the client back off briefly instead of spinning.
@@ -57,12 +59,6 @@ pub struct TxClientConfig {
     pub tx_bytes: usize,
     /// Target submission rate; `0` means as fast as admission allows.
     pub txs_per_sec: u64,
-}
-
-impl Default for TxClientConfig {
-    fn default() -> Self {
-        TxClientConfig { client_id: 0, tx_bytes: 180, txs_per_sec: 0 }
-    }
 }
 
 /// Counters a stopped client hands back. Every attempt is either accepted

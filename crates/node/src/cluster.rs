@@ -18,7 +18,6 @@ use moonshot_telemetry::{RingBufferSink, TraceEvent, TraceRecord, TraceSink};
 use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::{BlockId, NodeId, Payload};
 
-use crate::client::{ClientStats, ClientTarget, TxClient, TxClientConfig};
 use crate::config::ProtocolChoice;
 use crate::runtime::{NodeHandle, NodeReport, SharedSink};
 use crate::netpool::NetPool;
@@ -36,10 +35,10 @@ pub struct ClusterSpec {
     pub delta: SimDuration,
     /// Per-node trace ring capacity (records).
     pub trace_capacity: usize,
-    /// When set, each node gets a data path — mempool, `SubmitTx` ingest,
-    /// batch assembler — feeding its dissemination plane, and (optionally)
-    /// in-process load generators feed the cluster. `None` is a
-    /// consensus-only cluster: every block is empty.
+    /// When set, each node gets a data path — mempool (fed through
+    /// [`Cluster::mempools`] or `SubmitTx` frames), batch assembler —
+    /// feeding its dissemination plane. The cluster generates no load of
+    /// its own. `None` is a consensus-only cluster: every block is empty.
     pub load: Option<LoadSpec>,
     /// When set, every node gets a durable ledger under
     /// `<data_dir>/node-<id>/`: an fsync'd consensus WAL (votes/timeouts
@@ -63,7 +62,8 @@ pub struct ClusterSpec {
 /// plane may run this far ahead of the ordering plane.
 const DISSEM_BACKLOG_CAP: usize = 8 << 20;
 
-/// Real-transaction load parameters for a cluster.
+/// A node's data path: how the assembler batches and what the mempool
+/// admits. Where the transactions come from is the caller's business.
 #[derive(Clone, Debug)]
 pub struct LoadSpec {
     /// Base batch byte target — the knob that plays the role of the
@@ -74,29 +74,21 @@ pub struct LoadSpec {
     /// Per-node mempool configuration (admission budgets, delay target,
     /// fairness quantum).
     pub mempool: MempoolConfig,
-    /// In-process load generators to spawn, one [`TxClient`] per entry.
-    /// Empty = drive the mempools externally (TCP clients or tests
-    /// submitting by hand).
-    pub clients: Vec<TxClientConfig>,
 }
 
 impl LoadSpec {
-    /// A load spec with paper-shaped defaults: one unthrottled 180-byte
-    /// generator (client 0), `batch_bytes` base target, delay-bounded
-    /// admission on. (Named for the digest-only proposals every loaded
-    /// node makes: batch bytes travel on the push/fetch plane, blocks carry
-    /// 40-byte refs.)
+    /// A data path with paper-shaped defaults: `batch_bytes` base target,
+    /// delay-bounded admission on. (Named for the digest-only proposals
+    /// every loaded node makes: batch bytes travel on the push/fetch
+    /// plane, blocks carry 40-byte refs.)
     pub fn digest(batch_bytes: usize) -> LoadSpec {
-        LoadSpec {
-            batch_bytes,
-            mempool: MempoolConfig::default(),
-            clients: vec![TxClientConfig { client_id: 0, tx_bytes: 180, txs_per_sec: 0 }],
-        }
+        LoadSpec { batch_bytes, mempool: MempoolConfig::default() }
     }
 
-    /// The same data path, but no in-process generators (builder-style).
-    pub fn without_clients(mut self) -> LoadSpec {
-        self.clients.clear();
+    /// Returns the spec unchanged. A cluster spawns no load generators,
+    /// so there are none to remove; kept only because the benchmark
+    /// still calls it.
+    pub fn without_clients(self) -> LoadSpec {
         self
     }
 
@@ -159,11 +151,6 @@ pub struct Cluster {
     /// restarts like the pools: a restarted node keeps
     /// its batch store, so it only owes the network what it truly missed.
     planes: Vec<Arc<DissemPlane>>,
-    /// The in-process load generators (client id, client), when the spec
-    /// asked for any.
-    clients: Vec<(u32, TxClient)>,
-    /// Final counters of the generators [`Cluster::drain`] already stopped.
-    drained_clients: Vec<(u32, ClientStats)>,
     /// One entry per completed [`Cluster::restart`] (ledger clusters only):
     /// how much catch-up the restarted node actually owed the network.
     restarts: Vec<RestartStat>,
@@ -224,15 +211,6 @@ impl Cluster {
                 assemblers.push(assembler);
             }
         }
-        let clients = spec
-            .load
-            .iter()
-            .flat_map(|load| &load.clients)
-            .map(|cfg| {
-                let target = ClientTarget::InProcess(pools.clone());
-                (cfg.client_id, TxClient::start(cfg.clone(), target, epoch))
-            })
-            .collect();
         let mut cluster = Cluster {
             handles: (0..spec.n).map(|_| None).collect(),
             spec,
@@ -243,8 +221,6 @@ impl Cluster {
             pools,
             assemblers,
             planes,
-            clients,
-            drained_clients: Vec::new(),
             restarts: Vec::new(),
             net,
         };
@@ -357,13 +333,12 @@ impl Cluster {
         )
     }
 
-    /// Stops the in-process load generators and waits, for at most
-    /// `timeout`, until every node has seen everything it accepted commit:
-    /// all mempools empty and no sealed batch still pinned. Returns whether
-    /// it came to that. (A killed node's pool never drains.)
+    /// Waits, for at most `timeout`, until every node has seen everything
+    /// it accepted commit: all mempools empty and no sealed batch still
+    /// pinned. Returns whether it came to that. Stop every client first:
+    /// a pool still being fed never empties. (A killed node's pool never
+    /// drains.)
     pub fn drain(&mut self, timeout: Duration) -> bool {
-        let stopped = std::mem::take(&mut self.clients).into_iter().map(|(id, c)| (id, c.stop()));
-        self.drained_clients.extend(stopped);
         let deadline = Instant::now() + timeout;
         while self.pools.iter().any(|p| !p.is_empty() || p.in_flight_batches() > 0) {
             if Instant::now() >= deadline {
@@ -375,11 +350,9 @@ impl Cluster {
     }
 
     /// Stops every node and collects reports plus the merged, time-sorted
-    /// trace. Teardown order matters: clients first (no new submissions),
-    /// then assemblers (no new batches), then the nodes.
+    /// trace. The caller stops its clients first (no new submissions);
+    /// then the assemblers go (no new batches), then the nodes.
     pub fn stop(mut self) -> ClusterReport {
-        let mut clients = std::mem::take(&mut self.drained_clients);
-        clients.extend(std::mem::take(&mut self.clients).into_iter().map(|(id, c)| (id, c.stop())));
         drop(std::mem::take(&mut self.assemblers));
         let mut reports = std::mem::take(&mut self.dead_reports);
         // Signal every node before joining any: joining sequentially
@@ -394,9 +367,9 @@ impl Cluster {
         }
         // Every node has detached; the shared pool's threads go last.
         self.net.shutdown();
-        // Every submitter is stopped (in-process clients joined, the pool's
-        // ingest stage shut down with it), so the admission counters
-        // are final: every attempt must be accounted for exactly once.
+        // The shard loops, the one submitter inside the cluster, are
+        // joined, so the admission counters are final: every attempt must
+        // be accounted for exactly once.
         for (i, pool) in self.pools.iter().enumerate() {
             let c = pool.counters();
             assert_eq!(
@@ -435,7 +408,6 @@ impl Cluster {
             elapsed: self.epoch.elapsed(),
             reports,
             records,
-            clients,
             restarts: std::mem::take(&mut self.restarts),
             batch_bytes,
         }
@@ -453,8 +425,6 @@ pub struct ClusterReport {
     pub reports: Vec<NodeReport>,
     /// Merged trace, sorted by timestamp.
     pub records: Vec<TraceRecord>,
-    /// Load-generator counters per client id, when the cluster ran any.
-    pub clients: Vec<(u32, ClientStats)>,
     /// Catch-up accounting for every node restart (ledger clusters only).
     pub restarts: Vec<RestartStat>,
     /// Digest → framed batch bytes, unioned over every node's batch store
@@ -870,7 +840,6 @@ mod tests {
                 metrics: MetricsRegistry::new(),
             }],
             records,
-            clients: Vec::new(),
             restarts: Vec::new(),
             batch_bytes: [(batch, bytes)].into(),
         };
@@ -906,11 +875,18 @@ mod tests {
     #[test]
     #[ignore = "flaky in the debug suite until the sealed-ahead cap is bounded (ROADMAP)"]
     fn payload_sweep_commits_real_txs_with_monotone_throughput() {
+        use crate::client::{ClientTarget, TxClient, TxClientConfig};
+
         let mut throughputs = Vec::new();
         for batch_bytes in [1_800usize, 18_000, 180_000] {
             let mut spec = ClusterSpec::new(4, ProtocolChoice::Pipelined);
             spec.load = Some(LoadSpec::digest(batch_bytes));
             let cluster = Cluster::launch(spec).unwrap();
+            let client = TxClient::start(
+                TxClientConfig { client_id: 0, tx_bytes: 180, txs_per_sec: 0 },
+                ClientTarget::InProcess(cluster.mempools().to_vec()),
+                cluster.epoch(),
+            );
             let deadline = Instant::now() + std::time::Duration::from_secs(30);
             // Height alone is a bad stop signal on a fast machine: view 8
             // can arrive before the assembler has sealed a single 180 kB
@@ -922,6 +898,7 @@ mod tests {
             {
                 std::thread::sleep(std::time::Duration::from_millis(50));
             }
+            let stats = client.stop();
             let report = cluster.stop();
             report.check_invariants().expect("no safety violations");
 
@@ -940,7 +917,6 @@ mod tests {
                 stages.mempool_queue.len() <= latencies.len(),
                 "{batch_bytes}B: more stage chains than committed txs"
             );
-            let &(_, stats) = report.clients.first().expect("load generator ran");
             assert!(stats.submitted > 0);
             assert_eq!(stats.accepted + stats.rejected, stats.submitted);
             // Exactly-once: the dedup window plus sealed-batch pinning must
@@ -971,16 +947,21 @@ mod tests {
     /// transaction may commit twice.
     #[test]
     fn digest_cluster_commits_with_fetch_covering_dropped_pushes() {
+        use crate::client::{ClientTarget, TxClient, TxClientConfig};
+
         let mut spec = ClusterSpec::new(4, ProtocolChoice::Pipelined);
         // Paced, not saturating: gate → fetch → serve does not need
         // multi-megabyte blocks, and a debug node hashing them misses the
         // 8 heights below about one suite run in five. The saturating +
         // starved-voter cell runs in release (`tests/smoke.rs`).
-        let mut load = LoadSpec::digest(18_000);
-        load.clients[0].txs_per_sec = 2_000;
-        spec.load = Some(load);
+        spec.load = Some(LoadSpec::digest(18_000));
         spec.drop_push_to = Some(NodeId(3));
         let cluster = Cluster::launch(spec).unwrap();
+        let client = TxClient::start(
+            TxClientConfig { client_id: 0, tx_bytes: 180, txs_per_sec: 2_000 },
+            ClientTarget::InProcess(cluster.mempools().to_vec()),
+            cluster.epoch(),
+        );
         let deadline = Instant::now() + std::time::Duration::from_secs(30);
         // Minimum window for the same reason as the payload sweep: give
         // the assemblers time to seal real batches before stopping.
@@ -991,6 +972,7 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(50));
         }
         let height = cluster.quorum_committed_height();
+        client.stop();
         let report = cluster.stop();
         assert!(height >= 8, "digest cluster only reached quorum height {height}");
 
@@ -1024,8 +1006,8 @@ mod tests {
 
     /// The over-TCP submission path: an external client (no hello, not a
     /// validator) writes `SubmitTx` frames at the nodes' listen sockets;
-    /// the pool's ingest stage feeds the mempools and the transactions end
-    /// up in committed blocks.
+    /// the shard loops that read them admit them into the mempools, and
+    /// the transactions end up in committed blocks.
     #[test]
     fn tcp_clients_submit_txs_that_commit() {
         use crate::client::{ClientTarget, TxClient, TxClientConfig};
@@ -1095,7 +1077,7 @@ mod tests {
         let p99 = |lat: &[u64]| lat[(lat.len() - 1) * 99 / 100];
         let run = |with_saturating: bool| -> u64 {
             let mut spec = ClusterSpec::new(4, ProtocolChoice::Pipelined);
-            spec.load = Some(LoadSpec::digest(1_800).without_clients());
+            spec.load = Some(LoadSpec::digest(1_800));
             let cluster = Cluster::launch(spec).unwrap();
             let addrs: Vec<SocketAddr> = cluster.peers().iter().map(|(_, a)| *a).collect();
             let paced = TxClient::start(

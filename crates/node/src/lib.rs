@@ -26,9 +26,9 @@
 //! * [`timer`] — a hashed [`TimerWheel`](timer::TimerWheel) for protocol
 //!   timers, keyed by microseconds since a shared cluster epoch.
 //! * [`netpool`] — the shared event-driven network core: a fixed set of
-//!   readiness-driven shard loops (via `moonshot-reactor`), one dialer,
-//!   a batched sigverify stage and a transaction ingest stage, shared by
-//!   every node in a process.
+//!   readiness-driven shard loops (via `moonshot-reactor`) that also admit
+//!   clients' `SubmitTx` frames into the mempool, one dialer and a batched
+//!   sigverify stage, shared by every node in a process.
 //! * [`transport`] — the per-node facade over the pool: bounded
 //!   drop-oldest outbound queues, exponential-backoff redial, and per-peer
 //!   traffic and fault counters.
@@ -44,7 +44,8 @@
 //!   ([`NodeReport::metrics`](runtime::NodeReport::metrics)).
 //! * [`cluster`] — N nodes in one process on loopback: launch, kill,
 //!   restart, and the merged report the benchmark reads.
-//! * [`client`] — the transaction load generator (in-process or TCP).
+//! * [`client`] — the transaction load generator (in-process or TCP),
+//!   the only load source in the crate; tests start it themselves.
 //! * [`config`] — static peer files, protocol selection, seed-derived keys.
 //!
 //! One binary ships with the crate: `moonshot-node` (run one validator).

@@ -28,12 +28,12 @@
 //!   call. Only verified messages are delivered to the owning driver
 //!   (as [`moonshot_consensus::PreVerified`]); failures count against the
 //!   sending peer.
-//! - **An ingest stage**: client `SubmitTx` frames are handed to a worker
-//!   that runs the tx hash + mempool admission off the event loops. Each
-//!   client connection may stage at most `SUBMIT_PAUSE_BYTES` (16 KiB) of
-//!   unprocessed submissions; past that the shard unregisters it until
-//!   the worker drains its backlog, so a flooding client is held in its
-//!   own TCP window and never stalls consensus traffic on the loop.
+//!
+//! A client's `SubmitTx` frame is admitted by the shard that reads it,
+//! through the same [`Mempool::submit_from`] every other submitter calls.
+//! A shard reads at most `READ_BUDGET` per connection visit and admits
+//! those bytes before it reads again, so a flooding client's surplus waits
+//! in its own socket: TCP is the backpressure.
 //!
 //! A pool is either **owned** by a single transport (created when
 //! `TransportConfig::pool` is `None`) or **shared** by an in-process
@@ -63,21 +63,9 @@ use crate::transport::{Inbound, InboundSender, OutboundQueue, PeerMetrics};
 
 /// Read at most this much per connection per wakeup before yielding to the
 /// next ready connection; the level-triggered reactor re-fires for the
-/// remainder.
+/// remainder. It also bounds what one client's flood costs a visit: the
+/// admission of one budget's worth of `SubmitTx` frames.
 const READ_BUDGET: usize = 256 * 1024;
-/// Pause reading a client connection once this many submitted-but-not-yet-
-/// admitted bytes from it sit in the ingest stage. Tx hashing and
-/// admission run on the ingest worker, not the shard loop; this budget is
-/// what turns a flooding client's backlog into TCP backpressure (its
-/// connection is unregistered until the worker drains it) instead of
-/// unbounded queue growth — which is exactly where delay-bounded
-/// admission wants the flood held.
-const SUBMIT_PAUSE_BYTES: usize = 16 * 1024;
-/// Resume a paused client connection when its staged bytes fall below
-/// this. The gap to [`SUBMIT_PAUSE_BYTES`] bounds resume-cmd churn.
-const SUBMIT_RESUME_BYTES: usize = 4 * 1024;
-/// Jobs the ingest worker drains per batch.
-const INGEST_DRAIN: usize = 64;
 /// Coalesce queued frames into vectored writes up to this many bytes.
 const WRITE_COALESCE: usize = 256 * 1024;
 /// At most this many `IoSlice`s per `write_vectored` (stays under IOV_MAX).
@@ -113,10 +101,6 @@ pub struct NetPoolStats {
     pub frames_processed: u64,
     /// Sigverify jobs dropped because the stage queue was full.
     pub verify_dropped: u64,
-    /// Sigverify jobs currently queued.
-    pub verify_queue_depth: u64,
-    /// Client submissions currently staged for the ingest worker.
-    pub ingest_queue_depth: u64,
 }
 
 /// Everything the event loops need to serve one attached transport.
@@ -161,12 +145,6 @@ enum Cmd {
     AddOutbound { core: Arc<NodeCore>, peer: NodeId, stream: TcpStream },
     CloseNode { core_id: u64, latch: Arc<Latch> },
     Redial { core: Arc<NodeCore>, peer: NodeId, after: Duration },
-    /// The ingest worker drained a paused client connection's backlog
-    /// below [`SUBMIT_RESUME_BYTES`]: re-register it for reads. Tokens
-    /// may be reused, so the handler re-checks that the entry is a paused
-    /// client; a spurious resume merely loosens backpressure for one
-    /// read visit.
-    ResumeRead { token: usize },
 }
 
 /// Shard-local timers, multiplexed on one [`TimerWheel`].
@@ -264,84 +242,12 @@ impl VerifyQueue {
     }
 }
 
-/// One client transaction awaiting hash + mempool admission on the ingest
-/// worker. `bytes` mirrors what the shard added to `inflight` so the
-/// worker's subtraction is exactly symmetric.
-struct SubmitJob {
-    mempool: Arc<Mempool>,
-    client: u32,
-    tx: Vec<u8>,
-    inflight: Arc<AtomicUsize>,
-    bytes: usize,
-    shard: usize,
-    token: usize,
-}
-
-/// The ingest stage's queue: one sub-queue per connection, drained
-/// round-robin. A single FIFO would let one flooding client park hundreds
-/// of transactions ahead of every paced client's next submission; round-
-/// robin bounds any client's wait to one job per live connection, which is
-/// the fairness the thread-per-connection transport got from the scheduler
-/// for free. Unbounded as a structure: the real bound is per-connection —
-/// a client with [`SUBMIT_PAUSE_BYTES`] staged here is paused by its
-/// shard, so total depth is `O(clients)`.
-struct IngestQueue {
-    state: Mutex<IngestState>,
-    signal: Condvar,
-}
-
-#[derive(Default)]
-struct IngestState {
-    /// `((shard, token), jobs)` per connection with staged submissions.
-    /// Linear scan: live client connections are few. A token reused by a
-    /// successor connection briefly shares the sub-queue; per-client order
-    /// still holds (a client's stream maps to one connection at a time).
-    queues: Vec<((usize, usize), VecDeque<SubmitJob>)>,
-    cursor: usize,
-    total: usize,
-}
-
-impl IngestQueue {
-    fn push(&self, job: SubmitJob) {
-        let mut st = self.state.lock().unwrap();
-        let key = (job.shard, job.token);
-        match st.queues.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, q)) => q.push_back(job),
-            None => st.queues.push((key, VecDeque::from([job]))),
-        }
-        st.total += 1;
-        drop(st);
-        self.signal.notify_one();
-    }
-
-    /// Pops up to `max` jobs round-robin across connections into `batch`.
-    fn drain_rr(&self, st: &mut IngestState, batch: &mut Vec<SubmitJob>, max: usize) {
-        while batch.len() < max && st.total > 0 {
-            let n = st.queues.len();
-            for _ in 0..n {
-                if batch.len() >= max {
-                    break;
-                }
-                let i = st.cursor % n;
-                st.cursor = (st.cursor + 1) % n;
-                if let Some(job) = st.queues[i].1.pop_front() {
-                    batch.push(job);
-                    st.total -= 1;
-                }
-            }
-        }
-        st.queues.retain(|(_, q)| !q.is_empty());
-        st.cursor = 0;
-    }
-}
-
 /// A fixed-size pool of event-loop shards + dialer + sigverify workers,
 /// shared by one or many transports. Create with [`NetPool::new`], tear
 /// down with [`NetPool::shutdown`] after every attached transport stopped.
 pub struct NetPool {
     shards: Vec<Arc<ShardHandle>>,
     verify: Arc<VerifyQueue>,
-    ingest: Arc<IngestQueue>,
     dial_tx: Mutex<Sender<DialReq>>,
     shutdown: Arc<AtomicBool>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -357,7 +263,7 @@ impl std::fmt::Debug for NetPool {
 
 impl NetPool {
     /// Spawns the pool's threads: `min(cores, 8)` event-loop shards, one
-    /// dialer, `min(cores, 4)` sigverify workers, one ingest worker.
+    /// dialer, `min(cores, 4)` sigverify workers.
     #[allow(clippy::new_ret_no_self)]
     pub fn new() -> io::Result<Arc<NetPool>> {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -386,10 +292,6 @@ impl NetPool {
             capacity: VERIFY_QUEUE_CAPACITY,
             dropped: AtomicU64::new(0),
         });
-        let ingest = Arc::new(IngestQueue {
-            state: Mutex::new(IngestState::default()),
-            signal: Condvar::new(),
-        });
 
         let mut threads = Vec::new();
         for (idx, poller) in pollers.into_iter().enumerate() {
@@ -408,7 +310,6 @@ impl NetPool {
                 shutdown: shutdown.clone(),
                 dial_tx: dial_tx.clone(),
                 verify: verify.clone(),
-                ingest: ingest.clone(),
                 events: Vec::new(),
                 buf: vec![0u8; 64 * 1024],
             };
@@ -439,24 +340,10 @@ impl NetPool {
                     .expect("spawn verify worker"),
             );
         }
-        {
-            // One ingest worker: per-client submission order is preserved,
-            // and admission throughput is hash-bound, not thread-bound.
-            let ingest = ingest.clone();
-            let shards = handles.clone();
-            let shutdown = shutdown.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("net-ingest".into())
-                    .spawn(move || ingest_worker(ingest, shards, shutdown))
-                    .expect("spawn ingest worker"),
-            );
-        }
 
         Ok(Arc::new(NetPool {
             shards: handles,
             verify,
-            ingest,
             dial_tx: Mutex::new(dial_tx),
             shutdown,
             threads: Mutex::new(threads),
@@ -478,8 +365,6 @@ impl NetPool {
             loop_wakeups: wakeups,
             frames_processed: frames,
             verify_dropped: self.verify.dropped.load(Ordering::Relaxed),
-            verify_queue_depth: self.verify.jobs.lock().unwrap().len() as u64,
-            ingest_queue_depth: self.ingest.state.lock().unwrap().total as u64,
         }
     }
 
@@ -529,7 +414,6 @@ impl NetPool {
             let _ = s.waker.wake();
         }
         self.verify.signal.notify_all();
-        self.ingest.signal.notify_all();
         let threads = std::mem::take(&mut *self.threads.lock().unwrap());
         for t in threads {
             let _ = t.join();
@@ -653,43 +537,6 @@ fn verify_worker(q: Arc<VerifyQueue>, shutdown: Arc<AtomicBool>) {
 }
 
 // ---------------------------------------------------------------------------
-// Ingest stage
-// ---------------------------------------------------------------------------
-
-/// Runs tx hashing + mempool admission off the event loops, and resumes
-/// paused client connections whose staged backlog drains below
-/// [`SUBMIT_RESUME_BYTES`]. The downward threshold crossing is detected
-/// atomically by `fetch_sub`, so exactly one resume command fires per
-/// descent — and every pause (which requires a prior ascent past
-/// [`SUBMIT_PAUSE_BYTES`]) is followed by such a descent, so a paused
-/// connection is never stranded.
-fn ingest_worker(q: Arc<IngestQueue>, shards: Vec<Arc<ShardHandle>>, shutdown: Arc<AtomicBool>) {
-    let mut batch: Vec<SubmitJob> = Vec::with_capacity(INGEST_DRAIN);
-    loop {
-        {
-            let mut st = q.state.lock().unwrap();
-            while st.total == 0 {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let (guard, _) =
-                    q.signal.wait_timeout(st, Duration::from_millis(100)).unwrap();
-                st = guard;
-            }
-            q.drain_rr(&mut st, &mut batch, INGEST_DRAIN);
-        }
-        for job in batch.drain(..) {
-            let _ = job.mempool.submit_from(job.client, job.tx);
-            let prev = job.inflight.fetch_sub(job.bytes, Ordering::AcqRel);
-            let new = prev.saturating_sub(job.bytes);
-            if prev > SUBMIT_RESUME_BYTES && new <= SUBMIT_RESUME_BYTES {
-                shards[job.shard].push_cmd(Cmd::ResumeRead { token: job.token });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Shard event loop
 // ---------------------------------------------------------------------------
 
@@ -775,15 +622,6 @@ struct InConn {
     stream: TcpStream,
     reader: FrameReader,
     from: Option<NodeId>,
-    /// Whether this connection has submitted transactions (client, not
-    /// validator): it becomes pausable under ingest-stage backpressure.
-    client: bool,
-    /// Bytes this connection has staged in the ingest queue, not yet
-    /// admitted. Shared with [`SubmitJob`]s; crossing
-    /// [`SUBMIT_PAUSE_BYTES`] pauses the connection.
-    submit_inflight: Arc<AtomicUsize>,
-    /// Reads unregistered until the ingest worker sends `ResumeRead`.
-    paused: bool,
 }
 
 /// A dialed, write-mostly connection to one peer. Registered readable too,
@@ -807,8 +645,6 @@ struct OutConn {
 enum ReadVerdict {
     Keep,
     Close,
-    /// Client over its ingest budget: unregister reads until resumed.
-    Pause,
 }
 
 struct Runner {
@@ -825,7 +661,6 @@ struct Runner {
     shutdown: Arc<AtomicBool>,
     dial_tx: Sender<DialReq>,
     verify: Arc<VerifyQueue>,
-    ingest: Arc<IngestQueue>,
     events: Vec<Event>,
     buf: Vec<u8>,
 }
@@ -972,22 +807,6 @@ impl Runner {
                 let at = SimTime(self.now().0 + after.as_micros() as u64);
                 self.wheel.arm(at, ShardTimer::Redial { core, peer });
             }
-            Cmd::ResumeRead { token } => {
-                if let Some(Some(Entry::In(c))) = self.entries.get_mut(token) {
-                    if c.paused
-                        && c.submit_inflight.load(Ordering::Acquire) < SUBMIT_PAUSE_BYTES
-                    {
-                        c.paused = false;
-                        let _ = self.poller.reregister(
-                            c.stream.as_raw_fd(),
-                            token,
-                            Interest::READABLE,
-                        );
-                        // Level-triggered: buffered bytes re-fire on the
-                        // next wait; no manual read needed here.
-                    }
-                }
-            }
         }
     }
 
@@ -1066,9 +885,6 @@ impl Runner {
                         stream,
                         reader: FrameReader::new(),
                         from: None,
-                        client: false,
-                        submit_inflight: Arc::new(AtomicUsize::new(0)),
-                        paused: false,
                     }));
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
@@ -1081,7 +897,7 @@ impl Runner {
     fn drive_read(&mut self, token: usize) {
         let Some(Some(Entry::In(_))) = self.entries.get(token) else { return };
         let Some(Entry::In(mut c)) = self.entries[token].take() else { return };
-        match self.pump_in(&mut c, token) {
+        match self.pump_in(&mut c) {
             ReadVerdict::Keep => {
                 self.entries[token] = Some(Entry::In(c));
             }
@@ -1089,19 +905,13 @@ impl Runner {
                 let _ = self.poller.deregister(c.stream.as_raw_fd());
                 self.free.push(token);
             }
-            ReadVerdict::Pause => {
-                let _ =
-                    self.poller.reregister(c.stream.as_raw_fd(), token, Interest::NONE);
-                c.paused = true;
-                self.entries[token] = Some(Entry::In(c));
-            }
         }
     }
 
     /// The translated reader loop: drain the socket (bounded per wakeup),
     /// frame, dispatch. Mirrors the retired thread-per-connection
     /// `reader_loop` byte for byte in its dispatch semantics.
-    fn pump_in(&mut self, c: &mut InConn, token: usize) -> ReadVerdict {
+    fn pump_in(&mut self, c: &mut InConn) -> ReadVerdict {
         let mut consumed = 0usize;
         loop {
             let n = match c.stream.read(&mut self.buf) {
@@ -1120,7 +930,7 @@ impl Runner {
             loop {
                 match c.reader.next_frame() {
                     Ok(Some(frame)) => {
-                        if let ReadVerdict::Close = self.handle_frame(c, frame, n, token) {
+                        if let ReadVerdict::Close = self.handle_frame(c, frame, n) {
                             return ReadVerdict::Close;
                         }
                     }
@@ -1133,12 +943,6 @@ impl Runner {
                         return ReadVerdict::Close;
                     }
                 }
-            }
-            // Client over its ingest budget: stop reading mid-visit so its
-            // unread flood stays in the socket (TCP backpressure), and
-            // unregister until the ingest worker drains the staged part.
-            if c.client && c.submit_inflight.load(Ordering::Acquire) >= SUBMIT_PAUSE_BYTES {
-                return ReadVerdict::Pause;
             }
             consumed += n;
             // A short read emptied the socket: asking again would only buy
@@ -1153,15 +957,8 @@ impl Runner {
     }
 
     /// One decoded frame; `chunk_len` is the size of the read that carried
-    /// it (for hello byte attribution), `token` the connection's slab slot
-    /// (for ingest-stage resume routing).
-    fn handle_frame(
-        &mut self,
-        c: &mut InConn,
-        frame: Frame,
-        chunk_len: usize,
-        token: usize,
-    ) -> ReadVerdict {
+    /// it (for hello byte attribution).
+    fn handle_frame(&mut self, c: &mut InConn, frame: Frame, chunk_len: usize) -> ReadVerdict {
         self.handle.frames.fetch_add(1, Ordering::Relaxed);
         match frame {
             Frame::Hello { node } => {
@@ -1176,24 +973,11 @@ impl Runner {
             }
             Frame::SubmitTx { client, tx } => {
                 // Client submissions need no hello: clients are not
-                // validators. The shard only frames and stages them; the
-                // tx hash, dedup and admission control run on the ingest
-                // worker so a flood never stalls consensus traffic here.
-                // The driver never sees raw submissions; the mempool's
+                // validators. The shard admits them here, in read order;
+                // the driver never sees raw submissions, and the mempool's
                 // counters record the outcome.
-                c.client = true;
                 if let Some(pool) = &c.core.mempool {
-                    let bytes = tx.len().max(1);
-                    c.submit_inflight.fetch_add(bytes, Ordering::AcqRel);
-                    self.ingest.push(SubmitJob {
-                        mempool: pool.clone(),
-                        client,
-                        tx,
-                        inflight: c.submit_inflight.clone(),
-                        bytes,
-                        shard: self.idx,
-                        token,
-                    });
+                    let _ = pool.submit_from(client, tx);
                 }
             }
             Frame::BatchPush { digest, bytes } | Frame::BatchResponse { digest, bytes } => {

@@ -552,6 +552,9 @@ impl Driver {
             mempool: self.mempool.as_ref().map(|p| p.len()).unwrap_or(0),
         };
         self.sink.record(TraceRecord { at: now, event });
+        // A wedged node is often killed rather than stopped: the stall
+        // record must reach a buffered trace file now, not at stop.
+        self.sink.flush();
     }
 
     /// The node's numbers for its report, read once when the driver stops

@@ -129,10 +129,11 @@ pub struct TransportConfig {
     pub listen: SocketAddr,
     /// All peers (entries for `node_id` itself are ignored).
     pub peers: Vec<(NodeId, SocketAddr)>,
-    /// When set, `SubmitTx` frames from client connections are fed into
-    /// this mempool by the pool's ingest stage (hash + admission control
-    /// there, never on the driver). When `None` — a consensus-only node
-    /// proposing empty blocks — submissions are ignored.
+    /// When set, `SubmitTx` frames from client connections are admitted
+    /// into this mempool by the shard loop that reads them (hash and
+    /// admission control there, never on the driver). When `None` — a
+    /// consensus-only node proposing empty blocks — submissions are
+    /// ignored.
     pub mempool: Option<Arc<Mempool>>,
     /// The node's dissemination plane: shard loops validate and store
     /// `BatchPush`/`BatchResponse` frames into its batch store and answer
@@ -245,8 +246,8 @@ impl OutboundQueue {
     /// byte budgets hold. The newest frame is always queued (so one frame
     /// larger than the whole byte budget still gets sent; the queue's
     /// memory is bounded by `max(byte_capacity, largest frame)`). Returns
-    /// the number of frames dropped and the new depth.
-    pub(crate) fn push(&self, frame: Arc<Vec<u8>>) -> (u64, u64) {
+    /// the number of frames dropped.
+    pub(crate) fn push(&self, frame: Arc<Vec<u8>>) -> u64 {
         let mut inner = self.frames.lock().unwrap();
         let mut dropped = 0;
         while !inner.queue.is_empty()
@@ -260,8 +261,7 @@ impl OutboundQueue {
         }
         inner.bytes += frame.len();
         inner.queue.push_back(frame);
-        let depth = (inner.queue.len() + inner.protected.len()) as u64;
-        (dropped, depth)
+        dropped
     }
 
     /// Enqueues a frame in the **protected** class. Protected frames are
@@ -401,7 +401,7 @@ impl Transport {
     /// Queues `frame` for `peer`. Never blocks: a full queue drops its
     /// oldest frames.
     fn enqueue(&self, peer: &Arc<PeerState>, frame: Arc<Vec<u8>>) {
-        let (dropped, _) = peer.queue.push(frame);
+        let dropped = peer.queue.push(frame);
         peer.metrics.dropped_frames.fetch_add(dropped, Ordering::Relaxed);
         self.pool.nudge_peer(peer);
     }
@@ -511,10 +511,9 @@ mod tests {
     fn queue_drops_oldest_when_full() {
         let q = OutboundQueue::new(2, usize::MAX, usize::MAX);
         let f = |b: u8| Arc::new(vec![b]);
-        assert_eq!(q.push(f(1)).0, 0);
-        assert_eq!(q.push(f(2)).0, 0);
-        let (dropped, depth) = q.push(f(3));
-        assert_eq!((dropped, depth), (1, 2));
+        assert_eq!(q.push(f(1)), 0);
+        assert_eq!(q.push(f(2)), 0);
+        assert_eq!((q.push(f(3)), q.depth()), (1, 2));
         assert_eq!(q.pop().unwrap()[0], 2); // 1 was dropped
         assert_eq!(q.pop().unwrap()[0], 3);
     }
@@ -529,7 +528,7 @@ mod tests {
         let q = OutboundQueue::new(1024, BUDGET, usize::MAX);
         let mut dropped_total = 0;
         for i in 0..100u8 {
-            dropped_total += q.push(Arc::new(vec![i; FRAME])).0;
+            dropped_total += q.push(Arc::new(vec![i; FRAME]));
         }
         assert!(q.buffered_bytes() <= BUDGET, "buffered {} > budget", q.buffered_bytes());
         assert!(dropped_total >= 95, "expected most frames evicted, dropped {dropped_total}");
@@ -549,8 +548,7 @@ mod tests {
         let q = OutboundQueue::new(1024, 1024, usize::MAX);
         q.push(Arc::new(vec![1; 4096]));
         assert_eq!(q.depth(), 1);
-        let (dropped, depth) = q.push(Arc::new(vec![2; 8]));
-        assert_eq!((dropped, depth), (1, 1)); // oversized head evicted
+        assert_eq!((q.push(Arc::new(vec![2; 8])), q.depth()), (1, 1)); // oversized head evicted
         assert_eq!(q.pop().unwrap()[0], 2);
     }
 

@@ -124,6 +124,53 @@ fn four_node_processes_commit_submitted_transactions_through_the_dissemination_p
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A node that can never reach a quorum — node 0 of four, started alone —
+/// records a `stall` once 40 Δ pass without a commit, and the record is in
+/// its trace file while the process still runs: an operator diagnosing a
+/// wedge kills the node, and a record still buffered at the kill is lost.
+#[test]
+fn a_wedged_node_writes_its_stall_record_before_it_is_killed() {
+    let dir = std::env::temp_dir().join(format!("moonshot-node-stall-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let addrs: Vec<SocketAddr> = (0..4)
+        .map(|_| TcpListener::bind("127.0.0.1:0").unwrap())
+        .collect::<Vec<_>>()
+        .iter()
+        .map(|l| l.local_addr().unwrap())
+        .collect();
+    let peers =
+        ClusterConfig { nodes: (0..4).map(|i| (NodeId(i as u16), addrs[i])).collect() };
+    let config = dir.join("cluster.conf");
+    std::fs::write(&config, peers.to_text()).unwrap();
+    let trace = dir.join("node-0.jsonl");
+
+    let spawned = Instant::now();
+    let mut node = Command::new(env!("CARGO_BIN_EXE_moonshot-node"))
+        .args(["run", "--protocol", "pm", "--delta-ms", "20", "--duration-secs", "0"])
+        .args(["--id", "0"])
+        .arg("--config")
+        .arg(&config)
+        .arg("--trace")
+        .arg(&trace)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn moonshot-node");
+    let stalled = |text: &str| text.lines().any(|l| string(l, "kind") == Some("stall"));
+    let mut seen = false;
+    while !seen && spawned.elapsed() < Duration::from_secs(3) {
+        std::thread::sleep(Duration::from_millis(20));
+        seen = std::fs::read_to_string(&trace).is_ok_and(|t| stalled(&t));
+    }
+    let running = node.try_wait().expect("poll moonshot-node").is_none();
+    let _ = node.kill();
+    let _ = node.wait();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(running, "the wedged node exited on its own");
+    assert!(seen, "no stall record in the trace file within 3 s of the spawn");
+}
+
 /// A flag `run` does not take, or a value it cannot parse, is a usage
 /// error — exit status 2, the flag named on stderr — before anything else
 /// is looked at: not a node that silently runs without it.

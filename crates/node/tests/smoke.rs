@@ -2,13 +2,14 @@
 //! measures unoptimised SHA-256, not the system. CI runs them with
 //! `cargo test --release -p moonshot-node --test smoke -- --ignored --test-threads 1`.
 
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use moonshot_mempool::{make_tx, BATCH_TX_OVERHEAD};
 use moonshot_node::{
-    process_threads, Cluster, ClusterReport, ClusterSpec, LoadSpec, NodeReport, ProtocolChoice,
-    ShapeMatrix,
+    process_threads, ClientTarget, Cluster, ClusterReport, ClusterSpec, LoadSpec, NodeReport,
+    ProtocolChoice, ShapeMatrix, TxClient, TxClientConfig,
 };
 use moonshot_types::time::SimDuration;
 use moonshot_types::NodeId;
@@ -22,6 +23,11 @@ fn p99_ms(sorted_us: &[u64]) -> f64 {
     sorted_us.get(sorted_us.len().saturating_sub(1) * 99 / 100).map_or(0.0, |&us| us as f64 / 1e3)
 }
 
+/// p50 of an ascending sample vector, in ms (0 when empty).
+fn p50_ms(sorted_us: &[u64]) -> f64 {
+    sorted_us.get(sorted_us.len().saturating_sub(1) / 2).map_or(0.0, |&us| us as f64 / 1e3)
+}
+
 /// Saturation with a starved voter on durable ledgers: one unthrottled
 /// client, every `BatchPush` to node 3 dropped so only the fetch path can
 /// resolve its refs, then a drain so exactly-once is an equality.
@@ -30,17 +36,23 @@ fn p99_ms(sorted_us: &[u64]) -> f64 {
 fn saturated_cluster_with_starved_voter_stays_bounded_and_exactly_once() {
     let dir = std::env::temp_dir().join(format!("moonshot-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let load = LoadSpec::digest(1_800);
-    let framed = (load.clients[0].tx_bytes + BATCH_TX_OVERHEAD) as u64;
+    let client_cfg = TxClientConfig { client_id: 0, tx_bytes: 180, txs_per_sec: 0 };
+    let framed = (client_cfg.tx_bytes + BATCH_TX_OVERHEAD) as u64;
     let mut spec = ClusterSpec::new(4, ProtocolChoice::Pipelined);
-    spec.load = Some(load);
+    spec.load = Some(LoadSpec::digest(1_800));
     spec.drop_push_to = Some(NodeId(3));
     spec.data_dir = Some(dir.clone());
     let mut cluster = Cluster::launch(spec).expect("launch");
+    let client = TxClient::start(
+        client_cfg,
+        ClientTarget::InProcess(cluster.mempools().to_vec()),
+        cluster.epoch(),
+    );
     // Long enough for every ledger to pass its 256-block snapshot cadence
     // (saturated blocks are megabytes: about 30 a second on two cores).
     std::thread::sleep(Duration::from_secs(12));
-    // Generators off, then every node waits out what it accepted.
+    // Generator off, then every node waits out what it accepted.
+    client.stop();
     let drained = cluster.drain(Duration::from_secs(30));
     let report = cluster.stop();
     let _ = std::fs::remove_dir_all(&dir);
@@ -99,6 +111,74 @@ fn saturated_cluster_with_starved_voter_stays_bounded_and_exactly_once() {
     let (wal, compactions) =
         (sum(&report, "ledger.wal_bytes"), sum(&report, "ledger.wal_compactions"));
     assert!(compactions > 0 && wal < 2_000_000, "wal_bytes={wal} wal_compactions={compactions}");
+}
+
+/// A TCP flood beside a paced TCP client. Each node's shard loop admits
+/// every `SubmitTx` frame it reads, on the thread that also reads the
+/// node's consensus traffic, so here the flood costs the loops admission
+/// work: the cluster must keep committing, commit the paced client's
+/// transactions, drain, and commit exactly what the mempools accepted,
+/// once. No latency bound on the paced client (the sealed-ahead FIFO owns
+/// its tail); the numbers are printed for the record.
+#[test]
+#[ignore = "release-only: run with --release -- --ignored"]
+fn tcp_flood_beside_a_paced_client_keeps_the_cluster_committing() {
+    let flood_cfg = TxClientConfig { client_id: 0, tx_bytes: 180, txs_per_sec: 0 };
+    let paced_cfg = TxClientConfig { client_id: 1, tx_bytes: 180, txs_per_sec: 500 };
+    let framed = (flood_cfg.tx_bytes + BATCH_TX_OVERHEAD) as u64;
+    let mut spec = ClusterSpec::new(4, ProtocolChoice::Pipelined);
+    spec.load = Some(LoadSpec::digest(1_800));
+    let mut cluster = Cluster::launch(spec).expect("launch");
+    let addrs: Vec<SocketAddr> = cluster.peers().iter().map(|&(_, a)| a).collect();
+    let flood = TxClient::start(flood_cfg, ClientTarget::Tcp(addrs.clone()), cluster.epoch());
+    let paced = TxClient::start(paced_cfg, ClientTarget::Tcp(addrs), cluster.epoch());
+    std::thread::sleep(Duration::from_secs(12));
+    let written = flood.stop().accepted + paced.stop().accepted;
+    // Every frame written must be read and admitted before the pools can
+    // be drained: the sockets may still hold the flood's tail.
+    let read = |cluster: &Cluster| -> u64 {
+        cluster.mempools().iter().map(|p| p.counters().submitted).sum()
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while read(&cluster) < written && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let drained = read(&cluster) == written
+        && cluster.drain(deadline.saturating_duration_since(Instant::now()));
+    let report = cluster.stop();
+
+    report.check_invariants().expect("no safety violations");
+    let committed = report.quorum_committed_blocks();
+    let commits = report.commit_latencies_us();
+    let by_client = report.tx_latencies_by_client_us();
+    let paced_lat = by_client.get(&1).map_or(&[][..], Vec::as_slice);
+    let (accepted, refused) = (sum(&report, "mempool.accepted"), sum(&report, "mempool.rejected"));
+    println!(
+        "tcp flood: {committed} quorum-committed blocks, commit p50 {:.1} ms p99 {:.1} ms, \
+         paced tx p50 {:.1} ms p99 {:.1} ms ({} txs), accepted {accepted}, refused {refused}",
+        p50_ms(&commits),
+        p99_ms(&commits),
+        p50_ms(paced_lat),
+        p99_ms(paced_lat),
+        paced_lat.len(),
+    );
+    assert!(committed >= 50, "only {committed} quorum-committed blocks (need 50)");
+    assert!(!paced_lat.is_empty(), "the paced client's transactions never committed");
+
+    // The drain completed, and the commit list holds exactly what the
+    // mempools accepted (one transaction size, as in the saturated smoke).
+    let in_list = |r: &NodeReport| -> u64 {
+        let refs = r.commits.iter().filter_map(|c| c.block.payload().batch_refs());
+        refs.flatten().map(|b| b.bytes / framed).sum()
+    };
+    let listed = report.reports.iter().map(in_list).max().unwrap_or(0);
+    assert!(
+        drained && listed == accepted && accepted > 0,
+        "after the drain (completed: {drained}) the commit list holds {listed} \
+         transactions, the mempools accepted {accepted}"
+    );
+    let dups = report.duplicate_committed_txs();
+    assert_eq!(dups, 0, "{dups} transactions committed more than once");
 }
 
 /// The event-driven core's reason to exist: 50 validators in one process,

@@ -58,9 +58,6 @@ impl Interest {
     pub const WRITABLE: Interest = Interest { readable: false, writable: true };
     /// Both readable and writable.
     pub const BOTH: Interest = Interest { readable: true, writable: true };
-    /// Neither: the fd stays registered but only reports peer hangup.
-    /// Use to pause a connection (backpressure) without losing its slot.
-    pub const NONE: Interest = Interest { readable: false, writable: false };
 }
 
 /// One readiness notification from [`Poller::wait`].
