@@ -1,11 +1,11 @@
 //! The batch dissemination plane's node-local state.
 //!
 //! Proposals carry [`moonshot_types::BatchRef`]s, never transaction
-//! bytes: the assembler seals a batch, hashes it once
-//! ([`batch_digest`]) on its own thread, and hands it to the driver through
-//! a [`DissemQueue`]. The driver stores the bytes and broadcasts them as a
-//! `BatchPush` frame, and every node — the sealer after its push, the
-//! others on arrival — enters the batch into its [`ProposablePool`]:
+//! bytes: the driver seals a batch ([`crate::seal`]), hashes it once
+//! ([`batch_digest`]), stores the bytes and broadcasts them as a
+//! `BatchPush` frame, all in one step, and every node — the sealer after
+//! its push, the others on arrival — enters the batch into its
+//! [`ProposablePool`]:
 //! whoever leads next proposes every batch it holds that no block has
 //! carried yet, not only the ones it sealed. A voter whose copy of the push
 //! is still on the way (or was lost) recovers through the
@@ -15,17 +15,15 @@
 //! Ownership: the [`BatchStore`] is shared between the network pool's
 //! shard loops (which validate and insert pushed/fetched batches and serve
 //! fetch requests) and the driver (which gates voting on resolvability and
-//! reconstructs payload bytes at commit). The [`DissemQueue`] is shared
-//! between the assembler thread (producer of sealed batches) and the
-//! driver (pusher); the [`ProposablePool`] is written by the driver and
-//! read by the payload source it calls. All state is internally locked; no
-//! method blocks on anything but a short mutex.
+//! reconstructs payload bytes at commit); the [`ProposablePool`] is
+//! written by the driver and read by the payload source it calls. All
+//! state is internally locked; no method blocks on anything but a short
+//! mutex.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::thread::Thread;
+use std::sync::{Arc, Mutex};
 
 use moonshot_crypto::Digest;
 use moonshot_types::BatchRef;
@@ -266,109 +264,13 @@ impl fmt::Debug for BatchStore {
     }
 }
 
-/// A sealed batch travelling from the assembler to the driver's push path.
-#[derive(Clone, Debug)]
-pub struct SealedBatch {
-    /// [`batch_digest`] of `bytes`, computed on the assembler thread.
-    pub digest: Digest,
-    /// The framed batch bytes ([`crate::batch::encode_batch`]).
-    pub bytes: Arc<[u8]>,
-    /// Transactions in the batch.
-    pub tx_count: u64,
-    /// Seal time in µs since the cluster epoch (`BatchSealed` stage stamp).
-    pub sealed_at_us: u64,
-}
-
-impl SealedBatch {
-    /// The proposal-side reference to this batch.
-    pub fn batch_ref(&self) -> BatchRef {
-        BatchRef { digest: self.digest, bytes: self.bytes.len() as u64 }
-    }
-}
-
-#[derive(Debug, Default)]
-struct QueueInner {
-    /// Sealed, not yet pushed (assembler → driver).
-    sealed: VecDeque<SealedBatch>,
-    /// Bytes in `sealed`: the part of the assembler's backlog still ahead
-    /// of the push step.
-    sealed_bytes: u64,
-}
-
-/// The assembler → driver handoff: the assembler appends sealed batches,
-/// the driver takes them, stores and broadcasts their bytes, and only then
-/// enters them into its [`ProposablePool`]. Push-before-propose is thus
-/// structural: a ref this node sealed can only be proposed *by this node*
-/// after its bytes were handed to every peer's send queue, and per-peer
-/// TCP FIFO keeps the push ahead of the proposal on the wire. (Another
-/// node proposes it only after receiving that push.)
-///
-/// The driver does not poll for sealed batches: see
-/// [`on_sealed`](DissemQueue::on_sealed).
-#[derive(Default)]
-pub struct DissemQueue {
-    inner: Mutex<QueueInner>,
-    /// The driver's wake-up. Re-settable: a restarted node's new driver
-    /// takes over the plane its predecessor left.
-    on_sealed: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
-}
-
-impl fmt::Debug for DissemQueue {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("DissemQueue").field("inner", &self.inner).finish_non_exhaustive()
-    }
-}
-
-impl DissemQueue {
-    /// An empty queue.
-    pub fn new() -> DissemQueue {
-        DissemQueue::default()
-    }
-
-    /// Registers what wakes the driver when the sealed stage goes from
-    /// empty to non-empty (replacing any earlier registration). A driver
-    /// that leaves batches behind in [`take_sealed`](DissemQueue::take_sealed)
-    /// gets no second call for them and must come back on its own.
-    pub fn on_sealed(&self, wake: impl Fn() + Send + Sync + 'static) {
-        *self.on_sealed.lock().unwrap() = Some(Box::new(wake));
-    }
-
-    /// Appends a sealed batch (assembler thread).
-    pub fn push_sealed(&self, batch: SealedBatch) {
-        let mut inner = self.inner.lock().unwrap();
-        inner.sealed_bytes += batch.bytes.len() as u64;
-        let was_empty = inner.sealed.is_empty();
-        inner.sealed.push_back(batch);
-        drop(inner);
-        if was_empty {
-            if let Some(wake) = &*self.on_sealed.lock().unwrap() {
-                wake();
-            }
-        }
-    }
-
-    /// Takes up to `max` sealed batches for pushing (driver).
-    pub fn take_sealed(&self, max: usize) -> Vec<SealedBatch> {
-        let mut inner = self.inner.lock().unwrap();
-        let n = inner.sealed.len().min(max);
-        let taken: Vec<SealedBatch> = inner.sealed.drain(..n).collect();
-        inner.sealed_bytes -= taken.iter().map(|b| b.bytes.len() as u64).sum::<u64>();
-        taken
-    }
-
-    /// Sealed batches awaiting push (diagnostics).
-    pub fn sealed_len(&self) -> usize {
-        self.inner.lock().unwrap().sealed.len()
-    }
-}
-
 /// What a node knows about one batch digest.
 #[derive(Debug, Default)]
 struct PoolEntry {
     /// Arrival order. Keys the entry in `pending` and survives a requeue,
     /// so an orphaned batch goes back to its old place in the line.
     seq: u64,
-    /// Sealed here: counts toward the assembler's backlog while pending.
+    /// Sealed here: counts toward the node's backlog while pending.
     own: bool,
     /// The bytes are in the local store. A ref first seen inside a block is
     /// not proposable until they are.
@@ -455,29 +357,12 @@ impl PoolInner {
 #[derive(Debug, Default)]
 pub struct ProposablePool {
     inner: Mutex<PoolInner>,
-    /// The assembler thread, parked while its backlog sits at the cap.
-    sealer: OnceLock<Thread>,
 }
 
 impl ProposablePool {
-    /// Names `sealer` as the thread to unpark whenever one of this node's
-    /// own batches leaves `pending`. One sealer per pool; later calls are
-    /// ignored.
-    pub fn wake_on_drain(&self, sealer: Thread) {
-        let _ = self.sealer.set(sealer);
-    }
-
-    /// Runs `f` on the state and unparks the sealer if own backlog fell.
+    /// Runs `f` on the state.
     fn with<R>(&self, f: impl FnOnce(&mut PoolInner) -> R) -> R {
-        let mut inner = self.inner.lock().unwrap();
-        let before = inner.own_pending_bytes;
-        let r = f(&mut inner);
-        let fell = inner.own_pending_bytes < before;
-        drop(inner);
-        if let (true, Some(sealer)) = (fell, self.sealer.get()) {
-            sealer.unpark();
-        }
-        r
+        f(&mut self.inner.lock().unwrap())
     }
 
     /// The bytes of `batch` are in the local store: sealed here and just
@@ -554,16 +439,13 @@ impl ProposablePool {
 }
 
 /// Everything the dissemination plane shares across threads on one node:
-/// the store (readers + driver), the queue (assembler + driver), the pool
-/// (driver + payload source) and the counters (everyone). One
-/// `Arc<DissemPlane>` is threaded through the transport config, the
-/// driver, and the assembler.
+/// the store (readers + driver), the pool (driver + payload source) and
+/// the counters (everyone). One `Arc<DissemPlane>` is threaded through the
+/// transport config and the driver.
 #[derive(Debug)]
 pub struct DissemPlane {
     /// The content-addressed batch store.
     pub store: BatchStore,
-    /// The assembler → driver handoff queue.
-    pub queue: DissemQueue,
     /// What this node would propose next.
     pub pool: ProposablePool,
     /// Shared counters (`dissem.*` metrics).
@@ -576,17 +458,17 @@ impl DissemPlane {
         let counters = Arc::new(DissemCounters::default());
         Arc::new(DissemPlane {
             store: BatchStore::new(store_budget_bytes, counters.clone()),
-            queue: DissemQueue::new(),
             pool: ProposablePool::default(),
             counters,
         })
     }
 
-    /// Bytes this node sealed that no block carries yet — the assembler
-    /// stops sealing while this exceeds its backlog cap, which is what
-    /// throttles the data plane to the speed of the ordering plane.
+    /// Bytes this node sealed that no block carries yet — sealing stops
+    /// while this is at [`DISSEM_BACKLOG_CAP`](crate::seal::DISSEM_BACKLOG_CAP),
+    /// which is what throttles the data plane to the speed of the ordering
+    /// plane.
     pub fn backlog_bytes(&self) -> u64 {
-        self.queue.inner.lock().unwrap().sealed_bytes + self.pool.own_pending_bytes()
+        self.pool.own_pending_bytes()
     }
 }
 
@@ -664,46 +546,6 @@ mod tests {
         assert_eq!(plane.counters.stats().pruned_committed, 2);
         // Pruning is idempotent: the ripe set was consumed.
         assert_eq!(plane.store.prune_committed(2), 0);
-    }
-
-    /// The driver's wake-up runs once per empty → non-empty transition of
-    /// the sealed stage, not once per batch, and a re-registration (a
-    /// restarted driver) replaces the old hook.
-    #[test]
-    fn on_sealed_fires_when_the_sealed_stage_goes_non_empty() {
-        let q = DissemQueue::new();
-        let sealed = |fill: u8| {
-            let bytes = arc_bytes(100, fill);
-            SealedBatch {
-                digest: batch_digest(&bytes),
-                bytes,
-                tx_count: 1,
-                sealed_at_us: 0,
-            }
-        };
-        let counter = |q: &DissemQueue| {
-            let calls = Arc::new(AtomicU64::new(0));
-            let c = calls.clone();
-            q.on_sealed(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-            });
-            calls
-        };
-        q.push_sealed(sealed(0)); // nobody registered: nothing to run
-        let first = counter(&q);
-        q.push_sealed(sealed(1));
-        assert_eq!(first.load(Ordering::Relaxed), 0, "stage was already non-empty");
-        assert_eq!(q.take_sealed(1).len(), 1);
-        q.push_sealed(sealed(2));
-        assert_eq!(first.load(Ordering::Relaxed), 0, "one batch was left behind");
-        assert_eq!(q.take_sealed(8).len(), 2);
-        q.push_sealed(sealed(3));
-        q.push_sealed(sealed(4));
-        assert_eq!(first.load(Ordering::Relaxed), 1);
-        let second = counter(&q);
-        assert_eq!(q.take_sealed(8).len(), 2);
-        q.push_sealed(sealed(5));
-        assert_eq!((first.load(Ordering::Relaxed), second.load(Ordering::Relaxed)), (1, 1));
     }
 
     fn refs(n: u8) -> Vec<BatchRef> {
@@ -799,7 +641,7 @@ mod tests {
         assert!(plane.pool.proposable(usize::MAX).is_empty());
     }
 
-    /// The assembler's backlog is what this node sealed and no block
+    /// The sealer's backlog is what this node sealed and no block
     /// carries yet: it falls when an own batch goes in flight in *anyone's*
     /// block, rises again if that block is orphaned, and ignores foreign
     /// batches throughout.
@@ -809,15 +651,6 @@ mod tests {
         let bytes = arc_bytes(1_000, 1);
         let own = BatchRef { digest: batch_digest(&bytes), bytes: 1_000 };
         let foreign = refs(1)[0];
-        plane.queue.push_sealed(SealedBatch {
-            digest: own.digest,
-            bytes,
-            tx_count: 5,
-            sealed_at_us: 0,
-        });
-        assert_eq!(plane.backlog_bytes(), 1_000);
-        let sealed = plane.queue.take_sealed(8);
-        assert_eq!(sealed[0].batch_ref(), own);
         plane.pool.stored(own, true);
         plane.pool.stored(foreign, false);
         assert_eq!(plane.backlog_bytes(), 1_000);

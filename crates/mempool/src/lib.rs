@@ -1,8 +1,7 @@
 //! The transaction ingress path for the Moonshot runtime.
 //!
 //! The paper's evaluation synthesizes payloads at the leader (§VI); this
-//! crate replaces that stand-in with a real data path while keeping the
-//! driver hot loop free of payload work:
+//! crate replaces that stand-in with a real data path:
 //!
 //! * [`pool`] — the [`Mempool`]: one lock over per-client FIFO queues and
 //!   one deficit-round-robin drain rotation, so each client's transactions
@@ -17,34 +16,35 @@
 //!   `u32`-length-prefixed transactions, with each transaction's leading 8
 //!   bytes carrying its client submit timestamp so submit→commit latency
 //!   can be recovered from committed batches alone.
-//! * [`assembler`] — an off-driver [`BatchAssembler`] thread that drains
-//!   the pool, frames the next batch, hashes it **once on its own thread**
-//!   and hands it to the dissemination plane: the driver never hashes
-//!   transaction bytes.
+//! * [`seal`] — the sans-IO [`Sealer`] the node's driver polls on its own
+//!   clock: it decides when the pool's transactions leave as a batch
+//!   (a quarter block period after a batch opens, at once when it is full,
+//!   never past the node's backlog cap), drains and frames the batch and
+//!   hashes it **once**, and the driver stores and pushes it in the same
+//!   step.
 //! * [`dissem`] — the node-local state of the **batch dissemination
 //!   plane**: a content-addressed [`BatchStore`] (the network pool inserts
 //!   pushed/fetched batches, the driver gates votes and resolves commits),
-//!   the assembler→driver [`DissemQueue`], the [`ProposablePool`] of
-//!   batches no block has carried yet (own or foreign — what the next
-//!   leader proposes as 40-byte references), and the `dissem.*` counters.
+//!   the [`ProposablePool`] of batches no block has carried yet (own or
+//!   foreign — what the next leader proposes as 40-byte references), and
+//!   the `dissem.*` counters.
 //!
 //! The crate is std-only, like the rest of the workspace.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod assembler;
 pub mod batch;
 pub mod dissem;
 pub mod pool;
+pub mod seal;
 
-pub use assembler::{AssemblerConfig, BatchAssembler};
 pub use batch::{
     batch_txs, encode_batch, make_tx, tx_client_id, tx_timestamp_us, BATCH_TX_OVERHEAD,
     TX_TIMESTAMP_BYTES,
 };
 pub use dissem::{
-    batch_digest, BatchStore, DissemCounters, DissemPlane, DissemQueue, DissemStats,
-    ProposablePool, SealedBatch,
+    batch_digest, BatchStore, DissemCounters, DissemPlane, DissemStats, ProposablePool,
 };
 pub use pool::{Mempool, MempoolConfig, MempoolCounters, SubmitError, Tx};
+pub use seal::{Seal, SealedBatch, Sealer};

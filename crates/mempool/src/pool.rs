@@ -2,10 +2,11 @@
 //!
 //! Submissions hash their bytes on the submitting thread (a load
 //! generator, or the network shard that read a `SubmitTx` frame — never
-//! the driver) and only then take the pool's one lock. Behind it, transactions queue per
-//! client id in submission order; the batch assembler drains them with a
-//! sparse sweep followed by a deficit-round-robin rotation, so each
-//! client's transactions leave in the order they arrived.
+//! the driver) and only then take the pool's one lock. Behind it,
+//! transactions queue per client id in submission order; the node's driver
+//! seals them ([`crate::seal`]) with a sparse sweep followed by a
+//! deficit-round-robin rotation, so each client's transactions leave in
+//! the order they arrived.
 //!
 //! Admission bounds **queue delay**, not just queue size. The driver feeds
 //! committed-batch sizes and commit latencies back through
@@ -14,7 +15,7 @@
 //! node proposed) and rejects a submission whose projected sojourn —
 //! pending bytes over measured drain rate — exceeds a delay target derived
 //! from the measured commit latency. (The same feedback yields the block
-//! period the assembler's seal deadline is a fraction of, and a pool
+//! period the sealer's deadline is a fraction of, and a pool
 //! holding less than the batch it is filling toward that deadline refuses
 //! nothing.) The static byte/count budgets remain
 //! as a hard backstop, and until the first drain-rate measurement a small
@@ -31,8 +32,7 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::thread::Thread;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use moonshot_crypto::Digest;
 
@@ -250,8 +250,9 @@ struct State {
     counters: MempoolCounters,
     /// DRR client visits performed by drains (fairness observability).
     fair_visits: u64,
-    /// Batches the assembler sealed above its base byte target.
-    batches_grown: u64,
+    /// The pending bytes that make a full batch for this pool's consumer
+    /// (0 while none is registered); see [`Mempool::wake_on_admit`].
+    full_batch_bytes: u64,
 }
 
 /// The ingress queue: per-client FIFOs, a DRR drain and delay-bounded
@@ -259,35 +260,32 @@ struct State {
 pub struct Mempool {
     cfg: MempoolConfig,
     state: Mutex<State>,
-    /// The thread draining this pool (its batch assembler) and the pending
-    /// bytes that make a full batch for it; see [`Mempool::wake_on_admit`].
-    consumer: OnceLock<(Thread, u64)>,
+    /// What wakes the driver sealing this pool; see
+    /// [`Mempool::wake_on_admit`].
+    wake: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 
 impl Mempool {
     /// An empty pool with the given budgets.
     pub fn new(cfg: MempoolConfig) -> Mempool {
-        Mempool { cfg, state: Mutex::new(State::default()), consumer: OnceLock::new() }
+        Mempool { cfg, state: Mutex::new(State::default()), wake: Mutex::new(None) }
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap()
     }
 
-    /// Names `consumer` as the thread that drains this pool, in batches of
-    /// `full_batch_bytes`. It is unparked by the admission that makes an
-    /// empty pool non-empty (a batch opens) and by the one that takes the
-    /// pending bytes to a full batch (no reason left to wait for the seal
-    /// deadline) — not once per transaction: in between it sleeps towards
-    /// its deadline. A pool nobody registered on pays one load per
-    /// admission. One consumer per pool: later calls are ignored.
-    pub fn wake_on_admit(&self, consumer: Thread, full_batch_bytes: u64) {
-        let _ = self.consumer.set((consumer, full_batch_bytes));
-    }
-
-    /// The configuration this pool was built with.
-    pub fn config(&self) -> &MempoolConfig {
-        &self.cfg
+    /// Registers `wake` as what wakes this pool's consumer, which seals it
+    /// in batches of `full_batch_bytes`. It runs on the admission that
+    /// makes an empty pool non-empty (a batch opens) and on the one that
+    /// takes the pending bytes to a full batch (no reason left to wait for
+    /// the seal deadline) — not once per transaction: in between the
+    /// consumer sleeps towards its deadline. A later registration replaces
+    /// the earlier one, so a restarted node's driver takes over the pool
+    /// its predecessor left.
+    pub fn wake_on_admit(&self, wake: impl Fn() + Send + Sync + 'static, full_batch_bytes: u64) {
+        *self.wake.lock().unwrap() = Some(Box::new(wake));
+        self.lock().full_batch_bytes = full_batch_bytes;
     }
 
     /// Admits one transaction on behalf of client 0, hashing it on the
@@ -324,18 +322,17 @@ impl Mempool {
         // finds the pool empty and one takes it to a full batch, whoever
         // else submits or drains, and the woken consumer does not wait for
         // the lock its waker still holds.
-        let wake = match self.consumer.get() {
-            Some((consumer, full)) if admitted.is_ok() => {
-                let after = st.pending_bytes as u64;
-                let before = after - len as u64;
-                let fills = before < *full && after >= *full;
-                (st.pending_txs == 1 || fills).then_some(consumer)
-            }
-            _ => None,
+        let full = st.full_batch_bytes;
+        let wake = admitted.is_ok() && {
+            let after = st.pending_bytes as u64;
+            let before = after - len as u64;
+            st.pending_txs == 1 || (before < full && after >= full)
         };
         drop(st);
-        if let Some(consumer) = wake {
-            consumer.unpark();
+        if wake {
+            if let Some(wake) = &*self.wake.lock().unwrap() {
+                wake();
+            }
         }
         admitted
     }
@@ -392,7 +389,7 @@ impl Mempool {
         // Less than the batch being filled is not a queue: it waits for the
         // consumer's seal deadline, which is bounded on its own, and not
         // for the drain rate.
-        if pending <= self.consumer.get().map_or(0, |(_, full)| *full) {
+        if pending <= st.full_batch_bytes {
             return Ok(());
         }
         let projected_us = pending.saturating_mul(1_000_000) / rate;
@@ -607,7 +604,7 @@ impl Mempool {
     }
 
     /// Pins the transactions of a sealed batch against resubmission until
-    /// [`release_batch`](Mempool::release_batch). Called by the assembler
+    /// [`release_batch`](Mempool::release_batch). Called by the sealer
     /// right after sealing: the `seen` window is a *rolling* window, so
     /// under sustained load a transaction drained minutes ago can roll out
     /// of it while its batch is still uncommitted — without the pin, a
@@ -643,16 +640,6 @@ impl Mempool {
     /// Batches currently pinned as sealed-in-flight.
     pub fn in_flight_batches(&self) -> usize {
         self.lock().batches.len()
-    }
-
-    /// Marks one batch sealed above its base byte target.
-    pub fn note_batch_grown(&self) {
-        self.lock().batches_grown += 1;
-    }
-
-    /// Batches the assembler sealed above the base byte target so far.
-    pub fn batches_grown(&self) -> u64 {
-        self.lock().batches_grown
     }
 }
 
@@ -975,7 +962,7 @@ mod tests {
     fn a_pool_lingering_under_a_full_batch_refuses_nothing() {
         let cfg = MempoolConfig::default();
         let pool = Mempool::new(cfg);
-        pool.wake_on_admit(std::thread::current(), 18_000);
+        pool.wake_on_admit(|| {}, 18_000);
         for k in 1..=3u64 {
             pool.note_commit(true, 1, 180, Some(300_000), k * 1_000_000);
         }
@@ -1001,11 +988,51 @@ mod tests {
         // Unmeasured, the startup cap is the bound whatever batch size the
         // consumer asked for.
         let cold = Mempool::new(MempoolConfig { startup_bytes: 3_000, ..cfg });
-        cold.wake_on_admit(std::thread::current(), 1 << 20);
+        cold.wake_on_admit(|| {}, 1 << 20);
         assert_eq!(flood(&cold), (10, SubmitError::Overloaded));
         for pool in [&pool, &paced, &cold] {
             assert_identity(pool);
         }
+    }
+
+    /// The consumer is woken twice per batch, not once per admission: by
+    /// the admission that opens it and by the one that fills it. A second
+    /// registration (a restarted node's driver) replaces the first.
+    #[test]
+    fn the_admissions_that_open_and_fill_a_batch_wake_the_consumer() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let pool = Mempool::new(MempoolConfig::default());
+        let register = |pool: &Mempool| {
+            let calls = Arc::new(AtomicU64::new(0));
+            let c = calls.clone();
+            pool.wake_on_admit(
+                move || {
+                    c.fetch_add(1, Ordering::Relaxed);
+                },
+                1_000,
+            );
+            calls
+        };
+        pool.submit(tx_bytes(0, 300)).unwrap(); // nobody registered: nothing to run
+        pool.drain_for_batch(1 << 20);
+        let first = register(&pool);
+        pool.submit(tx_bytes(1, 300)).unwrap();
+        assert_eq!(first.load(Ordering::Relaxed), 1, "the admission that opens a batch");
+        pool.submit(tx_bytes(2, 300)).unwrap();
+        pool.submit(tx_bytes(3, 300)).unwrap();
+        assert_eq!(first.load(Ordering::Relaxed), 1, "admissions in between");
+        pool.submit(tx_bytes(4, 300)).unwrap();
+        assert_eq!(first.load(Ordering::Relaxed), 2, "the admission that fills it");
+        pool.submit(tx_bytes(5, 300)).unwrap();
+        assert_eq!(pool.submit(tx_bytes(5, 300)), Err(SubmitError::Duplicate));
+        assert_eq!(first.load(Ordering::Relaxed), 2, "past full, or refused");
+
+        let second = register(&pool);
+        pool.drain_for_batch(1 << 20);
+        pool.submit(tx_bytes(6, 300)).unwrap();
+        let calls = (first.load(Ordering::Relaxed), second.load(Ordering::Relaxed));
+        assert_eq!(calls, (2, 1), "the later registration replaced the earlier");
+        assert_identity(&pool);
     }
 
     /// ω̂ is the mean gap between commits, and commits that land together

@@ -25,10 +25,10 @@
 //!
 //! `--load <batch-bytes>` gives the node a data path: a mempool that the
 //! network shard reading a `SubmitTx` frame admits it into (any TCP client
-//! may connect and submit — no hello required) and a batch-assembler thread sealing batches that target
-//! `batch-bytes` (adaptively grown up to 4× under backlog, under-full ones
-//! closed on the block clock) into the node's dissemination plane, which
-//! pushes them to every peer; whoever leads next proposes them. Admission
+//! may connect and submit — no hello required), which the node's driver
+//! seals into batches that target `batch-bytes` (adaptively grown up to 4×
+//! under backlog, under-full ones closed on the block clock) and pushes to
+//! every peer; whoever leads next proposes them. Admission
 //! is delay-bounded: submissions whose projected queue delay exceeds the
 //! target are refused instead of queued. Without `--load` the node accepts
 //! no transactions; it still stores, proposes and votes on the batches the
@@ -217,14 +217,11 @@ fn run(flags: &Flags) -> Result<ExitCode, String> {
 
     let epoch = Instant::now();
     let mut transport = TransportConfig::new(node, listen, cluster.nodes.clone());
-    // The assembler must outlive the node, so it's held here until
-    // shutdown.
-    let _assembler = load_batch.map(|batch_bytes| {
-        let (pool, plane, assembler) = LoadSpec::digest(batch_bytes).data_path(epoch);
-        transport.mempool = Some(pool);
+    if let Some(batch_bytes) = load_batch {
+        let (pool, plane) = LoadSpec::digest(batch_bytes).data_path();
+        transport.mempool = Some((pool, batch_bytes));
         transport.dissem = plane;
-        assembler
-    });
+    }
     let handle = match NodeHandle::start(
         move |cfg| protocol.build(cfg),
         SimDuration::from_millis(delta_ms),

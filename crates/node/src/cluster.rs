@@ -10,10 +10,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use moonshot_mempool::{
-    batch_txs, tx_client_id, tx_timestamp_us, AssemblerConfig, BatchAssembler, DissemPlane,
-    Mempool, MempoolConfig,
-};
+use moonshot_mempool::{batch_txs, tx_client_id, tx_timestamp_us, DissemPlane, Mempool, MempoolConfig};
 use moonshot_telemetry::{RingBufferSink, TraceEvent, TraceRecord, TraceSink};
 use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::{BlockId, NodeId, Payload};
@@ -35,10 +32,10 @@ pub struct ClusterSpec {
     pub delta: SimDuration,
     /// Per-node trace ring capacity (records).
     pub trace_capacity: usize,
-    /// When set, each node gets a data path — mempool (fed through
-    /// [`Cluster::mempools`] or `SubmitTx` frames), batch assembler —
-    /// feeding its dissemination plane. The cluster generates no load of
-    /// its own. `None` is a consensus-only cluster: every block is empty.
+    /// When set, each node gets a data path: a mempool (fed through
+    /// [`Cluster::mempools`] or `SubmitTx` frames) its driver seals into
+    /// its dissemination plane. The cluster generates no load of its own.
+    /// `None` is a consensus-only cluster: every block is empty.
     pub load: Option<LoadSpec>,
     /// When set, every node gets a durable ledger under
     /// `<data_dir>/node-<id>/`: an fsync'd consensus WAL (votes/timeouts
@@ -58,18 +55,14 @@ pub struct ClusterSpec {
     pub shape: Option<Arc<ShapeMatrix>>,
 }
 
-/// Cap on what an assembler has sealed that no block carries yet — the data
-/// plane may run this far ahead of the ordering plane.
-const DISSEM_BACKLOG_CAP: usize = 8 << 20;
-
-/// A node's data path: how the assembler batches and what the mempool
-/// admits. Where the transactions come from is the caller's business.
+/// A node's data path: how its driver batches and what the mempool admits.
+/// Where the transactions come from is the caller's business.
 #[derive(Clone, Debug)]
 pub struct LoadSpec {
     /// Base batch byte target — the knob that plays the role of the
-    /// paper's payload-size axis once payloads are real. The assembler may
-    /// grow batches up to 4× this under backlog
-    /// ([`AssemblerConfig::adaptive`]).
+    /// paper's payload-size axis once payloads are real. The sealer grows
+    /// batches up to [`MAX_GROWTH`](moonshot_mempool::seal::MAX_GROWTH)×
+    /// this under backlog.
     pub batch_bytes: usize,
     /// Per-node mempool configuration (admission budgets, delay target,
     /// fairness quantum).
@@ -92,22 +85,13 @@ impl LoadSpec {
         self
     }
 
-    /// One node's data path under this spec: its mempool, its dissemination
-    /// plane, and the assembler thread sealing the one into the other (with
-    /// seal stamps against `epoch`). All three outlive the node's
-    /// incarnations; hand the pool and the plane to its
-    /// [`TransportConfig`].
-    pub fn data_path(&self, epoch: Instant) -> (Arc<Mempool>, Arc<DissemPlane>, BatchAssembler) {
-        let pool = Arc::new(Mempool::new(self.mempool));
-        let plane = DissemPlane::new(DISSEM_STORE_BUDGET);
-        let assembler = BatchAssembler::start(
-            pool.clone(),
-            AssemblerConfig::adaptive(self.batch_bytes),
-            epoch,
-            plane.clone(),
-            DISSEM_BACKLOG_CAP,
-        );
-        (pool, plane, assembler)
+    /// One node's data path under this spec: its mempool and its
+    /// dissemination plane, which outlive the node's incarnations. Hand
+    /// both to its [`TransportConfig`], the pool with
+    /// [`batch_bytes`](LoadSpec::batch_bytes); its driver seals the one
+    /// into the other.
+    pub fn data_path(&self) -> (Arc<Mempool>, Arc<DissemPlane>) {
+        (Arc::new(Mempool::new(self.mempool)), DissemPlane::new(DISSEM_STORE_BUDGET))
     }
 }
 
@@ -145,8 +129,6 @@ pub struct Cluster {
     /// restarts: pending transactions survive a
     /// node's crash because admission lives outside the driver.
     pools: Vec<Arc<Mempool>>,
-    /// One batch assembler per node, paired with `pools`.
-    assemblers: Vec<BatchAssembler>,
     /// One dissemination plane per node, paired with `pools`. Kept across
     /// restarts like the pools: a restarted node keeps
     /// its batch store, so it only owes the network what it truly missed.
@@ -202,13 +184,12 @@ impl Cluster {
             .map(|_| Arc::new(Mutex::new(RingBufferSink::new(spec.trace_capacity))))
             .collect();
 
-        let (mut pools, mut planes, mut assemblers) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut pools, mut planes) = (Vec::new(), Vec::new());
         if let Some(load) = &spec.load {
             for _ in 0..spec.n {
-                let (pool, plane, assembler) = load.data_path(epoch);
+                let (pool, plane) = load.data_path();
                 pools.push(pool);
                 planes.push(plane);
-                assemblers.push(assembler);
             }
         }
         let mut cluster = Cluster {
@@ -219,7 +200,6 @@ impl Cluster {
             sinks,
             dead_reports: Vec::new(),
             pools,
-            assemblers,
             planes,
             restarts: Vec::new(),
             net,
@@ -287,9 +267,9 @@ impl Cluster {
             .unwrap()
             .record(TraceRecord { at, event: TraceEvent::NodeRestarted { node: id } });
         let cluster_height = self.quorum_committed_height();
-        // The node's mempool, assembler and batch store outlived the crash;
-        // the fresh incarnation picks up the sealed batches where the old
-        // one left off. With a ledger, the WAL floors make re-voting in old
+        // The node's mempool and batch store outlived the crash; the fresh
+        // incarnation seals what is pending and proposes the batches the
+        // old one pushed. With a ledger, the WAL floors make re-voting in old
         // views impossible, the blockstore gives the node back its
         // committed chain, and only the tail is owed to the network.
         let handle = self.start_node(id, None)?;
@@ -314,8 +294,10 @@ impl Cluster {
         let mut transport = TransportConfig::new(id, self.peers[idx].1, self.peers.clone());
         transport.pool = Some(self.net.clone());
         transport.shape = spec.shape.clone();
-        if let Some((pool, plane)) = self.pools.get(idx).zip(self.planes.get(idx)) {
-            transport.mempool = Some(pool.clone());
+        if let Some(((pool, plane), load)) =
+            self.pools.get(idx).zip(self.planes.get(idx)).zip(spec.load.as_ref())
+        {
+            transport.mempool = Some((pool.clone(), load.batch_bytes));
             transport.dissem = plane.clone();
         }
         // The victim never drops its *own* pushes — the fault is everyone
@@ -350,10 +332,8 @@ impl Cluster {
     }
 
     /// Stops every node and collects reports plus the merged, time-sorted
-    /// trace. The caller stops its clients first (no new submissions);
-    /// then the assemblers go (no new batches), then the nodes.
+    /// trace. The caller stops its clients first (no new submissions).
     pub fn stop(mut self) -> ClusterReport {
-        drop(std::mem::take(&mut self.assemblers));
         let mut reports = std::mem::take(&mut self.dead_reports);
         // Signal every node before joining any: joining sequentially
         // without the broadcast would tear node 0 down while nodes 1..n
@@ -765,6 +745,41 @@ mod tests {
             assert!(view >= before, "node {i} stalled in {view}, before {before}");
             assert_eq!(height, heights[i], "node {i}'s stall names another height");
         }
+        let report = cluster.stop();
+        report.check_invariants().expect("no safety violations");
+    }
+
+    /// A restarted node's watchdog counts from the restart: its clock is
+    /// the cluster's, over a second old here, and counting from the epoch
+    /// would record a `Stall` on the first iteration of its driver, long
+    /// before it could commit anything (the threshold is 40 Δ = 400 ms).
+    #[test]
+    fn a_restarted_node_records_no_stall_before_it_could_commit() {
+        let mut spec = ClusterSpec::new(4, ProtocolChoice::Pipelined);
+        spec.delta = SimDuration::from_millis(10);
+        let launched = Instant::now();
+        let mut cluster = Cluster::launch(spec).unwrap();
+        while cluster.quorum_committed_height() < 3 || launched.elapsed() < Duration::from_secs(1)
+        {
+            assert!(launched.elapsed() < Duration::from_secs(20), "cluster never committed");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        cluster.kill(NodeId(3));
+        cluster.restart(NodeId(3)).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        let records: Vec<TraceRecord> = cluster.sinks[3].lock().unwrap().iter().cloned().collect();
+        let restarted = records
+            .iter()
+            .filter(|r| matches!(r.event, TraceEvent::NodeRestarted { .. }))
+            .map(|r| r.at)
+            .max()
+            .expect("the restart is in node 3's ring");
+        let stalls: Vec<SimTime> = records
+            .iter()
+            .filter(|r| matches!(r.event, TraceEvent::Stall { .. }) && r.at >= restarted)
+            .map(|r| r.at)
+            .collect();
+        assert!(stalls.is_empty(), "restarted at {restarted:?}, stalled at {stalls:?}");
         let report = cluster.stop();
         report.check_invariants().expect("no safety violations");
     }

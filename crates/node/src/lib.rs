@@ -14,12 +14,14 @@
 //!   signatures in batches across all connections, and the driver receives
 //!   only [`PreVerified`](moonshot_consensus::PreVerified) messages;
 //! * **digest dissemination** — transaction bytes never ride a proposal.
-//!   The batch assembler seals into the node's
-//!   [`DissemPlane`](moonshot_mempool::DissemPlane), the driver pushes each
-//!   batch to every peer, whoever leads next proposes 40-byte references to
-//!   every batch it holds that no block has carried, and a voter holds its
-//!   vote until it holds the bytes (fetching what no push delivered). A
-//!   node without a data path (`load: None`, no `--load`) seals nothing.
+//!   The driver seals the node's mempool into batches
+//!   ([`Sealer`](moonshot_mempool::Sealer)) on its own clock, stores each in
+//!   the node's [`DissemPlane`](moonshot_mempool::DissemPlane) and pushes it
+//!   to every peer in the same step; whoever leads next proposes 40-byte
+//!   references to every batch it holds that no block has carried, and a
+//!   voter holds its vote until it holds the bytes (fetching what no push
+//!   delivered). A node without a data path (`load: None`, no `--load`)
+//!   seals nothing.
 //!
 //! Modules:
 //!
@@ -34,8 +36,8 @@
 //!   traffic and fault counters.
 //! * [`shape`] — per-link latency/bandwidth shaping matrices (Table II
 //!   WAN emulation) enforced sender-side by the pool's event loops.
-//! * [`runtime`] — the driver thread gluing protocol, wheel, transport and
-//!   dissemination plane together, with
+//! * [`runtime`] — the driver thread gluing protocol, wheel, transport,
+//!   sealer and dissemination plane together, with
 //!   [`ProtocolObserver`](moonshot_consensus::ProtocolObserver) tracing at
 //!   the call boundary so cluster runs feed the same invariant checker as
 //!   simulations. A node's numbers come from two places, both read when it

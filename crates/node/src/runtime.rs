@@ -31,7 +31,7 @@ use moonshot_consensus::{
 };
 use moonshot_crypto::{Digest, VerifiedCache};
 use moonshot_ledger::{Ledger, LedgerOptions};
-use moonshot_mempool::{DissemPlane, Mempool, BATCH_TX_OVERHEAD};
+use moonshot_mempool::{DissemPlane, Mempool, Seal, Sealer, BATCH_TX_OVERHEAD};
 use moonshot_telemetry::{MetricsRegistry, TraceEvent, TraceRecord, TraceSink};
 use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::{Block, BlockId, NodeId, Payload, View};
@@ -45,8 +45,9 @@ use crate::transport::{Inbound, InboundSender, Transport, TransportConfig};
 pub type SharedSink = Arc<Mutex<dyn TraceSink + Send>>;
 
 /// Longest the driver sleeps before re-checking shutdown. Everything else it
-/// waits for reaches it on its own: messages and sealed-batch wake-ups
-/// through the inbound channel, timers through the wheel's next deadline.
+/// waits for reaches it on its own: messages and the wake-ups of the
+/// admissions that open or fill a batch through the inbound channel, timers
+/// and the open batch's due time through the wait's deadline.
 const MAX_WAIT: Duration = Duration::from_millis(50);
 
 /// Most messages drained from the inbound channel per driver iteration.
@@ -59,9 +60,10 @@ const BATCH_LIMIT: usize = 256;
 /// blocks that never commit (e.g. equivocation garbage under faults).
 const STAGE_MAP_LIMIT: usize = 16_384;
 
-/// Most sealed batches pushed to peers per driver iteration. Bounds one
-/// iteration's broadcast work; the rest push next iteration, which then
-/// follows without blocking.
+/// Most polls of the sealer per driver iteration, so at most this many
+/// batches sealed and pushed to peers. Bounds one iteration's sealing and
+/// broadcast work; the rest seal next iteration, which then follows without
+/// blocking.
 const PUSH_LIMIT: usize = 64;
 
 /// Most messages parked while their batch refs resolve. Past it the oldest
@@ -159,13 +161,14 @@ impl TraceSink for TracingSink {
     }
 }
 
-/// A running node: driver thread + transport threads.
+/// A running node: its driver thread, attached to a network pool (and
+/// its ledger writer, when durable).
 #[derive(Debug)]
 pub struct NodeHandle {
     shutdown: Arc<AtomicBool>,
-    /// The transport's own flag, signalled alongside `shutdown` so writer
-    /// threads stop redialing immediately rather than after the driver's
-    /// next poll tick.
+    /// The transport's own flag, signalled alongside `shutdown` so the
+    /// network pool stops redialing this node's peers immediately rather
+    /// than after the driver's next wake-up.
     transport_shutdown: Arc<AtomicBool>,
     driver: Option<JoinHandle<NodeReport>>,
     /// Committed height mirror for cheap liveness probes.
@@ -189,6 +192,11 @@ impl NodeHandle {
     /// (fetching what no push delivered), and takes in consensus messages
     /// only through the pool's sigverify stage, which shares the protocol's
     /// verified-certificate cache.
+    ///
+    /// With `cfg.mempool` the driver also seals the pool into batches of
+    /// its base size ([`Sealer`]), and stores, pushes and enters each into
+    /// the proposable pool in the step that sealed it; the admissions that
+    /// open or fill a batch wake it.
     ///
     /// With `data_dir` the node is durable: its ledger under
     /// `<data_dir>/node-<id>/` is opened (or recovered) before anything can
@@ -236,17 +244,20 @@ impl NodeHandle {
         // same cache), off the driver thread.
         let verifier = Arc::new(protocol.verifier().clone());
 
-        let mempool = cfg.mempool.clone();
+        let mempool =
+            cfg.mempool.as_ref().map(|(pool, base)| (pool.clone(), Sealer::new(*base)));
         let stall_timeout = Duration::from_micros(delta.as_micros() * STALL_DELTA_MULTIPLE);
         let drop_push_to = cfg.drop_batch_push_to;
         let batch_fetcher =
             BatchFetcher::new(node, cfg.peers.len(), RetryPolicy::auto().resolve(delta));
         let (raw_tx, rx) = mpsc::channel::<Option<Inbound>>();
         let tx = InboundSender::new(raw_tx);
-        // A batch sealed while the driver sleeps wakes it for the push
-        // (replacing the hook of a killed predecessor on this plane).
-        let waker = tx.clone();
-        dissem.queue.on_sealed(move || waker.wake());
+        // An admission that opens or fills a batch wakes the driver to seal
+        // it (replacing the hook of a killed predecessor on this pool).
+        if let Some((pool, base)) = &cfg.mempool {
+            let waker = tx.clone();
+            pool.wake_on_admit(move || waker.wake(), *base as u64);
+        }
         let transport = Transport::start(cfg, listener, verifier, tx.clone())?;
         let transport_shutdown = transport.shutdown_flag();
         let shutdown = Arc::new(AtomicBool::new(false));
@@ -402,11 +413,11 @@ struct Driver {
     commits: Vec<CommittedBlock>,
     committed_height: Arc<AtomicU64>,
     cache: Arc<VerifiedCache>,
-    /// The node's mempool (`None` for a consensus-only node), fed commit
-    /// feedback; its admission counters land in the final report.
-    mempool: Option<Arc<Mempool>>,
-    /// The dissemination plane: sealed batches to push, the batch store,
-    /// the proposable pool.
+    /// The node's mempool (`None` for a consensus-only node) and the sealer
+    /// that turns it into batches. The pool is fed commit feedback; its
+    /// admission counters land in the final report.
+    mempool: Option<(Arc<Mempool>, Sealer)>,
+    /// The dissemination plane: the batch store, the proposable pool.
     dissem: Arc<DissemPlane>,
     /// Fault-injection knob: peer skipped by `BatchPush` broadcasts, so
     /// tests can force its fetch fallback to cover.
@@ -423,9 +434,10 @@ struct Driver {
     ledger_writer: Option<(mpsc::Sender<moonshot_types::Block>, JoinHandle<()>)>,
     /// Stall-watchdog threshold.
     stall_timeout: Duration,
-    /// When the last commit landed (µs since epoch; 0 = none yet). Reset
-    /// on every watchdog firing so a persistent wedge emits a stall per
-    /// threshold interval rather than one per loop iteration.
+    /// When the last commit landed (µs since epoch; the driver's start
+    /// until one does). Reset on every watchdog firing so a persistent
+    /// wedge emits a stall per threshold interval rather than one per loop
+    /// iteration.
     last_commit_at_us: u64,
     messages_handled: u64,
     timers_fired: u64,
@@ -433,8 +445,9 @@ struct Driver {
 }
 
 /// The driver loop, owning the [`Driver`] so the transport can be consumed
-/// (joined) on exit — `NodeHandle::stop` returns only after every socket
-/// thread is gone.
+/// on exit — `NodeHandle::stop` returns only after the node's sockets are
+/// detached from the network pool and its ledger writer is joined. (A
+/// mempool and a dissemination plane handed in outlive the node.)
 fn run_driver(
     mut driver: Driver,
     protocol: &mut dyn ConsensusProtocol,
@@ -442,6 +455,9 @@ fn run_driver(
     shutdown: Arc<AtomicBool>,
 ) -> NodeReport {
     let t = driver.now();
+    // A restarted node's clock is the cluster's, seconds old: the watchdog
+    // counts from this incarnation's start, not from the epoch.
+    driver.last_commit_at_us = t.0;
     let outputs = protocol.start(t);
     driver.process(protocol, outputs, t);
 
@@ -463,14 +479,13 @@ fn run_driver(
         }
 
         // Whatever the timers and the last round of messages left behind
-        // on the dissemination plane, before blocking.
-        let more_sealed = driver.sync_dissem(protocol);
+        // on the dissemination plane, and whatever is due to seal, before
+        // blocking.
+        let seal_due = driver.sync_dissem(protocol);
 
         driver.check_stall(protocol);
 
-        let wait = match driver.wheel.next_deadline() {
-            // Sealed batches past the push limit are work, not a wait.
-            _ if more_sealed => Duration::ZERO,
+        let wait = match driver.wheel.next_deadline().into_iter().chain(seal_due).min() {
             Some(deadline) => {
                 Duration::from_micros(deadline.since(driver.now()).as_micros()).min(MAX_WAIT)
             }
@@ -485,8 +500,8 @@ fn run_driver(
         // dispatched: a proposal one of them triggers carries every batch
         // that arrived while the driver was blocked (a peer's push reaches
         // the store without waking it), and a gated proposal whose push
-        // arrived is delivered ahead of them. (A cut by the push limit is
-        // picked up before the next wait.)
+        // arrived is delivered ahead of them. (What the push limit cut
+        // short is picked up before the next wait.)
         driver.sync_dissem(protocol);
         match received {
             Ok(first) => {
@@ -549,7 +564,7 @@ impl Driver {
             height: moonshot_types::Height(self.committed_height.load(Ordering::Relaxed)),
             inbound: self.inbound_depth.load(Ordering::Relaxed),
             timers: self.wheel.len() as u64,
-            mempool: self.mempool.as_ref().map(|p| p.len()).unwrap_or(0),
+            mempool: self.mempool.as_ref().map(|(p, _)| p.len()).unwrap_or(0),
         };
         self.sink.record(TraceRecord { at: now, event });
         // A wedged node is often killed rather than stopped: the stall
@@ -584,7 +599,7 @@ impl Driver {
         m.set_counter("dissem.fetches_served", s.fetches_served);
         m.set_counter("dissem.votes_gated", s.votes_gated);
         m.set_counter("dissem.requeued", self.dissem.pool.requeued());
-        if let Some(pool) = &self.mempool {
+        if let Some((pool, _)) = &self.mempool {
             let c = pool.counters();
             m.set_counter("mempool.accepted", c.accepted);
             m.set_counter("mempool.rejected", c.rejected);
@@ -673,31 +688,38 @@ impl Driver {
         }
     }
 
-    /// The dissemination plane's turn: broadcast freshly sealed batches
-    /// (before they can be proposed — push-before-propose), then drain the
-    /// store's arrival log into the proposable pool and release gated votes. Returns [`push_batches`](Driver::push_batches)'s
-    /// "more remain".
-    fn sync_dissem(&mut self, protocol: &mut dyn ConsensusProtocol) -> bool {
-        let more_sealed = self.push_batches();
+    /// The dissemination plane's turn: seal and push what is due (before
+    /// it can be proposed — push-before-propose), then drain the store's
+    /// arrival log into the proposable pool and release gated votes.
+    /// Returns [`push_batches`](Driver::push_batches)'s deadline.
+    fn sync_dissem(&mut self, protocol: &mut dyn ConsensusProtocol) -> Option<SimTime> {
+        let seal_due = self.push_batches();
         self.drain_stored(protocol);
-        more_sealed
+        seal_due
     }
 
-    /// Stores freshly sealed batches, broadcasts them as `BatchPush` frames
-    /// and only then enters them into the proposable pool — the
-    /// push-before-propose guarantee: this node can only propose its own
-    /// ref after the bytes sit in every peer's send queue, and per-peer TCP
-    /// FIFO keeps the push ahead of the proposal on the wire. This is also
-    /// where a batch's seal lands in the trace, once, on the node that
-    /// sealed it: a [`TraceEvent::BatchSealed`] record backdated to the
-    /// seal, which the report's stage decomposition starts from.
-    /// Returns whether [`PUSH_LIMIT`] cut the drain short, i.e. sealed
-    /// batches may remain that no wake-up will announce.
-    fn push_batches(&mut self) -> bool {
-        let plane = self.dissem.clone();
-        let sealed = plane.queue.take_sealed(PUSH_LIMIT);
-        let more = sealed.len() == PUSH_LIMIT;
-        for b in sealed {
+    /// The seal step: polls the sealer until nothing is due, and stores
+    /// each batch it seals, broadcasts it as a `BatchPush` frame and only
+    /// then enters it into the proposable pool — the push-before-propose
+    /// guarantee: this node can only propose its own ref after the bytes
+    /// sit in every peer's send queue, and per-peer TCP FIFO keeps the push
+    /// ahead of the proposal on the wire. This is also where a batch's seal
+    /// lands in the trace, once, on the node that sealed it: the
+    /// [`TraceEvent::BatchSealed`] record the report's stage decomposition
+    /// starts from. Returns when the driver must be back: when the open
+    /// batch falls due, or at once when [`PUSH_LIMIT`] cut the step short.
+    fn push_batches(&mut self) -> Option<SimTime> {
+        let (pool, sealer) = self.mempool.as_mut()?;
+        let plane = &self.dissem;
+        for _ in 0..PUSH_LIMIT {
+            let now = self.epoch.elapsed().as_micros() as u64;
+            let b = match sealer.poll(now, pool, plane.backlog_bytes()) {
+                Seal::Batch(b) => b,
+                // An empty drain: retried within the step's bound.
+                Seal::Due(at) if at <= now => continue,
+                Seal::Due(at) => return Some(SimTime(at)),
+                Seal::Idle => return None,
+            };
             plane.store.insert(b.digest, b.bytes.clone());
             let frame = Arc::new(encode_frame(&Frame::BatchPush {
                 digest: b.digest,
@@ -716,7 +738,7 @@ impl Driver {
                 },
             });
         }
-        more
+        Some(SimTime::ZERO)
     }
 
     /// Drains the store's arrival log: enters the arrivals into the
@@ -758,7 +780,7 @@ impl Driver {
         // recording `BlockCommitted` prunes the block's proposal timestamp
         // from the tracing sink, and the proposal→commit latency sample
         // needs it.
-        if let Some(pool) = &self.mempool {
+        if let Some((pool, _)) = &self.mempool {
             for out in &outputs {
                 let Output::Commit(c) = out else { continue };
                 let latency = self
@@ -969,6 +991,56 @@ mod tests {
         let tags: Vec<&str> = handled.lock().unwrap().iter().map(|(tag, _)| *tag).collect();
         assert_eq!(tags, ["block-request", "block-response", "block-request"]);
         node.stop();
+    }
+
+    /// Sealing runs on the driver, and the driver is woken for it, not
+    /// ticked: each transaction arrives while the driver is blocked with no
+    /// timer armed, and with ω̂ unmeasured its batch is due 200 µs after
+    /// the wake-up. A lost wake-up would leave it to the driver's 50 ms
+    /// re-check instead.
+    #[test]
+    fn an_admission_wakes_the_driver_to_seal() {
+        use moonshot_mempool::make_tx;
+
+        let plane = DissemPlane::new(1 << 20);
+        let pool = Arc::new(Mempool::new(MempoolConfig::default()));
+        let addr: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        let mut cfg = TransportConfig::new(NodeId(0), addr, vec![(NodeId(0), addr)]);
+        cfg.dissem = plane.clone();
+        cfg.mempool = Some((pool.clone(), 18_000));
+        let recorder_plane = plane.clone();
+        let node = NodeHandle::start(
+            |cfg| {
+                Box::new(Recorder {
+                    plane: recorder_plane,
+                    handled: Arc::new(Mutex::new(Vec::new())),
+                    verifier: MessageVerifier::for_config(&cfg),
+                })
+            },
+            SimDuration::from_millis(50),
+            cfg,
+            None,
+            None,
+            Instant::now(),
+            Arc::new(Mutex::new(RingBufferSink::new(1024))),
+        )
+        .expect("start");
+        let mut waits = Vec::new();
+        for seq in 0..20u64 {
+            std::thread::sleep(Duration::from_millis(100));
+            let submitted = Instant::now();
+            pool.submit(make_tx(0, 1, seq, 180)).unwrap();
+            while plane.pool.proposable(usize::MAX).len() <= seq as usize {
+                assert!(submitted.elapsed() < Duration::from_secs(10), "transaction {seq}");
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            waits.push(submitted.elapsed());
+        }
+        node.stop();
+        waits.sort_unstable();
+        let median = waits[waits.len() / 2];
+        assert!(median < Duration::from_millis(10), "submit to proposable: {waits:?}");
+        assert_eq!(plane.counters.stats().batches_pushed, 20);
     }
 
     /// Admission feedback follows the batches a node *sealed*, not the

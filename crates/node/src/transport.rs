@@ -107,8 +107,8 @@ impl InboundSender {
     }
 
     /// Wakes the driver without a message: work appeared for it somewhere
-    /// it does not block on (a sealed batch awaiting its push). A gone
-    /// receiver needs no waking.
+    /// it does not block on (an admission that opened or filled a batch
+    /// for it to seal). A gone receiver needs no waking.
     pub fn wake(&self) {
         let _ = self.tx.send(None);
     }
@@ -129,15 +129,16 @@ pub struct TransportConfig {
     pub listen: SocketAddr,
     /// All peers (entries for `node_id` itself are ignored).
     pub peers: Vec<(NodeId, SocketAddr)>,
-    /// When set, `SubmitTx` frames from client connections are admitted
-    /// into this mempool by the shard loop that reads them (hash and
-    /// admission control there, never on the driver). When `None` — a
-    /// consensus-only node proposing empty blocks — submissions are
-    /// ignored.
-    pub mempool: Option<Arc<Mempool>>,
+    /// When set, the node's mempool and its base batch size in bytes:
+    /// `SubmitTx` frames from client connections are admitted into the
+    /// pool by the shard loop that reads them (hash and admission control
+    /// there, never on the driver), and the driver seals it into batches
+    /// of that size. When `None` — a consensus-only node proposing other
+    /// nodes' batches or empty blocks — submissions are ignored.
+    pub mempool: Option<(Arc<Mempool>, usize)>,
     /// The node's dissemination plane: shard loops validate and store
     /// `BatchPush`/`BatchResponse` frames into its batch store and answer
-    /// `BatchRequest` frames from it, and the driver pushes sealed batches,
+    /// `BatchRequest` frames from it, and the driver pushes the batches it seals,
     /// proposes and gates votes through the same plane. A fresh one by
     /// default; a restarted node is handed the plane it had.
     pub dissem: Arc<DissemPlane>,
@@ -378,7 +379,7 @@ impl Transport {
             node: cfg.node_id,
             inbound,
             verifier,
-            mempool: cfg.mempool.clone(),
+            mempool: cfg.mempool.as_ref().map(|(pool, _)| pool.clone()),
             dissem: cfg.dissem.clone(),
             peers,
             addrs,

@@ -223,15 +223,15 @@ fn fifty_node_shaped_cluster_commits_paced_load_on_bounded_threads() {
     let committed = report.quorum_committed_blocks();
     assert!(committed >= 10, "only {committed} quorum-committed blocks (need 10)");
 
-    // One driver and one assembler per node plus the O(cores) shared pool —
-    // the old thread-per-connection transport would sit at ~2 500 threads
-    // here.
+    // One thread per node, its driver, which also seals, plus the O(cores)
+    // shared pool — the old thread-per-connection transport would sit at
+    // ~2 500 threads here.
     let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let ceiling = (3 * N + 2 * cores + 16) as u64;
+    let ceiling = (N + 2 * cores + 16) as u64;
     let threads = mid_threads.expect("/proc/self/status is readable");
     assert!(
         threads <= ceiling,
-        "{threads} live threads exceed ceiling {ceiling} (3×n + 2×cores + 16)"
+        "{threads} live threads exceed ceiling {ceiling} (n + 2×cores + 16)"
     );
 
     // The shard loops sleep between deadlines (a loop polling through the

@@ -109,16 +109,15 @@ pub enum TraceEvent {
         /// The restarted node.
         node: NodeId,
     },
-    /// A batch of transactions was sealed (framed and hashed) off-thread
-    /// and staged for proposal. The record's timestamp is the *seal* time,
-    /// which can predate neighbouring records when the event is emitted
-    /// lazily at proposal time — stage analysis sorts by timestamp first.
+    /// A batch of transactions was sealed (framed and hashed) and pushed to
+    /// every peer. The record's timestamp is the *seal* time, in the driver
+    /// step that pushed the batch — stage analysis sorts by timestamp first.
     ///
     /// `batch` is the payload digest: the span id that correlates this
     /// event with the block that later carries the batch (a block's
     /// payload digest equals its batch digest).
     BatchSealed {
-        /// The node whose assembler sealed the batch.
+        /// The node that sealed the batch.
         node: NodeId,
         /// Digest of the sealed batch payload.
         batch: BlockId,
