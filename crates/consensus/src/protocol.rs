@@ -88,8 +88,8 @@ pub trait ConsensusProtocol {
 
     /// The state transition for a message that already passed a
     /// [`MessageVerifier`] — this node's own, in
-    /// [`handle_message`](ConsensusProtocol::handle_message), or a verify
-    /// stage off the driver thread. The rules perform no cryptography.
+    /// [`handle_message`](ConsensusProtocol::handle_message), or the
+    /// network shard loop that read it. The rules perform no cryptography.
     fn handle_preverified(
         &mut self,
         from: NodeId,
@@ -228,8 +228,8 @@ pub struct NodeConfig {
     /// Retry behaviour for block fetches (see [`crate::sync::RetryPolicy`]).
     pub fetch_retry: crate::sync::RetryPolicy,
     /// The cache of already-verified certificate digests, shared by the
-    /// node's [`MessageVerifier`] and every verify worker, so a certificate
-    /// checked on one thread is a cache hit everywhere else.
+    /// node's [`MessageVerifier`] and every shard loop verifying for it, so
+    /// a certificate checked on one thread is a cache hit everywhere else.
     pub verified_cache: Arc<VerifiedCache>,
     /// Durable write-ahead log for votes/timeouts (`None` = in-memory
     /// only, the pre-ledger behaviour). Called synchronously on the driver

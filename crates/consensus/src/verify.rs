@@ -6,9 +6,10 @@
 //!
 //! * [`ConsensusProtocol::handle_message`] runs the node's own verifier
 //!   (the simulator, `LocalNet`, tests);
-//! * the node runtime's `net-verify-*` stage runs
-//!   [`MessageVerifier::verify_batch`] off the driver thread and delivers
-//!   through [`ConsensusProtocol::handle_preverified`].
+//! * the node runtime's network shard loops run
+//!   [`MessageVerifier::verify_batch`] over the messages they read, off the
+//!   driver thread, and deliver through
+//!   [`ConsensusProtocol::handle_preverified`].
 //!
 //! Both run the same function: [`MessageVerifier::verify`] is the
 //! one-message case of `verify_batch`. The check is *pure* — it needs the
@@ -22,7 +23,7 @@
 //! verifications on the driver thread.
 //!
 //! The verifier shares its [`VerifiedCache`] with the protocol's
-//! [`NodeConfig`], so a certificate checked on one verify worker is a cache
+//! [`NodeConfig`], so a certificate checked on one shard loop is a cache
 //! hit on every other thread — each unique QC/TC costs one raw multisig
 //! verification per node, total.
 //!
@@ -102,7 +103,7 @@ impl std::error::Error for VerifyError {}
 
 /// Verifies messages against the PKI, routing certificates through a
 /// shared [`VerifiedCache`]. `Send + Sync`: one instance serves every
-/// verify worker of a node.
+/// network shard loop that reads for a node.
 #[derive(Clone, Debug)]
 pub struct MessageVerifier {
     ring: Keyring,

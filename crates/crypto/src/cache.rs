@@ -55,7 +55,7 @@ pub struct CacheStats {
     /// [`VerifiedCache::note_batch`].
     pub batch_calls: u64,
     /// Total signatures submitted across those calls; `batch_items /
-    /// batch_calls` is the mean batch size the sigverify stage achieved.
+    /// batch_calls` is the mean batch size verification achieved.
     pub batch_items: u64,
 }
 
@@ -165,7 +165,7 @@ impl VerifiedCache {
     }
 
     /// Records one [`batch_verify`] call over `items` signatures, so the
-    /// mean batch size the sigverify stage achieves is observable.
+    /// mean batch size verification achieves is observable.
     /// `batch_verify` itself is a free function below the cache in the
     /// dependency order; the verify pipeline owns both and calls this next
     /// to it.

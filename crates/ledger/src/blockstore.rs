@@ -2,8 +2,8 @@
 //!
 //! Each segment file `segments/epoch-NNNNNN.seg` holds the committed blocks
 //! whose heights fall in one epoch (`epoch = height / epoch_blocks`), framed
-//! with the shared `len | crc32 | body` record format. Appends happen off
-//! the consensus hot path (the driver's writer thread) and are *not* fsync'd
+//! with the shared `len | crc32 | body` record format. The driver appends
+//! each block in the step that commits it, and appends are *not* fsync'd
 //! per block: unlike WAL state, a committed block lost to a crash is
 //! re-fetchable from any honest peer, so the blockstore trades durability of
 //! the last few records for throughput. Segments are fsync'd when they roll.

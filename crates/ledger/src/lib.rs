@@ -9,9 +9,10 @@
 //!   hits the wire, so a `kill -9`'d node provably cannot equivocate after
 //!   recovery: the disk always dominates the network.
 //! * [`blockstore`] — append-only per-epoch segment files of committed
-//!   blocks, written off the hot path, CRC-checked and torn-tail-truncated
-//!   on open; doubles as the [`LocalBlockSource`] that lets catch-up serve
-//!   already-persisted blocks from disk instead of the network.
+//!   blocks, appended by the committing driver, CRC-checked and
+//!   torn-tail-truncated on open; doubles as the [`LocalBlockSource`] that
+//!   lets catch-up serve already-persisted blocks from disk instead of the
+//!   network.
 //! * [`snapshot`] — periodic atomic summaries that bound WAL replay length
 //!   *and* WAL size: each snapshot write compacts away the WAL records its
 //!   floors summarise, so the log stays at about one snapshot-interval of
@@ -34,8 +35,7 @@ pub mod snapshot;
 pub mod wal;
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use moonshot_consensus::protocol::{LocalBlockSource, Persist, RecoveredState};
 use moonshot_telemetry::{Histogram, MetricsRegistry};
@@ -62,24 +62,32 @@ impl Default for LedgerOptions {
 
 /// The durable storage facade for one node.
 ///
-/// Lock order (where multiple are held): `store` before `wal` before
-/// `lock_qc` / `fsync_us`. The vote hot path takes only `wal` + `lock_qc`.
+/// Every write goes through one lock over its state, so a snapshot reads
+/// its floors, its lock and its WAL offset at one instant: no record below
+/// a snapshot's `wal_len` can carry a view above its floors, and compacting
+/// up to that offset never drops a vote or timeout the snapshot does not
+/// cover.
 #[derive(Debug)]
 pub struct Ledger {
     dir: PathBuf,
     opts: LedgerOptions,
-    wal: Mutex<Wal>,
-    store: Mutex<BlockStore>,
-    /// Latest persisted lock certificate (snapshotted periodically).
-    lock_qc: Mutex<Option<QuorumCertificate>>,
-    voted_view: AtomicU64,
-    timeout_view: AtomicU64,
-    committed_height: AtomicU64,
-    appends_since_snapshot: AtomicU64,
+    state: Mutex<State>,
     replayed_records: u64,
     truncated_tail_bytes: u64,
     recovered_height: u64,
-    fsync_us: Mutex<Histogram>,
+}
+
+/// A [`Ledger`]'s mutable state, all under its one lock.
+#[derive(Debug)]
+struct State {
+    wal: Wal,
+    store: BlockStore,
+    /// Latest persisted lock certificate.
+    lock: Option<QuorumCertificate>,
+    voted_view: View,
+    timeout_view: View,
+    appends_since_snapshot: u64,
+    fsync_us: Histogram,
 }
 
 impl Ledger {
@@ -129,34 +137,31 @@ impl Ledger {
         let ledger = Ledger {
             dir,
             opts,
-            voted_view: AtomicU64::new(voted.0),
-            timeout_view: AtomicU64::new(timeout.0),
-            committed_height: AtomicU64::new(store.max_height),
-            appends_since_snapshot: AtomicU64::new(0),
             replayed_records: wal_replay.records.len() as u64 + store_replay.replayed_records,
             truncated_tail_bytes: wal_replay.truncated_bytes + store_replay.truncated_bytes,
             recovered_height: store.max_height,
-            wal: Mutex::new(wal),
-            store: Mutex::new(store),
-            lock_qc: Mutex::new(lock),
-            fsync_us: Mutex::new(Histogram::for_latency_us()),
+            state: Mutex::new(State {
+                wal,
+                store,
+                lock,
+                voted_view: voted,
+                timeout_view: timeout,
+                appends_since_snapshot: 0,
+                fsync_us: Histogram::for_latency_us(),
+            }),
         };
         Ok((Arc::new(ledger), recovered))
     }
 
-    /// Appends a committed block to the blockstore (off the consensus hot
-    /// path) and writes a snapshot every
-    /// [`LedgerOptions::snapshot_every`] appends.
+    /// Appends a committed block to the blockstore and writes a snapshot
+    /// every [`LedgerOptions::snapshot_every`] appends.
     pub fn append_committed(&self, block: &Block) -> std::io::Result<()> {
-        {
-            let mut store = self.store.lock().unwrap();
-            store.append(block)?;
-            self.committed_height.store(store.max_height, Ordering::Relaxed);
-        }
-        let n = self.appends_since_snapshot.fetch_add(1, Ordering::Relaxed) + 1;
-        if n >= self.opts.snapshot_every {
-            self.appends_since_snapshot.store(0, Ordering::Relaxed);
-            self.write_snapshot()?;
+        let mut state = self.state();
+        state.store.append(block)?;
+        state.appends_since_snapshot += 1;
+        if state.appends_since_snapshot >= self.opts.snapshot_every {
+            state.appends_since_snapshot = 0;
+            self.snapshot(&mut state)?;
         }
         Ok(())
     }
@@ -170,16 +175,28 @@ impl Ledger {
     /// a record is only ever dropped once a snapshot covering it is
     /// durably in place.
     pub fn write_snapshot(&self) -> std::io::Result<()> {
+        self.snapshot(&mut self.state())
+    }
+
+    /// [`write_snapshot`](Ledger::write_snapshot) under a held lock: the
+    /// floors and the offset are read, written and compacted to without a
+    /// WAL append in between.
+    fn snapshot(&self, state: &mut State) -> std::io::Result<()> {
         let snap = Snapshot {
-            voted_view: View(self.voted_view.load(Ordering::Relaxed)),
-            timeout_view: View(self.timeout_view.load(Ordering::Relaxed)),
-            lock: self.lock_qc.lock().unwrap().clone(),
-            committed_height: self.committed_height.load(Ordering::Relaxed),
-            wal_len: self.wal.lock().unwrap().len(),
+            voted_view: state.voted_view,
+            timeout_view: state.timeout_view,
+            lock: state.lock.clone(),
+            committed_height: state.store.max_height,
+            wal_len: state.wal.len(),
         };
         snap.write(&self.dir.join("snapshot.snap"))?;
-        self.wal.lock().unwrap().compact(snap.wal_len)?;
+        state.wal.compact(snap.wal_len)?;
         Ok(())
+    }
+
+    /// The ledger's state, under its one lock.
+    fn state(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("a thread panicked holding the ledger lock")
     }
 
     /// Committed height found on disk at open (what the restarted node did
@@ -188,59 +205,48 @@ impl Ledger {
         self.recovered_height
     }
 
-    /// Current committed height on disk.
-    pub fn committed_height(&self) -> u64 {
-        self.committed_height.load(Ordering::Relaxed)
-    }
-
-    fn append_wal(&self, rec: WalRecord) {
-        let fsync_us = {
-            let mut wal = self.wal.lock().unwrap();
-            // A disk that cannot persist safety state cannot host a correct
-            // replica: crashing beats equivocating.
-            wal.append(&rec).expect("ledger WAL append failed")
-        };
-        self.fsync_us.lock().unwrap().record(fsync_us);
-    }
-
     /// Publishes `ledger.*` counters and the fsync histogram into a metrics
     /// registry (absolute values; a node does it once, when it stops).
     pub fn publish_into(&self, m: &mut MetricsRegistry) {
-        let (wal_appended, wal_bytes, wal_compactions) = {
-            let wal = self.wal.lock().unwrap();
-            (wal.appended, wal.physical_len(), wal.compactions)
-        };
-        let (segments, blocks_appended) = {
-            let store = self.store.lock().unwrap();
-            (store.segments, store.appended)
-        };
-        m.set_counter("ledger.wal_records", wal_appended);
-        m.set_counter("ledger.wal_bytes", wal_bytes);
-        m.set_counter("ledger.wal_compactions", wal_compactions);
-        m.set_counter("ledger.segments", segments);
-        m.set_counter("ledger.blocks_appended", blocks_appended);
+        let state = self.state();
+        m.set_counter("ledger.wal_records", state.wal.appended);
+        m.set_counter("ledger.wal_bytes", state.wal.physical_len());
+        m.set_counter("ledger.wal_compactions", state.wal.compactions);
+        m.set_counter("ledger.segments", state.store.segments);
+        m.set_counter("ledger.blocks_appended", state.store.appended);
         m.set_counter("ledger.replayed_records", self.replayed_records);
         m.set_counter("ledger.truncated_tail_bytes", self.truncated_tail_bytes);
-        m.set_histogram("ledger.fsync_us", self.fsync_us.lock().unwrap().clone());
+        m.set_histogram("ledger.fsync_us", state.fsync_us.clone());
+    }
+}
+
+impl State {
+    fn append_wal(&mut self, rec: WalRecord) {
+        // A disk that cannot persist safety state cannot host a correct
+        // replica: crashing beats equivocating.
+        let fsync_us = self.wal.append(&rec).expect("ledger WAL append failed");
+        self.fsync_us.record(fsync_us);
     }
 }
 
 impl Persist for Ledger {
     fn persist_vote(&self, view: View, lock: &QuorumCertificate) {
-        self.voted_view.fetch_max(view.0, Ordering::Relaxed);
-        *self.lock_qc.lock().unwrap() = Some(lock.clone());
-        self.append_wal(WalRecord::Vote { view, lock: lock.clone() });
+        let mut state = self.state();
+        state.voted_view = state.voted_view.max(view);
+        state.lock = Some(lock.clone());
+        state.append_wal(WalRecord::Vote { view, lock: lock.clone() });
     }
 
     fn persist_timeout(&self, view: View, high_qc: &QuorumCertificate) {
-        self.timeout_view.fetch_max(view.0, Ordering::Relaxed);
-        self.append_wal(WalRecord::Timeout { view, high_qc: high_qc.clone() });
+        let mut state = self.state();
+        state.timeout_view = state.timeout_view.max(view);
+        state.append_wal(WalRecord::Timeout { view, high_qc: high_qc.clone() });
     }
 }
 
 impl LocalBlockSource for Ledger {
     fn local_block(&self, id: BlockId) -> Option<Block> {
-        self.store.lock().unwrap().get(id)
+        self.state().store.get(id)
     }
 }
 
@@ -248,7 +254,7 @@ impl LocalBlockSource for Ledger {
 mod tests {
     use super::*;
     use std::path::Path;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     /// A unique throwaway directory under the system temp dir, removed on
     /// drop.
@@ -374,7 +380,7 @@ mod tests {
             for b in chain(10) {
                 ledger.append_committed(&b).unwrap();
             }
-            let store = ledger.store.lock().unwrap();
+            let store = &ledger.state.lock().unwrap().store;
             // Heights 1..=10 with 4 per epoch: epochs 0 (h1-3), 1 (h4-7),
             // 2 (h8-10).
             assert_eq!(store.segments, 3);
@@ -458,15 +464,15 @@ mod tests {
         let record_size = {
             // One vote record's framed size, measured empirically.
             ledger.persist_vote(View(1), &qc_at(0));
-            ledger.wal.lock().unwrap().physical_len()
+            ledger.state.lock().unwrap().wal.physical_len()
         };
         for (i, b) in blocks.iter().enumerate() {
             ledger.persist_vote(View(i as u64 + 2), &qc_at(i as u64));
             ledger.append_committed(b).unwrap();
-            max_physical = max_physical.max(ledger.wal.lock().unwrap().physical_len());
+            max_physical = max_physical.max(ledger.state.lock().unwrap().wal.physical_len());
         }
         let (logical, physical, compactions) = {
-            let wal = ledger.wal.lock().unwrap();
+            let wal = &ledger.state.lock().unwrap().wal;
             (wal.len(), wal.physical_len(), wal.compactions)
         };
         assert!(compactions >= 20, "snapshot_every=8 over 200 commits: {compactions}");
@@ -502,7 +508,7 @@ mod tests {
             // the WAL tail.
             ledger.persist_vote(View(11), &qc_at(10));
             ledger.persist_timeout(View(12), &qc_at(10));
-            assert!(ledger.wal.lock().unwrap().compactions >= 2);
+            assert!(ledger.state.lock().unwrap().wal.compactions >= 2);
         }
         let (ledger, rec) = Ledger::open(dir.path(), opts(64, 4)).unwrap();
         assert_eq!(rec.voted_view, View(11), "snapshot floor ⊔ compacted tail");
@@ -532,7 +538,7 @@ mod tests {
         ledger.write_snapshot().unwrap();
         ledger.persist_vote(View(7), &qc_at(6));
         {
-            let mut wal = ledger.wal.lock().unwrap();
+            let wal = &mut ledger.state.lock().unwrap().wal;
             let len = wal.len();
             wal.compact(len - 1).unwrap(); // keeps only the last record
             assert!(wal.physical_len() < len);

@@ -20,7 +20,8 @@
 //!
 //! The node is wired by [`NodeHandle::start`], exactly like every node of an
 //! in-process [`moonshot_node::Cluster`]: consensus messages reach the
-//! driver only through the sigverify stage, and blocks carry 40-byte
+//! driver only once the network shard that read them verified them, and
+//! blocks carry 40-byte
 //! references to batches that travel on the push/fetch plane.
 //!
 //! `--load <batch-bytes>` gives the node a data path: a mempool that the
@@ -37,8 +38,7 @@
 //! `--data-dir <dir>` makes the node durable: safety-critical consensus
 //! state (votes, timeouts, the lock certificate) is fsync'd to a
 //! write-ahead log in `<dir>/node-<id>/` *before* it reaches the wire, and
-//! committed blocks are appended to per-epoch segment files off the driver
-//! thread. A killed node restarted with the same `--data-dir` reloads its
+//! the driver appends each block it commits to per-epoch segment files. A killed node restarted with the same `--data-dir` reloads its
 //! committed chain from disk, can never re-vote in a view it already voted
 //! or timed out in, and fetches only the tail it missed from peers.
 //!

@@ -137,7 +137,7 @@ pub struct Cluster {
     /// how much catch-up the restarted node actually owed the network.
     restarts: Vec<RestartStat>,
     /// The one network pool every node in the process shares: `O(cores)`
-    /// event-loop and sigverify threads total, not `O(n)`. Restarted nodes
+    /// event-loop threads total, which also verify, not `O(n)`. Restarted nodes
     /// re-attach to it; [`Cluster::stop`] shuts it down last.
     net: Arc<NetPool>,
 }
@@ -210,7 +210,7 @@ impl Cluster {
         Ok(cluster)
     }
 
-    /// The shared network pool (shard counters, sigverify stage stats).
+    /// The shared network pool (shard and wake-up counters).
     pub fn netpool(&self) -> &Arc<NetPool> {
         &self.net
     }

@@ -10,9 +10,10 @@
 //! [`NodeHandle::start`](runtime::NodeHandle::start) wires it — for the
 //! `moonshot-node` binary, every node of a [`Cluster`], and a restart alike:
 //!
-//! * **staged verification** — the pool's `net-verify-*` workers check
-//!   signatures in batches across all connections, and the driver receives
-//!   only [`PreVerified`](moonshot_consensus::PreVerified) messages;
+//! * **verification where it is read** — the pool's shard loop that reads a
+//!   consensus frame checks its signatures, batched per node over one
+//!   wakeup's reads, and the driver receives only
+//!   [`PreVerified`](moonshot_consensus::PreVerified) messages;
 //! * **digest dissemination** — transaction bytes never ride a proposal.
 //!   The driver seals the node's mempool into batches
 //!   ([`Sealer`](moonshot_mempool::Sealer)) on its own clock, stores each in
@@ -29,8 +30,9 @@
 //!   timers, keyed by microseconds since a shared cluster epoch.
 //! * [`netpool`] — the shared event-driven network core: a fixed set of
 //!   readiness-driven shard loops (via `moonshot-reactor`) that also admit
-//!   clients' `SubmitTx` frames into the mempool, one dialer and a batched
-//!   sigverify stage, shared by every node in a process.
+//!   clients' `SubmitTx` frames into the mempool and verify consensus
+//!   messages in batches, and one dialer, shared by every node in a
+//!   process.
 //! * [`transport`] — the per-node facade over the pool: bounded
 //!   drop-oldest outbound queues, exponential-backoff redial, and per-peer
 //!   traffic and fault counters.

@@ -1,5 +1,5 @@
-//! The shared event-driven network core: sharded poll loops, one dialer,
-//! and a batched signature-verification stage.
+//! The shared event-driven network core: sharded poll loops and one
+//! dialer.
 //!
 //! The original transport spent two blocking threads per peer plus one per
 //! accepted connection — O(n) threads per node, O(n²) per in-process
@@ -12,28 +12,29 @@
 //!   (read-only) connections, and dialed (write-mostly) connections.
 //!   Connection ownership is exclusive — a socket is touched only by its
 //!   shard — so no per-connection locking exists anywhere. Shards do read
-//!   framing, frame dispatch, vectored/coalesced writes against the
-//!   existing per-peer `OutboundQueue` budgets, per-link shaping, and
-//!   redial backoff as loop-local timers in a [`TimerWheel`].
+//!   framing, frame dispatch, signature verification, vectored/coalesced
+//!   writes against the existing per-peer `OutboundQueue` budgets, per-link
+//!   shaping, and redial backoff as loop-local timers in a [`TimerWheel`].
 //! - **One dialer** thread: `std` has no nonblocking connect, so blocking
 //!   `connect_timeout` + the hello preamble run here, off the event loops;
 //!   the connected socket is flipped to nonblocking and handed to its
 //!   owning shard. Dial failures schedule an exponential-backoff redial
 //!   timer on the owning shard's wheel.
-//! - **A sigverify stage** (cf. jito-solana's `sigverify_stage`): shards
-//!   decode consensus frames and push them to a bounded queue; worker
-//!   threads drain *across all connections and nodes* and call
-//!   [`MessageVerifier::verify_batch`], which funnels the accumulated
-//!   vote/timeout signatures into one `moonshot-crypto::batch_verify`
-//!   call. Only verified messages are delivered to the owning driver
-//!   (as [`moonshot_consensus::PreVerified`]); failures count against the
-//!   sending peer.
+//!
+//! A shard verifies the consensus frames it read in one wakeup before it
+//! sleeps again: grouped by node, one [`MessageVerifier::verify_batch`]
+//! call per node, which funnels the accumulated vote/timeout signatures
+//! into one `moonshot-crypto::batch_verify` call. Only verified messages
+//! are delivered to the owning driver (as
+//! [`moonshot_consensus::PreVerified`]); failures count against the sending
+//! peer. One connection is read by one shard, so a peer's messages reach
+//! the driver in the order they were read.
 //!
 //! A client's `SubmitTx` frame is admitted by the shard that reads it,
 //! through the same [`Mempool::submit_from`] every other submitter calls.
-//! A shard reads at most `READ_BUDGET` per connection visit and admits
-//! those bytes before it reads again, so a flooding client's surplus waits
-//! in its own socket: TCP is the backpressure.
+//! A shard reads at most `READ_BUDGET` per connection visit and admits or
+//! verifies those bytes before it reads again, so a flooding sender's
+//! surplus waits in its own socket: TCP is the backpressure.
 //!
 //! A pool is either **owned** by a single transport (created when
 //! `TransportConfig::pool` is `None`) or **shared** by an in-process
@@ -63,8 +64,9 @@ use crate::transport::{Inbound, InboundSender, OutboundQueue, PeerMetrics};
 
 /// Read at most this much per connection per wakeup before yielding to the
 /// next ready connection; the level-triggered reactor re-fires for the
-/// remainder. It also bounds what one client's flood costs a visit: the
-/// admission of one budget's worth of `SubmitTx` frames.
+/// remainder. It also bounds what one sender's flood costs a visit: the
+/// admission of one budget's worth of `SubmitTx` frames, or the
+/// verification of one budget's worth of consensus messages.
 const READ_BUDGET: usize = 256 * 1024;
 /// Coalesce queued frames into vectored writes up to this many bytes.
 const WRITE_COALESCE: usize = 256 * 1024;
@@ -73,17 +75,12 @@ const WRITE_VECTORS: usize = 64;
 /// Bytes a shaper may hold out of the outbound queue; beyond this the
 /// frames stay in the queue where its drop-oldest budgets apply.
 const SHAPE_STAGE_CAP: usize = 1024 * 1024;
-/// Jobs a verify worker drains per batch.
-const VERIFY_DRAIN: usize = 128;
 /// Timer wheel granularity / slot count for shard-local timers.
 const WHEEL_GRANULARITY_US: u64 = 500;
 const WHEEL_SLOTS: usize = 256;
 /// Cap on one blocking connect attempt in the dialer.
 const DIAL_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Bound on queued sigverify jobs across all connections; overflow drops
-/// the newest job (counted in [`NetPoolStats::verify_dropped`]).
-const VERIFY_QUEUE_CAPACITY: usize = 16 * 1024;
 /// First redial delay; doubles per consecutive failure.
 pub(crate) const RECONNECT_BASE: Duration = Duration::from_millis(100);
 /// Redial delay ceiling.
@@ -99,8 +96,6 @@ pub struct NetPoolStats {
     /// Frames handled (decoded inbound + fully written outbound) across
     /// all shards.
     pub frames_processed: u64,
-    /// Sigverify jobs dropped because the stage queue was full.
-    pub verify_dropped: u64,
 }
 
 /// Everything the event loops need to serve one attached transport.
@@ -216,38 +211,11 @@ impl ShardHandle {
     }
 }
 
-struct VerifyJob {
-    core: Arc<NodeCore>,
-    from: NodeId,
-    msg: Message,
-}
-
-struct VerifyQueue {
-    jobs: Mutex<VecDeque<VerifyJob>>,
-    signal: Condvar,
-    capacity: usize,
-    dropped: AtomicU64,
-}
-
-impl VerifyQueue {
-    fn push(&self, job: VerifyJob) {
-        let mut jobs = self.jobs.lock().unwrap();
-        if jobs.len() >= self.capacity {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        jobs.push_back(job);
-        drop(jobs);
-        self.signal.notify_one();
-    }
-}
-
-/// A fixed-size pool of event-loop shards + dialer + sigverify workers,
-/// shared by one or many transports. Create with [`NetPool::new`], tear
-/// down with [`NetPool::shutdown`] after every attached transport stopped.
+/// A fixed-size pool of event-loop shards + dialer, shared by one or many
+/// transports. Create with [`NetPool::new`], tear down with
+/// [`NetPool::shutdown`] after every attached transport stopped.
 pub struct NetPool {
     shards: Vec<Arc<ShardHandle>>,
-    verify: Arc<VerifyQueue>,
     dial_tx: Mutex<Sender<DialReq>>,
     shutdown: Arc<AtomicBool>,
     threads: Mutex<Vec<JoinHandle<()>>>,
@@ -262,8 +230,8 @@ impl std::fmt::Debug for NetPool {
 }
 
 impl NetPool {
-    /// Spawns the pool's threads: `min(cores, 8)` event-loop shards, one
-    /// dialer, `min(cores, 4)` sigverify workers.
+    /// Spawns the pool's threads: `min(cores, 8)` event-loop shards, which
+    /// also verify what they read, and one dialer.
     #[allow(clippy::new_ret_no_self)]
     pub fn new() -> io::Result<Arc<NetPool>> {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -286,13 +254,6 @@ impl NetPool {
             }));
             pollers.push(poller);
         }
-        let verify = Arc::new(VerifyQueue {
-            jobs: Mutex::new(VecDeque::new()),
-            signal: Condvar::new(),
-            capacity: VERIFY_QUEUE_CAPACITY,
-            dropped: AtomicU64::new(0),
-        });
-
         let mut threads = Vec::new();
         for (idx, poller) in pollers.into_iter().enumerate() {
             let runner = Runner {
@@ -309,9 +270,9 @@ impl NetPool {
                 epoch: Instant::now(),
                 shutdown: shutdown.clone(),
                 dial_tx: dial_tx.clone(),
-                verify: verify.clone(),
                 events: Vec::new(),
                 buf: vec![0u8; 64 * 1024],
+                unverified: Vec::new(),
             };
             threads.push(
                 std::thread::Builder::new()
@@ -330,20 +291,9 @@ impl NetPool {
                     .expect("spawn dialer"),
             );
         }
-        for w in 0..cores.clamp(1, 4) {
-            let verify = verify.clone();
-            let shutdown = shutdown.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("net-verify-{w}"))
-                    .spawn(move || verify_worker(verify, shutdown))
-                    .expect("spawn verify worker"),
-            );
-        }
 
         Ok(Arc::new(NetPool {
             shards: handles,
-            verify,
             dial_tx: Mutex::new(dial_tx),
             shutdown,
             threads: Mutex::new(threads),
@@ -364,7 +314,6 @@ impl NetPool {
             shards: self.shards.len(),
             loop_wakeups: wakeups,
             frames_processed: frames,
-            verify_dropped: self.verify.dropped.load(Ordering::Relaxed),
         }
     }
 
@@ -413,7 +362,6 @@ impl NetPool {
         for s in &self.shards {
             let _ = s.waker.wake();
         }
-        self.verify.signal.notify_all();
         let threads = std::mem::take(&mut *self.threads.lock().unwrap());
         for t in threads {
             let _ = t.join();
@@ -478,62 +426,6 @@ fn schedule_redial(shard: &ShardHandle, core: &Arc<NodeCore>, peer: NodeId, stat
     *b = (*b * 2).min(RECONNECT_MAX);
     drop(b);
     shard.push_cmd(Cmd::Redial { core: core.clone(), peer, after });
-}
-
-// ---------------------------------------------------------------------------
-// Sigverify stage
-// ---------------------------------------------------------------------------
-
-fn verify_worker(q: Arc<VerifyQueue>, shutdown: Arc<AtomicBool>) {
-    let mut batch: Vec<VerifyJob> = Vec::with_capacity(VERIFY_DRAIN);
-    loop {
-        {
-            let mut jobs = q.jobs.lock().unwrap();
-            while jobs.is_empty() {
-                if shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                let (guard, _) =
-                    q.signal.wait_timeout(jobs, Duration::from_millis(100)).unwrap();
-                jobs = guard;
-            }
-            while batch.len() < VERIFY_DRAIN {
-                match jobs.pop_front() {
-                    Some(j) => batch.push(j),
-                    None => break,
-                }
-            }
-        }
-        // Group by owning node (order preserved within a group) so each
-        // group hits its node's verifier/cache once with one batch.
-        type Group = (Arc<NodeCore>, Vec<(NodeId, Message)>);
-        let mut groups: Vec<Group> = Vec::new();
-        for job in batch.drain(..) {
-            match groups.iter_mut().find(|(c, _)| c.id == job.core.id) {
-                Some((_, items)) => items.push((job.from, job.msg)),
-                None => groups.push((job.core, vec![(job.from, job.msg)])),
-            }
-        }
-        for (core, items) in groups {
-            if core.shutdown.load(Ordering::SeqCst) {
-                continue;
-            }
-            let (froms, msgs): (Vec<NodeId>, Vec<Message>) = items.into_iter().unzip();
-            let results = core.verifier.verify_batch(msgs);
-            for (from, result) in froms.into_iter().zip(results) {
-                match result {
-                    Ok(msg) => {
-                        let _ = core.inbound.send(Inbound { from, msg });
-                    }
-                    Err(_) => {
-                        if let Some(p) = core.peers.get(&from) {
-                            p.metrics.verify_failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -660,9 +552,11 @@ struct Runner {
     epoch: Instant,
     shutdown: Arc<AtomicBool>,
     dial_tx: Sender<DialReq>,
-    verify: Arc<VerifyQueue>,
     events: Vec<Event>,
     buf: Vec<u8>,
+    /// Consensus messages read in this wakeup, in read order, awaiting
+    /// [`verify_read`](Runner::verify_read).
+    unverified: Vec<(Arc<NodeCore>, NodeId, Message)>,
 }
 
 impl Runner {
@@ -695,6 +589,7 @@ impl Runner {
                 self.dispatch(ev);
             }
             self.events = events;
+            self.verify_read();
 
             let now = self.now();
             for timer in self.wheel.expire(now) {
@@ -1012,13 +907,47 @@ impl Runner {
                 let Some(id) = c.from else {
                     return ReadVerdict::Close; // consensus before hello
                 };
-                // Signature checking never runs on the event loop: the
-                // message joins the staged sigverify batch, and only a
+                // Checked with the rest of this wakeup's reads; only a
                 // verified copy reaches the driver.
-                self.verify.push(VerifyJob { core: c.core.clone(), from: id, msg });
+                self.unverified.push((c.core.clone(), id, msg));
             }
         }
         ReadVerdict::Keep
+    }
+
+    /// Verifies the consensus messages this wakeup read and hands the
+    /// verified ones to their drivers, in read order; a failure counts
+    /// against its sender. A stopping node's messages are dropped.
+    fn verify_read(&mut self) {
+        // Group by owning node (order preserved within a group) so each
+        // group hits its node's verifier/cache once with one batch.
+        type Group = (Arc<NodeCore>, Vec<(NodeId, Message)>);
+        let mut groups: Vec<Group> = Vec::new();
+        for (core, from, msg) in self.unverified.drain(..) {
+            match groups.iter_mut().find(|(c, _)| c.id == core.id) {
+                Some((_, items)) => items.push((from, msg)),
+                None => groups.push((core, vec![(from, msg)])),
+            }
+        }
+        for (core, items) in groups {
+            if core.shutdown.load(Ordering::SeqCst) {
+                continue;
+            }
+            let (froms, msgs): (Vec<NodeId>, Vec<Message>) = items.into_iter().unzip();
+            let results = core.verifier.verify_batch(msgs);
+            for (from, result) in froms.into_iter().zip(results) {
+                match result {
+                    Ok(msg) => {
+                        let _ = core.inbound.send(Inbound { from, msg });
+                    }
+                    Err(_) => {
+                        if let Some(p) = core.peers.get(&from) {
+                            p.metrics.verify_failures.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Drains `token`'s outbound queue through coalesced vectored writes

@@ -161,8 +161,7 @@ impl TraceSink for TracingSink {
     }
 }
 
-/// A running node: its driver thread, attached to a network pool (and
-/// its ledger writer, when durable).
+/// A running node: its driver thread, attached to a network pool.
 #[derive(Debug)]
 pub struct NodeHandle {
     shutdown: Arc<AtomicBool>,
@@ -190,8 +189,8 @@ impl NodeHandle {
     /// proposes references to the oldest batches in `cfg.dissem`'s
     /// proposable pool, gates its votes on holding the referenced bytes
     /// (fetching what no push delivered), and takes in consensus messages
-    /// only through the pool's sigverify stage, which shares the protocol's
-    /// verified-certificate cache.
+    /// only once the pool's shard loop that read them has verified them
+    /// against the protocol's verified-certificate cache.
     ///
     /// With `cfg.mempool` the driver also seals the pool into batches of
     /// its base size ([`Sealer`]), and stores, pushes and enters each into
@@ -203,7 +202,8 @@ impl NodeHandle {
     /// vote — votes and timeouts hit the WAL before the wire, the committed
     /// chain and safety floors of a previous incarnation reach the protocol
     /// constructor, catch-up consults the blockstore before dialing peers,
-    /// and every committed block is appended on a dedicated writer thread.
+    /// and the driver appends every block it commits in the step that
+    /// commits it.
     ///
     /// `listener` adopts a pre-bound socket instead of binding
     /// `cfg.listen`. `epoch` is the cluster-wide time origin; every trace
@@ -240,8 +240,8 @@ impl NodeHandle {
         }));
         let cache = node_cfg.verified_cache.clone();
         let mut protocol = protocol(node_cfg);
-        // The verify stage runs the protocol's own verifier (same keyring,
-        // same cache), off the driver thread.
+        // The shard loops run the protocol's own verifier (same keyring,
+        // same cache) on what they read.
         let verifier = Arc::new(protocol.verifier().clone());
 
         let mempool =
@@ -266,24 +266,6 @@ impl NodeHandle {
         // chain.
         let recovered_height = ledger.as_ref().map(|l| l.recovered_height()).unwrap_or(0);
         let committed_height = Arc::new(AtomicU64::new(recovered_height));
-
-        // Committed blocks flow to disk through a dedicated writer thread so
-        // segment appends (and periodic snapshots) never block the driver.
-        let ledger_writer = ledger.clone().map(|ledger| {
-            let (tx, rx) = mpsc::channel::<moonshot_types::Block>();
-            let writer = std::thread::Builder::new()
-                .name(format!("ledger-{node}"))
-                .spawn(move || {
-                    while let Ok(block) = rx.recv() {
-                        if let Err(e) = ledger.append_committed(&block) {
-                            eprintln!("[node {node}] ledger append failed: {e}");
-                            break;
-                        }
-                    }
-                })
-                .expect("spawn ledger writer");
-            (tx, writer)
-        });
 
         let driver = {
             let shutdown = shutdown.clone();
@@ -311,7 +293,7 @@ impl NodeHandle {
                         batch_fetcher,
                         gated: VecDeque::new(),
                         ledger,
-                        ledger_writer,
+                        appending: true,
                         stall_timeout,
                         last_commit_at_us: 0,
                         messages_handled: 0,
@@ -427,11 +409,12 @@ struct Driver {
     /// Proposals / synced blocks parked until every batch ref they carry
     /// resolves in the local store.
     gated: VecDeque<GatedMessage>,
-    /// The durable ledger, for its counters in the final report.
+    /// The durable ledger: every committed block is appended to it, and
+    /// its counters land in the final report.
     ledger: Option<Arc<Ledger>>,
-    /// Channel + thread that append committed blocks to the ledger off the
-    /// driver loop. Dropping the sender stops the thread.
-    ledger_writer: Option<(mpsc::Sender<moonshot_types::Block>, JoinHandle<()>)>,
+    /// Cleared by the first failed append: a gap would break the segment
+    /// chain, so this incarnation appends nothing after it.
+    appending: bool,
     /// Stall-watchdog threshold.
     stall_timeout: Duration,
     /// When the last commit landed (µs since epoch; the driver's start
@@ -446,8 +429,8 @@ struct Driver {
 
 /// The driver loop, owning the [`Driver`] so the transport can be consumed
 /// on exit — `NodeHandle::stop` returns only after the node's sockets are
-/// detached from the network pool and its ledger writer is joined. (A
-/// mempool and a dissemination plane handed in outlive the node.)
+/// detached from the network pool. (A mempool and a dissemination plane
+/// handed in outlive the node.)
 fn run_driver(
     mut driver: Driver,
     protocol: &mut dyn ConsensusProtocol,
@@ -523,12 +506,6 @@ fn run_driver(
     }
 
     driver.sink.flush();
-    // Flush remaining committed blocks to disk before the counters are
-    // read, so `ledger.*` in the report covers every commit.
-    if let Some((tx, writer)) = driver.ledger_writer.take() {
-        drop(tx);
-        let _ = writer.join();
-    }
     let metrics = driver.report_metrics();
     driver.transport.stop();
 
@@ -860,8 +837,12 @@ impl Driver {
                     // are dead weight the byte-budget eviction would
                     // otherwise churn through.
                     plane.store.prune_committed(height.saturating_sub(DISSEM_RETAIN_BLOCKS));
-                    if let Some((tx, _)) = &self.ledger_writer {
-                        let _ = tx.send(c.block.clone());
+                    // On disk before the liveness probe may report it.
+                    if let Some(ledger) = self.ledger.as_ref().filter(|_| self.appending) {
+                        if let Err(e) = ledger.append_committed(&c.block) {
+                            eprintln!("[node {}] ledger append failed: {e}", self.node);
+                            self.appending = false;
+                        }
                     }
                     self.committed_height.store(c.block.height().0, Ordering::Relaxed);
                     self.last_commit_at_us = t.0;

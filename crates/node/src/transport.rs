@@ -9,17 +9,17 @@
 //! cost of one extra socket per pair.
 //!
 //! Threading: none of it lives here. A [`NetPool`] — a fixed set of
-//! readiness-driven shard loops, one dialer, and a batched sigverify stage
-//! — owns every socket. The transport contributes the per-peer
-//! bounded outbound queues with **drop-oldest** backpressure (consensus
-//! tolerates message loss — the protocols re-sync via certificates and the
-//! block fetcher — so dropping the stalest frame beats unbounded buffering
-//! or blocking the driver), a protected drop-*new* class for sync
-//! responses, and per-peer counters. A transport either owns a private
-//! pool (created when [`TransportConfig::pool`] is `None`) or shares one
-//! with every other node in an in-process cluster, which is what takes a
-//! 50-node localhost cluster from ~50·(n+2) threads to 50 drivers plus one
-//! constant-size pool.
+//! readiness-driven shard loops, which also verify the consensus messages
+//! they read, and one dialer — owns every socket. The transport contributes
+//! the per-peer bounded outbound queues with **drop-oldest** backpressure
+//! (consensus tolerates message loss — the protocols re-sync via
+//! certificates and the block fetcher — so dropping the stalest frame beats
+//! unbounded buffering or blocking the driver), a protected drop-*new*
+//! class for sync responses, and per-peer counters. A transport either owns
+//! a private pool (created when [`TransportConfig::pool`] is `None`) or
+//! shares one with every other node in an in-process cluster, which is what
+//! takes a 50-node localhost cluster from ~50·(n+2) threads to 50 drivers
+//! plus one constant-size pool.
 //!
 //! Every dialed connection opens with a [`moonshot_wire::Frame::Hello`] so
 //! the accepting side learns who is talking before the first consensus
@@ -62,9 +62,9 @@ pub struct Inbound {
     /// The sending node (from its hello preamble, or this node itself for
     /// loopback deliveries).
     pub from: NodeId,
-    /// The consensus message, every signature in it already checked: in
-    /// the pool's sigverify stage, or trivially for loopback copies of this
-    /// node's own messages. Nothing reaches the driver unverified.
+    /// The consensus message, every signature in it already checked: by
+    /// the pool's shard loop that read it, or trivially for loopback copies
+    /// of this node's own messages. Nothing reaches the driver unverified.
     pub msg: PreVerified,
 }
 
@@ -72,10 +72,10 @@ pub struct Inbound {
 ///
 /// `std::sync::mpsc` channels cannot report their length, but the stall
 /// watchdog wants to know how deep the driver's inbox is. Every producer
-/// (shard loops, verify workers, the loopback path) sends through this
-/// wrapper, which bumps a shared gauge; the driver decrements the same
-/// gauge once per message it dequeues. The gauge is therefore an upper
-/// bound that is exact whenever the driver is between messages.
+/// (the shard loops, the loopback path) sends through this wrapper, which
+/// bumps a shared gauge; the driver decrements the same gauge once per
+/// message it dequeues. The gauge is therefore an upper bound that is exact
+/// whenever the driver is between messages.
 ///
 /// The channel carries `Option<Inbound>`: `None` is a bare wake-up
 /// ([`InboundSender::wake`]) for a driver blocked on it with nothing to
@@ -197,8 +197,8 @@ pub struct PeerMetrics {
     pub reconnects: AtomicU64,
     /// Frames from this peer the decoder rejected (connection then dropped).
     pub decode_errors: AtomicU64,
-    /// Messages from this peer dropped by sigverify-stage signature
-    /// verification (bad signature or certificate).
+    /// Messages from this peer dropped by signature verification on the
+    /// shard loop that read them (bad signature or certificate).
     pub verify_failures: AtomicU64,
 }
 
@@ -330,8 +330,8 @@ impl std::fmt::Debug for Transport {
 impl Transport {
     /// Binds the listener and attaches this node to its network pool
     /// (creating a private one when the config names none). Every decoded
-    /// consensus message goes through `verifier` in the pool's sigverify
-    /// stage — failures are dropped and counted in
+    /// consensus message goes through `verifier` on the shard loop that
+    /// read it — failures are dropped and counted in
     /// [`PeerMetrics::verify_failures`] — and only then into `inbound`.
     ///
     /// A pre-bound `listener` is adopted instead of binding `cfg.listen` —
@@ -654,11 +654,12 @@ mod tests {
     }
 
     /// A peer that says hello and then misbehaves, played by a raw socket:
-    /// a vote with one signature byte flipped dies in the sigverify stage
-    /// and is counted against its sender, and the connection lives on — the
-    /// valid vote sent next on it is delivered; a frame whose CRC does not
-    /// match its body is a decode error that closes the connection. Both
-    /// land in the node's report under the sender's `net.peer<id>.*`.
+    /// a vote with one signature byte flipped dies in verification on the
+    /// shard that read it and is counted against its sender, and the
+    /// connection lives on — the valid vote sent next on it is delivered; a
+    /// frame whose CRC does not match its body is a decode error that
+    /// closes the connection. Both land in the node's report under the
+    /// sender's `net.peer<id>.*`.
     #[test]
     fn hostile_frames_are_counted_against_their_sender() {
         use std::io::{Read, Write};
@@ -737,6 +738,59 @@ mod tests {
         assert!(rx0.try_recv().is_err(), "the corrupt frame reached the driver");
         assert_eq!(report("verify_failures"), 1);
         assert_eq!((report("dropped_frames"), report("protected_dropped")), (0, 0));
+        t0.stop();
+    }
+
+    /// A peer's consensus messages reach the driver in the order they were
+    /// read. A raw socket says hello, then writes 2 000 `BlockRequest`s
+    /// with distinct block ids in one burst; they carry no signature, so
+    /// every one passes verification, and the driver's channel must yield
+    /// exactly those 2 000, in the order they were written.
+    #[test]
+    fn a_peers_messages_reach_the_driver_in_the_order_they_were_read() {
+        use std::io::Write;
+        use std::net::TcpStream;
+
+        use moonshot_consensus::Message;
+        use moonshot_crypto::Digest;
+        use moonshot_wire::{encode_frame, encode_message, Frame};
+
+        const MESSAGES: u32 = 2_000;
+        let l0 = TcpListener::bind(localhost_any()).unwrap();
+        let a0 = l0.local_addr().unwrap();
+        // Node 1 is the raw socket below; its address is never listened on.
+        let a1 = TcpListener::bind(localhost_any()).unwrap().local_addr().unwrap();
+        let (tx0, rx0) = mpsc::channel();
+        let t0 = Transport::start(
+            TransportConfig::new(NodeId(0), a0, vec![(NodeId(0), a0), (NodeId(1), a1)]),
+            Some(l0),
+            verifier(),
+            InboundSender::new(tx0),
+        )
+        .unwrap();
+
+        let sent: Vec<Message> = (0..MESSAGES)
+            .map(|i| Message::BlockRequest { block_id: Digest::hash(&i.to_le_bytes()) })
+            .collect();
+        let mut peer = TcpStream::connect(a0).unwrap();
+        peer.write_all(&encode_frame(&Frame::Hello { node: NodeId(1) })).unwrap();
+        let burst: Vec<u8> = sent.iter().flat_map(encode_message).collect();
+        peer.write_all(&burst).unwrap();
+
+        let mut got = Vec::with_capacity(sent.len());
+        while got.len() < sent.len() {
+            let inbound = rx0
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|e| panic!("{e} after {} of {MESSAGES} messages", got.len()))
+                .expect("a message, not a bare wake-up");
+            assert_eq!(inbound.from, NodeId(1));
+            got.push(inbound.msg.message().clone());
+        }
+        assert_eq!(got.len(), sent.len());
+        if let Some(i) = (0..sent.len()).find(|&i| got[i] != sent[i]) {
+            panic!("message {i} of {MESSAGES} delivered out of read order: got {}", got[i]);
+        }
+        assert!(rx0.try_recv().is_err(), "more messages delivered than were sent");
         t0.stop();
     }
 

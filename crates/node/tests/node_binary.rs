@@ -1,7 +1,7 @@
 //! The shipped binary is the benchmarked system: four `moonshot-node run
 //! --load` processes on loopback, transactions submitted over TCP to one of
 //! them, must commit one chain through the same dissemination plane and
-//! sigverify stage an in-process `Cluster` node runs on — the loaded node
+//! verifying shard loops an in-process `Cluster` node runs on — the loaded node
 //! pushes its batches, the others store them without having sealed any, and
 //! every leader proposes them.
 
