@@ -6,26 +6,23 @@
 //! latencies, message drops via a filter, crashed nodes. The full-fidelity
 //! WAN runs live in `moonshot-sim`; this harness is for protocol logic.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
 
-use moonshot_telemetry::TraceSink;
-use moonshot_types::time::{SimDuration, SimTime};
+use moonshot_types::time::{EventQueue, SimDuration, SimTime};
 use moonshot_types::{NodeId, View};
 
 use crate::message::Message;
-use crate::observer::ProtocolObserver;
 use crate::protocol::{CommittedBlock, ConsensusProtocol, Output, TimerToken};
 
 /// Decides the fate of each message: `None` = drop, `Some(delay)` = deliver
 /// after `delay`.
 pub type LinkPolicy = Box<dyn FnMut(NodeId, NodeId, &Message, SimTime) -> Option<SimDuration>>;
 
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
-enum PendingKind {
-    // Variant order is the tie-break order at equal times.
-    Deliver,
-    Timer,
+/// What the harness has scheduled; ties fire in the order they were queued.
+/// A message is boxed so the heap sifts small entries.
+enum Pending {
+    Deliver { from: NodeId, to: NodeId, msg: Box<Message> },
+    Timer { node: NodeId, token: TimerToken },
 }
 
 /// A deterministic in-memory network of protocol instances.
@@ -33,19 +30,10 @@ pub struct LocalNet {
     nodes: Vec<Box<dyn ConsensusProtocol>>,
     crashed: HashSet<NodeId>,
     committed: Vec<Vec<CommittedBlock>>,
-    queue: BinaryHeap<Reverse<(SimTime, u64, PendingKind, usize)>>,
-    deliveries: Vec<Option<(NodeId, NodeId, Message)>>,
-    timers: Vec<Option<(NodeId, TimerToken)>>,
+    queue: EventQueue<Pending>,
     policy: LinkPolicy,
-    tracer: Option<Tracer>,
     now: SimTime,
-    seq: u64,
     started: bool,
-}
-
-struct Tracer {
-    observers: Vec<ProtocolObserver>,
-    sink: Box<dyn TraceSink>,
 }
 
 impl std::fmt::Debug for LocalNet {
@@ -74,24 +62,11 @@ impl LocalNet {
             nodes,
             crashed: HashSet::new(),
             committed: vec![Vec::new(); n],
-            queue: BinaryHeap::new(),
-            deliveries: Vec::new(),
-            timers: Vec::new(),
+            queue: EventQueue::new(),
             policy,
-            tracer: None,
             now: SimTime::ZERO,
-            seq: 0,
             started: false,
         }
-    }
-
-    /// Traces every node's protocol actions into `sink` (see
-    /// [`ProtocolObserver`] for the event taxonomy). Share the sink — e.g.
-    /// an `Rc<RefCell<RingBufferSink>>` — to inspect the trace afterwards.
-    pub fn trace_into(&mut self, sink: Box<dyn TraceSink>) {
-        let observers =
-            (0..self.nodes.len()).map(|i| ProtocolObserver::new(NodeId::from_index(i))).collect();
-        self.tracer = Some(Tracer { observers, sink });
     }
 
     /// Number of nodes.
@@ -124,47 +99,27 @@ impl LocalNet {
         self.nodes[node.as_usize()].current_view()
     }
 
-    fn push_delivery(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: Message) {
-        let idx = self.deliveries.len();
-        self.deliveries.push(Some((from, to, msg)));
-        self.seq += 1;
-        self.queue.push(Reverse((at, self.seq, PendingKind::Deliver, idx)));
-    }
-
-    fn push_timer(&mut self, at: SimTime, node: NodeId, token: TimerToken) {
-        let idx = self.timers.len();
-        self.timers.push(Some((node, token)));
-        self.seq += 1;
-        self.queue.push(Reverse((at, self.seq, PendingKind::Timer, idx)));
-    }
-
     fn apply(&mut self, node: NodeId, outputs: Vec<Output>) {
-        if let Some(tracer) = &mut self.tracer {
-            let view = self.nodes[node.as_usize()].current_view();
-            tracer.observers[node.as_usize()].on_outputs(
-                &outputs,
-                view,
-                self.now,
-                &mut tracer.sink,
-            );
-        }
         for out in outputs {
             match out {
                 Output::Send(to, msg) => {
                     if let Some(delay) = (self.policy)(node, to, &msg, self.now) {
-                        self.push_delivery(self.now + delay, node, to, msg);
+                        let msg = Box::new(msg);
+                        self.queue.push(self.now + delay, Pending::Deliver { from: node, to, msg });
                     }
                 }
                 Output::Multicast(msg) => {
                     for i in 0..self.nodes.len() {
                         let to = NodeId::from_index(i);
                         if let Some(delay) = (self.policy)(node, to, &msg, self.now) {
-                            self.push_delivery(self.now + delay, node, to, msg.clone());
+                            let msg = Box::new(msg.clone());
+                            let pending = Pending::Deliver { from: node, to, msg };
+                            self.queue.push(self.now + delay, pending);
                         }
                     }
                 }
                 Output::SetTimer { token, after } => {
-                    self.push_timer(self.now + after, node, token);
+                    self.queue.push(self.now + after, Pending::Timer { node, token });
                 }
                 Output::Commit(c) => self.committed[node.as_usize()].push(c),
             }
@@ -188,42 +143,19 @@ impl LocalNet {
         if !self.started {
             self.start();
         }
-        while let Some(Reverse((at, _, _, _))) = self.queue.peek() {
-            if *at > deadline {
-                break;
-            }
-            let Reverse((at, _, kind, idx)) = self.queue.pop().unwrap();
+        while let Some((at, pending)) = self.queue.pop_due(deadline) {
             self.now = at;
-            match kind {
-                PendingKind::Deliver => {
-                    if let Some((from, to, msg)) = self.deliveries[idx].take() {
-                        if !self.crashed.contains(&to) {
-                            if let Some(tracer) = &mut self.tracer {
-                                tracer.observers[to.as_usize()].on_message_received(
-                                    from,
-                                    &msg,
-                                    at,
-                                    &mut tracer.sink,
-                                );
-                            }
-                            let outs = self.nodes[to.as_usize()].handle_message(from, msg, at);
-                            self.apply(to, outs);
-                        }
+            match pending {
+                Pending::Deliver { from, to, msg } => {
+                    if !self.crashed.contains(&to) {
+                        let outs = self.nodes[to.as_usize()].handle_message(from, *msg, at);
+                        self.apply(to, outs);
                     }
                 }
-                PendingKind::Timer => {
-                    if let Some((node, token)) = self.timers[idx].take() {
-                        if !self.crashed.contains(&node) {
-                            if let Some(tracer) = &mut self.tracer {
-                                tracer.observers[node.as_usize()].on_timer_fired(
-                                    token,
-                                    at,
-                                    &mut tracer.sink,
-                                );
-                            }
-                            let outs = self.nodes[node.as_usize()].handle_timer(token, at);
-                            self.apply(node, outs);
-                        }
+                Pending::Timer { node, token } => {
+                    if !self.crashed.contains(&node) {
+                        let outs = self.nodes[node.as_usize()].handle_timer(token, at);
+                        self.apply(node, outs);
                     }
                 }
             }

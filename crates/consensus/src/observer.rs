@@ -4,11 +4,10 @@
 //! single point every driver already has — the
 //! [`ConsensusProtocol`](crate::ConsensusProtocol) call boundary — and
 //! derives [`TraceEvent`]s from the messages going in and the [`Output`]s
-//! coming out. Both drivers (the in-crate
-//! [`LocalNet`](crate::harness::LocalNet) and `moonshot-sim`'s actor
-//! adapter) instrument all protocols through this one hook, so Simple,
-//! Pipelined and Commit Moonshot (and Jolteon) get identical tracing for
-//! free.
+//! coming out. Both hosts (the networked runtime's driver loop in
+//! `moonshot-node` and `moonshot-sim`'s actor adapter) instrument all
+//! protocols through this one hook, so Simple, Pipelined and Commit
+//! Moonshot (and Jolteon) get identical tracing for free.
 //!
 //! Certificate formation is observed at the *advertisement* point: the first
 //! time a node sends any message carrying a QC (or TC) for a view above

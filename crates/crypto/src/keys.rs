@@ -101,6 +101,20 @@ impl PublicKey {
     }
 }
 
+/// Maximum tolerated Byzantine faults among `n` validators: `f = ⌊(n−1)/3⌋`.
+pub fn max_faults(n: usize) -> usize {
+    n.saturating_sub(1) / 3
+}
+
+/// Quorum size among `n` validators: `⌊(n + f)/2⌋ + 1`, the smallest size at
+/// which any two quorums share an honest node. With `n = 3f + 1` this is
+/// `2f + 1`, matching the paper's simplifying assumption (§II). Everything
+/// that counts a quorum — certificates, the simulator's metrics, a
+/// cluster's committed height — calls this.
+pub fn quorum_threshold(n: usize) -> usize {
+    (n + max_faults(n)) / 2 + 1
+}
+
 /// The validator-set PKI: maps signer indices to public keys.
 ///
 /// A quorum in the paper is `2f + 1` of `n = 3f + 1` nodes; the keyring is
@@ -143,15 +157,14 @@ impl Keyring {
         self.keys.is_empty()
     }
 
-    /// Maximum tolerated Byzantine faults `f = ⌊(n−1)/3⌋`.
+    /// Maximum tolerated Byzantine faults: [`max_faults`] of `n`.
     pub fn max_faults(&self) -> usize {
-        (self.len().saturating_sub(1)) / 3
+        max_faults(self.len())
     }
 
-    /// Quorum size: `⌊(n + f)/2⌋ + 1`. With `n = 3f + 1` this is `2f + 1`,
-    /// matching the paper's simplifying assumption (§II).
+    /// Quorum size: [`quorum_threshold`] of `n`.
     pub fn quorum_threshold(&self) -> usize {
-        (self.len() + self.max_faults()) / 2 + 1
+        quorum_threshold(self.len())
     }
 
     /// The number of distinct senders proving at least one honest sender:

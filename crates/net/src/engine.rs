@@ -7,8 +7,7 @@
 //! adversary, so a run is a pure function of `(actors, config, seed)` —
 //! fully reproducible.
 
-use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::collections::BTreeMap;
 
 use moonshot_types::rng::DetRng;
 use moonshot_types::{NodeId, WireSize};
@@ -16,7 +15,7 @@ use moonshot_types::{NodeId, WireSize};
 use crate::bandwidth::NicModel;
 use crate::fault::{FaultKind, FaultPlan, FaultRecord, FaultStats};
 use crate::latency::LatencyModel;
-use moonshot_types::time::{SimDuration, SimTime};
+use moonshot_types::time::{EventQueue, SimDuration, SimTime};
 
 /// Upper bound on retained [`FaultRecord`]s; later faults are only counted.
 const FAULT_LOG_CAP: usize = 4096;
@@ -77,19 +76,12 @@ impl<M> Context<'_, M> {
         self.effects.push(Effect::SetTimer { id, after });
         id
     }
-
-    /// Cancels a previously armed timer. Cancelling an already-fired or
-    /// unknown timer is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.effects.push(Effect::CancelTimer(id));
-    }
 }
 
 enum Effect<M> {
     Send { to: NodeId, msg: M },
     Multicast { msg: M },
     SetTimer { id: TimerId, after: SimDuration },
-    CancelTimer(TimerId),
 }
 
 impl<M> std::fmt::Debug for Effect<M> {
@@ -98,7 +90,6 @@ impl<M> std::fmt::Debug for Effect<M> {
             Effect::Send { to, .. } => write!(f, "Send(to={to})"),
             Effect::Multicast { .. } => write!(f, "Multicast"),
             Effect::SetTimer { id, after } => write!(f, "SetTimer({id:?}, {after})"),
-            Effect::CancelTimer(id) => write!(f, "CancelTimer({id:?})"),
         }
     }
 }
@@ -107,31 +98,6 @@ enum EventKind<M> {
     Start,
     Deliver { from: NodeId, msg: M },
     Timer(TimerId),
-}
-
-struct Event<M> {
-    at: SimTime,
-    seq: u64,
-    node: NodeId,
-    kind: EventKind<M>,
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert for earliest-first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
 }
 
 /// Behaviour of the adversary before GST (§II: messages may be arbitrarily
@@ -286,13 +252,13 @@ impl TrafficStats {
 /// See the crate-level documentation.
 pub struct Simulation<M> {
     actors: Vec<Box<dyn Actor<M>>>,
-    queue: BinaryHeap<Event<M>>,
-    cancelled: HashSet<TimerId>,
+    /// Pending events for the node named with each; ties fire in the
+    /// order they were queued.
+    queue: EventQueue<(NodeId, EventKind<M>)>,
     crashed: Vec<bool>,
     config: NetworkConfig,
     rng: DetRng,
     now: SimTime,
-    seq: u64,
     next_timer: u64,
     started: bool,
     stats: NetworkStats,
@@ -321,13 +287,11 @@ impl<M: WireSize + Clone> Simulation<M> {
         let rng = DetRng::seed_from_u64(config.seed);
         Simulation {
             actors,
-            queue: BinaryHeap::new(),
-            cancelled: HashSet::new(),
+            queue: EventQueue::new(),
             crashed: vec![false; n],
             config,
             rng,
             now: SimTime::ZERO,
-            seq: 0,
             next_timer: 0,
             started: false,
             stats: NetworkStats::default(),
@@ -399,15 +363,10 @@ impl<M: WireSize + Clone> Simulation<M> {
         self.crashed[node.as_usize()] = true;
     }
 
-    fn push(&mut self, at: SimTime, node: NodeId, kind: EventKind<M>) {
-        self.seq += 1;
-        self.queue.push(Event { at, seq: self.seq, node, kind });
-    }
-
     fn start(&mut self) {
         self.started = true;
         for i in 0..self.actors.len() {
-            self.push(SimTime::ZERO, NodeId::from_index(i), EventKind::Start);
+            self.queue.push(SimTime::ZERO, (NodeId::from_index(i), EventKind::Start));
         }
     }
 
@@ -416,12 +375,11 @@ impl<M: WireSize + Clone> Simulation<M> {
         if !self.started {
             self.start();
         }
-        let Some(ev) = self.queue.pop() else {
+        let Some((at, (node, kind))) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(ev.at >= self.now, "time went backwards");
-        self.now = ev.at;
-        let node = ev.node;
+        debug_assert!(at >= self.now, "time went backwards");
+        self.now = at;
         if self.crashed[node.as_usize()] {
             return true;
         }
@@ -433,15 +391,12 @@ impl<M: WireSize + Clone> Simulation<M> {
                 effects: &mut effects,
                 next_timer: &mut self.next_timer,
             };
-            match ev.kind {
+            match kind {
                 EventKind::Start => self.actors[node.as_usize()].on_start(&mut ctx),
                 EventKind::Deliver { from, msg } => {
                     self.actors[node.as_usize()].on_message(from, msg, &mut ctx)
                 }
                 EventKind::Timer(id) => {
-                    if self.cancelled.remove(&id) {
-                        return true;
-                    }
                     self.stats.timers_fired += 1;
                     self.actors[node.as_usize()].on_timer(id, &mut ctx)
                 }
@@ -457,7 +412,7 @@ impl<M: WireSize + Clone> Simulation<M> {
         if !self.started {
             self.start();
         }
-        while self.queue.peek().is_some_and(|ev| ev.at <= deadline) {
+        while self.queue.next_at().is_some_and(|at| at <= deadline) {
             self.step();
         }
         self.now = self.now.max(deadline);
@@ -470,7 +425,7 @@ impl<M: WireSize + Clone> Simulation<M> {
                 Effect::Multicast { msg } => {
                     // Self-delivery over loopback, no NIC charge.
                     let at = self.now + self.config.loopback;
-                    self.push(at, src, EventKind::Deliver { from: src, msg: msg.clone() });
+                    self.queue.push(at, (src, EventKind::Deliver { from: src, msg: msg.clone() }));
                     // Fair-share fan-out: every copy departs when the whole
                     // burst has drained the sender's NIC (TCP-like).
                     let copies = self.actors.len().saturating_sub(1);
@@ -487,10 +442,7 @@ impl<M: WireSize + Clone> Simulation<M> {
                     }
                 }
                 Effect::SetTimer { id, after } => {
-                    self.push(self.now + after, src, EventKind::Timer(id));
-                }
-                Effect::CancelTimer(id) => {
-                    self.cancelled.insert(id);
+                    self.queue.push(self.now + after, (src, EventKind::Timer(id)));
                 }
             }
         }
@@ -553,9 +505,9 @@ impl<M: WireSize + Clone> Simulation<M> {
             self.log_fault(src, dst, FaultKind::Duplicate);
             let dup_at = self.config.nic.receive(dst, arrival, size);
             self.stats.delivered += 1;
-            self.push(dup_at, dst, EventKind::Deliver { from: src, msg: msg.clone() });
+            self.queue.push(dup_at, (dst, EventKind::Deliver { from: src, msg: msg.clone() }));
         }
-        self.push(delivered, dst, EventKind::Deliver { from: src, msg });
+        self.queue.push(delivered, (dst, EventKind::Deliver { from: src, msg }));
     }
 }
 
@@ -694,15 +646,11 @@ mod tests {
 
     struct TimerBox {
         fired: Rc<RefCell<Vec<SimTime>>>,
-        cancel_second: bool,
     }
     impl Actor<Ping> for TimerBox {
         fn on_start(&mut self, ctx: &mut Context<Ping>) {
-            let _t1 = ctx.set_timer(SimDuration::from_millis(5));
-            let t2 = ctx.set_timer(SimDuration::from_millis(10));
-            if self.cancel_second {
-                ctx.cancel_timer(t2);
-            }
+            ctx.set_timer(SimDuration::from_millis(5));
+            ctx.set_timer(SimDuration::from_millis(10));
         }
         fn on_message(&mut self, _f: NodeId, _m: Ping, _c: &mut Context<Ping>) {}
         fn on_timer(&mut self, _t: TimerId, ctx: &mut Context<Ping>) {
@@ -710,26 +658,13 @@ mod tests {
         }
     }
 
-    fn timer_sim(cancel_second: bool) -> (Simulation<Ping>, Rc<RefCell<Vec<SimTime>>>) {
-        let fired = Rc::new(RefCell::new(Vec::new()));
-        let actors: Vec<Box<dyn Actor<Ping>>> =
-            vec![Box::new(TimerBox { fired: fired.clone(), cancel_second })];
-        (Simulation::new(actors, config(1)), fired)
-    }
-
     #[test]
     fn timers_fire_in_order() {
-        let (mut sim, fired) = timer_sim(false);
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        let actors: Vec<Box<dyn Actor<Ping>>> = vec![Box::new(TimerBox { fired: fired.clone() })];
+        let mut sim = Simulation::new(actors, config(1));
         sim.run_until(SimTime(1_000_000));
         assert_eq!(*fired.borrow(), vec![SimTime(5_000), SimTime(10_000)]);
-    }
-
-    #[test]
-    fn cancelled_timer_does_not_fire() {
-        let (mut sim, fired) = timer_sim(true);
-        sim.run_until(SimTime(1_000_000));
-        assert_eq!(*fired.borrow(), vec![SimTime(5_000)]);
-        assert_eq!(sim.stats().timers_fired, 1);
     }
 
     #[test]

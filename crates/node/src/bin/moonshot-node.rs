@@ -56,7 +56,9 @@ use std::str::FromStr;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use moonshot_node::{ClusterConfig, LoadSpec, NodeHandle, ProtocolChoice, TransportConfig};
+use moonshot_node::{
+    ClusterConfig, LoadSpec, NetPool, NodeHandle, ProtocolChoice, TransportConfig,
+};
 use moonshot_telemetry::{JsonlSink, NullSink, TraceSink};
 use moonshot_types::time::SimDuration;
 use moonshot_types::NodeId;
@@ -216,7 +218,14 @@ fn run(flags: &Flags) -> Result<ExitCode, String> {
     };
 
     let epoch = Instant::now();
-    let mut transport = TransportConfig::new(node, listen, cluster.nodes.clone());
+    let net = match NetPool::new() {
+        Ok(net) => net,
+        Err(e) => {
+            eprintln!("error: cannot start the network pool: {e}");
+            return Ok(ExitCode::FAILURE);
+        }
+    };
+    let mut transport = TransportConfig::new(node, listen, cluster.nodes.clone(), net.clone());
     if let Some(batch_bytes) = load_batch {
         let (pool, plane) = LoadSpec::digest(batch_bytes).data_path();
         transport.mempool = Some((pool, batch_bytes));
@@ -261,6 +270,7 @@ fn run(flags: &Flags) -> Result<ExitCode, String> {
 
     std::thread::sleep(Duration::from_secs(duration_secs));
     let report = handle.stop();
+    net.shutdown();
     println!("{}", report.summary_json());
     Ok(ExitCode::SUCCESS)
 }

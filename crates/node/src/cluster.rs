@@ -10,6 +10,7 @@ use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use moonshot_crypto::keys::quorum_threshold;
 use moonshot_mempool::{batch_txs, tx_client_id, tx_timestamp_us, DissemPlane, Mempool, MempoolConfig};
 use moonshot_telemetry::{RingBufferSink, TraceEvent, TraceRecord, TraceSink};
 use moonshot_types::time::{SimDuration, SimTime};
@@ -142,11 +143,6 @@ pub struct Cluster {
     net: Arc<NetPool>,
 }
 
-/// The `2f + 1` quorum among `n` validators.
-fn quorum(n: usize) -> usize {
-    2 * ((n - 1) / 3) + 1
-}
-
 /// Catch-up accounting for one node restart.
 #[derive(Clone, Copy, Debug)]
 pub struct RestartStat {
@@ -239,11 +235,12 @@ impl Cluster {
             .collect()
     }
 
-    /// The height at least `2f + 1` nodes have committed.
+    /// The height at least a quorum ([`quorum_threshold`]) of nodes have
+    /// committed.
     pub fn quorum_committed_height(&self) -> u64 {
         let mut heights = self.committed_heights();
         heights.sort_unstable_by(|a, b| b.cmp(a));
-        heights.get(quorum(self.spec.n) - 1).copied().unwrap_or(0)
+        heights.get(quorum_threshold(self.spec.n) - 1).copied().unwrap_or(0)
     }
 
     /// Stops node `id` (its sockets close; peers start redialing). The
@@ -291,8 +288,8 @@ impl Cluster {
     /// [`NodeHandle::start`] does the rest.
     fn start_node(&self, id: NodeId, listener: Option<TcpListener>) -> std::io::Result<NodeHandle> {
         let (spec, idx) = (&self.spec, id.0 as usize);
-        let mut transport = TransportConfig::new(id, self.peers[idx].1, self.peers.clone());
-        transport.pool = Some(self.net.clone());
+        let mut transport =
+            TransportConfig::new(id, self.peers[idx].1, self.peers.clone(), self.net.clone());
         transport.shape = spec.shape.clone();
         if let Some(((pool, plane), load)) =
             self.pools.get(idx).zip(self.planes.get(idx)).zip(spec.load.as_ref())
@@ -421,7 +418,8 @@ impl ClusterReport {
         moonshot_telemetry::check_invariants(self.records.iter().cloned())
     }
 
-    /// Distinct blocks committed by at least `2f + 1` distinct nodes.
+    /// Distinct blocks committed by at least a quorum ([`quorum_threshold`])
+    /// of distinct nodes: `2f + 1` at `n = 3f + 1`, 34 of 50.
     pub fn quorum_committed_blocks(&self) -> u64 {
         let mut per_block: std::collections::HashMap<
             moonshot_crypto::Digest,
@@ -432,7 +430,7 @@ impl ClusterReport {
                 per_block.entry(block).or_default().insert(node);
             }
         }
-        per_block.values().filter(|nodes| nodes.len() >= quorum(self.n)).count() as u64
+        per_block.values().filter(|nodes| nodes.len() >= quorum_threshold(self.n)).count() as u64
     }
 
     /// Commit latencies in microseconds: for every `(node, block)` pair,
@@ -487,7 +485,7 @@ impl ClusterReport {
         }
         committers
             .iter()
-            .filter(|(_, nodes)| nodes.len() >= quorum(self.n))
+            .filter(|(_, nodes)| nodes.len() >= quorum_threshold(self.n))
             .filter_map(|(id, _)| {
                 payloads.get(id).map(|p| (*id, *p, first_commit[id]))
             })
@@ -870,6 +868,42 @@ mod tests {
             + stages.vote_to_qc[0]
             + stages.qc_to_commit[0];
         assert_eq!(sum, report.tx_latencies_us()[0], "components must sum to end-to-end");
+    }
+
+    /// A block counts as quorum-committed only once a certificate quorum of
+    /// nodes committed it: at n = 50 that is ⌊(50 + 16)/2⌋ + 1 = 34, so a
+    /// block 33 nodes committed does not count. The cluster's quorum is the
+    /// keyring's for every n.
+    #[test]
+    fn quorum_committed_blocks_counts_a_certificate_quorum() {
+        use moonshot_crypto::{Digest, Keyring};
+        use moonshot_types::{Height, View};
+
+        let commit = |block: Digest, node: usize| TraceRecord {
+            at: SimTime(1_000),
+            event: TraceEvent::BlockCommitted {
+                node: NodeId::from_index(node),
+                view: View(1),
+                block,
+                height: Height(1),
+                direct: true,
+            },
+        };
+        let (by_33, by_34) = (Digest::hash(b"by 33"), Digest::hash(b"by 34"));
+        let records =
+            (0..33).map(|i| commit(by_33, i)).chain((0..34).map(|i| commit(by_34, i))).collect();
+        let report = ClusterReport {
+            n: 50,
+            elapsed: std::time::Duration::from_secs(1),
+            reports: Vec::new(),
+            records,
+            restarts: Vec::new(),
+            batch_bytes: Default::default(),
+        };
+        assert_eq!(report.quorum_committed_blocks(), 1);
+        for n in 1..=64 {
+            assert_eq!(quorum_threshold(n), Keyring::simulated(n).quorum_threshold(), "n = {n}");
+        }
     }
 
     /// The data path end to end, across the paper's Fig-8 payload axis:

@@ -26,8 +26,9 @@
 //!
 //! Modules:
 //!
-//! * [`timer`] — a hashed [`TimerWheel`](timer::TimerWheel) for protocol
-//!   timers, keyed by microseconds since a shared cluster epoch.
+//! * [`timer`] — the `TimerWheel` name the repo benchmark still imports: a
+//!   shim over [`EventQueue`](moonshot_types::time::EventQueue), the one
+//!   queue the driver and shard loops hold their timers in.
 //! * [`netpool`] — the shared event-driven network core: a fixed set of
 //!   readiness-driven shard loops (via `moonshot-reactor`) that also admit
 //!   clients' `SubmitTx` frames into the mempool and verify consensus
@@ -38,7 +39,7 @@
 //!   traffic and fault counters.
 //! * [`shape`] — per-link latency/bandwidth shaping matrices (Table II
 //!   WAN emulation) enforced sender-side by the pool's event loops.
-//! * [`runtime`] — the driver thread gluing protocol, wheel, transport,
+//! * [`runtime`] — the driver thread gluing protocol, timer queue, transport,
 //!   sealer and dissemination plane together, with
 //!   [`ProtocolObserver`](moonshot_consensus::ProtocolObserver) tracing at
 //!   the call boundary so cluster runs feed the same invariant checker as

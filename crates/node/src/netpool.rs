@@ -14,12 +14,12 @@
 //!   shard — so no per-connection locking exists anywhere. Shards do read
 //!   framing, frame dispatch, signature verification, vectored/coalesced
 //!   writes against the existing per-peer `OutboundQueue` budgets, per-link
-//!   shaping, and redial backoff as loop-local timers in a [`TimerWheel`].
+//!   shaping, and redial backoff as loop-local timers in an [`EventQueue`].
 //! - **One dialer** thread: `std` has no nonblocking connect, so blocking
 //!   `connect_timeout` + the hello preamble run here, off the event loops;
 //!   the connected socket is flipped to nonblocking and handed to its
 //!   owning shard. Dial failures schedule an exponential-backoff redial
-//!   timer on the owning shard's wheel.
+//!   timer on the owning shard's queue.
 //!
 //! A shard verifies the consensus frames it read in one wakeup before it
 //! sleeps again: grouped by node, one [`MessageVerifier::verify_batch`]
@@ -36,10 +36,11 @@
 //! verifies those bytes before it reads again, so a flooding sender's
 //! surplus waits in its own socket: TCP is the backpressure.
 //!
-//! A pool is either **owned** by a single transport (created when
-//! `TransportConfig::pool` is `None`) or **shared** by an in-process
-//! cluster — 50 nodes on one box then cost 50 driver threads plus one
-//! constant-size pool, instead of ~50·(n+2) transport threads.
+//! Whoever creates a pool hands it to every transport it starts and shuts
+//! it down after the last one stops: the `moonshot-node` binary for its one
+//! node, an in-process cluster for all of its nodes — 50 nodes on one box
+//! then cost 50 driver threads plus one constant-size pool, instead of
+//! ~50·(n+2) transport threads.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
@@ -54,12 +55,11 @@ use std::time::{Duration, Instant};
 use moonshot_consensus::{Message, MessageVerifier};
 use moonshot_mempool::{batch_digest, DissemPlane, Mempool};
 use moonshot_reactor::{Event, Interest, Poller, Waker};
-use moonshot_types::time::{SimDuration, SimTime};
+use moonshot_types::time::{EventQueue, SimDuration, SimTime};
 use moonshot_types::NodeId;
 use moonshot_wire::{encode_frame, Frame, FrameReader};
 
 use crate::shape::{LinkShape, ShapeMatrix};
-use crate::timer::TimerWheel;
 use crate::transport::{Inbound, InboundSender, OutboundQueue, PeerMetrics};
 
 /// Read at most this much per connection per wakeup before yielding to the
@@ -75,9 +75,6 @@ const WRITE_VECTORS: usize = 64;
 /// Bytes a shaper may hold out of the outbound queue; beyond this the
 /// frames stay in the queue where its drop-oldest budgets apply.
 const SHAPE_STAGE_CAP: usize = 1024 * 1024;
-/// Timer wheel granularity / slot count for shard-local timers.
-const WHEEL_GRANULARITY_US: u64 = 500;
-const WHEEL_SLOTS: usize = 256;
 /// Cap on one blocking connect attempt in the dialer.
 const DIAL_TIMEOUT: Duration = Duration::from_secs(1);
 
@@ -142,7 +139,7 @@ enum Cmd {
     Redial { core: Arc<NodeCore>, peer: NodeId, after: Duration },
 }
 
-/// Shard-local timers, multiplexed on one [`TimerWheel`].
+/// Shard-local timers, multiplexed on one [`EventQueue`].
 enum ShardTimer {
     Redial { core: Arc<NodeCore>, peer: NodeId },
     Release { token: usize },
@@ -263,10 +260,7 @@ impl NetPool {
                 shards: handles.clone(),
                 entries: Vec::new(),
                 free: Vec::new(),
-                wheel: TimerWheel::new(
-                    SimDuration::from_micros(WHEEL_GRANULARITY_US),
-                    WHEEL_SLOTS,
-                ),
+                timers: EventQueue::new(),
                 epoch: Instant::now(),
                 shutdown: shutdown.clone(),
                 dial_tx: dial_tx.clone(),
@@ -419,7 +413,7 @@ fn dialer_loop(rx: Receiver<DialReq>, shards: Vec<Arc<ShardHandle>>, shutdown: A
     }
 }
 
-/// Arms an exponential-backoff redial on the owning shard's timer wheel.
+/// Arms an exponential-backoff redial on the owning shard's timer queue.
 fn schedule_redial(shard: &ShardHandle, core: &Arc<NodeCore>, peer: NodeId, state: &PeerState) {
     let mut b = state.backoff.lock().unwrap();
     let after = *b;
@@ -434,49 +428,51 @@ fn schedule_redial(shard: &ShardHandle, core: &Arc<NodeCore>, peer: NodeId, stat
 
 /// Sender-side per-link shaper: frames pulled from the outbound queue wait
 /// out the configured one-way delay in a staging queue and drain through a
-/// deficit-style token bucket.
+/// deficit-style token bucket. It runs on its shard's clock
+/// ([`Runner::now`], µs), so a frame's due time is the deadline of the
+/// release timer armed for it.
 struct Shaper {
-    delay: Duration,
+    delay: SimDuration,
     /// Bytes/second as f64; 0.0 = unlimited.
     rate: f64,
     burst: f64,
     /// Deficit tokens: sending is allowed while ≥ 0, each sent frame
     /// subtracts its length (may go negative, charging the next release).
     tokens: f64,
-    last_refill: Instant,
-    staged: VecDeque<(Arc<Vec<u8>>, Instant)>,
+    last_refill: SimTime,
+    staged: VecDeque<(Arc<Vec<u8>>, SimTime)>,
     staged_bytes: usize,
 }
 
 impl Shaper {
-    fn new(link: &LinkShape) -> Shaper {
+    fn new(link: &LinkShape, now: SimTime) -> Shaper {
         let rate = link.rate_bps as f64;
         let burst = if link.burst_bytes > 0 { link.burst_bytes as f64 } else { 64.0 * 1024.0 };
         Shaper {
-            delay: link.delay,
+            delay: SimDuration::from_micros(link.delay.as_micros() as u64),
             rate,
             burst,
             tokens: burst,
-            last_refill: Instant::now(),
+            last_refill: now,
             staged: VecDeque::new(),
             staged_bytes: 0,
         }
     }
 
-    fn stage(&mut self, frame: Arc<Vec<u8>>, now: Instant) {
+    fn stage(&mut self, frame: Arc<Vec<u8>>, now: SimTime) {
         self.staged_bytes += frame.len();
         self.staged.push_back((frame, now + self.delay));
     }
 
-    fn refill(&mut self, now: Instant) {
+    fn refill(&mut self, now: SimTime) {
         if self.rate > 0.0 {
-            let dt = now.duration_since(self.last_refill).as_secs_f64();
+            let dt = now.since(self.last_refill).as_secs_f64();
             self.tokens = (self.tokens + self.rate * dt).min(self.burst);
         }
         self.last_refill = now;
     }
 
-    fn release(&mut self, now: Instant) -> Option<Arc<Vec<u8>>> {
+    fn release(&mut self, now: SimTime) -> Option<Arc<Vec<u8>>> {
         let (_, at) = self.staged.front()?;
         if *at > now || (self.rate > 0.0 && self.tokens < 0.0) {
             return None;
@@ -489,16 +485,17 @@ impl Shaper {
         Some(frame)
     }
 
-    /// How long until the head frame becomes releasable, if one is staged.
-    fn next_ready(&self, now: Instant) -> Option<Duration> {
+    /// When the head frame becomes releasable, if one is staged: its due
+    /// time, or later if the bucket must first earn back its deficit
+    /// (rounded up to the next µs).
+    fn next_ready(&self, now: SimTime) -> Option<SimTime> {
         let (_, at) = self.staged.front()?;
-        let delay_wait = at.saturating_duration_since(now);
         let token_wait = if self.rate > 0.0 && self.tokens < 0.0 {
-            Duration::from_secs_f64((-self.tokens) / self.rate)
+            SimDuration::from_micros(((-self.tokens) / self.rate * 1e6).ceil() as u64)
         } else {
-            Duration::ZERO
+            SimDuration::ZERO
         };
-        Some(delay_wait.max(token_wait))
+        Some((*at).max(now + token_wait))
     }
 }
 
@@ -548,7 +545,7 @@ struct Runner {
     shards: Vec<Arc<ShardHandle>>,
     entries: Vec<Option<Entry>>,
     free: Vec<usize>,
-    wheel: TimerWheel<ShardTimer>,
+    timers: EventQueue<ShardTimer>,
     epoch: Instant,
     shutdown: Arc<AtomicBool>,
     dial_tx: Sender<DialReq>,
@@ -592,7 +589,7 @@ impl Runner {
             self.verify_read();
 
             let now = self.now();
-            for timer in self.wheel.expire(now) {
+            for timer in self.timers.expire(now) {
                 match timer {
                     ShardTimer::Redial { core, peer } => {
                         if !core.shutdown.load(Ordering::SeqCst)
@@ -620,10 +617,11 @@ impl Runner {
     /// tick. [`Poller::wait`] rounds this up to whole milliseconds and never
     /// returns early, so the loop sleeps through the approach to a deadline
     /// and the sweep after the wake fires every timer due by then: a shaped
-    /// frame leaves up to 1 ms late (on 30–160 ms links), never early.
+    /// frame leaves up to 1 ms late (on 30–160 ms links), never before its
+    /// µs deadline.
     fn next_timeout(&self) -> Duration {
         let default = Duration::from_millis(500);
-        match self.wheel.next_deadline() {
+        match self.timers.next_at() {
             None => default,
             Some(d) => Duration::from_micros(d.0.saturating_sub(self.now().0)).min(default),
         }
@@ -666,7 +664,7 @@ impl Runner {
                     .as_ref()
                     .map(|m| m.link(core.node, peer))
                     .filter(|l| l.is_shaped())
-                    .map(|l| Shaper::new(&l));
+                    .map(|l| Shaper::new(&l, self.now()));
                 *state.conn.lock().unwrap() = Some((self.idx, token));
                 self.entries[token] = Some(Entry::Out(OutConn {
                     core,
@@ -700,7 +698,7 @@ impl Runner {
             }
             Cmd::Redial { core, peer, after } => {
                 let at = SimTime(self.now().0 + after.as_micros() as u64);
-                self.wheel.arm(at, ShardTimer::Redial { core, peer });
+                self.timers.push(at, ShardTimer::Redial { core, peer });
             }
         }
     }
@@ -971,7 +969,7 @@ impl Runner {
             // Refill `pending` from the queue (through the shaper if one
             // is configured).
             if let Some(shaper) = &mut c.shaper {
-                let now = Instant::now();
+                let now = self.now();
                 while shaper.staged_bytes < SHAPE_STAGE_CAP {
                     match c.state.queue.pop() {
                         Some(f) => shaper.stage(f, now),
@@ -1046,10 +1044,8 @@ impl Runner {
         // release timer.
         if let Some(shaper) = &c.shaper {
             if !c.release_armed {
-                let now = Instant::now();
-                if let Some(wait) = shaper.next_ready(now) {
-                    let at = wheel_deadline(self.epoch, now + wait);
-                    self.wheel.arm(at, ShardTimer::Release { token });
+                if let Some(at) = shaper.next_ready(self.now()) {
+                    self.timers.push(at, ShardTimer::Release { token });
                     c.release_armed = true;
                 }
             }
@@ -1077,16 +1073,6 @@ impl Runner {
     }
 }
 
-/// The wheel deadline for an event due at `at`: microseconds since `epoch`,
-/// rounded **up**. The wheel fires on `Runner::now`, which floors the same
-/// clock, so a fired timer's instant is never before `at` — flooring both
-/// `now` and the wait (as this once did) could fire a release up to 2 µs
-/// early, find its frame not yet due and re-arm with a zero wait until the
-/// clock caught up.
-fn wheel_deadline(epoch: Instant, at: Instant) -> SimTime {
-    SimTime(at.saturating_duration_since(epoch).as_nanos().div_ceil(1_000) as u64)
-}
-
 /// Wakes the shard owning `peer`'s connection (used from shard context
 /// where the requester's connection may live on another shard).
 fn nudge_peer_conn(shards: &[Arc<ShardHandle>], peer: &PeerState) {
@@ -1099,6 +1085,10 @@ fn nudge_peer_conn(shards: &[Arc<ShardHandle>], peer: &PeerState) {
 mod tests {
     use super::*;
 
+    fn ms(ms: u64) -> SimDuration {
+        SimDuration::from_millis(ms)
+    }
+
     /// Delay accuracy on logical time: a staged frame is held back at 80%
     /// of the configured delay and releasable at 100% — well inside the
     /// ±20% accuracy the WAN-emulation runs are judged by.
@@ -1109,51 +1099,62 @@ mod tests {
             rate_bps: 0,
             burst_bytes: 0,
         };
-        let mut s = Shaper::new(&link);
-        let t0 = Instant::now();
+        let t0 = SimTime(1_000);
+        let mut s = Shaper::new(&link, t0);
         s.stage(Arc::new(vec![0u8; 100]), t0);
         assert!(s.release(t0).is_none(), "released with no time elapsed");
-        let early = t0 + Duration::from_millis(32);
+        let early = t0 + ms(32);
         assert!(s.release(early).is_none(), "released at 80% of the delay");
         assert_eq!(
             s.next_ready(early),
-            Some(Duration::from_millis(8)),
+            Some(early + ms(8)),
             "next_ready must report the exact residual delay"
         );
-        assert!(
-            s.release(t0 + Duration::from_millis(40)).is_some(),
-            "not released at 100% of the delay"
-        );
+        assert!(s.release(t0 + ms(40)).is_some(), "not released at 100% of the delay");
         assert!(s.next_ready(t0).is_none(), "drained shaper still reports a wait");
     }
 
-    /// A release timer armed for a staged frame must find it due when it
-    /// fires, whatever the sub-microsecond phases of the epoch, the arming
-    /// instant and the frame's release time: the wheel fires once the
-    /// floored clock reaches the deadline, so the deadline is a ceiling.
+    /// A release timer armed at `next_ready` finds its frame releasable
+    /// when it fires — whether the frame waits out its delay or the
+    /// bucket's deficit — and not one µs sooner.
     #[test]
     fn release_deadline_is_never_before_the_frame_is_due() {
-        let link = LinkShape {
+        let delayed = LinkShape {
             delay: Duration::from_millis(40),
             rate_bps: 0,
             burst_bytes: 0,
         };
-        let epoch = Instant::now();
-        let phases = [(0, 0), (900, 1_900), (1_001, 1_999), (123_456_789, 123_999_999)];
-        for (staged_ns, armed_ns) in phases {
-            let mut s = Shaper::new(&link);
-            s.stage(Arc::new(vec![0u8; 100]), epoch + Duration::from_nanos(staged_ns));
-            let armed = epoch + Duration::from_nanos(armed_ns);
-            let wait = s.next_ready(armed).expect("a frame is staged");
-            let at = wheel_deadline(epoch, armed + wait);
-            // The earliest instant at which `Runner::now() >= at` holds.
-            let fired = epoch + Duration::from_micros(at.0);
-            assert!(
-                s.release(fired).is_some(),
-                "timer for a frame staged at +{staged_ns} ns, armed at +{armed_ns} ns, fired early"
-            );
-            // ... and no more than the rounding late.
-            assert!(at.0 <= (staged_ns + 40_000_000).div_ceil(1_000));
+        // 1 000 B frames on a bucket whose refill time is no whole number of µs.
+        let rated = LinkShape {
+            delay: Duration::ZERO,
+            rate_bps: 300_007,
+            burst_bytes: 1_000,
+        };
+        let phases = [(0, 0), (1, 2), (1, 1_999), (123_456, 123_999)];
+        for link in [delayed, rated] {
+            for (staged_us, armed_us) in phases {
+                let (staged, armed) = (SimTime(staged_us), SimTime(armed_us));
+                let mut s = Shaper::new(&link, staged);
+                for _ in 0..3 {
+                    s.stage(Arc::new(vec![0u8; 1_000]), staged);
+                }
+                // Whatever may go at the arming instant goes; the rest waits.
+                s.refill(armed);
+                while s.release(armed).is_some() {}
+                let at = s.next_ready(armed).expect("a frame is staged");
+                let before = SimTime(at.0 - 1);
+                s.refill(before);
+                assert!(
+                    s.release(before).is_none(),
+                    "{link:?}: frame staged at {staged_us} µs releasable before its deadline"
+                );
+                s.refill(at);
+                assert!(
+                    s.release(at).is_some(),
+                    "{link:?}: timer for a frame staged at {staged_us} µs, armed at \
+                     {armed_us} µs, fired early"
+                );
+            }
         }
     }
 
@@ -1168,8 +1169,8 @@ mod tests {
             rate_bps: 100_000,
             burst_bytes: 1_000,
         };
-        let mut s = Shaper::new(&link);
-        let t0 = Instant::now();
+        let t0 = SimTime(1_000);
+        let mut s = Shaper::new(&link, t0);
         for _ in 0..3 {
             s.stage(Arc::new(vec![0u8; 1_000]), t0);
         }
@@ -1177,10 +1178,9 @@ mod tests {
         assert!(s.release(t0).is_some(), "burst must admit the first frame");
         assert!(s.release(t0).is_some(), "deficit bucket admits one frame past zero");
         assert!(s.release(t0).is_none(), "negative tokens must block the third frame");
-        let wait = s.next_ready(t0).expect("a frame is staged");
-        let ms = wait.as_secs_f64() * 1000.0;
+        let t1 = s.next_ready(t0).expect("a frame is staged");
+        let ms = t1.since(t0).as_millis_f64();
         assert!((9.9..=10.1).contains(&ms), "deficit repay time {ms:.2}ms, want 10ms");
-        let t1 = t0 + wait;
         s.refill(t1);
         assert!(s.release(t1).is_some(), "frame still blocked after the deficit repaid");
     }
@@ -1194,12 +1194,12 @@ mod tests {
             rate_bps: 0,
             burst_bytes: 0,
         };
-        let mut s = Shaper::new(&link);
-        let t0 = Instant::now();
+        let t0 = SimTime(1_000);
+        let mut s = Shaper::new(&link, t0);
         for i in 0u8..4 {
-            s.stage(Arc::new(vec![i]), t0 + Duration::from_millis(i as u64));
+            s.stage(Arc::new(vec![i]), t0 + ms(i as u64));
         }
-        let late = t0 + Duration::from_millis(20);
+        let late = t0 + ms(20);
         let mut out = Vec::new();
         while let Some(f) = s.release(late) {
             out.push(f[0]);

@@ -6,7 +6,8 @@
 //! discrete-event simulator, virtual time and a priority queue drive them;
 //! here the same unmodified machines run against wall-clock time
 //! (microseconds since a shared cluster epoch `Instant`, so every node's
-//! [`SimTime`]s are mutually comparable), a [`TimerWheel`], and the TCP
+//! [`SimTime`]s are mutually comparable), an [`EventQueue`] of timers — the
+//! same queue the simulator picks its next event from — and the TCP
 //! [`Transport`].
 //!
 //! Multicasts are encoded **once** into an `Arc`'d frame shared by every
@@ -33,11 +34,10 @@ use moonshot_crypto::{Digest, VerifiedCache};
 use moonshot_ledger::{Ledger, LedgerOptions};
 use moonshot_mempool::{DissemPlane, Mempool, Seal, Sealer, BATCH_TX_OVERHEAD};
 use moonshot_telemetry::{MetricsRegistry, TraceEvent, TraceRecord, TraceSink};
-use moonshot_types::time::{SimDuration, SimTime};
+use moonshot_types::time::{EventQueue, SimDuration, SimTime};
 use moonshot_types::{Block, BlockId, NodeId, Payload, View};
 use moonshot_wire::{encode_frame, encode_message, Frame};
 
-use crate::timer::TimerWheel;
 use crate::transport::{Inbound, InboundSender, Transport, TransportConfig};
 
 /// Shared trace sink type accepted by the runtime (thread-safe; the
@@ -52,7 +52,7 @@ const MAX_WAIT: Duration = Duration::from_millis(50);
 
 /// Most messages drained from the inbound channel per driver iteration.
 /// Bounds how long the timer sweep can be starved by a message flood while
-/// still amortizing the sweep (and the `next_deadline` probe) over a whole
+/// still amortizing the sweep (and the `next_at` probe) over a whole
 /// batch instead of paying it per message.
 const BATCH_LIMIT: usize = 256;
 
@@ -280,7 +280,7 @@ impl NodeHandle {
                         transport,
                         loopback,
                         inbound_depth,
-                        wheel: TimerWheel::new(SimDuration::from_millis(1), 4096),
+                        timers: EventQueue::new(),
                         observer: ProtocolObserver::new(node),
                         sink: TracingSink { inner: sink, proposed_at: HashMap::new() },
                         epoch,
@@ -388,7 +388,7 @@ struct Driver {
     loopback: InboundSender,
     /// Shared inbound-channel depth gauge, debited once per dequeue.
     inbound_depth: Arc<AtomicU64>,
-    wheel: TimerWheel,
+    timers: EventQueue<TimerToken>,
     observer: ProtocolObserver,
     sink: TracingSink,
     epoch: Instant,
@@ -446,7 +446,7 @@ fn run_driver(
 
     while !shutdown.load(Ordering::SeqCst) {
         let now = driver.now();
-        for token in driver.wheel.expire(now) {
+        for token in driver.timers.expire(now) {
             driver.timers_fired += 1;
             let t = driver.now();
             if token == TimerToken::BatchFetchTimer {
@@ -468,7 +468,7 @@ fn run_driver(
 
         driver.check_stall(protocol);
 
-        let wait = match driver.wheel.next_deadline().into_iter().chain(seal_due).min() {
+        let wait = match driver.timers.next_at().into_iter().chain(seal_due).min() {
             Some(deadline) => {
                 Duration::from_micros(deadline.since(driver.now()).as_micros()).min(MAX_WAIT)
             }
@@ -540,7 +540,7 @@ impl Driver {
             view: protocol.current_view(),
             height: moonshot_types::Height(self.committed_height.load(Ordering::Relaxed)),
             inbound: self.inbound_depth.load(Ordering::Relaxed),
-            timers: self.wheel.len() as u64,
+            timers: self.timers.len() as u64,
             mempool: self.mempool.as_ref().map(|(p, _)| p.len()).unwrap_or(0),
         };
         self.sink.record(TraceRecord { at: now, event });
@@ -652,7 +652,7 @@ impl Driver {
             self.transport.send(to, Arc::new(encode_frame(&Frame::BatchRequest { digest })));
         }
         if let Some(after) = plan.rearm {
-            self.wheel.arm(t + after, TimerToken::BatchFetchTimer);
+            self.timers.push(t + after, TimerToken::BatchFetchTimer);
         }
     }
 
@@ -805,7 +805,7 @@ impl Driver {
                         .send(Inbound { from: self.node, msg: PreVerified::trusted(msg) });
                 }
                 Output::SetTimer { token, after } => {
-                    self.wheel.arm(t + after, token);
+                    self.timers.push(t + after, token);
                 }
                 Output::Commit(c) => {
                     // Commit-time availability audit: one `BatchCommitted`
@@ -862,6 +862,7 @@ mod tests {
     use moonshot_mempool::{batch_digest, MempoolConfig};
     use moonshot_telemetry::RingBufferSink;
     use moonshot_types::BatchRef;
+    use crate::netpool::NetPool;
 
     /// A handled message: its tag, and what the proposable pool would have
     /// offered a leader at that instant.
@@ -911,7 +912,8 @@ mod tests {
         let plane = DissemPlane::new(1 << 20);
         let handled = Arc::new(Mutex::new(Vec::new()));
         let addr: SocketAddr = "127.0.0.1:0".parse().unwrap();
-        let mut cfg = TransportConfig::new(NodeId(0), addr, vec![(NodeId(0), addr)]);
+        let net = NetPool::new().unwrap();
+        let mut cfg = TransportConfig::new(NodeId(0), addr, vec![(NodeId(0), addr)], net.clone());
         cfg.dissem = plane.clone();
         let epoch = Instant::now();
         let (recorder_plane, recorder_handled) = (plane.clone(), handled.clone());
@@ -972,6 +974,7 @@ mod tests {
         let tags: Vec<&str> = handled.lock().unwrap().iter().map(|(tag, _)| *tag).collect();
         assert_eq!(tags, ["block-request", "block-response", "block-request"]);
         node.stop();
+        net.shutdown();
     }
 
     /// Sealing runs on the driver, and the driver is woken for it, not
@@ -986,7 +989,8 @@ mod tests {
         let plane = DissemPlane::new(1 << 20);
         let pool = Arc::new(Mempool::new(MempoolConfig::default()));
         let addr: SocketAddr = "127.0.0.1:0".parse().unwrap();
-        let mut cfg = TransportConfig::new(NodeId(0), addr, vec![(NodeId(0), addr)]);
+        let net = NetPool::new().unwrap();
+        let mut cfg = TransportConfig::new(NodeId(0), addr, vec![(NodeId(0), addr)], net.clone());
         cfg.dissem = plane.clone();
         cfg.mempool = Some((pool.clone(), 18_000));
         let recorder_plane = plane.clone();
@@ -1018,6 +1022,7 @@ mod tests {
             waits.push(submitted.elapsed());
         }
         node.stop();
+        net.shutdown();
         waits.sort_unstable();
         let median = waits[waits.len() / 2];
         assert!(median < Duration::from_millis(10), "submit to proposable: {waits:?}");

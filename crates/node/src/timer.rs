@@ -1,300 +1,33 @@
-//! A hashed timer wheel for protocol timers.
+//! The name the repo benchmark's timer microbenchmark imports.
 //!
-//! The state machines arm logical timers ([`TimerToken`]) and expect them
-//! back on expiry; stale tokens are ignored by the protocols, so the wheel
-//! never cancels — it only arms and expires. Entries land in a slot by
-//! `deadline / granularity mod slots`; deadlines beyond the wheel's horizon
-//! wait in an overflow list and migrate into slots as the cursor advances.
-//!
-//! Deadlines are [`SimTime`] values: in the networked runtime that is
-//! microseconds since the cluster epoch `Instant`, so wheel time and trace
-//! time share one clock.
+//! The driver and shard loops hold a [`moonshot_types::time::EventQueue`]
+//! directly; nothing in this workspace uses [`TimerWheel`]. It stays only
+//! because the benchmark package is frozen between benchmark changes and
+//! still names it.
 
-use moonshot_consensus::TimerToken;
-use moonshot_types::time::{SimDuration, SimTime};
+use moonshot_types::time::{EventQueue, SimDuration, SimTime};
 
-/// A fixed-granularity hashed timer wheel, generic over the timer payload.
-///
-/// Protocol drivers use the default `T = TimerToken`; the event-loop shards
-/// in the transport reuse the same wheel with their own timer enum (redial
-/// backoff, shaping release).
-///
-/// # Examples
-///
-/// ```
-/// use moonshot_consensus::TimerToken;
-/// use moonshot_node::timer::TimerWheel;
-/// use moonshot_types::time::{SimDuration, SimTime};
-/// use moonshot_types::View;
-///
-/// let mut wheel = TimerWheel::new(SimDuration::from_millis(1), 256);
-/// wheel.arm(SimTime(5_000), TimerToken::ViewTimer(View(1)));
-/// assert_eq!(wheel.expire(SimTime(4_000)), vec![]);
-/// assert_eq!(wheel.expire(SimTime(5_000)), vec![TimerToken::ViewTimer(View(1))]);
-/// assert!(wheel.is_empty());
-/// ```
+/// An [`EventQueue`] under the name and constructor of the hashed timer
+/// wheel it replaced.
 #[derive(Debug)]
-pub struct TimerWheel<T = TimerToken> {
-    granularity_us: u64,
-    slots: Vec<Vec<(u64, T)>>,
-    /// Absolute time (µs) at the start of the slot under the cursor.
-    cursor_time: u64,
-    cursor: usize,
-    /// Entries beyond the horizon, waiting to be slotted.
-    overflow: Vec<(u64, T)>,
-    len: usize,
-    /// Cached earliest armed deadline (µs), kept in sync by `arm`/`expire`
-    /// so the driver's per-iteration `next_deadline` probe is O(1) instead
-    /// of a scan over every slot.
-    earliest: Option<u64>,
+pub struct TimerWheel<T> {
+    queue: EventQueue<T>,
 }
 
 impl<T> TimerWheel<T> {
-    /// A wheel of `slots` slots of `granularity` each (horizon =
-    /// `granularity × slots`). Granularity must be non-zero.
-    pub fn new(granularity: SimDuration, slots: usize) -> Self {
-        assert!(granularity.as_micros() > 0, "granularity must be non-zero");
-        assert!(slots > 1, "need at least two slots");
-        TimerWheel {
-            granularity_us: granularity.as_micros(),
-            slots: (0..slots).map(|_| Vec::new()).collect(),
-            cursor_time: 0,
-            cursor: 0,
-            overflow: Vec::new(),
-            len: 0,
-            earliest: None,
-        }
+    /// An empty queue. Both arguments are ignored: they sized the old
+    /// wheel's slots, and the benchmark still passes them.
+    pub fn new(_granularity: SimDuration, _slots: usize) -> Self {
+        TimerWheel { queue: EventQueue::new() }
     }
 
-    /// Time covered by one full rotation.
-    pub fn horizon(&self) -> SimDuration {
-        SimDuration::from_micros(self.granularity_us * self.slots.len() as u64)
-    }
-
-    /// Armed timers (slots + overflow).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no timers are armed.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Arms `token` to fire at `deadline`. Past deadlines fire on the next
-    /// [`expire`](TimerWheel::expire) call.
+    /// Arms `token` to fire at `deadline`.
     pub fn arm(&mut self, deadline: SimTime, token: T) {
-        self.len += 1;
-        let deadline = deadline.0;
-        self.earliest = Some(self.earliest.map_or(deadline, |e| e.min(deadline)));
-        let horizon = self.granularity_us * self.slots.len() as u64;
-        if deadline >= self.cursor_time + horizon {
-            self.overflow.push((deadline, token));
-            return;
-        }
-        let slot = if deadline <= self.cursor_time {
-            self.cursor
-        } else {
-            (deadline / self.granularity_us) as usize % self.slots.len()
-        };
-        self.slots[slot].push((deadline, token));
+        self.queue.push(deadline, token);
     }
 
-    /// The earliest armed deadline, if any. O(1): reads the cached minimum
-    /// maintained by [`arm`](TimerWheel::arm) and
-    /// [`expire`](TimerWheel::expire).
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.earliest.map(SimTime)
-    }
-
-    /// Recomputes the earliest deadline by scanning slots and overflow —
-    /// only needed after `expire` removed entries.
-    fn scan_earliest(&self) -> Option<u64> {
-        self.slots
-            .iter()
-            .flatten()
-            .chain(self.overflow.iter())
-            .map(|(d, _)| *d)
-            .min()
-    }
-
-    /// Fires every timer with `deadline ≤ now`, earliest first, advancing
-    /// the cursor to `now`.
+    /// Fires every timer due by `now`, earliest first.
     pub fn expire(&mut self, now: SimTime) -> Vec<T> {
-        let now = now.0;
-        let mut due: Vec<(u64, T)> = Vec::new();
-        let nslots = self.slots.len();
-        let horizon = self.granularity_us * nslots as u64;
-
-        // Sweep every slot the cursor passes, plus the one it lands in.
-        // Entries in a swept slot that are not yet due (same slot, later
-        // rotation — or later within the cursor's current slot) go back in.
-        let mut requeue: Vec<(u64, T)> = Vec::new();
-        if now >= self.cursor_time + horizon {
-            // The clock jumped a full rotation or more (idle wheel, or a
-            // node started long after the shared cluster epoch): every slot
-            // gets passed at least once, so sweep them all in one pass
-            // instead of stepping the cursor across the gap.
-            for slot in &mut self.slots {
-                for entry in slot.drain(..) {
-                    if entry.0 <= now {
-                        due.push(entry);
-                    } else {
-                        requeue.push(entry);
-                    }
-                }
-            }
-            self.cursor_time = now / self.granularity_us * self.granularity_us;
-            self.cursor = (now / self.granularity_us) as usize % nslots;
-        } else {
-            loop {
-                for entry in self.slots[self.cursor].drain(..) {
-                    if entry.0 <= now {
-                        due.push(entry);
-                    } else {
-                        requeue.push(entry);
-                    }
-                }
-                if self.cursor_time + self.granularity_us > now {
-                    break;
-                }
-                self.cursor_time += self.granularity_us;
-                self.cursor = (self.cursor + 1) % nslots;
-            }
-        }
-
-        // Overflow entries now inside the horizon can be slotted.
-        let cursor_time = self.cursor_time;
-        let mut still_far: Vec<(u64, T)> = Vec::new();
-        for entry in self.overflow.drain(..) {
-            if entry.0 <= now {
-                due.push(entry);
-            } else if entry.0 < cursor_time + horizon {
-                requeue.push(entry);
-            } else {
-                still_far.push(entry);
-            }
-        }
-        self.overflow = still_far;
-
-        self.len -= due.len();
-        for (deadline, token) in requeue {
-            self.len -= 1; // arm() re-counts it
-            self.arm(SimTime(deadline), token);
-        }
-
-        // Firing entries may have carried the cached minimum; requeues went
-        // back through `arm` (which only lowers it), so a rescan is needed
-        // exactly when something fired.
-        if !due.is_empty() {
-            self.earliest = self.scan_earliest();
-        }
-
-        due.sort_by_key(|(d, _)| *d);
-        due.into_iter().map(|(_, t)| t).collect()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use moonshot_types::View;
-
-    fn vt(v: u64) -> TimerToken {
-        TimerToken::ViewTimer(View(v))
-    }
-
-    #[test]
-    fn fires_at_and_after_deadline_not_before() {
-        let mut w = TimerWheel::new(SimDuration::from_millis(1), 64);
-        w.arm(SimTime(2_500), vt(1));
-        assert!(w.expire(SimTime(2_499)).is_empty());
-        assert_eq!(w.expire(SimTime(2_500)), vec![vt(1)]);
-        assert!(w.expire(SimTime(10_000)).is_empty());
-    }
-
-    #[test]
-    fn fires_in_deadline_order_across_slots() {
-        let mut w = TimerWheel::new(SimDuration::from_millis(1), 64);
-        w.arm(SimTime(9_000), vt(3));
-        w.arm(SimTime(1_000), vt(1));
-        w.arm(SimTime(5_000), vt(2));
-        assert_eq!(w.expire(SimTime(10_000)), vec![vt(1), vt(2), vt(3)]);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn overflow_beyond_horizon_still_fires() {
-        let mut w = TimerWheel::new(SimDuration::from_millis(1), 8); // 8ms horizon
-        w.arm(SimTime(50_000), vt(7));
-        assert_eq!(w.next_deadline(), Some(SimTime(50_000)));
-        assert!(w.expire(SimTime(40_000)).is_empty());
-        assert_eq!(w.expire(SimTime(50_000)), vec![vt(7)]);
-    }
-
-    #[test]
-    fn same_slot_different_rotation_not_fired_early() {
-        let mut w = TimerWheel::new(SimDuration::from_millis(1), 8);
-        // 2ms and 10ms hash to the same slot (2 mod 8); only the first is
-        // due at t=2ms. 10ms is within the horizon of cursor_time=0? No:
-        // horizon is 8ms, so 10ms goes to overflow first — use 2ms vs
-        // a post-rotation arm instead.
-        w.arm(SimTime(2_000), vt(1));
-        assert_eq!(w.expire(SimTime(2_000)), vec![vt(1)]);
-        w.arm(SimTime(2_000 + 8_000), vt(2)); // same slot, next rotation
-        assert!(w.expire(SimTime(9_000)).is_empty());
-        assert_eq!(w.expire(SimTime(10_000)), vec![vt(2)]);
-    }
-
-    #[test]
-    fn past_deadline_fires_immediately() {
-        let mut w = TimerWheel::new(SimDuration::from_millis(1), 64);
-        let _ = w.expire(SimTime(100_000)); // advance cursor
-        w.arm(SimTime(1_000), vt(9)); // long past
-        assert_eq!(w.expire(SimTime(100_001)), vec![vt(9)]);
-    }
-
-    /// The cached-earliest fast path must agree with a linear scan across
-    /// arbitrary interleavings of arms, expirations and clock jumps.
-    #[test]
-    fn next_deadline_matches_linear_scan_over_random_sequences() {
-        for seed in 0..8u64 {
-            let mut rng = moonshot_rng::DetRng::seed_from_u64(0x71e1 + seed);
-            let mut w = TimerWheel::new(SimDuration::from_millis(1), 32); // 32ms horizon
-            let mut now = 0u64;
-            let mut reference: Vec<u64> = Vec::new();
-            for step in 0..500u64 {
-                if rng.gen_bool(0.6) {
-                    // Arm somewhere from the past to far beyond the horizon.
-                    let deadline = now.saturating_sub(2_000) + rng.gen_below(200_000);
-                    w.arm(SimTime(deadline), vt(step));
-                    reference.push(deadline);
-                } else {
-                    now += rng.gen_below(40_000); // may jump whole rotations
-                    let fired = w.expire(SimTime(now)).len();
-                    let before = reference.len();
-                    reference.retain(|d| *d > now);
-                    assert_eq!(fired, before - reference.len(), "seed {seed} step {step}");
-                }
-                assert_eq!(
-                    w.next_deadline(),
-                    reference.iter().min().copied().map(SimTime),
-                    "seed {seed} step {step} now {now}"
-                );
-                assert_eq!(w.len(), reference.len());
-            }
-        }
-    }
-
-    #[test]
-    fn len_tracks_arm_and_expire() {
-        let mut w = TimerWheel::new(SimDuration::from_millis(5), 16);
-        for i in 0..10 {
-            w.arm(SimTime(i * 1_000), vt(i));
-        }
-        assert_eq!(w.len(), 10);
-        let fired = w.expire(SimTime(4_000));
-        assert_eq!(fired.len(), 5);
-        assert_eq!(w.len(), 5);
+        self.queue.expire(now)
     }
 }

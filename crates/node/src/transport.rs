@@ -15,9 +15,9 @@
 //! (consensus tolerates message loss — the protocols re-sync via
 //! certificates and the block fetcher — so dropping the stalest frame beats
 //! unbounded buffering or blocking the driver), a protected drop-*new*
-//! class for sync responses, and per-peer counters. A transport either owns
-//! a private pool (created when [`TransportConfig::pool`] is `None`) or
-//! shares one with every other node in an in-process cluster, which is what
+//! class for sync responses, and per-peer counters. A transport attaches to
+//! the pool its config names ([`TransportConfig::pool`]) and never shuts it
+//! down; an in-process cluster hands one pool to every node, which is what
 //! takes a 50-node localhost cluster from ~50·(n+2) threads to 50 drivers
 //! plus one constant-size pool.
 //!
@@ -145,20 +145,25 @@ pub struct TransportConfig {
     /// Fault-injection knob (tests): skip this peer when the driver
     /// broadcasts `BatchPush` frames, forcing its fetch path to cover.
     pub drop_batch_push_to: Option<NodeId>,
-    /// The shared network core to attach to. `None` (the default) gives
-    /// the transport a private pool it owns and shuts down with itself;
-    /// in-process clusters pass one pool to every node so the whole
-    /// cluster costs a constant number of transport threads.
-    pub pool: Option<Arc<NetPool>>,
+    /// The network core to attach to. Its owner shuts it down after the
+    /// last transport on it stops; an in-process cluster passes one pool to
+    /// every node, so the whole cluster costs a constant number of
+    /// transport threads.
+    pub pool: Arc<NetPool>,
     /// Per-link latency/bandwidth shaping applied to this node's outbound
     /// connections (sender-side). `None` = unshaped.
     pub shape: Option<Arc<ShapeMatrix>>,
 }
 
 impl TransportConfig {
-    /// A config for node `node_id` among `peers`: no mempool, a fresh
-    /// plane, a private unshaped pool.
-    pub fn new(node_id: NodeId, listen: SocketAddr, peers: Vec<(NodeId, SocketAddr)>) -> Self {
+    /// A config for node `node_id` among `peers` on `pool`: no mempool, a
+    /// fresh plane, unshaped.
+    pub fn new(
+        node_id: NodeId,
+        listen: SocketAddr,
+        peers: Vec<(NodeId, SocketAddr)>,
+        pool: Arc<NetPool>,
+    ) -> Self {
         TransportConfig {
             node_id,
             listen,
@@ -166,7 +171,7 @@ impl TransportConfig {
             mempool: None,
             dissem: DissemPlane::new(DISSEM_STORE_BUDGET),
             drop_batch_push_to: None,
-            pool: None,
+            pool,
             shape: None,
         }
     }
@@ -316,9 +321,6 @@ pub struct Transport {
     node: NodeId,
     core: Arc<NodeCore>,
     pool: Arc<NetPool>,
-    /// Whether [`stop`](Transport::stop) also shuts the pool down (true
-    /// for the private pool a solo transport creates for itself).
-    owns_pool: bool,
 }
 
 impl std::fmt::Debug for Transport {
@@ -328,10 +330,9 @@ impl std::fmt::Debug for Transport {
 }
 
 impl Transport {
-    /// Binds the listener and attaches this node to its network pool
-    /// (creating a private one when the config names none). Every decoded
-    /// consensus message goes through `verifier` on the shard loop that
-    /// read it — failures are dropped and counted in
+    /// Binds the listener and attaches this node to its network pool.
+    /// Every decoded consensus message goes through `verifier` on the
+    /// shard loop that read it — failures are dropped and counted in
     /// [`PeerMetrics::verify_failures`] — and only then into `inbound`.
     ///
     /// A pre-bound `listener` is adopted instead of binding `cfg.listen` —
@@ -349,11 +350,7 @@ impl Transport {
         };
         listener.set_nonblocking(true)?;
 
-        let (pool, owns_pool) = match &cfg.pool {
-            Some(p) => (p.clone(), false),
-            None => (NetPool::new()?, true),
-        };
-
+        let pool = cfg.pool.clone();
         let mut peers: BTreeMap<NodeId, Arc<PeerState>> = BTreeMap::new();
         let mut addrs: BTreeMap<NodeId, SocketAddr> = BTreeMap::new();
         for (id, addr) in cfg.peers.iter().filter(|(id, _)| *id != cfg.node_id) {
@@ -388,7 +385,7 @@ impl Transport {
         });
         pool.attach(core.clone(), listener);
 
-        Ok(Transport { node: cfg.node_id, core, pool, owns_pool })
+        Ok(Transport { node: cfg.node_id, core, pool })
     }
 
     /// The shared shutdown flag. Lets a holder wind this node's network
@@ -477,18 +474,14 @@ impl Transport {
     }
 
     /// Detaches this node from the pool: its sockets close, its redials
-    /// stop. A privately owned pool is shut down and joined too; a shared
-    /// pool keeps running for its other nodes (the cluster shuts it down
-    /// after the last node stops).
+    /// stop. The pool keeps running for its other nodes; its owner shuts
+    /// it down after the last one stops.
     pub fn stop(self) {
         // Order matters: the shutdown flag gates the dialer and the
         // AddOutbound handler, so setting it before the close commands go
         // out means no connection for this node can (re)appear afterwards.
         self.core.shutdown.store(true, Ordering::SeqCst);
         self.pool.detach(&self.core);
-        if self.owns_pool {
-            self.pool.shutdown();
-        }
     }
 }
 
@@ -593,6 +586,7 @@ mod tests {
         use moonshot_consensus::Message;
         use moonshot_types::{Block, Payload, View};
 
+        let net = NetPool::new().unwrap();
         // Bind both listeners on port 0 first so each side can dial the
         // other — the same pattern `Cluster::launch` uses.
         let l0 = TcpListener::bind(localhost_any()).unwrap();
@@ -606,14 +600,14 @@ mod tests {
         let tx1 = InboundSender::new(tx1);
         let depth1 = tx1.depth_gauge();
         let t0 = Transport::start(
-            TransportConfig::new(NodeId(0), a0, peers.clone()),
+            TransportConfig::new(NodeId(0), a0, peers.clone(), net.clone()),
             Some(l0),
             verifier(),
             tx0,
         )
         .unwrap();
         let t1 = Transport::start(
-            TransportConfig::new(NodeId(1), a1, peers),
+            TransportConfig::new(NodeId(1), a1, peers, net.clone()),
             Some(l1),
             verifier(),
             tx1,
@@ -651,6 +645,7 @@ mod tests {
         );
         t0.stop();
         t1.stop();
+        net.shutdown();
     }
 
     /// A peer that says hello and then misbehaves, played by a raw socket:
@@ -670,6 +665,7 @@ mod tests {
         use moonshot_types::{Block, SignedVote, View, Vote, VoteKind};
         use moonshot_wire::{encode_frame, encode_message, Frame};
 
+        let net = NetPool::new().unwrap();
         let l0 = TcpListener::bind(localhost_any()).unwrap();
         let a0 = l0.local_addr().unwrap();
         // Node 1's address is reserved but never listened on: node 0's
@@ -677,7 +673,12 @@ mod tests {
         let a1 = TcpListener::bind(localhost_any()).unwrap().local_addr().unwrap();
         let (tx0, rx0) = mpsc::channel();
         let t0 = Transport::start(
-            TransportConfig::new(NodeId(0), a0, vec![(NodeId(0), a0), (NodeId(1), a1)]),
+            TransportConfig::new(
+                NodeId(0),
+                a0,
+                vec![(NodeId(0), a0), (NodeId(1), a1)],
+                net.clone(),
+            ),
             Some(l0),
             verifier(),
             InboundSender::new(tx0),
@@ -739,6 +740,7 @@ mod tests {
         assert_eq!(report("verify_failures"), 1);
         assert_eq!((report("dropped_frames"), report("protected_dropped")), (0, 0));
         t0.stop();
+        net.shutdown();
     }
 
     /// A peer's consensus messages reach the driver in the order they were
@@ -756,13 +758,19 @@ mod tests {
         use moonshot_wire::{encode_frame, encode_message, Frame};
 
         const MESSAGES: u32 = 2_000;
+        let net = NetPool::new().unwrap();
         let l0 = TcpListener::bind(localhost_any()).unwrap();
         let a0 = l0.local_addr().unwrap();
         // Node 1 is the raw socket below; its address is never listened on.
         let a1 = TcpListener::bind(localhost_any()).unwrap().local_addr().unwrap();
         let (tx0, rx0) = mpsc::channel();
         let t0 = Transport::start(
-            TransportConfig::new(NodeId(0), a0, vec![(NodeId(0), a0), (NodeId(1), a1)]),
+            TransportConfig::new(
+                NodeId(0),
+                a0,
+                vec![(NodeId(0), a0), (NodeId(1), a1)],
+                net.clone(),
+            ),
             Some(l0),
             verifier(),
             InboundSender::new(tx0),
@@ -792,6 +800,7 @@ mod tests {
         }
         assert!(rx0.try_recv().is_err(), "more messages delivered than were sent");
         t0.stop();
+        net.shutdown();
     }
 
     /// Regression for the startup race: the first dial happening *before*
@@ -802,6 +811,7 @@ mod tests {
         use moonshot_consensus::Message;
         use moonshot_types::{Block, Payload, View};
 
+        let net = NetPool::new().unwrap();
         let l0 = TcpListener::bind(localhost_any()).unwrap();
         let a0 = l0.local_addr().unwrap();
         // Reserve an address for node 1 but leave it unbound for now, so
@@ -814,7 +824,7 @@ mod tests {
 
         let (tx0, rx0) = mpsc::channel();
         let t0 = Transport::start(
-            TransportConfig::new(NodeId(0), a0, peers.clone()),
+            TransportConfig::new(NodeId(0), a0, peers.clone(), net.clone()),
             Some(l0),
             verifier(),
             InboundSender::new(tx0),
@@ -826,7 +836,7 @@ mod tests {
         let l1 = TcpListener::bind(a1).expect("rebind reserved address");
         let (tx1, rx1) = mpsc::channel();
         let t1 = Transport::start(
-            TransportConfig::new(NodeId(1), a1, peers),
+            TransportConfig::new(NodeId(1), a1, peers, net.clone()),
             Some(l1),
             verifier(),
             InboundSender::new(tx1),
@@ -864,7 +874,12 @@ mod tests {
         let l1 = TcpListener::bind(a1).expect("rebind after stop");
         let (tx1b, _rx1b) = mpsc::channel();
         let t1b = Transport::start(
-            TransportConfig::new(NodeId(1), a1, vec![(NodeId(0), a0), (NodeId(1), a1)]),
+            TransportConfig::new(
+                NodeId(1),
+                a1,
+                vec![(NodeId(0), a0), (NodeId(1), a1)],
+                net.clone(),
+            ),
             Some(l1),
             verifier(),
             InboundSender::new(tx1b),
@@ -885,5 +900,6 @@ mod tests {
         drop(rx0);
         t0.stop();
         t1b.stop();
+        net.shutdown();
     }
 }

@@ -1,10 +1,12 @@
 //! Run metrics, matching §VI of the paper.
 //!
-//! * **Throughput** — the number of blocks committed by at least `2f + 1`
-//!   nodes during a run.
+//! * **Throughput** — the number of blocks committed by at least a quorum
+//!   of nodes during a run:
+//!   [`quorum_threshold`](moonshot_crypto::keys::quorum_threshold)`(n) =
+//!   ⌊(n + f)/2⌋ + 1`, which is `2f + 1` at `n = 3f + 1`.
 //! * **Transfer rate** — bytes of payload from committed blocks per second.
 //! * **Latency** — the time between the *creation* of a block (its first
-//!   proposal multicast) and its commit by the `(2f+1)`-th node, reported
+//!   proposal multicast) and its commit by the quorum-th node, reported
 //!   both as the paper's average and as a full distribution.
 //! * **Block period** — the time between consecutive block creations (the
 //!   paper's ω), as a distribution.
@@ -100,8 +102,9 @@ impl MetricsSink {
         self.views.values().map(|(v, _)| *v).max().unwrap_or(View::GENESIS)
     }
 
-    /// Summarises the run. `quorum` is `2f + 1`; `duration` the wall-clock
-    /// length of the run in simulated time.
+    /// Summarises the run. `quorum` is the quorum threshold
+    /// ([`RunConfig::quorum`](crate::runner::RunConfig::quorum)); `duration`
+    /// the wall-clock length of the run in simulated time.
     pub fn summarise(&self, quorum: usize, duration: SimDuration) -> RunMetrics {
         let mut committed_blocks = 0u64;
         let mut committed_payload = 0u64;
@@ -166,13 +169,13 @@ impl MetricsSink {
 /// Summary of one run.
 #[derive(Clone, Copy, Debug)]
 pub struct RunMetrics {
-    /// Blocks committed by at least `2f + 1` nodes.
+    /// Blocks committed by at least a quorum of nodes.
     pub committed_blocks: u64,
     /// Total payload bytes across those blocks.
     pub committed_payload_bytes: u64,
     /// Simulated duration of the run.
     pub duration: SimDuration,
-    /// Mean creation→(2f+1)-th-commit latency.
+    /// Mean creation→quorum-th-commit latency.
     pub avg_latency: Option<SimDuration>,
     /// Median latency.
     pub p50_latency: Option<SimDuration>,

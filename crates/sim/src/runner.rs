@@ -10,6 +10,7 @@ use moonshot_consensus::{
     PipelinedMoonshot, SimpleMoonshot,
 };
 use moonshot_consensus::pipelined::MoonshotOptions;
+use moonshot_crypto::keys::quorum_threshold;
 use moonshot_crypto::Keyring;
 use moonshot_net::latency::aws;
 use moonshot_net::{
@@ -221,7 +222,7 @@ impl RunConfig {
 
     /// Quorum threshold for this network size.
     pub fn quorum(&self) -> usize {
-        Keyring::simulated(self.n).quorum_threshold()
+        quorum_threshold(self.n)
     }
 
     /// The Δ actually used: when `auto_delta` is set, grown to bound the

@@ -160,7 +160,7 @@ pub enum TraceEvent {
         height: Height,
         /// Messages waiting in the driver's inbound channel.
         inbound: u64,
-        /// Timers armed on the timer wheel.
+        /// Timers armed in the driver's timer queue.
         timers: u64,
         /// Transactions pending in the mempool (0 without a data path).
         mempool: u64,

@@ -62,6 +62,6 @@ pub use ids::{Height, NodeId, View};
 pub use payload::{BatchRef, Payload, PAYLOAD_ITEM_BYTES};
 pub use rng::DetRng;
 
-pub use time::{SimDuration, SimTime};
+pub use time::{EventQueue, SimDuration, SimTime};
 pub use vote::{CommitVote, SignedCommitVote, SignedVote, Vote, VoteKind};
 pub use wire::WireSize;
