@@ -64,6 +64,13 @@ fn main() {
     };
     let traced = run_traced(&cfg, &opts);
     write_results("fig6_deep_dive.json", &traced.summary_json(&cfg));
+    if let Err(violations) = &traced.invariants {
+        for v in violations {
+            eprintln!("  violation: {v}");
+        }
+        eprintln!("fig6: the deep-dive trace violates {} invariant(s)", violations.len());
+        std::process::exit(1);
+    }
     let m = traced.report.metrics;
     println!(
         "Deep dive (PM, n = {n}, p = {payload} B): commit latency p50 {:.1} ms / p99 {:.1} ms, \

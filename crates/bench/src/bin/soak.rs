@@ -42,9 +42,9 @@ fn main() {
         }
         csv.push_str(&format!(
             "{},{},{},{},{},{},{},{}\n",
-            r.config.protocol.label(),
-            r.config.adversary.label(),
-            r.config.faults.label(),
+            r.protocol.label(),
+            r.adversary.label(),
+            r.faults.label(),
             r.committed_blocks,
             r.commits_after_quiet,
             r.fault_stats.total(),

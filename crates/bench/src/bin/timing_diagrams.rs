@@ -14,7 +14,8 @@ use moonshot_consensus::{
     CommitMoonshot, ConsensusProtocol, Message, NodeConfig, PipelinedMoonshot,
 };
 use moonshot_net::{Actor, Context, NetworkConfig, NicModel, Simulation, TimerId, UniformLatency};
-use moonshot_sim::{MetricsSink, ProtocolActor};
+use moonshot_sim::ProtocolActor;
+use moonshot_telemetry::NullSink;
 use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::NodeId;
 use std::sync::Mutex;
@@ -46,14 +47,13 @@ fn trace_protocol(
 ) {
     let n = 4;
     let delta_ms = 100u64;
-    let metrics = Arc::new(Mutex::new(MetricsSink::new()));
     let trace: Trace = Arc::new(Mutex::new(Vec::new()));
     let actors: Vec<Box<dyn Actor<Message>>> = (0..n)
         .map(|i| {
             let node = NodeId::from_index(i);
             let cfg = NodeConfig::simulated(node, n, SimDuration::from_millis(delta_ms));
             Box::new(Tracer {
-                inner: ProtocolActor::new(node, make(cfg), metrics.clone()),
+                inner: ProtocolActor::new(node, make(cfg), Box::new(NullSink)),
                 trace: trace.clone(),
             }) as Box<dyn Actor<Message>>
         })
@@ -78,7 +78,7 @@ fn trace_protocol(
         }
     }
     let mut grouped: Vec<_> = summary.into_iter().collect();
-    grouped.sort_by_key(|((_, ms), _)| *ms);
+    grouped.sort_by_key(|&((tag, ms), _)| (ms, tag));
     for ((tag, ms), count) in grouped {
         println!("  t≈{ms:>6} ms  {count} × {tag}");
     }

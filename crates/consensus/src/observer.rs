@@ -156,8 +156,9 @@ impl ProtocolObserver {
     }
 
     fn proposal_sent(&self, view: View, block: &Block, now: SimTime, sink: &mut dyn TraceSink) {
-        let (node, block, height) = (self.node, block.id(), block.height());
-        self.emit(sink, now, TraceEvent::ProposalSent { node, view, block, height });
+        let (node, bytes) = (self.node, block.payload().size());
+        let (block, height) = (block.id(), block.height());
+        self.emit(sink, now, TraceEvent::ProposalSent { node, view, block, height, bytes });
     }
 
     fn note_qc(&mut self, qc: &QuorumCertificate, now: SimTime, sink: &mut dyn TraceSink) {

@@ -818,6 +818,7 @@ mod tests {
                     view: View(1),
                     block: block.id(),
                     height: block.height(),
+                    bytes: payload.size(),
                 },
             },
             TraceRecord {

@@ -1,27 +1,25 @@
 //! Adapts sans-IO [`ConsensusProtocol`] state machines to the discrete-event
-//! simulator's [`Actor`] interface, recording metrics along the way.
+//! simulator's [`Actor`] interface. A node has one output besides its
+//! messages and timers: the trace its [`ProtocolObserver`] derives from the
+//! protocol's I/O, which the run's invariant checker and
+//! [`MetricsFold`](crate::metrics::MetricsFold) both read.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use moonshot_consensus::{
     ConsensusProtocol, Message, Output, PreVerified, ProtocolObserver, TimerToken,
 };
 use moonshot_net::{Actor, Context, TimerId};
 use moonshot_telemetry::TraceSink;
-use moonshot_types::{Block, NodeId};
-use std::sync::Mutex;
-
-use crate::metrics::MetricsSink;
+use moonshot_types::NodeId;
 
 /// A consensus node running inside the simulator.
 pub struct ProtocolActor {
     node: NodeId,
     protocol: Box<dyn ConsensusProtocol>,
-    metrics: Arc<Mutex<MetricsSink>>,
     timers: HashMap<TimerId, TimerToken>,
     observer: ProtocolObserver,
-    trace: Option<Box<dyn TraceSink>>,
+    trace: Box<dyn TraceSink>,
     /// Whether delivered messages go through the protocol's verifier (the
     /// default) or straight to its rules as trusted.
     verify: bool,
@@ -37,19 +35,21 @@ impl std::fmt::Debug for ProtocolActor {
 }
 
 impl ProtocolActor {
-    /// Wraps `protocol` for `node`, reporting into `metrics`.
+    /// Wraps `protocol` for `node`, recording every protocol action into
+    /// `trace` (typically a shared ring buffer, a
+    /// [`MetricsFold`](crate::metrics::MetricsFold), or both through a
+    /// `TeeSink` — see `moonshot-telemetry`).
     pub fn new(
         node: NodeId,
         protocol: Box<dyn ConsensusProtocol>,
-        metrics: Arc<Mutex<MetricsSink>>,
+        trace: Box<dyn TraceSink>,
     ) -> Self {
         ProtocolActor {
             node,
             protocol,
-            metrics,
             timers: HashMap::new(),
             observer: ProtocolObserver::new(node),
-            trace: None,
+            trace,
             verify: true,
         }
     }
@@ -62,49 +62,18 @@ impl ProtocolActor {
         self
     }
 
-    /// Additionally records every protocol action into `sink` (typically a
-    /// shared ring buffer or JSONL writer — see `moonshot-telemetry`).
-    pub fn with_trace(mut self, sink: Box<dyn TraceSink>) -> Self {
-        self.trace = Some(sink);
-        self
-    }
-
-    fn note_proposal(&self, msg: &Message, now: moonshot_types::time::SimTime) {
-        let block: &Block = match msg {
-            Message::OptPropose { block, .. }
-            | Message::Propose { block, .. }
-            | Message::FbPropose { block, .. } => block,
-            _ => return,
-        };
-        self.metrics.lock().unwrap().record_created(
-            block.id(),
-            block.view(),
-            block.height(),
-            block.payload().size(),
-            now,
-        );
-    }
-
     fn apply(&mut self, outputs: Vec<Output>, ctx: &mut Context<Message>) {
-        if let Some(sink) = &mut self.trace {
-            self.observer.on_outputs(&outputs, self.protocol.current_view(), ctx.now(), sink);
-        }
+        let view = self.protocol.current_view();
+        self.observer.on_outputs(&outputs, view, ctx.now(), &mut self.trace);
         for out in outputs {
             match out {
                 Output::Send(to, msg) => ctx.send(to, msg),
-                Output::Multicast(msg) => {
-                    self.note_proposal(&msg, ctx.now());
-                    ctx.multicast(msg);
-                }
+                Output::Multicast(msg) => ctx.multicast(msg),
                 Output::SetTimer { token, after } => {
                     let id = ctx.set_timer(after);
                     self.timers.insert(id, token);
                 }
-                Output::Commit(c) => {
-                    let mut m = self.metrics.lock().unwrap();
-                    m.record_commit(self.node, c.block.id(), ctx.now());
-                    m.record_view(self.node, self.protocol.current_view(), ctx.now());
-                }
+                Output::Commit(_) => {}
             }
         }
     }
@@ -114,42 +83,23 @@ impl Actor<Message> for ProtocolActor {
     fn on_start(&mut self, ctx: &mut Context<Message>) {
         let outs = self.protocol.start(ctx.now());
         self.apply(outs, ctx);
-        self.metrics.lock().unwrap().record_view(
-            self.node,
-            self.protocol.current_view(),
-            ctx.now(),
-        );
     }
 
     fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Context<Message>) {
-        if let Some(sink) = &mut self.trace {
-            self.observer.on_message_received(from, &msg, ctx.now(), sink);
-        }
+        self.observer.on_message_received(from, &msg, ctx.now(), &mut self.trace);
         let outs = if self.verify {
             self.protocol.handle_message(from, msg, ctx.now())
         } else {
             self.protocol.handle_preverified(from, PreVerified::trusted(msg), ctx.now())
         };
         self.apply(outs, ctx);
-        self.metrics.lock().unwrap().record_view(
-            self.node,
-            self.protocol.current_view(),
-            ctx.now(),
-        );
     }
 
     fn on_timer(&mut self, timer: TimerId, ctx: &mut Context<Message>) {
         if let Some(token) = self.timers.remove(&timer) {
-            if let Some(sink) = &mut self.trace {
-                self.observer.on_timer_fired(token, ctx.now(), sink);
-            }
+            self.observer.on_timer_fired(token, ctx.now(), &mut self.trace);
             let outs = self.protocol.handle_timer(token, ctx.now());
             self.apply(outs, ctx);
-            self.metrics.lock().unwrap().record_view(
-                self.node,
-                self.protocol.current_view(),
-                ctx.now(),
-            );
         }
     }
 }
@@ -157,13 +107,15 @@ impl Actor<Message> for ProtocolActor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricsFold;
     use moonshot_consensus::{NodeConfig, PipelinedMoonshot};
     use moonshot_net::{NetworkConfig, NicModel, Simulation, UniformLatency};
     use moonshot_types::time::{SimDuration, SimTime};
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn four_nodes_commit_under_the_des() {
-        let metrics = Arc::new(Mutex::new(MetricsSink::new()));
+        let metrics = Arc::new(Mutex::new(MetricsFold::new()));
         let n = 4;
         let actors: Vec<Box<dyn Actor<Message>>> = (0..n)
             .map(|i| {
@@ -172,7 +124,7 @@ mod tests {
                 Box::new(ProtocolActor::new(
                     node,
                     Box::new(PipelinedMoonshot::new(cfg)),
-                    metrics.clone(),
+                    Box::new(metrics.clone()),
                 )) as Box<dyn Actor<Message>>
             })
             .collect();

@@ -17,23 +17,72 @@
 //!   time (dropping all state) and later restarts from a *fresh* state
 //!   machine that must resync through the `BlockFetcher`.
 //!
-//! Safety of the honest nodes must survive up to `f` of any of these.
+//! Safety of the honest nodes must survive up to `f` of any of these. A run
+//! picks one of them for its `f′` Byzantine nodes through
+//! [`RunConfig::adversary`](crate::runner::RunConfig::adversary).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use moonshot_consensus::{
-    ConsensusProtocol, LeaderElection, Message, Output, RoundRobin, TimerToken,
-};
+use moonshot_consensus::{ConsensusProtocol, LeaderElection, Message, Output, TimerToken};
 use moonshot_crypto::KeyPair;
 use moonshot_net::{Actor, Context, TimerId};
 use moonshot_telemetry::{TraceEvent, TraceRecord, TraceSink};
-use moonshot_types::time::SimTime;
+use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::{Block, NodeId, Payload, SignedVote, View, Vote, VoteKind};
 use std::sync::Mutex;
 
 use crate::adapter::ProtocolActor;
-use crate::metrics::MetricsSink;
+
+/// Which behaviour a run's `f′` Byzantine nodes run.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum AdversaryKind {
+    /// Crash-faulty: never says anything ([`SilentActor`]).
+    Silent,
+    /// Votes for everything, proposes two conflicting blocks per led view
+    /// ([`EquivocatingActor`]).
+    Equivocating,
+    /// Runs the protocol but suppresses its own votes
+    /// ([`VoteWithholdingActor`]).
+    VoteWithholding,
+    /// Re-multicasts stale quorum / timeout certificates forever
+    /// ([`StaleReplayActor`]).
+    StaleReplay,
+    /// Honest, but crashes early and restarts from a fresh state machine
+    /// ([`CrashRecoverActor`], over [`crash_window`]).
+    CrashRecover,
+}
+
+impl AdversaryKind {
+    /// Every adversary, in matrix order.
+    pub fn all() -> [AdversaryKind; 5] {
+        [
+            AdversaryKind::Silent,
+            AdversaryKind::Equivocating,
+            AdversaryKind::VoteWithholding,
+            AdversaryKind::StaleReplay,
+            AdversaryKind::CrashRecover,
+        ]
+    }
+
+    /// Short label for reports.
+    pub fn label(self) -> &'static str {
+        match self {
+            AdversaryKind::Silent => "silent",
+            AdversaryKind::Equivocating => "equivocate",
+            AdversaryKind::VoteWithholding => "withhold",
+            AdversaryKind::StaleReplay => "replay",
+            AdversaryKind::CrashRecover => "crash-recover",
+        }
+    }
+}
+
+/// When a crash-recover adversary crashes and recovers in a run of
+/// `duration`: at 1/6 and 2/5 of it (recovery lands before the soak
+/// matrix's `duration / 2` fault horizon).
+pub fn crash_window(duration: SimDuration) -> (SimTime, SimTime) {
+    (SimTime(duration.0 / 6), SimTime(duration.0 * 2 / 5))
+}
 
 /// A Byzantine node that does nothing at all: never proposes, votes or
 /// times out. This is the behaviour the paper's leader schedules assume for
@@ -83,11 +132,6 @@ impl std::fmt::Debug for EquivocatingActor {
 }
 
 impl EquivocatingActor {
-    /// Creates an equivocator for `node` in an `n`-node round-robin network.
-    pub fn new(node: NodeId, n: usize) -> Self {
-        Self::with_election(node, Box::new(RoundRobin::new(n)))
-    }
-
     /// Creates an equivocator driven by an explicit leader schedule (must be
     /// the schedule the honest nodes run, e.g. one of `schedule::*`).
     pub fn with_election(node: NodeId, election: Box<dyn LeaderElection>) -> Self {
@@ -299,20 +343,20 @@ impl Actor<Message> for StaleReplayActor {
 pub type ProtocolFactory = Box<dyn Fn() -> Box<dyn ConsensusProtocol>>;
 
 /// Builds a trace sink for a [`CrashRecoverActor`] incarnation (typically a
-/// clone of a shared ring buffer).
+/// clone of the run's shared sink).
 pub type TraceFactory = Box<dyn Fn() -> Box<dyn TraceSink>>;
 
 /// A node that runs the real protocol, crashes at `crash_at` (losing *all*
 /// state) and restarts at `recover_at` from a fresh state machine built by
 /// the factory. The restarted node re-enters at view 1 and must resync the
-/// chain through the `BlockFetcher` before it can commit again; the restart
-/// is recorded as [`TraceEvent::NodeRestarted`] so the invariant checker
-/// resets its per-node monotonicity baselines.
+/// chain through the `BlockFetcher` before it can commit again. Every
+/// incarnation traces into a sink built by the trace factory, and the
+/// restart itself is recorded as [`TraceEvent::NodeRestarted`] so the
+/// invariant checker resets its per-node monotonicity baselines.
 pub struct CrashRecoverActor {
     node: NodeId,
     factory: ProtocolFactory,
-    metrics: Arc<Mutex<MetricsSink>>,
-    trace_factory: Option<TraceFactory>,
+    trace: TraceFactory,
     crash_at: SimTime,
     recover_at: SimTime,
     inner: Option<ProtocolActor>,
@@ -332,7 +376,8 @@ impl std::fmt::Debug for CrashRecoverActor {
 }
 
 impl CrashRecoverActor {
-    /// Crashes `node` at `crash_at` and restarts it at `recover_at`.
+    /// Crashes `node` at `crash_at` and restarts it at `recover_at`,
+    /// tracing every incarnation into a sink built by `trace`.
     ///
     /// # Panics
     ///
@@ -340,7 +385,7 @@ impl CrashRecoverActor {
     pub fn new(
         node: NodeId,
         factory: ProtocolFactory,
-        metrics: Arc<Mutex<MetricsSink>>,
+        trace: TraceFactory,
         crash_at: SimTime,
         recover_at: SimTime,
     ) -> Self {
@@ -348,8 +393,7 @@ impl CrashRecoverActor {
         CrashRecoverActor {
             node,
             factory,
-            metrics,
-            trace_factory: None,
+            trace,
             crash_at,
             recover_at,
             inner: None,
@@ -358,19 +402,8 @@ impl CrashRecoverActor {
         }
     }
 
-    /// Traces every incarnation into a sink built by `f` (and records the
-    /// restart itself).
-    pub fn with_trace_factory(mut self, f: TraceFactory) -> Self {
-        self.trace_factory = Some(f);
-        self
-    }
-
     fn fresh_inner(&self) -> ProtocolActor {
-        let mut actor = ProtocolActor::new(self.node, (self.factory)(), self.metrics.clone());
-        if let Some(tf) = &self.trace_factory {
-            actor = actor.with_trace(tf());
-        }
-        actor
+        ProtocolActor::new(self.node, (self.factory)(), (self.trace)())
     }
 }
 
@@ -396,12 +429,10 @@ impl Actor<Message> for CrashRecoverActor {
         }
         if self.recover_timer == Some(timer) {
             self.recover_timer = None;
-            if let Some(tf) = &self.trace_factory {
-                tf().record(TraceRecord {
-                    at: ctx.now(),
-                    event: TraceEvent::NodeRestarted { node: self.node },
-                });
-            }
+            (self.trace)().record(TraceRecord {
+                at: ctx.now(),
+                event: TraceEvent::NodeRestarted { node: self.node },
+            });
             self.inner = Some(self.fresh_inner());
             self.inner.as_mut().expect("just set").on_start(ctx);
             return;
@@ -419,11 +450,10 @@ impl Actor<Message> for CrashRecoverActor {
 mod tests {
     use super::*;
     use crate::adapter::ProtocolActor;
-    use crate::metrics::MetricsSink;
-    use moonshot_consensus::{NodeConfig, PipelinedMoonshot};
+    use crate::metrics::MetricsFold;
+    use moonshot_consensus::{NodeConfig, PipelinedMoonshot, RoundRobin};
     use moonshot_net::{NetworkConfig, NicModel, Simulation, UniformLatency};
-    use moonshot_telemetry::RingBufferSink;
-    use moonshot_types::time::{SimDuration, SimTime};
+    use moonshot_telemetry::{RingBufferSink, TeeSink};
 
     fn quick_config(n: usize) -> NetworkConfig {
         NetworkConfig::new(
@@ -432,22 +462,23 @@ mod tests {
         )
     }
 
-    fn honest(node: NodeId, n: usize, metrics: &Arc<Mutex<MetricsSink>>) -> Box<dyn Actor<Message>> {
+    fn honest(node: NodeId, n: usize, trace: Box<dyn TraceSink>) -> Box<dyn Actor<Message>> {
         let cfg = NodeConfig::simulated(node, n, SimDuration::from_millis(50));
-        Box::new(ProtocolActor::new(node, Box::new(PipelinedMoonshot::new(cfg)), metrics.clone()))
+        Box::new(ProtocolActor::new(node, Box::new(PipelinedMoonshot::new(cfg)), trace))
     }
 
     #[test]
     fn equivocator_does_not_break_safety_or_liveness() {
-        let metrics = Arc::new(Mutex::new(MetricsSink::new()));
+        let metrics = Arc::new(Mutex::new(MetricsFold::new()));
         let n = 4;
         let actors: Vec<Box<dyn Actor<Message>>> = (0..n)
             .map(|i| {
                 let node = NodeId::from_index(i);
                 if i == 3 {
-                    Box::new(EquivocatingActor::new(node, n)) as Box<dyn Actor<Message>>
+                    Box::new(EquivocatingActor::with_election(node, Box::new(RoundRobin::new(n))))
+                        as Box<dyn Actor<Message>>
                 } else {
-                    honest(node, n, &metrics)
+                    honest(node, n, Box::new(metrics.clone()))
                 }
             })
             .collect();
@@ -464,7 +495,7 @@ mod tests {
         // with the equivocator leading every other view — the actor must
         // take its views from the shared schedule, not round-robin.
         use moonshot_consensus::leader::ScheduleElection;
-        let metrics = Arc::new(Mutex::new(MetricsSink::new()));
+        let metrics = Arc::new(Mutex::new(MetricsFold::new()));
         let n = 4;
         let order = vec![NodeId(0), NodeId(3), NodeId(1), NodeId(3), NodeId(2), NodeId(3)];
         let actors: Vec<Box<dyn Actor<Message>>> = (0..n)
@@ -482,7 +513,7 @@ mod tests {
                     Box::new(ProtocolActor::new(
                         node,
                         Box::new(PipelinedMoonshot::new(cfg)),
-                        metrics.clone(),
+                        Box::new(metrics.clone()),
                     )) as Box<dyn Actor<Message>>
                 }
             })
@@ -495,7 +526,7 @@ mod tests {
 
     #[test]
     fn silent_actor_emits_nothing() {
-        let metrics = Arc::new(Mutex::new(MetricsSink::new()));
+        let metrics = Arc::new(Mutex::new(MetricsFold::new()));
         let n = 4;
         let actors: Vec<Box<dyn Actor<Message>>> = (0..n)
             .map(|i| {
@@ -503,7 +534,7 @@ mod tests {
                 if i == 0 {
                     Box::new(SilentActor) as Box<dyn Actor<Message>>
                 } else {
-                    honest(node, n, &metrics)
+                    honest(node, n, Box::new(metrics.clone()))
                 }
             })
             .collect();
@@ -517,7 +548,7 @@ mod tests {
 
     #[test]
     fn vote_withholding_leader_does_not_stall_liveness() {
-        let metrics = Arc::new(Mutex::new(MetricsSink::new()));
+        let metrics = Arc::new(Mutex::new(MetricsFold::new()));
         let n = 4;
         let mut withheld = None;
         let actors: Vec<Box<dyn Actor<Message>>> = (0..n)
@@ -531,7 +562,7 @@ mod tests {
                     withheld = Some(actor.withheld_handle());
                     Box::new(actor) as Box<dyn Actor<Message>>
                 } else {
-                    honest(node, n, &metrics)
+                    honest(node, n, Box::new(metrics.clone()))
                 }
             })
             .collect();
@@ -545,7 +576,7 @@ mod tests {
 
     #[test]
     fn stale_replay_does_not_break_safety() {
-        let metrics = Arc::new(Mutex::new(MetricsSink::new()));
+        let metrics = Arc::new(Mutex::new(MetricsFold::new()));
         let ring = Arc::new(Mutex::new(RingBufferSink::new(1 << 14)));
         let n = 4;
         let mut replayed = None;
@@ -557,15 +588,7 @@ mod tests {
                     replayed = Some(actor.replayed_handle());
                     Box::new(actor) as Box<dyn Actor<Message>>
                 } else {
-                    let cfg = NodeConfig::simulated(node, n, SimDuration::from_millis(50));
-                    Box::new(
-                        ProtocolActor::new(
-                            node,
-                            Box::new(PipelinedMoonshot::new(cfg)),
-                            metrics.clone(),
-                        )
-                        .with_trace(Box::new(ring.clone())),
-                    ) as Box<dyn Actor<Message>>
+                    honest(node, n, Box::new(TeeSink::new(ring.clone(), metrics.clone())))
                 }
             })
             .collect();
@@ -581,14 +604,14 @@ mod tests {
 
     #[test]
     fn crash_recover_actor_resyncs_and_commits_again() {
-        let metrics = Arc::new(Mutex::new(MetricsSink::new()));
+        let metrics = Arc::new(Mutex::new(MetricsFold::new()));
         let ring = Arc::new(Mutex::new(RingBufferSink::new(1 << 18)));
         let n = 4;
         let actors: Vec<Box<dyn Actor<Message>>> = (0..n)
             .map(|i| {
                 let node = NodeId::from_index(i);
                 if i == 3 {
-                    let ring2 = ring.clone();
+                    let (ring, metrics) = (ring.clone(), metrics.clone());
                     let actor = CrashRecoverActor::new(
                         node,
                         Box::new(move || {
@@ -599,22 +622,13 @@ mod tests {
                             );
                             Box::new(PipelinedMoonshot::new(cfg))
                         }),
-                        metrics.clone(),
+                        Box::new(move || Box::new(TeeSink::new(ring.clone(), metrics.clone()))),
                         SimTime(300_000),
                         SimTime(700_000),
-                    )
-                    .with_trace_factory(Box::new(move || Box::new(ring2.clone())));
+                    );
                     Box::new(actor) as Box<dyn Actor<Message>>
                 } else {
-                    let cfg = NodeConfig::simulated(node, n, SimDuration::from_millis(50));
-                    Box::new(
-                        ProtocolActor::new(
-                            node,
-                            Box::new(PipelinedMoonshot::new(cfg)),
-                            metrics.clone(),
-                        )
-                        .with_trace(Box::new(ring.clone())),
-                    ) as Box<dyn Actor<Message>>
+                    honest(node, n, Box::new(TeeSink::new(ring.clone(), metrics.clone())))
                 }
             })
             .collect();

@@ -2,13 +2,17 @@
 //! `moonshot-consensus` over the `moonshot-net` discrete-event WAN and
 //! reproduces the paper's evaluation (§VI).
 //!
-//! * [`runner`] — single-run configuration and execution;
+//! * [`runner`] — single-run configuration and [`run_traced`], the one
+//!   run function;
 //! * [`experiment`] — the paper's experiment grids (Fig. 6–9, Table III);
-//! * [`metrics`] — throughput / latency / transfer-rate accounting;
+//! * [`metrics`] — throughput / latency / transfer-rate accounting, folded
+//!   from the run's trace;
 //! * [`byzantine`] — silent, equivocating, vote-withholding, stale-replay
 //!   and crash-recover faulty nodes;
-//! * [`soak`] — the adversary × network-fault soak matrix;
-//! * [`adapter`] — bridges sans-IO protocols onto the simulator.
+//! * [`soak`] — the adversary × network-fault soak matrix, one
+//!   [`RunConfig`] per cell;
+//! * [`adapter`] — bridges sans-IO protocols onto the simulator; a node's
+//!   one output is its trace.
 //!
 //! # Examples
 //!
@@ -35,11 +39,10 @@ pub mod runner;
 pub mod soak;
 
 pub use adapter::ProtocolActor;
-pub use metrics::{MetricsSink, RunMetrics};
+pub use byzantine::AdversaryKind;
+pub use metrics::{MetricsFold, RunMetrics};
 pub use runner::{
     run, run_averaged, run_traced, ProtocolKind, RunConfig, RunReport, Schedule, TraceOptions,
     TracedRunReport,
 };
-pub use soak::{
-    run_soak_cell, run_soak_matrix, AdversaryKind, FaultPlanKind, SoakCellReport, SoakConfig,
-};
+pub use soak::{run_soak_cell, run_soak_matrix, FaultPlanKind, SoakCellReport};

@@ -1,4 +1,7 @@
-//! Run metrics, matching §VI of the paper.
+//! Run metrics, matching §VI of the paper, folded from the run's trace.
+//!
+//! A simulated node has one output, its trace; [`MetricsFold`] is a
+//! [`TraceSink`] that reads the paper's numbers off it:
 //!
 //! * **Throughput** — the number of blocks committed by at least a quorum
 //!   of nodes during a run:
@@ -6,8 +9,8 @@
 //!   ⌊(n + f)/2⌋ + 1`, which is `2f + 1` at `n = 3f + 1`.
 //! * **Transfer rate** — bytes of payload from committed blocks per second.
 //! * **Latency** — the time between the *creation* of a block (its first
-//!   proposal multicast) and its commit by the quorum-th node, reported
-//!   both as the paper's average and as a full distribution.
+//!   `ProposalSent`) and its commit by the quorum-th node, reported both as
+//!   the paper's average and as a full distribution.
 //! * **Block period** — the time between consecutive block creations (the
 //!   paper's ω), as a distribution.
 //! * **View duration** — how long nodes spend in each view, as a
@@ -15,86 +18,62 @@
 
 use std::collections::HashMap;
 
-use moonshot_telemetry::{Histogram, HistogramSummary};
+use moonshot_telemetry::{Histogram, HistogramSummary, TraceEvent, TraceRecord, TraceSink};
 use moonshot_types::time::{SimDuration, SimTime};
-use moonshot_types::{BlockId, Height, NodeId, View};
+use moonshot_types::{BlockId, NodeId, View};
 
-/// Per-block bookkeeping.
+/// Folds the trace records of all nodes of a run into its [`RunMetrics`].
 #[derive(Clone, Debug, Default)]
-struct BlockRecord {
-    created_at: Option<SimTime>,
-    payload_bytes: u64,
-    view: View,
-    height: Height,
-    commit_times: Vec<(NodeId, SimTime)>,
-}
-
-/// Collects per-block creation and commit events across all nodes of a run.
-#[derive(Clone, Debug, Default)]
-pub struct MetricsSink {
-    blocks: HashMap<BlockId, BlockRecord>,
-    /// Blocks committed per node (for per-node progress checks).
-    per_node_commits: HashMap<NodeId, u64>,
-    /// Highest view observed per node, with when it was entered.
+pub struct MetricsFold {
+    /// Each block's creation time and payload bytes (its first
+    /// `ProposalSent`).
+    created: HashMap<BlockId, (SimTime, u64)>,
+    /// Each block's committers, with the time of their first commit.
+    commits: HashMap<BlockId, Vec<(NodeId, SimTime)>>,
+    /// Highest view entered per node, with when it was entered. A restarted
+    /// node's lower views are ignored until it passes its old high.
     views: HashMap<NodeId, (View, SimTime)>,
     /// Completed per-node view durations, in microseconds.
     view_durations_us: Vec<u64>,
 }
 
-impl MetricsSink {
-    /// A fresh sink.
+impl TraceSink for MetricsFold {
+    fn record(&mut self, rec: TraceRecord) {
+        match rec.event {
+            TraceEvent::ProposalSent { block, bytes, .. } => {
+                self.created.entry(block).or_insert((rec.at, bytes));
+            }
+            TraceEvent::BlockCommitted { node, block, .. } => {
+                let committers = self.commits.entry(block).or_default();
+                if committers.iter().all(|(n, _)| *n != node) {
+                    committers.push((node, rec.at));
+                }
+            }
+            TraceEvent::ViewEntered { node, view } => match self.views.get_mut(&node) {
+                None => {
+                    self.views.insert(node, (view, rec.at));
+                }
+                Some((current, entered_at)) if view > *current => {
+                    self.view_durations_us.push(rec.at.since(*entered_at).as_micros());
+                    *current = view;
+                    *entered_at = rec.at;
+                }
+                Some(_) => {}
+            },
+            _ => {}
+        }
+    }
+}
+
+impl MetricsFold {
+    /// A fold that has seen nothing yet.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Records a block's creation (first proposal multicast). Later calls
-    /// for the same block are ignored.
-    pub fn record_created(
-        &mut self,
-        block: BlockId,
-        view: View,
-        height: Height,
-        payload_bytes: u64,
-        now: SimTime,
-    ) {
-        let rec = self.blocks.entry(block).or_default();
-        if rec.created_at.is_none() {
-            rec.created_at = Some(now);
-            rec.payload_bytes = payload_bytes;
-            rec.view = view;
-            rec.height = height;
-        }
-    }
-
-    /// Records `node` committing `block` at `now`.
-    pub fn record_commit(&mut self, node: NodeId, block: BlockId, now: SimTime) {
-        let rec = self.blocks.entry(block).or_default();
-        if rec.commit_times.iter().all(|(n, _)| *n != node) {
-            rec.commit_times.push((node, now));
-            *self.per_node_commits.entry(node).or_default() += 1;
-        }
-    }
-
-    /// Records `node` being in `view` at `now`. On a view *change* the time
-    /// spent in the previous view is added to the view-duration
-    /// distribution; repeated calls within one view are cheap no-ops.
-    pub fn record_view(&mut self, node: NodeId, view: View, now: SimTime) {
-        match self.views.get_mut(&node) {
-            None => {
-                self.views.insert(node, (view, now));
-            }
-            Some((current, entered_at)) if view > *current => {
-                self.view_durations_us.push(now.since(*entered_at).as_micros());
-                *current = view;
-                *entered_at = now;
-            }
-            Some(_) => {}
-        }
-    }
-
     /// Number of blocks committed by `node`.
     pub fn commits_of(&self, node: NodeId) -> u64 {
-        self.per_node_commits.get(&node).copied().unwrap_or(0)
+        self.commits.values().filter(|c| c.iter().any(|(n, _)| *n == node)).count() as u64
     }
 
     /// The highest view any node reached.
@@ -109,39 +88,31 @@ impl MetricsSink {
         let mut committed_blocks = 0u64;
         let mut committed_payload = 0u64;
         let mut latencies = Vec::new();
-        for rec in self.blocks.values() {
-            if rec.commit_times.len() < quorum {
+        for (block, committers) in &self.commits {
+            if committers.len() < quorum {
                 continue;
             }
             committed_blocks += 1;
-            committed_payload += rec.payload_bytes;
-            if let Some(created) = rec.created_at {
-                let mut times: Vec<SimTime> =
-                    rec.commit_times.iter().map(|(_, t)| *t).collect();
+            if let Some(&(created, bytes)) = self.created.get(block) {
+                committed_payload += bytes;
+                let mut times: Vec<SimTime> = committers.iter().map(|(_, t)| *t).collect();
                 times.sort();
-                let quorum_commit = times[quorum - 1];
-                latencies.push(quorum_commit.since(created));
+                latencies.push(times[quorum - 1].since(created));
             }
         }
-        latencies.sort();
         let avg_latency = if latencies.is_empty() {
             None
         } else {
             let sum: u64 = latencies.iter().map(|d| d.as_micros()).sum();
             Some(SimDuration(sum / latencies.len() as u64))
         };
-        let p50 = latencies.get(latencies.len() / 2).copied();
-        let p99 = latencies.get(latencies.len().saturating_sub(1).min(
-            (latencies.len() as f64 * 0.99) as usize,
-        )).copied();
 
         let mut commit_hist = Histogram::for_latency_us();
         for d in &latencies {
             commit_hist.record(d.as_micros());
         }
         let mut period_hist = Histogram::for_latency_us();
-        let mut created: Vec<SimTime> =
-            self.blocks.values().filter_map(|r| r.created_at).collect();
+        let mut created: Vec<SimTime> = self.created.values().map(|&(at, _)| at).collect();
         created.sort();
         for pair in created.windows(2) {
             period_hist.record(pair[1].since(pair[0]).as_micros());
@@ -156,8 +127,6 @@ impl MetricsSink {
             committed_payload_bytes: committed_payload,
             duration,
             avg_latency,
-            p50_latency: p50,
-            p99_latency: p99,
             max_view: self.max_view(),
             commit_latency: commit_hist.summary(),
             block_period: period_hist.summary(),
@@ -177,10 +146,6 @@ pub struct RunMetrics {
     pub duration: SimDuration,
     /// Mean creation→quorum-th-commit latency.
     pub avg_latency: Option<SimDuration>,
-    /// Median latency.
-    pub p50_latency: Option<SimDuration>,
-    /// 99th-percentile latency.
-    pub p99_latency: Option<SimDuration>,
     /// Highest view reached by any node.
     pub max_view: View,
     /// Distribution of creation→quorum-commit latencies (µs).
@@ -236,17 +201,36 @@ impl RunMetrics {
 mod tests {
     use super::*;
     use moonshot_crypto::Digest;
+    use moonshot_types::Height;
 
     fn bid(i: u8) -> BlockId {
         Digest::hash(&[i])
     }
 
+    fn record(sink: &mut MetricsFold, at: SimTime, event: TraceEvent) {
+        sink.record(TraceRecord { at, event });
+    }
+
+    fn created(sink: &mut MetricsFold, block: BlockId, bytes: u64, at: SimTime) {
+        let (node, view, height) = (NodeId(0), View(1), Height(1));
+        record(sink, at, TraceEvent::ProposalSent { node, view, block, height, bytes });
+    }
+
+    fn commit(sink: &mut MetricsFold, node: NodeId, block: BlockId, at: SimTime) {
+        let (view, height, direct) = (View(1), Height(1), true);
+        record(sink, at, TraceEvent::BlockCommitted { node, view, block, height, direct });
+    }
+
+    fn view(sink: &mut MetricsFold, node: NodeId, view: View, at: SimTime) {
+        record(sink, at, TraceEvent::ViewEntered { node, view });
+    }
+
     #[test]
     fn quorum_commit_counted() {
-        let mut sink = MetricsSink::new();
-        sink.record_created(bid(1), View(1), Height(1), 180, SimTime(1_000));
+        let mut sink = MetricsFold::new();
+        created(&mut sink, bid(1), 180, SimTime(1_000));
         for i in 0..3u16 {
-            sink.record_commit(NodeId(i), bid(1), SimTime(31_000 + i as u64));
+            commit(&mut sink, NodeId(i), bid(1), SimTime(31_000 + i as u64));
         }
         let m = sink.summarise(3, SimDuration::from_secs(1));
         assert_eq!(m.committed_blocks, 1);
@@ -259,10 +243,10 @@ mod tests {
 
     #[test]
     fn below_quorum_not_counted() {
-        let mut sink = MetricsSink::new();
-        sink.record_created(bid(1), View(1), Height(1), 0, SimTime::ZERO);
-        sink.record_commit(NodeId(0), bid(1), SimTime(10));
-        sink.record_commit(NodeId(1), bid(1), SimTime(20));
+        let mut sink = MetricsFold::new();
+        created(&mut sink, bid(1), 0, SimTime::ZERO);
+        commit(&mut sink, NodeId(0), bid(1), SimTime(10));
+        commit(&mut sink, NodeId(1), bid(1), SimTime(20));
         let m = sink.summarise(3, SimDuration::from_secs(1));
         assert_eq!(m.committed_blocks, 0);
         assert!(m.avg_latency.is_none());
@@ -270,20 +254,20 @@ mod tests {
 
     #[test]
     fn duplicate_commits_by_same_node_ignored() {
-        let mut sink = MetricsSink::new();
-        sink.record_created(bid(1), View(1), Height(1), 0, SimTime::ZERO);
-        sink.record_commit(NodeId(0), bid(1), SimTime(10));
-        sink.record_commit(NodeId(0), bid(1), SimTime(20));
+        let mut sink = MetricsFold::new();
+        created(&mut sink, bid(1), 0, SimTime::ZERO);
+        commit(&mut sink, NodeId(0), bid(1), SimTime(10));
+        commit(&mut sink, NodeId(0), bid(1), SimTime(20));
         assert_eq!(sink.commits_of(NodeId(0)), 1);
     }
 
     #[test]
     fn creation_recorded_once() {
-        let mut sink = MetricsSink::new();
-        sink.record_created(bid(1), View(1), Height(1), 10, SimTime(5));
-        sink.record_created(bid(1), View(1), Height(1), 99, SimTime(50));
+        let mut sink = MetricsFold::new();
+        created(&mut sink, bid(1), 10, SimTime(5));
+        created(&mut sink, bid(1), 99, SimTime(50));
         for i in 0..3u16 {
-            sink.record_commit(NodeId(i), bid(1), SimTime(100));
+            commit(&mut sink, NodeId(i), bid(1), SimTime(100));
         }
         let m = sink.summarise(3, SimDuration::from_secs(1));
         assert_eq!(m.committed_payload_bytes, 10);
@@ -292,23 +276,23 @@ mod tests {
 
     #[test]
     fn max_view_tracked() {
-        let mut sink = MetricsSink::new();
-        sink.record_view(NodeId(0), View(10), SimTime(100));
-        sink.record_view(NodeId(1), View(12), SimTime(100));
+        let mut sink = MetricsFold::new();
+        view(&mut sink, NodeId(0), View(10), SimTime(100));
+        view(&mut sink, NodeId(1), View(12), SimTime(100));
         assert_eq!(sink.max_view(), View(12));
     }
 
     #[test]
     fn view_durations_measured_per_node() {
-        let mut sink = MetricsSink::new();
+        let mut sink = MetricsFold::new();
         // Node 0: view 1 for 100 µs, view 2 for 200 µs, then still in 3.
-        sink.record_view(NodeId(0), View(1), SimTime(0));
-        sink.record_view(NodeId(0), View(1), SimTime(50)); // same view: no-op
-        sink.record_view(NodeId(0), View(2), SimTime(100));
-        sink.record_view(NodeId(0), View(3), SimTime(300));
+        view(&mut sink, NodeId(0), View(1), SimTime(0));
+        view(&mut sink, NodeId(0), View(1), SimTime(50)); // same view: no-op
+        view(&mut sink, NodeId(0), View(2), SimTime(100));
+        view(&mut sink, NodeId(0), View(3), SimTime(300));
         // Node 1: one completed view of 500 µs.
-        sink.record_view(NodeId(1), View(1), SimTime(0));
-        sink.record_view(NodeId(1), View(2), SimTime(500));
+        view(&mut sink, NodeId(1), View(1), SimTime(0));
+        view(&mut sink, NodeId(1), View(2), SimTime(500));
         let m = sink.summarise(3, SimDuration::from_secs(1));
         let vd = m.view_duration;
         assert_eq!(vd.count, 3);
@@ -317,15 +301,29 @@ mod tests {
     }
 
     #[test]
+    fn a_restarted_node_counts_views_only_past_its_old_high() {
+        let mut sink = MetricsFold::new();
+        let (t1, t2) = (SimTime(1_000), SimTime(9_000));
+        view(&mut sink, NodeId(3), View(5), t1);
+        record(&mut sink, SimTime(2_000), TraceEvent::NodeRestarted { node: NodeId(3) });
+        view(&mut sink, NodeId(3), View(1), SimTime(3_000));
+        view(&mut sink, NodeId(3), View(6), t2);
+        let m = sink.summarise(3, SimDuration::from_secs(1));
+        assert_eq!(m.view_duration.count, 1);
+        assert_eq!(m.view_duration.min, t2.since(t1).as_micros());
+        assert_eq!(m.max_view, View(6));
+    }
+
+    #[test]
     fn summary_histograms_match_latencies() {
-        let mut sink = MetricsSink::new();
+        let mut sink = MetricsFold::new();
         // Three blocks created 10 ms apart, each committed by a quorum of 3
         // with 31 ms latency.
         for b in 0..3u8 {
             let t0 = SimTime(10_000 * b as u64);
-            sink.record_created(bid(b), View(b as u64 + 1), Height(b as u64 + 1), 0, t0);
+            created(&mut sink, bid(b), 0, t0);
             for i in 0..3u16 {
-                sink.record_commit(NodeId(i), bid(b), t0 + SimDuration(31_000));
+                commit(&mut sink, NodeId(i), bid(b), t0 + SimDuration(31_000));
             }
         }
         let m = sink.summarise(3, SimDuration::from_secs(1));
@@ -346,12 +344,12 @@ mod tests {
     fn duplicate_commits_do_not_skew_latency() {
         // Regression guard: a node re-committing the same block later must
         // not move the quorum-commit time.
-        let mut sink = MetricsSink::new();
-        sink.record_created(bid(1), View(1), Height(1), 0, SimTime::ZERO);
+        let mut sink = MetricsFold::new();
+        created(&mut sink, bid(1), 0, SimTime::ZERO);
         for i in 0..3u16 {
-            sink.record_commit(NodeId(i), bid(1), SimTime(100));
+            commit(&mut sink, NodeId(i), bid(1), SimTime(100));
         }
-        sink.record_commit(NodeId(0), bid(1), SimTime(9_999));
+        commit(&mut sink, NodeId(0), bid(1), SimTime(9_999));
         let m = sink.summarise(3, SimDuration::from_secs(1));
         assert_eq!(m.committed_blocks, 1);
         assert_eq!(m.avg_latency, Some(SimDuration(100)));
@@ -360,14 +358,14 @@ mod tests {
 
     #[test]
     fn percentiles_ordered() {
-        let mut sink = MetricsSink::new();
+        let mut sink = MetricsFold::new();
         for b in 0..100u8 {
-            sink.record_created(bid(b), View(b as u64), Height(b as u64), 0, SimTime::ZERO);
+            created(&mut sink, bid(b), 0, SimTime::ZERO);
             for i in 0..3u16 {
-                sink.record_commit(NodeId(i), bid(b), SimTime(1_000 * (b as u64 + 1)));
+                commit(&mut sink, NodeId(i), bid(b), SimTime(1_000 * (b as u64 + 1)));
             }
         }
-        let m = sink.summarise(3, SimDuration::from_secs(1));
-        assert!(m.p50_latency.unwrap() <= m.p99_latency.unwrap());
+        let lat = sink.summarise(3, SimDuration::from_secs(1)).commit_latency;
+        assert!(lat.p50 <= lat.p90 && lat.p90 <= lat.p99 && lat.p99 <= lat.max);
     }
 }

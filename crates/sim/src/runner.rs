@@ -1,8 +1,13 @@
-//! The experiment runner: builds a network of protocol nodes (plus silent
-//! Byzantine nodes), runs it under the discrete-event simulator and returns
-//! the paper's metrics.
+//! The experiment runner: builds a network of protocol nodes (plus `f′`
+//! Byzantine nodes running one [`AdversaryKind`]), runs it under the
+//! discrete-event simulator and returns the paper's metrics, folded from the
+//! trace the nodes record.
+//!
+//! [`run_traced`] is the simulator's one run function: the experiments, the
+//! soak matrix and the tests all go through it.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use moonshot_consensus::leader::{schedule, LeaderElection, RoundRobin};
 use moonshot_consensus::{
@@ -19,16 +24,19 @@ use moonshot_net::{
 };
 use moonshot_telemetry::json::JsonObject;
 use moonshot_telemetry::{
-    InvariantSummary, JsonlSink, RingBufferSink, TeeSink, TraceRecord, TraceSink,
+    InvariantSummary, JsonlSink, NullSink, RingBufferSink, TeeSink, TraceRecord, TraceSink,
+    Violation,
 };
 use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::NodeId;
 use std::path::PathBuf;
-use std::sync::Mutex;
 
 use crate::adapter::ProtocolActor;
-use crate::byzantine::SilentActor;
-use crate::metrics::{MetricsSink, RunMetrics};
+use crate::byzantine::{
+    crash_window, AdversaryKind, CrashRecoverActor, EquivocatingActor, SilentActor,
+    StaleReplayActor, VoteWithholdingActor,
+};
+use crate::metrics::{MetricsFold, RunMetrics};
 
 /// Which protocol to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,8 +133,10 @@ pub struct RunConfig {
     pub protocol: ProtocolKind,
     /// Number of nodes `n`.
     pub n: usize,
-    /// Number of actual (silent) Byzantine nodes `f′ ≤ f`.
+    /// Number of actual Byzantine nodes `f′ ≤ f` (the last `f′` nodes).
     pub f_prime: usize,
+    /// What the `f′` Byzantine nodes do (silent by default).
+    pub adversary: AdversaryKind,
     /// Payload bytes per block (rounded down to 180-byte items).
     pub payload_bytes: u64,
     /// The known delay bound Δ used for view timers.
@@ -164,6 +174,7 @@ impl RunConfig {
             protocol,
             n,
             f_prime: 0,
+            adversary: AdversaryKind::Silent,
             payload_bytes,
             delta: SimDuration::from_millis(500),
             latency: LatencyKind::Wan { jitter_pct: 10 },
@@ -186,6 +197,7 @@ impl RunConfig {
             protocol,
             n: 100,
             f_prime: 33,
+            adversary: AdversaryKind::Silent,
             payload_bytes: 0,
             delta: SimDuration::from_millis(500),
             latency: LatencyKind::Wan { jitter_pct: 10 },
@@ -280,6 +292,33 @@ impl RunConfig {
         };
         self.protocol.build(cfg)
     }
+
+    /// The actor of Byzantine `node`, running [`RunConfig::adversary`]. A
+    /// crash-recover node is honest while it is up, so it records into the
+    /// run's `sink` like the other honest nodes.
+    fn byzantine_actor(&self, node: NodeId, sink: &RunSink) -> Box<dyn Actor<Message>> {
+        match self.adversary {
+            AdversaryKind::Silent => Box::new(SilentActor),
+            AdversaryKind::Equivocating => {
+                Box::new(EquivocatingActor::with_election(node, self.election()))
+            }
+            AdversaryKind::VoteWithholding => {
+                Box::new(VoteWithholdingActor::new(self.build_protocol(node)))
+            }
+            AdversaryKind::StaleReplay => Box::new(StaleReplayActor::new(self.effective_delta())),
+            AdversaryKind::CrashRecover => {
+                let (crash_at, recover_at) = crash_window(self.duration);
+                let (config, sink) = (self.clone(), sink.clone());
+                Box::new(CrashRecoverActor::new(
+                    node,
+                    Box::new(move || config.build_protocol(node)),
+                    Box::new(move || Box::new(sink.clone())),
+                    crash_at,
+                    recover_at,
+                ))
+            }
+        }
+    }
 }
 
 /// The result of one run.
@@ -321,8 +360,9 @@ pub struct TracedRunReport {
     pub trace: Vec<TraceRecord>,
     /// Events evicted from the ring buffer before the run ended.
     pub trace_evicted: u64,
-    /// What the post-run invariant checker verified.
-    pub invariants: InvariantSummary,
+    /// The post-run invariant checker's verdict on `trace`: what it
+    /// verified, or every violation it found.
+    pub invariants: Result<InvariantSummary, Vec<Violation>>,
 }
 
 impl TracedRunReport {
@@ -338,10 +378,18 @@ impl TracedRunReport {
             traffic.field_raw(label, &row.finish());
         }
         let mut inv = JsonObject::new();
-        inv.field_u64("records", self.invariants.records);
-        inv.field_u64("commits", self.invariants.commits);
-        inv.field_u64("view_entries", self.invariants.view_entries);
-        inv.field_bool("ok", true);
+        match &self.invariants {
+            Ok(summary) => {
+                inv.field_u64("records", summary.records);
+                inv.field_u64("commits", summary.commits);
+                inv.field_u64("view_entries", summary.view_entries);
+                inv.field_bool("ok", true);
+            }
+            Err(violations) => {
+                inv.field_bool("ok", false);
+                inv.field_u64("violations", violations.len() as u64);
+            }
+        }
 
         let mut o = JsonObject::new();
         o.field_str("protocol", config.protocol.label());
@@ -360,46 +408,66 @@ impl TracedRunReport {
 
 /// Executes one simulated run with default tracing: events go to a bounded
 /// ring buffer and the invariant checker validates the trace afterwards.
-pub fn run(config: &RunConfig) -> RunReport {
-    run_traced(config, &TraceOptions::default()).report
-}
-
-/// Executes one simulated run, capturing the protocol trace.
-///
-/// Every honest node is observed through the `ConsensusProtocol` hook; the
-/// events land in a ring buffer (and, optionally, a JSONL file). After the
-/// run the trace is checked against the safety invariants — agreement,
-/// monotone views, ordered commits.
 ///
 /// # Panics
 ///
-/// Panics if the trace violates an invariant (a correctness bug, not an
-/// experiment outcome) or if the JSONL file cannot be created.
+/// Panics if the trace violates an invariant — a correctness bug, not an
+/// experiment outcome — so every experiment and test that calls `run` is
+/// invariant-checked.
+pub fn run(config: &RunConfig) -> RunReport {
+    let traced = run_traced(config, &TraceOptions::default());
+    if let Err(violations) = &traced.invariants {
+        let lines: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+        panic!(
+            "run violated {} trace invariant(s) ({} {:?}):\n  {}",
+            violations.len(),
+            config.protocol.label(),
+            config.seed,
+            lines.join("\n  ")
+        );
+    }
+    traced.report
+}
+
+/// The sink every node of a traced run records into: the ring buffer the
+/// invariant checker reads, the metrics fold, and the JSONL file (a
+/// [`NullSink`] when none was asked for). The simulator runs its actors on
+/// one thread, so they share it without a lock.
+type RunSink = Rc<RefCell<TeeSink<TeeSink<RingBufferSink, MetricsFold>, Box<dyn TraceSink>>>>;
+
+/// Executes one simulated run, capturing the protocol trace.
+///
+/// Every honest node is observed through the `ConsensusProtocol` hook into
+/// one shared sink: a ring buffer, the [`MetricsFold`] the run's
+/// [`RunMetrics`] come from, and optionally a JSONL file. After the run the
+/// trace is checked against the safety invariants — agreement, monotone
+/// views, ordered commits — and the verdict is returned in
+/// [`TracedRunReport::invariants`].
+///
+/// # Panics
+///
+/// Panics if `n ≤ 3f′` or if the JSONL file cannot be created.
 pub fn run_traced(config: &RunConfig, opts: &TraceOptions) -> TracedRunReport {
     assert!(config.f_prime * 3 < config.n, "f' must satisfy n > 3f'");
-    let metrics = Arc::new(Mutex::new(MetricsSink::new()));
-    let ring = Arc::new(Mutex::new(RingBufferSink::new(opts.ring_capacity)));
-    let jsonl = opts.jsonl_path.as_ref().map(|path| {
-        Arc::new(Mutex::new(
-            JsonlSink::create(path).expect("create JSONL trace file"),
-        ))
-    });
+    let jsonl: Box<dyn TraceSink> = match &opts.jsonl_path {
+        Some(path) => Box::new(JsonlSink::create(path).expect("create JSONL trace file")),
+        None => Box::new(NullSink),
+    };
+    let sink: RunSink = Rc::new(RefCell::new(TeeSink::new(
+        TeeSink::new(RingBufferSink::new(opts.ring_capacity), MetricsFold::new()),
+        jsonl,
+    )));
     let byzantine_from = config.n - config.f_prime;
     let actors: Vec<Box<dyn Actor<Message>>> = (0..config.n)
         .map(|i| {
             let node = NodeId::from_index(i);
             if i >= byzantine_from {
-                Box::new(SilentActor) as Box<dyn Actor<Message>>
+                config.byzantine_actor(node, &sink)
             } else {
-                let sink: Box<dyn TraceSink> = match &jsonl {
-                    Some(j) => Box::new(TeeSink::new(ring.clone(), j.clone())),
-                    None => Box::new(ring.clone()),
-                };
                 Box::new(
-                    ProtocolActor::new(node, config.build_protocol(node), metrics.clone())
-                        .verifying(config.verify_signatures)
-                        .with_trace(sink),
-                ) as Box<dyn Actor<Message>>
+                    ProtocolActor::new(node, config.build_protocol(node), Box::new(sink.clone()))
+                        .verifying(config.verify_signatures),
+                )
             }
         })
         .collect();
@@ -412,38 +480,25 @@ pub fn run_traced(config: &RunConfig, opts: &TraceOptions) -> TracedRunReport {
     let mut sim = Simulation::new(actors, net_config);
     sim.classify_with(|m: &Message| m.tag());
     sim.run_until(SimTime::ZERO + config.duration);
-    let m = metrics.lock().unwrap().summarise(config.quorum(), config.duration);
     let network = sim.stats();
     let traffic = sim.traffic().clone();
     let faults = sim.fault_stats();
-    drop(sim); // releases the actors' clones of the trace sinks
-    if let Some(j) = &jsonl {
-        j.lock().unwrap().flush();
-    }
-    let ring = Arc::try_unwrap(ring)
-        .expect("all trace sink clones released")
-        .into_inner()
-        .unwrap();
+    drop(sim); // releases the actors' clones of the sink
+    let Ok(sink) = Rc::try_unwrap(sink) else { panic!("all trace sink clones released") };
+    let TeeSink { a: TeeSink { a: ring, b: fold }, b: mut jsonl } = sink.into_inner();
+    jsonl.flush();
     let trace_evicted = ring.evicted();
     let trace = ring.into_vec();
-    let invariants = match moonshot_telemetry::check_invariants(trace.iter().copied()) {
-        Ok(summary) => summary,
-        Err(violations) => {
-            let lines: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-            panic!(
-                "run violated {} trace invariant(s) ({} {:?}):\n  {}",
-                violations.len(),
-                config.protocol.label(),
-                config.seed,
-                lines.join("\n  ")
-            );
-        }
-    };
     TracedRunReport {
-        report: RunReport { metrics: m, network, traffic, faults },
+        report: RunReport {
+            metrics: fold.summarise(config.quorum(), config.duration),
+            network,
+            traffic,
+            faults,
+        },
+        invariants: moonshot_telemetry::check_invariants(trace.iter().copied()),
         trace,
         trace_evicted,
-        invariants,
     }
 }
 
@@ -581,8 +636,9 @@ mod tests {
         let cfg = quick(ProtocolKind::PipelinedMoonshot, 4);
         let traced = run_traced(&cfg, &TraceOptions::default());
         assert!(traced.report.metrics.committed_blocks > 0);
-        assert!(traced.invariants.commits > 0);
-        assert!(traced.invariants.view_entries >= 4, "each node enters view 1");
+        let invariants = traced.invariants.clone().expect("the trace passes every invariant");
+        assert!(invariants.commits > 0);
+        assert!(invariants.view_entries >= 4, "each node enters view 1");
         let kinds: std::collections::HashSet<&str> =
             traced.trace.iter().map(|r| r.event.kind()).collect();
         for expected in ["proposal-sent", "proposal-received", "vote-cast", "qc-formed", "view-entered", "block-committed"]
@@ -598,6 +654,24 @@ mod tests {
         assert!(json.contains("\"p99_ms\""));
         assert!(json.contains("\"traffic\""));
         assert!(json.contains("\"invariants\""));
+        assert!(json.contains("\"ok\":true"));
+    }
+
+    #[test]
+    fn summary_json_reports_a_violation() {
+        let cfg =
+            quick(ProtocolKind::PipelinedMoonshot, 4).with_duration(SimDuration::from_secs(1));
+        let mut traced = run_traced(&cfg, &TraceOptions::default());
+        let (a, b) = (moonshot_crypto::Digest::hash(b"a"), moonshot_crypto::Digest::hash(b"b"));
+        traced.invariants = Err(vec![Violation::ConflictingCommit {
+            height: moonshot_types::Height(1),
+            first: a,
+            first_node: NodeId(0),
+            second: b,
+            second_node: NodeId(1),
+        }]);
+        let json = traced.summary_json(&cfg);
+        assert!(json.contains("\"invariants\":{\"ok\":false,\"violations\":1}"), "{json}");
     }
 
     #[test]
@@ -623,6 +697,7 @@ mod tests {
         let traced = run_traced(&cfg, &opts);
         assert!(traced.trace_evicted > 0);
         assert_eq!(traced.trace.len(), 64);
-        // Invariant checks are suffix-safe, so this still passed (no panic).
+        // Invariant checks are suffix-safe, so the clipped trace still passes.
+        assert!(traced.invariants.is_ok(), "{:?}", traced.invariants);
     }
 }

@@ -26,6 +26,8 @@ pub enum TraceEvent {
         block: BlockId,
         /// Its chain height.
         height: Height,
+        /// Its payload size in bytes.
+        bytes: u64,
     },
     /// A node received a proposal (any of the four proposal message types).
     ProposalReceived {
@@ -229,10 +231,11 @@ impl TraceRecord {
         o.field_str("kind", self.event.kind());
         o.field_u64("node", self.event.node().0 as u64);
         match self.event {
-            TraceEvent::ProposalSent { view, block, height, .. } => {
+            TraceEvent::ProposalSent { view, block, height, bytes, .. } => {
                 o.field_u64("view", view.0);
                 o.field_str("block", &block.short());
                 o.field_u64("height", height.0);
+                o.field_u64("bytes", bytes);
             }
             TraceEvent::ProposalReceived { from, view, block, .. } => {
                 o.field_u64("from", from.0 as u64);
@@ -313,6 +316,7 @@ mod tests {
                 view: View(1),
                 block: bid(),
                 height: Height(1),
+                bytes: 180,
             },
             TraceEvent::ProposalReceived {
                 node: NodeId(1),

@@ -20,7 +20,7 @@ use moonshot::consensus::{
 };
 use moonshot::crypto::{Digest, Keyring};
 use moonshot::net::{Actor, NetworkConfig, NicModel, Simulation, UniformLatency};
-use moonshot::sim::{MetricsSink, ProtocolActor};
+use moonshot::sim::{MetricsFold, ProtocolActor};
 use moonshot::types::time::{SimDuration, SimTime};
 use moonshot::types::{BatchRef, NodeId, Payload, View};
 use std::sync::Mutex;
@@ -53,25 +53,10 @@ fn apply(store: &mut BTreeMap<String, String>, payload: &[u8]) {
 
 fn main() {
     let n = 4;
-    let metrics = Arc::new(Mutex::new(MetricsSink::new()));
+    let metrics = Arc::new(Mutex::new(MetricsFold::new()));
     let store: BatchStore = Arc::default();
     // Shared commit logs per replica (ordered).
     let logs: Arc<Mutex<Vec<Vec<Vec<u8>>>>> = Arc::new(Mutex::new(vec![Vec::new(); n]));
-
-    struct Replica {
-        inner: ProtocolActor,
-    }
-    impl Actor<Message> for Replica {
-        fn on_start(&mut self, ctx: &mut moonshot::net::Context<Message>) {
-            self.inner.on_start(ctx)
-        }
-        fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut moonshot::net::Context<Message>) {
-            self.inner.on_message(from, msg, ctx)
-        }
-        fn on_timer(&mut self, t: moonshot::net::TimerId, ctx: &mut moonshot::net::Context<Message>) {
-            self.inner.on_timer(t, ctx)
-        }
-    }
 
     // Wrap the protocol to capture committed payloads per node.
     let actors: Vec<Box<dyn Actor<Message>>> = (0..n)
@@ -144,7 +129,7 @@ fn main() {
                 }
             }
             let protocol = Hooked { inner: PipelinedMoonshot::new(cfg), hook: commit_hook };
-            Box::new(Replica { inner: ProtocolActor::new(node, Box::new(protocol), metrics.clone()) })
+            Box::new(ProtocolActor::new(node, Box::new(protocol), Box::new(metrics.clone())))
                 as Box<dyn Actor<Message>>
         })
         .collect();
@@ -182,6 +167,11 @@ fn main() {
         prefix_states.windows(2).all(|w| w[0] == w[1]),
         "replicas diverged!"
     );
+    // Every block of the common prefix was committed by all replicas, so
+    // the trace's quorum-commit count covers it.
+    let committed =
+        metrics.lock().unwrap().summarise(3, SimDuration::from_secs(5)).committed_blocks;
+    assert!(committed as usize >= min_len, "{committed} quorum commits < {min_len}");
     println!("\nAll {n} replicas reached identical state over the common prefix of {min_len} blocks:");
     for (k, v) in prefix_states[0].iter().take(5) {
         println!("  {k} = {v}");

@@ -11,7 +11,7 @@ use moonshot::consensus::{
 use moonshot::net::{
     Actor, NetworkConfig, NicModel, PreGstAdversary, Simulation, UniformLatency,
 };
-use moonshot::sim::{MetricsSink, ProtocolActor};
+use moonshot::sim::{MetricsFold, ProtocolActor};
 use moonshot::types::time::{SimDuration, SimTime};
 use moonshot::types::NodeId;
 use std::sync::Mutex;
@@ -33,14 +33,14 @@ fn run_with_adversary(
     adversary: PreGstAdversary,
     total_ms: u64,
     seed: u64,
-) -> (Arc<Mutex<MetricsSink>>, usize) {
+) -> (Arc<Mutex<MetricsFold>>, usize) {
     let n = 4;
-    let metrics = Arc::new(Mutex::new(MetricsSink::new()));
+    let metrics = Arc::new(Mutex::new(MetricsFold::new()));
     let actors: Vec<Box<dyn Actor<Message>>> = (0..n)
         .map(|i| {
             let node = NodeId::from_index(i);
             let cfg = NodeConfig::simulated(node, n, SimDuration::from_millis(120));
-            Box::new(ProtocolActor::new(node, make(cfg), metrics.clone()))
+            Box::new(ProtocolActor::new(node, make(cfg), Box::new(metrics.clone())))
                 as Box<dyn Actor<Message>>
         })
         .collect();
@@ -55,7 +55,7 @@ fn run_with_adversary(
     (metrics, n)
 }
 
-fn assert_healthy(metrics: &Arc<Mutex<MetricsSink>>, n: usize, min_commits: u64, ctx: &str) {
+fn assert_healthy(metrics: &Arc<Mutex<MetricsFold>>, n: usize, min_commits: u64, ctx: &str) {
     let m = metrics.lock().unwrap();
     for i in 0..n as u16 {
         assert!(
