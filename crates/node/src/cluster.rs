@@ -6,13 +6,17 @@
 //! same trace-driven invariant checker the simulator uses — safety
 //! violations in a real cluster run fail exactly like simulated ones.
 
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use moonshot_crypto::keys::quorum_threshold;
 use moonshot_mempool::{batch_txs, tx_client_id, tx_timestamp_us, DissemPlane, Mempool, MempoolConfig};
-use moonshot_telemetry::{RingBufferSink, TraceEvent, TraceRecord, TraceSink};
+use moonshot_telemetry::{
+    InvariantSummary, MetricsFold, QuorumCommit, RingBufferSink, RunMetrics, TraceEvent,
+    TraceRecord, TraceSink, Violation,
+};
 use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::{BlockId, NodeId, Payload};
 
@@ -373,8 +377,7 @@ impl Cluster {
         // The union of every node's batch store is the report's digest →
         // bytes directory. Committed blocks carry only
         // refs; tx accounting resolves them here.
-        let mut batch_bytes: std::collections::HashMap<moonshot_crypto::Digest, Arc<[u8]>> =
-            std::collections::HashMap::new();
+        let mut batch_bytes: HashMap<moonshot_crypto::Digest, Arc<[u8]>> = HashMap::new();
         for plane in &self.planes {
             for (d, b) in plane.store.snapshot() {
                 batch_bytes.entry(d).or_insert(b);
@@ -407,97 +410,72 @@ pub struct ClusterReport {
     /// Digest → framed batch bytes, unioned over every node's batch store
     /// at stop time. Committed payloads carry only refs; tx accounting
     /// resolves them here.
-    pub batch_bytes: std::collections::HashMap<moonshot_crypto::Digest, Arc<[u8]>>,
+    pub batch_bytes: HashMap<moonshot_crypto::Digest, Arc<[u8]>>,
 }
 
 impl ClusterReport {
     /// Runs the trace-driven safety checker over the merged trace.
-    pub fn check_invariants(
-        &self,
-    ) -> Result<moonshot_telemetry::InvariantSummary, Vec<moonshot_telemetry::Violation>> {
+    pub fn check_invariants(&self) -> Result<InvariantSummary, Vec<Violation>> {
         moonshot_telemetry::check_invariants(self.records.iter().cloned())
     }
 
-    /// Distinct blocks committed by at least a quorum ([`quorum_threshold`])
-    /// of distinct nodes: `2f + 1` at `n = 3f + 1`, 34 of 50.
-    pub fn quorum_committed_blocks(&self) -> u64 {
-        let mut per_block: std::collections::HashMap<
-            moonshot_crypto::Digest,
-            std::collections::HashSet<NodeId>,
-        > = std::collections::HashMap::new();
-        for rec in &self.records {
-            if let TraceEvent::BlockCommitted { node, block, .. } = rec.event {
-                per_block.entry(block).or_default().insert(node);
-            }
-        }
-        per_block.values().filter(|nodes| nodes.len() >= quorum_threshold(self.n)).count() as u64
+    /// The paper's §VI numbers for this run: the merged trace folded by
+    /// [`MetricsFold`], as the simulator folds its own, at the certificate
+    /// quorum ([`quorum_threshold`]: `2f + 1` at `n = 3f + 1`, 34 of 50)
+    /// over [`elapsed`](ClusterReport::elapsed). A block counts once its
+    /// quorum-th node committed it; `committed_payload_bytes` sums the
+    /// payload sizes its `ProposalSent` records carry.
+    pub fn metrics(&self) -> RunMetrics {
+        let elapsed = SimDuration::from_micros(self.elapsed.as_micros() as u64);
+        self.fold().summarise(quorum_threshold(self.n), elapsed)
     }
 
-    /// Commit latencies in microseconds: for every `(node, block)` pair,
-    /// time from the block's first `ProposalSent` anywhere in the cluster
-    /// to that node's first `BlockCommitted`. This is the paper's
-    /// block-latency notion measured on real wall clocks.
-    pub fn commit_latencies_us(&self) -> Vec<u64> {
-        use std::collections::HashMap;
-        let mut proposed: HashMap<moonshot_crypto::Digest, SimTime> = HashMap::new();
-        let mut committed: HashMap<(NodeId, moonshot_crypto::Digest), SimTime> = HashMap::new();
+    /// The merged trace through [`MetricsFold`], the one place this report
+    /// learns when a block was created and when it was committed.
+    fn fold(&self) -> MetricsFold {
+        let mut fold = MetricsFold::new();
         for rec in &self.records {
-            match rec.event {
-                TraceEvent::ProposalSent { block, .. } => {
-                    proposed.entry(block).or_insert(rec.at);
-                }
-                TraceEvent::BlockCommitted { node, block, .. } => {
-                    committed.entry((node, block)).or_insert(rec.at);
-                }
-                _ => {}
-            }
+            fold.record(*rec);
         }
-        let mut out: Vec<u64> = committed
+        fold
+    }
+
+    /// The blocks a quorum committed, with their creation and quorum
+    /// commit times.
+    fn quorum_commits(&self) -> Vec<QuorumCommit> {
+        self.fold().quorum_commits(quorum_threshold(self.n)).collect()
+    }
+
+    /// Commit latencies in microseconds, sorted ascending: one sample per
+    /// quorum-committed block whose creation the trace holds, from its
+    /// first `ProposalSent` to its commit by the quorum-th node — the
+    /// samples behind [`metrics`](ClusterReport::metrics)' `commit_latency`.
+    pub fn commit_latencies_us(&self) -> Vec<u64> {
+        let mut out: Vec<u64> = self
+            .quorum_commits()
             .iter()
-            .filter_map(|((_, block), at)| {
-                proposed.get(block).map(|sent| at.since(*sent).as_micros())
-            })
+            .filter_map(|c| c.created.map(|(at, _)| c.committed_at.since(at).as_micros()))
             .collect();
         out.sort_unstable();
         out
     }
 
-    /// Every quorum-committed block's id and payload, with the time the
-    /// block was first committed anywhere in the cluster. Payload bytes
-    /// come from the node reports (the trace stores only block ids); a
-    /// block is skipped if no surviving report carries it, which only
-    /// happens when commits outrun the trace-ring capacity.
-    fn quorum_committed_payloads(&self) -> Vec<(BlockId, &Payload, SimTime)> {
-        use std::collections::{HashMap, HashSet};
-        let mut committers: HashMap<BlockId, HashSet<NodeId>> = HashMap::new();
-        let mut first_commit: HashMap<BlockId, SimTime> = HashMap::new();
-        for rec in &self.records {
-            if let TraceEvent::BlockCommitted { node, block, .. } = rec.event {
-                committers.entry(block).or_default().insert(node);
-                first_commit.entry(block).or_insert(rec.at);
-            }
-        }
+    /// Every quorum-committed block's payload with its [`QuorumCommit`]
+    /// (creation and quorum commit time). Payload bytes come from the node
+    /// reports (the trace stores only block ids); a block is skipped if no
+    /// surviving report carries it, which only happens when commits outrun
+    /// the trace-ring capacity.
+    fn quorum_committed_payloads(&self) -> Vec<(&Payload, QuorumCommit)> {
         let mut payloads: HashMap<BlockId, &Payload> = HashMap::new();
         for report in &self.reports {
             for c in &report.commits {
                 payloads.entry(c.block.id()).or_insert_with(|| c.block.payload());
             }
         }
-        committers
-            .iter()
-            .filter(|(_, nodes)| nodes.len() >= quorum_threshold(self.n))
-            .filter_map(|(id, _)| {
-                payloads.get(id).map(|p| (*id, *p, first_commit[id]))
-            })
+        self.quorum_commits()
+            .into_iter()
+            .filter_map(|c| payloads.get(&c.block).map(|p| (*p, c)))
             .collect()
-    }
-
-    /// Total payload bytes in quorum-committed blocks — the numerator of
-    /// real `throughput_bps` (each distinct block counted once, no matter
-    /// how many nodes committed it): the *referenced* batch bytes, the data
-    /// the block actually commits.
-    pub fn committed_payload_bytes(&self) -> u64 {
-        self.quorum_committed_payloads().iter().map(|(_, p, _)| p.size()).sum()
     }
 
     /// The framed batches a committed payload carries, each with the
@@ -513,13 +491,13 @@ impl ClusterReport {
         refs.iter().filter_map(|r| self.batch_bytes.get(&r.digest).map(|b| (r.digest, b)))
     }
 
-    /// Every transaction in a quorum-committed payload, with the time its
-    /// block was first committed — the one walk the four tx accessors
-    /// below share.
+    /// Every transaction in a quorum-committed payload, with its block's
+    /// quorum commit time — the one walk the four tx accessors below share.
     fn committed_txs(&self) -> impl Iterator<Item = (&[u8], SimTime)> + '_ {
-        self.quorum_committed_payloads().into_iter().flat_map(move |(_, payload, at)| {
-            self.payload_batches(payload)
-                .flat_map(move |(_, bytes)| batch_txs(bytes).map(move |tx| (tx, at)))
+        self.quorum_committed_payloads().into_iter().flat_map(move |(payload, commit)| {
+            self.payload_batches(payload).flat_map(move |(_, bytes)| {
+                batch_txs(bytes).map(move |tx| (tx, commit.committed_at))
+            })
         })
     }
 
@@ -542,9 +520,10 @@ impl ClusterReport {
     /// Submit→commit latency per committed transaction, in microseconds,
     /// sorted ascending. Every generated transaction embeds its submission
     /// time (µs since the cluster epoch) in its first 8 bytes; commit time
-    /// is the block's first `BlockCommitted` trace record, on the same
-    /// clock. This is end-to-end client latency — queueing in the mempool
-    /// and the staged batch included — not just the block's commit latency.
+    /// is its block's commit by the quorum-th node, on the same clock (the
+    /// benchmark's `tx_commit_*`). This is end-to-end client latency —
+    /// queueing in the mempool and the staged batch included — not just
+    /// the block's commit latency.
     pub fn tx_latencies_us(&self) -> Vec<u64> {
         let mut out: Vec<u64> = self
             .committed_txs()
@@ -579,33 +558,26 @@ impl ClusterReport {
     /// id and batch digest:
     ///
     /// * `mempool_queue` — client submit → batch seal,
-    /// * `propose_wait` — batch seal → the block's first `ProposalSent`
-    ///   (`ProposalReceived` as fallback when the leader's ring clipped),
-    /// * `vote_to_qc` — proposal → the first `QcFormed` for the block,
-    /// * `qc_to_commit` — certificate → the first `BlockCommitted`.
+    /// * `propose_wait` — batch seal → the block's creation (its first
+    ///   `ProposalSent`),
+    /// * `vote_to_qc` — creation → the first `QcFormed` for the block,
+    /// * `qc_to_commit` — certificate → the block's commit by the
+    ///   quorum-th node.
     ///
-    /// All four timestamps and the submit stamp share the cluster epoch,
-    /// so a transaction's four components sum to its end-to-end
+    /// Creation and commit are [`MetricsFold`]'s. All four timestamps and
+    /// the submit stamp share the cluster epoch, so a transaction's four
+    /// components sum to its end-to-end
     /// [`tx_latencies_us`](ClusterReport::tx_latencies_us) entry exactly
     /// (modulo `saturating_sub` clamping on out-of-order stamps).
     /// Transactions missing any stage timestamp are skipped whole, never
     /// partially counted.
     pub fn stage_latencies(&self) -> StageLatencies {
-        use std::collections::HashMap;
         let mut sealed_at: HashMap<BlockId, u64> = HashMap::new();
-        let mut sent_at: HashMap<BlockId, u64> = HashMap::new();
-        let mut received_at: HashMap<BlockId, u64> = HashMap::new();
         let mut qc_at: HashMap<BlockId, u64> = HashMap::new();
         for rec in &self.records {
             match rec.event {
                 TraceEvent::BatchSealed { batch, .. } => {
                     sealed_at.entry(batch).or_insert(rec.at.0);
-                }
-                TraceEvent::ProposalSent { block, .. } => {
-                    sent_at.entry(block).or_insert(rec.at.0);
-                }
-                TraceEvent::ProposalReceived { block, .. } => {
-                    received_at.entry(block).or_insert(rec.at.0);
                 }
                 TraceEvent::QcFormed { block, .. } => {
                     qc_at.entry(block).or_insert(rec.at.0);
@@ -614,11 +586,9 @@ impl ClusterReport {
             }
         }
         let mut out = StageLatencies::default();
-        for (block, payload, committed_at) in &self.quorum_committed_payloads() {
-            let Some(&proposed) = sent_at.get(block).or_else(|| received_at.get(block)) else {
-                continue;
-            };
-            let Some(&qc) = qc_at.get(block) else { continue };
+        for (payload, commit) in self.quorum_committed_payloads() {
+            let Some((SimTime(proposed), _)) = commit.created else { continue };
+            let Some(&qc) = qc_at.get(&commit.block) else { continue };
             // A block carries several batches sealed at different
             // times; each contributes its own seal stamp, while the
             // proposal/QC/commit stamps are per block.
@@ -629,7 +599,7 @@ impl ClusterReport {
                     out.mempool_queue.push(sealed.saturating_sub(ts));
                     out.propose_wait.push(proposed.saturating_sub(sealed));
                     out.vote_to_qc.push(qc.saturating_sub(proposed));
-                    out.qc_to_commit.push(committed_at.0.saturating_sub(qc));
+                    out.qc_to_commit.push(commit.committed_at.0.saturating_sub(qc));
                 }
             }
         }
@@ -647,11 +617,11 @@ impl ClusterReport {
 pub struct StageLatencies {
     /// Client submit → batch seal.
     pub mempool_queue: Vec<u64>,
-    /// Batch seal → first proposal carrying the batch.
+    /// Batch seal → the creation of the block carrying the batch.
     pub propose_wait: Vec<u64>,
-    /// Proposal → first quorum certificate for the block.
+    /// Creation → first quorum certificate for the block.
     pub vote_to_qc: Vec<u64>,
-    /// Quorum certificate → first commit of the block.
+    /// Quorum certificate → the block's commit by the quorum-th node.
     pub qc_to_commit: Vec<u64>,
 }
 
@@ -675,7 +645,7 @@ mod tests {
         assert!(height >= 5, "cluster only reached quorum height {height}");
         let summary = report.check_invariants().expect("no safety violations");
         assert!(summary.commits > 0);
-        assert!(report.quorum_committed_blocks() >= 5);
+        assert!(report.metrics().committed_blocks >= 5);
         assert!(!report.commit_latencies_us().is_empty());
         for r in &report.reports {
             assert_eq!(r.metrics.counter("telemetry.dropped_events"), 0);
@@ -782,12 +752,10 @@ mod tests {
         report.check_invariants().expect("no safety violations");
     }
 
-    /// The stage decomposition on a hand-built trace with known delays:
-    /// submit at 1000 µs, sealed at 2000, proposed at 2500, certified at
-    /// 3000, committed at 3500. Each stage must come out exactly, and the
-    /// four components must sum to the end-to-end latency.
-    #[test]
-    fn stage_latencies_decompose_known_delays() {
+    /// A hand-built `n`-node report of one transaction, submitted at
+    /// 1000 µs, sealed into a batch at 2000, proposed by node 0 at 2500 and
+    /// certified at 3000, whose block each `(node, at)` of `commits` commits.
+    fn one_tx_report(n: usize, commits: &[(u16, u64)]) -> ClusterReport {
         use moonshot_consensus::CommittedBlock;
         use moonshot_mempool::{batch_digest, encode_batch, make_tx, Tx};
         use moonshot_telemetry::MetricsRegistry;
@@ -801,62 +769,58 @@ mod tests {
             bytes: bytes.len() as u64,
         }]);
         let block = Block::build(View(1), NodeId(0), &Block::genesis(), payload.clone());
-        let records = vec![
+        let (node, view, id, height) = (NodeId(0), View(1), block.id(), block.height());
+        let mut records = vec![
             TraceRecord {
                 at: SimTime(2_000),
-                event: TraceEvent::BatchSealed {
-                    node: NodeId(0),
-                    batch,
-                    txs: 1,
-                    bytes: payload.size(),
-                },
+                event: TraceEvent::BatchSealed { node, batch, txs: 1, bytes: payload.size() },
             },
             TraceRecord {
                 at: SimTime(2_500),
                 event: TraceEvent::ProposalSent {
-                    node: NodeId(0),
-                    view: View(1),
-                    block: block.id(),
-                    height: block.height(),
+                    node,
+                    view,
+                    block: id,
+                    height,
                     bytes: payload.size(),
                 },
             },
-            TraceRecord {
-                at: SimTime(3_000),
-                event: TraceEvent::QcFormed {
-                    node: NodeId(0),
-                    view: View(1),
-                    block: block.id(),
-                },
-            },
-            TraceRecord {
-                at: SimTime(3_500),
+            TraceRecord { at: SimTime(3_000), event: TraceEvent::QcFormed { node, view, block: id } },
+        ];
+        for &(committer, at) in commits {
+            records.push(TraceRecord {
+                at: SimTime(at),
                 event: TraceEvent::BlockCommitted {
-                    node: NodeId(0),
-                    view: View(1),
-                    block: block.id(),
-                    height: block.height(),
+                    node: NodeId(committer),
+                    view,
+                    block: id,
+                    height,
                     direct: true,
                 },
-            },
-        ];
-        let report = ClusterReport {
-            n: 1,
+            });
+        }
+        ClusterReport {
+            n,
             elapsed: std::time::Duration::from_secs(1),
             reports: vec![NodeReport {
-                node: NodeId(0),
-                commits: vec![CommittedBlock {
-                    block,
-                    direct: true,
-                    commit_view: View(1),
-                }],
-                final_view: View(1),
+                node,
+                commits: vec![CommittedBlock { block, direct: true, commit_view: view }],
+                final_view: view,
                 metrics: MetricsRegistry::new(),
             }],
             records,
             restarts: Vec::new(),
             batch_bytes: [(batch, bytes)].into(),
-        };
+        }
+    }
+
+    /// The stage decomposition on a hand-built trace with known delays:
+    /// submit at 1000 µs, sealed at 2000, proposed at 2500, certified at
+    /// 3000, committed at 3500. Each stage must come out exactly, and the
+    /// four components must sum to the end-to-end latency.
+    #[test]
+    fn stage_latencies_decompose_known_delays() {
+        let report = one_tx_report(1, &[(0, 3_500)]);
 
         assert_eq!(report.tx_latencies_us(), vec![2_500]);
         let stages = report.stage_latencies();
@@ -869,6 +833,27 @@ mod tests {
             + stages.vote_to_qc[0]
             + stages.qc_to_commit[0];
         assert_eq!(sum, report.tx_latencies_us()[0], "components must sum to end-to-end");
+    }
+
+    /// A block is committed when its quorum-th node commits it, in every
+    /// number the report derives, as in the simulator: at n = 4 the nodes
+    /// commit at 3500, 3900, 4200 and 9000 µs, so the block counts once,
+    /// with one latency sample of 4200 − 2500, and its transaction (and
+    /// its last stage) ends at 4200, not at the first commit.
+    #[test]
+    fn a_block_commits_at_its_quorum_th_commit() {
+        let report = one_tx_report(4, &[(0, 3_500), (1, 3_900), (2, 4_200), (3, 9_000)]);
+
+        assert_eq!(report.commit_latencies_us(), vec![1_700]);
+        assert_eq!(report.tx_latencies_us(), vec![4_200 - 1_000]);
+        let stages = report.stage_latencies();
+        assert_eq!(stages.qc_to_commit, vec![4_200 - 3_000]);
+        let sum = stages.mempool_queue[0]
+            + stages.propose_wait[0]
+            + stages.vote_to_qc[0]
+            + stages.qc_to_commit[0];
+        assert_eq!(sum, report.tx_latencies_us()[0], "components must sum to end-to-end");
+        assert_eq!(report.metrics().committed_blocks, 1);
     }
 
     /// A block counts as quorum-committed only once a certificate quorum of
@@ -901,14 +886,14 @@ mod tests {
             restarts: Vec::new(),
             batch_bytes: Default::default(),
         };
-        assert_eq!(report.quorum_committed_blocks(), 1);
+        assert_eq!(report.metrics().committed_blocks, 1);
         for n in 1..=64 {
             assert_eq!(quorum_threshold(n), Keyring::simulated(n).quorum_threshold(), "n = {n}");
         }
     }
 
     /// The data path end to end, across the paper's Fig-8 payload axis:
-    /// real transactions flow client → mempool → batch assembler → push →
+    /// real transactions flow client → mempool → the driver's sealer → push →
     /// refs in a block → commit at 1.8 kB, 18 kB and 180 kB base batches.
     /// Throughput must be nonzero and must not collapse along the axis
     /// (adjacent cells can swap places under the CPU contention of a
@@ -916,7 +901,7 @@ mod tests {
     ///
     /// Ignored: passes on its own, fails about every second run of this
     /// crate's suite in a debug build. A proposal names up to 256 batches
-    /// and an assembler seals `DISSEM_BACKLOG_CAP` ahead, so a saturated
+    /// and a driver's sealer seals `DISSEM_BACKLOG_CAP` ahead, so a saturated
     /// block is megabytes where the full-payload path's was one batch;
     /// unoptimised SHA-256 over that, next to the other cluster tests,
     /// misses the 30 s window or falls below the 0.8 floor at the large
@@ -939,7 +924,7 @@ mod tests {
             );
             let deadline = Instant::now() + std::time::Duration::from_secs(30);
             // Height alone is a bad stop signal on a fast machine: view 8
-            // can arrive before the assembler has sealed a single 180 kB
+            // can arrive before the drivers' sealers have sealed a single 180 kB
             // batch, leaving only empty blocks committed. Run each cell
             // for a minimum window so throughput measures steady state.
             let min_run = Instant::now() + std::time::Duration::from_secs(5);
@@ -952,7 +937,7 @@ mod tests {
             let report = cluster.stop();
             report.check_invariants().expect("no safety violations");
 
-            let bytes = report.committed_payload_bytes();
+            let bytes = report.metrics().committed_payload_bytes;
             let throughput = bytes as f64 / report.elapsed.as_secs_f64();
             assert!(throughput > 0.0, "{batch_bytes}B: zero throughput");
             assert!(report.txs_committed() > 0, "{batch_bytes}B: no txs committed");
@@ -1014,7 +999,7 @@ mod tests {
         );
         let deadline = Instant::now() + std::time::Duration::from_secs(30);
         // Minimum window for the same reason as the payload sweep: give
-        // the assemblers time to seal real batches before stopping.
+        // the drivers' sealers time to seal real batches before stopping.
         let min_run = Instant::now() + std::time::Duration::from_secs(5);
         while (cluster.quorum_committed_height() < 8 || Instant::now() < min_run)
             && Instant::now() < deadline
@@ -1064,7 +1049,7 @@ mod tests {
 
         let mut spec = ClusterSpec::new(4, ProtocolChoice::Pipelined);
         // We drive load over real sockets instead of in-process clients.
-        spec.load = Some(LoadSpec::digest(18_000).without_clients());
+        spec.load = Some(LoadSpec::digest(18_000));
         let cluster = Cluster::launch(spec).unwrap();
 
         let addrs = cluster.peers().iter().map(|(_, a)| *a).collect();
@@ -1113,7 +1098,7 @@ mod tests {
     /// shared-machine noise in CI).
     ///
     /// Ignored: the bound was set on the full-payload path (one prepared
-    /// slot per node). On the one networked path an assembler seals up to
+    /// slot per node). On the one networked path a driver's sealer seals up to
     /// `DISSEM_BACKLOG_CAP` ahead of the chain into a first-in-first-out
     /// pool that neither admission nor the fair drain sees, and the paced
     /// p99 measures 330–480 ms against a bound near 140 ms. The scenario and
@@ -1225,7 +1210,8 @@ mod tests {
         let summary = report.check_invariants().expect("no safety violations");
         assert!(summary.commits > 0);
         // One driver thread per node, the shared pool's O(cores) loops
-        // and workers, and slack for assemblers/ledger/test harness.
+        // and workers, and slack for the test harness (each driver
+        // also seals; there is no sealing thread).
         let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
         let ceiling = (50 + 2 * cores + 16) as u64;
         let delta = during.saturating_sub(before);

@@ -255,7 +255,7 @@ fn killed_node_with_torn_wal_recovers_from_disk_without_revoting() {
             _ => None,
         })
         .collect();
-    let final_height = report.quorum_committed_blocks();
+    let final_height = report.metrics().committed_blocks;
     let tail = final_height.saturating_sub(stat.recovered_height);
     assert!(
         (fetched_blocks.len() as u64) <= tail + 4,

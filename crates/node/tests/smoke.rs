@@ -6,6 +6,7 @@ use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use moonshot_ledger::LedgerOptions;
 use moonshot_mempool::{make_tx, BATCH_TX_OVERHEAD};
 use moonshot_node::{
     process_threads, ClientTarget, Cluster, ClusterReport, ClusterSpec, LoadSpec, NodeReport,
@@ -48,9 +49,19 @@ fn saturated_cluster_with_starved_voter_stays_bounded_and_exactly_once() {
         ClientTarget::InProcess(cluster.mempools().to_vec()),
         cluster.epoch(),
     );
-    // Long enough for every ledger to pass its 256-block snapshot cadence
-    // (saturated blocks are megabytes: about 30 a second on two cores).
-    std::thread::sleep(Duration::from_secs(12));
+    // Load on until a quorum of ledgers has passed its snapshot cadence,
+    // so the WAL bound below is asserted over a compacted ledger however
+    // fast this machine commits (saturated blocks are megabytes).
+    let target = LedgerOptions::default().snapshot_every + 16;
+    let deadline = Instant::now() + Duration::from_secs(180);
+    while cluster.quorum_committed_height() < target {
+        let height = cluster.quorum_committed_height();
+        assert!(
+            Instant::now() < deadline,
+            "quorum-committed height {height} never reached {target} within 180 s"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
     // Generator off, then every node waits out what it accepted.
     client.stop();
     let drained = cluster.drain(Duration::from_secs(30));
@@ -58,7 +69,7 @@ fn saturated_cluster_with_starved_voter_stays_bounded_and_exactly_once() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let summary = report.check_invariants().expect("no safety violations");
-    let committed = report.quorum_committed_blocks();
+    let committed = report.metrics().committed_blocks;
     assert!(committed >= 50, "only {committed} quorum-committed blocks (need 50)");
     assert!(
         summary.batches_available_checked > 0,
@@ -148,7 +159,7 @@ fn tcp_flood_beside_a_paced_client_keeps_the_cluster_committing() {
     let report = cluster.stop();
 
     report.check_invariants().expect("no safety violations");
-    let committed = report.quorum_committed_blocks();
+    let committed = report.metrics().committed_blocks;
     let commits = report.commit_latencies_us();
     let by_client = report.tx_latencies_by_client_us();
     let paced_lat = by_client.get(&1).map_or(&[][..], Vec::as_slice);
@@ -193,7 +204,7 @@ fn fifty_node_shaped_cluster_commits_paced_load_on_bounded_threads() {
     let mut spec = ClusterSpec::new(N, ProtocolChoice::Pipelined);
     spec.delta = SimDuration::from_millis(250);
     spec.shape = Some(Arc::new(ShapeMatrix::table2(N)));
-    spec.load = Some(LoadSpec::digest(18_000).without_clients());
+    spec.load = Some(LoadSpec::digest(18_000));
     let cluster = Cluster::launch(spec).expect("launch");
 
     let pools = cluster.mempools();
@@ -220,7 +231,7 @@ fn fifty_node_shaped_cluster_commits_paced_load_on_bounded_threads() {
     let report = cluster.stop();
 
     report.check_invariants().expect("no safety violations");
-    let committed = report.quorum_committed_blocks();
+    let committed = report.metrics().committed_blocks;
     assert!(committed >= 10, "only {committed} quorum-committed blocks (need 10)");
 
     // One thread per node, its driver, which also seals, plus the shared

@@ -6,7 +6,7 @@
 //!   run function;
 //! * [`experiment`] — the paper's experiment grids (Fig. 6–9, Table III);
 //! * [`metrics`] — throughput / latency / transfer-rate accounting, folded
-//!   from the run's trace;
+//!   from the run's trace (`moonshot-telemetry`'s fold, re-exported);
 //! * [`byzantine`] — silent, equivocating, vote-withholding, stale-replay
 //!   and crash-recover faulty nodes;
 //! * [`soak`] — the adversary × network-fault soak matrix, one
@@ -34,12 +34,12 @@
 pub mod adapter;
 pub mod byzantine;
 pub mod experiment;
-pub mod metrics;
 pub mod runner;
 pub mod soak;
 
 pub use adapter::ProtocolActor;
 pub use byzantine::AdversaryKind;
+pub use moonshot_telemetry::metrics;
 pub use metrics::{MetricsFold, RunMetrics};
 pub use runner::{
     run, run_averaged, run_traced, ProtocolKind, RunConfig, RunReport, Schedule, TraceOptions,

@@ -15,6 +15,10 @@
 //! * **Invariants** ([`invariants`]) — a trace-driven checker replays a run's
 //!   events and verifies the paper's safety properties (agreement, monotone
 //!   views, ordered commits) actually held.
+//! * **Run metrics** ([`metrics`]) — [`MetricsFold`] folds the same events
+//!   into the paper's §VI numbers ([`RunMetrics`]). It is the one definition
+//!   of a committed block (the quorum-th node's commit) and of its creation,
+//!   shared by the simulator and the localhost cluster's report.
 //!
 //! The crate depends only on `moonshot-types`; instrumentation lives with
 //! the instrumented code (`moonshot-consensus`'s observer, `moonshot-sim`'s
@@ -27,11 +31,13 @@ pub mod event;
 pub mod histogram;
 pub mod invariants;
 pub mod json;
+pub mod metrics;
 pub mod registry;
 pub mod sink;
 
 pub use event::{TraceEvent, TraceRecord};
 pub use histogram::{Histogram, HistogramSummary};
 pub use invariants::{check as check_invariants, InvariantSummary, Violation};
+pub use metrics::{MetricsFold, QuorumCommit, RunMetrics};
 pub use registry::MetricsRegistry;
 pub use sink::{JsonlSink, NullSink, RingBufferSink, TeeSink, TraceSink};

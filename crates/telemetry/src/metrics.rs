@@ -1,26 +1,25 @@
-//! Run metrics, matching §VI of the paper, folded from the run's trace.
+//! Run metrics, matching §VI of the paper, folded from a run's trace.
 //!
-//! A simulated node has one output, its trace; [`MetricsFold`] is a
-//! [`TraceSink`] that reads the paper's numbers off it:
-//!
-//! * **Throughput** — the number of blocks committed by at least a quorum
-//!   of nodes during a run:
-//!   [`quorum_threshold`](moonshot_crypto::keys::quorum_threshold)`(n) =
-//!   ⌊(n + f)/2⌋ + 1`, which is `2f + 1` at `n = 3f + 1`.
-//! * **Transfer rate** — bytes of payload from committed blocks per second.
-//! * **Latency** — the time between the *creation* of a block (its first
-//!   `ProposalSent`) and its commit by the quorum-th node, reported both as
-//!   the paper's average and as a full distribution.
-//! * **Block period** — the time between consecutive block creations (the
-//!   paper's ω), as a distribution.
-//! * **View duration** — how long nodes spend in each view, as a
-//!   distribution (τ-timeout views show up as the tail).
+//! [`MetricsFold`] is a [`TraceSink`] that reads the paper's numbers off
+//! the records every node emits, in the simulator and in a localhost
+//! cluster's merged trace alike. It is the one place that decides when a
+//! block was created (its first `ProposalSent`) and when it was committed:
+//! once a quorum of distinct nodes committed it (the certificate quorum
+//! `⌊(n + f)/2⌋ + 1`, `2f + 1` at `n = 3f + 1`), at the quorum-th node's
+//! first `BlockCommitted` ([`MetricsFold::quorum_commits`]). From that:
+//! throughput (committed blocks), transfer rate (their payload bytes per
+//! second), latency (creation → commit, as the paper's average and as a
+//! distribution), the block period ω (gaps between creations) and view
+//! durations (τ-timeout views show up as the tail).
 
 use std::collections::HashMap;
 
-use moonshot_telemetry::{Histogram, HistogramSummary, TraceEvent, TraceRecord, TraceSink};
 use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::{BlockId, NodeId, View};
+
+use crate::event::{TraceEvent, TraceRecord};
+use crate::histogram::{Histogram, HistogramSummary};
+use crate::sink::TraceSink;
 
 /// Folds the trace records of all nodes of a run into its [`RunMetrics`].
 #[derive(Clone, Debug, Default)]
@@ -35,6 +34,19 @@ pub struct MetricsFold {
     views: HashMap<NodeId, (View, SimTime)>,
     /// Completed per-node view durations, in microseconds.
     view_durations_us: Vec<u64>,
+}
+
+/// One block a quorum of nodes committed — see
+/// [`MetricsFold::quorum_commits`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct QuorumCommit {
+    /// The committed block.
+    pub block: BlockId,
+    /// The quorum-th distinct committer's first commit of the block.
+    pub committed_at: SimTime,
+    /// The block's creation — its first `ProposalSent` — as `(time,
+    /// payload bytes)`, if the trace holds it.
+    pub created: Option<(SimTime, u64)>,
 }
 
 impl TraceSink for MetricsFold {
@@ -81,35 +93,36 @@ impl MetricsFold {
         self.views.values().map(|(v, _)| *v).max().unwrap_or(View::GENESIS)
     }
 
-    /// Summarises the run. `quorum` is the quorum threshold
-    /// ([`RunConfig::quorum`](crate::runner::RunConfig::quorum)); `duration`
-    /// the wall-clock length of the run in simulated time.
-    pub fn summarise(&self, quorum: usize, duration: SimDuration) -> RunMetrics {
-        let mut committed_blocks = 0u64;
-        let mut committed_payload = 0u64;
-        let mut latencies = Vec::new();
-        for (block, committers) in &self.commits {
-            if committers.len() < quorum {
-                continue;
+    /// Every block at least `quorum` distinct nodes committed, in no
+    /// particular order, each with its quorum commit time and creation.
+    pub fn quorum_commits(&self, quorum: usize) -> impl Iterator<Item = QuorumCommit> + '_ {
+        self.commits.iter().filter(move |(_, c)| c.len() >= quorum).map(move |(block, c)| {
+            let mut times: Vec<SimTime> = c.iter().map(|(_, t)| *t).collect();
+            times.sort();
+            QuorumCommit {
+                block: *block,
+                committed_at: times[quorum - 1],
+                created: self.created.get(block).copied(),
             }
-            committed_blocks += 1;
-            if let Some(&(created, bytes)) = self.created.get(block) {
-                committed_payload += bytes;
-                let mut times: Vec<SimTime> = committers.iter().map(|(_, t)| *t).collect();
-                times.sort();
-                latencies.push(times[quorum - 1].since(created));
-            }
-        }
-        let avg_latency = if latencies.is_empty() {
-            None
-        } else {
-            let sum: u64 = latencies.iter().map(|d| d.as_micros()).sum();
-            Some(SimDuration(sum / latencies.len() as u64))
-        };
+        })
+    }
 
+    /// Summarises the run: a reduction over
+    /// [`quorum_commits`](MetricsFold::quorum_commits) plus the creation
+    /// and view records. `quorum` is the quorum threshold; `duration` the
+    /// wall-clock length of the run.
+    pub fn summarise(&self, quorum: usize, duration: SimDuration) -> RunMetrics {
+        let (mut committed_blocks, mut committed_payload_bytes) = (0u64, 0u64);
+        let mut latency_sum_us = 0u64;
         let mut commit_hist = Histogram::for_latency_us();
-        for d in &latencies {
-            commit_hist.record(d.as_micros());
+        for commit in self.quorum_commits(quorum) {
+            committed_blocks += 1;
+            if let Some((created, bytes)) = commit.created {
+                let latency_us = commit.committed_at.since(created).as_micros();
+                committed_payload_bytes += bytes;
+                latency_sum_us += latency_us;
+                commit_hist.record(latency_us);
+            }
         }
         let mut period_hist = Histogram::for_latency_us();
         let mut created: Vec<SimTime> = self.created.values().map(|&(at, _)| at).collect();
@@ -121,12 +134,13 @@ impl MetricsFold {
         for &d in &self.view_durations_us {
             view_hist.record(d);
         }
+        let latencies = commit_hist.count();
 
         RunMetrics {
             committed_blocks,
-            committed_payload_bytes: committed_payload,
+            committed_payload_bytes,
             duration,
-            avg_latency,
+            avg_latency: (latencies > 0).then(|| SimDuration(latency_sum_us / latencies)),
             max_view: self.max_view(),
             commit_latency: commit_hist.summary(),
             block_period: period_hist.summary(),
@@ -182,7 +196,7 @@ impl RunMetrics {
     /// Serialises the metrics (including all three distributions) as one
     /// JSON object for summary files.
     pub fn to_json(&self) -> String {
-        let mut o = moonshot_telemetry::json::JsonObject::new();
+        let mut o = crate::json::JsonObject::new();
         o.field_u64("committed_blocks", self.committed_blocks);
         o.field_u64("committed_payload_bytes", self.committed_payload_bytes);
         o.field_f64("duration_s", self.duration.as_secs_f64());
@@ -200,11 +214,10 @@ impl RunMetrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use moonshot_crypto::Digest;
     use moonshot_types::Height;
 
     fn bid(i: u8) -> BlockId {
-        Digest::hash(&[i])
+        BlockId::hash(&[i])
     }
 
     fn record(sink: &mut MetricsFold, at: SimTime, event: TraceEvent) {
@@ -239,6 +252,31 @@ mod tests {
         assert_eq!(m.avg_latency, Some(SimDuration(30_002)));
         assert!((m.throughput_bps() - 1.0).abs() < 1e-9);
         assert!((m.transfer_rate_bytes_per_sec() - 180.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn quorum_commits_list_the_quorum_th_commit_and_the_creation() {
+        let mut sink = MetricsFold::new();
+        created(&mut sink, bid(1), 180, SimTime(2_500));
+        for (i, at) in [3_500, 9_000, 3_900, 4_200].into_iter().enumerate() {
+            commit(&mut sink, NodeId(i as u16), bid(1), SimTime(at));
+        }
+        // A quorum-committed block whose creation the trace lost.
+        for i in 0..3u16 {
+            commit(&mut sink, NodeId(i), bid(2), SimTime(5_000));
+        }
+        let mut commits: Vec<QuorumCommit> = sink.quorum_commits(3).collect();
+        commits.sort_by_key(|c| c.committed_at);
+        let first = QuorumCommit {
+            block: bid(1),
+            committed_at: SimTime(4_200),
+            created: Some((SimTime(2_500), 180)),
+        };
+        let second = QuorumCommit { block: bid(2), committed_at: SimTime(5_000), created: None };
+        assert_eq!(commits, vec![first, second]);
+        let m = sink.summarise(3, SimDuration::from_secs(1));
+        assert_eq!((m.committed_blocks, m.committed_payload_bytes), (2, 180));
+        assert_eq!(m.avg_latency, Some(SimDuration(1_700)));
     }
 
     #[test]

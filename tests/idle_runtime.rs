@@ -21,7 +21,7 @@ fn shaped_cluster_under_paced_load_keeps_its_event_loops_asleep() {
     let mut spec = ClusterSpec::new(4, ProtocolChoice::Pipelined);
     spec.delta = SimDuration::from_millis(100);
     spec.shape = Some(Arc::new(ShapeMatrix::uniform(4, link)));
-    spec.load = Some(LoadSpec::digest(18_000).without_clients());
+    spec.load = Some(LoadSpec::digest(18_000));
     let cluster = Cluster::launch(spec).expect("launch");
 
     let deadline = Instant::now() + Duration::from_secs(60);

@@ -24,7 +24,7 @@ fn paced_load_leaves_in_batches_of_several_transactions() {
     spec.delta = SimDuration::from_millis(100);
     spec.shape = Some(Arc::new(ShapeMatrix::uniform(N, link)));
     // Default admission: the delay target is live, and must refuse nothing.
-    spec.load = Some(LoadSpec::digest(18_000).without_clients());
+    spec.load = Some(LoadSpec::digest(18_000));
     let mut cluster = Cluster::launch(spec).expect("launch");
 
     // Every node has measured its block period (≈ 24 ms in a debug build:

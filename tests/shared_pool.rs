@@ -25,7 +25,7 @@ fn launch(protocol: ProtocolChoice, delta_ms: u64, shape: ShapeMatrix) -> Cluste
     let mut spec = ClusterSpec::new(N, protocol);
     spec.delta = SimDuration::from_millis(delta_ms);
     spec.shape = Some(Arc::new(shape));
-    let mut load = LoadSpec::digest(18_000).without_clients();
+    let mut load = LoadSpec::digest(18_000);
     // These tests count what commits, not what is admitted: a cluster made
     // to fail views must not refuse the load for draining slowly.
     load.mempool.delay_target_multiple = 0;
