@@ -13,13 +13,15 @@
 //!   against (LSO, λ = 5δ, ω = 2δ, no reorg resilience).
 //!
 //! All four implement [`ConsensusProtocol`]: feed them messages and timers,
-//! collect [`Output`]s. They can run under the `moonshot-net` discrete-event
-//! simulator (via `moonshot-sim`) or under the in-crate [`harness`] for
-//! adversarial-schedule testing.
+//! collect [`Output`]s. They run on the `moonshot-net` discrete-event
+//! engine through [`harness::ProtocolActor`], the one adapter: the WAN
+//! experiments of `moonshot-sim` and [`harness::LocalNet`], the test network
+//! whose link policy drops or delays each message for adversarial-schedule
+//! testing, both drive them that way.
 //!
 //! # Examples
 //!
-//! Run four Pipelined Moonshot nodes to agreement in-memory:
+//! Run four Pipelined Moonshot nodes to agreement on the simulator:
 //!
 //! ```
 //! use moonshot_consensus::harness::LocalNet;

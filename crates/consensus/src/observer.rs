@@ -5,7 +5,8 @@
 //! [`ConsensusProtocol`](crate::ConsensusProtocol) call boundary — and
 //! derives [`TraceEvent`]s from the messages going in and the [`Output`]s
 //! coming out. Both hosts (the networked runtime's driver loop in
-//! `moonshot-node` and `moonshot-sim`'s actor adapter) instrument all
+//! `moonshot-node` and the simulator's
+//! [`ProtocolActor`](crate::harness::ProtocolActor)) instrument all
 //! protocols through this one hook, so Simple, Pipelined and Commit
 //! Moonshot (and Jolteon) get identical tracing for free.
 //!

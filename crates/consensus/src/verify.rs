@@ -5,7 +5,8 @@
 //! rules goes through it:
 //!
 //! * [`ConsensusProtocol::handle_message`] runs the node's own verifier
-//!   (the simulator, `LocalNet`, tests);
+//!   (the simulator's `ProtocolActor`, so every DES run and `LocalNet`,
+//!   and tests);
 //! * the node runtime's network shard loops run
 //!   [`MessageVerifier::verify_batch`] over the messages they read, off the
 //!   driver thread, and deliver through

@@ -37,6 +37,23 @@ pub trait Actor<M> {
     fn on_timer(&mut self, timer: TimerId, ctx: &mut Context<M>);
 }
 
+impl<M, A: Actor<M> + ?Sized> Actor<M> for Box<A> {
+    fn on_start(&mut self, ctx: &mut Context<M>) {
+        (**self).on_start(ctx)
+    }
+    fn on_message(&mut self, from: NodeId, msg: M, ctx: &mut Context<M>) {
+        (**self).on_message(from, msg, ctx)
+    }
+    fn on_timer(&mut self, timer: TimerId, ctx: &mut Context<M>) {
+        (**self).on_timer(timer, ctx)
+    }
+}
+
+/// Decides the fate of each routed copy from its sender, receiver, message
+/// and send time: `None` drops it, `Some(extra)` delays it by `extra` on
+/// top of propagation. Installed with [`Simulation::route_with`].
+pub type LinkPolicy<M> = Box<dyn FnMut(NodeId, NodeId, &M, SimTime) -> Option<SimDuration>>;
+
 /// The effect interface handed to actors during callbacks.
 #[derive(Debug)]
 pub struct Context<'a, M> {
@@ -186,11 +203,16 @@ impl NetworkConfig {
 /// Statistics the engine gathers about a run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NetworkStats {
-    /// Messages handed to actors.
+    /// Routed copies scheduled for delivery, duplicates included, counted
+    /// when queued: a copy to a crashed node or still queued at the
+    /// deadline counts too. Loopback self-copies are not routed and do not
+    /// count.
     pub delivered: u64,
-    /// Messages dropped by the pre-GST adversary.
+    /// Routed copies dropped: by the pre-GST adversary, a partition or the
+    /// [`LinkPolicy`].
     pub dropped: u64,
-    /// Total bytes transmitted (all copies of all messages).
+    /// Total bytes transmitted (all routed copies of all messages, dropped
+    /// ones included: a dropped copy was still sent).
     pub bytes_sent: u64,
     /// Timer events fired.
     pub timers_fired: u64,
@@ -245,13 +267,15 @@ impl TrafficStats {
     }
 }
 
-/// The discrete-event simulator.
+/// The discrete-event simulator over actors of type `A` (any [`Actor`] by
+/// default; a concrete type lets the caller read its actors' state through
+/// [`Simulation::actor`]).
 ///
 /// # Examples
 ///
 /// See the crate-level documentation.
-pub struct Simulation<M> {
-    actors: Vec<Box<dyn Actor<M>>>,
+pub struct Simulation<M, A = Box<dyn Actor<M>>> {
+    actors: Vec<A>,
     /// Pending events for the node named with each; ties fire in the
     /// order they were queued.
     queue: EventQueue<(NodeId, EventKind<M>)>,
@@ -263,13 +287,14 @@ pub struct Simulation<M> {
     started: bool,
     stats: NetworkStats,
     classifier: Option<fn(&M) -> &'static str>,
+    link_policy: Option<LinkPolicy<M>>,
     traffic: TrafficStats,
     fault_stats: FaultStats,
     fault_log: Vec<FaultRecord>,
     fault_log_truncated: u64,
 }
 
-impl<M> std::fmt::Debug for Simulation<M> {
+impl<M, A> std::fmt::Debug for Simulation<M, A> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulation")
             .field("n", &self.actors.len())
@@ -280,9 +305,9 @@ impl<M> std::fmt::Debug for Simulation<M> {
     }
 }
 
-impl<M: WireSize + Clone> Simulation<M> {
+impl<M: WireSize + Clone, A: Actor<M>> Simulation<M, A> {
     /// Creates a simulation over the given actors.
-    pub fn new(actors: Vec<Box<dyn Actor<M>>>, config: NetworkConfig) -> Self {
+    pub fn new(actors: Vec<A>, config: NetworkConfig) -> Self {
         let n = actors.len();
         let rng = DetRng::seed_from_u64(config.seed);
         Simulation {
@@ -296,6 +321,7 @@ impl<M: WireSize + Clone> Simulation<M> {
             started: false,
             stats: NetworkStats::default(),
             classifier: None,
+            link_policy: None,
             traffic: TrafficStats::default(),
             fault_stats: FaultStats::default(),
             fault_log: Vec::new(),
@@ -309,6 +335,13 @@ impl<M: WireSize + Clone> Simulation<M> {
         self.classifier = Some(classifier);
     }
 
+    /// Installs a [`LinkPolicy`], consulted once per routed copy before the
+    /// fault plan; a copy it drops counts in [`NetworkStats::dropped`] and
+    /// keeps its bytes. Loopback self-copies bypass it.
+    pub fn route_with(&mut self, policy: LinkPolicy<M>) {
+        self.link_policy = Some(policy);
+    }
+
     /// Per-message-type traffic totals (empty without a classifier).
     pub fn traffic(&self) -> &TrafficStats {
         &self.traffic
@@ -317,6 +350,11 @@ impl<M: WireSize + Clone> Simulation<M> {
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.actors.len()
+    }
+
+    /// The actor of `node`.
+    pub fn actor(&self, node: NodeId) -> &A {
+        &self.actors[node.as_usize()]
     }
 
     /// Whether the simulation has no nodes.
@@ -460,9 +498,15 @@ impl<M: WireSize + Clone> Simulation<M> {
         if let Some(classify) = self.classifier {
             self.traffic.add(classify(&msg), size as u64);
         }
+        // The copy's bytes are already charged above — a copy the link
+        // policy or a fault drops was still transmitted.
+        let (now, policy) = (self.now, self.link_policy.as_mut());
+        let Some(extra) = policy.map_or(Some(SimDuration::ZERO), |p| p(src, dst, &msg, now)) else {
+            self.stats.dropped += 1;
+            return;
+        };
         // Injected faults (post-GST-safe: every window closes, budgets are
-        // finite). The copy's bytes are already charged above — a dropped
-        // copy was still transmitted.
+        // finite).
         let fault = self.config.faults.decide(src, dst, self.now, &mut self.rng);
         if fault.dropped {
             self.stats.dropped += 1;
@@ -477,7 +521,7 @@ impl<M: WireSize + Clone> Simulation<M> {
             return;
         }
         let propagation = self.config.latency.propagation(src, dst, &mut self.rng);
-        let mut arrival = departure + propagation;
+        let mut arrival = departure + propagation + extra;
         if pre_gst && self.config.adversary.extra_delay > SimDuration::ZERO {
             arrival += SimDuration(self.rng.gen_range_inclusive(0, self.config.adversary.extra_delay.0));
         }
@@ -698,6 +742,32 @@ mod tests {
         assert_eq!(traffic.get("unknown"), TypeTraffic::default());
         assert_eq!(traffic.total().bytes, sim.stats().bytes_sent);
         assert_eq!(traffic.rows().count(), 2);
+    }
+
+    #[test]
+    fn link_policy_drops_or_delays_each_routed_copy() {
+        let (actors, log) = echo_net(3);
+        let mut sim = Simulation::new(actors, config(10));
+        // Node 2 never hears the ping; every other routed copy takes 5 ms
+        // more than the 10 ms of propagation.
+        sim.route_with(Box::new(|_, to, p: &Ping, _| {
+            (p.0 != 1 || to != NodeId(2)).then_some(SimDuration::from_millis(5))
+        }));
+        sim.run_until(SimTime(1_000_000));
+        assert!(at_node(&log, 2).is_empty());
+        let r1 = at_node(&log, 1);
+        assert_eq!(r1.len(), 1);
+        assert!(r1[0].2 >= SimTime(15_000) && r1[0].2 < SimTime(16_000), "at {}", r1[0].2);
+        // Node 0's self-copy bypasses the policy (loopback, 20 µs); node 1's
+        // echo arrives after two 15 ms legs.
+        let r0 = at_node(&log, 0);
+        assert_eq!(r0.len(), 2);
+        assert_eq!(r0[0].2, SimTime(20));
+        assert!(r0[1].2 >= SimTime(30_000) && r0[1].2 < SimTime(31_000), "echo at {}", r0[1].2);
+        assert_eq!(sim.stats().dropped, 1);
+        assert_eq!(sim.stats().delivered, 2);
+        // The dropped copy was transmitted: its bytes stay in the totals.
+        assert_eq!(sim.stats().bytes_sent, 300);
     }
 
     #[test]

@@ -15,6 +15,10 @@
 //!
 //! Protocol nodes implement [`Actor`] (sans-IO state machines) and run under
 //! [`Simulation`], which is a pure function of `(actors, config, seed)`.
+//! It is the repo's one simulator: the experiments of `moonshot-sim` run on
+//! it, and so does `moonshot-consensus::harness::LocalNet`, the protocols'
+//! test network, which steers each routed copy with a message-aware
+//! [`LinkPolicy`] (drop it, or delay it on top of propagation).
 //!
 //! # Examples
 //!
@@ -69,8 +73,8 @@ pub mod time {
 
 pub use bandwidth::NicModel;
 pub use engine::{
-    Actor, Context, NetworkConfig, NetworkStats, PreGstAdversary, Simulation, TimerId,
-    TrafficStats, TypeTraffic,
+    Actor, Context, LinkPolicy, NetworkConfig, NetworkStats, PreGstAdversary, Simulation,
+    TimerId, TrafficStats, TypeTraffic,
 };
 pub use fault::{FaultKind, FaultPlan, FaultRecord, FaultStats, RouteFault, TimeWindow};
 pub use latency::{LatencyModel, MatrixLatency, UniformLatency};

@@ -24,6 +24,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
+use moonshot_consensus::harness::ProtocolActor;
 use moonshot_consensus::{ConsensusProtocol, LeaderElection, Message, Output, TimerToken};
 use moonshot_crypto::KeyPair;
 use moonshot_net::{Actor, Context, TimerId};
@@ -31,8 +32,6 @@ use moonshot_telemetry::{TraceEvent, TraceRecord, TraceSink};
 use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::{Block, NodeId, Payload, SignedVote, View, Vote, VoteKind};
 use std::sync::Mutex;
-
-use crate::adapter::ProtocolActor;
 
 /// Which behaviour a run's `f′` Byzantine nodes run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -449,7 +448,6 @@ impl Actor<Message> for CrashRecoverActor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adapter::ProtocolActor;
     use crate::metrics::MetricsFold;
     use moonshot_consensus::{NodeConfig, PipelinedMoonshot, RoundRobin};
     use moonshot_net::{NetworkConfig, NicModel, Simulation, UniformLatency};

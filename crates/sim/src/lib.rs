@@ -10,9 +10,11 @@
 //! * [`byzantine`] — silent, equivocating, vote-withholding, stale-replay
 //!   and crash-recover faulty nodes;
 //! * [`soak`] — the adversary × network-fault soak matrix, one
-//!   [`RunConfig`] per cell;
-//! * [`adapter`] — bridges sans-IO protocols onto the simulator; a node's
-//!   one output is its trace.
+//!   [`RunConfig`] per cell.
+//!
+//! An honest node is a [`ProtocolActor`], the one adapter from a protocol
+//! to the engine (`moonshot-consensus::harness`, re-exported); its one
+//! output is its trace.
 //!
 //! # Examples
 //!
@@ -31,14 +33,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod adapter;
 pub mod byzantine;
 pub mod experiment;
 pub mod runner;
 pub mod soak;
 
-pub use adapter::ProtocolActor;
 pub use byzantine::AdversaryKind;
+pub use moonshot_consensus::harness::ProtocolActor;
 pub use moonshot_telemetry::metrics;
 pub use metrics::{MetricsFold, RunMetrics};
 pub use runner::{

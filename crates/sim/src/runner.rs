@@ -9,6 +9,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use moonshot_consensus::harness::ProtocolActor;
 use moonshot_consensus::leader::{schedule, LeaderElection, RoundRobin};
 use moonshot_consensus::{
     CommitMoonshot, ConsensusProtocol, Jolteon, Message, NodeConfig, PayloadSource,
@@ -31,7 +32,6 @@ use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::NodeId;
 use std::path::PathBuf;
 
-use crate::adapter::ProtocolActor;
 use crate::byzantine::{
     crash_window, AdversaryKind, CrashRecoverActor, EquivocatingActor, SilentActor,
     StaleReplayActor, VoteWithholdingActor,
