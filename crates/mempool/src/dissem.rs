@@ -22,7 +22,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use moonshot_crypto::Digest;
@@ -137,12 +137,41 @@ pub struct BatchStore {
     inner: Mutex<StoreInner>,
     byte_budget: usize,
     counters: Arc<DissemCounters>,
+    /// Whether the driver's vote gate holds a message waiting on a batch;
+    /// see [`BatchStore::wake_on_insert`].
+    awaited: AtomicBool,
+    wake: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 
 impl BatchStore {
     /// An empty store evicting oldest-first past `byte_budget`.
     pub fn new(byte_budget: usize, counters: Arc<DissemCounters>) -> BatchStore {
-        BatchStore { inner: Mutex::new(StoreInner::default()), byte_budget, counters }
+        BatchStore {
+            inner: Mutex::new(StoreInner::default()),
+            byte_budget,
+            counters,
+            awaited: AtomicBool::new(false),
+            wake: Mutex::new(None),
+        }
+    }
+
+    /// Registers `wake` as what wakes the driver when a batch lands while
+    /// its vote gate holds a message ([`set_awaited`](BatchStore::set_awaited)):
+    /// an insert runs it after the store's lock is released, and only then —
+    /// every other insert costs the driver nothing and waits for its next
+    /// step. A later registration replaces the earlier one and clears the
+    /// wait, so a restarted node's driver takes over the store its
+    /// predecessor left.
+    pub fn wake_on_insert(&self, wake: impl Fn() + Send + Sync + 'static) {
+        *self.wake.lock().unwrap() = Some(Box::new(wake));
+        self.awaited.store(false, Ordering::SeqCst);
+    }
+
+    /// Whether the driver waits on an insert. Set before the driver's last
+    /// drain of the arrival log ahead of a wait, an insert either lands in
+    /// that drain or sees the flag.
+    pub fn set_awaited(&self, awaited: bool) {
+        self.awaited.store(awaited, Ordering::SeqCst);
     }
 
     /// Inserts a verified batch. Returns `true` if the digest was new.
@@ -169,6 +198,11 @@ impl BatchStore {
         }
         drop(inner);
         self.counters.batches_stored.fetch_add(1, Ordering::Relaxed);
+        if self.awaited.load(Ordering::SeqCst) {
+            if let Some(wake) = &*self.wake.lock().unwrap() {
+                wake();
+            }
+        }
         true
     }
 

@@ -39,14 +39,13 @@
 //!   traffic and fault counters.
 //! * [`shape`] — per-link latency/bandwidth shaping matrices (Table II
 //!   WAN emulation) enforced sender-side by the pool's event loops.
-//! * [`runtime`] — the driver thread gluing protocol, timer queue, transport,
-//!   sealer and dissemination plane together, with
-//!   [`ProtocolObserver`](moonshot_consensus::ProtocolObserver) tracing at
-//!   the call boundary so cluster runs feed the same invariant checker as
-//!   simulations. A node's numbers come from two places, both read when it
-//!   stops: the trace (every latency and stage, and the `stall` record of a
-//!   wedged node) and the counters of the components that own them
-//!   ([`NodeReport::metrics`](runtime::NodeReport::metrics)).
+//! * [`node`] — the sans-IO [`Node`]: protocol, timer queue, sealer, vote
+//!   gate, ledger appends and stall watchdog, stepped with `now`, its frames
+//!   leaving as values; [`runtime`] — the driver thread that steps it on the
+//!   wall clock over the transport. A node's numbers come from two places,
+//!   both read when it stops: the trace (every latency and stage, and the
+//!   `stall` record of a wedged node) and the counters of the components
+//!   that own them ([`NodeReport::metrics`](runtime::NodeReport::metrics)).
 //! * [`cluster`] — N nodes in one process on loopback: launch, kill,
 //!   restart, and the merged report the benchmark reads.
 //! * [`client`] — the transaction load generator (in-process or TCP),
@@ -64,6 +63,7 @@ pub mod client;
 pub mod cluster;
 pub mod config;
 pub mod netpool;
+pub mod node;
 pub mod runtime;
 pub mod shape;
 pub mod timer;
@@ -73,6 +73,7 @@ pub use client::{ClientStats, ClientTarget, TxClient, TxClientConfig};
 pub use cluster::{Cluster, ClusterReport, ClusterSpec, LoadSpec, RestartStat, StageLatencies};
 pub use config::{ClusterConfig, ProtocolChoice};
 pub use netpool::{NetPool, NetPoolStats};
+pub use node::{Emit, Node};
 pub use runtime::{process_threads, NodeHandle, NodeReport, SharedSink};
 pub use shape::{LinkShape, ShapeMatrix};
 pub use transport::{Inbound, InboundSender, PeerMetrics, Transport, TransportConfig};

@@ -936,7 +936,7 @@ impl Runner {
             for (from, result) in froms.into_iter().zip(results) {
                 match result {
                     Ok(msg) => {
-                        let _ = core.inbound.send(Inbound { from, msg });
+                        core.inbound.send(Inbound { from, msg });
                     }
                     Err(_) => {
                         if let Some(p) = core.peers.get(&from) {

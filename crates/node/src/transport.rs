@@ -93,17 +93,12 @@ impl InboundSender {
     }
 
     /// Sends a message, crediting the depth gauge. The credit is rolled
-    /// back if the receiver is gone.
-    pub fn send(
-        &self,
-        msg: Inbound,
-    ) -> Result<(), Box<std::sync::mpsc::SendError<Option<Inbound>>>> {
+    /// back if the receiver is gone: a stopped driver needs no messages.
+    pub fn send(&self, msg: Inbound) {
         self.depth.fetch_add(1, Ordering::Relaxed);
-        let result = self.tx.send(Some(msg));
-        if result.is_err() {
+        if self.tx.send(Some(msg)).is_err() {
             self.depth.fetch_sub(1, Ordering::Relaxed);
         }
-        result.map_err(Box::new)
     }
 
     /// Wakes the driver without a message: work appeared for it somewhere
@@ -305,13 +300,6 @@ impl OutboundQueue {
         let inner = self.frames.lock().unwrap();
         (inner.queue.len() + inner.protected.len()) as u64
     }
-
-    /// Bytes currently buffered across both classes.
-    #[cfg(test)]
-    pub(crate) fn buffered_bytes(&self) -> usize {
-        let inner = self.frames.lock().unwrap();
-        inner.bytes + inner.protected_bytes
-    }
 }
 
 /// The TCP transport for one node: per-peer outbound queues and counters,
@@ -337,12 +325,15 @@ impl Transport {
     ///
     /// A pre-bound `listener` is adopted instead of binding `cfg.listen` —
     /// which lets a cluster bind every node on port 0 first, learn the real
-    /// addresses, and only then construct the peer tables.
+    /// addresses, and only then construct the peer tables. Setting
+    /// `shutdown` stops the pool dialing this node's peers; its holder may
+    /// set it before [`stop`](Transport::stop), which sets it too.
     pub fn start(
         cfg: TransportConfig,
         listener: Option<TcpListener>,
         verifier: Arc<MessageVerifier>,
         inbound: InboundSender,
+        shutdown: Arc<AtomicBool>,
     ) -> std::io::Result<Transport> {
         let listener = match listener {
             Some(l) => l,
@@ -380,20 +371,12 @@ impl Transport {
             dissem: cfg.dissem.clone(),
             peers,
             addrs,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown,
             shape: cfg.shape.clone(),
         });
         pool.attach(core.clone(), listener);
 
         Ok(Transport { node: cfg.node_id, core, pool })
-    }
-
-    /// The shared shutdown flag. Lets a holder wind this node's network
-    /// activity down before the owning driver exits (idempotent with
-    /// [`stop`](Transport::stop)) — cluster teardown broadcasts it so the
-    /// pool never redials a peer that is merely being joined first.
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        self.core.shutdown.clone()
     }
 
     /// Queues `frame` for `peer`. Never blocks: a full queue drops its
@@ -468,11 +451,6 @@ impl Transport {
         }
     }
 
-    /// Per-peer metrics handle (tests).
-    pub fn peer_metrics(&self, id: NodeId) -> Option<Arc<PeerMetrics>> {
-        self.core.peers.get(&id).map(|p| p.metrics.clone())
-    }
-
     /// Detaches this node from the pool: its sockets close, its redials
     /// stop. The pool keeps running for its other nodes; its owner shuts
     /// it down after the last one stops.
@@ -490,6 +468,17 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
     use std::time::{Duration, Instant};
+
+    /// Bytes a queue buffers across both classes.
+    fn buffered_bytes(q: &OutboundQueue) -> usize {
+        let inner = q.frames.lock().unwrap();
+        inner.bytes + inner.protected_bytes
+    }
+
+    /// The counters of `t`'s link to `id`.
+    fn peer_metrics(t: &Transport, id: NodeId) -> Arc<PeerMetrics> {
+        t.core.peers[&id].metrics.clone()
+    }
 
     fn localhost_any() -> SocketAddr {
         "127.0.0.1:0".parse().unwrap()
@@ -524,7 +513,7 @@ mod tests {
         for i in 0..100u8 {
             dropped_total += q.push(Arc::new(vec![i; FRAME]));
         }
-        assert!(q.buffered_bytes() <= BUDGET, "buffered {} > budget", q.buffered_bytes());
+        assert!(buffered_bytes(&q) <= BUDGET, "buffered {} > budget", buffered_bytes(&q));
         assert!(dropped_total >= 95, "expected most frames evicted, dropped {dropped_total}");
         // The freshest frame always survives, oldest go first: the head of
         // the queue is the oldest *retained* frame and the newest is last.
@@ -535,7 +524,7 @@ mod tests {
             last = f[0];
         }
         assert_eq!(last, 99, "newest frame must never be evicted");
-        assert_eq!(q.buffered_bytes(), 0);
+        assert_eq!(buffered_bytes(&q), 0);
 
         // A frame larger than the whole byte budget is still queued (memory
         // bound = max(budget, one frame)).
@@ -604,6 +593,7 @@ mod tests {
             Some(l0),
             verifier(),
             tx0,
+            Arc::default(),
         )
         .unwrap();
         let t1 = Transport::start(
@@ -611,6 +601,7 @@ mod tests {
             Some(l1),
             verifier(),
             tx1,
+            Arc::default(),
         )
         .unwrap();
 
@@ -633,14 +624,14 @@ mod tests {
         let got = rx0.recv_timeout(Duration::from_secs(10)).expect("reverse delivery");
         assert_eq!(got.expect("a message").from, NodeId(1));
 
-        let m = t0.peer_metrics(NodeId(1)).unwrap();
+        let m = peer_metrics(&t0, NodeId(1));
         assert!(m.bytes_out.load(Ordering::Relaxed) > 0);
         assert_eq!(m.frames_out.load(Ordering::Relaxed), 1);
         // A healthy session — including the startup dial — reports zero
         // reconnects on both sides.
         assert_eq!(m.reconnects.load(Ordering::Relaxed), 0);
         assert_eq!(
-            t1.peer_metrics(NodeId(0)).unwrap().reconnects.load(Ordering::Relaxed),
+            peer_metrics(&t1, NodeId(0)).reconnects.load(Ordering::Relaxed),
             0
         );
         t0.stop();
@@ -682,6 +673,7 @@ mod tests {
             Some(l0),
             verifier(),
             InboundSender::new(tx0),
+            Arc::default(),
         )
         .unwrap();
         let report = |name: &str| {
@@ -774,6 +766,7 @@ mod tests {
             Some(l0),
             verifier(),
             InboundSender::new(tx0),
+            Arc::default(),
         )
         .unwrap();
 
@@ -828,6 +821,7 @@ mod tests {
             Some(l0),
             verifier(),
             InboundSender::new(tx0),
+            Arc::default(),
         )
         .unwrap();
         // Let several dial attempts fail against the unbound address.
@@ -840,6 +834,7 @@ mod tests {
             Some(l1),
             verifier(),
             InboundSender::new(tx1),
+            Arc::default(),
         )
         .unwrap();
 
@@ -860,7 +855,7 @@ mod tests {
                 Err(e) => panic!("no delivery through late-bound listener: {e}"),
             }
         }
-        let m = t0.peer_metrics(NodeId(1)).unwrap();
+        let m = peer_metrics(&t0, NodeId(1));
         assert_eq!(
             m.reconnects.load(Ordering::Relaxed),
             0,
@@ -883,6 +878,7 @@ mod tests {
             Some(l1),
             verifier(),
             InboundSender::new(tx1b),
+            Arc::default(),
         )
         .unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);

@@ -8,7 +8,7 @@
 //! * [`EquivocatingActor`] — signs conflicting votes and proposals; driven
 //!   by the same [`LeaderElection`] the honest nodes use, so it equivocates
 //!   exactly in the views it actually leads under any schedule;
-//! * [`VoteWithholdingActor`] — runs the real protocol but silently drops
+//! * [`VoteWithholder`] — runs the real protocol but silently drops
 //!   every vote and commit vote it would have sent (a leader that proposes
 //!   yet never helps certify);
 //! * [`StaleReplayActor`] — stashes certificates it observes and keeps
@@ -21,14 +21,16 @@
 //! picks one of them for its `f′` Byzantine nodes through
 //! [`RunConfig::adversary`](crate::runner::RunConfig::adversary).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use moonshot_consensus::harness::ProtocolActor;
-use moonshot_consensus::{ConsensusProtocol, LeaderElection, Message, Output, TimerToken};
+use moonshot_consensus::{
+    ConsensusProtocol, LeaderElection, Message, MessageVerifier, Output, PreVerified, TimerToken,
+};
 use moonshot_crypto::KeyPair;
 use moonshot_net::{Actor, Context, TimerId};
-use moonshot_telemetry::{TraceEvent, TraceRecord, TraceSink};
+use moonshot_telemetry::{NullSink, TraceEvent, TraceRecord, TraceSink};
 use moonshot_types::time::{SimDuration, SimTime};
 use moonshot_types::{Block, NodeId, Payload, SignedVote, View, Vote, VoteKind};
 use std::sync::Mutex;
@@ -42,7 +44,7 @@ pub enum AdversaryKind {
     /// ([`EquivocatingActor`]).
     Equivocating,
     /// Runs the protocol but suppresses its own votes
-    /// ([`VoteWithholdingActor`]).
+    /// ([`VoteWithholder`]).
     VoteWithholding,
     /// Re-multicasts stale quorum / timeout certificates forever
     /// ([`StaleReplayActor`]).
@@ -92,22 +94,6 @@ pub struct SilentActor;
 impl Actor<Message> for SilentActor {
     fn on_start(&mut self, _ctx: &mut Context<Message>) {}
     fn on_message(&mut self, _from: NodeId, _msg: Message, _ctx: &mut Context<Message>) {}
-    fn on_timer(&mut self, _timer: TimerId, _ctx: &mut Context<Message>) {}
-}
-
-/// Counts messages a Byzantine node *would* have seen (used in tests to
-/// confirm traffic reaches faulty nodes without them participating).
-#[derive(Debug)]
-pub struct ObservingSilentActor {
-    /// Shared counter of messages received.
-    pub seen: Arc<Mutex<u64>>,
-}
-
-impl Actor<Message> for ObservingSilentActor {
-    fn on_start(&mut self, _ctx: &mut Context<Message>) {}
-    fn on_message(&mut self, _from: NodeId, _msg: Message, _ctx: &mut Context<Message>) {
-        *self.seen.lock().unwrap() += 1;
-    }
     fn on_timer(&mut self, _timer: TimerId, _ctx: &mut Context<Message>) {}
 }
 
@@ -192,27 +178,23 @@ impl Actor<Message> for EquivocatingActor {
 /// A Byzantine node that runs the real protocol — proposing, timing out,
 /// serving block requests — but withholds every vote and commit vote it
 /// would have cast. As a leader it still extends the chain; it just never
-/// contributes to certifying anything.
-pub struct VoteWithholdingActor {
+/// contributes to certifying anything. It is a protocol, not an actor: it
+/// runs under the one [`ProtocolActor`] ([`into_actor`](VoteWithholder::into_actor)).
+pub struct VoteWithholder {
     protocol: Box<dyn ConsensusProtocol>,
-    timers: HashMap<TimerId, TimerToken>,
     withheld: Arc<Mutex<u64>>,
 }
 
-impl std::fmt::Debug for VoteWithholdingActor {
+impl std::fmt::Debug for VoteWithholder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("VoteWithholdingActor").field("protocol", &self.protocol.name()).finish()
+        f.debug_struct("VoteWithholder").field("protocol", &self.protocol.name()).finish()
     }
 }
 
-impl VoteWithholdingActor {
+impl VoteWithholder {
     /// Wraps `protocol`, suppressing its outgoing votes.
     pub fn new(protocol: Box<dyn ConsensusProtocol>) -> Self {
-        VoteWithholdingActor {
-            protocol,
-            timers: HashMap::new(),
-            withheld: Arc::new(Mutex::new(0)),
-        }
+        VoteWithholder { protocol, withheld: Arc::new(Mutex::new(0)) }
     }
 
     /// Shared counter of votes suppressed so far (for assertions in tests).
@@ -220,54 +202,54 @@ impl VoteWithholdingActor {
         self.withheld.clone()
     }
 
-    fn is_vote(msg: &Message) -> bool {
-        matches!(msg, Message::Vote(_) | Message::CommitVote(_))
+    /// `node` running this protocol in the simulator. An adversary's trace
+    /// and commits are not a metric: they go nowhere.
+    pub fn into_actor(self, node: NodeId) -> ProtocolActor {
+        ProtocolActor::new(node, Box::new(self), Box::new(NullSink))
     }
 
-    fn apply(&mut self, outputs: Vec<Output>, ctx: &mut Context<Message>) {
-        for out in outputs {
-            match out {
-                Output::Send(to, msg) => {
-                    if Self::is_vote(&msg) {
-                        *self.withheld.lock().unwrap() += 1;
-                    } else {
-                        ctx.send(to, msg);
-                    }
-                }
-                Output::Multicast(msg) => {
-                    if Self::is_vote(&msg) {
-                        *self.withheld.lock().unwrap() += 1;
-                    } else {
-                        ctx.multicast(msg);
-                    }
-                }
-                Output::SetTimer { token, after } => {
-                    let id = ctx.set_timer(after);
-                    self.timers.insert(id, token);
-                }
-                // An adversary's own commits are not a metric.
-                Output::Commit(_) => {}
-            }
-        }
+    fn withhold(&self, mut outputs: Vec<Output>) -> Vec<Output> {
+        let before = outputs.len();
+        outputs.retain(|out| {
+            !matches!(out, Output::Send(_, m) | Output::Multicast(m)
+                if matches!(m, Message::Vote(_) | Message::CommitVote(_)))
+        });
+        *self.withheld.lock().unwrap() += (before - outputs.len()) as u64;
+        outputs
     }
 }
 
-impl Actor<Message> for VoteWithholdingActor {
-    fn on_start(&mut self, ctx: &mut Context<Message>) {
-        let outs = self.protocol.start(ctx.now());
-        self.apply(outs, ctx);
+impl ConsensusProtocol for VoteWithholder {
+    fn start(&mut self, now: SimTime) -> Vec<Output> {
+        let outputs = self.protocol.start(now);
+        self.withhold(outputs)
     }
 
-    fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Context<Message>) {
-        let outs = self.protocol.handle_message(from, msg, ctx.now());
-        self.apply(outs, ctx);
+    fn handle_message(&mut self, from: NodeId, message: Message, now: SimTime) -> Vec<Output> {
+        let outputs = self.protocol.handle_message(from, message, now);
+        self.withhold(outputs)
     }
 
-    fn on_timer(&mut self, timer: TimerId, ctx: &mut Context<Message>) {
-        if let Some(token) = self.timers.remove(&timer) {
-            let outs = self.protocol.handle_timer(token, ctx.now());
-            self.apply(outs, ctx);
-        }
+    fn handle_preverified(&mut self, from: NodeId, msg: PreVerified, now: SimTime) -> Vec<Output> {
+        let outputs = self.protocol.handle_preverified(from, msg, now);
+        self.withhold(outputs)
+    }
+
+    fn verifier(&self) -> &MessageVerifier {
+        self.protocol.verifier()
+    }
+
+    fn handle_timer(&mut self, token: TimerToken, now: SimTime) -> Vec<Output> {
+        let outputs = self.protocol.handle_timer(token, now);
+        self.withhold(outputs)
+    }
+
+    fn current_view(&self) -> View {
+        self.protocol.current_view()
+    }
+
+    fn name(&self) -> &'static str {
+        self.protocol.name()
     }
 }
 
@@ -555,10 +537,9 @@ mod tests {
                 if i == 0 {
                     // Node 0 leads view 1: it proposes but never votes.
                     let cfg = NodeConfig::simulated(node, n, SimDuration::from_millis(50));
-                    let actor =
-                        VoteWithholdingActor::new(Box::new(PipelinedMoonshot::new(cfg)));
-                    withheld = Some(actor.withheld_handle());
-                    Box::new(actor) as Box<dyn Actor<Message>>
+                    let withholder = VoteWithholder::new(Box::new(PipelinedMoonshot::new(cfg)));
+                    withheld = Some(withholder.withheld_handle());
+                    Box::new(withholder.into_actor(node)) as Box<dyn Actor<Message>>
                 } else {
                     honest(node, n, Box::new(metrics.clone()))
                 }

@@ -17,7 +17,6 @@ use moonshot_consensus::{
 };
 use moonshot_consensus::pipelined::MoonshotOptions;
 use moonshot_crypto::keys::quorum_threshold;
-use moonshot_crypto::Keyring;
 use moonshot_net::latency::aws;
 use moonshot_net::{
     Actor, FaultPlan, FaultStats, LatencyModel, NetworkConfig, NetworkStats, NicModel, Simulation,
@@ -34,7 +33,7 @@ use std::path::PathBuf;
 
 use crate::byzantine::{
     crash_window, AdversaryKind, CrashRecoverActor, EquivocatingActor, SilentActor,
-    StaleReplayActor, VoteWithholdingActor,
+    StaleReplayActor, VoteWithholder,
 };
 use crate::metrics::{MetricsFold, RunMetrics};
 
@@ -194,23 +193,13 @@ impl RunConfig {
     /// empty payloads, Δ = 500 ms.
     pub fn failures(protocol: ProtocolKind, schedule: Schedule) -> Self {
         RunConfig {
-            protocol,
-            n: 100,
             f_prime: 33,
-            adversary: AdversaryKind::Silent,
-            payload_bytes: 0,
-            delta: SimDuration::from_millis(500),
-            latency: LatencyKind::Wan { jitter_pct: 10 },
             schedule,
             duration: SimDuration::from_secs(60),
-            seed: 1,
-            verify_signatures: false,
-            nic_gbps: 0.75,
-            per_message_overhead: SimDuration::from_micros(20),
             // The failure experiments use empty payloads: Δ = 500 ms is
             // already a sound bound, exactly as in the paper.
             auto_delta: false,
-            fault_plan: FaultPlan::default(),
+            ..RunConfig::happy_path(protocol, 100, 0)
         }
     }
 
@@ -271,25 +260,12 @@ impl RunConfig {
     }
 
     fn build_protocol(&self, node: NodeId) -> Box<dyn ConsensusProtocol> {
-        let payloads = if self.payload_bytes == 0 {
-            PayloadSource::Empty
-        } else {
-            PayloadSource::SyntheticBytes(self.payload_bytes)
-        };
-        let cfg = NodeConfig {
-            node_id: node,
-            keypair: moonshot_crypto::KeyPair::from_seed(node.0 as u64),
-            keyring: Keyring::simulated(self.n),
-            delta: self.effective_delta(),
-            election: self.election(),
-            payloads,
-            fetch_retry: moonshot_consensus::RetryPolicy::auto(),
-            verified_cache: std::sync::Arc::new(moonshot_crypto::VerifiedCache::default()),
-            // Simulated nodes are ephemeral: no durable ledger.
-            persist: None,
-            recover: None,
-            local_blocks: None,
-        };
+        // Simulated nodes are ephemeral: no durable ledger.
+        let mut cfg = NodeConfig::simulated(node, self.n, self.effective_delta());
+        cfg.election = self.election();
+        if self.payload_bytes > 0 {
+            cfg.payloads = PayloadSource::SyntheticBytes(self.payload_bytes);
+        }
         self.protocol.build(cfg)
     }
 
@@ -303,7 +279,7 @@ impl RunConfig {
                 Box::new(EquivocatingActor::with_election(node, self.election()))
             }
             AdversaryKind::VoteWithholding => {
-                Box::new(VoteWithholdingActor::new(self.build_protocol(node)))
+                Box::new(VoteWithholder::new(self.build_protocol(node)).into_actor(node))
             }
             AdversaryKind::StaleReplay => Box::new(StaleReplayActor::new(self.effective_delta())),
             AdversaryKind::CrashRecover => {
