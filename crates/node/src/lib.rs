@@ -35,8 +35,9 @@
 //!   messages in batches, and one dialer, shared by every node in a
 //!   process.
 //! * [`transport`] — the per-node facade over the pool: bounded
-//!   drop-oldest outbound queues, exponential-backoff redial, and per-peer
-//!   traffic and fault counters.
+//!   drop-oldest outbound queues, one outbound link per peer (redialed on
+//!   an exponential backoff, or at once when the peer's hello shows it is
+//!   back), and per-peer traffic and fault counters.
 //! * [`shape`] — per-link latency/bandwidth shaping matrices (Table II
 //!   WAN emulation) enforced sender-side by the pool's event loops.
 //! * [`node`] — the sans-IO [`Node`]: protocol, timer queue, sealer, vote

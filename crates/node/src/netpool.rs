@@ -19,7 +19,13 @@
 //!   `connect_timeout` + the hello preamble run here, off the event loops;
 //!   the connected socket is flipped to nonblocking and handed to its
 //!   owning shard. Dial failures schedule an exponential-backoff redial
-//!   timer on the owning shard's queue.
+//!   timer on the owning shard's queue. A hello read from a peer whose
+//!   outbound link is down is evidence that the peer is back: the shard
+//!   that read it resets the backoff and asks for a dial at once. Requests
+//!   come from four places (`attach`, redial timers, `fail_out`, hellos),
+//!   so the dialer keeps one link per peer: it drops a request for a peer
+//!   that is connected or has a dial in flight. The dialer blocks on its
+//!   channel and exits when the pool drops the last sender.
 //!
 //! A shard verifies the consensus frames it read in one wakeup before it
 //! sleeps again: grouped by node, one [`MessageVerifier::verify_batch`]
@@ -47,7 +53,7 @@ use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -120,8 +126,15 @@ pub(crate) struct PeerState {
     /// `(shard index, slab token)` of the live outbound connection, if
     /// any; written only by the owning shard, read by send-side nudges.
     pub(crate) conn: Mutex<Option<(usize, usize)>>,
-    /// Current redial backoff; reset to base on an established hello.
+    /// Current redial backoff; reset to base on an established hello, and
+    /// by a hello the peer sends while this link is down.
     pub(crate) backoff: Mutex<Duration>,
+    /// Whether a dial to this peer is in flight: set by the dialer when it
+    /// takes a request, cleared when the connection is installed on its
+    /// shard (after `conn`) or the attempt fails. With `conn` it keeps one
+    /// outbound link per peer: two would let the peer's frames overtake
+    /// each other.
+    pub(crate) dialing: AtomicBool,
     /// Whether a hello ever succeeded on this link — pre-establishment
     /// dial failures are the startup race and never count as reconnects.
     pub(crate) established_once: AtomicBool,
@@ -213,7 +226,9 @@ impl ShardHandle {
 /// [`NetPool::shutdown`] after every attached transport stopped.
 pub struct NetPool {
     shards: Vec<Arc<ShardHandle>>,
-    dial_tx: Mutex<Sender<DialReq>>,
+    /// The pool's own dial sender; [`shutdown`](NetPool::shutdown) drops
+    /// it, and the dialer exits once the shards have dropped theirs.
+    dial_tx: Mutex<Option<Sender<DialReq>>>,
     shutdown: Arc<AtomicBool>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     next_core: AtomicU64,
@@ -288,7 +303,7 @@ impl NetPool {
 
         Ok(Arc::new(NetPool {
             shards: handles,
-            dial_tx: Mutex::new(dial_tx),
+            dial_tx: Mutex::new(Some(dial_tx)),
             shutdown,
             threads: Mutex::new(threads),
             next_core: AtomicU64::new(0),
@@ -315,17 +330,19 @@ impl NetPool {
         self.next_core.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Hands a node's listener to a shard (round-robin) and kicks off the
-    /// initial dial cycle for every peer. Exactly one autonomous dial
-    /// cycle runs per peer: started here, continued by redial timers on
-    /// failure and by connection-loss redials, ended by the core's
-    /// shutdown flag.
+    /// Hands a node's listener to a shard (round-robin) and requests the
+    /// first dial to every peer. Later requests come from redial timers
+    /// after a failed attempt, from a lost link and from the peer's hello;
+    /// the dialer drops those for a peer that is connected or being
+    /// dialed, so each peer has one dial in flight and one link at most.
+    /// The core's shutdown flag ends them all.
     pub(crate) fn attach(&self, core: Arc<NodeCore>, listener: TcpListener) {
         let li = self.next_listener_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         self.shards[li].push_cmd(Cmd::AddListener { core: core.clone(), listener });
-        let tx = self.dial_tx.lock().unwrap();
-        for peer in core.peers.keys() {
-            let _ = tx.send(DialReq { core: core.clone(), peer: *peer });
+        if let Some(tx) = &*self.dial_tx.lock().unwrap() {
+            for peer in core.peers.keys() {
+                let _ = tx.send(DialReq { core: core.clone(), peer: *peer });
+            }
         }
     }
 
@@ -350,12 +367,15 @@ impl NetPool {
 
     /// Stops every pool thread and joins them. Call after all attached
     /// transports stopped; attached cores' sockets are closed by thread
-    /// exit either way.
+    /// exit either way. The dialer, blocked on its channel, returns when
+    /// the last sender is gone: the pool's, dropped here, and the shards',
+    /// dropped as they exit.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for s in &self.shards {
             let _ = s.waker.wake();
         }
+        drop(self.dial_tx.lock().unwrap().take());
         let threads = std::mem::take(&mut *self.threads.lock().unwrap());
         for t in threads {
             let _ = t.join();
@@ -372,19 +392,26 @@ fn out_shard(core_id: u64, peer: NodeId, nshards: usize) -> usize {
 // Dialer
 // ---------------------------------------------------------------------------
 
+/// Serves dial requests until the pool shuts down. Blocks in `recv`: an
+/// idle dialer is never woken.
 fn dialer_loop(rx: Receiver<DialReq>, shards: Vec<Arc<ShardHandle>>, shutdown: Arc<AtomicBool>) {
     let nshards = shards.len();
-    while !shutdown.load(Ordering::SeqCst) {
-        let DialReq { core, peer } = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(req) => req,
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
-        if core.shutdown.load(Ordering::SeqCst) || shutdown.load(Ordering::SeqCst) {
+    while let Ok(DialReq { core, peer }) = rx.recv() {
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        if core.shutdown.load(Ordering::SeqCst) {
             continue;
         }
         let Some(state) = core.peers.get(&peer) else { continue };
         let Some(addr) = core.addrs.get(&peer).copied() else { continue };
+        // One outbound link per peer. Only this thread sets `dialing`, and
+        // the shard sets `conn` before it clears `dialing`, so a peer is
+        // never seen neither connected nor dialing while a link is on its
+        // way to its shard.
+        if state.conn.lock().unwrap().is_some() || state.dialing.swap(true, Ordering::SeqCst) {
+            continue;
+        }
         let shard = &shards[out_shard(core.id, peer, nshards)];
         match TcpStream::connect_timeout(&addr, DIAL_TIMEOUT) {
             Ok(mut stream) => {
@@ -395,7 +422,9 @@ fn dialer_loop(rx: Receiver<DialReq>, shards: Vec<Arc<ShardHandle>>, shutdown: A
                     continue;
                 }
                 if core.shutdown.load(Ordering::SeqCst) {
-                    continue; // stopping node: drop the fresh connection
+                    // Stopping node: drop the fresh connection.
+                    state.dialing.store(false, Ordering::SeqCst);
+                    continue;
                 }
                 if state.established_once.swap(true, Ordering::SeqCst) {
                     state.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
@@ -413,8 +442,10 @@ fn dialer_loop(rx: Receiver<DialReq>, shards: Vec<Arc<ShardHandle>>, shutdown: A
     }
 }
 
-/// Arms an exponential-backoff redial on the owning shard's timer queue.
+/// Ends a failed dial attempt: clears the in-flight flag and arms an
+/// exponential-backoff redial on the owning shard's timer queue.
 fn schedule_redial(shard: &ShardHandle, core: &Arc<NodeCore>, peer: NodeId, state: &PeerState) {
+    state.dialing.store(false, Ordering::SeqCst);
     let mut b = state.backoff.lock().unwrap();
     let after = *b;
     *b = (*b * 2).min(RECONNECT_MAX);
@@ -650,13 +681,16 @@ impl Runner {
                 self.accept_ready(token); // connections may already be queued
             }
             Cmd::AddOutbound { core, peer, stream } => {
-                if core.shutdown.load(Ordering::SeqCst) {
-                    return; // raced with the node stopping: drop the socket
-                }
                 let Some(state) = core.peers.get(&peer).cloned() else { return };
+                if core.shutdown.load(Ordering::SeqCst) {
+                    // Raced with the node stopping: drop the socket.
+                    state.dialing.store(false, Ordering::SeqCst);
+                    return;
+                }
                 let token = self.alloc_token();
                 if self.poller.register(stream.as_raw_fd(), token, Interest::READABLE).is_err() {
                     self.free.push(token);
+                    schedule_redial(&self.handle, &core, peer, &state);
                     return;
                 }
                 let shaper = core
@@ -666,6 +700,7 @@ impl Runner {
                     .filter(|l| l.is_shaped())
                     .map(|l| Shaper::new(&l, self.now()));
                 *state.conn.lock().unwrap() = Some((self.idx, token));
+                state.dialing.store(false, Ordering::SeqCst);
                 self.entries[token] = Some(Entry::Out(OutConn {
                     core,
                     peer,
@@ -680,18 +715,26 @@ impl Runner {
                 self.drive_write(token); // frames may be queued already
             }
             Cmd::CloseNode { core_id, latch } => {
-                let tokens: Vec<usize> = self
+                // The listener closes first (`false` sorts first): a peer
+                // redials the moment its connection here closes, and a
+                // listener still open would take that dial, only to reset
+                // it a moment later, costing the peer a reconnect. The
+                // connections a listener accepted live on its shard.
+                let mut tokens: Vec<(bool, usize)> = self
                     .entries
                     .iter()
                     .enumerate()
                     .filter_map(|(t, e)| match e {
-                        Some(Entry::Listener { core, .. }) if core.id == core_id => Some(t),
-                        Some(Entry::In(c)) if c.core.id == core_id => Some(t),
-                        Some(Entry::Out(c)) if c.core.id == core_id => Some(t),
+                        Some(Entry::Listener { core, .. }) if core.id == core_id => {
+                            Some((false, t))
+                        }
+                        Some(Entry::In(c)) if c.core.id == core_id => Some((true, t)),
+                        Some(Entry::Out(c)) if c.core.id == core_id => Some((true, t)),
                         _ => None,
                     })
                     .collect();
-                for token in tokens {
+                tokens.sort_unstable();
+                for (_, token) in tokens {
                     self.close_entry(token);
                 }
                 latch.count_down();
@@ -859,10 +902,17 @@ impl Runner {
                     return ReadVerdict::Close; // re-hello or unknown peer
                 }
                 // Bytes read before identification attribute here.
-                if let Some(p) = c.core.peers.get(&node) {
-                    p.metrics.bytes_in.fetch_add(chunk_len as u64, Ordering::Relaxed);
-                }
+                let p = &c.core.peers[&node];
+                p.metrics.bytes_in.fetch_add(chunk_len as u64, Ordering::Relaxed);
                 c.from = Some(node);
+                // The peer is up. If this node's link to it is down, skip
+                // the rest of the backoff: dial now (the dialer drops the
+                // request if a dial is already in flight, or the node is
+                // stopping).
+                if p.conn.lock().unwrap().is_none() {
+                    *p.backoff.lock().unwrap() = RECONNECT_BASE;
+                    let _ = self.dial_tx.send(DialReq { core: c.core.clone(), peer: node });
+                }
             }
             Frame::SubmitTx { client, tx } => {
                 // Client submissions need no hello: clients are not

@@ -23,7 +23,12 @@
 //!
 //! Every dialed connection opens with a [`moonshot_wire::Frame::Hello`] so
 //! the accepting side learns who is talking before the first consensus
-//! message.
+//! message. A lost outbound link is redialed on an exponential backoff
+//! (100 ms doubling to 5 s), except that a hello from the peer while the
+//! link is down resets the backoff and dials at once: a restarted peer
+//! dials everyone on start, so its hellos are the first sign it is back.
+//! At most one dial per peer is in flight and at most one outbound link
+//! per peer is open, so a peer's frames leave on one stream, in order.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
@@ -356,6 +361,7 @@ impl Transport {
                     metrics: Arc::new(PeerMetrics::default()),
                     conn: Mutex::new(None),
                     backoff: Mutex::new(RECONNECT_BASE),
+                    dialing: AtomicBool::new(false),
                     established_once: AtomicBool::new(false),
                 }),
             );
@@ -792,6 +798,118 @@ mod tests {
             panic!("message {i} of {MESSAGES} delivered out of read order: got {}", got[i]);
         }
         assert!(rx0.try_recv().is_err(), "more messages delivered than were sent");
+        t0.stop();
+        net.shutdown();
+    }
+
+    /// One outbound link per peer, whatever asks for the dial. Node 1 is
+    /// stopped and restarted once per gap while node 0 keeps sending it
+    /// numbered frames; the gaps put each restart's hello against a
+    /// different stage of node 0's redial cycle (a dial in flight, a redial
+    /// timer armed), and each incarnation lives long enough for any stale
+    /// timer to fire. Node 0 must count one reconnect per restart, and each
+    /// incarnation must read one unbroken run of frames in send order: a
+    /// second link would count twice and let frames overtake each other.
+    #[test]
+    fn a_restarted_peer_is_redialed_over_one_link_in_send_order() {
+        use moonshot_consensus::Message;
+        use moonshot_crypto::Digest;
+
+        const GAPS_MS: [u64; 4] = [50, 150, 250, 350];
+        /// How long each incarnation reads after its first frame.
+        const SETTLE: Duration = Duration::from_millis(500);
+        let net = NetPool::new().unwrap();
+        let l0 = TcpListener::bind(localhost_any()).unwrap();
+        let l1 = TcpListener::bind(localhost_any()).unwrap();
+        let (a0, a1) = (l0.local_addr().unwrap(), l1.local_addr().unwrap());
+        let peers = vec![(NodeId(0), a0), (NodeId(1), a1)];
+        let start = |id: NodeId, listener: TcpListener| {
+            let (tx, rx) = mpsc::channel();
+            let cfg = TransportConfig::new(id, peers[id.0 as usize].1, peers.clone(), net.clone());
+            let inbound = InboundSender::new(tx);
+            let t = Transport::start(cfg, Some(listener), verifier(), inbound, Arc::default())
+                .unwrap();
+            (t, rx)
+        };
+        // The sequence number a frame carries in its block id.
+        let frame = |seq: u64| {
+            let mut id = [0u8; 32];
+            id[..8].copy_from_slice(&seq.to_le_bytes());
+            Arc::new(moonshot_wire::encode_message(&Message::BlockRequest { block_id: Digest(id) }))
+        };
+        let seq_of = |inbound: Option<Inbound>| match inbound.expect("a message").msg.message() {
+            Message::BlockRequest { block_id } => {
+                u64::from_le_bytes(block_id.0[..8].try_into().unwrap())
+            }
+            other => panic!("unexpected message {other}"),
+        };
+        // One incarnation's frames: until the first arrives, then `SETTLE`.
+        let read_run = |rx: &mpsc::Receiver<Option<Inbound>>, run: &mut Vec<u64>| {
+            let first =
+                rx.recv_timeout(Duration::from_secs(10)).expect("no frame reached the peer");
+            run.push(seq_of(first));
+            let until = Instant::now() + SETTLE;
+            while let Some(left) = until.checked_duration_since(Instant::now()) {
+                match rx.recv_timeout(left) {
+                    Ok(got) => run.push(seq_of(got)),
+                    Err(_) => break,
+                }
+            }
+        };
+
+        let (t0, _rx0) = start(NodeId(0), l0);
+        let (mut t1, mut rx1) = start(NodeId(1), l1);
+        let link = peer_metrics(&t0, NodeId(1));
+        let mut runs: Vec<Vec<u64>> = Vec::new();
+        std::thread::scope(|s| {
+            // The sender stops when `stop` drops: at the end, or when an
+            // assert below unwinds.
+            let (stop, stopped) = mpsc::channel::<()>();
+            let (t0, frame) = (&t0, &frame);
+            s.spawn(move || {
+                let mut seq = 0;
+                while let Err(mpsc::TryRecvError::Empty) = stopped.try_recv() {
+                    t0.send(NodeId(1), frame(seq));
+                    seq += 1;
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            });
+            for gap in GAPS_MS {
+                let mut run = Vec::new();
+                read_run(&rx1, &mut run);
+                assert_eq!(
+                    link.reconnects.load(Ordering::Relaxed),
+                    runs.len() as u64,
+                    "reconnects after {} restarts",
+                    runs.len()
+                );
+                t1.stop();
+                run.extend(rx1.try_iter().map(seq_of));
+                runs.push(run);
+                std::thread::sleep(Duration::from_millis(gap));
+                (t1, rx1) = start(NodeId(1), TcpListener::bind(a1).expect("rebind after stop"));
+            }
+            let mut run = Vec::new();
+            read_run(&rx1, &mut run);
+            t1.stop();
+            run.extend(rx1.try_iter().map(seq_of));
+            runs.push(run);
+            drop(stop);
+        });
+        assert_eq!(
+            link.reconnects.load(Ordering::Relaxed),
+            GAPS_MS.len() as u64,
+            "one reconnect per restart"
+        );
+        for (i, run) in runs.iter().enumerate() {
+            if let Some(w) = run.windows(2).find(|w| w[1] != w[0] + 1) {
+                panic!("incarnation {i} read frame {} right after frame {}", w[1], w[0]);
+            }
+        }
+        for (i, pair) in runs.windows(2).enumerate() {
+            let (last, first) = (pair[0].last().unwrap(), pair[1][0]);
+            assert!(first > *last, "incarnation {} read frame {first} after {last}", i + 1);
+        }
         t0.stop();
         net.shutdown();
     }

@@ -99,6 +99,42 @@ fn killed_node_restarts_and_resyncs_committed_chain() {
     );
 }
 
+/// A restarted node is heard at once. Its peers' links to it broke at the
+/// kill, and they redial on a backoff of 100 ms doubling to 5 s: after a
+/// 3.2 s outage, their last attempt fell at 3.1 s and the next falls at
+/// 6.3 s, 3.1 s after the restart. The restarted node dials every peer as
+/// it starts; the hello on that dial is what makes each peer dial back now.
+/// Until they do, nobody sends the node a block, so it must reach the
+/// height the cluster had committed when it rejoined within 1 s.
+#[test]
+fn restarted_node_is_redialed_when_its_hello_arrives() {
+    let mut cluster = Cluster::launch(ClusterSpec::new(4, ProtocolChoice::Pipelined)).unwrap();
+    let victim = NodeId(3);
+    assert!(
+        wait_for(20, || cluster.committed_heights()[victim.0 as usize] >= 3),
+        "victim never committed height 3"
+    );
+    cluster.kill(victim);
+    std::thread::sleep(Duration::from_millis(3_200));
+
+    let target = cluster.quorum_committed_height();
+    cluster.restart(victim).unwrap();
+    let restarted = Instant::now();
+    while cluster.committed_heights()[victim.0 as usize] < target
+        && restarted.elapsed() < Duration::from_secs(10)
+    {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let took = restarted.elapsed();
+    let reached = cluster.committed_heights()[victim.0 as usize];
+    let report = cluster.stop();
+    assert!(
+        reached >= target && took <= Duration::from_secs(1),
+        "restarted node reached height {reached} of {target} after {took:?}"
+    );
+    report.check_invariants().expect("no safety violations across restart");
+}
+
 /// The kill -9 cell: a node with a durable ledger is killed, its WAL gets
 /// a torn final record (exactly what a crash mid-`write` leaves behind),
 /// and the restarted incarnation must (a) truncate the torn tail rather
