@@ -32,8 +32,8 @@
 //! * [`netpool`] — the shared event-driven network core: a fixed set of
 //!   readiness-driven shard loops (via `moonshot-reactor`) that also admit
 //!   clients' `SubmitTx` frames into the mempool and verify consensus
-//!   messages in batches, and one dialer, shared by every node in a
-//!   process.
+//!   messages in batches, and dial every link, each link from the one
+//!   shard that writes it; shared by every node in a process.
 //! * [`transport`] — the per-node facade over the pool: bounded
 //!   drop-oldest outbound queues, one outbound link per peer (redialed on
 //!   an exponential backoff, or at once when the peer's hello shows it is

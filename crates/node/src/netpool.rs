@@ -1,5 +1,4 @@
-//! The shared event-driven network core: sharded poll loops and one
-//! dialer.
+//! The shared event-driven network core: sharded poll loops.
 //!
 //! The original transport spent two blocking threads per peer plus one per
 //! accepted connection — O(n) threads per node, O(n²) per in-process
@@ -7,25 +6,27 @@
 //! replaces all of it with a **fixed** pool of threads shared by every
 //! [`Transport`](crate::transport::Transport) attached to it:
 //!
-//! - **N shards** (≈ min(cores, 8)), each a [`moonshot_reactor::Poller`]
-//!   event loop owning a slab of nonblocking sockets: listeners, accepted
-//!   (read-only) connections, and dialed (write-mostly) connections.
-//!   Connection ownership is exclusive — a socket is touched only by its
-//!   shard — so no per-connection locking exists anywhere. Shards do read
-//!   framing, frame dispatch, signature verification, vectored/coalesced
-//!   writes against the existing per-peer `OutboundQueue` budgets, per-link
-//!   shaping, and redial backoff as loop-local timers in an [`EventQueue`].
-//! - **One dialer** thread: `std` has no nonblocking connect, so blocking
-//!   `connect_timeout` + the hello preamble run here, off the event loops;
-//!   the connected socket is flipped to nonblocking and handed to its
-//!   owning shard. Dial failures schedule an exponential-backoff redial
-//!   timer on the owning shard's queue. A hello read from a peer whose
-//!   outbound link is down is evidence that the peer is back: the shard
-//!   that read it resets the backoff and asks for a dial at once. Requests
-//!   come from four places (`attach`, redial timers, `fail_out`, hellos),
-//!   so the dialer keeps one link per peer: it drops a request for a peer
-//!   that is connected or has a dial in flight. The dialer blocks on its
-//!   channel and exits when the pool drops the last sender.
+//! **N shards** (≈ min(cores, 8)), each a [`moonshot_reactor::Poller`]
+//! event loop owning a slab of nonblocking sockets: listeners, accepted
+//! (read-only) connections, and dialed (write-mostly) connections.
+//! Connection ownership is exclusive — a socket is touched only by its
+//! shard — so no per-connection locking exists anywhere. Shards do read
+//! framing, frame dispatch, signature verification, vectored/coalesced
+//! writes against the existing per-peer `OutboundQueue` budgets, per-link
+//! shaping, and redial backoff as loop-local timers in an [`EventQueue`].
+//!
+//! A node's outbound link to a peer belongs to one shard, `out_shard`: it
+//! alone dials the link (a nonblocking [`moonshot_reactor::connect`], given
+//! up after `DIAL_TIMEOUT` by a timer), writes the hello as its first
+//! frame, drains the peer's queue into it, and redials it on an
+//! exponential backoff, keeping the link's state in a map no other thread
+//! reads. Everything else that bears on the link reaches that shard as a
+//! command: `attach` asks for the first dial, and a hello from the peer,
+//! read on whichever shard accepted its connection, asks for a dial now
+//! (the peer is back: the backoff starts over) — dropped if the link is up
+//! or a connect is in flight, so a peer has one link at most. Senders
+//! nudge the shard by peer. Dials run in parallel: a peer that never
+//! answers a connect holds up nobody else's.
 //!
 //! A shard verifies the consensus frames it read in one wakeup before it
 //! sleeps again: grouped by node, one [`MessageVerifier::verify_batch`]
@@ -53,8 +54,8 @@ use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -81,13 +82,13 @@ const WRITE_VECTORS: usize = 64;
 /// Bytes a shaper may hold out of the outbound queue; beyond this the
 /// frames stay in the queue where its drop-oldest budgets apply.
 const SHAPE_STAGE_CAP: usize = 1024 * 1024;
-/// Cap on one blocking connect attempt in the dialer.
-const DIAL_TIMEOUT: Duration = Duration::from_secs(1);
+/// Cap on one connect attempt, a timer on the link's shard.
+const DIAL_TIMEOUT: SimDuration = SimDuration::from_secs(1);
 
 /// First redial delay; doubles per consecutive failure.
-pub(crate) const RECONNECT_BASE: Duration = Duration::from_millis(100);
+const RECONNECT_BASE: SimDuration = SimDuration::from_millis(100);
 /// Redial delay ceiling.
-const RECONNECT_MAX: Duration = Duration::from_secs(5);
+const RECONNECT_MAX: SimDuration = SimDuration::from_secs(5);
 
 /// Counter snapshot of a [`NetPool`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -112,90 +113,59 @@ pub(crate) struct NodeCore {
     pub(crate) dissem: Arc<DissemPlane>,
     pub(crate) peers: BTreeMap<NodeId, Arc<PeerState>>,
     pub(crate) addrs: BTreeMap<NodeId, SocketAddr>,
-    /// The transport's shutdown flag: set before detach, checked by the
-    /// dialer and by redial timers so a stopping node is never redialed.
+    /// The transport's shutdown flag: set before detach, checked by every
+    /// dial so a stopping node is never redialed.
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) shape: Option<Arc<ShapeMatrix>>,
 }
 
-/// Per-peer connection state shared between the transport facade (pushes
-/// frames, nudges) and the owning shard (drains, dials).
+/// What the transport facade (pushes frames) and the shard that writes a
+/// peer's link (pops them, counts) share about the peer.
 pub(crate) struct PeerState {
     pub(crate) queue: Arc<OutboundQueue>,
     pub(crate) metrics: Arc<PeerMetrics>,
-    /// `(shard index, slab token)` of the live outbound connection, if
-    /// any; written only by the owning shard, read by send-side nudges.
-    pub(crate) conn: Mutex<Option<(usize, usize)>>,
-    /// Current redial backoff; reset to base on an established hello, and
-    /// by a hello the peer sends while this link is down.
-    pub(crate) backoff: Mutex<Duration>,
-    /// Whether a dial to this peer is in flight: set by the dialer when it
-    /// takes a request, cleared when the connection is installed on its
-    /// shard (after `conn`) or the attempt fails. With `conn` it keeps one
-    /// outbound link per peer: two would let the peer's frames overtake
-    /// each other.
-    pub(crate) dialing: AtomicBool,
-    /// Whether a hello ever succeeded on this link — pre-establishment
-    /// dial failures are the startup race and never count as reconnects.
-    pub(crate) established_once: AtomicBool,
 }
 
-struct DialReq {
-    core: Arc<NodeCore>,
-    peer: NodeId,
+/// A link `(core id, peer)`: one node's outbound connection to one peer.
+type LinkId = (u64, NodeId);
+
+/// A link's state, kept by the shard that owns it and read by no other
+/// thread. Two connections on a link would let its frames overtake each
+/// other; one owner deciding every dial rules that out.
+struct Link {
+    /// Slab token of the link's socket while a connect is in flight or the
+    /// link is up.
+    token: Option<usize>,
+    /// The next redial delay; back to base when a connect completes, and
+    /// when the peer's hello shows it is up.
+    backoff: SimDuration,
+    /// Whether a connect on this link ever completed: failures before it
+    /// are the startup race and never count as reconnects.
+    established_once: bool,
 }
 
 enum Cmd {
     AddListener { core: Arc<NodeCore>, listener: TcpListener },
-    AddOutbound { core: Arc<NodeCore>, peer: NodeId, stream: TcpStream },
-    CloseNode { core_id: u64, latch: Arc<Latch> },
-    Redial { core: Arc<NodeCore>, peer: NodeId, after: Duration },
+    /// Close a node's sockets, then drop `ack`.
+    CloseNode { core_id: u64, ack: Sender<()> },
+    /// The peer is up: dial it now unless the link is up or dialing.
+    Dial { core: Arc<NodeCore>, peer: NodeId },
 }
 
 /// Shard-local timers, multiplexed on one [`EventQueue`].
 enum ShardTimer {
     Redial { core: Arc<NodeCore>, peer: NodeId },
     Release { token: usize },
-}
-
-struct Latch {
-    remaining: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl Latch {
-    fn new(n: usize) -> Latch {
-        Latch { remaining: Mutex::new(n), cv: Condvar::new() }
-    }
-
-    fn count_down(&self) {
-        let mut r = self.remaining.lock().unwrap();
-        *r = r.saturating_sub(1);
-        if *r == 0 {
-            self.cv.notify_all();
-        }
-    }
-
-    fn wait(&self, timeout: Duration) {
-        let deadline = Instant::now() + timeout;
-        let mut r = self.remaining.lock().unwrap();
-        while *r > 0 {
-            let now = Instant::now();
-            if now >= deadline {
-                return;
-            }
-            let (guard, _) = self.cv.wait_timeout(r, deadline - now).unwrap();
-            r = guard;
-        }
-    }
+    /// The connect in flight on `token`, if its deadline is due, gives up.
+    DialTimeout { token: usize },
 }
 
 /// The cross-thread face of one shard: commands in, write nudges in, wake.
 struct ShardHandle {
     waker: Waker,
     inbox: Mutex<Vec<Cmd>>,
-    /// Slab tokens whose outbound queues got new frames.
-    dirty: Mutex<Vec<usize>>,
+    /// Links whose outbound queues got new frames.
+    dirty: Mutex<Vec<LinkId>>,
     /// Wake-coalescing flag: set by the first nudger, cleared by the loop
     /// at the top of each iteration.
     notified: AtomicBool,
@@ -215,20 +185,17 @@ impl ShardHandle {
         self.wake();
     }
 
-    fn nudge(&self, token: usize) {
-        self.dirty.lock().unwrap().push(token);
+    fn nudge(&self, link: LinkId) {
+        self.dirty.lock().unwrap().push(link);
         self.wake();
     }
 }
 
-/// A fixed-size pool of event-loop shards + dialer, shared by one or many
+/// A fixed-size pool of event-loop shards, shared by one or many
 /// transports. Create with [`NetPool::new`], tear down with
 /// [`NetPool::shutdown`] after every attached transport stopped.
 pub struct NetPool {
     shards: Vec<Arc<ShardHandle>>,
-    /// The pool's own dial sender; [`shutdown`](NetPool::shutdown) drops
-    /// it, and the dialer exits once the shards have dropped theirs.
-    dial_tx: Mutex<Option<Sender<DialReq>>>,
     shutdown: Arc<AtomicBool>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     next_core: AtomicU64,
@@ -243,13 +210,12 @@ impl std::fmt::Debug for NetPool {
 
 impl NetPool {
     /// Spawns the pool's threads: `min(cores, 8)` event-loop shards, which
-    /// also verify what they read, and one dialer.
+    /// also verify what they read.
     #[allow(clippy::new_ret_no_self)]
     pub fn new() -> io::Result<Arc<NetPool>> {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         let nshards = cores.clamp(1, 8);
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (dial_tx, dial_rx) = channel::<DialReq>();
 
         let mut pollers = Vec::with_capacity(nshards);
         let mut handles: Vec<Arc<ShardHandle>> = Vec::with_capacity(nshards);
@@ -269,16 +235,15 @@ impl NetPool {
         let mut threads = Vec::new();
         for (idx, poller) in pollers.into_iter().enumerate() {
             let runner = Runner {
-                idx,
                 poller,
                 handle: handles[idx].clone(),
                 shards: handles.clone(),
                 entries: Vec::new(),
                 free: Vec::new(),
+                links: BTreeMap::new(),
                 timers: EventQueue::new(),
                 epoch: Instant::now(),
                 shutdown: shutdown.clone(),
-                dial_tx: dial_tx.clone(),
                 events: Vec::new(),
                 buf: vec![0u8; 64 * 1024],
                 unverified: Vec::new(),
@@ -290,20 +255,9 @@ impl NetPool {
                     .expect("spawn shard"),
             );
         }
-        {
-            let shards = handles.clone();
-            let shutdown = shutdown.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("net-dial".into())
-                    .spawn(move || dialer_loop(dial_rx, shards, shutdown))
-                    .expect("spawn dialer"),
-            );
-        }
 
         Ok(Arc::new(NetPool {
             shards: handles,
-            dial_tx: Mutex::new(Some(dial_tx)),
             shutdown,
             threads: Mutex::new(threads),
             next_core: AtomicU64::new(0),
@@ -330,52 +284,43 @@ impl NetPool {
         self.next_core.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Hands a node's listener to a shard (round-robin) and requests the
-    /// first dial to every peer. Later requests come from redial timers
-    /// after a failed attempt, from a lost link and from the peer's hello;
-    /// the dialer drops those for a peer that is connected or being
-    /// dialed, so each peer has one dial in flight and one link at most.
-    /// The core's shutdown flag ends them all.
+    /// Hands a node's listener to a shard (round-robin) and asks the shard
+    /// owning each of its links for the first dial. The core's shutdown
+    /// flag ends every dial and redial.
     pub(crate) fn attach(&self, core: Arc<NodeCore>, listener: TcpListener) {
         let li = self.next_listener_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
         self.shards[li].push_cmd(Cmd::AddListener { core: core.clone(), listener });
-        if let Some(tx) = &*self.dial_tx.lock().unwrap() {
-            for peer in core.peers.keys() {
-                let _ = tx.send(DialReq { core: core.clone(), peer: *peer });
-            }
+        for &peer in core.peers.keys() {
+            out_shard(&self.shards, core.id, peer).push_cmd(Cmd::Dial { core: core.clone(), peer });
         }
     }
 
     /// Closes every socket belonging to `core` (its shutdown flag must
-    /// already be set) and waits for all shards to acknowledge.
+    /// already be set) and waits for all shards to acknowledge: each drops
+    /// its `ack` when done, and the wait ends when the last one is gone.
     pub(crate) fn detach(&self, core: &NodeCore) {
-        let latch = Arc::new(Latch::new(self.shards.len()));
+        let (ack, acked) = channel::<()>();
         for s in &self.shards {
-            s.push_cmd(Cmd::CloseNode { core_id: core.id, latch: latch.clone() });
+            s.push_cmd(Cmd::CloseNode { core_id: core.id, ack: ack.clone() });
         }
-        latch.wait(Duration::from_secs(10));
+        drop(ack);
+        let _ = acked.recv_timeout(Duration::from_secs(10));
     }
 
-    /// Wakes the shard owning `peer`'s live connection so newly queued
-    /// frames get written. A peer with no connection needs no nudge — the
-    /// queue is drained when the dialer attaches one.
-    pub(crate) fn nudge_peer(&self, peer: &PeerState) {
-        if let Some((shard, token)) = *peer.conn.lock().unwrap() {
-            self.shards[shard].nudge(token);
-        }
+    /// Wakes the shard that writes `core`'s link to `peer` so newly queued
+    /// frames get written; a link that is down drains once it is up.
+    pub(crate) fn nudge_peer(&self, core_id: u64, peer: NodeId) {
+        out_shard(&self.shards, core_id, peer).nudge((core_id, peer));
     }
 
     /// Stops every pool thread and joins them. Call after all attached
     /// transports stopped; attached cores' sockets are closed by thread
-    /// exit either way. The dialer, blocked on its channel, returns when
-    /// the last sender is gone: the pool's, dropped here, and the shards',
-    /// dropped as they exit.
+    /// exit either way.
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         for s in &self.shards {
             let _ = s.waker.wake();
         }
-        drop(self.dial_tx.lock().unwrap().take());
         let threads = std::mem::take(&mut *self.threads.lock().unwrap());
         for t in threads {
             let _ = t.join();
@@ -383,74 +328,9 @@ impl NetPool {
     }
 }
 
-/// Which shard owns the outbound connection `core → peer`.
-fn out_shard(core_id: u64, peer: NodeId, nshards: usize) -> usize {
-    ((core_id as usize).wrapping_mul(31).wrapping_add(peer.0 as usize)) % nshards
-}
-
-// ---------------------------------------------------------------------------
-// Dialer
-// ---------------------------------------------------------------------------
-
-/// Serves dial requests until the pool shuts down. Blocks in `recv`: an
-/// idle dialer is never woken.
-fn dialer_loop(rx: Receiver<DialReq>, shards: Vec<Arc<ShardHandle>>, shutdown: Arc<AtomicBool>) {
-    let nshards = shards.len();
-    while let Ok(DialReq { core, peer }) = rx.recv() {
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        if core.shutdown.load(Ordering::SeqCst) {
-            continue;
-        }
-        let Some(state) = core.peers.get(&peer) else { continue };
-        let Some(addr) = core.addrs.get(&peer).copied() else { continue };
-        // One outbound link per peer. Only this thread sets `dialing`, and
-        // the shard sets `conn` before it clears `dialing`, so a peer is
-        // never seen neither connected nor dialing while a link is on its
-        // way to its shard.
-        if state.conn.lock().unwrap().is_some() || state.dialing.swap(true, Ordering::SeqCst) {
-            continue;
-        }
-        let shard = &shards[out_shard(core.id, peer, nshards)];
-        match TcpStream::connect_timeout(&addr, DIAL_TIMEOUT) {
-            Ok(mut stream) => {
-                let _ = stream.set_nodelay(true);
-                let hello = encode_frame(&Frame::Hello { node: core.node });
-                if stream.write_all(&hello).is_err() {
-                    schedule_redial(shard, &core, peer, state);
-                    continue;
-                }
-                if core.shutdown.load(Ordering::SeqCst) {
-                    // Stopping node: drop the fresh connection.
-                    state.dialing.store(false, Ordering::SeqCst);
-                    continue;
-                }
-                if state.established_once.swap(true, Ordering::SeqCst) {
-                    state.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
-                }
-                state.metrics.bytes_out.fetch_add(hello.len() as u64, Ordering::Relaxed);
-                *state.backoff.lock().unwrap() = RECONNECT_BASE;
-                if stream.set_nonblocking(true).is_err() {
-                    schedule_redial(shard, &core, peer, state);
-                    continue;
-                }
-                shard.push_cmd(Cmd::AddOutbound { core: core.clone(), peer, stream });
-            }
-            Err(_) => schedule_redial(shard, &core, peer, state),
-        }
-    }
-}
-
-/// Ends a failed dial attempt: clears the in-flight flag and arms an
-/// exponential-backoff redial on the owning shard's timer queue.
-fn schedule_redial(shard: &ShardHandle, core: &Arc<NodeCore>, peer: NodeId, state: &PeerState) {
-    state.dialing.store(false, Ordering::SeqCst);
-    let mut b = state.backoff.lock().unwrap();
-    let after = *b;
-    *b = (*b * 2).min(RECONNECT_MAX);
-    drop(b);
-    shard.push_cmd(Cmd::Redial { core: core.clone(), peer, after });
+/// The shard that owns the outbound link `core → peer`.
+fn out_shard(shards: &[Arc<ShardHandle>], core_id: u64, peer: NodeId) -> &ShardHandle {
+    &shards[((core_id as usize).wrapping_mul(31).wrapping_add(peer.0 as usize)) % shards.len()]
 }
 
 // ---------------------------------------------------------------------------
@@ -551,6 +431,8 @@ struct OutConn {
     peer: NodeId,
     state: Arc<PeerState>,
     stream: TcpStream,
+    /// While the connect is in flight, when it gives up.
+    dial_deadline: Option<SimTime>,
     /// Frames popped from the queue, partially or not yet written;
     /// `(frame, offset of first unwritten byte)`.
     pending: VecDeque<(Arc<Vec<u8>>, usize)>,
@@ -568,18 +450,18 @@ enum ReadVerdict {
 }
 
 struct Runner {
-    idx: usize,
     poller: Poller,
     handle: Arc<ShardHandle>,
-    /// All shard handles, for cross-shard nudges (fetch responses pushed
-    /// to a requester whose connection lives on another shard).
+    /// All shard handles, to reach the shard that owns a link: a fetch
+    /// response for a requester, a dial on the peer's hello.
     shards: Vec<Arc<ShardHandle>>,
     entries: Vec<Option<Entry>>,
     free: Vec<usize>,
+    /// The links this shard owns.
+    links: BTreeMap<LinkId, Link>,
     timers: EventQueue<ShardTimer>,
     epoch: Instant,
     shutdown: Arc<AtomicBool>,
-    dial_tx: Sender<DialReq>,
     events: Vec<Event>,
     buf: Vec<u8>,
     /// Consensus messages read in this wakeup, in read order, awaiting
@@ -608,8 +490,10 @@ impl Runner {
             let mut dirty = std::mem::take(&mut *self.handle.dirty.lock().unwrap());
             dirty.sort_unstable();
             dirty.dedup();
-            for token in dirty {
-                self.drive_write(token);
+            for link in dirty {
+                if let Some(token) = self.links.get(&link).and_then(|l| l.token) {
+                    self.drive_write(token);
+                }
             }
 
             let events = std::mem::take(&mut self.events);
@@ -622,18 +506,19 @@ impl Runner {
             let now = self.now();
             for timer in self.timers.expire(now) {
                 match timer {
-                    ShardTimer::Redial { core, peer } => {
-                        if !core.shutdown.load(Ordering::SeqCst)
-                            && !self.shutdown.load(Ordering::SeqCst)
-                        {
-                            let _ = self.dial_tx.send(DialReq { core, peer });
-                        }
-                    }
+                    ShardTimer::Redial { core, peer } => self.dial(core, peer, false),
                     ShardTimer::Release { token } => {
                         if let Some(Some(Entry::Out(c))) = self.entries.get_mut(token) {
                             c.release_armed = false;
                         }
                         self.drive_write(token);
+                    }
+                    ShardTimer::DialTimeout { token } => {
+                        if let Some(Some(Entry::Out(c))) = self.entries.get(token) {
+                            if c.dial_deadline.is_some_and(|d| d <= now) {
+                                self.dial_failed(token);
+                            }
+                        }
                     }
                 }
             }
@@ -680,41 +565,7 @@ impl Runner {
                 self.entries[token] = Some(Entry::Listener { core, listener });
                 self.accept_ready(token); // connections may already be queued
             }
-            Cmd::AddOutbound { core, peer, stream } => {
-                let Some(state) = core.peers.get(&peer).cloned() else { return };
-                if core.shutdown.load(Ordering::SeqCst) {
-                    // Raced with the node stopping: drop the socket.
-                    state.dialing.store(false, Ordering::SeqCst);
-                    return;
-                }
-                let token = self.alloc_token();
-                if self.poller.register(stream.as_raw_fd(), token, Interest::READABLE).is_err() {
-                    self.free.push(token);
-                    schedule_redial(&self.handle, &core, peer, &state);
-                    return;
-                }
-                let shaper = core
-                    .shape
-                    .as_ref()
-                    .map(|m| m.link(core.node, peer))
-                    .filter(|l| l.is_shaped())
-                    .map(|l| Shaper::new(&l, self.now()));
-                *state.conn.lock().unwrap() = Some((self.idx, token));
-                state.dialing.store(false, Ordering::SeqCst);
-                self.entries[token] = Some(Entry::Out(OutConn {
-                    core,
-                    peer,
-                    state,
-                    stream,
-                    pending: VecDeque::new(),
-                    pending_bytes: 0,
-                    want_writable: false,
-                    shaper,
-                    release_armed: false,
-                }));
-                self.drive_write(token); // frames may be queued already
-            }
-            Cmd::CloseNode { core_id, latch } => {
+            Cmd::CloseNode { core_id, ack } => {
                 // The listener closes first (`false` sorts first): a peer
                 // redials the moment its connection here closes, and a
                 // listener still open would take that dial, only to reset
@@ -737,13 +588,103 @@ impl Runner {
                 for (_, token) in tokens {
                     self.close_entry(token);
                 }
-                latch.count_down();
+                self.links.retain(|&(id, _), _| id != core_id);
+                drop(ack);
             }
-            Cmd::Redial { core, peer, after } => {
-                let at = SimTime(self.now().0 + after.as_micros() as u64);
-                self.timers.push(at, ShardTimer::Redial { core, peer });
-            }
+            Cmd::Dial { core, peer } => self.dial(core, peer, true),
         }
+    }
+
+    /// Dials `core`'s link to `peer` unless it is up, a connect is in
+    /// flight or the node is stopping: a nonblocking connect, given up
+    /// after `DIAL_TIMEOUT`. `fresh` (the peer is known to be up) puts the
+    /// backoff back to base.
+    fn dial(&mut self, core: Arc<NodeCore>, peer: NodeId, fresh: bool) {
+        if core.shutdown.load(Ordering::SeqCst) || self.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let Some(&addr) = core.addrs.get(&peer) else { return };
+        let link = self.links.entry((core.id, peer)).or_insert(Link {
+            token: None,
+            backoff: RECONNECT_BASE,
+            established_once: false,
+        });
+        if fresh {
+            link.backoff = RECONNECT_BASE;
+        }
+        if link.token.is_some() {
+            return;
+        }
+        let token = self.alloc_token();
+        let stream = match moonshot_reactor::connect(addr) {
+            Ok(s) if self.poller.register(s.as_raw_fd(), token, Interest::BOTH).is_ok() => s,
+            _ => {
+                self.free.push(token);
+                return self.schedule_redial(core, peer);
+            }
+        };
+        let deadline = self.now() + DIAL_TIMEOUT;
+        self.timers.push(deadline, ShardTimer::DialTimeout { token });
+        self.links.get_mut(&(core.id, peer)).expect("inserted above").token = Some(token);
+        let state = core.peers[&peer].clone();
+        let shaper = core
+            .shape
+            .as_ref()
+            .map(|m| m.link(core.node, peer))
+            .filter(|l| l.is_shaped())
+            .map(|l| Shaper::new(&l, self.now()));
+        self.entries[token] = Some(Entry::Out(OutConn {
+            core,
+            peer,
+            state,
+            stream,
+            dial_deadline: Some(deadline),
+            pending: VecDeque::new(),
+            pending_bytes: 0,
+            want_writable: true,
+            shaper,
+            release_armed: false,
+        }));
+    }
+
+    /// The connect in flight on `token` completed. If it succeeded the
+    /// hello goes out as the link's first frame and the queue drains after
+    /// it; if not, a redial is armed.
+    fn finish_dial(&mut self, token: usize) {
+        let Some(Some(Entry::Out(c))) = self.entries.get_mut(token) else { return };
+        let hello = encode_frame(&Frame::Hello { node: c.core.node });
+        let up = matches!(c.stream.take_error(), Ok(None))
+            && c.stream.set_nodelay(true).is_ok()
+            && matches!(c.stream.write(&hello), Ok(n) if n == hello.len());
+        if !up {
+            return self.dial_failed(token);
+        }
+        c.dial_deadline = None;
+        c.state.metrics.bytes_out.fetch_add(hello.len() as u64, Ordering::Relaxed);
+        let link = self.links.get_mut(&(c.core.id, c.peer)).expect("a dialed link is kept");
+        if link.established_once {
+            c.state.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
+        }
+        link.established_once = true;
+        link.backoff = RECONNECT_BASE;
+        self.drive_write(token); // frames may be queued already
+    }
+
+    /// Ends a connect that failed or timed out; the link redials on its
+    /// backoff.
+    fn dial_failed(&mut self, token: usize) {
+        if let Some(c) = self.drop_out(token) {
+            self.schedule_redial(c.core, c.peer);
+        }
+    }
+
+    /// Arms a redial of `core`'s link to `peer` after its backoff, and
+    /// doubles the backoff.
+    fn schedule_redial(&mut self, core: Arc<NodeCore>, peer: NodeId) {
+        let Some(link) = self.links.get_mut(&(core.id, peer)) else { return };
+        let after = link.backoff;
+        link.backoff = (after * 2).min(RECONNECT_MAX);
+        self.timers.push(self.now() + after, ShardTimer::Redial { core, peer });
     }
 
     /// Silently closes an entry (node teardown): deregister, drop, free.
@@ -753,12 +694,8 @@ impl Runner {
             Entry::Listener { listener, .. } => {
                 let _ = self.poller.deregister(listener.as_raw_fd());
             }
-            Entry::In(c) => {
-                let _ = self.poller.deregister(c.stream.as_raw_fd());
-            }
-            Entry::Out(c) => {
-                let _ = self.poller.deregister(c.stream.as_raw_fd());
-                *c.state.conn.lock().unwrap() = None;
+            Entry::In(InConn { stream, .. }) | Entry::Out(OutConn { stream, .. }) => {
+                let _ = self.poller.deregister(stream.as_raw_fd());
             }
         }
         self.free.push(token);
@@ -769,6 +706,7 @@ impl Runner {
         match slot {
             Some(Entry::Listener { .. }) => self.accept_ready(ev.token),
             Some(Entry::In(_)) => self.drive_read(ev.token),
+            Some(Entry::Out(c)) if c.dial_deadline.is_some() => self.finish_dial(ev.token),
             Some(Entry::Out(_)) => {
                 if ev.readable || ev.hangup {
                     // Write-only protocol: readability means FIN or error.
@@ -906,13 +844,9 @@ impl Runner {
                 p.metrics.bytes_in.fetch_add(chunk_len as u64, Ordering::Relaxed);
                 c.from = Some(node);
                 // The peer is up. If this node's link to it is down, skip
-                // the rest of the backoff: dial now (the dialer drops the
-                // request if a dial is already in flight, or the node is
-                // stopping).
-                if p.conn.lock().unwrap().is_none() {
-                    *p.backoff.lock().unwrap() = RECONNECT_BASE;
-                    let _ = self.dial_tx.send(DialReq { core: c.core.clone(), peer: node });
-                }
+                // the rest of the backoff: the link's shard dials now.
+                let dial = Cmd::Dial { core: c.core.clone(), peer: node };
+                out_shard(&self.shards, c.core.id, node).push_cmd(dial);
             }
             Frame::SubmitTx { client, tx } => {
                 // Client submissions need no hello: clients are not
@@ -944,7 +878,7 @@ impl Runner {
                     let frame = Arc::new(encode_frame(&Frame::BatchResponse { digest, bytes }));
                     if let Some(p) = c.core.peers.get(&id) {
                         if p.queue.push_protected(frame) {
-                            nudge_peer_conn(&self.shards, p);
+                            out_shard(&self.shards, c.core.id, id).nudge((c.core.id, id));
                         } else {
                             p.metrics.protected_dropped.fetch_add(1, Ordering::Relaxed);
                         }
@@ -1001,7 +935,11 @@ impl Runner {
     /// Drains `token`'s outbound queue through coalesced vectored writes
     /// (and the shaper, when configured).
     fn drive_write(&mut self, token: usize) {
-        let Some(Some(Entry::Out(_))) = self.entries.get(token) else { return };
+        // A link still connecting drains once the connect completes.
+        let Some(Some(Entry::Out(OutConn { dial_deadline: None, .. }))) = self.entries.get(token)
+        else {
+            return;
+        };
         let Some(Entry::Out(mut c)) = self.entries[token].take() else { return };
         match self.pump_out(&mut c, token) {
             Ok(()) => {
@@ -1104,30 +1042,27 @@ impl Runner {
     }
 
     /// Tears down a failed outbound connection: in-flight frames are lost
-    /// (counted), the peer's conn pointer clears, and — unless the node is
-    /// stopping — an immediate redial is requested, mirroring the retired
-    /// writer loop's break-and-reconnect.
+    /// (counted), and — unless the node is stopping — the link redials at
+    /// once, mirroring the retired writer loop's break-and-reconnect.
     fn fail_out(&mut self, token: usize) {
-        let Some(Some(Entry::Out(_))) = self.entries.get(token) else { return };
-        let Some(Entry::Out(c)) = self.entries[token].take() else { return };
-        let _ = self.poller.deregister(c.stream.as_raw_fd());
-        self.free.push(token);
+        let Some(c) = self.drop_out(token) else { return };
         let lost = c.pending.len() + c.shaper.as_ref().map_or(0, |s| s.staged.len());
         if lost > 0 {
             c.state.metrics.dropped_frames.fetch_add(lost as u64, Ordering::Relaxed);
         }
-        *c.state.conn.lock().unwrap() = None;
-        if !c.core.shutdown.load(Ordering::SeqCst) && !self.shutdown.load(Ordering::SeqCst) {
-            let _ = self.dial_tx.send(DialReq { core: c.core.clone(), peer: c.peer });
-        }
+        self.dial(c.core, c.peer, false);
     }
-}
 
-/// Wakes the shard owning `peer`'s connection (used from shard context
-/// where the requester's connection may live on another shard).
-fn nudge_peer_conn(shards: &[Arc<ShardHandle>], peer: &PeerState) {
-    if let Some((shard, token)) = *peer.conn.lock().unwrap() {
-        shards[shard].nudge(token);
+    /// Closes `token`'s outbound connection and marks its link down.
+    fn drop_out(&mut self, token: usize) -> Option<OutConn> {
+        let Some(Some(Entry::Out(_))) = self.entries.get(token) else { return None };
+        let Some(Entry::Out(c)) = self.entries[token].take() else { return None };
+        let _ = self.poller.deregister(c.stream.as_raw_fd());
+        self.free.push(token);
+        if let Some(link) = self.links.get_mut(&(c.core.id, c.peer)) {
+            link.token = None;
+        }
+        Some(c)
     }
 }
 

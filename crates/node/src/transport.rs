@@ -9,8 +9,8 @@
 //! cost of one extra socket per pair.
 //!
 //! Threading: none of it lives here. A [`NetPool`] — a fixed set of
-//! readiness-driven shard loops, which also verify the consensus messages
-//! they read, and one dialer — owns every socket. The transport contributes
+//! readiness-driven shard loops, which also dial and verify the consensus
+//! messages they read — owns every socket. The transport contributes
 //! the per-peer bounded outbound queues with **drop-oldest** backpressure
 //! (consensus tolerates message loss — the protocols re-sync via
 //! certificates and the block fetcher — so dropping the stalest frame beats
@@ -27,8 +27,9 @@
 //! (100 ms doubling to 5 s), except that a hello from the peer while the
 //! link is down resets the backoff and dials at once: a restarted peer
 //! dials everyone on start, so its hellos are the first sign it is back.
-//! At most one dial per peer is in flight and at most one outbound link
-//! per peer is open, so a peer's frames leave on one stream, in order.
+//! One pool shard owns each link and alone decides its dials, so a peer
+//! has at most one outbound link and its frames leave on one stream, in
+//! order.
 
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
@@ -41,7 +42,7 @@ use moonshot_mempool::{DissemPlane, Mempool};
 use moonshot_telemetry::MetricsRegistry;
 use moonshot_types::NodeId;
 
-use crate::netpool::{NetPool, NodeCore, PeerState, RECONNECT_BASE};
+use crate::netpool::{NetPool, NodeCore, PeerState};
 use crate::shape::ShapeMatrix;
 
 /// Per-node batch-store budget of the plane a [`TransportConfig`] starts
@@ -359,10 +360,6 @@ impl Transport {
                         PROTECTED_BYTES,
                     )),
                     metrics: Arc::new(PeerMetrics::default()),
-                    conn: Mutex::new(None),
-                    backoff: Mutex::new(RECONNECT_BASE),
-                    dialing: AtomicBool::new(false),
-                    established_once: AtomicBool::new(false),
                 }),
             );
             addrs.insert(*id, *addr);
@@ -385,19 +382,19 @@ impl Transport {
         Ok(Transport { node: cfg.node_id, core, pool })
     }
 
-    /// Queues `frame` for `peer`. Never blocks: a full queue drops its
+    /// Queues `frame` for peer `to`. Never blocks: a full queue drops its
     /// oldest frames.
-    fn enqueue(&self, peer: &Arc<PeerState>, frame: Arc<Vec<u8>>) {
+    fn enqueue(&self, to: NodeId, peer: &PeerState, frame: Arc<Vec<u8>>) {
         let dropped = peer.queue.push(frame);
         peer.metrics.dropped_frames.fetch_add(dropped, Ordering::Relaxed);
-        self.pool.nudge_peer(peer);
+        self.pool.nudge_peer(self.core.id, to);
     }
 
     /// Queues `frame` for `to`. Unknown peers are ignored (the config is the
     /// membership).
     pub fn send(&self, to: NodeId, frame: Arc<Vec<u8>>) {
         if let Some(peer) = self.core.peers.get(&to) {
-            self.enqueue(peer, frame);
+            self.enqueue(to, peer, frame);
         }
     }
 
@@ -407,7 +404,7 @@ impl Transport {
     pub fn broadcast(&self, frame: Arc<Vec<u8>>, except: Option<NodeId>) {
         for (id, peer) in self.core.peers.iter() {
             if Some(*id) != except {
-                self.enqueue(peer, frame.clone());
+                self.enqueue(*id, peer, frame.clone());
             }
         }
     }
@@ -421,7 +418,7 @@ impl Transport {
             if !peer.queue.push_protected(frame) {
                 peer.metrics.protected_dropped.fetch_add(1, Ordering::Relaxed);
             }
-            self.pool.nudge_peer(peer);
+            self.pool.nudge_peer(self.core.id, to);
         }
     }
 
@@ -461,9 +458,9 @@ impl Transport {
     /// stop. The pool keeps running for its other nodes; its owner shuts
     /// it down after the last one stops.
     pub fn stop(self) {
-        // Order matters: the shutdown flag gates the dialer and the
-        // AddOutbound handler, so setting it before the close commands go
-        // out means no connection for this node can (re)appear afterwards.
+        // Order matters: every dial checks the shutdown flag, and a shard
+        // handles its commands in order, so no connection for this node can
+        // (re)appear once the close commands are out.
         self.core.shutdown.store(true, Ordering::SeqCst);
         self.pool.detach(&self.core);
     }

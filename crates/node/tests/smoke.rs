@@ -259,14 +259,14 @@ fn fifty_node_shaped_cluster_commits_paced_load_on_bounded_threads() {
     assert!(committed >= 10, "only {committed} quorum-committed blocks (need 10)");
 
     // One thread per node, its driver, which also seals, plus the shared
-    // pool's shard loops, which also verify, its dialer, and up to three
-    // for the test harness — the old thread-per-connection transport would
-    // sit at ~2 500 threads here.
-    let ceiling = (N + stats.shards + 4) as u64;
+    // pool's shard loops, which also verify and dial, and up to three for
+    // the test harness — the old thread-per-connection transport would sit
+    // at ~2 500 threads here.
+    let ceiling = (N + stats.shards + 3) as u64;
     let threads = mid_threads.expect("/proc/self/status is readable");
     assert!(
         threads <= ceiling,
-        "{threads} live threads exceed ceiling {ceiling} (n + shards + dialer + 3 harness)"
+        "{threads} live threads exceed ceiling {ceiling} (n + shards + 3 harness)"
     );
 
     // The shard loops sleep between deadlines (a loop polling through the

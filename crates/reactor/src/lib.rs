@@ -26,6 +26,9 @@
 //!   internal token; the wait loop drains it and never surfaces it to the
 //!   caller.
 //!
+//! - **Nonblocking connect**: `std` has none, so [`connect`] starts one
+//!   through a `socket`/`connect` FFI beside the epoll bindings.
+//!
 //! The event-loop shards in `moonshot-node` own all higher-level policy
 //! (framing, write coalescing, timers, redial); this crate is deliberately
 //! nothing but readiness.
@@ -33,6 +36,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::Mutex;
@@ -254,13 +258,23 @@ impl Clone for Waker {
     }
 }
 
+/// Starts a nonblocking TCP connect to `addr` and returns its socket,
+/// already nonblocking. Register it for writability: the connect has
+/// completed when it turns writable, and [`TcpStream::take_error`] is then
+/// `Ok(None)` if it succeeded. A failure the kernel knows at once (no route,
+/// no socket) is the `Err` here. Off Linux the connect blocks.
+pub fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
+    backend::connect(addr)
+}
+
 #[cfg(target_os = "linux")]
 mod backend {
     //! Level-triggered epoll via hand-written FFI (no libc crate).
 
     use super::{Event, Interest};
     use std::io;
-    use std::os::unix::io::RawFd;
+    use std::net::{SocketAddr, TcpStream};
+    use std::os::unix::io::{AsRawFd, FromRawFd, RawFd};
 
     const EPOLL_CLOEXEC: i32 = 0o2000000;
     const EPOLL_CTL_ADD: i32 = 1;
@@ -283,11 +297,52 @@ mod backend {
         u64: u64,
     }
 
+    const AF_INET: u16 = 2;
+    const AF_INET6: u16 = 10;
+    const SOCK_STREAM: i32 = 1;
+    const SOCK_NONBLOCK: i32 = 0o4000;
+    const SOCK_CLOEXEC: i32 = 0o2000000;
+    const EINPROGRESS: i32 = 115;
+
     extern "C" {
         fn epoll_create1(flags: i32) -> i32;
         fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
         fn close(fd: i32) -> i32;
+        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+        #[link_name = "connect"]
+        fn sys_connect(fd: i32, addr: *const u8, len: u32) -> i32;
+    }
+
+    pub(super) fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
+        // `struct sockaddr_in` / `sockaddr_in6`: the family (native order),
+        // then the port, flow info and address (big-endian), then the scope.
+        let mut sa = [0u8; 28];
+        sa[2..4].copy_from_slice(&addr.port().to_be_bytes());
+        let (family, len) = match addr {
+            SocketAddr::V4(a) => {
+                sa[4..8].copy_from_slice(&a.ip().octets());
+                (AF_INET, 16)
+            }
+            SocketAddr::V6(a) => {
+                sa[4..8].copy_from_slice(&a.flowinfo().to_be_bytes());
+                sa[8..24].copy_from_slice(&a.ip().octets());
+                sa[24..28].copy_from_slice(&a.scope_id().to_ne_bytes());
+                (AF_INET6, 28)
+            }
+        };
+        sa[..2].copy_from_slice(&family.to_ne_bytes());
+        let ty = SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC;
+        // SAFETY: `socket` takes no pointers, and the fd it returns is new
+        // and owned by nothing else, so the stream may own it (and close it
+        // on every exit from here).
+        let stream = unsafe { TcpStream::from_raw_fd(cvt(socket(family as i32, ty, 0))?) };
+        // SAFETY: `sa` outlives the call and its first `len` bytes are the
+        // `sockaddr` for `family`.
+        match cvt(unsafe { sys_connect(stream.as_raw_fd(), sa.as_ptr(), len) }) {
+            Err(e) if e.raw_os_error() != Some(EINPROGRESS) => Err(e),
+            _ => Ok(stream),
+        }
     }
 
     fn cvt(ret: i32) -> io::Result<i32> {
@@ -383,6 +438,7 @@ mod backend {
 
     use super::{Event, Interest};
     use std::io;
+    use std::net::{SocketAddr, TcpStream};
     use std::os::unix::io::RawFd;
 
     const POLLIN: i16 = 0x001;
@@ -400,6 +456,12 @@ mod backend {
 
     extern "C" {
         fn poll(fds: *mut PollFd, nfds: u64, timeout: i32) -> i32;
+    }
+
+    pub(super) fn connect(addr: SocketAddr) -> io::Result<TcpStream> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nonblocking(true)?;
+        Ok(stream)
     }
 
     #[derive(Debug)]
@@ -728,6 +790,50 @@ mod tests {
         p.reregister(b.as_raw_fd(), 5, Interest::READABLE).unwrap();
         p.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
         assert!(events.iter().any(|e| e.token == 5 && e.readable));
+    }
+
+    /// Starts a [`connect`] to `addr` and waits for it to complete: the
+    /// socket turns writable (or reports an error), and `take_error` turns
+    /// a failure into an `Err`.
+    fn connect_and_wait(addr: std::net::SocketAddr) -> io::Result<TcpStream> {
+        let stream = connect(addr)?;
+        let mut p = Poller::new().unwrap();
+        p.register(stream.as_raw_fd(), 4, Interest::WRITABLE).unwrap();
+        let mut events = Vec::new();
+        p.wait(&mut events, Some(Duration::from_secs(5))).unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 4 && (e.writable || e.hangup)),
+            "the connect did not complete within 5 s: {events:?}"
+        );
+        match stream.take_error()? {
+            Some(e) => Err(e),
+            None => Ok(stream),
+        }
+    }
+
+    #[test]
+    fn nonblocking_connect_completes_on_writability_over_ipv4_and_ipv6() {
+        for local in ["127.0.0.1:0", "[::1]:0"] {
+            let listener = TcpListener::bind(local).unwrap();
+            let mut stream = connect_and_wait(listener.local_addr().unwrap())
+                .unwrap_or_else(|e| panic!("connect to {local}: {e}"));
+            stream.write_all(b"hello").unwrap();
+            let (mut accepted, _) = listener.accept().unwrap();
+            let mut got = [0u8; 5];
+            accepted.read_exact(&mut got).unwrap();
+            assert_eq!(&got, b"hello", "bytes over {local}");
+        }
+    }
+
+    /// A closed port refuses the connect: an `Err`, from [`connect`] itself
+    /// or (on this kernel, usually) from `take_error` once it completes.
+    #[test]
+    fn nonblocking_connect_to_a_closed_port_is_an_error() {
+        let addr = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        match connect_and_wait(addr) {
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::ConnectionRefused, "{e}"),
+            Ok(_) => panic!("connected to a closed port"),
+        }
     }
 
     #[test]
