@@ -107,9 +107,10 @@ const STORED_LOG_CAP: usize = 64 * 1024;
 #[derive(Debug, Default)]
 struct StoreInner {
     map: HashMap<Digest, Arc<[u8]>>,
-    /// Insertion order for byte-budget FIFO eviction. May hold digests
-    /// already removed by [`BatchStore::prune_committed`]; the eviction
-    /// loop skips them.
+    /// Insertion order for byte-budget FIFO eviction of uncommitted
+    /// batches. May hold digests already removed by
+    /// [`BatchStore::prune_committed`] or evicted as committed; the
+    /// eviction loop skips them.
     order: VecDeque<Digest>,
     bytes: usize,
     /// Batches stored since the driver last drained — its list for entering
@@ -127,7 +128,8 @@ struct StoreInner {
 
 /// The node-local content-addressed batch store.
 ///
-/// Bounded by a byte budget with FIFO eviction: batches are pushed ahead
+/// Bounded by a byte budget, evicting committed batches (oldest commit
+/// first) before uncommitted ones (oldest first): batches are pushed ahead
 /// of the proposals that reference them and resolved again at commit, so
 /// the live window is a few pipeline depths of batches; the budget only
 /// guards against a peer spraying garbage. Insertion is keyed by digest —
@@ -144,7 +146,7 @@ pub struct BatchStore {
 }
 
 impl BatchStore {
-    /// An empty store evicting oldest-first past `byte_budget`.
+    /// An empty store evicting past `byte_budget`, committed batches first.
     pub fn new(byte_budget: usize, counters: Arc<DissemCounters>) -> BatchStore {
         BatchStore {
             inner: Mutex::new(StoreInner::default()),
@@ -188,12 +190,22 @@ impl BatchStore {
         if inner.stored_log.len() > STORED_LOG_CAP {
             inner.stored_log.pop_front();
         }
-        while inner.bytes > self.byte_budget && inner.order.len() > 1 {
-            if let Some(old) = inner.order.pop_front() {
-                if let Some(b) = inner.map.remove(&old) {
-                    inner.bytes -= b.len();
-                    self.counters.evicted.fetch_add(1, Ordering::Relaxed);
-                }
+        // Committed batches go first, oldest commit first: they stay only
+        // for lagging peers and the report, while an uncommitted one may be
+        // in a block this node already voted for, which must resolve it
+        // when it commits.
+        while inner.bytes > self.byte_budget {
+            let old = if let Some((_, d)) = inner.committed_log.pop_front() {
+                inner.committed.remove(&d);
+                d
+            } else if inner.order.len() > 1 {
+                inner.order.pop_front().expect("length checked")
+            } else {
+                break;
+            };
+            if let Some(b) = inner.map.remove(&old) {
+                inner.bytes -= b.len();
+                self.counters.evicted.fetch_add(1, Ordering::Relaxed);
             }
         }
         drop(inner);
@@ -548,6 +560,33 @@ mod tests {
         assert!(plane.store.contains(&batches[2].0));
         assert!(plane.store.contains(&batches[3].0));
         assert!(plane.store.bytes() <= 250);
+        assert_eq!(plane.counters.stats().evicted, 2);
+    }
+
+    /// A node that voted for a block must still resolve its batches when
+    /// the block commits, however much arrived meanwhile: past the budget
+    /// the store evicts committed batches before the oldest uncommitted
+    /// one.
+    #[test]
+    fn store_evicts_committed_batches_before_uncommitted_ones() {
+        let plane = DissemPlane::new(250);
+        let batches: Vec<(Digest, Arc<[u8]>)> = (0u8..4)
+            .map(|i| {
+                let b = arc_bytes(100, i);
+                (batch_digest(&b), b)
+            })
+            .collect();
+        plane.store.insert(batches[0].0, batches[0].1.clone());
+        plane.store.insert(batches[1].0, batches[1].1.clone());
+        plane.store.mark_committed(batches[1].0, 7);
+        // 300 B: the committed batch goes, not the older uncommitted one.
+        plane.store.insert(batches[2].0, batches[2].1.clone());
+        assert!(plane.store.contains(&batches[0].0), "an uncommitted batch was evicted first");
+        assert!(!plane.store.contains(&batches[1].0));
+        // Nothing committed is left: the oldest uncommitted batch goes.
+        plane.store.insert(batches[3].0, batches[3].1.clone());
+        assert!(!plane.store.contains(&batches[0].0));
+        assert!(plane.store.contains(&batches[2].0) && plane.store.contains(&batches[3].0));
         assert_eq!(plane.counters.stats().evicted, 2);
     }
 

@@ -19,14 +19,15 @@
 //! `mempool.*`, `ledger.*`, `net.*`).
 //!
 //! The node is wired by [`NodeHandle::start`], exactly like every node of an
-//! in-process [`moonshot_node::Cluster`]: consensus messages reach the
-//! driver only once the network shard that read them verified them, and
+//! in-process [`moonshot_node::Cluster`]: the network shard that owns its
+//! sockets steps it, handing it consensus messages only once it verified
+//! them, and
 //! blocks carry 40-byte
 //! references to batches that travel on the push/fetch plane.
 //!
 //! `--load <batch-bytes>` gives the node a data path: a mempool that the
 //! network shard reading a `SubmitTx` frame admits it into (any TCP client
-//! may connect and submit — no hello required), which the node's driver
+//! may connect and submit — no hello required), which the node
 //! seals into batches that target `batch-bytes` (adaptively grown up to 4×
 //! under backlog, under-full ones closed on the block clock) and pushes to
 //! every peer; whoever leads next proposes them. Admission
@@ -38,14 +39,14 @@
 //! `--data-dir <dir>` makes the node durable: safety-critical consensus
 //! state (votes, timeouts, the lock certificate) is fsync'd to a
 //! write-ahead log in `<dir>/node-<id>/` *before* it reaches the wire, and
-//! the driver appends each block it commits to per-epoch segment files. A killed node restarted with the same `--data-dir` reloads its
+//! the node appends each block it commits to per-epoch segment files. A killed node restarted with the same `--data-dir` reloads its
 //! committed chain from disk, can never re-vote in a view it already voted
 //! or timed out in, and fetches only the tail it missed from peers.
 //!
 //! `--trace <file.jsonl>` writes every trace record as one JSON line: the
 //! protocol's lifecycle events, the stage stamps the latency decomposition
 //! is computed from, and a `stall` record whenever 40 Δ pass without a
-//! commit (the view, committed height, inbox depth, armed timers and
+//! commit (the view, committed height, messages held, armed timers and
 //! mempool depth of the wedged node). The file is flushed right after each
 //! `stall` record, so a wedged node that is killed still leaves it.
 

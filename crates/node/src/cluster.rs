@@ -38,7 +38,7 @@ pub struct ClusterSpec {
     /// Per-node trace ring capacity (records).
     pub trace_capacity: usize,
     /// When set, each node gets a data path: a mempool (fed through
-    /// [`Cluster::mempools`] or `SubmitTx` frames) its driver seals into
+    /// [`Cluster::mempools`] or `SubmitTx` frames) the node seals into
     /// its dissemination plane. The cluster generates no load of its own.
     /// `None` is a consensus-only cluster: every block is empty.
     pub load: Option<LoadSpec>,
@@ -60,7 +60,7 @@ pub struct ClusterSpec {
     pub shape: Option<Arc<ShapeMatrix>>,
 }
 
-/// A node's data path: how its driver batches and what the mempool admits.
+/// A node's data path: how the node batches and what the mempool admits.
 /// Where the transactions come from is the caller's business.
 #[derive(Clone, Debug)]
 pub struct LoadSpec {
@@ -93,7 +93,7 @@ impl LoadSpec {
     /// One node's data path under this spec: its mempool and its
     /// dissemination plane, which outlive the node's incarnations. Hand
     /// both to its [`TransportConfig`], the pool with
-    /// [`batch_bytes`](LoadSpec::batch_bytes); its driver seals the one
+    /// [`batch_bytes`](LoadSpec::batch_bytes); the node seals the one
     /// into the other.
     pub fn data_path(&self) -> (Arc<Mempool>, Arc<DissemPlane>) {
         (Arc::new(Mempool::new(self.mempool)), DissemPlane::new(DISSEM_STORE_BUDGET))
@@ -343,8 +343,14 @@ impl Cluster {
         for handle in self.handles.iter().flatten() {
             handle.signal_stop();
         }
-        for handle in self.handles.drain(..).flatten() {
-            reports.push(handle.stop());
+        // Every report, transport counters included, is read before any
+        // socket closes: a node closing first would fail its peers' links
+        // to it, and the frames their shapers still held would count as
+        // dropped against a clean run.
+        let halted: Vec<_> = self.handles.drain(..).flatten().map(NodeHandle::halt).collect();
+        for (report, transport) in halted {
+            reports.push(report);
+            transport.stop();
         }
         // Every node has detached; the shared pool's threads go last.
         self.net.shutdown();
@@ -719,7 +725,7 @@ mod tests {
 
     /// A restarted node's watchdog counts from the restart: its clock is
     /// the cluster's, over a second old here, and counting from the epoch
-    /// would record a `Stall` on the first iteration of its driver, long
+    /// would record a `Stall` on its first step, long
     /// before it could commit anything (the threshold is 40 Δ = 400 ms).
     #[test]
     fn a_restarted_node_records_no_stall_before_it_could_commit() {
@@ -893,7 +899,7 @@ mod tests {
     }
 
     /// The data path end to end, across the paper's Fig-8 payload axis:
-    /// real transactions flow client → mempool → the driver's sealer → push →
+    /// real transactions flow client → mempool → the node's sealer → push →
     /// refs in a block → commit at 1.8 kB, 18 kB and 180 kB base batches.
     /// Throughput must be nonzero and must not collapse along the axis
     /// (adjacent cells can swap places under the CPU contention of a
@@ -901,7 +907,7 @@ mod tests {
     ///
     /// Ignored: passes on its own, fails about every second run of this
     /// crate's suite in a debug build. A proposal names up to 256 batches
-    /// and a driver's sealer seals `DISSEM_BACKLOG_CAP` ahead, so a saturated
+    /// and a node's sealer seals `DISSEM_BACKLOG_CAP` ahead, so a saturated
     /// block is megabytes where the full-payload path's was one batch;
     /// unoptimised SHA-256 over that, next to the other cluster tests,
     /// misses the 30 s window or falls below the 0.8 floor at the large
@@ -924,7 +930,7 @@ mod tests {
             );
             let deadline = Instant::now() + std::time::Duration::from_secs(30);
             // Height alone is a bad stop signal on a fast machine: view 8
-            // can arrive before the drivers' sealers have sealed a single 180 kB
+            // can arrive before the nodes' sealers have sealed a single 180 kB
             // batch, leaving only empty blocks committed. Run each cell
             // for a minimum window so throughput measures steady state.
             let min_run = Instant::now() + std::time::Duration::from_secs(5);
@@ -999,7 +1005,7 @@ mod tests {
         );
         let deadline = Instant::now() + std::time::Duration::from_secs(30);
         // Minimum window for the same reason as the payload sweep: give
-        // the drivers' sealers time to seal real batches before stopping.
+        // the nodes' sealers time to seal real batches before stopping.
         let min_run = Instant::now() + std::time::Duration::from_secs(5);
         while (cluster.quorum_committed_height() < 8 || Instant::now() < min_run)
             && Instant::now() < deadline
@@ -1098,7 +1104,7 @@ mod tests {
     /// shared-machine noise in CI).
     ///
     /// Ignored: the bound was set on the full-payload path (one prepared
-    /// slot per node). On the one networked path a driver's sealer seals up to
+    /// slot per node). On the one networked path a node's sealer seals up to
     /// `DISSEM_BACKLOG_CAP` ahead of the chain into a first-in-first-out
     /// pool that neither admission nor the fair drain sees, and the paced
     /// p99 measures 330–480 ms against a bound near 140 ms. The scenario and
@@ -1184,8 +1190,8 @@ mod tests {
 
     /// The scaling tentpole: 50 validators in one process, commits flowing,
     /// zero invariant violations, and — the reason the event-driven core
-    /// exists — a bounded thread count: one driver per node plus the
-    /// O(cores) shared pool, not the old O(n²) per-connection threads
+    /// exists — a bounded thread count: the O(cores) shared pool, whose
+    /// shards step the nodes, not the old O(n²) per-connection threads
     /// (which for 50 nodes would mean thousands).
     #[test]
     fn fifty_node_cluster_commits_with_bounded_threads() {
@@ -1204,22 +1210,48 @@ mod tests {
         let height = cluster.quorum_committed_height();
         // Sample while all 50 nodes are live — after stop() the count
         // proves nothing.
-        let during = crate::runtime::process_threads().unwrap_or(0);
+        let during = crate::runtime::process_threads().expect("/proc/self/status is readable");
         let report = cluster.stop();
         assert!(height >= 5, "50-node cluster only reached quorum height {height}");
         let summary = report.check_invariants().expect("no safety violations");
         assert!(summary.commits > 0);
-        // One driver thread per node, the shared pool's O(cores) loops
-        // and workers, and slack for the test harness (each driver
-        // also seals; there is no sealing thread).
+        // The shared pool's O(cores) loops, which step, seal, verify and
+        // dial for every node, and slack for the test harness and the
+        // tests running beside this one. No thread per node.
         let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
-        let ceiling = (50 + 2 * cores + 16) as u64;
+        let ceiling = (2 * cores + 16) as u64;
         let delta = during.saturating_sub(before);
         assert!(
-            delta > 0 && delta <= ceiling,
+            delta <= ceiling,
             "50-node cluster grew the process by {delta} threads \
              (from {before} to {during}), ceiling {ceiling}"
         );
+    }
+
+    /// Teardown drops nothing: a clean, shaped cluster stops with every
+    /// node's report read before any socket closes, so no node counts the
+    /// frames its shapers still held toward a peer that closed first.
+    #[test]
+    fn a_clean_shaped_cluster_drops_no_frame_at_stop() {
+        let link = crate::shape::LinkShape {
+            delay: std::time::Duration::from_millis(20),
+            rate_bps: 0,
+            burst_bytes: 0,
+        };
+        let mut spec = ClusterSpec::new(4, ProtocolChoice::Pipelined);
+        spec.delta = SimDuration::from_millis(100);
+        spec.shape = Some(Arc::new(ShapeMatrix::uniform(4, link)));
+        let cluster = Cluster::launch(spec).unwrap();
+        let deadline = Instant::now() + std::time::Duration::from_secs(30);
+        while cluster.quorum_committed_height() < 5 {
+            assert!(Instant::now() < deadline, "the shaped cluster never committed");
+            std::thread::sleep(std::time::Duration::from_millis(20));
+        }
+        let report = cluster.stop();
+        report.check_invariants().expect("no safety violations");
+        let dropped: Vec<u64> =
+            report.reports.iter().map(|r| r.metrics.counter("net.total.dropped_frames")).collect();
+        assert_eq!(dropped, [0; 4], "frames dropped per node");
     }
 
     /// Per-link shaping end to end: the same cluster with a uniform 30 ms

@@ -10,12 +10,14 @@
 //! [`NodeHandle::start`](runtime::NodeHandle::start) wires it — for the
 //! `moonshot-node` binary, every node of a [`Cluster`], and a restart alike:
 //!
-//! * **verification where it is read** — the pool's shard loop that reads a
-//!   consensus frame checks its signatures, batched per node over one
-//!   wakeup's reads, and the driver receives only
-//!   [`PreVerified`](moonshot_consensus::PreVerified) messages;
+//! * **one loop per node** — the pool shard a node attaches to, its home,
+//!   owns all of its sockets and steps it: it reads a consensus frame,
+//!   checks its signatures (batched per node over one wakeup's reads),
+//!   hands the node only [`PreVerified`](moonshot_consensus::PreVerified)
+//!   messages, and writes what the node sends in the same sweep, with no
+//!   thread in between;
 //! * **digest dissemination** — transaction bytes never ride a proposal.
-//!   The driver seals the node's mempool into batches
+//!   The node seals its mempool into batches
 //!   ([`Sealer`](moonshot_mempool::Sealer)) on its own clock, stores each in
 //!   the node's [`DissemPlane`](moonshot_mempool::DissemPlane) and pushes it
 //!   to every peer in the same step; whoever leads next proposes 40-byte
@@ -28,22 +30,24 @@
 //!
 //! * [`timer`] — the `TimerWheel` name the repo benchmark still imports: a
 //!   shim over [`EventQueue`](moonshot_types::time::EventQueue), the one
-//!   queue the driver and shard loops hold their timers in.
+//!   queue the node and the shard loops hold their timers in.
 //! * [`netpool`] — the shared event-driven network core: a fixed set of
-//!   readiness-driven shard loops (via `moonshot-reactor`) that also admit
-//!   clients' `SubmitTx` frames into the mempool and verify consensus
-//!   messages in batches, and dial every link, each link from the one
-//!   shard that writes it; shared by every node in a process.
-//! * [`transport`] — the per-node facade over the pool: bounded
-//!   drop-oldest outbound queues, one outbound link per peer (redialed on
-//!   an exponential backoff, or at once when the peer's hello shows it is
-//!   back), and per-peer traffic and fault counters.
+//!   readiness-driven shard loops (via `moonshot-reactor`), each home to
+//!   some of the process's nodes: it steps them, admits clients'
+//!   `SubmitTx` frames into their mempools, verifies their consensus
+//!   messages in batches, and dials and writes their links from bounded
+//!   drop-oldest outbound queues; shared by every node in a process.
+//! * [`transport`] — a node's handle on its home shard: attach, halt,
+//!   detach, one outbound link per peer (redialed on an exponential
+//!   backoff, or at once when the peer's hello shows it is back), and
+//!   per-peer traffic and fault counters.
 //! * [`shape`] — per-link latency/bandwidth shaping matrices (Table II
 //!   WAN emulation) enforced sender-side by the pool's event loops.
 //! * [`node`] — the sans-IO [`Node`]: protocol, timer queue, sealer, vote
 //!   gate, ledger appends and stall watchdog, stepped with `now`, its frames
-//!   leaving as values; [`runtime`] — the driver thread that steps it on the
-//!   wall clock over the transport. A node's numbers come from two places,
+//!   leaving as values; [`runtime`] — [`NodeHandle`],
+//!   which builds it and hosts it on its home shard, where it is stepped
+//!   on the wall clock. A node's numbers come from two places,
 //!   both read when it stops: the trace (every latency and stage, and the
 //!   `stall` record of a wedged node) and the counters of the components
 //!   that own them ([`NodeReport::metrics`](runtime::NodeReport::metrics)).
@@ -77,4 +81,4 @@ pub use netpool::{NetPool, NetPoolStats};
 pub use node::{Emit, Node};
 pub use runtime::{process_threads, NodeHandle, NodeReport, SharedSink};
 pub use shape::{LinkShape, ShapeMatrix};
-pub use transport::{Inbound, InboundSender, PeerMetrics, Transport, TransportConfig};
+pub use transport::{Inbound, PeerMetrics, Transport, TransportConfig};

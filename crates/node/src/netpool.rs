@@ -1,54 +1,54 @@
-//! The shared event-driven network core: sharded poll loops.
+//! The shared event-driven network core: sharded poll loops, each also
+//! stepping the nodes whose sockets it owns.
 //!
-//! The original transport spent two blocking threads per peer plus one per
-//! accepted connection — O(n) threads per node, O(n²) per in-process
-//! cluster — which capped the localhost cluster around n ≈ 16. This module
-//! replaces all of it with a **fixed** pool of threads shared by every
-//! [`Transport`](crate::transport::Transport) attached to it:
+//! A **fixed** pool of threads serves every
+//! [`Transport`](crate::transport::Transport) attached to it (the first
+//! transport spent two threads per peer plus one per accepted connection,
+//! O(n²) per in-process cluster): **N shards** (≈ min(cores, 8)), each a
+//! [`moonshot_reactor::Poller`] event loop owning a slab of nonblocking
+//! sockets. A socket is touched only by its shard, so no per-connection
+//! locking exists anywhere.
 //!
-//! **N shards** (≈ min(cores, 8)), each a [`moonshot_reactor::Poller`]
-//! event loop owning a slab of nonblocking sockets: listeners, accepted
-//! (read-only) connections, and dialed (write-mostly) connections.
-//! Connection ownership is exclusive — a socket is touched only by its
-//! shard — so no per-connection locking exists anywhere. Shards do read
-//! framing, frame dispatch, signature verification, vectored/coalesced
-//! writes against the existing per-peer `OutboundQueue` budgets, per-link
-//! shaping, and redial backoff as loop-local timers in an [`EventQueue`].
+//! A node lives on one shard, its *home*, chosen when it attaches (the
+//! shard hosting the fewest nodes): its listener, the connections it
+//! accepts, its outbound link to every peer and its sans-IO [`Node`]. One
+//! loop iteration reads what is ready, verifies the consensus frames it
+//! read — one [`MessageVerifier::verify_batch`] call per node, which
+//! funnels the vote/timeout signatures into one `batch_verify` — then
+//! steps each node that has work: its verified messages in read order
+//! ([`Node::handle`]), a [`Node::poll`], and what it emitted applied at
+//! once. Frames go into the peer queues and are written in the same sweep
+//! (a shaped link's shaper holds them first); the node's own messages wait
+//! in its inbox for its next step. Nothing crosses a thread between the
+//! read and the write. Each node has one live step timer; its clock is the
+//! cluster's (µs since the epoch its transport was given, so trace stamps
+//! compare across nodes), shifted to the shard's for the timers.
 //!
-//! A node's outbound link to a peer belongs to one shard, `out_shard`: it
-//! alone dials the link (a nonblocking [`moonshot_reactor::connect`], given
-//! up after `DIAL_TIMEOUT` by a timer), writes the hello as its first
-//! frame, drains the peer's queue into it, and redials it on an
-//! exponential backoff, keeping the link's state in a map no other thread
-//! reads. Everything else that bears on the link reaches that shard as a
-//! command: `attach` asks for the first dial, and a hello from the peer,
-//! read on whichever shard accepted its connection, asks for a dial now
-//! (the peer is back: the backoff starts over) — dropped if the link is up
-//! or a connect is in flight, so a peer has one link at most. Senders
-//! nudge the shard by peer. Dials run in parallel: a peer that never
-//! answers a connect holds up nobody else's.
+//! Work for a node that appears on another thread — an admission that
+//! opens or fills a batch, a batch landing while the vote gate waits on
+//! one — reaches its home shard as a command plus a wake. On the home shard
+//! itself it needs neither: the shard steps a node after it reads a batch
+//! or a submission for it.
 //!
-//! A shard verifies the consensus frames it read in one wakeup before it
-//! sleeps again: grouped by node, one [`MessageVerifier::verify_batch`]
-//! call per node, which funnels the accumulated vote/timeout signatures
-//! into one `moonshot-crypto::batch_verify` call. Only verified messages
-//! are delivered to the owning driver (as
-//! [`moonshot_consensus::PreVerified`]); failures count against the sending
-//! peer. One connection is read by one shard, so a peer's messages reach
-//! the driver in the order they were read.
+//! The home shard alone dials a node's links (a nonblocking
+//! [`moonshot_reactor::connect`], given up after `DIAL_TIMEOUT`), writes
+//! the hello as a link's first frame, and redials a lost link on an
+//! exponential backoff — at once when the peer's hello shows it is back —
+//! so a peer has one link at most, and a peer that never answers a connect
+//! holds up no other dial. A link that is down is not written; its queue
+//! drains once it is up.
 //!
 //! A client's `SubmitTx` frame is admitted by the shard that reads it,
-//! through the same [`Mempool::submit_from`] every other submitter calls.
-//! A shard reads at most `READ_BUDGET` per connection visit and admits or
-//! verifies those bytes before it reads again, so a flooding sender's
-//! surplus waits in its own socket: TCP is the backpressure.
+//! through [`Mempool::submit_from`]. A shard reads at most `READ_BUDGET`
+//! per connection visit and admits or verifies those bytes before it reads
+//! again, so a flooding sender's surplus waits in its own socket.
 //!
-//! Whoever creates a pool hands it to every transport it starts and shuts
-//! it down after the last one stops: the `moonshot-node` binary for its one
-//! node, an in-process cluster for all of its nodes — 50 nodes on one box
-//! then cost 50 driver threads plus one constant-size pool, instead of
-//! ~50·(n+2) transport threads.
+//! A step blocks its shard: a durable node's WAL `fdatasync` holds up
+//! every node hosted there. Whoever creates a pool hands it to every
+//! transport it starts and shuts it down after the last one stops; 50
+//! nodes on one box cost one constant-size pool and no other thread.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -66,8 +66,9 @@ use moonshot_types::time::{EventQueue, SimDuration, SimTime};
 use moonshot_types::NodeId;
 use moonshot_wire::{encode_frame, Frame, FrameReader};
 
+use crate::node::{Emit, Node};
 use crate::shape::{LinkShape, ShapeMatrix};
-use crate::transport::{Inbound, InboundSender, OutboundQueue, PeerMetrics};
+use crate::transport::{Inbound, OutboundQueue, PeerMetrics};
 
 /// Read at most this much per connection per wakeup before yielding to the
 /// next ready connection; the level-triggered reactor re-fires for the
@@ -102,37 +103,53 @@ pub struct NetPoolStats {
     pub frames_processed: u64,
 }
 
-/// Everything the event loops need to serve one attached transport.
+/// What the home shard and the node's
+/// [`Transport`](crate::transport::Transport)
+/// share about an attached node.
 pub(crate) struct NodeCore {
     /// Pool-unique id, used to find this node's sockets at detach.
     pub(crate) id: u64,
     pub(crate) node: NodeId,
-    pub(crate) inbound: InboundSender,
     pub(crate) verifier: Arc<MessageVerifier>,
-    pub(crate) mempool: Option<Arc<Mempool>>,
+    /// The node's mempool and its base batch size, if it takes submissions.
+    pub(crate) mempool: Option<(Arc<Mempool>, usize)>,
     pub(crate) dissem: Arc<DissemPlane>,
-    pub(crate) peers: BTreeMap<NodeId, Arc<PeerState>>,
+    /// Every peer's counters: written by the home shard, read at stop.
+    pub(crate) peers: BTreeMap<NodeId, PeerMetrics>,
     pub(crate) addrs: BTreeMap<NodeId, SocketAddr>,
-    /// The transport's shutdown flag: set before detach, checked by every
-    /// dial so a stopping node is never redialed.
+    /// The transport's shutdown flag: set, the shard steps the node no
+    /// more and dials none of its links.
     pub(crate) shutdown: Arc<AtomicBool>,
     pub(crate) shape: Option<Arc<ShapeMatrix>>,
+    /// The cluster's time origin: the node is stepped with µs since it.
+    pub(crate) epoch: Instant,
 }
 
-/// What the transport facade (pushes frames) and the shard that writes a
-/// peer's link (pops them, counts) share about the peer.
-pub(crate) struct PeerState {
-    pub(crate) queue: Arc<OutboundQueue>,
-    pub(crate) metrics: Arc<PeerMetrics>,
+/// A node on its home shard.
+struct Hosted {
+    core: Arc<NodeCore>,
+    /// `None` once [`NetPool::halt`] took it back; its sockets stay until
+    /// detach.
+    node: Option<Node>,
+    /// µs the node's clock reads ahead of the shard's (their epochs differ).
+    shift: i64,
+    /// Messages for the node's next step, in arrival order: its own
+    /// loopbacks, then what was verified since.
+    inbox: Vec<Inbound>,
+    /// Whether the node has work in this wakeup: messages, a batch or a
+    /// submission read for it, a poke from another thread.
+    due: bool,
+    /// When the node's one live step timer fires, on the shard's clock.
+    armed: Option<SimTime>,
+    /// The node's outbound link to each peer.
+    links: BTreeMap<NodeId, Link>,
 }
 
-/// A link `(core id, peer)`: one node's outbound connection to one peer.
-type LinkId = (u64, NodeId);
-
-/// A link's state, kept by the shard that owns it and read by no other
-/// thread. Two connections on a link would let its frames overtake each
-/// other; one owner deciding every dial rules that out.
+/// One outbound link, read by no other thread. Two connections on a link
+/// would let its frames overtake each other; one owner deciding every dial
+/// rules that out.
 struct Link {
+    queue: OutboundQueue,
     /// Slab token of the link's socket while a connect is in flight or the
     /// link is up.
     token: Option<usize>,
@@ -144,33 +161,55 @@ struct Link {
     established_once: bool,
 }
 
+impl Link {
+    /// Queues `frame` (`protected`: in the sync-response class), counting
+    /// what the queue drops or refuses against `metrics`.
+    fn push(&mut self, frame: Arc<Vec<u8>>, protected: bool, metrics: &PeerMetrics) {
+        if !protected {
+            metrics.dropped_frames.fetch_add(self.queue.push(frame), Ordering::Relaxed);
+        } else if !self.queue.push_protected(frame) {
+            metrics.protected_dropped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 enum Cmd {
-    AddListener { core: Arc<NodeCore>, listener: TcpListener },
-    /// Close a node's sockets, then drop `ack`.
-    CloseNode { core_id: u64, ack: Sender<()> },
-    /// The peer is up: dial it now unless the link is up or dialing.
-    Dial { core: Arc<NodeCore>, peer: NodeId },
+    /// Host a node: its listener, its links, its start.
+    Attach { core: Arc<NodeCore>, listener: TcpListener, node: Box<Node> },
+    /// Work for a node appeared on another thread: step it.
+    Step { core_id: u64 },
+    /// Step a node no more and send it back; its sockets stay.
+    Halt { core_id: u64, reply: Sender<Node> },
+    /// Close a node's sockets and forget it, then drop `ack`.
+    Detach { core_id: u64, ack: Sender<()> },
 }
 
 /// Shard-local timers, multiplexed on one [`EventQueue`].
 enum ShardTimer {
-    Redial { core: Arc<NodeCore>, peer: NodeId },
+    /// A hosted node's deadline, if it is still the live one.
+    Step { core_id: u64, at: SimTime },
+    Redial { core_id: u64, peer: NodeId },
     Release { token: usize },
     /// The connect in flight on `token`, if its deadline is due, gives up.
     DialTimeout { token: usize },
 }
 
-/// The cross-thread face of one shard: commands in, write nudges in, wake.
+/// The cross-thread face of one shard: commands in, wake.
 struct ShardHandle {
     waker: Waker,
     inbox: Mutex<Vec<Cmd>>,
-    /// Links whose outbound queues got new frames.
-    dirty: Mutex<Vec<LinkId>>,
-    /// Wake-coalescing flag: set by the first nudger, cleared by the loop
+    /// Wake-coalescing flag: set by the first waker, cleared by the loop
     /// at the top of each iteration.
     notified: AtomicBool,
+    /// Nodes hosted here; a node attaches to the shard with the fewest.
+    hosted: AtomicUsize,
     wakeups: AtomicU64,
     frames: AtomicU64,
+}
+
+thread_local! {
+    /// The shard whose loop this thread runs (null off the pool).
+    static LOOP: Cell<*const ShardHandle> = const { Cell::new(std::ptr::null()) };
 }
 
 impl ShardHandle {
@@ -185,9 +224,12 @@ impl ShardHandle {
         self.wake();
     }
 
-    fn nudge(&self, link: LinkId) {
-        self.dirty.lock().unwrap().push(link);
-        self.wake();
+    /// Asks for a step of node `core_id`, hosted here. Not from this
+    /// shard's own loop: it steps a node after reading anything for it.
+    fn poke(&self, core_id: u64) {
+        if !std::ptr::eq(LOOP.get(), self) {
+            self.push_cmd(Cmd::Step { core_id });
+        }
     }
 }
 
@@ -199,7 +241,6 @@ pub struct NetPool {
     shutdown: Arc<AtomicBool>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     next_core: AtomicU64,
-    next_listener_shard: AtomicUsize,
 }
 
 impl std::fmt::Debug for NetPool {
@@ -210,58 +251,27 @@ impl std::fmt::Debug for NetPool {
 
 impl NetPool {
     /// Spawns the pool's threads: `min(cores, 8)` event-loop shards, which
-    /// also verify what they read.
+    /// also verify what they read and step the nodes they host.
     #[allow(clippy::new_ret_no_self)]
     pub fn new() -> io::Result<Arc<NetPool>> {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let nshards = cores.clamp(1, 8);
         let shutdown = Arc::new(AtomicBool::new(false));
-
-        let mut pollers = Vec::with_capacity(nshards);
-        let mut handles: Vec<Arc<ShardHandle>> = Vec::with_capacity(nshards);
-        for _ in 0..nshards {
-            let poller = Poller::new()?;
-            let waker = Waker::for_poller(&poller)?;
-            handles.push(Arc::new(ShardHandle {
-                waker,
-                inbox: Mutex::new(Vec::new()),
-                dirty: Mutex::new(Vec::new()),
-                notified: AtomicBool::new(false),
-                wakeups: AtomicU64::new(0),
-                frames: AtomicU64::new(0),
-            }));
-            pollers.push(poller);
+        let mut runners = Vec::new();
+        for _ in 0..cores.clamp(1, 8) {
+            runners.push(Runner::new(shutdown.clone())?);
         }
-        let mut threads = Vec::new();
-        for (idx, poller) in pollers.into_iter().enumerate() {
-            let runner = Runner {
-                poller,
-                handle: handles[idx].clone(),
-                shards: handles.clone(),
-                entries: Vec::new(),
-                free: Vec::new(),
-                links: BTreeMap::new(),
-                timers: EventQueue::new(),
-                epoch: Instant::now(),
-                shutdown: shutdown.clone(),
-                events: Vec::new(),
-                buf: vec![0u8; 64 * 1024],
-                unverified: Vec::new(),
-            };
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("net-shard-{idx}"))
-                    .spawn(move || runner.run())
-                    .expect("spawn shard"),
-            );
-        }
-
+        let shards = runners.iter().map(|r| r.handle.clone()).collect();
+        let threads = runners.into_iter().enumerate().map(|(idx, runner)| {
+            std::thread::Builder::new()
+                .name(format!("net-shard-{idx}"))
+                .spawn(move || runner.run())
+                .expect("spawn shard")
+        });
         Ok(Arc::new(NetPool {
-            shards: handles,
+            shards,
             shutdown,
-            threads: Mutex::new(threads),
+            threads: Mutex::new(threads.collect()),
             next_core: AtomicU64::new(0),
-            next_listener_shard: AtomicUsize::new(0),
         }))
     }
 
@@ -284,33 +294,46 @@ impl NetPool {
         self.next_core.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Hands a node's listener to a shard (round-robin) and asks the shard
-    /// owning each of its links for the first dial. The core's shutdown
-    /// flag ends every dial and redial.
-    pub(crate) fn attach(&self, core: Arc<NodeCore>, listener: TcpListener) {
-        let li = self.next_listener_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-        self.shards[li].push_cmd(Cmd::AddListener { core: core.clone(), listener });
-        for &peer in core.peers.keys() {
-            out_shard(&self.shards, core.id, peer).push_cmd(Cmd::Dial { core: core.clone(), peer });
+    /// Hosts `node` on the shard hosting the fewest nodes, its home, which
+    /// takes its listener, dials its peers and starts it. Returns the
+    /// home's index. The core's shutdown flag ends every step and dial.
+    pub(crate) fn attach(&self, core: Arc<NodeCore>, listener: TcpListener, node: Node) -> usize {
+        let home = (0..self.shards.len())
+            .min_by_key(|&i| self.shards[i].hosted.load(Ordering::Relaxed))
+            .expect("a pool has shards");
+        let shard = &self.shards[home];
+        shard.hosted.fetch_add(1, Ordering::Relaxed);
+        // An admission that opens or fills a batch pokes the home shard to
+        // seal it, and a batch landing while the vote gate waits on one
+        // pokes it to deliver (each replacing the hook of a killed
+        // predecessor on the same pool and plane).
+        let poke = {
+            let (shard, core_id) = (shard.clone(), core.id);
+            move || shard.poke(core_id)
+        };
+        if let Some((pool, base)) = &core.mempool {
+            pool.wake_on_admit(poke.clone(), *base as u64);
         }
+        core.dissem.store.wake_on_insert(poke);
+        shard.push_cmd(Cmd::Attach { core, listener, node: Box::new(node) });
+        home
     }
 
-    /// Closes every socket belonging to `core` (its shutdown flag must
-    /// already be set) and waits for all shards to acknowledge: each drops
-    /// its `ack` when done, and the wait ends when the last one is gone.
-    pub(crate) fn detach(&self, core: &NodeCore) {
+    /// Takes node `core_id` back from its home shard, which steps it no
+    /// more (its shutdown flag must already be set).
+    pub(crate) fn halt(&self, home: usize, core_id: u64) -> Node {
+        let (reply, node) = channel();
+        self.shards[home].push_cmd(Cmd::Halt { core_id, reply });
+        node.recv_timeout(Duration::from_secs(10)).expect("the home shard hands the node back")
+    }
+
+    /// Closes every socket of node `core_id` (its shutdown flag must
+    /// already be set) and waits for its home shard to acknowledge.
+    pub(crate) fn detach(&self, home: usize, core_id: u64) {
         let (ack, acked) = channel::<()>();
-        for s in &self.shards {
-            s.push_cmd(Cmd::CloseNode { core_id: core.id, ack: ack.clone() });
-        }
-        drop(ack);
+        self.shards[home].push_cmd(Cmd::Detach { core_id, ack });
         let _ = acked.recv_timeout(Duration::from_secs(10));
-    }
-
-    /// Wakes the shard that writes `core`'s link to `peer` so newly queued
-    /// frames get written; a link that is down drains once it is up.
-    pub(crate) fn nudge_peer(&self, core_id: u64, peer: NodeId) {
-        out_shard(&self.shards, core_id, peer).nudge((core_id, peer));
+        self.shards[home].hosted.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Stops every pool thread and joins them. Call after all attached
@@ -326,11 +349,6 @@ impl NetPool {
             let _ = t.join();
         }
     }
-}
-
-/// The shard that owns the outbound link `core → peer`.
-fn out_shard(shards: &[Arc<ShardHandle>], core_id: u64, peer: NodeId) -> &ShardHandle {
-    &shards[((core_id as usize).wrapping_mul(31).wrapping_add(peer.0 as usize)) % shards.len()]
 }
 
 // ---------------------------------------------------------------------------
@@ -429,7 +447,6 @@ struct InConn {
 struct OutConn {
     core: Arc<NodeCore>,
     peer: NodeId,
-    state: Arc<PeerState>,
     stream: TcpStream,
     /// While the connect is in flight, when it gives up.
     dial_deadline: Option<SimTime>,
@@ -444,6 +461,81 @@ struct OutConn {
     release_armed: bool,
 }
 
+impl OutConn {
+    /// Drains `queue` through coalesced vectored writes (and the shaper,
+    /// when configured) until the socket would block or nothing is due;
+    /// `frames` counts each frame fully written.
+    fn pump(&mut self, queue: &mut OutboundQueue, now: SimTime, frames: &AtomicU64) -> io::Result<()> {
+        let metrics = &self.core.peers[&self.peer];
+        loop {
+            // Refill `pending` from the queue (through the shaper if one
+            // is configured).
+            if let Some(shaper) = &mut self.shaper {
+                while shaper.staged_bytes < SHAPE_STAGE_CAP {
+                    match queue.pop() {
+                        Some(f) => shaper.stage(f, now),
+                        None => break,
+                    }
+                }
+                shaper.refill(now);
+                while self.pending_bytes < WRITE_COALESCE {
+                    match shaper.release(now) {
+                        Some(f) => {
+                            self.pending_bytes += f.len();
+                            self.pending.push_back((f, 0));
+                        }
+                        None => break,
+                    }
+                }
+            } else {
+                while self.pending_bytes < WRITE_COALESCE {
+                    match queue.pop() {
+                        Some(f) => {
+                            self.pending_bytes += f.len();
+                            self.pending.push_back((f, 0));
+                        }
+                        None => break,
+                    }
+                }
+            }
+            if self.pending.is_empty() {
+                return Ok(());
+            }
+
+            let slices: Vec<IoSlice<'_>> = self
+                .pending
+                .iter()
+                .take(WRITE_VECTORS)
+                .map(|(frame, offset)| IoSlice::new(&frame[*offset..]))
+                .collect();
+            match self.stream.write_vectored(&slices) {
+                Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "wrote 0")),
+                Ok(mut n) => {
+                    while n > 0 {
+                        let (frame, offset) = self.pending.front_mut().expect("bytes were written");
+                        let remaining = frame.len() - *offset;
+                        if n >= remaining {
+                            n -= remaining;
+                            let len = frame.len();
+                            metrics.bytes_out.fetch_add(len as u64, Ordering::Relaxed);
+                            metrics.frames_out.fetch_add(1, Ordering::Relaxed);
+                            frames.fetch_add(1, Ordering::Relaxed);
+                            self.pending_bytes -= len;
+                            self.pending.pop_front();
+                        } else {
+                            *offset += n;
+                            n = 0;
+                        }
+                    }
+                }
+                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+}
+
 enum ReadVerdict {
     Keep,
     Close,
@@ -452,13 +544,10 @@ enum ReadVerdict {
 struct Runner {
     poller: Poller,
     handle: Arc<ShardHandle>,
-    /// All shard handles, to reach the shard that owns a link: a fetch
-    /// response for a requester, a dial on the peer's hello.
-    shards: Vec<Arc<ShardHandle>>,
     entries: Vec<Option<Entry>>,
     free: Vec<usize>,
-    /// The links this shard owns.
-    links: BTreeMap<LinkId, Link>,
+    /// The nodes this shard is home to, by core id.
+    hosted: BTreeMap<u64, Hosted>,
     timers: EventQueue<ShardTimer>,
     epoch: Instant,
     shutdown: Arc<AtomicBool>,
@@ -470,7 +559,33 @@ struct Runner {
 }
 
 impl Runner {
+    fn new(shutdown: Arc<AtomicBool>) -> io::Result<Runner> {
+        let poller = Poller::new()?;
+        let handle = Arc::new(ShardHandle {
+            waker: Waker::for_poller(&poller)?,
+            inbox: Mutex::new(Vec::new()),
+            notified: AtomicBool::new(false),
+            hosted: AtomicUsize::new(0),
+            wakeups: AtomicU64::new(0),
+            frames: AtomicU64::new(0),
+        });
+        Ok(Runner {
+            poller,
+            handle,
+            entries: Vec::new(),
+            free: Vec::new(),
+            hosted: BTreeMap::new(),
+            timers: EventQueue::new(),
+            epoch: Instant::now(),
+            shutdown,
+            events: Vec::new(),
+            buf: vec![0u8; 64 * 1024],
+            unverified: Vec::new(),
+        })
+    }
+
     fn run(mut self) {
+        LOOP.set(Arc::as_ptr(&self.handle));
         loop {
             let timeout = self.next_timeout();
             let mut events = std::mem::take(&mut self.events);
@@ -487,26 +602,28 @@ impl Runner {
                 self.handle_cmd(cmd);
             }
 
-            let mut dirty = std::mem::take(&mut *self.handle.dirty.lock().unwrap());
-            dirty.sort_unstable();
-            dirty.dedup();
-            for link in dirty {
-                if let Some(token) = self.links.get(&link).and_then(|l| l.token) {
-                    self.drive_write(token);
-                }
-            }
-
             let events = std::mem::take(&mut self.events);
             for ev in &events {
                 self.dispatch(ev);
             }
             self.events = events;
             self.verify_read();
+            let due: Vec<u64> = self.hosted.iter().filter(|(_, h)| h.due).map(|(&id, _)| id).collect();
+            for core_id in due {
+                self.step(core_id);
+            }
 
             let now = self.now();
             for timer in self.timers.expire(now) {
                 match timer {
-                    ShardTimer::Redial { core, peer } => self.dial(core, peer, false),
+                    ShardTimer::Step { core_id, at } => {
+                        let live = self.hosted.get_mut(&core_id).filter(|h| h.armed == Some(at));
+                        if let Some(h) = live {
+                            h.armed = None;
+                            self.step(core_id);
+                        }
+                    }
+                    ShardTimer::Redial { core_id, peer } => self.dial(core_id, peer, false),
                     ShardTimer::Release { token } => {
                         if let Some(Some(Entry::Out(c))) = self.entries.get_mut(token) {
                             c.release_armed = false;
@@ -555,22 +672,18 @@ impl Runner {
 
     fn handle_cmd(&mut self, cmd: Cmd) {
         match cmd {
-            Cmd::AddListener { core, listener } => {
-                let token = self.alloc_token();
-                if self.poller.register(listener.as_raw_fd(), token, Interest::READABLE).is_err()
-                {
-                    self.free.push(token);
-                    return;
+            Cmd::Attach { core, listener, node } => self.host(core, listener, *node),
+            Cmd::Step { core_id } => self.mark_due(core_id),
+            Cmd::Halt { core_id, reply } => {
+                if let Some(node) = self.hosted.get_mut(&core_id).and_then(|h| h.node.take()) {
+                    let _ = reply.send(node);
                 }
-                self.entries[token] = Some(Entry::Listener { core, listener });
-                self.accept_ready(token); // connections may already be queued
             }
-            Cmd::CloseNode { core_id, ack } => {
+            Cmd::Detach { core_id, ack } => {
                 // The listener closes first (`false` sorts first): a peer
                 // redials the moment its connection here closes, and a
                 // listener still open would take that dial, only to reset
-                // it a moment later, costing the peer a reconnect. The
-                // connections a listener accepted live on its shard.
+                // it a moment later, costing the peer a reconnect.
                 let mut tokens: Vec<(bool, usize)> = self
                     .entries
                     .iter()
@@ -588,55 +701,164 @@ impl Runner {
                 for (_, token) in tokens {
                     self.close_entry(token);
                 }
-                self.links.retain(|&(id, _), _| id != core_id);
+                self.hosted.remove(&core_id);
                 drop(ack);
             }
-            Cmd::Dial { core, peer } => self.dial(core, peer, true),
         }
     }
 
-    /// Dials `core`'s link to `peer` unless it is up, a connect is in
+    /// Makes this shard `core`'s home: takes its listener, dials every
+    /// peer, starts the node and steps it once.
+    fn host(&mut self, core: Arc<NodeCore>, listener: TcpListener, mut node: Node) {
+        let token = self.alloc_token();
+        if self.poller.register(listener.as_raw_fd(), token, Interest::READABLE).is_ok() {
+            self.entries[token] = Some(Entry::Listener { core: core.clone(), listener });
+        } else {
+            self.free.push(token);
+        }
+        // The node's clock minus the shard's, in µs: signed, since either
+        // epoch may be the earlier one.
+        let shift = match self.epoch.checked_duration_since(core.epoch) {
+            Some(ahead) => ahead.as_micros() as i64,
+            None => -(core.epoch.duration_since(self.epoch).as_micros() as i64),
+        };
+        node.start(SimTime(self.now().0.saturating_add_signed(shift)));
+        let links = core.peers.keys().map(|&peer| {
+            let link = Link {
+                queue: OutboundQueue::for_peer(),
+                token: None,
+                backoff: RECONNECT_BASE,
+                established_once: false,
+            };
+            (peer, link)
+        });
+        let hosted = Hosted {
+            core: core.clone(),
+            node: Some(node),
+            shift,
+            inbox: Vec::new(),
+            due: false,
+            armed: None,
+            links: links.collect(),
+        };
+        self.hosted.insert(core.id, hosted);
+        for &peer in core.peers.keys() {
+            self.dial(core.id, peer, true);
+        }
+        self.step(core.id);
+        self.accept_ready(token); // connections may already be queued
+    }
+
+    fn mark_due(&mut self, core_id: u64) {
+        if let Some(h) = self.hosted.get_mut(&core_id) {
+            h.due = true;
+        }
+    }
+
+    /// One step of node `core_id`: its inbox, in arrival order, each
+    /// message stamped as the node takes it; a poll; then what it emitted.
+    /// Frames go into the peer queues and every link that got one is
+    /// written now; the node's own messages go back into its inbox for its
+    /// next step, which runs in the next loop iteration. Last, its one
+    /// step timer is armed for the deadline the poll named, unless a live
+    /// one fires no later.
+    fn step(&mut self, core_id: u64) {
+        let epoch = self.epoch;
+        let Some(h) = self.hosted.get_mut(&core_id) else { return };
+        h.due = false;
+        let Hosted { core, node: Some(node), shift, inbox, armed, links, .. } = h else { return };
+        if core.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        let shard_now = || SimTime(epoch.elapsed().as_micros() as u64);
+        let node_time = |t: SimTime| SimTime(t.0.saturating_add_signed(*shift));
+        if !inbox.is_empty() {
+            node.handle(inbox.drain(..).map(|m| (node_time(shard_now()), m)));
+        }
+        let at = shard_now();
+        let now = node_time(at);
+        let mut deadline = node.poll(now);
+        let mut written = Vec::new();
+        for emit in node.output() {
+            let (to, frame, protected) = match emit {
+                Emit::Send(to, frame) => (to, frame, false),
+                Emit::Protected(to, frame) => (to, frame, true),
+                Emit::Broadcast(frame, except) => {
+                    for (&to, link) in links.iter_mut().filter(|(&to, _)| Some(to) != except) {
+                        link.push(frame.clone(), false, &core.peers[&to]);
+                        written.extend(link.token);
+                    }
+                    continue;
+                }
+                Emit::Loopback(inbound) => {
+                    inbox.push(*inbound);
+                    continue;
+                }
+            };
+            if let Some(link) = links.get_mut(&to) {
+                link.push(frame, protected, &core.peers[&to]);
+                written.extend(link.token);
+            }
+        }
+        if !inbox.is_empty() {
+            deadline = Some(now);
+        }
+        if let Some(due) = deadline {
+            let due = at + due.since(now);
+            if armed.is_none_or(|live| live > due) {
+                *armed = Some(due);
+                self.timers.push(due, ShardTimer::Step { core_id, at: due });
+            }
+        }
+        written.sort_unstable();
+        written.dedup();
+        for token in written {
+            self.drive_write(token);
+        }
+    }
+
+    /// Dials `core_id`'s link to `peer` unless it is up, a connect is in
     /// flight or the node is stopping: a nonblocking connect, given up
     /// after `DIAL_TIMEOUT`. `fresh` (the peer is known to be up) puts the
     /// backoff back to base.
-    fn dial(&mut self, core: Arc<NodeCore>, peer: NodeId, fresh: bool) {
-        if core.shutdown.load(Ordering::SeqCst) || self.shutdown.load(Ordering::SeqCst) {
+    fn dial(&mut self, core_id: u64, peer: NodeId, fresh: bool) {
+        let Some(h) = self.hosted.get_mut(&core_id) else { return };
+        let (Some(&addr), Some(link)) = (h.core.addrs.get(&peer), h.links.get_mut(&peer)) else {
             return;
-        }
-        let Some(&addr) = core.addrs.get(&peer) else { return };
-        let link = self.links.entry((core.id, peer)).or_insert(Link {
-            token: None,
-            backoff: RECONNECT_BASE,
-            established_once: false,
-        });
+        };
         if fresh {
             link.backoff = RECONNECT_BASE;
         }
-        if link.token.is_some() {
+        if link.token.is_some()
+            || h.core.shutdown.load(Ordering::SeqCst)
+            || self.shutdown.load(Ordering::SeqCst)
+        {
             return;
         }
+        let core = h.core.clone();
         let token = self.alloc_token();
         let stream = match moonshot_reactor::connect(addr) {
             Ok(s) if self.poller.register(s.as_raw_fd(), token, Interest::BOTH).is_ok() => s,
             _ => {
                 self.free.push(token);
-                return self.schedule_redial(core, peer);
+                return self.schedule_redial(core_id, peer);
             }
         };
-        let deadline = self.now() + DIAL_TIMEOUT;
+        let now = self.now();
+        let deadline = now + DIAL_TIMEOUT;
         self.timers.push(deadline, ShardTimer::DialTimeout { token });
-        self.links.get_mut(&(core.id, peer)).expect("inserted above").token = Some(token);
-        let state = core.peers[&peer].clone();
+        if let Some(link) = self.link(core_id, peer) {
+            link.token = Some(token);
+        }
         let shaper = core
             .shape
             .as_ref()
             .map(|m| m.link(core.node, peer))
-            .filter(|l| l.is_shaped())
-            .map(|l| Shaper::new(&l, self.now()));
+            .filter(LinkShape::is_shaped)
+            .map(|l| Shaper::new(&l, now));
         self.entries[token] = Some(Entry::Out(OutConn {
             core,
             peer,
-            state,
             stream,
             dial_deadline: Some(deadline),
             pending: VecDeque::new(),
@@ -645,6 +867,11 @@ impl Runner {
             shaper,
             release_armed: false,
         }));
+    }
+
+    /// Node `core_id`'s link to `peer`, while it is hosted here.
+    fn link(&mut self, core_id: u64, peer: NodeId) -> Option<&mut Link> {
+        self.hosted.get_mut(&core_id)?.links.get_mut(&peer)
     }
 
     /// The connect in flight on `token` completed. If it succeeded the
@@ -660,13 +887,15 @@ impl Runner {
             return self.dial_failed(token);
         }
         c.dial_deadline = None;
-        c.state.metrics.bytes_out.fetch_add(hello.len() as u64, Ordering::Relaxed);
-        let link = self.links.get_mut(&(c.core.id, c.peer)).expect("a dialed link is kept");
-        if link.established_once {
-            c.state.metrics.reconnects.fetch_add(1, Ordering::Relaxed);
+        let metrics = &c.core.peers[&c.peer];
+        metrics.bytes_out.fetch_add(hello.len() as u64, Ordering::Relaxed);
+        if let Some(link) = self.hosted.get_mut(&c.core.id).and_then(|h| h.links.get_mut(&c.peer)) {
+            if link.established_once {
+                metrics.reconnects.fetch_add(1, Ordering::Relaxed);
+            }
+            link.established_once = true;
+            link.backoff = RECONNECT_BASE;
         }
-        link.established_once = true;
-        link.backoff = RECONNECT_BASE;
         self.drive_write(token); // frames may be queued already
     }
 
@@ -674,17 +903,18 @@ impl Runner {
     /// backoff.
     fn dial_failed(&mut self, token: usize) {
         if let Some(c) = self.drop_out(token) {
-            self.schedule_redial(c.core, c.peer);
+            self.schedule_redial(c.core.id, c.peer);
         }
     }
 
-    /// Arms a redial of `core`'s link to `peer` after its backoff, and
-    /// doubles the backoff.
-    fn schedule_redial(&mut self, core: Arc<NodeCore>, peer: NodeId) {
-        let Some(link) = self.links.get_mut(&(core.id, peer)) else { return };
+    /// Arms a redial of node `core_id`'s link to `peer` after its backoff,
+    /// and doubles the backoff.
+    fn schedule_redial(&mut self, core_id: u64, peer: NodeId) {
+        let now = self.now();
+        let Some(link) = self.link(core_id, peer) else { return };
         let after = link.backoff;
         link.backoff = (after * 2).min(RECONNECT_MAX);
-        self.timers.push(self.now() + after, ShardTimer::Redial { core, peer });
+        self.timers.push(now + after, ShardTimer::Redial { core_id, peer });
     }
 
     /// Silently closes an entry (node teardown): deregister, drop, free.
@@ -797,7 +1027,7 @@ impl Runner {
             };
             if let Some(id) = c.from {
                 if let Some(p) = c.core.peers.get(&id) {
-                    p.metrics.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
+                    p.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
                 }
             }
             c.reader.extend(&self.buf[..n]);
@@ -812,7 +1042,7 @@ impl Runner {
                     Err(_) => {
                         // Framing is lost; the connection is unrecoverable.
                         if let Some(p) = c.from.and_then(|id| c.core.peers.get(&id)) {
-                            p.metrics.decode_errors.fetch_add(1, Ordering::Relaxed);
+                            p.decode_errors.fetch_add(1, Ordering::Relaxed);
                         }
                         return ReadVerdict::Close;
                     }
@@ -836,25 +1066,25 @@ impl Runner {
         self.handle.frames.fetch_add(1, Ordering::Relaxed);
         match frame {
             Frame::Hello { node } => {
-                if c.from.is_some() || !c.core.peers.contains_key(&node) {
+                let Some(p) = c.core.peers.get(&node).filter(|_| c.from.is_none()) else {
                     return ReadVerdict::Close; // re-hello or unknown peer
-                }
+                };
                 // Bytes read before identification attribute here.
-                let p = &c.core.peers[&node];
-                p.metrics.bytes_in.fetch_add(chunk_len as u64, Ordering::Relaxed);
+                p.bytes_in.fetch_add(chunk_len as u64, Ordering::Relaxed);
                 c.from = Some(node);
                 // The peer is up. If this node's link to it is down, skip
-                // the rest of the backoff: the link's shard dials now.
-                let dial = Cmd::Dial { core: c.core.clone(), peer: node };
-                out_shard(&self.shards, c.core.id, node).push_cmd(dial);
+                // the rest of the backoff and dial now.
+                self.dial(c.core.id, node, true);
             }
             Frame::SubmitTx { client, tx } => {
                 // Client submissions need no hello: clients are not
-                // validators. The shard admits them here, in read order;
-                // the driver never sees raw submissions, and the mempool's
+                // validators. The shard admits them here, in read order,
+                // and steps the node, which may have a batch to seal; the
+                // node never sees raw submissions, and the mempool's
                 // counters record the outcome.
-                if let Some(pool) = &c.core.mempool {
+                if let Some((pool, _)) = &c.core.mempool {
                     let _ = pool.submit_from(client, tx);
+                    self.mark_due(c.core.id);
                 }
             }
             Frame::BatchPush { digest, bytes } | Frame::BatchResponse { digest, bytes } => {
@@ -866,7 +1096,10 @@ impl Runner {
                     plane.counters.digest_mismatches.fetch_add(1, Ordering::Relaxed);
                     return ReadVerdict::Keep;
                 }
+                // The node takes it in at its step, delivering what its
+                // vote gate held for it.
                 plane.store.insert(digest, bytes);
+                self.mark_due(c.core.id);
             }
             Frame::BatchRequest { digest } => {
                 let plane = &c.core.dissem;
@@ -876,11 +1109,10 @@ impl Runner {
                 if let Some(bytes) = plane.store.get(&digest) {
                     plane.counters.fetches_served.fetch_add(1, Ordering::Relaxed);
                     let frame = Arc::new(encode_frame(&Frame::BatchResponse { digest, bytes }));
-                    if let Some(p) = c.core.peers.get(&id) {
-                        if p.queue.push_protected(frame) {
-                            out_shard(&self.shards, c.core.id, id).nudge((c.core.id, id));
-                        } else {
-                            p.metrics.protected_dropped.fetch_add(1, Ordering::Relaxed);
+                    if let Some(link) = self.link(c.core.id, id) {
+                        link.push(frame, true, &c.core.peers[&id]);
+                        if let Some(token) = link.token {
+                            self.drive_write(token);
                         }
                     }
                 }
@@ -890,16 +1122,16 @@ impl Runner {
                     return ReadVerdict::Close; // consensus before hello
                 };
                 // Checked with the rest of this wakeup's reads; only a
-                // verified copy reaches the driver.
+                // verified copy reaches the node.
                 self.unverified.push((c.core.clone(), id, msg));
             }
         }
         ReadVerdict::Keep
     }
 
-    /// Verifies the consensus messages this wakeup read and hands the
-    /// verified ones to their drivers, in read order; a failure counts
-    /// against its sender. A stopping node's messages are dropped.
+    /// Verifies the consensus messages this wakeup read and puts the
+    /// verified ones in their nodes' inboxes, in read order; a failure
+    /// counts against its sender. A stopping node's messages are dropped.
     fn verify_read(&mut self) {
         // Group by owning node (order preserved within a group) so each
         // group hits its node's verifier/cache once with one batch.
@@ -912,6 +1144,7 @@ impl Runner {
             }
         }
         for (core, items) in groups {
+            let Some(h) = self.hosted.get_mut(&core.id) else { continue };
             if core.shutdown.load(Ordering::SeqCst) {
                 continue;
             }
@@ -920,11 +1153,12 @@ impl Runner {
             for (from, result) in froms.into_iter().zip(results) {
                 match result {
                     Ok(msg) => {
-                        core.inbound.send(Inbound { from, msg });
+                        h.inbox.push(Inbound { from, msg });
+                        h.due = true;
                     }
                     Err(_) => {
                         if let Some(p) = core.peers.get(&from) {
-                            p.metrics.verify_failures.fetch_add(1, Ordering::Relaxed);
+                            p.verify_failures.fetch_add(1, Ordering::Relaxed);
                         }
                     }
                 }
@@ -932,113 +1166,36 @@ impl Runner {
         }
     }
 
-    /// Drains `token`'s outbound queue through coalesced vectored writes
-    /// (and the shaper, when configured).
+    /// Drains `token`'s link queue into its socket, subscribes writability
+    /// only while bytes wait, and arms one release timer for staged frames
+    /// not yet due.
     fn drive_write(&mut self, token: usize) {
-        // A link still connecting drains once the connect completes.
-        let Some(Some(Entry::Out(OutConn { dial_deadline: None, .. }))) = self.entries.get(token)
+        let now = self.now();
+        let Some(Some(Entry::Out(c))) = self.entries.get_mut(token) else { return };
+        let Some(link) = self.hosted.get_mut(&c.core.id).and_then(|h| h.links.get_mut(&c.peer))
         else {
             return;
         };
-        let Some(Entry::Out(mut c)) = self.entries[token].take() else { return };
-        match self.pump_out(&mut c, token) {
-            Ok(()) => {
-                self.entries[token] = Some(Entry::Out(c));
-            }
-            Err(_) => {
-                self.entries[token] = Some(Entry::Out(c));
-                self.fail_out(token);
-            }
+        // A link still connecting drains once the connect completes.
+        if c.dial_deadline.is_some() {
+            return;
         }
-    }
-
-    fn pump_out(&mut self, c: &mut OutConn, token: usize) -> io::Result<()> {
-        loop {
-            // Refill `pending` from the queue (through the shaper if one
-            // is configured).
-            if let Some(shaper) = &mut c.shaper {
-                let now = self.now();
-                while shaper.staged_bytes < SHAPE_STAGE_CAP {
-                    match c.state.queue.pop() {
-                        Some(f) => shaper.stage(f, now),
-                        None => break,
-                    }
-                }
-                shaper.refill(now);
-                while c.pending_bytes < WRITE_COALESCE {
-                    match shaper.release(now) {
-                        Some(f) => {
-                            c.pending_bytes += f.len();
-                            c.pending.push_back((f, 0));
-                        }
-                        None => break,
-                    }
-                }
-            } else {
-                while c.pending_bytes < WRITE_COALESCE {
-                    match c.state.queue.pop() {
-                        Some(f) => {
-                            c.pending_bytes += f.len();
-                            c.pending.push_back((f, 0));
-                        }
-                        None => break,
-                    }
-                }
-            }
-            if c.pending.is_empty() {
-                break;
-            }
-
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(c.pending.len().min(WRITE_VECTORS));
-            for (frame, offset) in c.pending.iter().take(WRITE_VECTORS) {
-                slices.push(IoSlice::new(&frame[*offset..]));
-            }
-            match c.stream.write_vectored(&slices) {
-                Ok(0) => {
-                    return Err(io::Error::new(io::ErrorKind::WriteZero, "wrote 0"));
-                }
-                Ok(mut n) => {
-                    while n > 0 {
-                        let (frame, offset) = c.pending.front_mut().expect("bytes were written");
-                        let remaining = frame.len() - *offset;
-                        if n >= remaining {
-                            n -= remaining;
-                            let len = frame.len();
-                            c.state.metrics.bytes_out.fetch_add(len as u64, Ordering::Relaxed);
-                            c.state.metrics.frames_out.fetch_add(1, Ordering::Relaxed);
-                            self.handle.frames.fetch_add(1, Ordering::Relaxed);
-                            c.pending_bytes -= len;
-                            c.pending.pop_front();
-                        } else {
-                            *offset += n;
-                            n = 0;
-                        }
-                    }
-                }
-                Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(ref e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-
-        // Interest management: subscribe writable only while bytes wait.
+        let mut result = c.pump(&mut link.queue, now, &self.handle.frames);
         let need_writable = !c.pending.is_empty();
-        if need_writable != c.want_writable {
+        if result.is_ok() && need_writable != c.want_writable {
             c.want_writable = need_writable;
             let interest = if need_writable { Interest::BOTH } else { Interest::READABLE };
-            self.poller.reregister(c.stream.as_raw_fd(), token, interest)?;
+            result = self.poller.reregister(c.stream.as_raw_fd(), token, interest);
         }
-        // A shaped connection with staged-but-not-due frames arms one
-        // release timer.
-        if let Some(shaper) = &c.shaper {
-            if !c.release_armed {
-                if let Some(at) = shaper.next_ready(self.now()) {
-                    self.timers.push(at, ShardTimer::Release { token });
-                    c.release_armed = true;
-                }
+        if result.is_err() {
+            return self.fail_out(token);
+        }
+        if let Some(shaper) = c.shaper.as_ref().filter(|_| !c.release_armed) {
+            if let Some(at) = shaper.next_ready(now) {
+                self.timers.push(at, ShardTimer::Release { token });
+                c.release_armed = true;
             }
         }
-        Ok(())
     }
 
     /// Tears down a failed outbound connection: in-flight frames are lost
@@ -1048,9 +1205,9 @@ impl Runner {
         let Some(c) = self.drop_out(token) else { return };
         let lost = c.pending.len() + c.shaper.as_ref().map_or(0, |s| s.staged.len());
         if lost > 0 {
-            c.state.metrics.dropped_frames.fetch_add(lost as u64, Ordering::Relaxed);
+            c.core.peers[&c.peer].dropped_frames.fetch_add(lost as u64, Ordering::Relaxed);
         }
-        self.dial(c.core, c.peer, false);
+        self.dial(c.core.id, c.peer, false);
     }
 
     /// Closes `token`'s outbound connection and marks its link down.
@@ -1059,7 +1216,7 @@ impl Runner {
         let Some(Entry::Out(c)) = self.entries[token].take() else { return None };
         let _ = self.poller.deregister(c.stream.as_raw_fd());
         self.free.push(token);
-        if let Some(link) = self.links.get_mut(&(c.core.id, c.peer)) {
+        if let Some(link) = self.link(c.core.id, c.peer) {
             link.token = None;
         }
         Some(c)
@@ -1069,6 +1226,55 @@ impl Runner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moonshot_consensus::Output;
+
+    use crate::transport::tests::{numbered, probe_node};
+
+    /// A hosted node takes in its own multicast's self-copy in the step
+    /// after the one that emitted it, on the cluster's clock: a lone node
+    /// whose epoch is 5 s older than its shard's multicasts as it starts;
+    /// the step that starts it keeps the copy in its inbox and arms its
+    /// next step at once, and that step hands the copy over, stamped with
+    /// the node's time, not the shard's.
+    #[test]
+    fn a_hosted_node_takes_its_own_multicast_in_the_next_step() {
+        const SHIFT: Duration = Duration::from_secs(5);
+        let mut runner = Runner::new(Arc::default()).unwrap();
+        let msg = numbered(7);
+        let (node, verifier, seen) =
+            probe_node(NodeId(0), 1, vec![Output::Multicast(msg.clone())], None);
+        let core = Arc::new(NodeCore {
+            id: 0,
+            node: NodeId(0),
+            verifier,
+            mempool: None,
+            dissem: DissemPlane::new(1 << 20),
+            peers: BTreeMap::new(),
+            addrs: BTreeMap::new(),
+            shutdown: Arc::default(),
+            shape: None,
+            epoch: runner.epoch.checked_sub(SHIFT).expect("the clock is 5 s past its origin"),
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        runner.handle_cmd(Cmd::Attach { core, listener, node: Box::new(node) });
+        assert!(seen.try_recv().is_err(), "the self-copy was taken in the step that sent it");
+        assert_eq!(runner.hosted[&0].inbox.len(), 1);
+        let armed = runner.hosted[&0].armed.expect("the next step is armed");
+        assert!(armed <= runner.now(), "the next step is not due at once");
+
+        let before = runner.now();
+        runner.step(0);
+        let after = runner.now();
+        let (from, got, at) = seen.try_recv().expect("the next step took in the self-copy");
+        assert_eq!((from, got), (NodeId(0), msg));
+        let shift = SHIFT.as_micros() as u64;
+        assert!(
+            (before.0 + shift..=after.0 + shift).contains(&at.0),
+            "stamped {at:?}, the shard's clock read {before:?}..{after:?}"
+        );
+        assert!(runner.hosted[&0].inbox.is_empty());
+    }
 
     fn ms(ms: u64) -> SimDuration {
         SimDuration::from_millis(ms)

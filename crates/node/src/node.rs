@@ -2,8 +2,8 @@
 //! I/O. [`Node`] owns the protocol and everything that decides around it —
 //! timers, trace path, commits, sealer, vote gate, batch fetcher, ledger
 //! appends, stall watchdog — and reads no clock: every entry point is handed
-//! `now`, and what it sends leaves as [`Emit`] values in emission order. The
-//! driver thread ([`runtime`](crate::runtime)) steps it on the wall clock; a
+//! `now`, and what it sends leaves as [`Emit`] values in emission order. Its
+//! home shard ([`netpool`](crate::netpool)) steps it on the wall clock; a
 //! test steps it on a clock it makes up. Tracing rides the
 //! [`ProtocolObserver`] hook at the protocol's call boundary — the
 //! simulator's events, so the invariant checker works on cluster runs.
@@ -181,8 +181,6 @@ pub struct Node {
     /// does). Reset on every watchdog firing so a persistent wedge emits a
     /// stall per threshold interval.
     last_commit_at: SimTime,
-    /// Depth of the inbox that feeds this node, debited per message taken.
-    inbox_depth: Arc<AtomicU64>,
     /// This step's network output, in emission order.
     out: Vec<Emit>,
     messages_handled: u64,
@@ -200,8 +198,7 @@ impl Node {
     /// A node running what `protocol` builds over `cfg`, proposing refs to
     /// `dissem`'s oldest proposable batches and sealing `mempool`, if any,
     /// into batches of its base size ([`Sealer`]) that it pushes to every
-    /// peer but `drop_push_to`. Its trace goes to `sink`; `inbox_depth` is
-    /// its inbox's depth gauge.
+    /// peer but `drop_push_to`. Its trace goes to `sink`.
     pub fn new(
         mut cfg: NodeConfig,
         protocol: impl FnOnce(NodeConfig) -> Box<dyn ConsensusProtocol + Send>,
@@ -209,7 +206,6 @@ impl Node {
         mempool: Option<(Arc<Mempool>, usize)>,
         drop_push_to: Option<NodeId>,
         sink: SharedSink,
-        inbox_depth: Arc<AtomicU64>,
     ) -> Node {
         let (node, delta) = (cfg.node_id, cfg.delta);
         let batch_fetcher =
@@ -240,7 +236,6 @@ impl Node {
             appending: true,
             stall_timeout: delta * STALL_DELTA_MULTIPLE,
             last_commit_at: SimTime::ZERO,
-            inbox_depth,
             out: Vec::new(),
             messages_handled: 0,
             timers_fired: 0,
@@ -263,7 +258,8 @@ impl Node {
     }
 
     /// The output of the steps since the last call, in emission order,
-    /// for the driver to apply before the next step (push-before-propose).
+    /// for whoever steps the node to apply before the next step
+    /// (push-before-propose).
     pub fn output(&mut self) -> std::vec::Drain<'_, Emit> {
         self.out.drain(..)
     }
@@ -277,10 +273,9 @@ impl Node {
     }
 
     /// One drained batch of the inbox, each message stamped with the time
-    /// it is dispatched at. What the dissemination plane gathered while the
-    /// driver was blocked is taken in first: a proposal one of these
-    /// messages triggers carries every batch that arrived meanwhile (a
-    /// peer's push reaches the store on a shard thread), and a gated
+    /// it is dispatched at. What the dissemination plane gathered since the
+    /// last step is taken in first: a proposal one of these messages
+    /// triggers carries every batch that arrived meanwhile, and a gated
     /// proposal whose push arrived is delivered ahead of them.
     pub fn handle(&mut self, batch: impl IntoIterator<Item = (SimTime, Inbound)>) {
         self.batches += 1;
@@ -288,7 +283,6 @@ impl Node {
             if i == 0 {
                 self.sync_dissem(now);
             }
-            self.inbox_depth.fetch_sub(1, Ordering::Relaxed);
             self.dispatch(inbound, now);
         }
     }
@@ -332,8 +326,9 @@ impl Node {
     /// The stall watchdog: if no commit landed within the configured
     /// threshold, emit a [`TraceEvent::Stall`] snapshot and re-arm. The
     /// snapshot carries the state a human would first ask about — which
-    /// view we're stuck in, how deep the inbox is, how many timers are
-    /// armed, how much the mempool is holding.
+    /// view we're stuck in, how many messages it holds undelivered (its
+    /// own, queued for its next step, and those the vote gate parks), how
+    /// many timers are armed, how much the mempool is holding.
     fn check_stall(&mut self, now: SimTime) {
         if now < self.last_commit_at + self.stall_timeout {
             return;
@@ -345,7 +340,8 @@ impl Node {
             node: self.node,
             view: self.protocol.current_view(),
             height: moonshot_types::Height(self.committed_height.load(Ordering::Relaxed)),
-            inbound: self.inbox_depth.load(Ordering::Relaxed),
+            inbound: (self.gated.len() + self.out.iter().filter(|e| matches!(e, Emit::Loopback(_))).count())
+                as u64,
             timers: self.timers.len() as u64,
             mempool: self.mempool.as_ref().map(|(p, _)| p.len()).unwrap_or(0),
         };
@@ -405,8 +401,8 @@ impl Node {
         if !missing.is_empty() {
             self.dissem.counters.votes_gated.fetch_add(1, Ordering::Relaxed);
             // From here until the gate empties, a batch landing in the store
-            // wakes the driver; what landed before is in the arrival log the
-            // next step drains.
+            // wakes the node's stepper; what landed before is in the arrival
+            // log the next step drains.
             self.dissem.store.set_awaited(true);
             // The sender certainly holds the bytes (it proposed or voted
             // for them), so it is the first fetch hint — asked at once for
@@ -750,7 +746,6 @@ pub(crate) mod tests {
             mempool,
             None,
             ring.clone(),
-            Arc::new(AtomicU64::new(0)),
         );
         (node, ring)
     }
@@ -859,7 +854,6 @@ pub(crate) mod tests {
             None,
             None,
             ring,
-            Arc::new(AtomicU64::new(0)),
         );
         node.start(SimTime(0));
         for tag in 0..50u8 {

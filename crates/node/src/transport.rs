@@ -1,5 +1,5 @@
-//! Per-peer TCP transport — the facade over the shared event-driven
-//! network core ([`crate::netpool`]).
+//! Per-node TCP transport — a node's handle on its home shard in the
+//! shared event-driven network core ([`crate::netpool`]).
 //!
 //! Topology: every node listens on one socket and dials one outbound
 //! connection per peer. A pair of nodes is therefore joined by two
@@ -9,17 +9,20 @@
 //! cost of one extra socket per pair.
 //!
 //! Threading: none of it lives here. A [`NetPool`] — a fixed set of
-//! readiness-driven shard loops, which also dial and verify the consensus
-//! messages they read — owns every socket. The transport contributes
-//! the per-peer bounded outbound queues with **drop-oldest** backpressure
-//! (consensus tolerates message loss — the protocols re-sync via
-//! certificates and the block fetcher — so dropping the stalest frame beats
-//! unbounded buffering or blocking the driver), a protected drop-*new*
-//! class for sync responses, and per-peer counters. A transport attaches to
-//! the pool its config names ([`TransportConfig::pool`]) and never shuts it
+//! readiness-driven shard loops — owns every socket, and the one shard a
+//! node attaches to, its *home*, owns all of the node's: its listener, the
+//! connections it accepted and its link to every peer. That shard also
+//! steps the node, so what the node sends goes straight into the per-peer
+//! bounded outbound queues, with **drop-oldest** backpressure (consensus
+//! tolerates message loss — the protocols re-sync via certificates and the
+//! block fetcher — so dropping the stalest frame beats unbounded buffering
+//! or blocking the shard) and a protected drop-*new* class for sync
+//! responses. The transport contributes the per-peer counters and the
+//! handle that attaches, halts and detaches the node. It attaches to the
+//! pool its config names ([`TransportConfig::pool`]) and never shuts it
 //! down; an in-process cluster hands one pool to every node, which is what
-//! takes a 50-node localhost cluster from ~50·(n+2) threads to 50 drivers
-//! plus one constant-size pool.
+//! takes a 50-node localhost cluster from ~50·(n+2) threads to one
+//! constant-size pool.
 //!
 //! Every dialed connection opens with a [`moonshot_wire::Frame::Hello`] so
 //! the accepting side learns who is talking before the first consensus
@@ -27,22 +30,22 @@
 //! (100 ms doubling to 5 s), except that a hello from the peer while the
 //! link is down resets the backoff and dials at once: a restarted peer
 //! dials everyone on start, so its hellos are the first sign it is back.
-//! One pool shard owns each link and alone decides its dials, so a peer
-//! has at most one outbound link and its frames leave on one stream, in
-//! order.
+//! The home shard alone decides a link's dials, so a peer has at most one
+//! outbound link and its frames leave on one stream, in order.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+use std::time::Instant;
 
 use moonshot_consensus::{MessageVerifier, PreVerified};
 use moonshot_mempool::{DissemPlane, Mempool};
 use moonshot_telemetry::MetricsRegistry;
 use moonshot_types::NodeId;
 
-use crate::netpool::{NetPool, NodeCore, PeerState};
+use crate::netpool::{NetPool, NodeCore};
+use crate::node::Node;
 use crate::shape::ShapeMatrix;
 
 /// Per-node batch-store budget of the plane a [`TransportConfig`] starts
@@ -62,63 +65,16 @@ const QUEUE_BYTES: usize = 32 * 1024 * 1024;
 /// dropping one would starve the exact node whose vote is blocked on it.
 const PROTECTED_BYTES: usize = 32 * 1024 * 1024;
 
-/// A message delivered by the transport to the driver loop.
+/// A message for a node's next step.
 #[derive(Debug)]
 pub struct Inbound {
     /// The sending node (from its hello preamble, or this node itself for
     /// loopback deliveries).
     pub from: NodeId,
     /// The consensus message, every signature in it already checked: by
-    /// the pool's shard loop that read it, or trivially for loopback copies
-    /// of this node's own messages. Nothing reaches the driver unverified.
+    /// the home shard that read it, or trivially for loopback copies of
+    /// this node's own messages. Nothing reaches the node unverified.
     pub msg: PreVerified,
-}
-
-/// A depth-tracking wrapper around the driver's inbound channel.
-///
-/// `std::sync::mpsc` channels cannot report their length, but the stall
-/// watchdog wants to know how deep the driver's inbox is. Every producer
-/// (the shard loops, the loopback path) sends through this wrapper, which
-/// bumps a shared gauge; the driver decrements the same gauge once per
-/// message it dequeues. The gauge is therefore an upper bound that is exact
-/// whenever the driver is between messages.
-///
-/// The channel carries `Option<Inbound>`: `None` is a bare wake-up
-/// ([`InboundSender::wake`]) for a driver blocked on it with nothing to
-/// deliver, and is not counted in the gauge.
-#[derive(Clone, Debug)]
-pub struct InboundSender {
-    tx: Sender<Option<Inbound>>,
-    depth: Arc<AtomicU64>,
-}
-
-impl InboundSender {
-    /// Wraps a raw channel sender with a fresh depth gauge.
-    pub fn new(tx: Sender<Option<Inbound>>) -> InboundSender {
-        InboundSender { tx, depth: Arc::new(AtomicU64::new(0)) }
-    }
-
-    /// Sends a message, crediting the depth gauge. The credit is rolled
-    /// back if the receiver is gone: a stopped driver needs no messages.
-    pub fn send(&self, msg: Inbound) {
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        if self.tx.send(Some(msg)).is_err() {
-            self.depth.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Wakes the driver without a message: work appeared for it somewhere
-    /// it does not block on (an admission that opened or filled a batch
-    /// for it to seal). A gone receiver needs no waking.
-    pub fn wake(&self) {
-        let _ = self.tx.send(None);
-    }
-
-    /// The shared gauge. The consumer must call
-    /// `fetch_sub(1, ..)` on it once per message received.
-    pub fn depth_gauge(&self) -> Arc<AtomicU64> {
-        self.depth.clone()
-    }
 }
 
 /// Transport configuration for one node.
@@ -132,24 +88,23 @@ pub struct TransportConfig {
     pub peers: Vec<(NodeId, SocketAddr)>,
     /// When set, the node's mempool and its base batch size in bytes:
     /// `SubmitTx` frames from client connections are admitted into the
-    /// pool by the shard loop that reads them (hash and admission control
-    /// there, never on the driver), and the driver seals it into batches
-    /// of that size. When `None` — a consensus-only node proposing other
-    /// nodes' batches or empty blocks — submissions are ignored.
+    /// pool by the home shard as it reads them, and the node seals it into
+    /// batches of that size. When `None` — a consensus-only node proposing
+    /// other nodes' batches or empty blocks — submissions are ignored.
     pub mempool: Option<(Arc<Mempool>, usize)>,
-    /// The node's dissemination plane: shard loops validate and store
-    /// `BatchPush`/`BatchResponse` frames into its batch store and answer
-    /// `BatchRequest` frames from it, and the driver pushes the batches it seals,
-    /// proposes and gates votes through the same plane. A fresh one by
-    /// default; a restarted node is handed the plane it had.
+    /// The node's dissemination plane: the home shard validates and stores
+    /// `BatchPush`/`BatchResponse` frames into its batch store and answers
+    /// `BatchRequest` frames from it, and the node pushes the batches it
+    /// seals, proposes and gates votes through the same plane. A fresh one
+    /// by default; a restarted node is handed the plane it had.
     pub dissem: Arc<DissemPlane>,
-    /// Fault-injection knob (tests): skip this peer when the driver
+    /// Fault-injection knob (tests): skip this peer when the node
     /// broadcasts `BatchPush` frames, forcing its fetch path to cover.
     pub drop_batch_push_to: Option<NodeId>,
     /// The network core to attach to. Its owner shuts it down after the
     /// last transport on it stops; an in-process cluster passes one pool to
     /// every node, so the whole cluster costs a constant number of
-    /// transport threads.
+    /// threads.
     pub pool: Arc<NetPool>,
     /// Per-link latency/bandwidth shaping applied to this node's outbound
     /// connections (sender-side). `None` = unshaped.
@@ -178,7 +133,7 @@ impl TransportConfig {
     }
 }
 
-/// Per-peer transport counters (atomics: written by pool threads, read
+/// Per-peer transport counters (atomics: written by the home shard, read
 /// into the node's report when it stops).
 #[derive(Debug, Default)]
 pub struct PeerMetrics {
@@ -204,12 +159,22 @@ pub struct PeerMetrics {
     /// Frames from this peer the decoder rejected (connection then dropped).
     pub decode_errors: AtomicU64,
     /// Messages from this peer dropped by signature verification on the
-    /// shard loop that read them (bad signature or certificate).
+    /// shard that read them (bad signature or certificate).
     pub verify_failures: AtomicU64,
 }
 
+/// One peer's outbound frames, owned by the node's home shard.
 pub(crate) struct OutboundQueue {
-    frames: Mutex<VecFrames>,
+    queue: VecDeque<Arc<Vec<u8>>>,
+    /// Running sum of queued frame lengths.
+    bytes: usize,
+    /// The protected class: sync-response frames (`BlockResponse`,
+    /// `BatchResponse`). Served before `queue`, never evicted by
+    /// drop-oldest — a full protected budget refuses the *new* frame
+    /// instead (the requester's retry machinery re-asks).
+    protected: VecDeque<Arc<Vec<u8>>>,
+    /// Running sum of protected frame lengths.
+    protected_bytes: usize,
     capacity: usize,
     byte_capacity: usize,
     /// Byte budget of the protected class ([`push_protected`]
@@ -217,32 +182,18 @@ pub(crate) struct OutboundQueue {
     protected_byte_capacity: usize,
 }
 
-struct VecFrames {
-    queue: std::collections::VecDeque<Arc<Vec<u8>>>,
-    /// Running sum of queued frame lengths.
-    bytes: usize,
-    /// The protected class: sync-response frames (`BlockResponse`,
-    /// `BatchResponse`). Served before `queue`, never evicted by
-    /// drop-oldest — a full protected budget refuses the *new* frame
-    /// instead (the requester's retry machinery re-asks).
-    protected: std::collections::VecDeque<Arc<Vec<u8>>>,
-    /// Running sum of protected frame lengths.
-    protected_bytes: usize,
-}
-
 impl OutboundQueue {
-    pub(crate) fn new(
-        capacity: usize,
-        byte_capacity: usize,
-        protected_byte_capacity: usize,
-    ) -> Self {
+    /// A queue with the transport's budgets.
+    pub(crate) fn for_peer() -> Self {
+        OutboundQueue::new(QUEUE_FRAMES, QUEUE_BYTES, PROTECTED_BYTES)
+    }
+
+    fn new(capacity: usize, byte_capacity: usize, protected_byte_capacity: usize) -> Self {
         OutboundQueue {
-            frames: Mutex::new(VecFrames {
-                queue: std::collections::VecDeque::new(),
-                bytes: 0,
-                protected: std::collections::VecDeque::new(),
-                protected_bytes: 0,
-            }),
+            queue: VecDeque::new(),
+            bytes: 0,
+            protected: VecDeque::new(),
+            protected_bytes: 0,
             capacity: capacity.max(1),
             byte_capacity: byte_capacity.max(1),
             protected_byte_capacity: protected_byte_capacity.max(1),
@@ -254,20 +205,18 @@ impl OutboundQueue {
     /// larger than the whole byte budget still gets sent; the queue's
     /// memory is bounded by `max(byte_capacity, largest frame)`). Returns
     /// the number of frames dropped.
-    pub(crate) fn push(&self, frame: Arc<Vec<u8>>) -> u64 {
-        let mut inner = self.frames.lock().unwrap();
+    pub(crate) fn push(&mut self, frame: Arc<Vec<u8>>) -> u64 {
         let mut dropped = 0;
-        while !inner.queue.is_empty()
-            && (inner.queue.len() >= self.capacity
-                || inner.bytes + frame.len() > self.byte_capacity)
+        while !self.queue.is_empty()
+            && (self.queue.len() >= self.capacity || self.bytes + frame.len() > self.byte_capacity)
         {
-            if let Some(old) = inner.queue.pop_front() {
-                inner.bytes -= old.len();
+            if let Some(old) = self.queue.pop_front() {
+                self.bytes -= old.len();
                 dropped += 1;
             }
         }
-        inner.bytes += frame.len();
-        inner.queue.push_back(frame);
+        self.bytes += frame.len();
+        self.queue.push_back(frame);
         dropped
     }
 
@@ -277,68 +226,65 @@ impl OutboundQueue {
     /// budget is full, the *new* frame is refused instead (drop-new) —
     /// returns `false` and the caller counts it. The budget exists only to
     /// bound a request flood; the requester's retry machinery re-asks.
-    pub(crate) fn push_protected(&self, frame: Arc<Vec<u8>>) -> bool {
-        let mut inner = self.frames.lock().unwrap();
-        if !inner.protected.is_empty()
-            && inner.protected_bytes + frame.len() > self.protected_byte_capacity
+    pub(crate) fn push_protected(&mut self, frame: Arc<Vec<u8>>) -> bool {
+        if !self.protected.is_empty()
+            && self.protected_bytes + frame.len() > self.protected_byte_capacity
         {
             return false;
         }
-        inner.protected_bytes += frame.len();
-        inner.protected.push_back(frame);
+        self.protected_bytes += frame.len();
+        self.protected.push_back(frame);
         true
     }
 
     /// The next frame to write, the protected class first.
-    pub(crate) fn pop(&self) -> Option<Arc<Vec<u8>>> {
-        let mut inner = self.frames.lock().unwrap();
-        if let Some(frame) = inner.protected.pop_front() {
-            inner.protected_bytes -= frame.len();
+    pub(crate) fn pop(&mut self) -> Option<Arc<Vec<u8>>> {
+        if let Some(frame) = self.protected.pop_front() {
+            self.protected_bytes -= frame.len();
             return Some(frame);
         }
-        let frame = inner.queue.pop_front()?;
-        inner.bytes -= frame.len();
+        let frame = self.queue.pop_front()?;
+        self.bytes -= frame.len();
         Some(frame)
-    }
-
-    #[cfg(test)]
-    pub(crate) fn depth(&self) -> u64 {
-        let inner = self.frames.lock().unwrap();
-        (inner.queue.len() + inner.protected.len()) as u64
     }
 }
 
-/// The TCP transport for one node: per-peer outbound queues and counters,
-/// attached to a [`NetPool`] that does all the socket work. Create with
-/// [`Transport::start`], tear down with [`Transport::stop`].
+/// A node attached to a [`NetPool`]: its counters, and the way to its home
+/// shard, which does all the socket work and steps the node. Create with
+/// [`Transport::start`], take the node back with [`Transport::halt`], tear
+/// down with [`Transport::stop`].
 pub struct Transport {
-    node: NodeId,
     core: Arc<NodeCore>,
     pool: Arc<NetPool>,
+    /// Index of the home shard in the pool.
+    home: usize,
 }
 
 impl std::fmt::Debug for Transport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Transport(node={}, peers={})", self.node, self.core.peers.len())
+        write!(f, "Transport(node={}, home={})", self.core.node, self.home)
     }
 }
 
 impl Transport {
-    /// Binds the listener and attaches this node to its network pool.
-    /// Every decoded consensus message goes through `verifier` on the
-    /// shard loop that read it — failures are dropped and counted in
-    /// [`PeerMetrics::verify_failures`] — and only then into `inbound`.
+    /// Binds the listener and hosts `node` on the pool. The shard it lands
+    /// on, its home, owns the node's sockets from here on, checks every
+    /// consensus message it reads for the node with `verifier` — failures
+    /// are dropped and counted in [`PeerMetrics::verify_failures`] — and
+    /// steps the node with the microseconds since `epoch`, the cluster's
+    /// time origin.
     ///
     /// A pre-bound `listener` is adopted instead of binding `cfg.listen` —
     /// which lets a cluster bind every node on port 0 first, learn the real
     /// addresses, and only then construct the peer tables. Setting
-    /// `shutdown` stops the pool dialing this node's peers; its holder may
-    /// set it before [`stop`](Transport::stop), which sets it too.
+    /// `shutdown` stops the shard stepping the node and dialing its peers;
+    /// [`halt`](Transport::halt) sets it too.
     pub fn start(
         cfg: TransportConfig,
         listener: Option<TcpListener>,
         verifier: Arc<MessageVerifier>,
-        inbound: InboundSender,
+        node: Node,
+        epoch: Instant,
         shutdown: Arc<AtomicBool>,
     ) -> std::io::Result<Transport> {
         let listener = match listener {
@@ -347,79 +293,29 @@ impl Transport {
         };
         listener.set_nonblocking(true)?;
 
-        let pool = cfg.pool.clone();
-        let mut peers: BTreeMap<NodeId, Arc<PeerState>> = BTreeMap::new();
-        let mut addrs: BTreeMap<NodeId, SocketAddr> = BTreeMap::new();
-        for (id, addr) in cfg.peers.iter().filter(|(id, _)| *id != cfg.node_id) {
-            peers.insert(
-                *id,
-                Arc::new(PeerState {
-                    queue: Arc::new(OutboundQueue::new(
-                        QUEUE_FRAMES,
-                        QUEUE_BYTES,
-                        PROTECTED_BYTES,
-                    )),
-                    metrics: Arc::new(PeerMetrics::default()),
-                }),
-            );
-            addrs.insert(*id, *addr);
-        }
-
+        let others = cfg.peers.iter().filter(|(id, _)| *id != cfg.node_id);
         let core = Arc::new(NodeCore {
-            id: pool.next_core_id(),
+            id: cfg.pool.next_core_id(),
             node: cfg.node_id,
-            inbound,
             verifier,
-            mempool: cfg.mempool.as_ref().map(|(pool, _)| pool.clone()),
-            dissem: cfg.dissem.clone(),
-            peers,
-            addrs,
+            mempool: cfg.mempool,
+            dissem: cfg.dissem,
+            peers: others.clone().map(|&(id, _)| (id, PeerMetrics::default())).collect(),
+            addrs: others.copied().collect(),
             shutdown,
-            shape: cfg.shape.clone(),
+            shape: cfg.shape,
+            epoch,
         });
-        pool.attach(core.clone(), listener);
-
-        Ok(Transport { node: cfg.node_id, core, pool })
+        let home = cfg.pool.attach(core.clone(), listener, node);
+        Ok(Transport { core, pool: cfg.pool, home })
     }
 
-    /// Queues `frame` for peer `to`. Never blocks: a full queue drops its
-    /// oldest frames.
-    fn enqueue(&self, to: NodeId, peer: &PeerState, frame: Arc<Vec<u8>>) {
-        let dropped = peer.queue.push(frame);
-        peer.metrics.dropped_frames.fetch_add(dropped, Ordering::Relaxed);
-        self.pool.nudge_peer(self.core.id, to);
-    }
-
-    /// Queues `frame` for `to`. Unknown peers are ignored (the config is the
-    /// membership).
-    pub fn send(&self, to: NodeId, frame: Arc<Vec<u8>>) {
-        if let Some(peer) = self.core.peers.get(&to) {
-            self.enqueue(to, peer, frame);
-        }
-    }
-
-    /// Queues `frame` for every peer but `except` (self excluded — the
-    /// driver loops its own multicasts back directly). `except` is the
-    /// driver's `BatchPush` path under the drop-push fault knob.
-    pub fn broadcast(&self, frame: Arc<Vec<u8>>, except: Option<NodeId>) {
-        for (id, peer) in self.core.peers.iter() {
-            if Some(*id) != except {
-                self.enqueue(*id, peer, frame.clone());
-            }
-        }
-    }
-
-    /// Queues `frame` for `to` in the **protected** class: served before
-    /// the normal queue and exempt from drop-oldest. For sync responses
-    /// (`BlockResponse`, `BatchResponse`) whose loss would wedge the
-    /// requester behind its own retry timeout.
-    pub fn send_priority(&self, to: NodeId, frame: Arc<Vec<u8>>) {
-        if let Some(peer) = self.core.peers.get(&to) {
-            if !peer.queue.push_protected(frame) {
-                peer.metrics.protected_dropped.fetch_add(1, Ordering::Relaxed);
-            }
-            self.pool.nudge_peer(self.core.id, to);
-        }
+    /// Stops the home shard stepping the node and hands the node back, as
+    /// it was after its last step. Its sockets stay open, and the frames
+    /// it queued keep leaving, until [`stop`](Transport::stop).
+    pub fn halt(&self) -> Node {
+        self.core.shutdown.store(true, Ordering::SeqCst);
+        self.pool.halt(self.home, self.core.id)
     }
 
     /// Writes this node's transport counters into `reg`, the node's report:
@@ -431,8 +327,7 @@ impl Transport {
         const TOTALS: [&str; 5] =
             ["bytes_out", "bytes_in", "frames_out", "dropped_frames", "reconnects"];
         let mut totals = [0u64; 5];
-        for (id, peer) in &self.core.peers {
-            let m = &peer.metrics;
+        for (id, m) in &self.core.peers {
             let traffic =
                 [&m.bytes_out, &m.bytes_in, &m.frames_out, &m.dropped_frames, &m.reconnects];
             for (total, counter) in totals.iter_mut().zip(traffic) {
@@ -455,51 +350,157 @@ impl Transport {
     }
 
     /// Detaches this node from the pool: its sockets close, its redials
-    /// stop. The pool keeps running for its other nodes; its owner shuts
-    /// it down after the last one stops.
+    /// stop, and a node not [halted](Transport::halt) is dropped. The pool
+    /// keeps running for its other nodes; its owner shuts it down after
+    /// the last one stops.
     pub fn stop(self) {
-        // Order matters: every dial checks the shutdown flag, and a shard
-        // handles its commands in order, so no connection for this node can
-        // (re)appear once the close commands are out.
+        // Every dial checks the shutdown flag, and the home shard handles
+        // its commands in order, so no connection for this node can
+        // (re)appear once the detach is out.
         self.core.shutdown.store(true, Ordering::SeqCst);
-        self.pool.detach(&self.core);
+        self.pool.detach(self.home, self.core.id);
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::sync::mpsc;
-    use std::time::{Duration, Instant};
+    use std::sync::{mpsc, Mutex};
+    use std::time::Duration;
+
+    use moonshot_consensus::{ConsensusProtocol, Message, NodeConfig, Output, TimerToken};
+    use moonshot_crypto::Digest;
+    use moonshot_telemetry::RingBufferSink;
+    use moonshot_types::time::{SimDuration, SimTime};
+    use moonshot_types::View;
+
+    /// What a [`Probe`] was handed, in order: sender, message, and the time
+    /// the node stamped it with.
+    pub(crate) type Seen = mpsc::Receiver<(NodeId, Message, SimTime)>;
+
+    /// A protocol double for runs over sockets: emits `at_start` when it
+    /// starts, sends [`numbered`] requests 0, 1, 2, … to `tick.0` every
+    /// `tick.1`, and hands every message it is given to a channel.
+    struct Probe {
+        verifier: MessageVerifier,
+        seen: mpsc::Sender<(NodeId, Message, SimTime)>,
+        at_start: Vec<Output>,
+        tick: Option<(NodeId, SimDuration)>,
+        sent: u64,
+    }
+
+    impl ConsensusProtocol for Probe {
+        fn start(&mut self, _: SimTime) -> Vec<Output> {
+            let token = TimerToken::ViewTimer(View(0));
+            let tick = self.tick.map(|(_, after)| Output::SetTimer { token, after });
+            std::mem::take(&mut self.at_start).into_iter().chain(tick).collect()
+        }
+        fn handle_preverified(&mut self, from: NodeId, msg: PreVerified, now: SimTime) -> Vec<Output> {
+            let _ = self.seen.send((from, msg.into_inner(), now));
+            Vec::new()
+        }
+        fn verifier(&self) -> &MessageVerifier {
+            &self.verifier
+        }
+        fn handle_timer(&mut self, token: TimerToken, _: SimTime) -> Vec<Output> {
+            let Some((to, after)) = self.tick else { return Vec::new() };
+            self.sent += 1;
+            vec![Output::Send(to, numbered(self.sent - 1)), Output::SetTimer { token, after }]
+        }
+        fn current_view(&self) -> View {
+            View(0)
+        }
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+    }
+
+    /// A `BlockRequest` carrying `seq` in its block id; it has no
+    /// signature to check.
+    pub(crate) fn numbered(seq: u64) -> Message {
+        let mut id = [0u8; 32];
+        id[..8].copy_from_slice(&seq.to_le_bytes());
+        Message::BlockRequest { block_id: Digest(id) }
+    }
+
+    /// The number a [`numbered`] request carries.
+    fn number(msg: &Message) -> u64 {
+        match msg {
+            Message::BlockRequest { block_id } => {
+                u64::from_le_bytes(block_id.0[..8].try_into().unwrap())
+            }
+            other => panic!("unexpected message {other}"),
+        }
+    }
+
+    /// Node `id` of `n` running a [`Probe`], with the verifier its shard
+    /// checks messages with and what the probe is handed.
+    pub(crate) fn probe_node(
+        id: NodeId,
+        n: usize,
+        at_start: Vec<Output>,
+        tick: Option<(NodeId, SimDuration)>,
+    ) -> (Node, Arc<MessageVerifier>, Seen) {
+        let (seen_tx, seen) = mpsc::channel();
+        let cfg = NodeConfig::simulated(id, n, SimDuration::from_millis(50));
+        let verifier = Arc::new(MessageVerifier::for_config(&cfg));
+        let probe = move |cfg: NodeConfig| -> Box<dyn ConsensusProtocol + Send> {
+            let verifier = MessageVerifier::for_config(&cfg);
+            Box::new(Probe { verifier, seen: seen_tx, at_start, tick, sent: 0 })
+        };
+        let plane = DissemPlane::new(1 << 20);
+        let sink = Arc::new(Mutex::new(RingBufferSink::new(1024)));
+        (Node::new(cfg, probe, plane, None, None, sink), verifier, seen)
+    }
+
+    /// Starts node `id` of `peers` over `listener` on `net`, running a
+    /// [`Probe`].
+    fn start(
+        id: NodeId,
+        listener: TcpListener,
+        peers: &[(NodeId, SocketAddr)],
+        net: &Arc<NetPool>,
+        at_start: Vec<Output>,
+        tick: Option<(NodeId, SimDuration)>,
+    ) -> (Transport, Seen) {
+        let (node, verifier, seen) = probe_node(id, peers.len(), at_start, tick);
+        let addr = listener.local_addr().unwrap();
+        let cfg = TransportConfig::new(id, addr, peers.to_vec(), net.clone());
+        let t = Transport::start(cfg, Some(listener), verifier, node, Instant::now(), Arc::default())
+            .unwrap();
+        (t, seen)
+    }
 
     /// Bytes a queue buffers across both classes.
     fn buffered_bytes(q: &OutboundQueue) -> usize {
-        let inner = q.frames.lock().unwrap();
-        inner.bytes + inner.protected_bytes
+        q.bytes + q.protected_bytes
+    }
+
+    fn depth(q: &OutboundQueue) -> usize {
+        q.queue.len() + q.protected.len()
     }
 
     /// The counters of `t`'s link to `id`.
-    fn peer_metrics(t: &Transport, id: NodeId) -> Arc<PeerMetrics> {
-        t.core.peers[&id].metrics.clone()
+    fn peer_metrics(t: &Transport, id: NodeId) -> &PeerMetrics {
+        &t.core.peers[&id]
     }
 
     fn localhost_any() -> SocketAddr {
         "127.0.0.1:0".parse().unwrap()
     }
 
-    /// A two-node PKI's verifier (the messages below carry no signatures).
-    fn verifier() -> Arc<MessageVerifier> {
-        let ring = moonshot_crypto::Keyring::simulated(2);
-        Arc::new(MessageVerifier::new(ring, Arc::new(moonshot_crypto::VerifiedCache::default())))
+    /// An address nothing listens on.
+    fn unbound() -> SocketAddr {
+        TcpListener::bind(localhost_any()).unwrap().local_addr().unwrap()
     }
 
     #[test]
     fn queue_drops_oldest_when_full() {
-        let q = OutboundQueue::new(2, usize::MAX, usize::MAX);
+        let mut q = OutboundQueue::new(2, usize::MAX, usize::MAX);
         let f = |b: u8| Arc::new(vec![b]);
         assert_eq!(q.push(f(1)), 0);
         assert_eq!(q.push(f(2)), 0);
-        assert_eq!((q.push(f(3)), q.depth()), (1, 2));
+        assert_eq!((q.push(f(3)), depth(&q)), (1, 2));
         assert_eq!(q.pop().unwrap()[0], 2); // 1 was dropped
         assert_eq!(q.pop().unwrap()[0], 3);
     }
@@ -511,7 +512,7 @@ mod tests {
         // budget must evict the oldest frames instead.
         const FRAME: usize = 1_800_000;
         const BUDGET: usize = 8 * 1024 * 1024;
-        let q = OutboundQueue::new(1024, BUDGET, usize::MAX);
+        let mut q = OutboundQueue::new(1024, BUDGET, usize::MAX);
         let mut dropped_total = 0;
         for i in 0..100u8 {
             dropped_total += q.push(Arc::new(vec![i; FRAME]));
@@ -531,10 +532,10 @@ mod tests {
 
         // A frame larger than the whole byte budget is still queued (memory
         // bound = max(budget, one frame)).
-        let q = OutboundQueue::new(1024, 1024, usize::MAX);
+        let mut q = OutboundQueue::new(1024, 1024, usize::MAX);
         q.push(Arc::new(vec![1; 4096]));
-        assert_eq!(q.depth(), 1);
-        assert_eq!((q.push(Arc::new(vec![2; 8])), q.depth()), (1, 1)); // oversized head evicted
+        assert_eq!(depth(&q), 1);
+        assert_eq!((q.push(Arc::new(vec![2; 8])), depth(&q)), (1, 1)); // oversized head evicted
         assert_eq!(q.pop().unwrap()[0], 2);
     }
 
@@ -546,7 +547,7 @@ mod tests {
     /// already-promised response).
     #[test]
     fn protected_frames_survive_drop_oldest_and_pop_first() {
-        let q = OutboundQueue::new(2, 64, 10);
+        let mut q = OutboundQueue::new(2, 64, 10);
 
         assert!(q.push_protected(Arc::new(vec![0xA; 4])));
         // Flood the normal class far past both its budgets.
@@ -575,8 +576,7 @@ mod tests {
 
     #[test]
     fn two_nodes_exchange_messages() {
-        use moonshot_consensus::Message;
-        use moonshot_types::{Block, Payload, View};
+        use moonshot_types::{Block, Payload};
 
         let net = NetPool::new().unwrap();
         // Bind both listeners on port 0 first so each side can dial the
@@ -586,46 +586,20 @@ mod tests {
         let (a0, a1) = (l0.local_addr().unwrap(), l1.local_addr().unwrap());
         let peers = vec![(NodeId(0), a0), (NodeId(1), a1)];
 
-        let (tx0, rx0) = mpsc::channel();
-        let (tx1, rx1) = mpsc::channel();
-        let tx0 = InboundSender::new(tx0);
-        let tx1 = InboundSender::new(tx1);
-        let depth1 = tx1.depth_gauge();
-        let t0 = Transport::start(
-            TransportConfig::new(NodeId(0), a0, peers.clone(), net.clone()),
-            Some(l0),
-            verifier(),
-            tx0,
-            Arc::default(),
-        )
-        .unwrap();
-        let t1 = Transport::start(
-            TransportConfig::new(NodeId(1), a1, peers, net.clone()),
-            Some(l1),
-            verifier(),
-            tx1,
-            Arc::default(),
-        )
-        .unwrap();
-
         let block =
             Block::build(View(1), NodeId(0), &Block::genesis(), Payload::synthetic_items(1, 7));
         let msg = Message::OptPropose { block, view: View(1) };
-        let frame = Arc::new(moonshot_wire::encode_message(&msg));
-        t0.send(NodeId(1), frame.clone());
+        // Each node sends the other the proposal as it starts.
+        let (t0, seen0) =
+            start(NodeId(0), l0, &peers, &net, vec![Output::Send(NodeId(1), msg.clone())], None);
+        let (t1, seen1) =
+            start(NodeId(1), l1, &peers, &net, vec![Output::Send(NodeId(0), msg.clone())], None);
 
-        let got = rx1.recv_timeout(Duration::from_secs(10)).expect("delivery");
-        let got = got.expect("a message");
-        assert_eq!(got.from, NodeId(0));
-        assert_eq!(got.msg.message(), &msg);
-        // The depth gauge credited the delivery; the consumer debits it.
-        assert_eq!(depth1.load(Ordering::Relaxed), 1);
-        depth1.fetch_sub(1, Ordering::Relaxed);
-
+        let (from, got, _) = seen1.recv_timeout(Duration::from_secs(10)).expect("delivery");
+        assert_eq!((from, &got), (NodeId(0), &msg));
         // And the reverse direction.
-        t1.send(NodeId(0), frame);
-        let got = rx0.recv_timeout(Duration::from_secs(10)).expect("reverse delivery");
-        assert_eq!(got.expect("a message").from, NodeId(1));
+        let (from, _, _) = seen0.recv_timeout(Duration::from_secs(10)).expect("reverse delivery");
+        assert_eq!(from, NodeId(1));
 
         let m = peer_metrics(&t0, NodeId(1));
         assert!(m.bytes_out.load(Ordering::Relaxed) > 0);
@@ -654,31 +628,17 @@ mod tests {
         use std::io::{Read, Write};
         use std::net::TcpStream;
 
-        use moonshot_consensus::Message;
         use moonshot_crypto::{KeyPair, Signature};
-        use moonshot_types::{Block, SignedVote, View, Vote, VoteKind};
+        use moonshot_types::{Block, SignedVote, Vote, VoteKind};
         use moonshot_wire::{encode_frame, encode_message, Frame};
 
         let net = NetPool::new().unwrap();
         let l0 = TcpListener::bind(localhost_any()).unwrap();
         let a0 = l0.local_addr().unwrap();
-        // Node 1's address is reserved but never listened on: node 0's
-        // dials to it fail, and node 1 is the raw socket below.
-        let a1 = TcpListener::bind(localhost_any()).unwrap().local_addr().unwrap();
-        let (tx0, rx0) = mpsc::channel();
-        let t0 = Transport::start(
-            TransportConfig::new(
-                NodeId(0),
-                a0,
-                vec![(NodeId(0), a0), (NodeId(1), a1)],
-                net.clone(),
-            ),
-            Some(l0),
-            verifier(),
-            InboundSender::new(tx0),
-            Arc::default(),
-        )
-        .unwrap();
+        // Node 1's address is never listened on: node 0's dials to it fail,
+        // and node 1 is the raw socket below.
+        let peers = [(NodeId(0), a0), (NodeId(1), unbound())];
+        let (t0, seen0) = start(NodeId(0), l0, &peers, &net, Vec::new(), None);
         let report = |name: &str| {
             let mut reg = MetricsRegistry::new();
             t0.snapshot_metrics(&mut reg);
@@ -711,13 +671,12 @@ mod tests {
         forged.signature = Signature::from_bytes(sig);
         peer.write_all(&encode_message(&Message::Vote(forged))).unwrap();
         wait_for("the verify failure", &|| report("verify_failures") == 1);
-        assert!(rx0.try_recv().is_err(), "a forged vote reached the driver");
+        assert!(seen0.try_recv().is_err(), "a forged vote reached the node");
 
         let valid = Message::Vote(vote(2));
         peer.write_all(&encode_message(&valid)).unwrap();
-        let got = rx0.recv_timeout(Duration::from_secs(10)).expect("delivery");
-        let got = got.expect("a message");
-        assert_eq!((got.from, got.msg.message()), (NodeId(1), &valid));
+        let (from, got, _) = seen0.recv_timeout(Duration::from_secs(10)).expect("delivery");
+        assert_eq!((from, &got), (NodeId(1), &valid));
 
         let mut corrupt = encode_message(&Message::Vote(vote(3)));
         corrupt[12] ^= 0xFF; // the header's body CRC
@@ -731,51 +690,34 @@ mod tests {
             Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
             other => panic!("connection still open after a decode error: {other:?}"),
         }
-        assert!(rx0.try_recv().is_err(), "the corrupt frame reached the driver");
+        assert!(seen0.try_recv().is_err(), "the corrupt frame reached the node");
         assert_eq!(report("verify_failures"), 1);
         assert_eq!((report("dropped_frames"), report("protected_dropped")), (0, 0));
         t0.stop();
         net.shutdown();
     }
 
-    /// A peer's consensus messages reach the driver in the order they were
+    /// A peer's consensus messages reach the node in the order they were
     /// read. A raw socket says hello, then writes 2 000 `BlockRequest`s
     /// with distinct block ids in one burst; they carry no signature, so
-    /// every one passes verification, and the driver's channel must yield
-    /// exactly those 2 000, in the order they were written.
+    /// every one passes verification, and the node's protocol must be
+    /// handed exactly those 2 000, in the order they were written.
     #[test]
-    fn a_peers_messages_reach_the_driver_in_the_order_they_were_read() {
+    fn a_peers_messages_reach_the_node_in_the_order_they_were_read() {
         use std::io::Write;
         use std::net::TcpStream;
 
-        use moonshot_consensus::Message;
-        use moonshot_crypto::Digest;
         use moonshot_wire::{encode_frame, encode_message, Frame};
 
-        const MESSAGES: u32 = 2_000;
+        const MESSAGES: u64 = 2_000;
         let net = NetPool::new().unwrap();
         let l0 = TcpListener::bind(localhost_any()).unwrap();
         let a0 = l0.local_addr().unwrap();
         // Node 1 is the raw socket below; its address is never listened on.
-        let a1 = TcpListener::bind(localhost_any()).unwrap().local_addr().unwrap();
-        let (tx0, rx0) = mpsc::channel();
-        let t0 = Transport::start(
-            TransportConfig::new(
-                NodeId(0),
-                a0,
-                vec![(NodeId(0), a0), (NodeId(1), a1)],
-                net.clone(),
-            ),
-            Some(l0),
-            verifier(),
-            InboundSender::new(tx0),
-            Arc::default(),
-        )
-        .unwrap();
+        let peers = [(NodeId(0), a0), (NodeId(1), unbound())];
+        let (t0, seen0) = start(NodeId(0), l0, &peers, &net, Vec::new(), None);
 
-        let sent: Vec<Message> = (0..MESSAGES)
-            .map(|i| Message::BlockRequest { block_id: Digest::hash(&i.to_le_bytes()) })
-            .collect();
+        let sent: Vec<Message> = (0..MESSAGES).map(numbered).collect();
         let mut peer = TcpStream::connect(a0).unwrap();
         peer.write_all(&encode_frame(&Frame::Hello { node: NodeId(1) })).unwrap();
         let burst: Vec<u8> = sent.iter().flat_map(encode_message).collect();
@@ -783,18 +725,17 @@ mod tests {
 
         let mut got = Vec::with_capacity(sent.len());
         while got.len() < sent.len() {
-            let inbound = rx0
+            let (from, msg, _) = seen0
                 .recv_timeout(Duration::from_secs(10))
-                .unwrap_or_else(|e| panic!("{e} after {} of {MESSAGES} messages", got.len()))
-                .expect("a message, not a bare wake-up");
-            assert_eq!(inbound.from, NodeId(1));
-            got.push(inbound.msg.message().clone());
+                .unwrap_or_else(|e| panic!("{e} after {} of {MESSAGES} messages", got.len()));
+            assert_eq!(from, NodeId(1));
+            got.push(msg);
         }
         assert_eq!(got.len(), sent.len());
         if let Some(i) = (0..sent.len()).find(|&i| got[i] != sent[i]) {
             panic!("message {i} of {MESSAGES} delivered out of read order: got {}", got[i]);
         }
-        assert!(rx0.try_recv().is_err(), "more messages delivered than were sent");
+        assert!(seen0.try_recv().is_err(), "more messages delivered than were sent");
         t0.stop();
         net.shutdown();
     }
@@ -809,9 +750,6 @@ mod tests {
     /// second link would count twice and let frames overtake each other.
     #[test]
     fn a_restarted_peer_is_redialed_over_one_link_in_send_order() {
-        use moonshot_consensus::Message;
-        use moonshot_crypto::Digest;
-
         const GAPS_MS: [u64; 4] = [50, 150, 250, 350];
         /// How long each incarnation reads after its first frame.
         const SETTLE: Duration = Duration::from_millis(500);
@@ -819,80 +757,48 @@ mod tests {
         let l0 = TcpListener::bind(localhost_any()).unwrap();
         let l1 = TcpListener::bind(localhost_any()).unwrap();
         let (a0, a1) = (l0.local_addr().unwrap(), l1.local_addr().unwrap());
-        let peers = vec![(NodeId(0), a0), (NodeId(1), a1)];
-        let start = |id: NodeId, listener: TcpListener| {
-            let (tx, rx) = mpsc::channel();
-            let cfg = TransportConfig::new(id, peers[id.0 as usize].1, peers.clone(), net.clone());
-            let inbound = InboundSender::new(tx);
-            let t = Transport::start(cfg, Some(listener), verifier(), inbound, Arc::default())
-                .unwrap();
-            (t, rx)
-        };
-        // The sequence number a frame carries in its block id.
-        let frame = |seq: u64| {
-            let mut id = [0u8; 32];
-            id[..8].copy_from_slice(&seq.to_le_bytes());
-            Arc::new(moonshot_wire::encode_message(&Message::BlockRequest { block_id: Digest(id) }))
-        };
-        let seq_of = |inbound: Option<Inbound>| match inbound.expect("a message").msg.message() {
-            Message::BlockRequest { block_id } => {
-                u64::from_le_bytes(block_id.0[..8].try_into().unwrap())
-            }
-            other => panic!("unexpected message {other}"),
-        };
+        let peers = [(NodeId(0), a0), (NodeId(1), a1)];
+        let start_1 = |listener| start(NodeId(1), listener, &peers, &net, Vec::new(), None);
         // One incarnation's frames: until the first arrives, then `SETTLE`.
-        let read_run = |rx: &mpsc::Receiver<Option<Inbound>>, run: &mut Vec<u64>| {
-            let first =
-                rx.recv_timeout(Duration::from_secs(10)).expect("no frame reached the peer");
-            run.push(seq_of(first));
+        let read_run = |seen: &Seen, run: &mut Vec<u64>| {
+            let (_, first, _) =
+                seen.recv_timeout(Duration::from_secs(10)).expect("no frame reached the peer");
+            run.push(number(&first));
             let until = Instant::now() + SETTLE;
             while let Some(left) = until.checked_duration_since(Instant::now()) {
-                match rx.recv_timeout(left) {
-                    Ok(got) => run.push(seq_of(got)),
+                match seen.recv_timeout(left) {
+                    Ok((_, got, _)) => run.push(number(&got)),
                     Err(_) => break,
                 }
             }
         };
 
-        let (t0, _rx0) = start(NodeId(0), l0);
-        let (mut t1, mut rx1) = start(NodeId(1), l1);
+        // Node 0 sends node 1 a numbered frame every millisecond.
+        let tick = Some((NodeId(1), SimDuration::from_millis(1)));
+        let (t0, _seen0) = start(NodeId(0), l0, &peers, &net, Vec::new(), tick);
+        let (mut t1, mut seen1) = start_1(l1);
         let link = peer_metrics(&t0, NodeId(1));
         let mut runs: Vec<Vec<u64>> = Vec::new();
-        std::thread::scope(|s| {
-            // The sender stops when `stop` drops: at the end, or when an
-            // assert below unwinds.
-            let (stop, stopped) = mpsc::channel::<()>();
-            let (t0, frame) = (&t0, &frame);
-            s.spawn(move || {
-                let mut seq = 0;
-                while let Err(mpsc::TryRecvError::Empty) = stopped.try_recv() {
-                    t0.send(NodeId(1), frame(seq));
-                    seq += 1;
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-            });
-            for gap in GAPS_MS {
-                let mut run = Vec::new();
-                read_run(&rx1, &mut run);
-                assert_eq!(
-                    link.reconnects.load(Ordering::Relaxed),
-                    runs.len() as u64,
-                    "reconnects after {} restarts",
-                    runs.len()
-                );
-                t1.stop();
-                run.extend(rx1.try_iter().map(seq_of));
-                runs.push(run);
-                std::thread::sleep(Duration::from_millis(gap));
-                (t1, rx1) = start(NodeId(1), TcpListener::bind(a1).expect("rebind after stop"));
-            }
+        for gap in GAPS_MS {
             let mut run = Vec::new();
-            read_run(&rx1, &mut run);
+            read_run(&seen1, &mut run);
+            assert_eq!(
+                link.reconnects.load(Ordering::Relaxed),
+                runs.len() as u64,
+                "reconnects after {} restarts",
+                runs.len()
+            );
             t1.stop();
-            run.extend(rx1.try_iter().map(seq_of));
+            run.extend(seen1.try_iter().map(|(_, msg, _)| number(&msg)));
             runs.push(run);
-            drop(stop);
-        });
+            std::thread::sleep(Duration::from_millis(gap));
+            (t1, seen1) = start_1(TcpListener::bind(a1).expect("rebind after stop"));
+        }
+        let mut run = Vec::new();
+        read_run(&seen1, &mut run);
+        t1.stop();
+        run.extend(seen1.try_iter().map(|(_, msg, _)| number(&msg)));
+        runs.push(run);
         assert_eq!(
             link.reconnects.load(Ordering::Relaxed),
             GAPS_MS.len() as u64,
@@ -916,60 +822,26 @@ mod tests {
     /// connection lost after it was once established does.
     #[test]
     fn late_bound_listener_counts_zero_reconnects() {
-        use moonshot_consensus::Message;
-        use moonshot_types::{Block, Payload, View};
-
         let net = NetPool::new().unwrap();
         let l0 = TcpListener::bind(localhost_any()).unwrap();
         let a0 = l0.local_addr().unwrap();
         // Reserve an address for node 1 but leave it unbound for now, so
         // node 0's first dials fail exactly like the startup race.
-        let a1 = {
-            let probe = TcpListener::bind(localhost_any()).unwrap();
-            probe.local_addr().unwrap()
-        };
-        let peers = vec![(NodeId(0), a0), (NodeId(1), a1)];
+        let a1 = unbound();
+        let peers = [(NodeId(0), a0), (NodeId(1), a1)];
 
-        let (tx0, rx0) = mpsc::channel();
-        let t0 = Transport::start(
-            TransportConfig::new(NodeId(0), a0, peers.clone(), net.clone()),
-            Some(l0),
-            verifier(),
-            InboundSender::new(tx0),
-            Arc::default(),
-        )
-        .unwrap();
+        // Node 0 keeps sending node 1 a frame every 20 ms.
+        let tick = Some((NodeId(1), SimDuration::from_millis(20)));
+        let (t0, _seen0) = start(NodeId(0), l0, &peers, &net, Vec::new(), tick);
         // Let several dial attempts fail against the unbound address.
         std::thread::sleep(Duration::from_millis(300));
 
         let l1 = TcpListener::bind(a1).expect("rebind reserved address");
-        let (tx1, rx1) = mpsc::channel();
-        let t1 = Transport::start(
-            TransportConfig::new(NodeId(1), a1, peers, net.clone()),
-            Some(l1),
-            verifier(),
-            InboundSender::new(tx1),
-            Arc::default(),
-        )
-        .unwrap();
-
-        let block =
-            Block::build(View(1), NodeId(0), &Block::genesis(), Payload::synthetic_items(1, 9));
-        let msg = Message::OptPropose { block, view: View(1) };
-        let frame = Arc::new(moonshot_wire::encode_message(&msg));
-        // Keep sending until the late listener is reachable and delivers.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        loop {
-            t0.send(NodeId(1), frame.clone());
-            match rx1.recv_timeout(Duration::from_millis(200)) {
-                Ok(got) => {
-                    assert_eq!(got.expect("a message").from, NodeId(0));
-                    break;
-                }
-                Err(_) if Instant::now() < deadline => continue,
-                Err(e) => panic!("no delivery through late-bound listener: {e}"),
-            }
-        }
+        let (t1, seen1) = start(NodeId(1), l1, &peers, &net, Vec::new(), None);
+        let (from, _, _) = seen1
+            .recv_timeout(Duration::from_secs(10))
+            .expect("no delivery through late-bound listener");
+        assert_eq!(from, NodeId(0));
         let m = peer_metrics(&t0, NodeId(1));
         assert_eq!(
             m.reconnects.load(Ordering::Relaxed),
@@ -982,25 +854,11 @@ mod tests {
         t1.stop();
         std::thread::sleep(Duration::from_millis(100));
         let l1 = TcpListener::bind(a1).expect("rebind after stop");
-        let (tx1b, _rx1b) = mpsc::channel();
-        let t1b = Transport::start(
-            TransportConfig::new(
-                NodeId(1),
-                a1,
-                vec![(NodeId(0), a0), (NodeId(1), a1)],
-                net.clone(),
-            ),
-            Some(l1),
-            verifier(),
-            InboundSender::new(tx1b),
-            Arc::default(),
-        )
-        .unwrap();
+        let (t1b, _seen1b) = start(NodeId(1), l1, &peers, &net, Vec::new(), None);
         let deadline = Instant::now() + Duration::from_secs(10);
         while m.reconnects.load(Ordering::Relaxed) == 0 && Instant::now() < deadline {
-            // Writes into the dead/new connection eventually fail and force
-            // a redial; the successful re-hello increments the counter.
-            t0.send(NodeId(1), frame.clone());
+            // Node 0's frames into the dead connection fail and force a
+            // redial; the successful re-hello increments the counter.
             std::thread::sleep(Duration::from_millis(50));
         }
         assert_eq!(
@@ -1008,7 +866,6 @@ mod tests {
             1,
             "a lost-then-restored connection must count exactly once"
         );
-        drop(rx0);
         t0.stop();
         t1b.stop();
         net.shutdown();

@@ -3,39 +3,79 @@
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use moonshot_consensus::{Message, MessageVerifier};
-use moonshot_crypto::{Digest, Keyring};
-use moonshot_node::{Inbound, InboundSender, NetPool, Transport, TransportConfig};
-use moonshot_types::NodeId;
+use moonshot_consensus::{
+    ConsensusProtocol, Message, MessageVerifier, NodeConfig, Output, PreVerified, TimerToken,
+};
+use moonshot_crypto::Digest;
+use moonshot_node::{NetPool, NodeHandle, TransportConfig};
+use moonshot_telemetry::RingBufferSink;
+use moonshot_types::time::{SimDuration, SimTime};
+use moonshot_types::{NodeId, View};
 
 extern "C" {
     fn listen(fd: i32, backlog: i32) -> i32;
 }
 
-/// Starts node `id` of `peers` on `pool`, over `listener`.
+/// A protocol that sends `at_start` as it starts and passes on every
+/// message it is handed.
+struct Probe {
+    verifier: MessageVerifier,
+    at_start: Vec<Output>,
+    seen: mpsc::Sender<(NodeId, Message)>,
+}
+
+impl ConsensusProtocol for Probe {
+    fn start(&mut self, _: SimTime) -> Vec<Output> {
+        std::mem::take(&mut self.at_start)
+    }
+    fn handle_preverified(&mut self, from: NodeId, msg: PreVerified, _: SimTime) -> Vec<Output> {
+        let _ = self.seen.send((from, msg.into_inner()));
+        Vec::new()
+    }
+    fn verifier(&self) -> &MessageVerifier {
+        &self.verifier
+    }
+    fn handle_timer(&mut self, _: TimerToken, _: SimTime) -> Vec<Output> {
+        Vec::new()
+    }
+    fn current_view(&self) -> View {
+        View(0)
+    }
+    fn name(&self) -> &'static str {
+        "probe"
+    }
+}
+
+/// Starts node `id` of `peers` on `pool`, over `listener`, sending
+/// `at_start` as it starts; the receiver yields what it is handed.
 fn start(
     id: NodeId,
     listener: TcpListener,
     peers: &[(NodeId, SocketAddr)],
     pool: &Arc<NetPool>,
-) -> (Transport, mpsc::Receiver<Option<Inbound>>) {
+    at_start: Vec<Output>,
+) -> (NodeHandle, mpsc::Receiver<(NodeId, Message)>) {
     let (tx, rx) = mpsc::channel();
     let addr = listener.local_addr().unwrap();
     let cfg = TransportConfig::new(id, addr, peers.to_vec(), pool.clone());
-    let verifier = Arc::new(MessageVerifier::new(Keyring::simulated(3), Arc::default()));
-    let inbound = InboundSender::new(tx);
-    let t = Transport::start(cfg, Some(listener), verifier, inbound, Arc::default()).unwrap();
-    (t, rx)
+    let probe = move |cfg: NodeConfig| -> Box<dyn ConsensusProtocol + Send> {
+        Box::new(Probe { verifier: MessageVerifier::for_config(&cfg), at_start, seen: tx })
+    };
+    let sink = Arc::new(Mutex::new(RingBufferSink::new(1024)));
+    let delta = SimDuration::from_millis(50);
+    let node =
+        NodeHandle::start(probe, delta, cfg, Some(listener), None, Instant::now(), sink).unwrap();
+    (node, rx)
 }
 
 /// A peer that never answers a connect holds up no other link. Node 1 is a
 /// listener whose accept queue is full, so the kernel drops the SYNs of
 /// every connect to it and each one hangs until it gives up (after 1 s);
-/// it sorts before node 2, a live node. A frame node 0 queues for node 2 as
-/// it starts must arrive within a tenth of that.
+/// it sorts before node 2, a live node. A frame node 0 sends node 2 as it
+/// starts must arrive within a tenth of that.
 #[test]
 fn a_peer_that_never_accepts_holds_up_no_other_dial() {
     let localhost: SocketAddr = "127.0.0.1:0".parse().unwrap();
@@ -56,20 +96,19 @@ fn a_peer_that_never_accepts_holds_up_no_other_dial() {
         (NodeId(1), a1),
         (NodeId(2), l2.local_addr().unwrap()),
     ];
-    let (t2, rx2) = start(NodeId(2), l2, &peers, &pool);
+    let (n2, rx2) = start(NodeId(2), l2, &peers, &pool, Vec::new());
 
     let msg = Message::BlockRequest { block_id: Digest([7; 32]) };
     let started = Instant::now();
-    let (t0, _rx0) = start(NodeId(0), l0, &peers, &pool);
-    t0.send(NodeId(2), Arc::new(moonshot_wire::encode_message(&msg)));
-    let got = rx2.recv_timeout(Duration::from_secs(10)).expect("delivery").expect("a message");
+    let (n0, _rx0) = start(NodeId(0), l0, &peers, &pool, vec![Output::Send(NodeId(2), msg.clone())]);
+    let got = rx2.recv_timeout(Duration::from_secs(10)).expect("delivery");
     let took = started.elapsed();
-    assert_eq!((got.from, got.msg.message()), (NodeId(0), &msg));
+    assert_eq!((got.0, &got.1), (NodeId(0), &msg));
     assert!(
         took < Duration::from_millis(100),
         "the frame to node 2 arrived {took:?} after start, behind the connect to node 1"
     );
-    t0.stop();
-    t2.stop();
+    n0.stop();
+    n2.stop();
     pool.shutdown();
 }

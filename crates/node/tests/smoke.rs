@@ -258,15 +258,15 @@ fn fifty_node_shaped_cluster_commits_paced_load_on_bounded_threads() {
     let committed = report.metrics().committed_blocks;
     assert!(committed >= 10, "only {committed} quorum-committed blocks (need 10)");
 
-    // One thread per node, its driver, which also seals, plus the shared
-    // pool's shard loops, which also verify and dial, and up to three for
-    // the test harness — the old thread-per-connection transport would sit
-    // at ~2 500 threads here.
-    let ceiling = (N + stats.shards + 3) as u64;
+    // The shared pool's shard loops, which step, seal, verify and dial for
+    // every node, and up to three for the test harness — no thread per
+    // node; the old thread-per-connection transport would sit at ~2 500
+    // threads here.
+    let ceiling = (stats.shards + 3) as u64;
     let threads = mid_threads.expect("/proc/self/status is readable");
     assert!(
         threads <= ceiling,
-        "{threads} live threads exceed ceiling {ceiling} (n + shards + 3 harness)"
+        "{threads} live threads exceed ceiling {ceiling} (shards + 3 harness)"
     );
 
     // The shard loops sleep between deadlines (a loop polling through the

@@ -160,7 +160,8 @@ pub enum TraceEvent {
         view: View,
         /// Highest height this node has committed.
         height: Height,
-        /// Messages waiting in the driver's inbound channel.
+        /// Messages the node holds undelivered: its own, queued for its
+        /// next step, and those its vote gate parks.
         inbound: u64,
         /// Timers armed in the driver's timer queue.
         timers: u64,
