@@ -132,7 +132,7 @@ pub struct Cluster {
     dead_reports: Vec<NodeReport>,
     /// One mempool per node (empty without a [`LoadSpec`]). Kept across
     /// restarts: pending transactions survive a
-    /// node's crash because admission lives outside the driver.
+    /// node's crash because admission lives outside the node.
     pools: Vec<Arc<Mempool>>,
     /// One dissemination plane per node, paired with `pools`. Kept across
     /// restarts like the pools: a restarted node keeps

@@ -1,6 +1,6 @@
 //! The name the repo benchmark's timer microbenchmark imports.
 //!
-//! The driver and shard loops hold a [`moonshot_types::time::EventQueue`]
+//! The node and the shard loops hold a [`moonshot_types::time::EventQueue`]
 //! directly; nothing in this workspace uses [`TimerWheel`]. It stays only
 //! because the benchmark package is frozen between benchmark changes and
 //! still names it.
