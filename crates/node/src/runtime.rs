@@ -238,10 +238,10 @@ mod tests {
     /// Sealing runs on the node's home shard, and the shard is woken for
     /// it, not ticked: each transaction arrives while the shard is blocked
     /// with no timer of the node's armed but its stall deadline, and with
-    /// ω̂ unmeasured its batch is due 200 µs after the wake-up. Nothing
-    /// ticks the shard: a lost wake-up leaves the transaction in the pool
-    /// until the stall watchdog's 2 s deadline, and the median assert
-    /// fails.
+    /// ω̂ unmeasured its batch is due 200 µs after the wake-up. Only the
+    /// node's deadline steps it otherwise: a lost wake-up leaves the
+    /// transaction in the pool until the stall watchdog's 2 s deadline,
+    /// and the median assert fails.
     #[test]
     fn an_admission_wakes_the_home_shard_to_seal() {
         let plane = DissemPlane::new(1 << 20);
