@@ -55,7 +55,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use moonshot_node::{
     ClusterConfig, LoadSpec, NetPool, NodeHandle, ProtocolChoice, TransportConfig,
@@ -218,14 +218,7 @@ fn run(flags: &Flags) -> Result<ExitCode, String> {
         None => Arc::new(Mutex::new(NullSink)) as Arc<Mutex<dyn TraceSink + Send>>,
     };
 
-    let epoch = Instant::now();
-    let net = match NetPool::new() {
-        Ok(net) => net,
-        Err(e) => {
-            eprintln!("error: cannot start the network pool: {e}");
-            return Ok(ExitCode::FAILURE);
-        }
-    };
+    let net = NetPool::new();
     let mut transport = TransportConfig::new(node, listen, cluster.nodes.clone(), net.clone());
     if let Some(batch_bytes) = load_batch {
         let (pool, plane) = LoadSpec::digest(batch_bytes).data_path();
@@ -238,7 +231,6 @@ fn run(flags: &Flags) -> Result<ExitCode, String> {
         transport,
         None,
         data_dir.as_deref(),
-        epoch,
         sink,
     ) {
         Ok(h) => h,

@@ -122,7 +122,6 @@ impl ClusterSpec {
 #[derive(Debug)]
 pub struct Cluster {
     spec: ClusterSpec,
-    epoch: Instant,
     peers: Vec<(NodeId, SocketAddr)>,
     /// `None` while a node is killed.
     handles: Vec<Option<NodeHandle>>,
@@ -168,11 +167,10 @@ impl Cluster {
     /// the full peer table.
     pub fn launch(spec: ClusterSpec) -> std::io::Result<Cluster> {
         assert!(spec.n >= 1, "cluster needs at least one node");
-        let epoch = Instant::now();
         // One pool for the whole process: n nodes share `O(cores)` network
         // threads instead of spawning `O(n)` apiece, which is what lets a
         // 50–200 node cluster fit one box.
-        let net = NetPool::new()?;
+        let net = NetPool::new();
         let mut listeners = Vec::new();
         let mut peers = Vec::new();
         for i in 0..spec.n {
@@ -195,7 +193,6 @@ impl Cluster {
         let mut cluster = Cluster {
             handles: (0..spec.n).map(|_| None).collect(),
             spec,
-            epoch,
             peers,
             sinks,
             dead_reports: Vec::new(),
@@ -215,9 +212,9 @@ impl Cluster {
         &self.net
     }
 
-    /// The shared time origin.
+    /// The shared time origin: its pool's [`epoch`](NetPool::epoch).
     pub fn epoch(&self) -> Instant {
-        self.epoch
+        self.net.epoch()
     }
 
     /// `(id, addr)` of every validator.
@@ -262,7 +259,7 @@ impl Cluster {
     pub fn restart(&mut self, id: NodeId) -> std::io::Result<()> {
         let idx = id.0 as usize;
         assert!(self.handles[idx].is_none(), "restart of a live node");
-        let at = SimTime(self.epoch.elapsed().as_micros() as u64);
+        let at = SimTime(self.epoch().elapsed().as_micros() as u64);
         self.sinks[idx]
             .lock()
             .unwrap()
@@ -311,7 +308,6 @@ impl Cluster {
             transport,
             listener,
             spec.data_dir.as_deref(),
-            self.epoch,
             self.sinks[idx].clone() as SharedSink,
         )
     }
@@ -336,21 +332,15 @@ impl Cluster {
     /// trace. The caller stops its clients first (no new submissions).
     pub fn stop(mut self) -> ClusterReport {
         let mut reports = std::mem::take(&mut self.dead_reports);
-        // Signal every node before joining any: joining sequentially
-        // without the broadcast would tear node 0 down while nodes 1..n
-        // still think the run is live — they'd redial node 0's closing
-        // transport and book a spurious `reconnect` against a clean run.
-        for handle in self.handles.iter().flatten() {
-            handle.signal_stop();
-        }
-        // Every report, transport counters included, is read before any
-        // socket closes: a node closing first would fail its peers' links
-        // to it, and the frames their shapers still held would count as
-        // dropped against a clean run.
-        let halted: Vec<_> = self.handles.drain(..).flatten().map(NodeHandle::halt).collect();
-        for (report, transport) in halted {
-            reports.push(report);
-            transport.stop();
+        // Every node is halted, and its report, net counters included, read
+        // before any socket closes: a node closing first would fail its
+        // peers' links to it, and the frames their shapers still held would
+        // count as dropped, and their redials as reconnects, against a
+        // clean run.
+        let handles: Vec<NodeHandle> = self.handles.drain(..).flatten().collect();
+        reports.extend(handles.iter().map(NodeHandle::halt));
+        for handle in handles {
+            handle.detach();
         }
         // Every node has detached; the shared pool's threads go last.
         self.net.shutdown();
@@ -391,7 +381,7 @@ impl Cluster {
         }
         ClusterReport {
             n: self.spec.n,
-            elapsed: self.epoch.elapsed(),
+            elapsed: self.epoch().elapsed(),
             reports,
             records,
             restarts: std::mem::take(&mut self.restarts),
@@ -1230,7 +1220,8 @@ mod tests {
 
     /// Teardown drops nothing: a clean, shaped cluster stops with every
     /// node's report read before any socket closes, so no node counts the
-    /// frames its shapers still held toward a peer that closed first.
+    /// frames its shapers still held toward a peer that closed first, nor
+    /// a reconnect to a peer that closed first.
     #[test]
     fn a_clean_shaped_cluster_drops_no_frame_at_stop() {
         let link = crate::shape::LinkShape {
@@ -1249,9 +1240,11 @@ mod tests {
         }
         let report = cluster.stop();
         report.check_invariants().expect("no safety violations");
-        let dropped: Vec<u64> =
-            report.reports.iter().map(|r| r.metrics.counter("net.total.dropped_frames")).collect();
-        assert_eq!(dropped, [0; 4], "frames dropped per node");
+        let counted = |name: &str| -> Vec<u64> {
+            report.reports.iter().map(|r| r.metrics.counter(&format!("net.total.{name}"))).collect()
+        };
+        assert_eq!(counted("dropped_frames"), [0; 4], "frames dropped per node");
+        assert_eq!(counted("reconnects"), [0; 4], "reconnects per node");
     }
 
     /// Per-link shaping end to end: the same cluster with a uniform 30 ms

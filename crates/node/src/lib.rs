@@ -31,24 +31,24 @@
 //! * [`timer`] — the `TimerWheel` name the repo benchmark still imports: a
 //!   shim over [`EventQueue`](moonshot_types::time::EventQueue), the one
 //!   queue the node and the shard loops hold their timers in.
-//! * [`netpool`] — the shared event-driven network core: a fixed set of
-//!   readiness-driven shard loops (via `moonshot-reactor`), each home to
-//!   some of the process's nodes: it steps them, admits clients'
-//!   `SubmitTx` frames into their mempools, verifies their consensus
-//!   messages in batches, and dials and writes their links from bounded
+//! * [`netpool`] — the shared event-driven network core: up to
+//!   min(cores, 8) readiness-driven shard loops (via `moonshot-reactor`),
+//!   started as nodes attach, each home to some of the process's nodes: it
+//!   steps them on the pool's one clock, admits clients' `SubmitTx` frames
+//!   into their mempools, verifies their consensus messages in batches,
+//!   and dials (redialing on an exponential backoff, or at once when the
+//!   peer's hello shows it is back) and writes their links from bounded
 //!   drop-oldest outbound queues; shared by every node in a process.
-//! * [`transport`] — a node's handle on its home shard: attach, halt,
-//!   detach, one outbound link per peer (redialed on an exponential
-//!   backoff, or at once when the peer's hello shows it is back), and
-//!   per-peer traffic and fault counters.
+//! * [`transport`] — what a node's sockets are made of: its config, the
+//!   per-peer outbound queue, and per-peer traffic and fault counters.
 //! * [`shape`] — per-link latency/bandwidth shaping matrices (Table II
 //!   WAN emulation) enforced sender-side by the pool's event loops.
 //! * [`node`] — the sans-IO [`Node`]: protocol, timer queue, sealer, vote
 //!   gate, ledger appends and stall watchdog, stepped with `now`, its frames
 //!   leaving as values; [`runtime`] — [`NodeHandle`],
-//!   which builds it and hosts it on its home shard, where it is stepped
-//!   on the wall clock. A node's numbers come from two places,
-//!   both read when it stops: the trace (every latency and stage, and the
+//!   which builds it, hosts it on its home shard, where it is stepped
+//!   on the wall clock, and halts and detaches it. A node's numbers come
+//!   from two places, both read when it stops: the trace (every latency and stage, and the
 //!   `stall` record of a wedged node) and the counters of the components
 //!   that own them ([`NodeReport::metrics`](runtime::NodeReport::metrics)).
 //! * [`cluster`] — N nodes in one process on loopback: launch, kill,
@@ -81,4 +81,4 @@ pub use netpool::{NetPool, NetPoolStats};
 pub use node::{Emit, Node};
 pub use runtime::{process_threads, NodeHandle, NodeReport, SharedSink};
 pub use shape::{LinkShape, ShapeMatrix};
-pub use transport::{Inbound, PeerMetrics, Transport, TransportConfig};
+pub use transport::{Inbound, PeerMetrics, TransportConfig};

@@ -1,13 +1,14 @@
 //! The shared event-driven network core: sharded poll loops, each also
 //! stepping the nodes whose sockets it owns.
 //!
-//! A **fixed** pool of threads serves every
-//! [`Transport`](crate::transport::Transport) attached to it (the first
-//! transport spent two threads per peer plus one per accepted connection,
-//! O(n²) per in-process cluster): **N shards** (≈ min(cores, 8)), each a
-//! [`moonshot_reactor::Poller`] event loop owning a slab of nonblocking
-//! sockets. A socket is touched only by its shard, so no per-connection
-//! locking exists anywhere.
+//! A pool of threads serves every [`NodeHandle`](crate::runtime::NodeHandle)
+//! attached to it (the first transport spent two threads per peer plus one
+//! per accepted connection, O(n²) per in-process cluster): up to
+//! min(cores, 8) **shards**, each a [`moonshot_reactor::Poller`] event loop
+//! owning a slab of nonblocking sockets. The pool starts none until a node
+//! attaches, and starts another only when every running shard already
+//! hosts a node, so a process with one node runs one shard. A socket is
+//! touched only by its shard, so no per-connection locking exists anywhere.
 //!
 //! A node lives on one shard, its *home*, chosen when it attaches (the
 //! shard hosting the fewest nodes): its listener, the connections it
@@ -20,9 +21,9 @@
 //! once. Frames go into the peer queues and are written in the same sweep
 //! (a shaped link's shaper holds them first); the node's own messages wait
 //! in its inbox for its next step. Nothing crosses a thread between the
-//! read and the write. Each node has one live step timer; its clock is the
-//! cluster's (µs since the epoch its transport was given, so trace stamps
-//! compare across nodes), shifted to the shard's for the timers.
+//! read and the write. Each node has one live step timer. Every shard,
+//! and every node it steps, reads one clock: µs since the pool's
+//! [`epoch`](NetPool::epoch), so trace stamps compare across nodes.
 //!
 //! Work for a node that appears on another thread — an admission that
 //! opens or fills a batch, a batch landing while the vote gate waits on
@@ -44,9 +45,9 @@
 //! again, so a flooding sender's surplus waits in its own socket.
 //!
 //! A step blocks its shard: a durable node's WAL `fdatasync` holds up
-//! every node hosted there. Whoever creates a pool hands it to every
-//! transport it starts and shuts it down after the last one stops; 50
-//! nodes on one box cost one constant-size pool and no other thread.
+//! every node hosted there. Whoever creates a pool hands it to every node
+//! it starts and shuts it down after the last one stops; 50 nodes on one
+//! box cost one pool of at most eight threads and no other thread.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
@@ -55,7 +56,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -104,8 +105,7 @@ pub struct NetPoolStats {
 }
 
 /// What the home shard and the node's
-/// [`Transport`](crate::transport::Transport)
-/// share about an attached node.
+/// [`NodeHandle`](crate::runtime::NodeHandle) share about an attached node.
 pub(crate) struct NodeCore {
     /// Pool-unique id, used to find this node's sockets at detach.
     pub(crate) id: u64,
@@ -116,13 +116,10 @@ pub(crate) struct NodeCore {
     pub(crate) dissem: Arc<DissemPlane>,
     /// Every peer's counters: written by the home shard, read at stop.
     pub(crate) peers: BTreeMap<NodeId, PeerMetrics>,
-    pub(crate) addrs: BTreeMap<NodeId, SocketAddr>,
-    /// The transport's shutdown flag: set, the shard steps the node no
-    /// more and dials none of its links.
-    pub(crate) shutdown: Arc<AtomicBool>,
+    /// The node's shutdown flag, set by its handle: set, the shard steps
+    /// the node no more and dials none of its links.
+    pub(crate) shutdown: AtomicBool,
     pub(crate) shape: Option<Arc<ShapeMatrix>>,
-    /// The cluster's time origin: the node is stepped with µs since it.
-    pub(crate) epoch: Instant,
 }
 
 /// A node on its home shard.
@@ -131,8 +128,6 @@ struct Hosted {
     /// `None` once [`NetPool::halt`] took it back; its sockets stay until
     /// detach.
     node: Option<Node>,
-    /// µs the node's clock reads ahead of the shard's (their epochs differ).
-    shift: i64,
     /// Messages for the node's next step, in arrival order: its own
     /// loopbacks, then what was verified since.
     inbox: Vec<Inbound>,
@@ -149,6 +144,8 @@ struct Hosted {
 /// would let its frames overtake each other; one owner deciding every dial
 /// rules that out.
 struct Link {
+    /// Where the peer listens.
+    addr: SocketAddr,
     queue: OutboundQueue,
     /// Slab token of the link's socket while a connect is in flight or the
     /// link is up.
@@ -162,6 +159,16 @@ struct Link {
 }
 
 impl Link {
+    fn new(addr: SocketAddr) -> Link {
+        Link {
+            addr,
+            queue: OutboundQueue::for_peer(),
+            token: None,
+            backoff: RECONNECT_BASE,
+            established_once: false,
+        }
+    }
+
     /// Queues `frame` (`protected`: in the sync-response class), counting
     /// what the queue drops or refuses against `metrics`.
     fn push(&mut self, frame: Arc<Vec<u8>>, protected: bool, metrics: &PeerMetrics) {
@@ -175,7 +182,12 @@ impl Link {
 
 enum Cmd {
     /// Host a node: its listener, its links, its start.
-    Attach { core: Arc<NodeCore>, listener: TcpListener, node: Box<Node> },
+    Attach {
+        core: Arc<NodeCore>,
+        listener: TcpListener,
+        node: Box<Node>,
+        links: BTreeMap<NodeId, Link>,
+    },
     /// Work for a node appeared on another thread: step it.
     Step { core_id: u64 },
     /// Step a node no more and send it back; its sockets stay.
@@ -233,76 +245,99 @@ impl ShardHandle {
     }
 }
 
-/// A fixed-size pool of event-loop shards, shared by one or many
-/// transports. Create with [`NetPool::new`], tear down with
-/// [`NetPool::shutdown`] after every attached transport stopped.
+/// What every shard of one pool reads.
+struct Shared {
+    /// The pool's one clock: every shard, and every node it steps, reads
+    /// µs since this instant.
+    epoch: Instant,
+    shutdown: AtomicBool,
+}
+
+/// A pool of event-loop shards, shared by one or many nodes, started as
+/// they attach. Create with [`NetPool::new`], tear down with
+/// [`NetPool::shutdown`] after every attached node stopped.
 pub struct NetPool {
-    shards: Vec<Arc<ShardHandle>>,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
+    /// The most shards the pool runs: `min(cores, 8)`.
+    cap: usize,
+    shards: Mutex<Vec<Arc<ShardHandle>>>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     next_core: AtomicU64,
 }
 
 impl std::fmt::Debug for NetPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "NetPool(shards={})", self.shards.len())
+        write!(f, "NetPool(shards={})", self.stats().shards)
     }
 }
 
 impl NetPool {
-    /// Spawns the pool's threads: `min(cores, 8)` event-loop shards, which
-    /// also verify what they read and step the nodes they host.
+    /// A pool whose clock starts now. It runs no thread yet: each node
+    /// that attaches and finds every running shard hosting a node starts
+    /// one more, up to `min(cores, 8)` event-loop shards, which also
+    /// verify what they read and step the nodes they host.
     #[allow(clippy::new_ret_no_self)]
-    pub fn new() -> io::Result<Arc<NetPool>> {
+    pub fn new() -> Arc<NetPool> {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let mut runners = Vec::new();
-        for _ in 0..cores.clamp(1, 8) {
-            runners.push(Runner::new(shutdown.clone())?);
-        }
-        let shards = runners.iter().map(|r| r.handle.clone()).collect();
-        let threads = runners.into_iter().enumerate().map(|(idx, runner)| {
-            std::thread::Builder::new()
-                .name(format!("net-shard-{idx}"))
-                .spawn(move || runner.run())
-                .expect("spawn shard")
-        });
-        Ok(Arc::new(NetPool {
-            shards,
-            shutdown,
-            threads: Mutex::new(threads.collect()),
+        Arc::new(NetPool {
+            shared: Arc::new(Shared { epoch: Instant::now(), shutdown: AtomicBool::new(false) }),
+            cap: cores.clamp(1, 8),
+            shards: Mutex::default(),
+            threads: Mutex::default(),
             next_core: AtomicU64::new(0),
-        }))
+        })
+    }
+
+    /// The pool's time origin: every node on it is stepped, and stamps its
+    /// trace, with the microseconds since this instant.
+    pub fn epoch(&self) -> Instant {
+        self.shared.epoch
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> NetPoolStats {
+        let shards = self.shards();
         let mut wakeups = 0;
         let mut frames = 0;
-        for s in &self.shards {
+        for s in shards.iter() {
             wakeups += s.wakeups.load(Ordering::Relaxed);
             frames += s.frames.load(Ordering::Relaxed);
         }
-        NetPoolStats {
-            shards: self.shards.len(),
-            loop_wakeups: wakeups,
-            frames_processed: frames,
-        }
+        NetPoolStats { shards: shards.len(), loop_wakeups: wakeups, frames_processed: frames }
     }
 
     pub(crate) fn next_core_id(&self) -> u64 {
         self.next_core.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Hosts `node` on the shard hosting the fewest nodes, its home, which
-    /// takes its listener, dials its peers and starts it. Returns the
-    /// home's index. The core's shutdown flag ends every step and dial.
-    pub(crate) fn attach(&self, core: Arc<NodeCore>, listener: TcpListener, node: Node) -> usize {
-        let home = (0..self.shards.len())
-            .min_by_key(|&i| self.shards[i].hosted.load(Ordering::Relaxed))
-            .expect("a pool has shards");
-        let shard = &self.shards[home];
+    /// Hosts `node`, with a link to each of `peers`, on the shard hosting
+    /// the fewest nodes, its home, which takes its listener, dials its
+    /// peers and starts it; a new shard when every running one hosts a
+    /// node and the pool is below its cap. Returns the home's index. The
+    /// core's shutdown flag ends every step and dial.
+    pub(crate) fn attach(
+        &self,
+        core: Arc<NodeCore>,
+        listener: TcpListener,
+        node: Node,
+        peers: impl IntoIterator<Item = (NodeId, SocketAddr)>,
+    ) -> io::Result<usize> {
+        let mut shards = self.shards();
+        if shards.len() < self.cap && shards.iter().all(|s| s.hosted.load(Ordering::Relaxed) > 0) {
+            let runner = Runner::new(self.shared.clone())?;
+            let handle = runner.handle.clone();
+            let thread = std::thread::Builder::new()
+                .name(format!("net-shard-{}", shards.len()))
+                .spawn(move || runner.run())?;
+            shards.push(handle);
+            self.threads.lock().expect("no thread panics holding the thread list").push(thread);
+        }
+        let home = (0..shards.len())
+            .min_by_key(|&i| shards[i].hosted.load(Ordering::Relaxed))
+            .expect("a pool hosting a node has a shard");
+        let shard = shards[home].clone();
         shard.hosted.fetch_add(1, Ordering::Relaxed);
+        drop(shards);
         // An admission that opens or fills a batch pokes the home shard to
         // seal it, and a batch landing while the vote gate waits on one
         // pokes it to deliver (each replacing the hook of a killed
@@ -315,37 +350,43 @@ impl NetPool {
             pool.wake_on_admit(poke.clone(), *base as u64);
         }
         core.dissem.store.wake_on_insert(poke);
-        shard.push_cmd(Cmd::Attach { core, listener, node: Box::new(node) });
-        home
+        let links = peers.into_iter().map(|(peer, addr)| (peer, Link::new(addr))).collect();
+        shard.push_cmd(Cmd::Attach { core, listener, node: Box::new(node), links });
+        Ok(home)
+    }
+
+    fn shards(&self) -> MutexGuard<'_, Vec<Arc<ShardHandle>>> {
+        self.shards.lock().expect("no thread panics holding the shard list")
     }
 
     /// Takes node `core_id` back from its home shard, which steps it no
     /// more (its shutdown flag must already be set).
     pub(crate) fn halt(&self, home: usize, core_id: u64) -> Node {
         let (reply, node) = channel();
-        self.shards[home].push_cmd(Cmd::Halt { core_id, reply });
+        self.shards()[home].push_cmd(Cmd::Halt { core_id, reply });
         node.recv_timeout(Duration::from_secs(10)).expect("the home shard hands the node back")
     }
 
     /// Closes every socket of node `core_id` (its shutdown flag must
     /// already be set) and waits for its home shard to acknowledge.
     pub(crate) fn detach(&self, home: usize, core_id: u64) {
+        let shard = self.shards()[home].clone();
         let (ack, acked) = channel::<()>();
-        self.shards[home].push_cmd(Cmd::Detach { core_id, ack });
+        shard.push_cmd(Cmd::Detach { core_id, ack });
         let _ = acked.recv_timeout(Duration::from_secs(10));
-        self.shards[home].hosted.fetch_sub(1, Ordering::Relaxed);
+        shard.hosted.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Stops every pool thread and joins them. Call after all attached
-    /// transports stopped; attached cores' sockets are closed by thread
-    /// exit either way.
+    /// nodes stopped; attached cores' sockets are closed by thread exit
+    /// either way.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        for s in &self.shards {
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        for s in self.shards().iter() {
             let _ = s.waker.wake();
         }
-        let threads = std::mem::take(&mut *self.threads.lock().unwrap());
-        for t in threads {
+        let mut threads = self.threads.lock().expect("no thread panics holding the thread list");
+        for t in std::mem::take(&mut *threads) {
             let _ = t.join();
         }
     }
@@ -549,8 +590,7 @@ struct Runner {
     /// The nodes this shard is home to, by core id.
     hosted: BTreeMap<u64, Hosted>,
     timers: EventQueue<ShardTimer>,
-    epoch: Instant,
-    shutdown: Arc<AtomicBool>,
+    shared: Arc<Shared>,
     events: Vec<Event>,
     buf: Vec<u8>,
     /// Consensus messages read in this wakeup, in read order, awaiting
@@ -559,7 +599,7 @@ struct Runner {
 }
 
 impl Runner {
-    fn new(shutdown: Arc<AtomicBool>) -> io::Result<Runner> {
+    fn new(shared: Arc<Shared>) -> io::Result<Runner> {
         let poller = Poller::new()?;
         let handle = Arc::new(ShardHandle {
             waker: Waker::for_poller(&poller)?,
@@ -576,8 +616,7 @@ impl Runner {
             free: Vec::new(),
             hosted: BTreeMap::new(),
             timers: EventQueue::new(),
-            epoch: Instant::now(),
-            shutdown,
+            shared,
             events: Vec::new(),
             buf: vec![0u8; 64 * 1024],
             unverified: Vec::new(),
@@ -593,7 +632,7 @@ impl Runner {
             self.events = events;
             self.handle.wakeups.fetch_add(1, Ordering::Relaxed);
             self.handle.notified.store(false, Ordering::Release);
-            if self.shutdown.load(Ordering::SeqCst) {
+            if self.shared.shutdown.load(Ordering::SeqCst) {
                 return; // dropping self closes every socket and the poller
             }
 
@@ -643,7 +682,7 @@ impl Runner {
     }
 
     fn now(&self) -> SimTime {
-        SimTime(self.epoch.elapsed().as_micros() as u64)
+        SimTime(self.shared.epoch.elapsed().as_micros() as u64)
     }
 
     /// How long the loop may block: until the next armed timer, or the idle
@@ -672,7 +711,7 @@ impl Runner {
 
     fn handle_cmd(&mut self, cmd: Cmd) {
         match cmd {
-            Cmd::Attach { core, listener, node } => self.host(core, listener, *node),
+            Cmd::Attach { core, listener, node, links } => self.host(core, listener, *node, links),
             Cmd::Step { core_id } => self.mark_due(core_id),
             Cmd::Halt { core_id, reply } => {
                 if let Some(node) = self.hosted.get_mut(&core_id).and_then(|h| h.node.take()) {
@@ -709,37 +748,27 @@ impl Runner {
 
     /// Makes this shard `core`'s home: takes its listener, dials every
     /// peer, starts the node and steps it once.
-    fn host(&mut self, core: Arc<NodeCore>, listener: TcpListener, mut node: Node) {
+    fn host(
+        &mut self,
+        core: Arc<NodeCore>,
+        listener: TcpListener,
+        mut node: Node,
+        links: BTreeMap<NodeId, Link>,
+    ) {
         let token = self.alloc_token();
         if self.poller.register(listener.as_raw_fd(), token, Interest::READABLE).is_ok() {
             self.entries[token] = Some(Entry::Listener { core: core.clone(), listener });
         } else {
             self.free.push(token);
         }
-        // The node's clock minus the shard's, in µs: signed, since either
-        // epoch may be the earlier one.
-        let shift = match self.epoch.checked_duration_since(core.epoch) {
-            Some(ahead) => ahead.as_micros() as i64,
-            None => -(core.epoch.duration_since(self.epoch).as_micros() as i64),
-        };
-        node.start(SimTime(self.now().0.saturating_add_signed(shift)));
-        let links = core.peers.keys().map(|&peer| {
-            let link = Link {
-                queue: OutboundQueue::for_peer(),
-                token: None,
-                backoff: RECONNECT_BASE,
-                established_once: false,
-            };
-            (peer, link)
-        });
+        node.start(self.now());
         let hosted = Hosted {
             core: core.clone(),
             node: Some(node),
-            shift,
             inbox: Vec::new(),
             due: false,
             armed: None,
-            links: links.collect(),
+            links,
         };
         self.hosted.insert(core.id, hosted);
         for &peer in core.peers.keys() {
@@ -763,20 +792,18 @@ impl Runner {
     /// step timer is armed for the deadline the poll named, unless a live
     /// one fires no later.
     fn step(&mut self, core_id: u64) {
-        let epoch = self.epoch;
+        let epoch = self.shared.epoch;
         let Some(h) = self.hosted.get_mut(&core_id) else { return };
         h.due = false;
-        let Hosted { core, node: Some(node), shift, inbox, armed, links, .. } = h else { return };
+        let Hosted { core, node: Some(node), inbox, armed, links, .. } = h else { return };
         if core.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        let shard_now = || SimTime(epoch.elapsed().as_micros() as u64);
-        let node_time = |t: SimTime| SimTime(t.0.saturating_add_signed(*shift));
+        let clock = || SimTime(epoch.elapsed().as_micros() as u64);
         if !inbox.is_empty() {
-            node.handle(inbox.drain(..).map(|m| (node_time(shard_now()), m)));
+            node.handle(inbox.drain(..).map(|m| (clock(), m)));
         }
-        let at = shard_now();
-        let now = node_time(at);
+        let now = clock();
         let mut deadline = node.poll(now);
         let mut written = Vec::new();
         for emit in node.output() {
@@ -803,8 +830,7 @@ impl Runner {
         if !inbox.is_empty() {
             deadline = Some(now);
         }
-        if let Some(due) = deadline {
-            let due = at + due.since(now);
+        if let Some(due) = deadline.map(|due| due.max(now)) {
             if armed.is_none_or(|live| live > due) {
                 *armed = Some(due);
                 self.timers.push(due, ShardTimer::Step { core_id, at: due });
@@ -823,19 +849,17 @@ impl Runner {
     /// backoff back to base.
     fn dial(&mut self, core_id: u64, peer: NodeId, fresh: bool) {
         let Some(h) = self.hosted.get_mut(&core_id) else { return };
-        let (Some(&addr), Some(link)) = (h.core.addrs.get(&peer), h.links.get_mut(&peer)) else {
-            return;
-        };
+        let Some(link) = h.links.get_mut(&peer) else { return };
         if fresh {
             link.backoff = RECONNECT_BASE;
         }
         if link.token.is_some()
             || h.core.shutdown.load(Ordering::SeqCst)
-            || self.shutdown.load(Ordering::SeqCst)
+            || self.shared.shutdown.load(Ordering::SeqCst)
         {
             return;
         }
-        let core = h.core.clone();
+        let (core, addr) = (h.core.clone(), link.addr);
         let token = self.alloc_token();
         let stream = match moonshot_reactor::connect(addr) {
             Ok(s) if self.poller.register(s.as_raw_fd(), token, Interest::BOTH).is_ok() => s,
@@ -1231,15 +1255,15 @@ mod tests {
     use crate::transport::tests::{numbered, probe_node};
 
     /// A hosted node takes in its own multicast's self-copy in the step
-    /// after the one that emitted it, on the cluster's clock: a lone node
-    /// whose epoch is 5 s older than its shard's multicasts as it starts;
-    /// the step that starts it keeps the copy in its inbox and arms its
-    /// next step at once, and that step hands the copy over, stamped with
-    /// the node's time, not the shard's.
+    /// after the one that emitted it, on the pool's clock: a lone node
+    /// multicasts as it starts; the step that starts it keeps the copy in
+    /// its inbox and arms its next step at once, and that step hands the
+    /// copy over, stamped with the pool clock's reading as it was taken.
     #[test]
     fn a_hosted_node_takes_its_own_multicast_in_the_next_step() {
-        const SHIFT: Duration = Duration::from_secs(5);
-        let mut runner = Runner::new(Arc::default()).unwrap();
+        let net = NetPool::new();
+        let mut runner = Runner::new(net.shared.clone()).unwrap();
+        let clock = || SimTime(net.epoch().elapsed().as_micros() as u64);
         let msg = numbered(7);
         let (node, verifier, seen) =
             probe_node(NodeId(0), 1, vec![Output::Multicast(msg.clone())], None);
@@ -1250,28 +1274,26 @@ mod tests {
             mempool: None,
             dissem: DissemPlane::new(1 << 20),
             peers: BTreeMap::new(),
-            addrs: BTreeMap::new(),
-            shutdown: Arc::default(),
+            shutdown: AtomicBool::new(false),
             shape: None,
-            epoch: runner.epoch.checked_sub(SHIFT).expect("the clock is 5 s past its origin"),
         });
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         listener.set_nonblocking(true).unwrap();
-        runner.handle_cmd(Cmd::Attach { core, listener, node: Box::new(node) });
+        let links = BTreeMap::new();
+        runner.handle_cmd(Cmd::Attach { core, listener, node: Box::new(node), links });
         assert!(seen.try_recv().is_err(), "the self-copy was taken in the step that sent it");
         assert_eq!(runner.hosted[&0].inbox.len(), 1);
         let armed = runner.hosted[&0].armed.expect("the next step is armed");
-        assert!(armed <= runner.now(), "the next step is not due at once");
+        assert!(armed <= clock(), "the next step is not due at once");
 
-        let before = runner.now();
+        let before = clock();
         runner.step(0);
-        let after = runner.now();
+        let after = clock();
         let (from, got, at) = seen.try_recv().expect("the next step took in the self-copy");
         assert_eq!((from, got), (NodeId(0), msg));
-        let shift = SHIFT.as_micros() as u64;
         assert!(
-            (before.0 + shift..=after.0 + shift).contains(&at.0),
-            "stamped {at:?}, the shard's clock read {before:?}..{after:?}"
+            (before..=after).contains(&at),
+            "stamped {at:?}, the pool's clock read {before:?}..{after:?}"
         );
         assert!(runner.hosted[&0].inbox.is_empty());
     }

@@ -1,18 +1,18 @@
 //! Starting and stopping a validator. [`NodeHandle::start`] builds the
 //! node's sans-IO [`Node`] and hosts it on a shard of the process's
-//! [`NetPool`](crate::netpool::NetPool) through its [`Transport`]: that
-//! shard, the node's home, steps it on the wall clock (microseconds since
-//! a shared cluster epoch `Instant`, so every node's
-//! [`SimTime`](moonshot_types::time::SimTime)s are mutually comparable)
-//! whenever it has work — a message, an admission that opens or fills a
-//! batch, a batch landing while the vote gate waits on one, or the
-//! deadline [`Node::poll`] named. Nothing here runs a thread.
+//! [`NetPool`]: that shard, the node's home, steps it on the pool's clock
+//! (microseconds since [`NetPool::epoch`], so the
+//! [`SimTime`](moonshot_types::time::SimTime)s of every node on one pool
+//! are mutually comparable) whenever it has work — a message, an admission
+//! that opens or fills a batch, a batch landing while the vote gate waits
+//! on one, or the deadline [`Node::poll`] named. The handle is the node's
+//! only way to its home shard: it halts the node, reads its report and
+//! detaches it. Nothing here runs a thread.
 
 use std::net::TcpListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 use moonshot_consensus::{CommittedBlock, ConsensusProtocol, MessageVerifier, NodeConfig};
 use moonshot_ledger::{Ledger, LedgerOptions};
@@ -20,8 +20,9 @@ use moonshot_telemetry::{MetricsRegistry, TraceSink};
 use moonshot_types::time::SimDuration;
 use moonshot_types::{NodeId, View};
 
+use crate::netpool::{NetPool, NodeCore};
 use crate::node::Node;
-use crate::transport::{Transport, TransportConfig};
+use crate::transport::{PeerMetrics, TransportConfig};
 
 /// Shared trace sink type accepted by the runtime (thread-safe; the
 /// `Arc<Mutex<dyn TraceSink>>` blanket impl makes it a `TraceSink` itself).
@@ -70,16 +71,24 @@ impl NodeReport {
 }
 
 /// A running node, hosted on its home shard of a network pool.
-#[derive(Debug)]
 pub struct NodeHandle {
-    /// The one shutdown flag, shared with the transport. Set, it stops the
-    /// home shard stepping the node and redialing its peers at once.
-    shutdown: Arc<AtomicBool>,
-    transport: Transport,
+    /// What the node shares with its home shard, the node's shutdown flag
+    /// among it: set, the shard steps the node and redials its peers no
+    /// more.
+    pub(crate) core: Arc<NodeCore>,
+    pool: Arc<NetPool>,
+    /// Index of the home shard in the pool.
+    home: usize,
     /// Committed height mirror for cheap liveness probes.
     committed_height: Arc<AtomicU64>,
     /// Committed height the node found on its own disk when it started.
     recovered_height: u64,
+}
+
+impl std::fmt::Debug for NodeHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "NodeHandle(node={}, home={})", self.core.node, self.home)
+    }
 }
 
 impl NodeHandle {
@@ -109,15 +118,16 @@ impl NodeHandle {
     /// commits it.
     ///
     /// `listener` adopts a pre-bound socket instead of binding
-    /// `cfg.listen`. `epoch` is the cluster-wide time origin; every trace
-    /// timestamp is microseconds since it, and `sink` receives the trace.
+    /// `cfg.listen` — which lets a cluster bind every node on port 0 first,
+    /// learn the real addresses, and only then build the peer tables.
+    /// `sink` receives the trace; every timestamp in it is microseconds
+    /// since the [`epoch`](NetPool::epoch) of the pool `cfg` names.
     pub fn start(
         protocol: impl FnOnce(NodeConfig) -> Box<dyn ConsensusProtocol + Send>,
         delta: SimDuration,
         cfg: TransportConfig,
         listener: Option<TcpListener>,
         data_dir: Option<&Path>,
-        epoch: Instant,
         sink: SharedSink,
     ) -> std::io::Result<NodeHandle> {
         let id = cfg.node_id;
@@ -143,9 +153,25 @@ impl NodeHandle {
         }
         let committed_height = node.height_gauge();
         let recovered_height = committed_height.load(Ordering::Relaxed);
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let transport = Transport::start(cfg, listener, verifier, node, epoch, shutdown.clone())?;
-        Ok(NodeHandle { shutdown, transport, committed_height, recovered_height })
+
+        let listener = match listener {
+            Some(l) => l,
+            None => TcpListener::bind(cfg.listen)?,
+        };
+        listener.set_nonblocking(true)?;
+        let peers: Vec<_> = cfg.peers.into_iter().filter(|&(peer, _)| peer != id).collect();
+        let core = Arc::new(NodeCore {
+            id: cfg.pool.next_core_id(),
+            node: id,
+            verifier,
+            mempool: cfg.mempool,
+            dissem: cfg.dissem,
+            peers: peers.iter().map(|&(peer, _)| (peer, PeerMetrics::default())).collect(),
+            shutdown: AtomicBool::new(false),
+            shape: cfg.shape,
+        });
+        let home = cfg.pool.attach(core.clone(), listener, node, peers)?;
+        Ok(NodeHandle { core, pool: cfg.pool, home, committed_height, recovered_height })
     }
 
     /// Highest height this node has committed so far (updated live).
@@ -159,35 +185,69 @@ impl NodeHandle {
         self.recovered_height
     }
 
-    /// Stops the node's steps without taking it back. Cluster teardown
-    /// signals every node before stopping any: a node whose peers are
-    /// being torn down while it still considers itself live would see
-    /// their connections drop, redial, and count a spurious `reconnect`
-    /// against a clean run.
-    pub fn signal_stop(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
     /// Stops the node and detaches it from the pool, returning the final
     /// report.
     pub fn stop(self) -> NodeReport {
-        let (report, transport) = self.halt();
-        transport.stop();
+        let report = self.halt();
+        self.detach();
         report
     }
 
-    /// Takes the node back from its home shard and builds its report,
-    /// transport counters included, leaving its sockets open for the
-    /// caller to [`stop`](Transport::stop): a cluster reads every node's
-    /// report before any socket closes, so no node counts as dropped the
-    /// frames its shapers still held toward a peer that closed first.
-    pub(crate) fn halt(self) -> (NodeReport, Transport) {
-        let mut report = self.transport.halt().stop();
+    /// Takes the node back from its home shard, which steps it and dials
+    /// for it no more, and builds its report, net counters included. Its
+    /// sockets stay open, and the frames it queued keep leaving, until
+    /// [`detach`](NodeHandle::detach): a cluster reads every node's report
+    /// before any socket closes, so no node counts as dropped the frames
+    /// its shapers still held toward a peer that closed first, and none
+    /// sees a link drop and counts the redial as a reconnect.
+    pub(crate) fn halt(&self) -> NodeReport {
+        self.core.shutdown.store(true, Ordering::SeqCst);
+        let mut report = self.pool.halt(self.home, self.core.id).stop();
         if let Some(threads) = process_threads() {
             report.metrics.set_gauge("process.threads", threads as f64);
         }
-        self.transport.snapshot_metrics(&mut report.metrics);
-        (report, self.transport)
+        self.snapshot_metrics(&mut report.metrics);
+        report
+    }
+
+    /// Writes the node's net counters into `reg`: `net.total.*` sums the
+    /// traffic counters over peers, and each peer keeps its own
+    /// `net.peer<id>.bytes_out` and its fault counters (`dropped_frames`,
+    /// `protected_dropped`, `decode_errors`, `verify_failures`).
+    fn snapshot_metrics(&self, reg: &mut MetricsRegistry) {
+        const TOTALS: [&str; 5] =
+            ["bytes_out", "bytes_in", "frames_out", "dropped_frames", "reconnects"];
+        let mut totals = [0u64; 5];
+        for (id, m) in &self.core.peers {
+            let traffic =
+                [&m.bytes_out, &m.bytes_in, &m.frames_out, &m.dropped_frames, &m.reconnects];
+            for (total, counter) in totals.iter_mut().zip(traffic) {
+                *total += counter.load(Ordering::Relaxed);
+            }
+            for (name, counter) in [
+                ("bytes_out", &m.bytes_out),
+                ("dropped_frames", &m.dropped_frames),
+                ("protected_dropped", &m.protected_dropped),
+                ("decode_errors", &m.decode_errors),
+                ("verify_failures", &m.verify_failures),
+            ] {
+                let value = counter.load(Ordering::Relaxed);
+                reg.set_counter(&format!("net.peer{}.{name}", id.0), value);
+            }
+        }
+        for (name, total) in TOTALS.iter().zip(totals) {
+            reg.set_counter(&format!("net.total.{name}"), total);
+        }
+    }
+
+    /// Detaches a [halted](NodeHandle::halt) node from the pool: its
+    /// sockets close. The pool keeps running for its other nodes; its
+    /// owner shuts it down after the last one stops.
+    pub(crate) fn detach(self) {
+        // Every dial checks the shutdown flag the halt set, and the home
+        // shard handles its commands in order, so no connection for this
+        // node can (re)appear once the detach is out.
+        self.pool.detach(self.home, self.core.id);
     }
 }
 
@@ -196,7 +256,7 @@ mod tests {
     use super::*;
     use std::io::Write;
     use std::net::{SocketAddr, TcpStream};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     use moonshot_consensus::Message;
     use moonshot_mempool::{batch_digest, make_tx, DissemPlane, Mempool, MempoolConfig};
@@ -228,7 +288,6 @@ mod tests {
             cfg,
             Some(listener),
             None,
-            Instant::now(),
             Arc::new(Mutex::new(RingBufferSink::new(1024))),
         )
         .expect("start");
@@ -246,7 +305,7 @@ mod tests {
     fn an_admission_wakes_the_home_shard_to_seal() {
         let plane = DissemPlane::new(1 << 20);
         let pool = Arc::new(Mempool::new(MempoolConfig::default()));
-        let net = NetPool::new().unwrap();
+        let net = NetPool::new();
         let (node, _) = lone_node(&net, &plane, Some(pool.clone()), &Arc::default());
         let mut waits = Vec::new();
         for seq in 0..20u64 {
@@ -277,7 +336,7 @@ mod tests {
     fn a_gated_arrival_wakes_the_home_shard_to_deliver() {
         let plane = DissemPlane::new(1 << 20);
         let handled = Arc::new(Mutex::new(Vec::new()));
-        let net = NetPool::new().unwrap();
+        let net = NetPool::new();
         let (node, addr) = lone_node(&net, &plane, None, &handled);
         let mut peer = TcpStream::connect(addr).unwrap();
         peer.write_all(&encode_frame(&Frame::Hello { node: NodeId(1) })).unwrap();

@@ -1,5 +1,7 @@
-//! Per-node TCP transport — a node's handle on its home shard in the
-//! shared event-driven network core ([`crate::netpool`]).
+//! What a node's sockets are made of: its [`TransportConfig`], the
+//! per-peer outbound queue and counters its home shard in the shared
+//! event-driven network core ([`crate::netpool`]) keeps, and the
+//! [`Inbound`] messages that shard hands the node.
 //!
 //! Topology: every node listens on one socket and dials one outbound
 //! connection per peer. A pair of nodes is therefore joined by two
@@ -8,21 +10,20 @@
 //! connection ownership trivial (no simultaneous-dial deduplication) at the
 //! cost of one extra socket per pair.
 //!
-//! Threading: none of it lives here. A [`NetPool`] — a fixed set of
-//! readiness-driven shard loops — owns every socket, and the one shard a
-//! node attaches to, its *home*, owns all of the node's: its listener, the
-//! connections it accepted and its link to every peer. That shard also
-//! steps the node, so what the node sends goes straight into the per-peer
-//! bounded outbound queues, with **drop-oldest** backpressure (consensus
-//! tolerates message loss — the protocols re-sync via certificates and the
-//! block fetcher — so dropping the stalest frame beats unbounded buffering
-//! or blocking the shard) and a protected drop-*new* class for sync
-//! responses. The transport contributes the per-peer counters and the
-//! handle that attaches, halts and detaches the node. It attaches to the
-//! pool its config names ([`TransportConfig::pool`]) and never shuts it
+//! Threading: none of it lives here. A [`NetPool`] owns every socket, and
+//! the one shard a node attaches to, its *home*, owns all of the node's:
+//! its listener, the connections it accepted and its link to every peer.
+//! That shard also steps the node, so what the node sends goes straight
+//! into the per-peer bounded outbound queues, with **drop-oldest**
+//! backpressure (consensus tolerates message loss — the protocols re-sync
+//! via certificates and the block fetcher — so dropping the stalest frame
+//! beats unbounded buffering or blocking the shard) and a protected
+//! drop-*new* class for sync responses. A node attaches to the pool its
+//! config names ([`TransportConfig::pool`]) through its
+//! [`NodeHandle`](crate::runtime::NodeHandle), which never shuts the pool
 //! down; an in-process cluster hands one pool to every node, which is what
-//! takes a 50-node localhost cluster from ~50·(n+2) threads to one
-//! constant-size pool.
+//! takes a 50-node localhost cluster from ~50·(n+2) threads to one pool of
+//! at most eight.
 //!
 //! Every dialed connection opens with a [`moonshot_wire::Frame::Hello`] so
 //! the accepting side learns who is talking before the first consensus
@@ -34,18 +35,15 @@
 //! outbound link and its frames leave on one stream, in order.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::SocketAddr;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
-use std::time::Instant;
 
-use moonshot_consensus::{MessageVerifier, PreVerified};
+use moonshot_consensus::PreVerified;
 use moonshot_mempool::{DissemPlane, Mempool};
-use moonshot_telemetry::MetricsRegistry;
 use moonshot_types::NodeId;
 
-use crate::netpool::{NetPool, NodeCore};
-use crate::node::Node;
+use crate::netpool::NetPool;
 use crate::shape::ShapeMatrix;
 
 /// Per-node batch-store budget of the plane a [`TransportConfig`] starts
@@ -102,7 +100,7 @@ pub struct TransportConfig {
     /// broadcasts `BatchPush` frames, forcing its fetch path to cover.
     pub drop_batch_push_to: Option<NodeId>,
     /// The network core to attach to. Its owner shuts it down after the
-    /// last transport on it stops; an in-process cluster passes one pool to
+    /// last node on it stops; an in-process cluster passes one pool to
     /// every node, so the whole cluster costs a constant number of
     /// threads.
     pub pool: Arc<NetPool>,
@@ -183,7 +181,7 @@ pub(crate) struct OutboundQueue {
 }
 
 impl OutboundQueue {
-    /// A queue with the transport's budgets.
+    /// A queue with the per-peer budgets.
     pub(crate) fn for_peer() -> Self {
         OutboundQueue::new(QUEUE_FRAMES, QUEUE_BYTES, PROTECTED_BYTES)
     }
@@ -249,130 +247,24 @@ impl OutboundQueue {
     }
 }
 
-/// A node attached to a [`NetPool`]: its counters, and the way to its home
-/// shard, which does all the socket work and steps the node. Create with
-/// [`Transport::start`], take the node back with [`Transport::halt`], tear
-/// down with [`Transport::stop`].
-pub struct Transport {
-    core: Arc<NodeCore>,
-    pool: Arc<NetPool>,
-    /// Index of the home shard in the pool.
-    home: usize,
-}
-
-impl std::fmt::Debug for Transport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Transport(node={}, home={})", self.core.node, self.home)
-    }
-}
-
-impl Transport {
-    /// Binds the listener and hosts `node` on the pool. The shard it lands
-    /// on, its home, owns the node's sockets from here on, checks every
-    /// consensus message it reads for the node with `verifier` — failures
-    /// are dropped and counted in [`PeerMetrics::verify_failures`] — and
-    /// steps the node with the microseconds since `epoch`, the cluster's
-    /// time origin.
-    ///
-    /// A pre-bound `listener` is adopted instead of binding `cfg.listen` —
-    /// which lets a cluster bind every node on port 0 first, learn the real
-    /// addresses, and only then construct the peer tables. Setting
-    /// `shutdown` stops the shard stepping the node and dialing its peers;
-    /// [`halt`](Transport::halt) sets it too.
-    pub fn start(
-        cfg: TransportConfig,
-        listener: Option<TcpListener>,
-        verifier: Arc<MessageVerifier>,
-        node: Node,
-        epoch: Instant,
-        shutdown: Arc<AtomicBool>,
-    ) -> std::io::Result<Transport> {
-        let listener = match listener {
-            Some(l) => l,
-            None => TcpListener::bind(cfg.listen)?,
-        };
-        listener.set_nonblocking(true)?;
-
-        let others = cfg.peers.iter().filter(|(id, _)| *id != cfg.node_id);
-        let core = Arc::new(NodeCore {
-            id: cfg.pool.next_core_id(),
-            node: cfg.node_id,
-            verifier,
-            mempool: cfg.mempool,
-            dissem: cfg.dissem,
-            peers: others.clone().map(|&(id, _)| (id, PeerMetrics::default())).collect(),
-            addrs: others.copied().collect(),
-            shutdown,
-            shape: cfg.shape,
-            epoch,
-        });
-        let home = cfg.pool.attach(core.clone(), listener, node);
-        Ok(Transport { core, pool: cfg.pool, home })
-    }
-
-    /// Stops the home shard stepping the node and hands the node back, as
-    /// it was after its last step. Its sockets stay open, and the frames
-    /// it queued keep leaving, until [`stop`](Transport::stop).
-    pub fn halt(&self) -> Node {
-        self.core.shutdown.store(true, Ordering::SeqCst);
-        self.pool.halt(self.home, self.core.id)
-    }
-
-    /// Writes this node's transport counters into `reg`, the node's report:
-    /// `net.total.*` sums the traffic counters over peers, and each peer
-    /// keeps its own `net.peer<id>.bytes_out` and its fault counters
-    /// (`dropped_frames`, `protected_dropped`, `decode_errors`,
-    /// `verify_failures`).
-    pub fn snapshot_metrics(&self, reg: &mut MetricsRegistry) {
-        const TOTALS: [&str; 5] =
-            ["bytes_out", "bytes_in", "frames_out", "dropped_frames", "reconnects"];
-        let mut totals = [0u64; 5];
-        for (id, m) in &self.core.peers {
-            let traffic =
-                [&m.bytes_out, &m.bytes_in, &m.frames_out, &m.dropped_frames, &m.reconnects];
-            for (total, counter) in totals.iter_mut().zip(traffic) {
-                *total += counter.load(Ordering::Relaxed);
-            }
-            for (name, counter) in [
-                ("bytes_out", &m.bytes_out),
-                ("dropped_frames", &m.dropped_frames),
-                ("protected_dropped", &m.protected_dropped),
-                ("decode_errors", &m.decode_errors),
-                ("verify_failures", &m.verify_failures),
-            ] {
-                let value = counter.load(Ordering::Relaxed);
-                reg.set_counter(&format!("net.peer{}.{name}", id.0), value);
-            }
-        }
-        for (name, total) in TOTALS.iter().zip(totals) {
-            reg.set_counter(&format!("net.total.{name}"), total);
-        }
-    }
-
-    /// Detaches this node from the pool: its sockets close, its redials
-    /// stop, and a node not [halted](Transport::halt) is dropped. The pool
-    /// keeps running for its other nodes; its owner shuts it down after
-    /// the last one stops.
-    pub fn stop(self) {
-        // Every dial checks the shutdown flag, and the home shard handles
-        // its commands in order, so no connection for this node can
-        // (re)appear once the detach is out.
-        self.core.shutdown.store(true, Ordering::SeqCst);
-        self.pool.detach(self.home, self.core.id);
-    }
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use std::net::TcpListener;
+    use std::sync::atomic::Ordering;
     use std::sync::{mpsc, Mutex};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
-    use moonshot_consensus::{ConsensusProtocol, Message, NodeConfig, Output, TimerToken};
+    use moonshot_consensus::{
+        ConsensusProtocol, Message, MessageVerifier, NodeConfig, Output, TimerToken,
+    };
     use moonshot_crypto::Digest;
     use moonshot_telemetry::RingBufferSink;
     use moonshot_types::time::{SimDuration, SimTime};
     use moonshot_types::View;
+
+    use crate::node::Node;
+    use crate::runtime::NodeHandle;
 
     /// What a [`Probe`] was handed, in order: sender, message, and the time
     /// the node stamped it with.
@@ -433,6 +325,23 @@ pub(crate) mod tests {
         }
     }
 
+    /// A [`Probe`] builder, and what the probe will be handed.
+    fn probe(
+        at_start: Vec<Output>,
+        tick: Option<(NodeId, SimDuration)>,
+    ) -> (impl FnOnce(NodeConfig) -> Box<dyn ConsensusProtocol + Send>, Seen) {
+        let (seen_tx, seen) = mpsc::channel();
+        let probe = move |cfg: NodeConfig| -> Box<dyn ConsensusProtocol + Send> {
+            let verifier = MessageVerifier::for_config(&cfg);
+            Box::new(Probe { verifier, seen: seen_tx, at_start, tick, sent: 0 })
+        };
+        (probe, seen)
+    }
+
+    fn sink() -> Arc<Mutex<RingBufferSink>> {
+        Arc::new(Mutex::new(RingBufferSink::new(1024)))
+    }
+
     /// Node `id` of `n` running a [`Probe`], with the verifier its shard
     /// checks messages with and what the probe is handed.
     pub(crate) fn probe_node(
@@ -441,16 +350,11 @@ pub(crate) mod tests {
         at_start: Vec<Output>,
         tick: Option<(NodeId, SimDuration)>,
     ) -> (Node, Arc<MessageVerifier>, Seen) {
-        let (seen_tx, seen) = mpsc::channel();
+        let (probe, seen) = probe(at_start, tick);
         let cfg = NodeConfig::simulated(id, n, SimDuration::from_millis(50));
         let verifier = Arc::new(MessageVerifier::for_config(&cfg));
-        let probe = move |cfg: NodeConfig| -> Box<dyn ConsensusProtocol + Send> {
-            let verifier = MessageVerifier::for_config(&cfg);
-            Box::new(Probe { verifier, seen: seen_tx, at_start, tick, sent: 0 })
-        };
         let plane = DissemPlane::new(1 << 20);
-        let sink = Arc::new(Mutex::new(RingBufferSink::new(1024)));
-        (Node::new(cfg, probe, plane, None, None, sink), verifier, seen)
+        (Node::new(cfg, probe, plane, None, None, sink()), verifier, seen)
     }
 
     /// Starts node `id` of `peers` over `listener` on `net`, running a
@@ -462,13 +366,13 @@ pub(crate) mod tests {
         net: &Arc<NetPool>,
         at_start: Vec<Output>,
         tick: Option<(NodeId, SimDuration)>,
-    ) -> (Transport, Seen) {
-        let (node, verifier, seen) = probe_node(id, peers.len(), at_start, tick);
+    ) -> (NodeHandle, Seen) {
+        let (probe, seen) = probe(at_start, tick);
         let addr = listener.local_addr().unwrap();
         let cfg = TransportConfig::new(id, addr, peers.to_vec(), net.clone());
-        let t = Transport::start(cfg, Some(listener), verifier, node, Instant::now(), Arc::default())
-            .unwrap();
-        (t, seen)
+        let delta = SimDuration::from_millis(50);
+        let node = NodeHandle::start(probe, delta, cfg, Some(listener), None, sink()).unwrap();
+        (node, seen)
     }
 
     /// Bytes a queue buffers across both classes.
@@ -480,9 +384,9 @@ pub(crate) mod tests {
         q.queue.len() + q.protected.len()
     }
 
-    /// The counters of `t`'s link to `id`.
-    fn peer_metrics(t: &Transport, id: NodeId) -> &PeerMetrics {
-        &t.core.peers[&id]
+    /// The counters of `node`'s link to `id`.
+    fn peer_metrics(node: &NodeHandle, id: NodeId) -> &PeerMetrics {
+        &node.core.peers[&id]
     }
 
     fn localhost_any() -> SocketAddr {
@@ -578,7 +482,7 @@ pub(crate) mod tests {
     fn two_nodes_exchange_messages() {
         use moonshot_types::{Block, Payload};
 
-        let net = NetPool::new().unwrap();
+        let net = NetPool::new();
         // Bind both listeners on port 0 first so each side can dial the
         // other — the same pattern `Cluster::launch` uses.
         let l0 = TcpListener::bind(localhost_any()).unwrap();
@@ -594,6 +498,9 @@ pub(crate) mod tests {
             start(NodeId(0), l0, &peers, &net, vec![Output::Send(NodeId(1), msg.clone())], None);
         let (t1, seen1) =
             start(NodeId(1), l1, &peers, &net, vec![Output::Send(NodeId(0), msg.clone())], None);
+        // Each node got a shard of its own, as many as the pool may start.
+        let cap = std::thread::available_parallelism().map_or(1, |n| n.get()).clamp(1, 8);
+        assert_eq!(net.stats().shards, 2.min(cap));
 
         let (from, got, _) = seen1.recv_timeout(Duration::from_secs(10)).expect("delivery");
         assert_eq!((from, &got), (NodeId(0), &msg));
@@ -632,18 +539,14 @@ pub(crate) mod tests {
         use moonshot_types::{Block, SignedVote, Vote, VoteKind};
         use moonshot_wire::{encode_frame, encode_message, Frame};
 
-        let net = NetPool::new().unwrap();
+        let net = NetPool::new();
         let l0 = TcpListener::bind(localhost_any()).unwrap();
         let a0 = l0.local_addr().unwrap();
         // Node 1's address is never listened on: node 0's dials to it fail,
         // and node 1 is the raw socket below.
         let peers = [(NodeId(0), a0), (NodeId(1), unbound())];
         let (t0, seen0) = start(NodeId(0), l0, &peers, &net, Vec::new(), None);
-        let report = |name: &str| {
-            let mut reg = MetricsRegistry::new();
-            t0.snapshot_metrics(&mut reg);
-            reg.counter(&format!("net.peer1.{name}"))
-        };
+        let link = peer_metrics(&t0, NodeId(1));
         let wait_for = |what: &str, done: &dyn Fn() -> bool| {
             let deadline = Instant::now() + Duration::from_secs(10);
             while !done() {
@@ -670,7 +573,7 @@ pub(crate) mod tests {
         sig[0] ^= 1;
         forged.signature = Signature::from_bytes(sig);
         peer.write_all(&encode_message(&Message::Vote(forged))).unwrap();
-        wait_for("the verify failure", &|| report("verify_failures") == 1);
+        wait_for("the verify failure", &|| link.verify_failures.load(Ordering::Relaxed) == 1);
         assert!(seen0.try_recv().is_err(), "a forged vote reached the node");
 
         let valid = Message::Vote(vote(2));
@@ -681,7 +584,7 @@ pub(crate) mod tests {
         let mut corrupt = encode_message(&Message::Vote(vote(3)));
         corrupt[12] ^= 0xFF; // the header's body CRC
         peer.write_all(&corrupt).unwrap();
-        wait_for("the decode error", &|| report("decode_errors") == 1);
+        wait_for("the decode error", &|| link.decode_errors.load(Ordering::Relaxed) == 1);
         peer.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         // Node 0 never writes on a connection it accepted: the next read
         // sees only the close.
@@ -691,9 +594,10 @@ pub(crate) mod tests {
             other => panic!("connection still open after a decode error: {other:?}"),
         }
         assert!(seen0.try_recv().is_err(), "the corrupt frame reached the node");
-        assert_eq!(report("verify_failures"), 1);
-        assert_eq!((report("dropped_frames"), report("protected_dropped")), (0, 0));
-        t0.stop();
+        let report = t0.stop().metrics;
+        let counter = |name: &str| report.counter(&format!("net.peer1.{name}"));
+        assert_eq!((counter("verify_failures"), counter("decode_errors")), (1, 1));
+        assert_eq!((counter("dropped_frames"), counter("protected_dropped")), (0, 0));
         net.shutdown();
     }
 
@@ -710,7 +614,7 @@ pub(crate) mod tests {
         use moonshot_wire::{encode_frame, encode_message, Frame};
 
         const MESSAGES: u64 = 2_000;
-        let net = NetPool::new().unwrap();
+        let net = NetPool::new();
         let l0 = TcpListener::bind(localhost_any()).unwrap();
         let a0 = l0.local_addr().unwrap();
         // Node 1 is the raw socket below; its address is never listened on.
@@ -753,7 +657,7 @@ pub(crate) mod tests {
         const GAPS_MS: [u64; 4] = [50, 150, 250, 350];
         /// How long each incarnation reads after its first frame.
         const SETTLE: Duration = Duration::from_millis(500);
-        let net = NetPool::new().unwrap();
+        let net = NetPool::new();
         let l0 = TcpListener::bind(localhost_any()).unwrap();
         let l1 = TcpListener::bind(localhost_any()).unwrap();
         let (a0, a1) = (l0.local_addr().unwrap(), l1.local_addr().unwrap());
@@ -822,7 +726,7 @@ pub(crate) mod tests {
     /// connection lost after it was once established does.
     #[test]
     fn late_bound_listener_counts_zero_reconnects() {
-        let net = NetPool::new().unwrap();
+        let net = NetPool::new();
         let l0 = TcpListener::bind(localhost_any()).unwrap();
         let a0 = l0.local_addr().unwrap();
         // Reserve an address for node 1 but leave it unbound for now, so

@@ -66,8 +66,7 @@ fn start(
     };
     let sink = Arc::new(Mutex::new(RingBufferSink::new(1024)));
     let delta = SimDuration::from_millis(50);
-    let node =
-        NodeHandle::start(probe, delta, cfg, Some(listener), None, Instant::now(), sink).unwrap();
+    let node = NodeHandle::start(probe, delta, cfg, Some(listener), None, sink).unwrap();
     (node, rx)
 }
 
@@ -79,7 +78,7 @@ fn start(
 #[test]
 fn a_peer_that_never_accepts_holds_up_no_other_dial() {
     let localhost: SocketAddr = "127.0.0.1:0".parse().unwrap();
-    let pool = NetPool::new().unwrap();
+    let pool = NetPool::new();
     // A backlog of 0 holds one connection; the one after it hangs.
     let full = TcpListener::bind(localhost).unwrap();
     // SAFETY: `listen` takes no pointers; the fd is the listener's own.

@@ -120,6 +120,9 @@ fn four_node_processes_commit_submitted_transactions_through_the_dissemination_p
     for (i, summary) in summaries.iter().enumerate() {
         assert!(counter(i, "driver.messages_handled") > 0, "node {i} handled nothing: {summary}");
         assert!(counter(i, "crypto.batch_verify_items") > 0, "node {i} verified nothing");
+        // A process hosting one node runs main and one pool shard.
+        let threads = number(summary, "process.threads").expect("process.threads");
+        assert!(threads <= 2, "node {i} ran {threads} threads: {summary}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
