@@ -5,7 +5,8 @@
 //! signature arrays (§VI). This crate provides that substrate:
 //!
 //! * [`sha256`] — a from-scratch, NIST-vector-tested SHA-256 used for block
-//!   hashes (`H(B)`) and message digests;
+//!   hashes (`H(B)`) and message digests, on the x86 SHA extensions where
+//!   the CPU has them;
 //! * [`keys`] — key pairs and the validator-set [`keys::Keyring`] (PKI) with
 //!   quorum arithmetic (`n`, `f`, `2f+1`, `f+1`);
 //! * [`signature`] — a keyed-hash authenticator with ED25519-compatible wire
@@ -32,7 +33,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-#![forbid(unsafe_code)]
+// One `unsafe` block is allowed: the call into the SHA-extension kernel
+// after the CPU check (`sha256::accelerated`). CI counts it.
+#![deny(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod cache;

@@ -5,6 +5,14 @@
 //! dependency so that the entire substrate of the reproduction is auditable.
 //! The implementation is validated against the NIST test vectors in the unit
 //! tests at the bottom of this module.
+//!
+//! The compression function comes in two forms with byte-identical results:
+//! a portable one, and on x86_64 a kernel on the SHA extensions
+//! (`sha256rnds2`, `sha256msg1`, `sha256msg2`), picked at run time when the
+//! CPU reports `sha` and `sse4.1`. The kernel is safe code; the one `unsafe`
+//! in this crate is the call into it after that check. The tests run the
+//! NIST vectors through each form and compare the two on every length up
+//! to 1 KiB.
 
 use std::fmt;
 
@@ -158,6 +166,17 @@ impl Sha256 {
 
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
+        self.update_with(data, compress);
+    }
+
+    /// Finishes the computation and returns the digest, consuming the hasher.
+    pub fn finalize(self) -> Digest {
+        self.finalize_with(compress)
+    }
+
+    /// [`update`](Sha256::update) through the compressor `f`: at most one
+    /// call for the buffered block and one for every whole block of `data`.
+    fn update_with(&mut self, data: &[u8], f: Compress) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut rest = data;
         if self.buf_len > 0 {
@@ -165,41 +184,31 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            f(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            rest = tail;
+        let whole = rest.len() - rest.len() % 64;
+        if whole > 0 {
+            f(&mut self.state, &rest[..whole]);
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        let tail = &rest[whole..];
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
-    /// Finishes the computation and returns the digest, consuming the hasher.
-    pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zero-pad to 56 mod 64, then the 64-bit length.
-        self.buf[self.buf_len] = 0x80;
-        let mut i = self.buf_len + 1;
-        if i > 56 {
-            self.buf[i..].fill(0);
-            let block = self.buf;
-            self.compress(&block);
-            i = 0;
-        }
-        self.buf[i..56].fill(0);
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+    /// [`finalize`](Sha256::finalize) through the compressor `f`.
+    fn finalize_with(mut self, f: Compress) -> Digest {
+        // Append 0x80, zero-pad to 56 mod 64, then the 64-bit bit length:
+        // one block, or two when fewer than 9 bytes are left in this one.
+        let mut pad = [0u8; 128];
+        pad[..self.buf_len].copy_from_slice(&self.buf[..self.buf_len]);
+        pad[self.buf_len] = 0x80;
+        let len = if self.buf_len < 56 { 64 } else { 128 };
+        pad[len - 8..len].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        f(&mut self.state, &pad[..len]);
 
         let mut out = [0u8; DIGEST_LEN];
         for (chunk, word) in out.chunks_exact_mut(4).zip(self.state.iter()) {
@@ -207,9 +216,44 @@ impl Sha256 {
         }
         Digest(out)
     }
+}
 
-    /// The SHA-256 compression function applied to one 512-bit block.
-    fn compress(&mut self, block: &[u8; 64]) {
+/// A compression function applied to `blocks`, whose length is a multiple
+/// of 64: one 512-bit block after another, in order.
+type Compress = fn(&mut [u32; 8], &[u8]);
+
+/// The compressor this CPU runs: the SHA-extension kernel where the CPU
+/// has it, the portable one elsewhere. Both give the same state.
+fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+    match accelerated() {
+        Some(f) => f(state, blocks),
+        None => compress_portable(state, blocks),
+    }
+}
+
+/// The SHA-extension compressor, if this CPU has the extensions it needs.
+/// (The standard library caches the CPU check, so this is a couple of
+/// loads per call.)
+fn accelerated() -> Option<Compress> {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sha") && std::arch::is_x86_feature_detected!("sse4.1") {
+        return Some(|state, blocks| {
+            // SAFETY: `shani::compress` needs the `sha` and `sse4.1` target
+            // features, and this closure is only handed out after the CPU
+            // reported both just above. Its body is safe code: intrinsics
+            // on register values, and slice indexing that is bounds checked.
+            #[allow(unsafe_code)]
+            unsafe {
+                shani::compress(state, blocks)
+            }
+        });
+    }
+    None
+}
+
+/// The portable SHA-256 compression function (FIPS 180-4, §6.2.2).
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
@@ -223,7 +267,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -245,14 +289,116 @@ impl Sha256 {
             a = t1.wrapping_add(t2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The compression function on the x86 SHA extensions.
+///
+/// `sha256rnds2` runs two rounds on the state held as two vectors,
+/// `ABEF` and `CDGH`; `sha256msg1` and `sha256msg2` extend the message
+/// schedule four words at a time. The state is shuffled into that layout
+/// once per call and back once at the end, whatever the number of blocks.
+/// Vectors are built from words (`_mm_set_epi32`) and read back with
+/// `_mm_extract_epi32`, so the kernel dereferences no pointer.
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_extract_epi32, _mm_set_epi32,
+        _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    use super::K;
+
+    /// Four rounds: `w` holds message words `4i..4i+4`, low lane first.
+    macro_rules! rounds4 {
+        ($abef:ident, $cdgh:ident, $w:expr, $i:expr) => {{
+            let k = _mm_set_epi32(
+                K[4 * $i + 3] as i32,
+                K[4 * $i + 2] as i32,
+                K[4 * $i + 1] as i32,
+                K[4 * $i] as i32,
+            );
+            let wk = _mm_add_epi32($w, k);
+            $cdgh = _mm_sha256rnds2_epu32($cdgh, $abef, wk);
+            $abef = _mm_sha256rnds2_epu32($abef, $cdgh, _mm_shuffle_epi32(wk, 0x0E));
+        }};
+    }
+
+    /// Extends the schedule by four words from the sixteen before them
+    /// (`$w0` oldest), stores them in `$next` and runs their four rounds.
+    macro_rules! schedule_rounds4 {
+        ($abef:ident, $cdgh:ident, $w0:ident, $w1:ident, $w2:ident, $w3:ident, $next:ident,
+         $i:expr) => {{
+            let t = _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8($w3, $w2, 4));
+            $next = _mm_sha256msg2_epu32(t, $w3);
+            rounds4!($abef, $cdgh, $next, $i);
+        }};
+    }
+
+    /// Compresses every 64-byte block of `blocks` into `state`.
+    #[target_feature(enable = "sha,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        let s = state.map(|v| v as i32);
+        let dcba = _mm_set_epi32(s[3], s[2], s[1], s[0]);
+        let hgfe = _mm_set_epi32(s[7], s[6], s[5], s[4]);
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+        for block in blocks.chunks_exact(64) {
+            let block: &[u8; 64] = block.try_into().expect("chunks_exact(64)");
+            let word = |i: usize| {
+                let b = &block[4 * i..4 * i + 4];
+                i32::from_be_bytes([b[0], b[1], b[2], b[3]])
+            };
+            let words = |j: usize| _mm_set_epi32(word(j + 3), word(j + 2), word(j + 1), word(j));
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let mut w0 = words(0);
+            let mut w1 = words(4);
+            let mut w2 = words(8);
+            let mut w3 = words(12);
+            let mut w4: __m128i;
+
+            rounds4!(abef, cdgh, w0, 0);
+            rounds4!(abef, cdgh, w1, 1);
+            rounds4!(abef, cdgh, w2, 2);
+            rounds4!(abef, cdgh, w3, 3);
+            schedule_rounds4!(abef, cdgh, w0, w1, w2, w3, w4, 4);
+            schedule_rounds4!(abef, cdgh, w1, w2, w3, w4, w0, 5);
+            schedule_rounds4!(abef, cdgh, w2, w3, w4, w0, w1, 6);
+            schedule_rounds4!(abef, cdgh, w3, w4, w0, w1, w2, 7);
+            schedule_rounds4!(abef, cdgh, w4, w0, w1, w2, w3, 8);
+            schedule_rounds4!(abef, cdgh, w0, w1, w2, w3, w4, 9);
+            schedule_rounds4!(abef, cdgh, w1, w2, w3, w4, w0, 10);
+            schedule_rounds4!(abef, cdgh, w2, w3, w4, w0, w1, 11);
+            schedule_rounds4!(abef, cdgh, w3, w4, w0, w1, w2, 12);
+            schedule_rounds4!(abef, cdgh, w4, w0, w1, w2, w3, 13);
+            schedule_rounds4!(abef, cdgh, w0, w1, w2, w3, w4, 14);
+            schedule_rounds4!(abef, cdgh, w1, w2, w3, w4, w0, 15);
+
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+        let hgef = _mm_alignr_epi8(dchg, feba, 8);
+        *state = [
+            _mm_extract_epi32::<0>(dcba),
+            _mm_extract_epi32::<1>(dcba),
+            _mm_extract_epi32::<2>(dcba),
+            _mm_extract_epi32::<3>(dcba),
+            _mm_extract_epi32::<0>(hgef),
+            _mm_extract_epi32::<1>(hgef),
+            _mm_extract_epi32::<2>(hgef),
+            _mm_extract_epi32::<3>(hgef),
+        ]
+        .map(|v| v as u32);
     }
 }
 
@@ -264,49 +410,114 @@ mod tests {
         d.to_string()
     }
 
-    #[test]
-    fn nist_empty_string() {
-        assert_eq!(
-            hex(&Digest::hash(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
+    /// The NIST examples (FIPS 180-4 and its example sets), message → digest.
+    fn nist_vectors() -> Vec<(Vec<u8>, &'static str)> {
+        vec![
+            (
+                b"".to_vec(),
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc".to_vec(),
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq".to_vec(),
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
+ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"
+                    .to_vec(),
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+            (
+                vec![b'a'; 1_000_000],
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ]
+    }
+
+    /// Hashes the concatenation of `parts` through the compressor `f`.
+    fn hash_with(f: Compress, parts: &[&[u8]]) -> Digest {
+        let mut h = Sha256::new();
+        for p in parts {
+            h.update_with(p, f);
+        }
+        h.finalize_with(f)
+    }
+
+    /// The accelerated compressor, or `None` after saying the test skips it.
+    fn accelerated_or_skip(test: &str) -> Option<Compress> {
+        let f = accelerated();
+        if f.is_none() {
+            println!("{test}: skipped, this CPU lacks the SHA extensions (sha, sse4.1)");
+        }
+        f
     }
 
     #[test]
-    fn nist_abc() {
-        assert_eq!(
-            hex(&Digest::hash(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
+    fn nist_vectors_through_the_dispatched_compressor() {
+        for (msg, want) in nist_vectors() {
+            assert_eq!(hex(&Digest::hash(&msg)), want, "{} bytes", msg.len());
+        }
     }
 
     #[test]
-    fn nist_two_block_message() {
-        assert_eq!(
-            hex(&Digest::hash(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+    fn nist_vectors_through_the_portable_compressor() {
+        for (msg, want) in nist_vectors() {
+            assert_eq!(
+                hex(&hash_with(compress_portable, &[&msg])),
+                want,
+                "{} bytes",
+                msg.len()
+            );
+        }
     }
 
     #[test]
-    fn nist_896_bit_message() {
-        let msg = b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmno\
-ijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu";
-        assert_eq!(
-            hex(&Digest::hash(msg)),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-        );
+    fn nist_vectors_through_the_accelerated_compressor() {
+        let Some(f) = accelerated_or_skip("nist_vectors_through_the_accelerated_compressor") else {
+            return;
+        };
+        for (msg, want) in nist_vectors() {
+            assert_eq!(hex(&hash_with(f, &[&msg])), want, "{} bytes", msg.len());
+        }
     }
 
+    /// Every length from 0 to 1 024 bytes, each fed in up to four `update`
+    /// calls split at seeded random points: the accelerated compressor
+    /// must land on the portable one's digest, and so must a one-shot hash.
     #[test]
-    fn nist_one_million_a() {
-        let msg = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&Digest::hash(&msg)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+    fn accelerated_and_portable_compressors_agree_on_every_length() {
+        let Some(f) =
+            accelerated_or_skip("accelerated_and_portable_compressors_agree_on_every_length")
+        else {
+            return;
+        };
+        let mut rng = moonshot_rng::DetRng::seed_from_u64(0x5a256);
+        let data = rng.gen_bytes(1_024);
+        for len in 0..=data.len() {
+            let msg = &data[..len];
+            let mut cuts: Vec<usize> = (0..3)
+                .map(|_| rng.gen_below(len as u64 + 1) as usize)
+                .collect();
+            cuts.sort_unstable();
+            let parts = [
+                &msg[..cuts[0]],
+                &msg[cuts[0]..cuts[1]],
+                &msg[cuts[1]..cuts[2]],
+                &msg[cuts[2]..],
+            ];
+            let portable = hash_with(compress_portable, &[msg]);
+            assert_eq!(hash_with(f, &parts), portable, "len {len}, cuts {cuts:?}");
+            assert_eq!(
+                hash_with(compress_portable, &parts),
+                portable,
+                "len {len}, cuts {cuts:?}"
+            );
+            assert_eq!(Digest::hash(msg), portable, "len {len}");
+        }
     }
 
     #[test]

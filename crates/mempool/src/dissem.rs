@@ -104,6 +104,12 @@ impl DissemCounters {
 /// notification at worst defers a gated vote to the fetch timeout).
 const STORED_LOG_CAP: usize = 64 * 1024;
 
+/// The most entries [`StoreInner::order`] keeps for `live` stored batches
+/// before [`BatchStore::prune_committed`] drops its stale ones.
+fn order_bound(live: usize) -> usize {
+    2 * live + 64
+}
+
 #[derive(Debug, Default)]
 struct StoreInner {
     map: HashMap<Digest, Arc<[u8]>>,
@@ -262,9 +268,12 @@ impl BatchStore {
         }
         if pruned > 0 {
             self.counters.pruned_committed.fetch_add(pruned as u64, Ordering::Relaxed);
-            // Keep the FIFO eviction order from accumulating stale
-            // entries across a long run.
-            let StoreInner { map, order, .. } = &mut *inner;
+        }
+        // Keep the FIFO eviction order from accumulating stale entries
+        // across a long run, but walk it only once they outnumber the live
+        // ones: a walk per commit would cost the whole store every block.
+        let StoreInner { map, order, .. } = &mut *inner;
+        if order.len() > order_bound(map.len()) {
             order.retain(|d| map.contains_key(d));
         }
         pruned
@@ -619,6 +628,58 @@ mod tests {
         assert_eq!(plane.counters.stats().pruned_committed, 2);
         // Pruning is idempotent: the ripe set was consumed.
         assert_eq!(plane.store.prune_committed(2), 0);
+    }
+
+    /// A long run commits and prunes a batch per block: the eviction
+    /// order stays bounded by the live batches, and past the byte budget
+    /// the uncommitted batches stored first are still the first to go.
+    #[test]
+    fn store_order_stays_bounded_over_many_prunes_and_evicts_oldest_first() {
+        const RETAIN: u64 = 8;
+        let batch = |i: u32| {
+            let mut b = vec![0u8; 100];
+            b[..4].copy_from_slice(&i.to_le_bytes());
+            let b: Arc<[u8]> = Arc::from(b);
+            (batch_digest(&b), b)
+        };
+        // Never reached while the cycles run: at most 3 + RETAIN + 1 stored.
+        let plane = DissemPlane::new(100 * (3 + RETAIN as usize + 2));
+        let store = &plane.store;
+        let uncommitted: Vec<_> = (0..3).map(|i| batch(1_000_000 + i)).collect();
+        for (d, b) in &uncommitted {
+            store.insert(*d, b.clone());
+        }
+        for height in 1..=2_000u64 {
+            let (d, b) = batch(height as u32);
+            store.insert(d, b);
+            store.mark_committed(d, height);
+            store.prune_committed(height.saturating_sub(RETAIN));
+            let inner = store.inner.lock().unwrap();
+            assert!(
+                inner.order.len() <= order_bound(inner.map.len()),
+                "height {height}: {} order entries for {} batches",
+                inner.order.len(),
+                inner.map.len()
+            );
+        }
+        assert_eq!(store.len(), 3 + RETAIN as usize);
+        assert_eq!(plane.counters.stats().evicted, 0);
+
+        // Fill the budget with new uncommitted batches: the retained
+        // committed ones go first, then the uncommitted ones oldest first.
+        let mut next = 2_000_000;
+        while uncommitted.iter().all(|(d, _)| store.contains(d)) {
+            let (d, b) = batch(next);
+            store.insert(d, b);
+            next += 1;
+        }
+        assert_eq!(plane.counters.stats().evicted, RETAIN + 1);
+        assert!(!store.contains(&uncommitted[0].0));
+        assert!(store.contains(&uncommitted[1].0) && store.contains(&uncommitted[2].0));
+        let (d, b) = batch(next);
+        store.insert(d, b);
+        assert!(!store.contains(&uncommitted[1].0));
+        assert!(store.contains(&uncommitted[2].0));
     }
 
     fn refs(n: u8) -> Vec<BatchRef> {
