@@ -23,6 +23,17 @@
 //!   (`seal_linger`) from the first poll that finds the pool non-empty
 //!   and collects what a paced stream admits meanwhile. A batch that
 //!   reaches the base size seals at once.
+//! * A step in which the node multicasts a consensus message seals the
+//!   open batch at once, whatever its size ([`Sealer::ride`]): the push
+//!   then queues behind the multicast on every link and leaves in the same
+//!   write, where on its own clock it would cost a write per peer. The
+//!   linger is waived, nothing else: the backlog cap and the adaptive
+//!   target hold as for [`Sealer::poll`], and both decide on the `now`
+//!   they are handed. A ride does not cut short a batch of a pool whose
+//!   last batch reached the base size: that pool is fed faster than its
+//!   linger, its open batch fills anyway, and a ride would only split it
+//!   in two and pay a batch's fixed costs (frames, store entry, ref)
+//!   twice.
 //! * Batch sizing is adaptive: when backlog accumulates, the byte target
 //!   grows with it, up to [`MAX_GROWTH`]× the base, so the pipeline drains
 //!   the backlog with bigger batches instead of letting queue delay grow.
@@ -106,13 +117,16 @@ pub struct Sealer {
     /// When the open under-full batch falls due (µs), fixed when it opened;
     /// `None` while no batch is open.
     due_us: Option<u64>,
+    /// Whether the last batch sealed had reached the base size: while it
+    /// had, a ride waits for the linger like a poll.
+    last_full: bool,
 }
 
 impl Sealer {
     /// A sealer of batches of `base_batch_bytes` (the payload-per-block
     /// target of the run), grown under backlog.
     pub fn new(base_batch_bytes: usize) -> Sealer {
-        Sealer { base: base_batch_bytes.max(1) as u64, due_us: None }
+        Sealer { base: base_batch_bytes.max(1) as u64, due_us: None, last_full: false }
     }
 
     /// The batch byte target with `pending_bytes` in the pool:
@@ -125,11 +139,28 @@ impl Sealer {
     /// The sealing step at `now_us`, for `pool` and the node's own
     /// pushed-but-unproposed `backlog_bytes`.
     pub fn poll(&mut self, now_us: u64, pool: &Mempool, backlog_bytes: u64) -> Seal {
+        self.seal(now_us, pool, backlog_bytes, false)
+    }
+
+    /// [`poll`](Sealer::poll) with the linger waived, for a step that
+    /// multicasts: what is pending seals now, under the base size if need
+    /// be, and the open batch's due time is cleared. It answers
+    /// [`Seal::Idle`] on an empty pool or at the backlog cap, like `poll`,
+    /// and answers like `poll` too while the last batch sealed had reached
+    /// the base size.
+    pub fn ride(&mut self, now_us: u64, pool: &Mempool, backlog_bytes: u64) -> Seal {
+        self.seal(now_us, pool, backlog_bytes, true)
+    }
+
+    /// The one sealing path: [`poll`](Sealer::poll), and with `ride`
+    /// [`ride`](Sealer::ride).
+    fn seal(&mut self, now_us: u64, pool: &Mempool, backlog_bytes: u64, ride: bool) -> Seal {
         if backlog_bytes >= DISSEM_BACKLOG_CAP || pool.is_empty() {
             return Seal::Idle;
         }
         let pending = pool.pending_bytes();
-        if pending < self.base {
+        let full = pending >= self.base;
+        if !full && (!ride || self.last_full) {
             let due = *self.due_us.get_or_insert_with(|| {
                 now_us + seal_linger(pool.block_period_ewma_us()).as_micros() as u64
             });
@@ -142,6 +173,7 @@ impl Sealer {
             return Seal::Due(now_us);
         }
         self.due_us = None;
+        self.last_full = full;
         let tx_digests: Vec<Digest> = txs.iter().map(|t| t.digest).collect();
         let bytes: Arc<[u8]> = encode_batch(&txs).into();
         let digest = batch_digest(&bytes);
@@ -261,6 +293,67 @@ mod tests {
         assert_eq!(sealer.poll(60_000_000, &pool, DISSEM_BACKLOG_CAP - 1), Seal::Due(60_000_200));
         let sealed = batch(sealer.poll(60_000_200, &pool, DISSEM_BACKLOG_CAP - 1));
         assert_eq!(sealed.tx_count, 1);
+    }
+
+    /// A ride seals an under-full batch long before its due time, stamped
+    /// with the ride's time, and clears that due time: the next admission
+    /// opens a fresh window. On an empty pool, or at the backlog cap with a
+    /// batch open, a ride seals nothing and leaves the window as it was.
+    #[test]
+    fn a_ride_seals_what_is_pending_and_clears_the_due_time() {
+        let pool = Mempool::new(MempoolConfig::default());
+        prime_block_period(&pool, 100_000);
+        let mut sealer = Sealer::new(18_000);
+        assert_eq!(sealer.ride(1_000, &pool, 0), Seal::Idle, "an empty pool");
+        for seq in 0..3u64 {
+            pool.submit(make_tx(1_000, 1, seq, 180)).unwrap();
+        }
+        assert_eq!(sealer.poll(2_000, &pool, 0), Seal::Due(27_000));
+        pool.submit(make_tx(3_000, 1, 3, 180)).unwrap();
+        assert_eq!(sealer.ride(4_000, &pool, DISSEM_BACKLOG_CAP), Seal::Idle, "at the cap");
+        assert_eq!(sealer.poll(4_000, &pool, 0), Seal::Due(27_000), "the window stands");
+        let sealed = batch(sealer.ride(5_000, &pool, DISSEM_BACKLOG_CAP - 1));
+        assert_eq!((sealed.tx_count, sealed.sealed_at_us), (4, 5_000));
+        assert!(pool.is_empty());
+        assert_eq!(sealer.ride(5_000, &pool, 0), Seal::Idle);
+        pool.submit(make_tx(6_000, 1, 4, 180)).unwrap();
+        assert_eq!(sealer.poll(26_000, &pool, 0), Seal::Due(51_000), "a fresh window");
+    }
+
+    /// Under backlog a ride seals what a poll would, batch for batch, and
+    /// leaves the under-full rest open like a poll: a pool fed that fast
+    /// fills it anyway. Once a batch seals under-full, rides seal at once
+    /// again.
+    #[test]
+    fn a_ride_under_backlog_seals_what_a_poll_would() {
+        let (polled, ridden) = (unbounded_pool(), unbounded_pool());
+        for pool in [&polled, &ridden] {
+            for seq in 0..100u64 {
+                pool.submit(make_tx(1 + seq, 1, seq, 180)).unwrap();
+            }
+        }
+        let sizes = |sealer: &mut Sealer, pool: &Mempool, ride: bool| {
+            let mut sizes = Vec::new();
+            loop {
+                let seal = if ride { sealer.ride(1_000, pool, 0) } else { sealer.poll(1_000, pool, 0) };
+                match seal {
+                    Seal::Batch(b) => sizes.push(b.bytes.len()),
+                    _ => return sizes,
+                }
+            }
+        };
+        let mut sealer = Sealer::new(1_800);
+        let polled_sizes = sizes(&mut Sealer::new(1_800), &polled, false);
+        assert!(polled_sizes.len() > 2);
+        assert_eq!(sizes(&mut sealer, &ridden, true), polled_sizes);
+        let rest = ridden.pending_bytes();
+        assert!(rest > 0 && rest < 1_800);
+        assert_eq!(sealer.ride(1_000, &ridden, 0), Seal::Due(1_200), "the linger holds");
+        assert!(batch(sealer.poll(1_200, &ridden, 0)).bytes.len() < 1_800);
+        assert!(ridden.is_empty());
+        ridden.submit(make_tx(2_000, 1, 100, 180)).unwrap();
+        let sealed = batch(sealer.ride(2_000, &ridden, 0));
+        assert_eq!((sealed.tx_count, sealed.sealed_at_us), (1, 2_000), "paced again: it rides");
     }
 
     /// The effective target grows linearly with backlog and saturates at

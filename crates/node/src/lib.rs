@@ -18,9 +18,10 @@
 //!   thread in between;
 //! * **digest dissemination** — transaction bytes never ride a proposal.
 //!   The node seals its mempool into batches
-//!   ([`Sealer`](moonshot_mempool::Sealer)) on its own clock, stores each in
-//!   the node's [`DissemPlane`](moonshot_mempool::DissemPlane) and pushes it
-//!   to every peer in the same step; whoever leads next proposes 40-byte
+//!   ([`Sealer`](moonshot_mempool::Sealer)) on its own clock, or at once in
+//!   a step that multicasts a consensus message, stores each in the node's
+//!   [`DissemPlane`](moonshot_mempool::DissemPlane) and pushes it to every
+//!   peer in the same step; whoever leads next proposes 40-byte
 //!   references to every batch it holds that no block has carried, and a
 //!   voter holds its vote until it holds the bytes (fetching what no push
 //!   delivered). A node without a data path (`load: None`, no `--load`)

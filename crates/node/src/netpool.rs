@@ -505,7 +505,8 @@ struct OutConn {
 impl OutConn {
     /// Drains `queue` through coalesced vectored writes (and the shaper,
     /// when configured) until the socket would block or nothing is due;
-    /// `frames` counts each frame fully written.
+    /// `frames` counts each frame fully written. Each write gathers at most
+    /// [`WRITE_VECTORS`] slices from an array on the stack.
     fn pump(&mut self, queue: &mut OutboundQueue, now: SimTime, frames: &AtomicU64) -> io::Result<()> {
         let metrics = &self.core.peers[&self.peer];
         loop {
@@ -543,15 +544,16 @@ impl OutConn {
                 return Ok(());
             }
 
-            let slices: Vec<IoSlice<'_>> = self
-                .pending
-                .iter()
-                .take(WRITE_VECTORS)
-                .map(|(frame, offset)| IoSlice::new(&frame[*offset..]))
-                .collect();
-            match self.stream.write_vectored(&slices) {
+            let mut slices = [IoSlice::new(&[]); WRITE_VECTORS];
+            let mut count = 0;
+            for ((frame, offset), slice) in self.pending.iter().zip(&mut slices) {
+                *slice = IoSlice::new(&frame[*offset..]);
+                count += 1;
+            }
+            match self.stream.write_vectored(&slices[..count]) {
                 Ok(0) => return Err(io::Error::new(io::ErrorKind::WriteZero, "wrote 0")),
                 Ok(mut n) => {
+                    metrics.writes.fetch_add(1, Ordering::Relaxed);
                     while n > 0 {
                         let (frame, offset) = self.pending.front_mut().expect("bytes were written");
                         let remaining = frame.len() - *offset;
@@ -596,6 +598,10 @@ struct Runner {
     /// Consensus messages read in this wakeup, in read order, awaiting
     /// [`verify_read`](Runner::verify_read).
     unverified: Vec<(Arc<NodeCore>, NodeId, Message)>,
+    /// The nodes with work in this wakeup, kept for the next one.
+    due: Vec<u64>,
+    /// The links one step queued frames on, kept for the next step.
+    written: Vec<usize>,
 }
 
 impl Runner {
@@ -620,6 +626,8 @@ impl Runner {
             events: Vec::new(),
             buf: vec![0u8; 64 * 1024],
             unverified: Vec::new(),
+            due: Vec::new(),
+            written: Vec::new(),
         })
     }
 
@@ -647,10 +655,13 @@ impl Runner {
             }
             self.events = events;
             self.verify_read();
-            let due: Vec<u64> = self.hosted.iter().filter(|(_, h)| h.due).map(|(&id, _)| id).collect();
-            for core_id in due {
+            let mut due = std::mem::take(&mut self.due);
+            due.extend(self.hosted.iter().filter(|(_, h)| h.due).map(|(&id, _)| id));
+            for &core_id in &due {
                 self.step(core_id);
             }
+            due.clear();
+            self.due = due;
 
             let now = self.now();
             for timer in self.timers.expire(now) {
@@ -805,7 +816,7 @@ impl Runner {
         }
         let now = clock();
         let mut deadline = node.poll(now);
-        let mut written = Vec::new();
+        let mut written = std::mem::take(&mut self.written);
         for emit in node.output() {
             let (to, frame, protected) = match emit {
                 Emit::Send(to, frame) => (to, frame, false),
@@ -838,9 +849,11 @@ impl Runner {
         }
         written.sort_unstable();
         written.dedup();
-        for token in written {
+        for &token in &written {
             self.drive_write(token);
         }
+        written.clear();
+        self.written = written;
     }
 
     /// Dials `core_id`'s link to `peer` unless it is up, a connect is in

@@ -183,6 +183,9 @@ pub struct Node {
     last_commit_at: SimTime,
     /// This step's network output, in emission order.
     out: Vec<Emit>,
+    /// Whether this step multicast a consensus message: the seal step then
+    /// seals the open batch at once, so its push rides the same write.
+    multicast: bool,
     messages_handled: u64,
     timers_fired: u64,
     batches: u64,
@@ -237,6 +240,7 @@ impl Node {
             stall_timeout: delta * STALL_DELTA_MULTIPLE,
             last_commit_at: SimTime::ZERO,
             out: Vec::new(),
+            multicast: false,
             messages_handled: 0,
             timers_fired: 0,
             batches: 0,
@@ -287,7 +291,8 @@ impl Node {
         }
     }
 
-    /// Fires the timers due by `now`, seals and pushes what is due, takes
+    /// Fires the timers due by `now`, seals and pushes what is due (the
+    /// open batch too if the step multicast, behind the multicast), takes
     /// in the dissemination plane's arrivals and checks for a stall.
     /// Returns when the node next needs a step: the earliest of its next
     /// timer, the open batch's due time and the stall deadline — `now`
@@ -467,11 +472,15 @@ impl Node {
 
     /// The dissemination plane's turn: seal and push what is due (before
     /// it can be proposed — push-before-propose), then drain the store's
-    /// arrival log into the proposable pool and release gated votes.
+    /// arrival log into the proposable pool and release gated votes. A vote
+    /// a released message multicasts takes the open batch along at once.
     /// Returns [`push_batches`](Node::push_batches)'s deadline.
     fn sync_dissem(&mut self, now: SimTime) -> Option<SimTime> {
         let seal_due = self.push_batches(now);
         self.drain_stored(now);
+        if self.multicast {
+            return self.push_batches(now);
+        }
         seal_due
     }
 
@@ -480,17 +489,28 @@ impl Node {
     /// then enters it into the proposable pool — the push-before-propose
     /// guarantee: this node can only propose its own ref after the bytes
     /// sit ahead of it in every peer's output, and per-peer TCP FIFO keeps
-    /// the push ahead of the proposal on the wire. This is also where a
-    /// batch's seal lands in the trace, once, on the node that sealed it:
-    /// the [`TraceEvent::BatchSealed`] record the report's stage
-    /// decomposition starts from. Returns when the node must be stepped
-    /// again: when the open batch falls due, or `now` when [`PUSH_LIMIT`]
-    /// cut the step short.
+    /// the push ahead of the proposal on the wire. When the step has
+    /// multicast a consensus message (a vote, certificate, proposal or
+    /// timeout), it takes that note and seals the open batch without its
+    /// linger ([`Sealer::ride`], unless the pool's last batch filled to the
+    /// base size): the push queues behind the multicast and
+    /// leaves in the same write on every link, and a proposal of this step
+    /// was built before the batch entered the pool, so the next one carries
+    /// it. A unicast seals nothing: there the push would cost n − 2 writes
+    /// of its own. This is also where a batch's seal lands in the trace,
+    /// once, on the node that sealed it: the [`TraceEvent::BatchSealed`]
+    /// record the report's stage decomposition starts from. Returns when
+    /// the node must be stepped again: when the open batch falls due, or
+    /// `now` when [`PUSH_LIMIT`] cut the step short.
     fn push_batches(&mut self, now: SimTime) -> Option<SimTime> {
+        let ride = std::mem::take(&mut self.multicast);
         let (pool, sealer) = self.mempool.as_mut()?;
         let plane = &self.dissem;
         for _ in 0..PUSH_LIMIT {
-            let b = match sealer.poll(now.0, pool, plane.backlog_bytes()) {
+            let backlog = plane.backlog_bytes();
+            let seal =
+                if ride { sealer.ride(now.0, pool, backlog) } else { sealer.poll(now.0, pool, backlog) };
+            let b = match seal {
                 Seal::Batch(b) => b,
                 // An empty drain: retried within the step's bound.
                 Seal::Due(at) if at <= now.0 => continue,
@@ -598,6 +618,7 @@ impl Node {
                         self.note_proposed(block);
                     }
                     self.out.push(Emit::Broadcast(Arc::new(encode_message(&msg)), None));
+                    self.multicast = true;
                     // Loopback of our own multicast: self-signed.
                     self.out.push(self.loopback(msg));
                 }
@@ -656,9 +677,12 @@ pub(crate) mod tests {
     use std::sync::Mutex;
 
     use moonshot_consensus::MessageVerifier;
+    use moonshot_crypto::KeyPair;
+    use moonshot_mempool::seal::DISSEM_BACKLOG_CAP;
     use moonshot_mempool::{batch_digest, make_tx, MempoolConfig};
     use moonshot_telemetry::RingBufferSink;
-    use moonshot_types::{BatchRef, View};
+    use moonshot_types::{BatchRef, QuorumCertificate, SignedVote, View, Vote, VoteKind};
+    use moonshot_wire::decode_frame;
 
     /// A handled message: its tag, and what the proposable pool would have
     /// offered a leader at that instant.
@@ -718,6 +742,63 @@ pub(crate) mod tests {
         }
     }
 
+    /// A protocol double with the shape of a protocol's answers, not their
+    /// rules: an optimistic proposal is answered with a vote it multicasts,
+    /// a vote with one it unicasts to node 1 (Jolteon's shape), a
+    /// certificate with a proposal of its own, carrying what the node's
+    /// payload source offers; anything else with nothing. It notes the refs
+    /// of every block it proposes.
+    struct Answerer {
+        cfg: NodeConfig,
+        verifier: MessageVerifier,
+        tip: Block,
+        proposed: Arc<Mutex<Vec<Vec<BatchRef>>>>,
+    }
+
+    impl Answerer {
+        fn vote(&self, vote: Vote) -> Message {
+            Message::Vote(SignedVote::sign(vote, self.cfg.node_id, &self.cfg.keypair))
+        }
+    }
+
+    impl ConsensusProtocol for Answerer {
+        fn start(&mut self, _: SimTime) -> Vec<Output> {
+            Vec::new()
+        }
+        fn handle_preverified(&mut self, _: NodeId, msg: PreVerified, _: SimTime) -> Vec<Output> {
+            match msg.into_inner() {
+                Message::OptPropose { block, view } => {
+                    let (block_id, block_height) = (block.id(), block.height());
+                    let kind = VoteKind::Optimistic;
+                    vec![Output::Multicast(self.vote(Vote { kind, block_id, block_height, view }))]
+                }
+                Message::Vote(v) => vec![Output::Send(NodeId(1), self.vote(v.vote))],
+                Message::Certificate(_) => {
+                    let view = View(self.tip.height().0 + 1);
+                    let payload = self.cfg.payloads.payload_for(view);
+                    let block = Block::build(view, self.cfg.node_id, &self.tip, payload);
+                    let refs = block.payload().batch_refs().unwrap_or(&[]).to_vec();
+                    self.proposed.lock().unwrap().push(refs);
+                    self.tip = block.clone();
+                    vec![Output::Multicast(Message::OptPropose { block, view })]
+                }
+                _ => Vec::new(),
+            }
+        }
+        fn verifier(&self) -> &MessageVerifier {
+            &self.verifier
+        }
+        fn handle_timer(&mut self, _: TimerToken, _: SimTime) -> Vec<Output> {
+            Vec::new()
+        }
+        fn current_view(&self) -> View {
+            View(1)
+        }
+        fn name(&self) -> &'static str {
+            "answerer"
+        }
+    }
+
     const DELTA: SimDuration = SimDuration(50_000);
     /// The stall threshold at [`DELTA`]: 40 × 50 ms.
     const STALL: SimDuration = SimDuration(2_000_000);
@@ -748,6 +829,70 @@ pub(crate) mod tests {
             ring.clone(),
         );
         (node, ring)
+    }
+
+    /// Node 0 of four, answering with an [`Answerer`] and sealing `pool`
+    /// (base 18 000 B) at a measured block period of 100 ms, so an
+    /// under-full batch lingers 25 ms. Returns the refs of every block it
+    /// proposes.
+    fn answering_node(
+        plane: &Arc<DissemPlane>,
+        pool: &Arc<Mempool>,
+    ) -> (Node, Arc<Mutex<Vec<Vec<BatchRef>>>>) {
+        for k in 1..=3 {
+            pool.note_commit(false, 0, 0, None, k * 100_000);
+        }
+        assert_eq!(pool.block_period_ewma_us(), 100_000);
+        let proposed = Arc::new(Mutex::new(Vec::new()));
+        let answerer = {
+            let proposed = proposed.clone();
+            move |cfg: NodeConfig| -> Box<dyn ConsensusProtocol + Send> {
+                let verifier = MessageVerifier::for_config(&cfg);
+                Box::new(Answerer { cfg, verifier, tip: Block::genesis(), proposed })
+            }
+        };
+        let ring = Arc::new(Mutex::new(RingBufferSink::new(1024)));
+        let mempool = Some((pool.clone(), 18_000));
+        let cfg = NodeConfig::simulated(NodeId(0), 4, DELTA);
+        (Node::new(cfg, answerer, plane.clone(), mempool, None, ring), proposed)
+    }
+
+    /// The linger of [`answering_node`]'s pool: a quarter of 100 ms.
+    const LINGER: SimDuration = SimDuration(25_000);
+
+    /// What the steps since the last call emitted, in order: a broadcast's
+    /// message tag or `batch-push`, `send` and the tag for a unicast, and
+    /// `loopback`.
+    fn emitted(node: &mut Node) -> Vec<String> {
+        let tag = |frame: &[u8]| match decode_frame(frame).expect("a frame the node encoded") {
+            Frame::Consensus(msg) => msg.tag().to_string(),
+            Frame::BatchPush { .. } => "batch-push".to_string(),
+            _ => "other".to_string(),
+        };
+        let kind = |e: Emit| match e {
+            Emit::Broadcast(frame, _) => tag(&frame),
+            Emit::Send(_, frame) | Emit::Protected(_, frame) => format!("send {}", tag(&frame)),
+            Emit::Loopback(_) => "loopback".to_string(),
+        };
+        node.output().map(kind).collect()
+    }
+
+    /// An empty optimistic proposal from node 1, which node 0 votes for.
+    fn opt_propose() -> Message {
+        let block = Block::build(View(1), NodeId(1), &Block::genesis(), Payload::batches(Vec::new()));
+        Message::OptPropose { block, view: View(1) }
+    }
+
+    /// Node 1's vote, which node 0 answers with a unicast.
+    fn peer_vote() -> Message {
+        let genesis = Block::genesis();
+        let vote = Vote {
+            kind: VoteKind::Normal,
+            block_id: genesis.id(),
+            block_height: genesis.height(),
+            view: View(1),
+        };
+        Message::Vote(SignedVote::sign(vote, NodeId(1), &KeyPair::from_seed(1)))
     }
 
     /// What the sigverify stage hands on for a message that checked out.
@@ -951,6 +1096,130 @@ pub(crate) mod tests {
         let next = flooded.poll(t);
         assert!(next > Some(t), "the push limit cut the next step short too: {next:?}");
         assert!(flooded.output().count() > 0);
+    }
+
+    /// An under-full batch is open and not yet due; a step that multicasts
+    /// a vote seals it at once, and its push is broadcast right behind the
+    /// vote, so both leave in one write on every link. The batch is then
+    /// proposable and nothing is due any more.
+    #[test]
+    fn a_multicast_vote_takes_the_open_batch_along() {
+        let (plane, pool) = (DissemPlane::new(1 << 20), Arc::new(Mempool::new(MempoolConfig::default())));
+        let (mut node, _) = answering_node(&plane, &pool);
+        let t = SimTime(1_000_000);
+        node.start(t);
+        pool.submit(make_tx(t.0, 1, 0, 180)).unwrap();
+        assert_eq!(node.poll(t), Some(t + LINGER), "the batch is open");
+        let at = t + SimDuration(1_000);
+        node.handle([(at, inbound(opt_propose()))]);
+        assert_eq!(node.poll(at), Some(t + STALL), "nothing is due");
+        assert_eq!(emitted(&mut node), ["vote", "loopback", "batch-push"]);
+        assert!(pool.is_empty());
+        let offer = plane.pool.proposable(usize::MAX);
+        assert_eq!(offer.len(), 1);
+        assert_eq!(offer[0].bytes, 180 + BATCH_TX_OVERHEAD as u64);
+    }
+
+    /// A vote the gate releases when the proposal's batch arrives is cast
+    /// in the seal step, after the due batches were polled: it still takes
+    /// the open batch along, in the same step.
+    #[test]
+    fn a_vote_the_gate_releases_takes_the_open_batch_along() {
+        let (plane, pool) = (DissemPlane::new(1 << 20), Arc::new(Mempool::new(MempoolConfig::default())));
+        let (mut node, _) = answering_node(&plane, &pool);
+        let t = SimTime(1_000_000);
+        node.start(t);
+        pool.submit(make_tx(t.0, 1, 0, 180)).unwrap();
+        assert_eq!(node.poll(t), Some(t + LINGER));
+        let block = Block::build(View(1), NodeId(1), &Block::genesis(), Payload::batches(vec![batch_ref(1)]));
+        let at = t + SimDuration(1_000);
+        node.handle([(at, inbound(Message::OptPropose { block, view: View(1) }))]);
+        node.poll(at);
+        assert!(emitted(&mut node).is_empty(), "the proposal is gated");
+        arrive(&plane, 1);
+        node.poll(at + SimDuration(1_000));
+        assert_eq!(emitted(&mut node), ["vote", "loopback", "batch-push"]);
+        assert!(pool.is_empty());
+    }
+
+    /// A step that only unicasts, or emits nothing, leaves the open batch
+    /// to its due time: there a push would cost writes of its own.
+    #[test]
+    fn a_unicast_or_a_silent_step_leaves_the_batch_open() {
+        let (plane, pool) = (DissemPlane::new(1 << 20), Arc::new(Mempool::new(MempoolConfig::default())));
+        let (mut node, _) = answering_node(&plane, &pool);
+        let t = SimTime(1_000_000);
+        node.start(t);
+        pool.submit(make_tx(t.0, 1, 0, 180)).unwrap();
+        let due = t + LINGER;
+        assert_eq!(node.poll(t), Some(due));
+        let at = t + SimDuration(1_000);
+        node.handle([(at, inbound(peer_vote()))]);
+        assert_eq!(node.poll(at), Some(due));
+        assert_eq!(emitted(&mut node), ["send vote"]);
+        let msg = Message::BlockRequest { block_id: Block::genesis().id() };
+        node.handle([(at + SimDuration(1_000), inbound(msg))]);
+        assert_eq!(node.poll(at + SimDuration(1_000)), Some(due));
+        assert!(emitted(&mut node).is_empty());
+        assert_eq!(pool.len(), 1, "still open");
+        assert_eq!(node.poll(due), Some(t + STALL));
+        assert_eq!(emitted(&mut node), ["batch-push"]);
+    }
+
+    /// A leader's proposal and the seal riding on it share a step: the
+    /// proposal was built before the batch entered the pool, so it carries
+    /// the batch sealed earlier and not the riding one; the next proposal
+    /// carries the riding one. Either way the push precedes any proposal
+    /// that names its batch.
+    #[test]
+    fn a_riding_batch_waits_for_the_next_proposal() {
+        let (plane, pool) = (DissemPlane::new(1 << 20), Arc::new(Mempool::new(MempoolConfig::default())));
+        let (mut node, proposed) = answering_node(&plane, &pool);
+        let t = SimTime(1_000_000);
+        node.start(t);
+        pool.submit(make_tx(t.0, 1, 0, 180)).unwrap();
+        let due = node.poll(t).expect("the first batch is open");
+        node.poll(due);
+        assert_eq!(emitted(&mut node), ["batch-push"]);
+        let first = plane.pool.proposable(usize::MAX);
+        assert_eq!(first.len(), 1);
+
+        pool.submit(make_tx(due.0, 1, 1, 180)).unwrap();
+        assert_eq!(node.poll(due), Some(due + LINGER), "the second batch is open");
+        let certificate = || inbound(Message::Certificate(QuorumCertificate::genesis()));
+        let at = due + SimDuration(1_000);
+        node.handle([(at, certificate())]);
+        node.poll(at);
+        assert_eq!(emitted(&mut node), ["opt-propose", "loopback", "batch-push"]);
+        let second = plane.pool.proposable(usize::MAX);
+        assert_eq!(second.len(), 1);
+        assert_ne!(second, first);
+        assert_eq!(*proposed.lock().unwrap(), std::slice::from_ref(&first));
+
+        node.handle([(at + SimDuration(1_000), certificate())]);
+        node.poll(at + SimDuration(1_000));
+        assert_eq!(emitted(&mut node), ["opt-propose", "loopback"]);
+        assert_eq!(*proposed.lock().unwrap(), [first, second]);
+    }
+
+    /// At the backlog cap a multicast seals nothing: the data plane stays
+    /// within its lead over the ordering plane.
+    #[test]
+    fn at_the_backlog_cap_a_multicast_seals_nothing() {
+        let (plane, pool) = (DissemPlane::new(1 << 20), Arc::new(Mempool::new(MempoolConfig::default())));
+        let (mut node, _) = answering_node(&plane, &pool);
+        let backlog = BatchRef { digest: Digest::hash(b"backlog"), bytes: DISSEM_BACKLOG_CAP };
+        plane.pool.stored(backlog, true);
+        assert_eq!(plane.backlog_bytes(), DISSEM_BACKLOG_CAP);
+        let t = SimTime(1_000_000);
+        node.start(t);
+        pool.submit(make_tx(t.0, 1, 0, 180)).unwrap();
+        assert_eq!(node.poll(t), Some(t + STALL), "nothing seals at the cap");
+        let at = t + SimDuration(1_000);
+        node.handle([(at, inbound(opt_propose()))]);
+        assert_eq!(node.poll(at), Some(t + STALL));
+        assert_eq!(emitted(&mut node), ["vote", "loopback"]);
+        assert_eq!(pool.len(), 1);
     }
 
     /// Admission feedback follows the batches a node *sealed*, not the

@@ -212,20 +212,28 @@ impl NodeHandle {
 
     /// Writes the node's net counters into `reg`: `net.total.*` sums the
     /// traffic counters over peers, and each peer keeps its own
-    /// `net.peer<id>.bytes_out` and its fault counters (`dropped_frames`,
-    /// `protected_dropped`, `decode_errors`, `verify_failures`).
+    /// `net.peer<id>.bytes_out`, `writes` and its fault counters
+    /// (`dropped_frames`, `protected_dropped`, `decode_errors`,
+    /// `verify_failures`).
     fn snapshot_metrics(&self, reg: &mut MetricsRegistry) {
-        const TOTALS: [&str; 5] =
-            ["bytes_out", "bytes_in", "frames_out", "dropped_frames", "reconnects"];
-        let mut totals = [0u64; 5];
+        const TOTALS: [&str; 6] =
+            ["bytes_out", "bytes_in", "frames_out", "writes", "dropped_frames", "reconnects"];
+        let mut totals = [0u64; 6];
         for (id, m) in &self.core.peers {
-            let traffic =
-                [&m.bytes_out, &m.bytes_in, &m.frames_out, &m.dropped_frames, &m.reconnects];
+            let traffic = [
+                &m.bytes_out,
+                &m.bytes_in,
+                &m.frames_out,
+                &m.writes,
+                &m.dropped_frames,
+                &m.reconnects,
+            ];
             for (total, counter) in totals.iter_mut().zip(traffic) {
                 *total += counter.load(Ordering::Relaxed);
             }
             for (name, counter) in [
                 ("bytes_out", &m.bytes_out),
+                ("writes", &m.writes),
                 ("dropped_frames", &m.dropped_frames),
                 ("protected_dropped", &m.protected_dropped),
                 ("decode_errors", &m.decode_errors),

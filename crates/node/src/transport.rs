@@ -139,6 +139,9 @@ pub struct PeerMetrics {
     pub bytes_out: AtomicU64,
     /// Frames written to this peer.
     pub frames_out: AtomicU64,
+    /// Vectored writes to this peer that wrote at least one byte: frames
+    /// out per write is how many frames one syscall carried.
+    pub writes: AtomicU64,
     /// Bytes read from this peer.
     pub bytes_in: AtomicU64,
     /// Outbound frames discarded by drop-oldest backpressure or lost on a
@@ -518,6 +521,38 @@ pub(crate) mod tests {
             peer_metrics(&t1, NodeId(0)).reconnects.load(Ordering::Relaxed),
             0
         );
+        t0.stop();
+        t1.stop();
+        net.shutdown();
+    }
+
+    /// Every vectored write that carried bytes counts once on its link: a
+    /// burst queued in one step leaves in fewer writes than frames.
+    #[test]
+    fn writes_count_the_vectored_writes_that_carried_frames() {
+        const FRAMES: u64 = 200;
+        let net = NetPool::new();
+        let l0 = TcpListener::bind(localhost_any()).unwrap();
+        let l1 = TcpListener::bind(localhost_any()).unwrap();
+        let (a0, a1) = (l0.local_addr().unwrap(), l1.local_addr().unwrap());
+        let peers = vec![(NodeId(0), a0), (NodeId(1), a1)];
+        let burst = (0..FRAMES).map(|seq| Output::Send(NodeId(1), numbered(seq))).collect();
+        let (t0, _) = start(NodeId(0), l0, &peers, &net, burst, None);
+        let (t1, seen1) = start(NodeId(1), l1, &peers, &net, Vec::new(), None);
+        for _ in 0..FRAMES {
+            seen1.recv_timeout(Duration::from_secs(10)).expect("delivery");
+        }
+        let m = peer_metrics(&t0, NodeId(1));
+        let (writes, frames) =
+            (m.writes.load(Ordering::Relaxed), m.frames_out.load(Ordering::Relaxed));
+        assert!(frames >= FRAMES, "{frames} frames out");
+        assert!(0 < writes && writes <= frames, "{writes} writes for {frames} frames");
+        assert!(writes < FRAMES, "a burst of one step is coalesced: {writes} writes");
+        // The hello is a write of its own, outside the queue: a link that
+        // carried nothing else counts no write.
+        let idle = peer_metrics(&t1, NodeId(0));
+        let idle = (idle.writes.load(Ordering::Relaxed), idle.frames_out.load(Ordering::Relaxed));
+        assert_eq!(idle, (0, 0));
         t0.stop();
         t1.stop();
         net.shutdown();
