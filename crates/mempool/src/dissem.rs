@@ -1,7 +1,7 @@
 //! The batch dissemination plane's node-local state.
 //!
 //! Proposals carry [`moonshot_types::BatchRef`]s, never transaction
-//! bytes: the driver seals a batch ([`crate::seal`]), hashes it once
+//! bytes: the node seals a batch ([`crate::seal`]), hashes it once
 //! ([`batch_digest`]), stores the bytes and broadcasts them as a
 //! `BatchPush` frame, all in one step, and every node — the sealer after
 //! its push, the others on arrival — enters the batch into its
@@ -12,17 +12,18 @@
 //! `BatchRequest`/`BatchResponse` fetch path driven by
 //! `moonshot-consensus`'s retrying batch fetcher.
 //!
-//! Ownership: the [`BatchStore`] is shared between the network pool's
-//! shard loops (which validate and insert pushed/fetched batches and serve
-//! fetch requests) and the driver (which gates voting on resolvability and
-//! reconstructs payload bytes at commit); the [`ProposablePool`] is
-//! written by the driver and read by the payload source it calls. All
-//! state is internally locked; no method blocks on anything but a short
-//! mutex.
+//! Ownership: one node's plane is read and written on the network pool
+//! shard that hosts the node. The node alone writes the [`BatchStore`]: it
+//! stores the batches it seals, and the ones its shard checked against
+//! their digests (`Node::take_batch`); the shard also serves fetch requests
+//! from it. The [`ProposablePool`] is written by the node and read by the
+//! payload source it calls. All state is internally locked (a restarted
+//! node takes over the plane its predecessor left); no method blocks on
+//! anything but a short mutex.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use moonshot_crypto::Digest;
@@ -40,16 +41,17 @@ pub fn batch_digest(bytes: &[u8]) -> Digest {
 /// land in the node's report as `dissem.*` when it stops.
 #[derive(Debug, Default)]
 pub struct DissemCounters {
-    /// Batches this node broadcast on the push path (driver).
+    /// Batches this node sealed and broadcast on the push path.
     pub batches_pushed: AtomicU64,
-    /// Pushed/fetched batches accepted into the local store (readers).
+    /// Batches new to the local store: sealed here, or pushed or fetched.
     pub batches_stored: AtomicU64,
     /// Incoming batch frames whose recomputed digest did not match the
-    /// advertised one (readers; dropped without storing).
+    /// advertised one (counted by the shard that read them, which drops
+    /// them without storing).
     pub digest_mismatches: AtomicU64,
-    /// `BatchRequest` frames this node sent (driver fetch path).
+    /// `BatchRequest` frames this node sent (the vote gate's fetch path).
     pub fetches: AtomicU64,
-    /// `BatchRequest` frames this node answered from its store (readers).
+    /// `BatchRequest` frames the node's shard answered from its store.
     pub fetches_served: AtomicU64,
     /// Proposals whose vote was deferred on at least one unresolved ref.
     pub votes_gated: AtomicU64,
@@ -97,13 +99,6 @@ impl DissemCounters {
     }
 }
 
-/// How many freshly stored batches the store remembers for the driver to
-/// drain. The driver drains every loop iteration (sub-millisecond), so
-/// this only bounds a pathological stall; overflow drops the *oldest*
-/// notification (the batch itself stays stored and resolvable — a missed
-/// notification at worst defers a gated vote to the fetch timeout).
-const STORED_LOG_CAP: usize = 64 * 1024;
-
 /// The most entries [`StoreInner::order`] keeps for `live` stored batches
 /// before [`BatchStore::prune_committed`] drops its stale ones.
 fn order_bound(live: usize) -> usize {
@@ -119,12 +114,8 @@ struct StoreInner {
     /// eviction loop skips them.
     order: VecDeque<Digest>,
     bytes: usize,
-    /// Batches stored since the driver last drained — its list for entering
-    /// them into the proposable pool, releasing gated votes and recording
-    /// `BatchStored` trace events.
-    stored_log: VecDeque<BatchRef>,
     /// Digest → height of the committed block that referenced it, recorded
-    /// by the driver at commit time.
+    /// by the node at commit time.
     committed: HashMap<Digest, u64>,
     /// `(height, digest)` per mark, in marking order. Commit heights only
     /// rise, so the prune floor reads the ripe marks off the front instead
@@ -139,16 +130,12 @@ struct StoreInner {
 /// of the proposals that reference them and resolved again at commit, so
 /// the live window is a few pipeline depths of batches; the budget only
 /// guards against a peer spraying garbage. Insertion is keyed by digest —
-/// the caller must have *verified* the digest against the bytes (readers
-/// recompute via [`batch_digest`]).
+/// the caller must have *verified* the digest against the bytes (a shard
+/// recomputes it via [`batch_digest`] before the node stores a peer's).
 pub struct BatchStore {
     inner: Mutex<StoreInner>,
     byte_budget: usize,
     counters: Arc<DissemCounters>,
-    /// Whether the driver's vote gate holds a message waiting on a batch;
-    /// see [`BatchStore::wake_on_insert`].
-    awaited: AtomicBool,
-    wake: Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
 
 impl BatchStore {
@@ -158,44 +145,18 @@ impl BatchStore {
             inner: Mutex::new(StoreInner::default()),
             byte_budget,
             counters,
-            awaited: AtomicBool::new(false),
-            wake: Mutex::new(None),
         }
     }
 
-    /// Registers `wake` as what wakes the driver when a batch lands while
-    /// its vote gate holds a message ([`set_awaited`](BatchStore::set_awaited)):
-    /// an insert runs it after the store's lock is released, and only then —
-    /// every other insert costs the driver nothing and waits for its next
-    /// step. A later registration replaces the earlier one and clears the
-    /// wait, so a restarted node's driver takes over the store its
-    /// predecessor left.
-    pub fn wake_on_insert(&self, wake: impl Fn() + Send + Sync + 'static) {
-        *self.wake.lock().unwrap() = Some(Box::new(wake));
-        self.awaited.store(false, Ordering::SeqCst);
-    }
-
-    /// Whether the driver waits on an insert. Set before the driver's last
-    /// drain of the arrival log ahead of a wait, an insert either lands in
-    /// that drain or sees the flag.
-    pub fn set_awaited(&self, awaited: bool) {
-        self.awaited.store(awaited, Ordering::SeqCst);
-    }
-
     /// Inserts a verified batch. Returns `true` if the digest was new.
-    /// New digests are appended to the stored log for the driver to drain.
     pub fn insert(&self, digest: Digest, bytes: Arc<[u8]>) -> bool {
         let mut inner = self.inner.lock().unwrap();
         if inner.map.contains_key(&digest) {
             return false;
         }
         inner.bytes += bytes.len();
-        inner.stored_log.push_back(BatchRef { digest, bytes: bytes.len() as u64 });
         inner.map.insert(digest, bytes);
         inner.order.push_back(digest);
-        if inner.stored_log.len() > STORED_LOG_CAP {
-            inner.stored_log.pop_front();
-        }
         // Committed batches go first, oldest commit first: they stay only
         // for lagging peers and the report, while an uncommitted one may be
         // in a block this node already voted for, which must resolve it
@@ -216,11 +177,6 @@ impl BatchStore {
         }
         drop(inner);
         self.counters.batches_stored.fetch_add(1, Ordering::Relaxed);
-        if self.awaited.load(Ordering::SeqCst) {
-            if let Some(wake) = &*self.wake.lock().unwrap() {
-                wake();
-            }
-        }
         true
     }
 
@@ -277,12 +233,6 @@ impl BatchStore {
             order.retain(|d| map.contains_key(d));
         }
         pruned
-    }
-
-    /// Drains the batches stored since the last call (driver only).
-    pub fn take_stored(&self) -> Vec<BatchRef> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.stored_log.drain(..).collect()
     }
 
     /// Batches currently stored.
@@ -343,8 +293,7 @@ impl PoolEntry {
     /// Whether the entry can be forgotten. Committed with the arrival of
     /// its bytes seen: the store keeps committed bytes and drops a
     /// duplicate unannounced, so no second arrival follows (committed
-    /// *before* the driver drained that arrival from the store's log, the
-    /// entry waits for it). Or named only by blocks that are gone, bytes
+    /// *before* the node took that arrival in, the entry waits for it). Or named only by blocks that are gone, bytes
     /// never seen.
     fn done(&self) -> bool {
         if self.committed {
@@ -400,7 +349,7 @@ impl PoolInner {
 /// sealed it: what this node proposes when it leads.
 ///
 /// A small state machine per digest (diagram: DESIGN.md §5j), driven by the
-/// driver thread alone: *pending* once stored; *in flight* while a received,
+/// node's step alone: *pending* once stored; *in flight* while a received,
 /// uncommitted block carries it; *committed*, for good, or back to
 /// *pending* when a commit at or above that block's height orphans it. In
 /// flight is set when a block is **received**, not when it is delivered to
@@ -493,10 +442,11 @@ impl ProposablePool {
     }
 }
 
-/// Everything the dissemination plane shares across threads on one node:
-/// the store (readers + driver), the pool (driver + payload source) and
-/// the counters (everyone). One `Arc<DissemPlane>` is threaded through the
-/// transport config and the driver.
+/// Everything the dissemination plane keeps for one node: the store (the
+/// node writes it, its shard serves fetches from it), the pool (the node
+/// and its payload source) and the counters. One `Arc<DissemPlane>` is
+/// threaded through the transport config and the node, and outlives a
+/// killed node for its restart.
 #[derive(Debug)]
 pub struct DissemPlane {
     /// The content-addressed batch store.
@@ -536,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn store_dedups_and_reports_stored_log() {
+    fn store_dedups() {
         let plane = DissemPlane::new(1 << 20);
         let b = arc_bytes(100, 7);
         let d = batch_digest(&b);
@@ -546,8 +496,6 @@ mod tests {
         assert_eq!(plane.store.bytes(), 100);
         assert_eq!(plane.store.get(&d).as_deref(), Some(&b[..]));
         assert!(plane.store.contains(&d));
-        assert_eq!(plane.store.take_stored(), vec![BatchRef { digest: d, bytes: 100 }]);
-        assert!(plane.store.take_stored().is_empty(), "stored log drains once");
         assert_eq!(plane.counters.stats().batches_stored, 1);
     }
 
@@ -721,8 +669,8 @@ mod tests {
         pool.referenced(block(1), 1, &r);
         pool.stored(r[0], false);
         assert!(pool.proposable(usize::MAX).is_empty());
-        // The block can even commit before the driver has drained r1's
-        // arrival from the store's log.
+        // The block can even commit before the node has taken r1's
+        // arrival in.
         pool.committed(block(1), 1, &r);
         pool.stored(r[1], false);
         assert!(pool.proposable(usize::MAX).is_empty(), "committed before its arrival was seen");
@@ -757,21 +705,21 @@ mod tests {
     }
 
     /// "Committed never returns" rests on the store: it keeps committed
-    /// bytes and drops a duplicate push without announcing it, so the pool,
-    /// which forgot the batch at its commit, is not asked again.
+    /// bytes and reports a duplicate push as not new, so the node, which
+    /// announces only new batches, does not ask the pool, which forgot the
+    /// batch at its commit, again.
     #[test]
     fn a_second_push_of_a_committed_batch_is_not_announced() {
         let plane = DissemPlane::new(1 << 20);
         let bytes = arc_bytes(100, 9);
         let d = batch_digest(&bytes);
         assert!(plane.store.insert(d, bytes.clone()));
-        let arrived = plane.store.take_stored();
+        let arrived = [BatchRef { digest: d, bytes: 100 }];
         plane.pool.stored(arrived[0], false);
         plane.pool.referenced(block(1), 1, &arrived);
         plane.store.mark_committed(d, 1);
         plane.pool.committed(block(1), 1, &arrived);
-        assert!(!plane.store.insert(d, bytes));
-        assert!(plane.store.take_stored().is_empty());
+        assert!(!plane.store.insert(d, bytes), "a duplicate is not new");
         assert!(plane.pool.proposable(usize::MAX).is_empty());
     }
 

@@ -23,8 +23,9 @@
 //!   hashes it **once**, and the driver stores and pushes it in the same
 //!   step.
 //! * [`dissem`] — the node-local state of the **batch dissemination
-//!   plane**: a content-addressed [`BatchStore`] (the network pool inserts
-//!   pushed/fetched batches, the driver gates votes and resolves commits),
+//!   plane**: a content-addressed [`BatchStore`] (the node stores what it
+//!   seals and the pushed/fetched batches its shard checked, gates votes
+//!   and resolves commits on it),
 //!   the [`ProposablePool`] of batches no block has carried yet (own or
 //!   foreign — what the next leader proposes as 40-byte references), and
 //!   the `dissem.*` counters.

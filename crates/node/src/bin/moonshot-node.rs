@@ -51,6 +51,7 @@
 //! `stall` record, so a wedged node that is killed still leaves it.
 
 use std::collections::HashMap;
+use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -219,20 +220,23 @@ fn run(flags: &Flags) -> Result<ExitCode, String> {
     };
 
     let net = NetPool::new();
-    let mut transport = TransportConfig::new(node, listen, cluster.nodes.clone(), net.clone());
+    let mut transport = TransportConfig::new(node, cluster.nodes.clone(), net.clone());
     if let Some(batch_bytes) = load_batch {
         let (pool, plane) = LoadSpec::digest(batch_bytes).data_path();
         transport.mempool = Some((pool, batch_bytes));
         transport.dissem = plane;
     }
-    let handle = match NodeHandle::start(
-        move |cfg| protocol.build(cfg),
-        SimDuration::from_millis(delta_ms),
-        transport,
-        None,
-        data_dir.as_deref(),
-        sink,
-    ) {
+    let started = TcpListener::bind(listen).and_then(|listener| {
+        NodeHandle::start(
+            move |cfg| protocol.build(cfg),
+            SimDuration::from_millis(delta_ms),
+            transport,
+            listener,
+            data_dir.as_deref(),
+            sink,
+        )
+    });
+    let handle = match started {
         Ok(h) => h,
         Err(e) => {
             eprintln!("error: failed to start node {id} on {listen}: {e}");

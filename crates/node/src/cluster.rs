@@ -202,7 +202,7 @@ impl Cluster {
             net,
         };
         for (i, listener) in listeners.into_iter().enumerate() {
-            cluster.handles[i] = Some(cluster.start_node(NodeId(i as u16), Some(listener))?);
+            cluster.handles[i] = Some(cluster.start_node(NodeId(i as u16), listener)?);
         }
         Ok(cluster)
     }
@@ -270,7 +270,7 @@ impl Cluster {
         // old one pushed. With a ledger, the WAL floors make re-voting in old
         // views impossible, the blockstore gives the node back its
         // committed chain, and only the tail is owed to the network.
-        let handle = self.start_node(id, None)?;
+        let handle = self.start_node(id, TcpListener::bind(self.peers[idx].1)?)?;
         if self.spec.data_dir.is_some() {
             let recovered_height = handle.recovered_height();
             self.restarts.push(RestartStat {
@@ -287,10 +287,9 @@ impl Cluster {
     /// Starts (or restarts) node `id`: the spec's knobs and the cluster's
     /// shared pieces go into a [`TransportConfig`], and
     /// [`NodeHandle::start`] does the rest.
-    fn start_node(&self, id: NodeId, listener: Option<TcpListener>) -> std::io::Result<NodeHandle> {
+    fn start_node(&self, id: NodeId, listener: TcpListener) -> std::io::Result<NodeHandle> {
         let (spec, idx) = (&self.spec, id.0 as usize);
-        let mut transport =
-            TransportConfig::new(id, self.peers[idx].1, self.peers.clone(), self.net.clone());
+        let mut transport = TransportConfig::new(id, self.peers.clone(), self.net.clone());
         transport.shape = spec.shape.clone();
         if let Some(((pool, plane), load)) =
             self.pools.get(idx).zip(self.planes.get(idx)).zip(spec.load.as_ref())

@@ -45,8 +45,10 @@
 //! * [`shape`] — per-link latency/bandwidth shaping matrices (Table II
 //!   WAN emulation) enforced sender-side by the pool's event loops.
 //! * [`node`] — the sans-IO [`Node`]: protocol, timer queue, sealer, vote
-//!   gate, ledger appends and stall watchdog, stepped with `now`, its frames
-//!   leaving as values; [`runtime`] — [`NodeHandle`],
+//!   gate, ledger appends and stall watchdog, stepped with `now`; verified
+//!   messages and digest-checked batches go in, frames for peers leave as
+//!   values, and its messages to itself stay with it for its next step;
+//!   [`runtime`] — [`NodeHandle`],
 //!   which builds it, hosts it on its home shard, where it is stepped
 //!   on the wall clock, and halts and detaches it. A node's numbers come
 //!   from two places, both read when it stops: the trace (every latency and stage, and the

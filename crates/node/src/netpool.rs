@@ -19,17 +19,19 @@
 //! steps each node that has work: its verified messages in read order
 //! ([`Node::handle`]), a [`Node::poll`], and what it emitted applied at
 //! once. Frames go into the peer queues and are written in the same sweep
-//! (a shaped link's shaper holds them first); the node's own messages wait
-//! in its inbox for its next step. Nothing crosses a thread between the
-//! read and the write. Each node has one live step timer. Every shard,
-//! and every node it steps, reads one clock: µs since the pool's
+//! (a shaped link's shaper holds them first); the node keeps its own
+//! messages for its next step. A batch frame whose digest checks out goes
+//! to the node at once ([`Node::take_batch`]), which takes it in at that
+//! step. Nothing crosses a thread between the read and the write. Each
+//! node has one live step timer. Every shard, and every node it steps,
+//! reads one clock: µs since the pool's
 //! [`epoch`](NetPool::epoch), so trace stamps compare across nodes.
 //!
-//! Work for a node that appears on another thread — an admission that
-//! opens or fills a batch, a batch landing while the vote gate waits on
-//! one — reaches its home shard as a command plus a wake. On the home shard
-//! itself it needs neither: the shard steps a node after it reads a batch
-//! or a submission for it.
+//! The only work for a node that appears on another thread is a mempool
+//! admission that opens or fills a batch (an in-process client submitting
+//! directly): it reaches the home shard as a command plus a wake. On the
+//! home shard itself it needs neither: the shard steps a node after it
+//! reads a batch or a submission for it.
 //!
 //! The home shard alone dials a node's links (a nonblocking
 //! [`moonshot_reactor::connect`], given up after `DIAL_TIMEOUT`), writes
@@ -116,20 +118,18 @@ pub(crate) struct NodeCore {
     pub(crate) dissem: Arc<DissemPlane>,
     /// Every peer's counters: written by the home shard, read at stop.
     pub(crate) peers: BTreeMap<NodeId, PeerMetrics>,
-    /// The node's shutdown flag, set by its handle: set, the shard steps
-    /// the node no more and dials none of its links.
-    pub(crate) shutdown: AtomicBool,
     pub(crate) shape: Option<Arc<ShapeMatrix>>,
 }
 
 /// A node on its home shard.
 struct Hosted {
     core: Arc<NodeCore>,
-    /// `None` once [`NetPool::halt`] took it back; its sockets stay until
-    /// detach.
+    /// `None` once [`NetPool::halt`] took it back: from then on the shard
+    /// steps it no more, dials none of its links and drops what is read
+    /// for it; its sockets stay until detach.
     node: Option<Node>,
-    /// Messages for the node's next step, in arrival order: its own
-    /// loopbacks, then what was verified since.
+    /// The messages verified for the node since its last step, in read
+    /// order.
     inbox: Vec<Inbound>,
     /// Whether the node has work in this wakeup: messages, a batch or a
     /// submission read for it, a poke from another thread.
@@ -188,7 +188,8 @@ enum Cmd {
         node: Box<Node>,
         links: BTreeMap<NodeId, Link>,
     },
-    /// Work for a node appeared on another thread: step it.
+    /// An admission on another thread left the node something to seal:
+    /// step it.
     Step { core_id: u64 },
     /// Step a node no more and send it back; its sockets stay.
     Halt { core_id: u64, reply: Sender<Node> },
@@ -313,8 +314,7 @@ impl NetPool {
     /// Hosts `node`, with a link to each of `peers`, on the shard hosting
     /// the fewest nodes, its home, which takes its listener, dials its
     /// peers and starts it; a new shard when every running one hosts a
-    /// node and the pool is below its cap. Returns the home's index. The
-    /// core's shutdown flag ends every step and dial.
+    /// node and the pool is below its cap. Returns the home's index.
     pub(crate) fn attach(
         &self,
         core: Arc<NodeCore>,
@@ -339,17 +339,12 @@ impl NetPool {
         shard.hosted.fetch_add(1, Ordering::Relaxed);
         drop(shards);
         // An admission that opens or fills a batch pokes the home shard to
-        // seal it, and a batch landing while the vote gate waits on one
-        // pokes it to deliver (each replacing the hook of a killed
-        // predecessor on the same pool and plane).
-        let poke = {
-            let (shard, core_id) = (shard.clone(), core.id);
-            move || shard.poke(core_id)
-        };
+        // seal it (replacing the hook of a killed predecessor on the same
+        // pool).
         if let Some((pool, base)) = &core.mempool {
-            pool.wake_on_admit(poke.clone(), *base as u64);
+            let (shard, core_id) = (shard.clone(), core.id);
+            pool.wake_on_admit(move || shard.poke(core_id), *base as u64);
         }
-        core.dissem.store.wake_on_insert(poke);
         let links = peers.into_iter().map(|(peer, addr)| (peer, Link::new(addr))).collect();
         shard.push_cmd(Cmd::Attach { core, listener, node: Box::new(node), links });
         Ok(home)
@@ -359,16 +354,16 @@ impl NetPool {
         self.shards.lock().expect("no thread panics holding the shard list")
     }
 
-    /// Takes node `core_id` back from its home shard, which steps it no
-    /// more (its shutdown flag must already be set).
+    /// Takes node `core_id` back from its home shard, which steps it, and
+    /// dials for it, no more.
     pub(crate) fn halt(&self, home: usize, core_id: u64) -> Node {
         let (reply, node) = channel();
         self.shards()[home].push_cmd(Cmd::Halt { core_id, reply });
         node.recv_timeout(Duration::from_secs(10)).expect("the home shard hands the node back")
     }
 
-    /// Closes every socket of node `core_id` (its shutdown flag must
-    /// already be set) and waits for its home shard to acknowledge.
+    /// Closes every socket of node `core_id` (halted first) and waits for
+    /// its home shard to acknowledge.
     pub(crate) fn detach(&self, home: usize, core_id: u64) {
         let shard = self.shards()[home].clone();
         let (ack, acked) = channel::<()>();
@@ -795,27 +790,24 @@ impl Runner {
         }
     }
 
-    /// One step of node `core_id`: its inbox, in arrival order, each
-    /// message stamped as the node takes it; a poll; then what it emitted.
-    /// Frames go into the peer queues and every link that got one is
-    /// written now; the node's own messages go back into its inbox for its
-    /// next step, which runs in the next loop iteration. Last, its one
-    /// step timer is armed for the deadline the poll named, unless a live
-    /// one fires no later.
+    /// One step of node `core_id`: its inbox, in read order, each message
+    /// stamped as the node takes it; a poll; then what it emitted. Frames
+    /// go into the peer queues and every link that got one is written now.
+    /// Last, its one step timer is armed for the deadline the poll named
+    /// (at once while the node's own messages wait for its next step,
+    /// which then runs in the next loop iteration), unless a live one
+    /// fires no later.
     fn step(&mut self, core_id: u64) {
         let epoch = self.shared.epoch;
         let Some(h) = self.hosted.get_mut(&core_id) else { return };
         h.due = false;
         let Hosted { core, node: Some(node), inbox, armed, links, .. } = h else { return };
-        if core.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
         let clock = || SimTime(epoch.elapsed().as_micros() as u64);
         if !inbox.is_empty() {
             node.handle(inbox.drain(..).map(|m| (clock(), m)));
         }
         let now = clock();
-        let mut deadline = node.poll(now);
+        let deadline = node.poll(now);
         let mut written = std::mem::take(&mut self.written);
         for emit in node.output() {
             let (to, frame, protected) = match emit {
@@ -828,18 +820,11 @@ impl Runner {
                     }
                     continue;
                 }
-                Emit::Loopback(inbound) => {
-                    inbox.push(*inbound);
-                    continue;
-                }
             };
             if let Some(link) = links.get_mut(&to) {
                 link.push(frame, protected, &core.peers[&to]);
                 written.extend(link.token);
             }
-        }
-        if !inbox.is_empty() {
-            deadline = Some(now);
         }
         if let Some(due) = deadline.map(|due| due.max(now)) {
             if armed.is_none_or(|live| live > due) {
@@ -857,7 +842,7 @@ impl Runner {
     }
 
     /// Dials `core_id`'s link to `peer` unless it is up, a connect is in
-    /// flight or the node is stopping: a nonblocking connect, given up
+    /// flight or the node was halted: a nonblocking connect, given up
     /// after `DIAL_TIMEOUT`. `fresh` (the peer is known to be up) puts the
     /// backoff back to base.
     fn dial(&mut self, core_id: u64, peer: NodeId, fresh: bool) {
@@ -866,10 +851,7 @@ impl Runner {
         if fresh {
             link.backoff = RECONNECT_BASE;
         }
-        if link.token.is_some()
-            || h.core.shutdown.load(Ordering::SeqCst)
-            || self.shared.shutdown.load(Ordering::SeqCst)
-        {
+        if link.token.is_some() || h.node.is_none() || self.shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
         let (core, addr) = (h.core.clone(), link.addr);
@@ -1125,18 +1107,21 @@ impl Runner {
                 }
             }
             Frame::BatchPush { digest, bytes } | Frame::BatchResponse { digest, bytes } => {
-                let plane = &c.core.dissem;
                 if c.from.is_none() {
                     return ReadVerdict::Close; // batch frames before hello
                 }
                 if batch_digest(&bytes) != digest {
-                    plane.counters.digest_mismatches.fetch_add(1, Ordering::Relaxed);
+                    c.core.dissem.counters.digest_mismatches.fetch_add(1, Ordering::Relaxed);
                     return ReadVerdict::Keep;
                 }
-                // The node takes it in at its step, delivering what its
-                // vote gate held for it.
-                plane.store.insert(digest, bytes);
-                self.mark_due(c.core.id);
+                // The node stores it now and takes it in at its step,
+                // delivering what its vote gate held for it; a halted
+                // node's batches are dropped.
+                let hosted = self.hosted.get_mut(&c.core.id);
+                if let Some(Hosted { node: Some(node), due, .. }) = hosted {
+                    node.take_batch(digest, bytes);
+                    *due = true;
+                }
             }
             Frame::BatchRequest { digest } => {
                 let plane = &c.core.dissem;
@@ -1168,7 +1153,7 @@ impl Runner {
 
     /// Verifies the consensus messages this wakeup read and puts the
     /// verified ones in their nodes' inboxes, in read order; a failure
-    /// counts against its sender. A stopping node's messages are dropped.
+    /// counts against its sender. A halted node's messages are dropped.
     fn verify_read(&mut self) {
         // Group by owning node (order preserved within a group) so each
         // group hits its node's verifier/cache once with one batch.
@@ -1181,10 +1166,9 @@ impl Runner {
             }
         }
         for (core, items) in groups {
-            let Some(h) = self.hosted.get_mut(&core.id) else { continue };
-            if core.shutdown.load(Ordering::SeqCst) {
+            let Some(h) = self.hosted.get_mut(&core.id).filter(|h| h.node.is_some()) else {
                 continue;
-            }
+            };
             let (froms, msgs): (Vec<NodeId>, Vec<Message>) = items.into_iter().unzip();
             let results = core.verifier.verify_batch(msgs);
             for (from, result) in froms.into_iter().zip(results) {
@@ -1269,9 +1253,10 @@ mod tests {
 
     /// A hosted node takes in its own multicast's self-copy in the step
     /// after the one that emitted it, on the pool's clock: a lone node
-    /// multicasts as it starts; the step that starts it keeps the copy in
-    /// its inbox and arms its next step at once, and that step hands the
-    /// copy over, stamped with the pool clock's reading as it was taken.
+    /// multicasts as it starts; the node keeps the copy, not the shard's
+    /// inbox, and the step that starts it arms its next step at once, and
+    /// that step hands the copy over, stamped with the pool clock's reading
+    /// as it was taken.
     #[test]
     fn a_hosted_node_takes_its_own_multicast_in_the_next_step() {
         let net = NetPool::new();
@@ -1287,7 +1272,6 @@ mod tests {
             mempool: None,
             dissem: DissemPlane::new(1 << 20),
             peers: BTreeMap::new(),
-            shutdown: AtomicBool::new(false),
             shape: None,
         });
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1295,7 +1279,7 @@ mod tests {
         let links = BTreeMap::new();
         runner.handle_cmd(Cmd::Attach { core, listener, node: Box::new(node), links });
         assert!(seen.try_recv().is_err(), "the self-copy was taken in the step that sent it");
-        assert_eq!(runner.hosted[&0].inbox.len(), 1);
+        assert!(runner.hosted[&0].inbox.is_empty(), "the self-copy went to the shard");
         let armed = runner.hosted[&0].armed.expect("the next step is armed");
         assert!(armed <= clock(), "the next step is not due at once");
 

@@ -2,9 +2,12 @@
 //! I/O. [`Node`] owns the protocol and everything that decides around it —
 //! timers, trace path, commits, sealer, vote gate, batch fetcher, ledger
 //! appends, stall watchdog — and reads no clock: every entry point is handed
-//! `now`, and what it sends leaves as [`Emit`] values in emission order. Its
-//! home shard ([`netpool`](crate::netpool)) steps it on the wall clock; a
-//! test steps it on a clock it makes up. Tracing rides the
+//! `now`. What it takes in is verified input: consensus messages
+//! ([`Node::handle`]) and batches whose digest was checked
+//! ([`Node::take_batch`]); what it sends to peers leaves as [`Emit`] values
+//! in emission order, and its messages to itself stay with it until its
+//! next step. Its home shard ([`netpool`](crate::netpool)) steps it on the
+//! wall clock; a test steps it on a clock it makes up. Tracing rides the
 //! [`ProtocolObserver`] hook at the protocol's call boundary — the
 //! simulator's events, so the invariant checker works on cluster runs.
 
@@ -21,7 +24,7 @@ use moonshot_ledger::Ledger;
 use moonshot_mempool::{DissemPlane, Mempool, Seal, Sealer, BATCH_TX_OVERHEAD};
 use moonshot_telemetry::{MetricsRegistry, TraceEvent, TraceRecord, TraceSink};
 use moonshot_types::time::{EventQueue, SimDuration, SimTime};
-use moonshot_types::{Block, BlockId, NodeId, Payload};
+use moonshot_types::{BatchRef, Block, BlockId, NodeId, Payload};
 use moonshot_wire::{encode_frame, encode_message, Frame};
 
 use crate::runtime::{NodeReport, SharedSink};
@@ -63,8 +66,6 @@ pub enum Emit {
     Protected(NodeId, Arc<Vec<u8>>),
     /// One frame, shared by every peer's queue but the one named.
     Broadcast(Arc<Vec<u8>>, Option<NodeId>),
-    /// One of this node's own messages, back into its own inbox.
-    Loopback(Box<Inbound>),
 }
 
 /// The node's trace path: forwards every record to the shared sink and
@@ -169,6 +170,15 @@ pub struct Node {
     /// Proposals / synced blocks parked until every batch ref they carry
     /// resolves in the local store.
     gated: VecDeque<GatedMessage>,
+    /// Batches new to the store since the last step took them in: entered
+    /// into the proposable pool, and released from the vote gate, there.
+    arrived: Vec<BatchRef>,
+    /// This node's messages to itself (copies of its multicasts, and what
+    /// it sends itself) from its earlier steps, taken in first at its next.
+    own: Vec<Inbound>,
+    /// Its messages to itself from this step: they join `own` as the step
+    /// ends, with its [`poll`](Node::poll).
+    own_new: Vec<Inbound>,
     /// The durable ledger: every committed block is appended to it, and
     /// its counters land in the final report.
     ledger: Option<Arc<Ledger>>,
@@ -235,6 +245,9 @@ impl Node {
             batch_fetcher,
             fetch_timer_at: None,
             gated: VecDeque::new(),
+            arrived: Vec::new(),
+            own: Vec::new(),
+            own_new: Vec::new(),
             ledger: None,
             appending: true,
             stall_timeout: delta * STALL_DELTA_MULTIPLE,
@@ -277,28 +290,54 @@ impl Node {
     }
 
     /// One drained batch of the inbox, each message stamped with the time
-    /// it is dispatched at. What the dissemination plane gathered since the
-    /// last step is taken in first: a proposal one of these messages
-    /// triggers carries every batch that arrived meanwhile, and a gated
-    /// proposal whose push arrived is delivered ahead of them.
+    /// it is dispatched at. What waits from earlier steps is taken in
+    /// first, at the first message's time: the batches that arrived, then
+    /// the node's own messages.
     pub fn handle(&mut self, batch: impl IntoIterator<Item = (SimTime, Inbound)>) {
-        self.batches += 1;
         for (i, (now, inbound)) in batch.into_iter().enumerate() {
             if i == 0 {
-                self.sync_dissem(now);
+                self.take_in(now);
             }
             self.dispatch(inbound, now);
         }
     }
 
-    /// Fires the timers due by `now`, seals and pushes what is due (the
-    /// open batch too if the step multicast, behind the multicast), takes
-    /// in the dissemination plane's arrivals and checks for a stall.
-    /// Returns when the node next needs a step: the earliest of its next
-    /// timer, the open batch's due time and the stall deadline — `now`
-    /// itself when the push limit cut sealing short — or `None` when
-    /// nothing is armed.
+    /// A batch whose bytes the shard checked against `digest`: stored, and,
+    /// if the store did not hold it yet, taken in at the next step — into
+    /// the proposable pool, out of the vote gate.
+    pub fn take_batch(&mut self, digest: Digest, bytes: Arc<[u8]>) {
+        let len = bytes.len() as u64;
+        if self.dissem.store.insert(digest, bytes) {
+            self.arrived.push(BatchRef { digest, bytes: len });
+        }
+    }
+
+    /// The start of a step that takes in messages: the batches that arrived
+    /// since the last step (a proposal a message triggers carries every one
+    /// of them, and a gated proposal whose push arrived is delivered ahead
+    /// of the messages), then the node's own messages, ahead of what was
+    /// verified since.
+    fn take_in(&mut self, now: SimTime) {
+        self.batches += 1;
+        self.sync_dissem(now);
+        for inbound in std::mem::take(&mut self.own) {
+            self.dispatch(inbound, now);
+        }
+    }
+
+    /// Ends a step: takes in the node's messages to itself from earlier
+    /// steps if no [`handle`](Node::handle) did, fires the timers due by
+    /// `now`, seals and pushes what is due (the open batch too if the step
+    /// multicast, behind the multicast), takes in the batches that arrived,
+    /// checks for a stall, and keeps the step's messages to itself for the
+    /// next. Returns when the node next needs a step: the earliest of its
+    /// next timer, the open batch's due time and the stall deadline — `now`
+    /// itself while a message to itself waits or the push limit cut sealing
+    /// short — or `None` when nothing is armed.
     pub fn poll(&mut self, now: SimTime) -> Option<SimTime> {
+        if !self.own.is_empty() {
+            self.take_in(now);
+        }
         for token in self.timers.expire(now) {
             self.timers_fired += 1;
             if token == TimerToken::BatchFetchTimer {
@@ -318,7 +357,9 @@ impl Node {
         let seal_due = self.sync_dissem(now);
         self.check_stall(now);
         let stall_at = self.last_commit_at + self.stall_timeout;
-        [self.timers.next_at(), seal_due, Some(stall_at)].into_iter().flatten().min()
+        self.own.append(&mut self.own_new);
+        let own = (!self.own.is_empty()).then_some(now);
+        [self.timers.next_at(), seal_due, Some(stall_at), own].into_iter().flatten().min()
     }
 
     /// The node's report, with the counters of the components it owns.
@@ -345,8 +386,7 @@ impl Node {
             node: self.node,
             view: self.protocol.current_view(),
             height: moonshot_types::Height(self.committed_height.load(Ordering::Relaxed)),
-            inbound: (self.gated.len() + self.out.iter().filter(|e| matches!(e, Emit::Loopback(_))).count())
-                as u64,
+            inbound: (self.gated.len() + self.own.len() + self.own_new.len()) as u64,
             timers: self.timers.len() as u64,
             mempool: self.mempool.as_ref().map(|(p, _)| p.len()).unwrap_or(0),
         };
@@ -405,10 +445,6 @@ impl Node {
         let missing = self.unresolved_refs(msg.message());
         if !missing.is_empty() {
             self.dissem.counters.votes_gated.fetch_add(1, Ordering::Relaxed);
-            // From here until the gate empties, a batch landing in the store
-            // wakes the node's stepper; what landed before is in the arrival
-            // log the next step drains.
-            self.dissem.store.set_awaited(true);
             // The sender certainly holds the bytes (it proposed or voted
             // for them), so it is the first fetch hint — asked at once for
             // a synced block, whose pushes are long gone, and only after
@@ -471,8 +507,8 @@ impl Node {
     }
 
     /// The dissemination plane's turn: seal and push what is due (before
-    /// it can be proposed — push-before-propose), then drain the store's
-    /// arrival log into the proposable pool and release gated votes. A vote
+    /// it can be proposed — push-before-propose), then take the batches
+    /// that arrived into the proposable pool and release gated votes. A vote
     /// a released message multicasts takes the open batch along at once.
     /// Returns [`push_batches`](Node::push_batches)'s deadline.
     fn sync_dissem(&mut self, now: SimTime) -> Option<SimTime> {
@@ -499,7 +535,8 @@ impl Node {
     /// it. A unicast seals nothing: there the push would cost n − 2 writes
     /// of its own. This is also where a batch's seal lands in the trace,
     /// once, on the node that sealed it: the [`TraceEvent::BatchSealed`]
-    /// record the report's stage decomposition starts from. Returns when
+    /// record the report's stage decomposition starts from, and the
+    /// node's own [`TraceEvent::BatchStored`] record. Returns when
     /// the node must be stepped again: when the open batch falls due, or
     /// `now` when [`PUSH_LIMIT`] cut the step short.
     fn push_batches(&mut self, now: SimTime) -> Option<SimTime> {
@@ -517,7 +554,7 @@ impl Node {
                 Seal::Due(at) => return Some(SimTime(at)),
                 Seal::Idle => return None,
             };
-            plane.store.insert(b.digest, b.bytes.clone());
+            let stored = plane.store.insert(b.digest, b.bytes.clone());
             let frame = Arc::new(encode_frame(&Frame::BatchPush {
                 digest: b.digest,
                 bytes: b.bytes.clone(),
@@ -534,22 +571,24 @@ impl Node {
                     bytes: b.bytes.len() as u64,
                 },
             });
+            if stored {
+                let event = TraceEvent::BatchStored { node: self.node, batch: b.digest };
+                self.sink.record(TraceRecord { at: now, event });
+            }
         }
         Some(now)
     }
 
-    /// Drains the store's arrival log: enters the arrivals into the
-    /// proposable pool, records `BatchStored` trace events, settles
-    /// outstanding fetches, and delivers any gated message whose missing set
-    /// drained empty.
+    /// Takes in the batches [`take_batch`](Node::take_batch) stored since
+    /// the last call: enters them into the proposable pool, records
+    /// `BatchStored` trace events, settles outstanding fetches, and delivers
+    /// any gated message whose missing set drained empty.
     fn drain_stored(&mut self, now: SimTime) {
-        let stored = self.dissem.store.take_stored();
-        if stored.is_empty() {
+        if self.arrived.is_empty() {
             return;
         }
+        let stored = std::mem::take(&mut self.arrived);
         for b in &stored {
-            // (A no-op for this node's own batches: the push step entered
-            // them as its own.)
             self.dissem.pool.stored(*b, false);
             self.batch_fetcher.fulfilled(&b.digest);
             self.sink.record(TraceRecord {
@@ -569,12 +608,15 @@ impl Node {
                 i += 1;
             }
         }
-        self.dissem.store.set_awaited(!self.gated.is_empty());
     }
 
-    /// One of this node's own messages, for its own inbox.
-    fn loopback(&self, msg: Message) -> Emit {
-        Emit::Loopback(Box::new(Inbound { from: self.node, msg: PreVerified::trusted(msg) }))
+    /// Keeps one of this node's messages to itself for its next step, trusted
+    /// without a check: a message this node signed itself, or a block
+    /// `BlockFetcher` served from this node's own durable store (a
+    /// self-addressed `BlockResponse`, not self-signed but read back from
+    /// our disk).
+    fn keep_own(&mut self, msg: Message) {
+        self.own_new.push(Inbound { from: self.node, msg: PreVerified::trusted(msg) });
     }
 
     fn process(&mut self, outputs: Vec<Output>, now: SimTime) {
@@ -596,15 +638,9 @@ impl Node {
         self.observer.on_outputs(&outputs, self.protocol.current_view(), now, &mut self.sink);
         for out in outputs {
             match out {
+                Output::Send(to, msg) if to == self.node => self.keep_own(msg),
                 Output::Send(to, msg) => {
-                    self.out.push(if to == self.node {
-                        // Loopback, trusted without a check: either a
-                        // message this node signed itself, or a block
-                        // `BlockFetcher` served from this node's own
-                        // durable store (a self-addressed `BlockResponse`,
-                        // not self-signed but read back from our disk).
-                        self.loopback(msg)
-                    } else if matches!(msg, Message::BlockResponse { .. }) {
+                    self.out.push(if matches!(msg, Message::BlockResponse { .. }) {
                         // Sync responses ride the protected queue class.
                         Emit::Protected(to, Arc::new(encode_message(&msg)))
                     } else {
@@ -619,8 +655,8 @@ impl Node {
                     }
                     self.out.push(Emit::Broadcast(Arc::new(encode_message(&msg)), None));
                     self.multicast = true;
-                    // Loopback of our own multicast: self-signed.
-                    self.out.push(self.loopback(msg));
+                    // Multicast includes self.
+                    self.keep_own(msg);
                 }
                 Output::SetTimer { token, after } => {
                     self.timers.push(now + after, token);
@@ -861,8 +897,7 @@ pub(crate) mod tests {
     const LINGER: SimDuration = SimDuration(25_000);
 
     /// What the steps since the last call emitted, in order: a broadcast's
-    /// message tag or `batch-push`, `send` and the tag for a unicast, and
-    /// `loopback`.
+    /// message tag or `batch-push`, and `send` and the tag for a unicast.
     fn emitted(node: &mut Node) -> Vec<String> {
         let tag = |frame: &[u8]| match decode_frame(frame).expect("a frame the node encoded") {
             Frame::Consensus(msg) => msg.tag().to_string(),
@@ -872,7 +907,6 @@ pub(crate) mod tests {
         let kind = |e: Emit| match e {
             Emit::Broadcast(frame, _) => tag(&frame),
             Emit::Send(_, frame) | Emit::Protected(_, frame) => format!("send {}", tag(&frame)),
-            Emit::Loopback(_) => "loopback".to_string(),
         };
         node.output().map(kind).collect()
     }
@@ -904,9 +938,9 @@ pub(crate) mod tests {
         BatchRef { digest: batch_digest(&[tag; 64]), bytes: 64 }
     }
 
-    /// What a shard thread does with a verified `BatchPush`.
-    fn arrive(plane: &DissemPlane, tag: u8) {
-        assert!(plane.store.insert(batch_ref(tag).digest, vec![tag; 64].into()));
+    /// What the home shard does with a `BatchPush` whose digest checks out.
+    fn arrive(node: &mut Node, tag: u8) {
+        node.take_batch(batch_ref(tag).digest, vec![tag; 64].into());
     }
 
     fn synced_block(refs: Vec<BatchRef>) -> Message {
@@ -915,8 +949,8 @@ pub(crate) mod tests {
         }
     }
 
-    /// A peer's push reaches the batch store on a shard thread and does not
-    /// wake the driver; what the node finds in the store when a message
+    /// A peer's push is handed to the node when its shard reads it, and
+    /// taken in at the node's next step; what arrived when a message
     /// wakes it must be in the pool *before* that message is dispatched,
     /// or the proposal the message triggers leaves the batch behind for a
     /// whole period. Likewise a gated block whose missing batch arrived
@@ -937,7 +971,7 @@ pub(crate) mod tests {
 
         // A batch arrives while the driver is blocked; the next message
         // finds it on offer.
-        arrive(&plane, 1);
+        arrive(&mut node, 1);
         wake(&mut node, 1_000);
         assert_eq!(handled_len(), 1);
         assert_eq!(handled.lock().unwrap()[0], ("block-request", vec![batch_ref(1)]));
@@ -948,41 +982,63 @@ pub(crate) mod tests {
         node.poll(SimTime(2_000));
         assert_eq!(plane.counters.stats().votes_gated, 1);
         assert_eq!(handled_len(), 1, "a block with an unresolved ref was delivered");
-        arrive(&plane, 2);
+        arrive(&mut node, 2);
         wake(&mut node, 3_000);
         assert_eq!(handled_len(), 3);
         let tags: Vec<&str> = handled.lock().unwrap().iter().map(|(tag, _)| *tag).collect();
         assert_eq!(tags, ["block-request", "block-response", "block-request"]);
     }
 
-    /// The store wakes the driver for an arrival only while the vote gate
-    /// holds a message: from the step that gates it to the step that
-    /// delivers it.
+    /// A batch the shard hands over twice (two pushes, or a push and a
+    /// fetch response) enters the pool once and is recorded stored once;
+    /// a batch this node seals is recorded stored once, in the step that
+    /// seals it, and not again when a peer pushes it back; and a batch
+    /// that committed is not taken in again.
     #[test]
-    fn only_a_held_gate_makes_an_arrival_wake_the_driver() {
+    fn a_batch_is_taken_in_once_whoever_stores_it() {
         let plane = DissemPlane::new(1 << 20);
         let handled = Arc::new(Mutex::new(Vec::new()));
-        let (mut node, _) = node(&plane, &handled, None);
-        let wakes = Arc::new(AtomicU64::new(0));
-        let counter = wakes.clone();
-        plane.store.wake_on_insert(move || {
-            counter.fetch_add(1, Ordering::Relaxed);
-        });
-        let wakes = || wakes.load(Ordering::Relaxed);
-        node.start(SimTime(0));
-        arrive(&plane, 1);
-        assert_eq!(wakes(), 0, "nothing is gated");
-        node.handle([(SimTime(1_000), inbound(synced_block(vec![batch_ref(2), batch_ref(3)])))]);
-        arrive(&plane, 2);
-        assert_eq!(wakes(), 1, "the gate holds a block");
-        node.poll(SimTime(2_000));
-        assert_eq!(handled.lock().unwrap().len(), 0, "one ref is still missing");
-        arrive(&plane, 3);
-        assert_eq!(wakes(), 2);
-        node.poll(SimTime(3_000));
-        assert_eq!(handled.lock().unwrap().len(), 1, "the block was delivered");
-        arrive(&plane, 4);
-        assert_eq!(wakes(), 2, "the gate is empty again");
+        let pool = Arc::new(Mempool::new(MempoolConfig::default()));
+        let mempool = Some((pool.clone(), 18_000));
+        let (mut node, ring) = sealing_node(&plane, &handled, None, mempool);
+        let stored = || -> Vec<Digest> {
+            let ring = ring.lock().unwrap();
+            let batch = |r: &TraceRecord| match r.event {
+                TraceEvent::BatchStored { batch, .. } => Some(batch),
+                _ => None,
+            };
+            ring.iter().filter_map(batch).collect()
+        };
+        let t = SimTime(1_000_000);
+        node.start(t);
+        arrive(&mut node, 1);
+        arrive(&mut node, 1);
+        node.poll(t);
+        assert_eq!(plane.pool.proposable(usize::MAX), [batch_ref(1)]);
+        assert_eq!(stored(), [batch_ref(1).digest]);
+
+        // With ω̂ unmeasured, an under-full batch is due 200 µs after the
+        // poll that finds it open.
+        pool.submit(make_tx(t.0, 1, 0, 180)).unwrap();
+        let due = node.poll(t).expect("the batch is open");
+        node.poll(due);
+        let offer = plane.pool.proposable(usize::MAX);
+        assert_eq!(offer.len(), 2);
+        let own = offer[1];
+        assert_eq!(stored(), [batch_ref(1).digest, own.digest]);
+        let bytes = plane.store.get(&own.digest).expect("the sealed batch is stored");
+        node.take_batch(own.digest, bytes);
+        node.poll(due);
+        assert_eq!(stored().len(), 2, "a peer's copy of an own batch is not new");
+
+        // The recorder commits the synced block that carries batch 1.
+        node.handle([(due, inbound(synced_block(vec![batch_ref(1)])))]);
+        assert_eq!(plane.pool.proposable(usize::MAX), [own]);
+        arrive(&mut node, 1);
+        node.poll(due);
+        assert_eq!(plane.pool.proposable(usize::MAX), [own], "a committed batch came back");
+        assert_eq!(stored().len(), 2);
+        assert_eq!(plane.counters.stats().batches_stored, 2);
     }
 
     /// However many fetches are outstanding, one batch-fetch timer is
@@ -1112,8 +1168,8 @@ pub(crate) mod tests {
         assert_eq!(node.poll(t), Some(t + LINGER), "the batch is open");
         let at = t + SimDuration(1_000);
         node.handle([(at, inbound(opt_propose()))]);
-        assert_eq!(node.poll(at), Some(t + STALL), "nothing is due");
-        assert_eq!(emitted(&mut node), ["vote", "loopback", "batch-push"]);
+        assert_eq!(node.poll(at), Some(at), "only the vote's self-copy waits");
+        assert_eq!(emitted(&mut node), ["vote", "batch-push"]);
         assert!(pool.is_empty());
         let offer = plane.pool.proposable(usize::MAX);
         assert_eq!(offer.len(), 1);
@@ -1136,9 +1192,9 @@ pub(crate) mod tests {
         node.handle([(at, inbound(Message::OptPropose { block, view: View(1) }))]);
         node.poll(at);
         assert!(emitted(&mut node).is_empty(), "the proposal is gated");
-        arrive(&plane, 1);
+        arrive(&mut node, 1);
         node.poll(at + SimDuration(1_000));
-        assert_eq!(emitted(&mut node), ["vote", "loopback", "batch-push"]);
+        assert_eq!(emitted(&mut node), ["vote", "batch-push"]);
         assert!(pool.is_empty());
     }
 
@@ -1190,7 +1246,7 @@ pub(crate) mod tests {
         let at = due + SimDuration(1_000);
         node.handle([(at, certificate())]);
         node.poll(at);
-        assert_eq!(emitted(&mut node), ["opt-propose", "loopback", "batch-push"]);
+        assert_eq!(emitted(&mut node), ["opt-propose", "batch-push"]);
         let second = plane.pool.proposable(usize::MAX);
         assert_eq!(second.len(), 1);
         assert_ne!(second, first);
@@ -1198,7 +1254,8 @@ pub(crate) mod tests {
 
         node.handle([(at + SimDuration(1_000), certificate())]);
         node.poll(at + SimDuration(1_000));
-        assert_eq!(emitted(&mut node), ["opt-propose", "loopback"]);
+        // (The vote answers the node's own proposal, taken in first.)
+        assert_eq!(emitted(&mut node), ["vote", "opt-propose"]);
         assert_eq!(*proposed.lock().unwrap(), [first, second]);
     }
 
@@ -1217,8 +1274,8 @@ pub(crate) mod tests {
         assert_eq!(node.poll(t), Some(t + STALL), "nothing seals at the cap");
         let at = t + SimDuration(1_000);
         node.handle([(at, inbound(opt_propose()))]);
-        assert_eq!(node.poll(at), Some(t + STALL));
-        assert_eq!(emitted(&mut node), ["vote", "loopback"]);
+        assert_eq!(node.poll(at), Some(at));
+        assert_eq!(emitted(&mut node), ["vote"]);
         assert_eq!(pool.len(), 1);
     }
 

@@ -3,15 +3,15 @@
 //! [`NetPool`]: that shard, the node's home, steps it on the pool's clock
 //! (microseconds since [`NetPool::epoch`], so the
 //! [`SimTime`](moonshot_types::time::SimTime)s of every node on one pool
-//! are mutually comparable) whenever it has work — a message, an admission
-//! that opens or fills a batch, a batch landing while the vote gate waits
-//! on one, or the deadline [`Node::poll`] named. The handle is the node's
+//! are mutually comparable) whenever it has work — a message or a batch
+//! read for it, an admission that opens or fills a batch, or the deadline
+//! [`Node::poll`] named. The handle is the node's
 //! only way to its home shard: it halts the node, reads its report and
 //! detaches it. Nothing here runs a thread.
 
 use std::net::TcpListener;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use moonshot_consensus::{CommittedBlock, ConsensusProtocol, MessageVerifier, NodeConfig};
@@ -72,9 +72,7 @@ impl NodeReport {
 
 /// A running node, hosted on its home shard of a network pool.
 pub struct NodeHandle {
-    /// What the node shares with its home shard, the node's shutdown flag
-    /// among it: set, the shard steps the node and redials its peers no
-    /// more.
+    /// What the node shares with its home shard.
     pub(crate) core: Arc<NodeCore>,
     pool: Arc<NetPool>,
     /// Index of the home shard in the pool.
@@ -117,16 +115,16 @@ impl NodeHandle {
     /// and the node appends every block it commits in the step that
     /// commits it.
     ///
-    /// `listener` adopts a pre-bound socket instead of binding
-    /// `cfg.listen` — which lets a cluster bind every node on port 0 first,
-    /// learn the real addresses, and only then build the peer tables.
+    /// `listener` is the node's bound socket: its address is the one its
+    /// peers dial, and a cluster binds every node on port 0 first, learns
+    /// the real addresses, and only then builds the peer tables.
     /// `sink` receives the trace; every timestamp in it is microseconds
     /// since the [`epoch`](NetPool::epoch) of the pool `cfg` names.
     pub fn start(
         protocol: impl FnOnce(NodeConfig) -> Box<dyn ConsensusProtocol + Send>,
         delta: SimDuration,
         cfg: TransportConfig,
-        listener: Option<TcpListener>,
+        listener: TcpListener,
         data_dir: Option<&Path>,
         sink: SharedSink,
     ) -> std::io::Result<NodeHandle> {
@@ -154,10 +152,6 @@ impl NodeHandle {
         let committed_height = node.height_gauge();
         let recovered_height = committed_height.load(Ordering::Relaxed);
 
-        let listener = match listener {
-            Some(l) => l,
-            None => TcpListener::bind(cfg.listen)?,
-        };
         listener.set_nonblocking(true)?;
         let peers: Vec<_> = cfg.peers.into_iter().filter(|&(peer, _)| peer != id).collect();
         let core = Arc::new(NodeCore {
@@ -167,7 +161,6 @@ impl NodeHandle {
             mempool: cfg.mempool,
             dissem: cfg.dissem,
             peers: peers.iter().map(|&(peer, _)| (peer, PeerMetrics::default())).collect(),
-            shutdown: AtomicBool::new(false),
             shape: cfg.shape,
         });
         let home = cfg.pool.attach(core.clone(), listener, node, peers)?;
@@ -201,7 +194,6 @@ impl NodeHandle {
     /// its shapers still held toward a peer that closed first, and none
     /// sees a link drop and counts the redial as a reconnect.
     pub(crate) fn halt(&self) -> NodeReport {
-        self.core.shutdown.store(true, Ordering::SeqCst);
         let mut report = self.pool.halt(self.home, self.core.id).stop();
         if let Some(threads) = process_threads() {
             report.metrics.set_gauge("process.threads", threads as f64);
@@ -252,7 +244,7 @@ impl NodeHandle {
     /// sockets close. The pool keeps running for its other nodes; its
     /// owner shuts it down after the last one stops.
     pub(crate) fn detach(self) {
-        // Every dial checks the shutdown flag the halt set, and the home
+        // The halt took the node, every dial checks for it, and the home
         // shard handles its commands in order, so no connection for this
         // node can (re)appear once the detach is out.
         self.pool.detach(self.home, self.core.id);
@@ -287,14 +279,14 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let absent = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
         let peers = vec![(NodeId(0), addr), (NodeId(1), absent)];
-        let mut cfg = TransportConfig::new(NodeId(0), addr, peers, net.clone());
+        let mut cfg = TransportConfig::new(NodeId(0), peers, net.clone());
         cfg.dissem = plane.clone();
         cfg.mempool = pool.map(|pool| (pool, 18_000));
         let node = NodeHandle::start(
             Recorder::build(plane, handled, None),
             SimDuration::from_millis(50),
             cfg,
-            Some(listener),
+            listener,
             None,
             Arc::new(Mutex::new(RingBufferSink::new(1024))),
         )
@@ -335,11 +327,11 @@ mod tests {
     }
 
     /// A gated message is delivered when its batch lands, with no other
-    /// message and no timer due: an insert from another thread wakes the
-    /// home shard. Node 1, a raw socket, sends synced blocks that each name
-    /// a batch the node lacks, so the gate holds them (and their fetches
-    /// go to node 1, whose link never comes up); the batch then lands in
-    /// the store from the test's thread.
+    /// message and no timer due: the shard that reads the push hands it to
+    /// the node and steps it. Node 1, a raw socket, sends synced blocks
+    /// that each name a batch the node lacks, so the gate holds them (and
+    /// their fetches go to node 1, whose link never comes up); node 1 then
+    /// pushes the batch.
     #[test]
     fn a_gated_arrival_wakes_the_home_shard_to_deliver() {
         let plane = DissemPlane::new(1 << 20);
@@ -362,7 +354,8 @@ mod tests {
             // The shard is blocked again before the batch lands.
             std::thread::sleep(Duration::from_millis(20));
             let arrived = Instant::now();
-            assert!(plane.store.insert(batch.digest, vec![seq; 64].into()));
+            let bytes = vec![seq; 64].into();
+            peer.write_all(&encode_frame(&Frame::BatchPush { digest: batch.digest, bytes })).unwrap();
             while handled.lock().unwrap().len() <= seq as usize {
                 assert!(arrived.elapsed() < Duration::from_secs(10), "block {seq}");
                 std::thread::sleep(Duration::from_micros(100));

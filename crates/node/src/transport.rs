@@ -67,11 +67,11 @@ const PROTECTED_BYTES: usize = 32 * 1024 * 1024;
 #[derive(Debug)]
 pub struct Inbound {
     /// The sending node (from its hello preamble, or this node itself for
-    /// loopback deliveries).
+    /// the messages the node keeps for its own next step).
     pub from: NodeId,
     /// The consensus message, every signature in it already checked: by
-    /// the home shard that read it, or trivially for loopback copies of
-    /// this node's own messages. Nothing reaches the node unverified.
+    /// the home shard that read it, or trivially for the node's own
+    /// messages to itself. Nothing reaches the node unverified.
     pub msg: PreVerified,
 }
 
@@ -80,8 +80,6 @@ pub struct Inbound {
 pub struct TransportConfig {
     /// This node's id.
     pub node_id: NodeId,
-    /// Address to listen on.
-    pub listen: SocketAddr,
     /// All peers (entries for `node_id` itself are ignored).
     pub peers: Vec<(NodeId, SocketAddr)>,
     /// When set, the node's mempool and its base batch size in bytes:
@@ -90,11 +88,12 @@ pub struct TransportConfig {
     /// batches of that size. When `None` — a consensus-only node proposing
     /// other nodes' batches or empty blocks — submissions are ignored.
     pub mempool: Option<(Arc<Mempool>, usize)>,
-    /// The node's dissemination plane: the home shard validates and stores
-    /// `BatchPush`/`BatchResponse` frames into its batch store and answers
-    /// `BatchRequest` frames from it, and the node pushes the batches it
-    /// seals, proposes and gates votes through the same plane. A fresh one
-    /// by default; a restarted node is handed the plane it had.
+    /// The node's dissemination plane: the home shard checks the digest of
+    /// a `BatchPush`/`BatchResponse` frame and hands the batch to the node,
+    /// which stores it, and answers `BatchRequest` frames from the store;
+    /// the node pushes the batches it seals, proposes and gates votes
+    /// through the same plane. A fresh one by default; a restarted node is
+    /// handed the plane it had.
     pub dissem: Arc<DissemPlane>,
     /// Fault-injection knob (tests): skip this peer when the node
     /// broadcasts `BatchPush` frames, forcing its fetch path to cover.
@@ -112,15 +111,9 @@ pub struct TransportConfig {
 impl TransportConfig {
     /// A config for node `node_id` among `peers` on `pool`: no mempool, a
     /// fresh plane, unshaped.
-    pub fn new(
-        node_id: NodeId,
-        listen: SocketAddr,
-        peers: Vec<(NodeId, SocketAddr)>,
-        pool: Arc<NetPool>,
-    ) -> Self {
+    pub fn new(node_id: NodeId, peers: Vec<(NodeId, SocketAddr)>, pool: Arc<NetPool>) -> Self {
         TransportConfig {
             node_id,
-            listen,
             peers,
             mempool: None,
             dissem: DissemPlane::new(DISSEM_STORE_BUDGET),
@@ -371,10 +364,9 @@ pub(crate) mod tests {
         tick: Option<(NodeId, SimDuration)>,
     ) -> (NodeHandle, Seen) {
         let (probe, seen) = probe(at_start, tick);
-        let addr = listener.local_addr().unwrap();
-        let cfg = TransportConfig::new(id, addr, peers.to_vec(), net.clone());
+        let cfg = TransportConfig::new(id, peers.to_vec(), net.clone());
         let delta = SimDuration::from_millis(50);
-        let node = NodeHandle::start(probe, delta, cfg, Some(listener), None, sink()).unwrap();
+        let node = NodeHandle::start(probe, delta, cfg, listener, None, sink()).unwrap();
         (node, seen)
     }
 

@@ -59,14 +59,13 @@ fn start(
     at_start: Vec<Output>,
 ) -> (NodeHandle, mpsc::Receiver<(NodeId, Message)>) {
     let (tx, rx) = mpsc::channel();
-    let addr = listener.local_addr().unwrap();
-    let cfg = TransportConfig::new(id, addr, peers.to_vec(), pool.clone());
+    let cfg = TransportConfig::new(id, peers.to_vec(), pool.clone());
     let probe = move |cfg: NodeConfig| -> Box<dyn ConsensusProtocol + Send> {
         Box::new(Probe { verifier: MessageVerifier::for_config(&cfg), at_start, seen: tx })
     };
     let sink = Arc::new(Mutex::new(RingBufferSink::new(1024)));
     let delta = SimDuration::from_millis(50);
-    let node = NodeHandle::start(probe, delta, cfg, Some(listener), None, sink).unwrap();
+    let node = NodeHandle::start(probe, delta, cfg, listener, None, sink).unwrap();
     (node, rx)
 }
 
