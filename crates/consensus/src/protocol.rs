@@ -88,8 +88,10 @@ pub trait ConsensusProtocol {
 
     /// The state transition for a message that already passed a
     /// [`MessageVerifier`] — this node's own, in
-    /// [`handle_message`](ConsensusProtocol::handle_message), or the
-    /// network shard loop that read it. The rules perform no cryptography.
+    /// [`handle_message`](ConsensusProtocol::handle_message), or the node
+    /// runtime's step that took it in, through
+    /// [`verifier`](ConsensusProtocol::verifier). The rules perform no
+    /// cryptography.
     fn handle_preverified(
         &mut self,
         from: NodeId,
@@ -227,9 +229,10 @@ pub struct NodeConfig {
     pub payloads: PayloadSource,
     /// Retry behaviour for block fetches (see [`crate::sync::RetryPolicy`]).
     pub fetch_retry: crate::sync::RetryPolicy,
-    /// The cache of already-verified certificate digests, shared by the
-    /// node's [`MessageVerifier`] and every shard loop verifying for it, so
-    /// a certificate checked on one thread is a cache hit everywhere else.
+    /// The cache of already-verified certificate digests, shared by every
+    /// [`MessageVerifier`] built over this configuration, so a proof
+    /// checked once is a cache hit from then on (the key covers the proof,
+    /// so another signer set's copy of the same certificate misses).
     pub verified_cache: Arc<VerifiedCache>,
     /// Durable write-ahead log for votes/timeouts (`None` = in-memory
     /// only, the pre-ledger behaviour). Called synchronously on the driver

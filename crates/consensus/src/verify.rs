@@ -7,26 +7,33 @@
 //! * [`ConsensusProtocol::handle_message`] runs the node's own verifier
 //!   (the simulator's `ProtocolActor`, so every DES run and `LocalNet`,
 //!   and tests);
-//! * the node runtime's network shard loops run
-//!   [`MessageVerifier::verify_batch`] over the messages they read, off the
-//!   driver thread, and deliver through
+//! * the node runtime's `Node` runs [`MessageVerifier::verify_batch`],
+//!   through the protocol's own verifier, over the messages its peers sent
+//!   since its last step — one call per step, on the network shard that
+//!   steps it — and delivers through
 //!   [`ConsensusProtocol::handle_preverified`].
 //!
 //! Both run the same function: [`MessageVerifier::verify`] is the
 //! one-message case of `verify_batch`. The check is *pure* — it needs the
 //! PKI and the verified-certificate cache, but no protocol state — which is
-//! what lets it leave the driver thread.
+//! what lets a host batch it across the messages one step takes in.
 //!
 //! A [`PreVerified`] value is only constructed by the verifier after every
 //! check passed, or by [`PreVerified::trusted`] for messages that need none.
 //! Rule code takes only `PreVerified` messages and performs no
 //! cryptography, so a correctly wired runtime performs **zero** signature
-//! verifications on the driver thread.
+//! verifications inside the rules.
 //!
 //! The verifier shares its [`VerifiedCache`] with the protocol's
-//! [`NodeConfig`], so a certificate checked on one shard loop is a cache
-//! hit on every other thread — each unique QC/TC costs one raw multisig
-//! verification per node, total.
+//! [`NodeConfig`], so a certificate checked once is a cache hit from then
+//! on — but the cache key covers the proof (its signers and signatures) as
+//! well as the certified content, so each *distinct proof* of a QC/TC costs
+//! one raw multisig verification per node. The same certificate assembled
+//! from another 2f + 1 signer set misses: under the Advance View rule every
+//! node multicasts the QC it assembled itself, so a node can raw-verify up
+//! to n − 1 proofs of one certificate per view. Checking once per content
+//! is ROADMAP's first open item ("Verify each certificate once per
+//! content").
 //!
 //! [`ConsensusProtocol::handle_message`]: crate::ConsensusProtocol::handle_message
 //! [`ConsensusProtocol::handle_preverified`]: crate::ConsensusProtocol::handle_preverified
@@ -103,8 +110,9 @@ impl fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// Verifies messages against the PKI, routing certificates through a
-/// shared [`VerifiedCache`]. `Send + Sync`: one instance serves every
-/// network shard loop that reads for a node.
+/// shared [`VerifiedCache`]. A protocol owns one
+/// ([`ConsensusProtocol::verifier`](crate::ConsensusProtocol::verifier)),
+/// and the node runtime checks what peers send through it.
 #[derive(Clone, Debug)]
 pub struct MessageVerifier {
     ring: Keyring,

@@ -13,11 +13,11 @@
 //! `moonshot-consensus`'s retrying batch fetcher.
 //!
 //! Ownership: one node's plane is read and written on the network pool
-//! shard that hosts the node. The node alone writes the [`BatchStore`]: it
-//! stores the batches it seals, and the ones its shard checked against
-//! their digests (`Node::take_batch`); the shard also serves fetch requests
-//! from it. The [`ProposablePool`] is written by the node and read by the
-//! payload source it calls. All state is internally locked (a restarted
+//! shard that hosts the node, by the node's step. The node alone writes
+//! the [`BatchStore`]: it stores the batches it seals, and the pushed or
+//! fetched ones it checked against their digests; it also answers fetch
+//! requests from it. The [`ProposablePool`] is written by the node and
+//! read by the payload source it calls. All state is internally locked (a restarted
 //! node takes over the plane its predecessor left); no method blocks on
 //! anything but a short mutex.
 
@@ -46,12 +46,12 @@ pub struct DissemCounters {
     /// Batches new to the local store: sealed here, or pushed or fetched.
     pub batches_stored: AtomicU64,
     /// Incoming batch frames whose recomputed digest did not match the
-    /// advertised one (counted by the shard that read them, which drops
-    /// them without storing).
+    /// advertised one (counted by the node, which drops them without
+    /// storing).
     pub digest_mismatches: AtomicU64,
     /// `BatchRequest` frames this node sent (the vote gate's fetch path).
     pub fetches: AtomicU64,
-    /// `BatchRequest` frames the node's shard answered from its store.
+    /// `BatchRequest` frames the node answered from its store.
     pub fetches_served: AtomicU64,
     /// Proposals whose vote was deferred on at least one unresolved ref.
     pub votes_gated: AtomicU64,
@@ -130,8 +130,8 @@ struct StoreInner {
 /// of the proposals that reference them and resolved again at commit, so
 /// the live window is a few pipeline depths of batches; the budget only
 /// guards against a peer spraying garbage. Insertion is keyed by digest —
-/// the caller must have *verified* the digest against the bytes (a shard
-/// recomputes it via [`batch_digest`] before the node stores a peer's).
+/// the caller must have *verified* the digest against the bytes (the node
+/// recomputes it via [`batch_digest`] before it stores a peer's).
 pub struct BatchStore {
     inner: Mutex<StoreInner>,
     byte_budget: usize,
@@ -443,7 +443,7 @@ impl ProposablePool {
 }
 
 /// Everything the dissemination plane keeps for one node: the store (the
-/// node writes it, its shard serves fetches from it), the pool (the node
+/// node writes it and serves fetches from it), the pool (the node
 /// and its payload source) and the counters. One `Arc<DissemPlane>` is
 /// threaded through the transport config and the node, and outlives a
 /// killed node for its restart.

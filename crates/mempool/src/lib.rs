@@ -24,8 +24,8 @@
 //!   step.
 //! * [`dissem`] — the node-local state of the **batch dissemination
 //!   plane**: a content-addressed [`BatchStore`] (the node stores what it
-//!   seals and the pushed/fetched batches its shard checked, gates votes
-//!   and resolves commits on it),
+//!   seals and the pushed/fetched batches whose digests it checked, gates
+//!   votes and resolves commits on it),
 //!   the [`ProposablePool`] of batches no block has carried yet (own or
 //!   foreign — what the next leader proposes as 40-byte references), and
 //!   the `dissem.*` counters.

@@ -20,8 +20,8 @@
 //!
 //! The node is wired by [`NodeHandle::start`], exactly like every node of an
 //! in-process [`moonshot_node::Cluster`]: the network shard that owns its
-//! sockets steps it, handing it consensus messages only once it verified
-//! them, and
+//! sockets steps it, handing it what its peers sent, which the node checks
+//! before its protocol sees it, and
 //! blocks carry 40-byte
 //! references to batches that travel on the push/fetch plane.
 //!

@@ -141,7 +141,7 @@ pub struct Cluster {
     /// how much catch-up the restarted node actually owed the network.
     restarts: Vec<RestartStat>,
     /// The one network pool every node in the process shares: `O(cores)`
-    /// event-loop threads total, which also verify, not `O(n)`. Restarted nodes
+    /// event-loop threads total, which also step the nodes, not `O(n)`. Restarted nodes
     /// re-attach to it; [`Cluster::stop`] shuts it down last.
     net: Arc<NetPool>,
 }
@@ -1155,8 +1155,8 @@ mod tests {
     }
 
     /// Staged verification end to end: the cluster commits, and duplicate
-    /// certificate deliveries are cache hits (each unique QC/TC costs one
-    /// raw verification — the `misses` counter — per node).
+    /// certificate deliveries are cache hits (each distinct proof of a
+    /// QC/TC costs one raw verification — the `misses` counter — per node).
     #[test]
     fn verified_cluster_commits_with_cache_hits() {
         let cluster =

@@ -11,10 +11,11 @@
 //! `moonshot-node` binary, every node of a [`Cluster`], and a restart alike:
 //!
 //! * **one loop per node** — the pool shard a node attaches to, its home,
-//!   owns all of its sockets and steps it: it reads a consensus frame,
-//!   checks its signatures (batched per node over one wakeup's reads),
-//!   hands the node only [`PreVerified`](moonshot_consensus::PreVerified)
-//!   messages, and writes what the node sends in the same sweep, with no
+//!   owns all of its sockets and steps it: it hands the node every frame
+//!   a peer sent, unchecked and in read order; the node checks the
+//!   signatures (one batch per step, through its protocol's verifier) and
+//!   the batch digests before anything reaches its rules or its store;
+//!   and the shard writes what the node sends in the same sweep, with no
 //!   thread in between;
 //! * **digest dissemination** — transaction bytes never ride a proposal.
 //!   The node seals its mempool into batches
@@ -36,7 +37,7 @@
 //!   min(cores, 8) readiness-driven shard loops (via `moonshot-reactor`),
 //!   started as nodes attach, each home to some of the process's nodes: it
 //!   steps them on the pool's one clock, admits clients' `SubmitTx` frames
-//!   into their mempools, verifies their consensus messages in batches,
+//!   into their mempools, hands them their peers' other frames unchecked,
 //!   and dials (redialing on an exponential backoff, or at once when the
 //!   peer's hello shows it is back) and writes their links from bounded
 //!   drop-oldest outbound queues; shared by every node in a process.
@@ -44,10 +45,11 @@
 //!   per-peer outbound queue, and per-peer traffic and fault counters.
 //! * [`shape`] — per-link latency/bandwidth shaping matrices (Table II
 //!   WAN emulation) enforced sender-side by the pool's event loops.
-//! * [`node`] — the sans-IO [`Node`]: protocol, timer queue, sealer, vote
-//!   gate, ledger appends and stall watchdog, stepped with `now`; verified
-//!   messages and digest-checked batches go in, frames for peers leave as
-//!   values, and its messages to itself stay with it for its next step;
+//! * [`node`] — the sans-IO [`Node`]: signature and digest checks,
+//!   protocol, timer queue, sealer, vote gate, fetch answers, ledger
+//!   appends and stall watchdog, stepped with `now`; decoded frames go in,
+//!   frames for peers leave as values, and its messages to itself stay
+//!   with it for its next step;
 //!   [`runtime`] — [`NodeHandle`],
 //!   which builds it, hosts it on its home shard, where it is stepped
 //!   on the wall clock, and halts and detaches it. A node's numbers come
@@ -84,4 +86,4 @@ pub use netpool::{NetPool, NetPoolStats};
 pub use node::{Emit, Node};
 pub use runtime::{process_threads, NodeHandle, NodeReport, SharedSink};
 pub use shape::{LinkShape, ShapeMatrix};
-pub use transport::{Inbound, PeerMetrics, TransportConfig};
+pub use transport::{PeerMetrics, TransportConfig};

@@ -12,26 +12,27 @@
 //!
 //! A node lives on one shard, its *home*, chosen when it attaches (the
 //! shard hosting the fewest nodes): its listener, the connections it
-//! accepts, its outbound link to every peer and its sans-IO [`Node`]. One
-//! loop iteration reads what is ready, verifies the consensus frames it
-//! read — one [`MessageVerifier::verify_batch`] call per node, which
-//! funnels the vote/timeout signatures into one `batch_verify` — then
-//! steps each node that has work: its verified messages in read order
-//! ([`Node::handle`]), a [`Node::poll`], and what it emitted applied at
-//! once. Frames go into the peer queues and are written in the same sweep
-//! (a shaped link's shaper holds them first); the node keeps its own
-//! messages for its next step. A batch frame whose digest checks out goes
-//! to the node at once ([`Node::take_batch`]), which takes it in at that
-//! step. Nothing crosses a thread between the read and the write. Each
-//! node has one live step timer. Every shard, and every node it steps,
-//! reads one clock: µs since the pool's
-//! [`epoch`](NetPool::epoch), so trace stamps compare across nodes.
+//! accepts, its outbound link to every peer and its sans-IO [`Node`]. The
+//! shard moves bytes and the node checks them. One loop iteration reads
+//! what is ready, keeping for each node, unchecked and in read order, the
+//! frames its identified peers sent (consensus messages, batches, batch
+//! fetches), then steps each node that has work: those frames
+//! ([`Node::handle`], which checks the batches' digests and, in one batch,
+//! the messages' signatures, and names the sender of each message that
+//! failed, which the shard counts against that peer), a [`Node::poll`],
+//! and what it emitted applied at once. Frames go into the peer queues and
+//! are written in the same sweep (a shaped link's shaper holds them first);
+//! the node keeps its own messages for its next step. Nothing crosses a
+//! thread between the read and the write. Each node has one live step
+//! timer. Every shard, and every node it steps, reads one clock: µs since
+//! the pool's [`epoch`](NetPool::epoch), so trace stamps compare across
+//! nodes.
 //!
 //! The only work for a node that appears on another thread is a mempool
 //! admission that opens or fills a batch (an in-process client submitting
 //! directly): it reaches the home shard as a command plus a wake. On the
 //! home shard itself it needs neither: the shard steps a node after it
-//! reads a batch or a submission for it.
+//! reads a frame or a submission for it.
 //!
 //! The home shard alone dials a node's links (a nonblocking
 //! [`moonshot_reactor::connect`], given up after `DIAL_TIMEOUT`), writes
@@ -43,8 +44,9 @@
 //!
 //! A client's `SubmitTx` frame is admitted by the shard that reads it,
 //! through [`Mempool::submit_from`]. A shard reads at most `READ_BUDGET`
-//! per connection visit and admits or verifies those bytes before it reads
-//! again, so a flooding sender's surplus waits in its own socket.
+//! per connection visit, and admits those bytes, or has their node check
+//! them, before it reads again, so a flooding sender's surplus waits in its
+//! own socket.
 //!
 //! A step blocks its shard: a durable node's WAL `fdatasync` holds up
 //! every node hosted there. Whoever creates a pool hands it to every node
@@ -62,8 +64,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use moonshot_consensus::{Message, MessageVerifier};
-use moonshot_mempool::{batch_digest, DissemPlane, Mempool};
+use moonshot_mempool::Mempool;
 use moonshot_reactor::{Event, Interest, Poller, Waker};
 use moonshot_types::time::{EventQueue, SimDuration, SimTime};
 use moonshot_types::NodeId;
@@ -71,13 +72,13 @@ use moonshot_wire::{encode_frame, Frame, FrameReader};
 
 use crate::node::{Emit, Node};
 use crate::shape::{LinkShape, ShapeMatrix};
-use crate::transport::{Inbound, OutboundQueue, PeerMetrics};
+use crate::transport::{OutboundQueue, PeerMetrics};
 
 /// Read at most this much per connection per wakeup before yielding to the
 /// next ready connection; the level-triggered reactor re-fires for the
 /// remainder. It also bounds what one sender's flood costs a visit: the
-/// admission of one budget's worth of `SubmitTx` frames, or the
-/// verification of one budget's worth of consensus messages.
+/// admission of one budget's worth of `SubmitTx` frames, or the checks its
+/// node runs over one budget's worth of consensus messages.
 const READ_BUDGET: usize = 256 * 1024;
 /// Coalesce queued frames into vectored writes up to this many bytes.
 const WRITE_COALESCE: usize = 256 * 1024;
@@ -112,10 +113,8 @@ pub(crate) struct NodeCore {
     /// Pool-unique id, used to find this node's sockets at detach.
     pub(crate) id: u64,
     pub(crate) node: NodeId,
-    pub(crate) verifier: Arc<MessageVerifier>,
     /// The node's mempool and its base batch size, if it takes submissions.
     pub(crate) mempool: Option<(Arc<Mempool>, usize)>,
-    pub(crate) dissem: Arc<DissemPlane>,
     /// Every peer's counters: written by the home shard, read at stop.
     pub(crate) peers: BTreeMap<NodeId, PeerMetrics>,
     pub(crate) shape: Option<Arc<ShapeMatrix>>,
@@ -128,11 +127,11 @@ struct Hosted {
     /// steps it no more, dials none of its links and drops what is read
     /// for it; its sockets stay until detach.
     node: Option<Node>,
-    /// The messages verified for the node since its last step, in read
-    /// order.
-    inbox: Vec<Inbound>,
-    /// Whether the node has work in this wakeup: messages, a batch or a
-    /// submission read for it, a poke from another thread.
+    /// The frames its peers sent since its last step, unchecked, with
+    /// their senders, in read order.
+    inbox: Vec<(NodeId, Frame)>,
+    /// Whether the node has work in this wakeup: frames or a submission
+    /// read for it, a poke from another thread.
     due: bool,
     /// When the node's one live step timer fires, on the shard's clock.
     armed: Option<SimTime>,
@@ -275,8 +274,8 @@ impl std::fmt::Debug for NetPool {
 impl NetPool {
     /// A pool whose clock starts now. It runs no thread yet: each node
     /// that attaches and finds every running shard hosting a node starts
-    /// one more, up to `min(cores, 8)` event-loop shards, which also
-    /// verify what they read and step the nodes they host.
+    /// one more, up to `min(cores, 8)` event-loop shards, which also step
+    /// the nodes they host.
     #[allow(clippy::new_ret_no_self)]
     pub fn new() -> Arc<NetPool> {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
@@ -590,9 +589,6 @@ struct Runner {
     shared: Arc<Shared>,
     events: Vec<Event>,
     buf: Vec<u8>,
-    /// Consensus messages read in this wakeup, in read order, awaiting
-    /// [`verify_read`](Runner::verify_read).
-    unverified: Vec<(Arc<NodeCore>, NodeId, Message)>,
     /// The nodes with work in this wakeup, kept for the next one.
     due: Vec<u64>,
     /// The links one step queued frames on, kept for the next step.
@@ -620,7 +616,6 @@ impl Runner {
             shared,
             events: Vec::new(),
             buf: vec![0u8; 64 * 1024],
-            unverified: Vec::new(),
             due: Vec::new(),
             written: Vec::new(),
         })
@@ -649,7 +644,6 @@ impl Runner {
                 self.dispatch(ev);
             }
             self.events = events;
-            self.verify_read();
             let mut due = std::mem::take(&mut self.due);
             due.extend(self.hosted.iter().filter(|(_, h)| h.due).map(|(&id, _)| id));
             for &core_id in &due {
@@ -790,9 +784,11 @@ impl Runner {
         }
     }
 
-    /// One step of node `core_id`: its inbox, in read order, each message
-    /// stamped as the node takes it; a poll; then what it emitted. Frames
-    /// go into the peer queues and every link that got one is written now.
+    /// One step of node `core_id`: its inbox, in read order, each frame
+    /// stamped as the node takes it, and each sender the node names for a
+    /// message that failed its check counted against that peer; a poll;
+    /// then what it emitted. Frames go into the peer queues and every link
+    /// that got one is written now.
     /// Last, its one step timer is armed for the deadline the poll named
     /// (at once while the node's own messages wait for its next step,
     /// which then runs in the next loop iteration), unless a live one
@@ -804,7 +800,11 @@ impl Runner {
         let Hosted { core, node: Some(node), inbox, armed, links, .. } = h else { return };
         let clock = || SimTime(epoch.elapsed().as_micros() as u64);
         if !inbox.is_empty() {
-            node.handle(inbox.drain(..).map(|m| (clock(), m)));
+            for from in node.handle(inbox.drain(..).map(|f| (clock(), f))) {
+                if let Some(p) = core.peers.get(&from) {
+                    p.verify_failures.fetch_add(1, Ordering::Relaxed);
+                }
+            }
         }
         let now = clock();
         let deadline = node.poll(now);
@@ -1106,85 +1106,22 @@ impl Runner {
                     self.mark_due(c.core.id);
                 }
             }
-            Frame::BatchPush { digest, bytes } | Frame::BatchResponse { digest, bytes } => {
-                if c.from.is_none() {
-                    return ReadVerdict::Close; // batch frames before hello
-                }
-                if batch_digest(&bytes) != digest {
-                    c.core.dissem.counters.digest_mismatches.fetch_add(1, Ordering::Relaxed);
-                    return ReadVerdict::Keep;
-                }
-                // The node stores it now and takes it in at its step,
-                // delivering what its vote gate held for it; a halted
-                // node's batches are dropped.
-                let hosted = self.hosted.get_mut(&c.core.id);
-                if let Some(Hosted { node: Some(node), due, .. }) = hosted {
-                    node.take_batch(digest, bytes);
+            frame => {
+                let Some(from) = c.from else {
+                    return ReadVerdict::Close; // a peer's frames before hello
+                };
+                // Consensus messages, batches and batch fetches: the node
+                // checks and answers them at its step. A halted node takes
+                // nothing.
+                if let Some(Hosted { node: Some(_), inbox, due, .. }) =
+                    self.hosted.get_mut(&c.core.id)
+                {
+                    inbox.push((from, frame));
                     *due = true;
                 }
             }
-            Frame::BatchRequest { digest } => {
-                let plane = &c.core.dissem;
-                let Some(id) = c.from else {
-                    return ReadVerdict::Close; // fetches are validator-only
-                };
-                if let Some(bytes) = plane.store.get(&digest) {
-                    plane.counters.fetches_served.fetch_add(1, Ordering::Relaxed);
-                    let frame = Arc::new(encode_frame(&Frame::BatchResponse { digest, bytes }));
-                    if let Some(link) = self.link(c.core.id, id) {
-                        link.push(frame, true, &c.core.peers[&id]);
-                        if let Some(token) = link.token {
-                            self.drive_write(token);
-                        }
-                    }
-                }
-            }
-            Frame::Consensus(msg) => {
-                let Some(id) = c.from else {
-                    return ReadVerdict::Close; // consensus before hello
-                };
-                // Checked with the rest of this wakeup's reads; only a
-                // verified copy reaches the node.
-                self.unverified.push((c.core.clone(), id, msg));
-            }
         }
         ReadVerdict::Keep
-    }
-
-    /// Verifies the consensus messages this wakeup read and puts the
-    /// verified ones in their nodes' inboxes, in read order; a failure
-    /// counts against its sender. A halted node's messages are dropped.
-    fn verify_read(&mut self) {
-        // Group by owning node (order preserved within a group) so each
-        // group hits its node's verifier/cache once with one batch.
-        type Group = (Arc<NodeCore>, Vec<(NodeId, Message)>);
-        let mut groups: Vec<Group> = Vec::new();
-        for (core, from, msg) in self.unverified.drain(..) {
-            match groups.iter_mut().find(|(c, _)| c.id == core.id) {
-                Some((_, items)) => items.push((from, msg)),
-                None => groups.push((core, vec![(from, msg)])),
-            }
-        }
-        for (core, items) in groups {
-            let Some(h) = self.hosted.get_mut(&core.id).filter(|h| h.node.is_some()) else {
-                continue;
-            };
-            let (froms, msgs): (Vec<NodeId>, Vec<Message>) = items.into_iter().unzip();
-            let results = core.verifier.verify_batch(msgs);
-            for (from, result) in froms.into_iter().zip(results) {
-                match result {
-                    Ok(msg) => {
-                        h.inbox.push(Inbound { from, msg });
-                        h.due = true;
-                    }
-                    Err(_) => {
-                        if let Some(p) = core.peers.get(&from) {
-                            p.verify_failures.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// Drains `token`'s link queue into its socket, subscribes writability
@@ -1263,14 +1200,11 @@ mod tests {
         let mut runner = Runner::new(net.shared.clone()).unwrap();
         let clock = || SimTime(net.epoch().elapsed().as_micros() as u64);
         let msg = numbered(7);
-        let (node, verifier, seen) =
-            probe_node(NodeId(0), 1, vec![Output::Multicast(msg.clone())], None);
+        let (node, seen) = probe_node(NodeId(0), 1, vec![Output::Multicast(msg.clone())], None);
         let core = Arc::new(NodeCore {
             id: 0,
             node: NodeId(0),
-            verifier,
             mempool: None,
-            dissem: DissemPlane::new(1 << 20),
             peers: BTreeMap::new(),
             shape: None,
         });

@@ -1,14 +1,17 @@
 //! The node: every decision a validator makes over real I/O, none of the
 //! I/O. [`Node`] owns the protocol and everything that decides around it —
-//! timers, trace path, commits, sealer, vote gate, batch fetcher, ledger
-//! appends, stall watchdog — and reads no clock: every entry point is handed
-//! `now`. What it takes in is verified input: consensus messages
-//! ([`Node::handle`]) and batches whose digest was checked
-//! ([`Node::take_batch`]); what it sends to peers leaves as [`Emit`] values
-//! in emission order, and its messages to itself stay with it until its
-//! next step. Its home shard ([`netpool`](crate::netpool)) steps it on the
-//! wall clock; a test steps it on a clock it makes up. Tracing rides the
-//! [`ProtocolObserver`] hook at the protocol's call boundary — the
+//! signature checks, timers, trace path, commits, sealer, batch store
+//! writes, vote gate, batch fetcher and fetch answers, ledger appends, stall
+//! watchdog — and reads no clock: every entry point is handed `now`. What
+//! it takes in is the decoded frames its peers sent, unchecked
+//! ([`Node::handle`]): it checks each batch against its digest before it
+//! stores it, and each consensus message through the protocol's own
+//! verifier before the rules see it, and hands the host back the sender of
+//! each message that failed. What it sends to peers leaves as [`Emit`]
+//! values in emission order, and its messages to itself stay with it until
+//! its next step. Its home shard ([`netpool`](crate::netpool)) steps it on
+//! the wall clock; a test steps it on a clock it makes up. Tracing rides
+//! the [`ProtocolObserver`] hook at the protocol's call boundary — the
 //! simulator's events, so the invariant checker works on cluster runs.
 
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -21,14 +24,13 @@ use moonshot_consensus::{
 };
 use moonshot_crypto::{Digest, VerifiedCache};
 use moonshot_ledger::Ledger;
-use moonshot_mempool::{DissemPlane, Mempool, Seal, Sealer, BATCH_TX_OVERHEAD};
+use moonshot_mempool::{batch_digest, DissemPlane, Mempool, Seal, Sealer, BATCH_TX_OVERHEAD};
 use moonshot_telemetry::{MetricsRegistry, TraceEvent, TraceRecord, TraceSink};
 use moonshot_types::time::{EventQueue, SimDuration, SimTime};
 use moonshot_types::{BatchRef, Block, BlockId, NodeId, Payload};
 use moonshot_wire::{encode_frame, encode_message, Frame};
 
 use crate::runtime::{NodeReport, SharedSink};
-use crate::transport::Inbound;
 
 /// Proposal-time entries above which the map resets — a leak guard for
 /// blocks that never commit (e.g. equivocation garbage under faults).
@@ -170,15 +172,15 @@ pub struct Node {
     /// Proposals / synced blocks parked until every batch ref they carry
     /// resolves in the local store.
     gated: VecDeque<GatedMessage>,
-    /// Batches new to the store since the last step took them in: entered
+    /// Batches new to the store since the node last took them in: entered
     /// into the proposable pool, and released from the vote gate, there.
     arrived: Vec<BatchRef>,
     /// This node's messages to itself (copies of its multicasts, and what
     /// it sends itself) from its earlier steps, taken in first at its next.
-    own: Vec<Inbound>,
+    own: Vec<PreVerified>,
     /// Its messages to itself from this step: they join `own` as the step
     /// ends, with its [`poll`](Node::poll).
-    own_new: Vec<Inbound>,
+    own_new: Vec<PreVerified>,
     /// The durable ledger: every committed block is appended to it, and
     /// its counters land in the final report.
     ledger: Option<Arc<Ledger>>,
@@ -289,39 +291,91 @@ impl Node {
         self.process(outputs, now);
     }
 
-    /// One drained batch of the inbox, each message stamped with the time
-    /// it is dispatched at. What waits from earlier steps is taken in
-    /// first, at the first message's time: the batches that arrived, then
-    /// the node's own messages.
-    pub fn handle(&mut self, batch: impl IntoIterator<Item = (SimTime, Inbound)>) {
-        for (i, (now, inbound)) in batch.into_iter().enumerate() {
-            if i == 0 {
+    /// The frames peers sent since the last step, unchecked, each with its
+    /// sender, in read order and stamped with the time it is taken: the
+    /// batches pushed or served to this node, the fetches it is asked to
+    /// serve and the consensus messages. A connection's hello and a
+    /// client's submission are the host's, not the node's, and are ignored.
+    ///
+    /// Each batch whose bytes hash to its digest is stored before the first
+    /// message is dispatched, and each fetch of a stored batch is answered
+    /// with one protected `BatchResponse`. The messages are checked in one
+    /// batch through the protocol's own verifier, and those that pass are
+    /// dispatched in read order, each at its stamp. What waits from earlier
+    /// steps is taken in first, at the first such message's time: the
+    /// batches that arrived, then the node's own messages. Returns the
+    /// sender of each message that failed its check, for the host to count.
+    pub fn handle(
+        &mut self,
+        frames: impl IntoIterator<Item = (SimTime, (NodeId, Frame))>,
+    ) -> Vec<NodeId> {
+        let (mut stamps, mut messages) = (Vec::new(), Vec::new());
+        for (now, (from, frame)) in frames {
+            match frame {
+                Frame::Consensus(msg) => {
+                    stamps.push((now, from));
+                    messages.push(msg);
+                }
+                Frame::BatchPush { digest, bytes } | Frame::BatchResponse { digest, bytes } => {
+                    self.store_batch(digest, bytes)
+                }
+                Frame::BatchRequest { digest } => self.serve_fetch(from, digest),
+                Frame::Hello { .. } | Frame::SubmitTx { .. } => {}
+            }
+        }
+        if messages.is_empty() {
+            return Vec::new();
+        }
+        let checked = self.protocol.verifier().verify_batch(messages);
+        let (mut rejected, mut first) = (Vec::new(), true);
+        for ((now, from), msg) in stamps.into_iter().zip(checked) {
+            let Ok(msg) = msg else {
+                rejected.push(from);
+                continue;
+            };
+            if std::mem::take(&mut first) {
                 self.take_in(now);
             }
-            self.dispatch(inbound, now);
+            self.dispatch(from, msg, now);
         }
+        rejected
     }
 
-    /// A batch whose bytes the shard checked against `digest`: stored, and,
-    /// if the store did not hold it yet, taken in at the next step — into
-    /// the proposable pool, out of the vote gate.
-    pub fn take_batch(&mut self, digest: Digest, bytes: Arc<[u8]>) {
+    /// A batch a peer pushed or served: stored if its bytes hash to
+    /// `digest`, and, if the store did not hold it yet, taken in at the
+    /// step's first message or its poll — into the proposable pool, out of
+    /// the vote gate.
+    fn store_batch(&mut self, digest: Digest, bytes: Arc<[u8]>) {
+        if batch_digest(&bytes) != digest {
+            self.dissem.counters.digest_mismatches.fetch_add(1, Ordering::Relaxed);
+            return;
+        }
         let len = bytes.len() as u64;
         if self.dissem.store.insert(digest, bytes) {
             self.arrived.push(BatchRef { digest, bytes: len });
         }
     }
 
+    /// A peer's fetch: answered from the store in the protected class, the
+    /// one sync responses ride, or not at all if the store lacks the batch.
+    fn serve_fetch(&mut self, to: NodeId, digest: Digest) {
+        if let Some(bytes) = self.dissem.store.get(&digest) {
+            self.dissem.counters.fetches_served.fetch_add(1, Ordering::Relaxed);
+            let frame = encode_frame(&Frame::BatchResponse { digest, bytes });
+            self.out.push(Emit::Protected(to, Arc::new(frame)));
+        }
+    }
+
     /// The start of a step that takes in messages: the batches that arrived
     /// since the last step (a proposal a message triggers carries every one
     /// of them, and a gated proposal whose push arrived is delivered ahead
-    /// of the messages), then the node's own messages, ahead of what was
-    /// verified since.
+    /// of the messages), then the node's own messages, ahead of what peers
+    /// sent since.
     fn take_in(&mut self, now: SimTime) {
         self.batches += 1;
         self.sync_dissem(now);
-        for inbound in std::mem::take(&mut self.own) {
-            self.dispatch(inbound, now);
+        for msg in std::mem::take(&mut self.own) {
+            self.dispatch(self.node, msg, now);
         }
     }
 
@@ -435,8 +489,7 @@ impl Node {
     /// parked until the refs arrive (normally the in-flight `BatchPush`,
     /// else the fetch fallback kicked off here) so the protocol never votes
     /// for data this node could not re-serve.
-    fn dispatch(&mut self, inbound: Inbound, now: SimTime) {
-        let Inbound { from, msg } = inbound;
+    fn dispatch(&mut self, from: NodeId, msg: PreVerified, now: SimTime) {
         if let Some(block) = carried_block(msg.message()) {
             // On receipt, not on delivery: this node may lead the next view
             // off a certificate while the gate below still holds the body.
@@ -463,8 +516,9 @@ impl Node {
         self.deliver(from, msg, now);
     }
 
-    /// Hands one message to the protocol. Every message was verified before
-    /// it reached the node, so the node itself performs no signature checks.
+    /// Hands one message to the protocol. Every message was checked before
+    /// it got here — in [`handle`](Node::handle), or trivially as one of
+    /// the node's own — so the rules perform no signature checks.
     fn deliver(&mut self, from: NodeId, msg: PreVerified, now: SimTime) {
         self.messages_handled += 1;
         self.observer.on_message_received(from, msg.message(), now, &mut self.sink);
@@ -579,8 +633,8 @@ impl Node {
         Some(now)
     }
 
-    /// Takes in the batches [`take_batch`](Node::take_batch) stored since
-    /// the last call: enters them into the proposable pool, records
+    /// Takes in the batches [`handle`](Node::handle) stored since the last
+    /// call: enters them into the proposable pool, records
     /// `BatchStored` trace events, settles outstanding fetches, and delivers
     /// any gated message whose missing set drained empty.
     fn drain_stored(&mut self, now: SimTime) {
@@ -616,7 +670,7 @@ impl Node {
     /// self-addressed `BlockResponse`, not self-signed but read back from
     /// our disk).
     fn keep_own(&mut self, msg: Message) {
-        self.own_new.push(Inbound { from: self.node, msg: PreVerified::trusted(msg) });
+        self.own_new.push(PreVerified::trusted(msg));
     }
 
     fn process(&mut self, outputs: Vec<Output>, now: SimTime) {
@@ -713,9 +767,9 @@ pub(crate) mod tests {
     use std::sync::Mutex;
 
     use moonshot_consensus::MessageVerifier;
-    use moonshot_crypto::KeyPair;
+    use moonshot_crypto::{KeyPair, Signature};
     use moonshot_mempool::seal::DISSEM_BACKLOG_CAP;
-    use moonshot_mempool::{batch_digest, make_tx, MempoolConfig};
+    use moonshot_mempool::{make_tx, MempoolConfig};
     use moonshot_telemetry::RingBufferSink;
     use moonshot_types::{BatchRef, QuorumCertificate, SignedVote, View, Vote, VoteKind};
     use moonshot_wire::decode_frame;
@@ -848,6 +902,13 @@ pub(crate) mod tests {
         sealing_node(plane, handled, timer, None)
     }
 
+    /// Node 0 of four over `plane`, so node 1's signatures check out.
+    fn node_of_four(plane: &Arc<DissemPlane>, handled: &Arc<Mutex<Vec<Handled>>>) -> Node {
+        let ring = Arc::new(Mutex::new(RingBufferSink::new(1024)));
+        let cfg = NodeConfig::simulated(NodeId(0), 4, DELTA);
+        Node::new(cfg, Recorder::build(plane, handled, None), plane.clone(), None, None, ring)
+    }
+
     /// [`node`], sealing `mempool` if given.
     fn sealing_node(
         plane: &Arc<DissemPlane>,
@@ -929,18 +990,23 @@ pub(crate) mod tests {
         Message::Vote(SignedVote::sign(vote, NodeId(1), &KeyPair::from_seed(1)))
     }
 
-    /// What the sigverify stage hands on for a message that checked out.
-    fn inbound(msg: Message) -> Inbound {
-        Inbound { from: NodeId(1), msg: PreVerified::trusted(msg) }
+    /// A consensus message from node 1, as its home shard reads it.
+    fn inbound(msg: Message) -> (NodeId, Frame) {
+        (NodeId(1), Frame::Consensus(msg))
     }
 
     fn batch_ref(tag: u8) -> BatchRef {
         BatchRef { digest: batch_digest(&[tag; 64]), bytes: 64 }
     }
 
-    /// What the home shard does with a `BatchPush` whose digest checks out.
+    /// Node 1 pushes batch `tag` (a batch frame's stamp goes unused).
     fn arrive(node: &mut Node, tag: u8) {
-        node.take_batch(batch_ref(tag).digest, vec![tag; 64].into());
+        node.handle([(SimTime::ZERO, push(batch_ref(tag).digest, vec![tag; 64].into()))]);
+    }
+
+    /// Node 1's `BatchPush` of `bytes` under `digest`.
+    fn push(digest: Digest, bytes: Arc<[u8]>) -> (NodeId, Frame) {
+        (NodeId(1), Frame::BatchPush { digest, bytes })
     }
 
     fn synced_block(refs: Vec<BatchRef>) -> Message {
@@ -1027,7 +1093,7 @@ pub(crate) mod tests {
         let own = offer[1];
         assert_eq!(stored(), [batch_ref(1).digest, own.digest]);
         let bytes = plane.store.get(&own.digest).expect("the sealed batch is stored");
-        node.take_batch(own.digest, bytes);
+        node.handle([(due, push(own.digest, bytes))]);
         node.poll(due);
         assert_eq!(stored().len(), 2, "a peer's copy of an own batch is not new");
 
@@ -1041,21 +1107,81 @@ pub(crate) mod tests {
         assert_eq!(plane.counters.stats().batches_stored, 2);
     }
 
+    /// A vote whose signature fails its check never reaches the protocol,
+    /// and the node names its sender to the host; a valid vote read behind
+    /// it, checked in the same step, is delivered.
+    #[test]
+    fn a_forged_vote_is_not_delivered_and_its_sender_is_named() {
+        let plane = DissemPlane::new(1 << 20);
+        let handled = Arc::new(Mutex::new(Vec::new()));
+        let mut node = node_of_four(&plane, &handled);
+        node.start(SimTime(0));
+        let Message::Vote(mut forged) = peer_vote() else { unreachable!("a vote") };
+        let mut sig = forged.signature.to_bytes();
+        sig[0] ^= 1;
+        forged.signature = Signature::from_bytes(sig);
+        let at = SimTime(1_000);
+        let frames = [(at, inbound(Message::Vote(forged))), (at, inbound(peer_vote()))];
+        let rejected = node.handle(frames);
+        assert_eq!(rejected, [NodeId(1)]);
+        let tags: Vec<&str> = handled.lock().unwrap().iter().map(|(tag, _)| *tag).collect();
+        assert_eq!(tags, ["vote"], "the valid vote, and only it, reached the protocol");
+    }
+
+    /// A pushed batch whose bytes do not hash to its digest is neither
+    /// stored nor offered to a leader, and is counted; a good push in the
+    /// same step is both.
+    #[test]
+    fn a_push_that_does_not_hash_to_its_digest_is_not_stored() {
+        let plane = DissemPlane::new(1 << 20);
+        let handled = Arc::new(Mutex::new(Vec::new()));
+        let (mut node, _) = node(&plane, &handled, None);
+        node.start(SimTime(0));
+        let at = SimTime(1_000);
+        let forged = push(batch_ref(1).digest, vec![2; 64].into());
+        node.handle([(at, forged), (at, push(batch_ref(2).digest, vec![2; 64].into()))]);
+        node.poll(at);
+        assert!(!plane.store.contains(&batch_ref(1).digest), "a mismatched batch was stored");
+        assert_eq!(plane.pool.proposable(usize::MAX), [batch_ref(2)]);
+        assert_eq!(plane.counters.stats().digest_mismatches, 1);
+    }
+
+    /// A fetch of a stored batch is answered with exactly one protected
+    /// `BatchResponse` to the node that asked; a fetch of a batch the store
+    /// lacks gets nothing.
+    #[test]
+    fn a_fetch_is_answered_from_the_store_or_not_at_all() {
+        let plane = DissemPlane::new(1 << 20);
+        let handled = Arc::new(Mutex::new(Vec::new()));
+        let (mut node, _) = node(&plane, &handled, None);
+        node.start(SimTime(0));
+        arrive(&mut node, 1);
+        let request = |tag| (NodeId(1), Frame::BatchRequest { digest: batch_ref(tag).digest });
+        let at = SimTime(1_000);
+        node.handle([(at, request(1))]);
+        let out: Vec<Emit> = node.output().collect();
+        assert_eq!(out.len(), 1, "{out:?}");
+        let Emit::Protected(NodeId(1), frame) = &out[0] else { panic!("{out:?}") };
+        match decode_frame(frame) {
+            Ok(Frame::BatchResponse { digest, bytes }) => {
+                assert_eq!((digest, &bytes[..]), (batch_ref(1).digest, &[1; 64][..]));
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(plane.counters.stats().fetches_served, 1);
+
+        node.handle([(at, request(2))]);
+        assert_eq!(node.output().count(), 0, "a batch the store lacks was answered");
+        assert_eq!(plane.counters.stats().fetches_served, 1);
+    }
+
     /// However many fetches are outstanding, one batch-fetch timer is
     /// armed, and it still sends every overdue request when it fires.
     #[test]
     fn one_batch_fetch_timer_serves_every_outstanding_fetch() {
         let plane = DissemPlane::new(1 << 20);
         let handled = Arc::new(Mutex::new(Vec::new()));
-        let ring = Arc::new(Mutex::new(RingBufferSink::new(1024)));
-        let mut node = Node::new(
-            NodeConfig::simulated(NodeId(0), 4, DELTA),
-            Recorder::build(&plane, &handled, None),
-            plane.clone(),
-            None,
-            None,
-            ring,
-        );
+        let mut node = node_of_four(&plane, &handled);
         node.start(SimTime(0));
         for tag in 0..50u8 {
             let payload = Payload::batches(vec![batch_ref(tag)]);

@@ -3,8 +3,8 @@
 //! [`NetPool`]: that shard, the node's home, steps it on the pool's clock
 //! (microseconds since [`NetPool::epoch`], so the
 //! [`SimTime`](moonshot_types::time::SimTime)s of every node on one pool
-//! are mutually comparable) whenever it has work — a message or a batch
-//! read for it, an admission that opens or fills a batch, or the deadline
+//! are mutually comparable) whenever it has work — a frame its peers sent
+//! it, an admission that opens or fills a batch, or the deadline
 //! [`Node::poll`] named. The handle is the node's
 //! only way to its home shard: it halts the node, reads its report and
 //! detaches it. Nothing here runs a thread.
@@ -14,7 +14,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use moonshot_consensus::{CommittedBlock, ConsensusProtocol, MessageVerifier, NodeConfig};
+use moonshot_consensus::{CommittedBlock, ConsensusProtocol, NodeConfig};
 use moonshot_ledger::{Ledger, LedgerOptions};
 use moonshot_telemetry::{MetricsRegistry, TraceSink};
 use moonshot_types::time::SimDuration;
@@ -98,9 +98,9 @@ impl NodeHandle {
     /// keys among `cfg.peers`, view timers derived from `delta`. The node
     /// proposes references to the oldest batches in `cfg.dissem`'s
     /// proposable pool, gates its votes on holding the referenced bytes
-    /// (fetching what no push delivered), and takes in consensus messages
-    /// only once its home shard has verified them against the protocol's
-    /// verified-certificate cache.
+    /// (fetching what no push delivered), and hands the protocol a peer's
+    /// consensus message only once it has checked it, in the step that
+    /// takes it in, through the protocol's own verifier.
     ///
     /// With `cfg.mempool` the node also seals the pool into batches of
     /// its base size ([`Sealer`](moonshot_mempool::Sealer)), and stores,
@@ -141,10 +141,7 @@ impl NodeHandle {
             }
             None => None,
         };
-        // The shard verifies with the protocol's own keyring and cache, as
-        // its replica core does.
-        let verifier = Arc::new(MessageVerifier::for_config(&node_cfg));
-        let (plane, pool) = (cfg.dissem.clone(), cfg.mempool.clone());
+        let (plane, pool) = (cfg.dissem, cfg.mempool.clone());
         let mut node = Node::new(node_cfg, protocol, plane, pool, cfg.drop_batch_push_to, sink);
         if let Some(ledger) = ledger {
             node = node.durable(ledger);
@@ -157,9 +154,7 @@ impl NodeHandle {
         let core = Arc::new(NodeCore {
             id: cfg.pool.next_core_id(),
             node: id,
-            verifier,
             mempool: cfg.mempool,
-            dissem: cfg.dissem,
             peers: peers.iter().map(|&(peer, _)| (peer, PeerMetrics::default())).collect(),
             shape: cfg.shape,
         });

@@ -1,7 +1,6 @@
 //! What a node's sockets are made of: its [`TransportConfig`], the
 //! per-peer outbound queue and counters its home shard in the shared
-//! event-driven network core ([`crate::netpool`]) keeps, and the
-//! [`Inbound`] messages that shard hands the node.
+//! event-driven network core ([`crate::netpool`]) keeps.
 //!
 //! Topology: every node listens on one socket and dials one outbound
 //! connection per peer. A pair of nodes is therefore joined by two
@@ -39,7 +38,6 @@ use std::net::SocketAddr;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-use moonshot_consensus::PreVerified;
 use moonshot_mempool::{DissemPlane, Mempool};
 use moonshot_types::NodeId;
 
@@ -63,18 +61,6 @@ const QUEUE_BYTES: usize = 32 * 1024 * 1024;
 /// dropping one would starve the exact node whose vote is blocked on it.
 const PROTECTED_BYTES: usize = 32 * 1024 * 1024;
 
-/// A message for a node's next step.
-#[derive(Debug)]
-pub struct Inbound {
-    /// The sending node (from its hello preamble, or this node itself for
-    /// the messages the node keeps for its own next step).
-    pub from: NodeId,
-    /// The consensus message, every signature in it already checked: by
-    /// the home shard that read it, or trivially for the node's own
-    /// messages to itself. Nothing reaches the node unverified.
-    pub msg: PreVerified,
-}
-
 /// Transport configuration for one node.
 #[derive(Clone, Debug)]
 pub struct TransportConfig {
@@ -88,12 +74,11 @@ pub struct TransportConfig {
     /// batches of that size. When `None` — a consensus-only node proposing
     /// other nodes' batches or empty blocks — submissions are ignored.
     pub mempool: Option<(Arc<Mempool>, usize)>,
-    /// The node's dissemination plane: the home shard checks the digest of
-    /// a `BatchPush`/`BatchResponse` frame and hands the batch to the node,
-    /// which stores it, and answers `BatchRequest` frames from the store;
-    /// the node pushes the batches it seals, proposes and gates votes
-    /// through the same plane. A fresh one by default; a restarted node is
-    /// handed the plane it had.
+    /// The node's dissemination plane: the node stores the batch of each
+    /// `BatchPush`/`BatchResponse` frame whose digest checks out, answers
+    /// `BatchRequest` frames from the store, and pushes the batches it
+    /// seals, proposes and gates votes through the same plane. A fresh one
+    /// by default; a restarted node is handed the plane it had.
     pub dissem: Arc<DissemPlane>,
     /// Fault-injection knob (tests): skip this peer when the node
     /// broadcasts `BatchPush` frames, forcing its fetch path to cover.
@@ -152,8 +137,8 @@ pub struct PeerMetrics {
     pub reconnects: AtomicU64,
     /// Frames from this peer the decoder rejected (connection then dropped).
     pub decode_errors: AtomicU64,
-    /// Messages from this peer dropped by signature verification on the
-    /// shard that read them (bad signature or certificate).
+    /// Messages from this peer the node dropped in its signature check (bad
+    /// signature, certificate or payload digest).
     pub verify_failures: AtomicU64,
 }
 
@@ -252,7 +237,7 @@ pub(crate) mod tests {
     use std::time::{Duration, Instant};
 
     use moonshot_consensus::{
-        ConsensusProtocol, Message, MessageVerifier, NodeConfig, Output, TimerToken,
+        ConsensusProtocol, Message, MessageVerifier, NodeConfig, Output, PreVerified, TimerToken,
     };
     use moonshot_crypto::Digest;
     use moonshot_telemetry::RingBufferSink;
@@ -338,19 +323,17 @@ pub(crate) mod tests {
         Arc::new(Mutex::new(RingBufferSink::new(1024)))
     }
 
-    /// Node `id` of `n` running a [`Probe`], with the verifier its shard
-    /// checks messages with and what the probe is handed.
+    /// Node `id` of `n` running a [`Probe`], and what the probe is handed.
     pub(crate) fn probe_node(
         id: NodeId,
         n: usize,
         at_start: Vec<Output>,
         tick: Option<(NodeId, SimDuration)>,
-    ) -> (Node, Arc<MessageVerifier>, Seen) {
+    ) -> (Node, Seen) {
         let (probe, seen) = probe(at_start, tick);
         let cfg = NodeConfig::simulated(id, n, SimDuration::from_millis(50));
-        let verifier = Arc::new(MessageVerifier::for_config(&cfg));
         let plane = DissemPlane::new(1 << 20);
-        (Node::new(cfg, probe, plane, None, None, sink()), verifier, seen)
+        (Node::new(cfg, probe, plane, None, None, sink()), seen)
     }
 
     /// Starts node `id` of `peers` over `listener` on `net`, running a

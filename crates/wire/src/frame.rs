@@ -87,8 +87,8 @@ pub enum Frame {
     /// A consensus protocol message.
     Consensus(Message),
     /// Dissemination plane: a sealed transaction batch pushed to every peer
-    /// *before* a leader proposes its digest. Handled entirely on the
-    /// receiving network pool's shard loop (validate digest, insert into
+    /// *before* a leader proposes its digest. Handled entirely by the
+    /// receiving node's dissemination plane (validate digest, insert into
     /// the batch store); it never reaches the consensus state machine.
     BatchPush {
         /// Content digest of `bytes` (the batch-store key). Receivers
